@@ -60,7 +60,10 @@ type WeightedNeighbor struct {
 
 // EncodeWeightedNeighbors encodes a weighted adjacency list.
 func EncodeWeightedNeighbors(ns []WeightedNeighbor) []byte {
-	b := make([]byte, 0, 4+12*len(ns))
+	return appendWeightedNeighbors(make([]byte, 0, SizeOfWeightedList(len(ns))), ns)
+}
+
+func appendWeightedNeighbors(b []byte, ns []WeightedNeighbor) []byte {
 	b = AppendUint32(b, uint32(len(ns)))
 	for _, n := range ns {
 		b = AppendUint32(b, uint32(n.Node))
@@ -71,21 +74,71 @@ func EncodeWeightedNeighbors(ns []WeightedNeighbor) []byte {
 
 // DecodeWeightedNeighbors decodes a list encoded by EncodeWeightedNeighbors.
 func DecodeWeightedNeighbors(b []byte) ([]WeightedNeighbor, error) {
+	l, err := ViewWeightedNeighbors(b)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]WeightedNeighbor, l.Len())
+	for i := range out {
+		out[i] = l.At(i)
+	}
+	return out, nil
+}
+
+// WeightedList is a read-only view of a list encoded by
+// EncodeWeightedNeighbors: entries are read in place from the fixed-width
+// encoding, so a reader that touches only a prefix of a long list (a
+// truncated Prim search crossing a hub) never copies the rest.  The view
+// aliases the buffer it was made from, which must not change while the view
+// is in use — the contract values read from a frozen store already carry.
+// The zero value is the empty list.
+type WeightedList struct {
+	enc []byte // header and entries; nil for the zero value
+}
+
+// ViewWeightedNeighbors validates the header of b once and returns the view;
+// it accepts exactly the buffers DecodeWeightedNeighbors accepts.
+func ViewWeightedNeighbors(b []byte) (WeightedList, error) {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("codec: short buffer (%d bytes)", len(b))
+		return WeightedList{}, fmt.Errorf("codec: short buffer (%d bytes)", len(b))
 	}
 	n := binary.LittleEndian.Uint32(b)
 	// 64-bit arithmetic: see DecodeNodeIDs.
 	if uint64(len(b)) != 4+12*uint64(n) {
-		return nil, fmt.Errorf("codec: length mismatch: header %d, bytes %d", n, len(b))
+		return WeightedList{}, fmt.Errorf("codec: length mismatch: header %d, bytes %d", n, len(b))
 	}
-	out := make([]WeightedNeighbor, n)
-	for i := range out {
-		off := 4 + 12*i
-		out[i].Node = graph.NodeID(binary.LittleEndian.Uint32(b[off:]))
-		out[i].Weight = math.Float64frombits(binary.LittleEndian.Uint64(b[off+4:]))
+	return WeightedList{enc: b}, nil
+}
+
+// Len returns the number of entries.
+func (l WeightedList) Len() int {
+	if l.enc == nil {
+		return 0
 	}
-	return out, nil
+	return (len(l.enc) - 4) / 12
+}
+
+// At returns entry i; it panics when i is out of range, like a slice index.
+func (l WeightedList) At(i int) WeightedNeighbor {
+	off := 4 + 12*i
+	return WeightedNeighbor{
+		Node:   graph.NodeID(binary.LittleEndian.Uint32(l.enc[off:])),
+		Weight: math.Float64frombits(binary.LittleEndian.Uint64(l.enc[off+4:])),
+	}
+}
+
+// Encoded returns the buffer the view reads, which is the list's encoding.
+// It must not be modified.
+func (l WeightedList) Encoded() []byte { return l.enc }
+
+// AppendWeightedList appends the encoding of ns to b, so many lists can
+// share one buffer, and returns the grown buffer with a view of the list
+// just written.  The view's capacity is clipped to the list, so appending to
+// its Encoded bytes can never run into whatever b receives next.
+func AppendWeightedList(b []byte, ns []WeightedNeighbor) ([]byte, WeightedList) {
+	lo := len(b)
+	b = appendWeightedNeighbors(b, ns)
+	return b, WeightedList{enc: b[lo:len(b):len(b)]}
 }
 
 // EncodeNodeID encodes a single vertex identifier.

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +79,38 @@ func TestWeightedNeighborsDecodeErrors(t *testing.T) {
 	}
 	if _, err := DecodeWeightedNeighbors([]byte{2, 0, 0, 0, 1, 2, 3}); err == nil {
 		t.Fatal("length mismatch should fail")
+	}
+}
+
+func TestWeightedListView(t *testing.T) {
+	if n := (WeightedList{}).Len(); n != 0 {
+		t.Fatalf("zero view has %d entries", n)
+	}
+	// Two lists appended into one buffer read back independently.
+	a := []WeightedNeighbor{{Node: 3, Weight: 0.25}, {Node: 9, Weight: 0}}
+	b := []WeightedNeighbor{{Node: 1, Weight: -2}}
+	buf, la := AppendWeightedList(make([]byte, 0, 64), a)
+	buf, lb := AppendWeightedList(buf, b)
+	// Growing the first list's bytes must not write into the second.
+	_ = append(la.Encoded(), 0xff)
+	for _, tc := range []struct {
+		l    WeightedList
+		want []WeightedNeighbor
+	}{{la, a}, {lb, b}} {
+		if !bytes.Equal(tc.l.Encoded(), EncodeWeightedNeighbors(tc.want)) {
+			t.Fatalf("view encodes %x, want the encoding of %v", tc.l.Encoded(), tc.want)
+		}
+		if tc.l.Len() != len(tc.want) {
+			t.Fatalf("view has %d entries, want %d", tc.l.Len(), len(tc.want))
+		}
+		for i, w := range tc.want {
+			if tc.l.At(i) != w {
+				t.Fatalf("entry %d = %v, want %v", i, tc.l.At(i), w)
+			}
+		}
+	}
+	if _, err := ViewWeightedNeighbors(buf); err == nil {
+		t.Fatal("two concatenated lists accepted as one")
 	}
 }
 

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"ampcgraph/internal/graph"
@@ -45,6 +46,54 @@ func FuzzDecodeWeightedNeighbors(f *testing.F) {
 			t.Fatalf("decode/encode not canonical: %x -> %v -> %x", b, ns, got)
 		}
 	})
+}
+
+// FuzzWeightedList holds the in-place view to the decoder: it accepts exactly
+// the buffers DecodeWeightedNeighbors accepts, reports the same entries (bit
+// for bit, so NaN weights count), and never reads outside its own list even
+// when the list sits in the middle of a larger buffer.
+func FuzzWeightedList(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 0x80})
+	f.Add([]byte{1, 0, 0, 0, 1, 2, 3})
+	f.Add(EncodeWeightedNeighbors([]WeightedNeighbor{{Node: 1, Weight: 0.5}, {Node: 2, Weight: -3}}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		// The list under test is followed by another one in the same
+		// buffer, as in an arena of lists.
+		arena := append(append([]byte(nil), b...), EncodeWeightedNeighbors([]WeightedNeighbor{{Node: 7, Weight: 7}})...)
+		l, viewErr := ViewWeightedNeighbors(arena[:len(b)])
+		ns, decErr := DecodeWeightedNeighbors(b)
+		if (viewErr == nil) != (decErr == nil) {
+			t.Fatalf("view error %v, decode error %v", viewErr, decErr)
+		}
+		if viewErr != nil {
+			return
+		}
+		if l.Len() != len(ns) {
+			t.Fatalf("view has %d entries, decode %d", l.Len(), len(ns))
+		}
+		for i, want := range ns {
+			got := l.At(i)
+			if got.Node != want.Node || math.Float64bits(got.Weight) != math.Float64bits(want.Weight) {
+				t.Fatalf("entry %d: view %v, decode %v", i, got, want)
+			}
+		}
+		if !bytes.Equal(l.Encoded(), b) {
+			t.Fatalf("Encoded() = %x, want the input %x", l.Encoded(), b)
+		}
+		for _, i := range []int{-1, l.Len()} {
+			if !panics(func() { l.At(i) }) {
+				t.Fatalf("At(%d) on a %d-entry list did not panic", i, l.Len())
+			}
+		}
+	})
+}
+
+func panics(fn func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	fn()
+	return false
 }
 
 // FuzzNodeIDRoundTrip checks the fixed-size record codecs both ways: every

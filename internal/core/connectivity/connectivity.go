@@ -93,19 +93,22 @@ func RunOn(rt *ampc.Runtime, g *graph.Graph) (*Result, error) {
 	}
 	res.MaxPointerChain = maxChain
 
-	// Canonicalize labels to the smallest vertex of each component.
-	smallest := make(map[graph.NodeID]graph.NodeID)
-	for v := 0; v < n; v++ {
-		r := roots[v]
-		if cur, ok := smallest[r]; !ok || graph.NodeID(v) < cur {
-			smallest[r] = graph.NodeID(v)
-		}
+	// Canonicalize labels to the smallest vertex of each component: vertices
+	// are visited in increasing order, so the first one seen under a root is
+	// the component's minimum.
+	smallest := make([]graph.NodeID, n) // indexed by root
+	for i := range smallest {
+		smallest[i] = graph.None
 	}
 	res.Components = make([]graph.NodeID, n)
 	for v := 0; v < n; v++ {
-		res.Components[v] = smallest[roots[v]]
+		r := roots[v]
+		if smallest[r] == graph.None {
+			smallest[r] = graph.NodeID(v)
+			res.NumComponents++
+		}
+		res.Components[v] = smallest[r]
 	}
-	res.NumComponents = len(smallest)
 	res.Stats = rt.Stats()
 	return res, nil
 }

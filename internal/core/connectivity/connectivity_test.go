@@ -49,17 +49,40 @@ func TestConnectivityOnGraphClasses(t *testing.T) {
 	}
 }
 
+// TestConnectivityLabelsAreCanonical: Components[v] is the minimum vertex id
+// of v's component, and NumComponents counts the distinct labels — on
+// graphs with several components, including ones whose vertex ids interleave
+// and isolated vertices.
 func TestConnectivityLabelsAreCanonical(t *testing.T) {
-	g := gen.TwoCycles(30)
-	res, err := Run(g, defaultCfg(7))
-	if err != nil {
-		t.Fatal(err)
+	// Vertex v is joined to v+3: three interleaved paths {0,3,6,..},
+	// {1,4,7,..}, {2,5,8,..}, then vertices 60..63 isolated.
+	var strided []graph.Edge
+	for v := 0; v+3 < 60; v++ {
+		strided = append(strided, graph.Edge{U: graph.NodeID(v), V: graph.NodeID(v + 3)})
 	}
-	// Labels must be the smallest vertex in each component.
-	want := seq.ConnectedComponents(g)
-	for v := range want {
-		if res.Components[v] != want[v] {
-			t.Fatalf("label of %d = %d, want %d", v, res.Components[v], want[v])
+	graphs := map[string]*graph.Graph{
+		"two-cycles":  gen.TwoCycles(30),
+		"interleaved": graph.FromEdges(64, strided),
+		"forest-like": gen.ErdosRenyi(300, 150, 3),
+	}
+	for name, g := range graphs {
+		res, err := Run(g, defaultCfg(7))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// Minimum id per component, from an independent BFS labeling.
+		bfs := graph.Components(g)
+		min := map[graph.NodeID]graph.NodeID{}
+		for v := g.NumNodes() - 1; v >= 0; v-- {
+			min[bfs[v]] = graph.NodeID(v)
+		}
+		for v := range bfs {
+			if want := min[bfs[v]]; res.Components[v] != want {
+				t.Fatalf("%s: label of %d = %d, want %d", name, v, res.Components[v], want)
+			}
+		}
+		if res.NumComponents != len(min) {
+			t.Fatalf("%s: NumComponents = %d, want %d", name, res.NumComponents, len(min))
 		}
 	}
 }

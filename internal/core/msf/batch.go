@@ -13,156 +13,19 @@ import (
 // Batched PrimSearch and PointerJump rounds (Config.Batch).
 //
 // A truncated Prim search expands one vertex at a time, so the single-key
-// implementation pays one key-value round trip per expansion.  The batched
-// round keeps one resumable search state per start vertex of a block and
-// drives them as pull-based iterators (ampc.Stream): each search runs until
-// it pops a vertex whose adjacency list is not locally known, the block's
-// missing lists are fetched with one shard-grouped ReadMany, and the
-// searches continue exactly where they stopped.  Every decision (heap
-// order, stop cases, budget) is the same as the single-key search, so the
-// discovered forest is identical.
-
-// primState is a primSearcher whose fetches can be suspended and resumed.
-type primState struct {
-	ctx    *ampc.Ctx
-	prio   []uint64
-	budget int
-	start  graph.NodeID
-	lists  map[graph.NodeID][]codec.WeightedNeighbor // shared per block
-
-	out     *primOutcome
-	heap    primHeap
-	inTree  map[graph.NodeID]bool
-	pending graph.NodeID // vertex waiting for its adjacency list
-	done    bool
-}
-
-type primCand struct {
-	edge graph.WeightedEdge
-	from graph.NodeID
-}
-
-// primHeap is the candidate-edge min-heap over the global edge order,
-// shared by the single-key primSearcher and the resumable primState so the
-// two searches cannot diverge.
-type primHeap []primCand
-
-func (h *primHeap) push(c primCand) {
-	*h = append(*h, c)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.lessIdx(p, i) {
-			break
-		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
-	}
-}
-
-func (h *primHeap) lessIdx(i, j int) bool { return edgeLess((*h)[i].edge, (*h)[j].edge) }
-
-func (h *primHeap) pop() primCand {
-	top := (*h)[0]
-	(*h)[0] = (*h)[len(*h)-1]
-	*h = (*h)[:len(*h)-1]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(*h) && h.lessIdx(l, m) {
-			m = l
-		}
-		if r < len(*h) && h.lessIdx(r, m) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		(*h)[i], (*h)[m] = (*h)[m], (*h)[i]
-		i = m
-	}
-	return top
-}
-
-func newPrimState(ctx *ampc.Ctx, prio []uint64, budget int, start graph.NodeID,
-	startAdj []codec.WeightedNeighbor, lists map[graph.NodeID][]codec.WeightedNeighbor) *primState {
-	s := &primState{
-		ctx:     ctx,
-		prio:    prio,
-		budget:  budget,
-		start:   start,
-		lists:   lists,
-		out:     &primOutcome{stoppedAt: graph.None},
-		inTree:  map[graph.NodeID]bool{start: true},
-		pending: graph.None,
-	}
-	s.addVertex(start, startAdj)
-	return s
-}
-
-func (s *primState) addVertex(v graph.NodeID, adj []codec.WeightedNeighbor) {
-	s.ctx.ChargeCompute(len(adj) + 1)
-	for _, wn := range adj {
-		if !s.inTree[wn.Node] {
-			s.heap.push(primCand{edge: graph.WeightedEdge{U: v, V: wn.Node, W: wn.Weight}, from: v})
-		}
-	}
-}
-
-// advance runs the search until it finishes or needs an adjacency list that
-// is not in lists yet, returning the vertex to fetch (graph.None when done).
-func (s *primState) advance() graph.NodeID {
-	if s.done {
-		return graph.None
-	}
-	if s.pending != graph.None {
-		adj, ok := s.lists[s.pending]
-		if !ok {
-			return s.pending
-		}
-		s.addVertex(s.pending, adj)
-		s.pending = graph.None
-	}
-	for len(s.heap) > 0 {
-		c := s.heap.pop()
-		next := c.edge.V
-		if s.inTree[next] {
-			continue
-		}
-		// The chosen edge is the minimum edge leaving the explored set, so
-		// it belongs to the (unique, tie-broken) minimum spanning forest.
-		s.out.msfEdges = append(s.out.msfEdges, c.edge)
-		s.inTree[next] = true
-		if s.prio[next] < s.prio[s.start] {
-			// Case 3: reached a stronger vertex; stop and point to it.
-			s.out.stoppedAt = next
-			s.done = true
-			return graph.None
-		}
-		s.out.claimed = append(s.out.claimed, next)
-		if len(s.inTree) >= s.budget {
-			// Case 1: exploration budget exhausted.
-			s.done = true
-			return graph.None
-		}
-		adj, ok := s.lists[next]
-		if !ok {
-			s.pending = next
-			return next
-		}
-		s.addVertex(next, adj)
-	}
-	// Case 2: the whole component was explored.
-	s.done = true
-	return graph.None
-}
+// driver pays one key-value round trip per expansion.  The batched round
+// keeps one search state (primState, prim.go) per start vertex of a block
+// and drives them as pull-based iterators (ampc.Stream): each search runs
+// until it accepts a vertex whose adjacency list is not locally known, the
+// block's missing lists are fetched with one shard-grouped ReadMany, and the
+// searches continue exactly where they stopped.  Both drivers run the same
+// primState, so the discovered forest is identical.
 
 // batchPrimRound builds the streaming PrimSearch round over blocks of start
 // vertices, handing every search's outcome to commit (called under the
 // caller's lock); the caller runs it (or stages it into a pipeline).
 func batchPrimRound(rt *ampc.Runtime, name string, store *dht.Store,
-	sorted [][]codec.WeightedNeighbor, prio []uint64, budget int,
+	sorted []codec.WeightedList, prio []uint64, budget int,
 	mu *sync.Mutex, commit func(start graph.NodeID, out *primOutcome)) ampc.Round {
 	n := len(sorted)
 	size := rt.Config().BatchSize
@@ -173,45 +36,49 @@ func batchPrimRound(rt *ampc.Runtime, name string, store *dht.Store,
 		Partitioner: rt.BlockOwnerPartitioner(size, n),
 		Body: func(ctx *ampc.Ctx, block int) error {
 			lo, hi := ampc.BlockBounds(block, size, n)
-			lists := make(map[graph.NodeID][]codec.WeightedNeighbor, hi-lo)
-			// Seed the block's own adjacency lists so intra-block
-			// expansions do not refetch data already in memory.
+			// Lists known to the block, shared by its searches.  Seeded
+			// with the block's own lists so intra-block expansions do not
+			// refetch data already in memory.
+			lists := make(map[graph.NodeID]codec.WeightedList, hi-lo)
 			for v := lo; v < hi; v++ {
 				lists[graph.NodeID(v)] = sorted[v]
 			}
 			states := make([]*primState, 0, hi-lo)
 			its := make([]ampc.Iterator, 0, hi-lo)
 			for v := lo; v < hi; v++ {
-				st := newPrimState(ctx, prio, budget, graph.NodeID(v), sorted[v], lists)
+				st := newPrimState(prio, budget, graph.NodeID(v), sorted[v])
 				states = append(states, st)
 				its = append(its, ampc.PullFunc(func() (uint64, bool) {
-					miss := st.advance()
-					if miss == graph.None {
-						return 0, false
+					for miss := st.next(); miss != graph.None; miss = st.next() {
+						list, ok := lists[miss]
+						if !ok {
+							return uint64(miss), true
+						}
+						st.absorb(list)
 					}
-					return uint64(miss), true
+					return 0, false
 				}))
 			}
 			err := ctx.Stream(0, its,
 				func(k uint64, raw []byte, ok bool) error {
-					if !ok {
-						return fmt.Errorf("msf: vertex %d missing from the key-value store", k)
-					}
-					adj, err := codec.DecodeWeightedNeighbors(raw)
+					list, err := viewFetched(k, raw, ok)
 					if err != nil {
 						return err
 					}
-					lists[graph.NodeID(k)] = adj
+					lists[graph.NodeID(k)] = list
 					return nil
 				})
 			if err != nil {
 				return err
 			}
+			work := 0
 			mu.Lock()
 			for _, st := range states {
-				commit(st.start, st.out)
+				work += st.work
+				commit(st.start, &st.out)
 			}
 			mu.Unlock()
+			ctx.ChargeCompute(work)
 			return nil
 		},
 	}

@@ -1,0 +1,83 @@
+package msf
+
+import (
+	"sync"
+	"testing"
+
+	"ampcgraph/internal/ampc"
+	"ampcgraph/internal/codec"
+	"ampcgraph/internal/gen"
+	"ampcgraph/internal/graph"
+	"ampcgraph/internal/rng"
+)
+
+// benchHubGraph is the Hyperlink2012 stand-in the wall-clock benchmark's
+// contract_mem workload runs msf on: ~26k vertices, ~565k edges, hubs of
+// several thousand neighbours.
+func benchHubGraph() *graph.Graph {
+	d, _ := gen.DatasetByName("HL")
+	return gen.DegreeProportionalWeights(d.Build(1, 1))
+}
+
+var benchLists []codec.WeightedList
+
+// BenchmarkSortGraph measures the SortGraph step alone: sorting every
+// adjacency list and encoding it into the shared buffer.
+func BenchmarkSortGraph(b *testing.B) {
+	g := benchHubGraph()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchLists = sortGraph(g)
+	}
+}
+
+// BenchmarkPrimSearch measures one full PrimSearch round (a truncated search
+// from every vertex of the hub graph) against a store already holding the
+// sorted lists, through the single-key and the batched driver.  B/op is the
+// number to watch: the searches cross hubs, and must not copy their lists.
+func BenchmarkPrimSearch(b *testing.B) {
+	g := benchHubGraph()
+	n := g.NumNodes()
+	sorted := sortGraph(g)
+	for _, batch := range []bool{false, true} {
+		name := "single-key"
+		if batch {
+			name = "batched"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := ampc.Config{Machines: 2, Threads: 1, EnableCache: true, Seed: 1, Batch: batch}
+			rt := ampc.New(cfg)
+			defer rt.Close()
+			rt.SetOwnership(graph.DegreeWeights(g))
+			store, err := rt.OpenStore("weight-sorted-graph")
+			if err != nil {
+				b.Fatal(err)
+			}
+			err = rt.WriteTable("kv-write", store, n, 1, func(item int) []byte { return sorted[item].Encoded() })
+			if err != nil {
+				b.Fatal(err)
+			}
+			prio := rng.VertexPriorities(cfg.Seed, n)
+			budget := rt.Config().SpaceBudget(n)
+			var mu sync.Mutex
+			edges := 0
+			commit := func(_ graph.NodeID, out *primOutcome) { edges += len(out.msfEdges) }
+			round := primRound(rt, "prim-search", store, sorted, prio, budget, &mu, commit)
+			if batch {
+				round = batchPrimRound(rt, "prim-search", store, sorted, prio, budget, &mu, commit)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := rt.Run(round); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if edges == 0 {
+				b.Fatal("searches found no edges")
+			}
+		})
+	}
+}

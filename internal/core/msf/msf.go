@@ -11,6 +11,20 @@
 // pointer-jump the resulting forest (PointerJump), contract the graph
 // (Contract), and finish the small contracted remainder in memory.
 //
+// The searches use the sort they pay for.  Every stored list is in the
+// package's total edge order (weight, then canonical endpoints), so the
+// minimum edge leaving a search's tree is the smallest of the absorbed
+// vertices' first out-of-tree entries.  A search therefore keeps one cursor
+// per absorbed vertex and a heap of cursor heads — at most budget entries —
+// instead of a heap of every edge it has seen, and reads entries in place
+// from the encoded list (codec.WeightedList).  Crossing a hub of degree d
+// costs one heap entry, not d copied candidates.  The result is exact, not
+// approximate: on a simple graph the order is total, so the minimum leaving
+// edge is unique and both formulations accept the same edges in the same
+// order.  One search core (primState, prim.go) serves the single-key and the
+// batched round; the modeled scan cost still charges a full pass over each
+// absorbed list, so the simulated clock is unchanged.
+//
 // RunTheoretical follows Algorithm 2: ternarize sparse graphs, run
 // TruncatedPrim on the ternarized graph, and finish with the dense
 // subroutine.  RunKKT adds the sampling reduction of Section 3.1
@@ -20,7 +34,7 @@ package msf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ampcgraph/internal/ampc"
@@ -47,21 +61,6 @@ type Result struct {
 	// PrimEdges is the number of forest edges discovered directly by the
 	// truncated Prim searches (the rest come from the contracted remainder).
 	PrimEdges int
-}
-
-// edgeLess is the total order on edges used everywhere in this package:
-// weight first, then canonical endpoints.  It makes the minimum spanning
-// forest unique even when weights collide, so the distributed algorithms and
-// the sequential references agree exactly.
-func edgeLess(a, b graph.WeightedEdge) bool {
-	if a.W != b.W {
-		return a.W < b.W
-	}
-	ac, bc := a.Canonical(), b.Canonical()
-	if ac.U != bc.U {
-		return ac.U < bc.U
-	}
-	return ac.V < bc.V
 }
 
 // Run computes the minimum spanning forest of the weighted graph g with the
@@ -109,24 +108,12 @@ func runPrimPipeline(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, err
 	budget := cfg.SpaceBudget(n)
 
 	// Phase 1: sort each adjacency list by edge weight (one shuffle).
-	sorted := make([][]codec.WeightedNeighbor, n)
+	var sorted []codec.WeightedList
 	err := rt.Phase("SortGraph"+tag, func() error {
+		sorted = sortGraph(g)
 		var bytes int64
-		for v := 0; v < n; v++ {
-			nv := graph.NodeID(v)
-			nbrs := g.Neighbors(nv)
-			ws := make([]codec.WeightedNeighbor, len(nbrs))
-			for i, u := range nbrs {
-				ws[i] = codec.WeightedNeighbor{Node: u, Weight: g.EdgeWeight(nv, i)}
-			}
-			sort.Slice(ws, func(i, j int) bool {
-				return edgeLess(
-					graph.WeightedEdge{U: nv, V: ws[i].Node, W: ws[i].Weight},
-					graph.WeightedEdge{U: nv, V: ws[j].Node, W: ws[j].Weight},
-				)
-			})
-			sorted[v] = ws
-			bytes += int64(codec.SizeOfWeightedList(len(ws)))
+		for _, l := range sorted {
+			bytes += int64(len(l.Encoded()))
 		}
 		rt.RecordShuffle("sort-graph"+tag, bytes)
 		return nil
@@ -141,7 +128,7 @@ func runPrimPipeline(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, err
 		return nil, err
 	}
 	writeRound := rt.WriteTableRound("kv-write"+tag, store, n, 1, func(item int) []byte {
-		return codec.EncodeWeightedNeighbors(sorted[item])
+		return sorted[item].Encoded()
 	})
 
 	// Phase 3: truncated Prim search from every vertex.
@@ -165,28 +152,11 @@ func runPrimPipeline(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, err
 		}
 		stopped[start] = out.stoppedAt
 	}
-	var search ampc.Round
+	// One lookup per absorbed vertex, or lock-step block searches over
+	// shard-grouped batches (batch.go).
+	search := primRound(rt, "prim-search"+tag, store, sorted, prio, budget, &mu, commit)
 	if cfg.Batch {
-		// Lock-step block searches over shard-grouped batches (batch.go).
 		search = batchPrimRound(rt, "prim-search"+tag, store, sorted, prio, budget, &mu, commit)
-	} else {
-		search = ampc.Round{
-			Name:        "prim-search" + tag,
-			Items:       n,
-			Read:        store,
-			Partitioner: rt.OwnerPartitioner(n),
-			Body: func(ctx *ampc.Ctx, item int) error {
-				s := &primSearcher{ctx: ctx, prio: prio, budget: budget}
-				out, err := s.search(graph.NodeID(item), sorted[item])
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				commit(graph.NodeID(item), out)
-				mu.Unlock()
-				return nil
-			},
-		}
 	}
 	// The search reads exactly the store the KV-write round produces, so
 	// the two form one staged sequence: per-round barriers by default, one
@@ -253,6 +223,15 @@ func runPrimPipeline(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, err
 	err = rt.Phase("Contract"+tag, func() error {
 		rt.RecordShuffle("contract-edges"+tag, g.NumEdges()*12)
 		rt.RecordShuffle("contract-build"+tag, g.NumEdges()*12)
+		// Count first, so the surviving edges are allocated once at their
+		// exact size.
+		survivors := 0
+		g.ForEachEdge(func(u, v graph.NodeID, _ float64) {
+			if roots[u] != roots[v] {
+				survivors++
+			}
+		})
+		cross = make([]crossEdge, 0, survivors)
 		g.ForEachEdge(func(u, v graph.NodeID, w float64) {
 			ru, rv := roots[u], roots[v]
 			if ru != rv {
@@ -270,22 +249,24 @@ func runPrimPipeline(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, err
 	// ordered by the same global edge order the Prim searches used, so the
 	// tie-breaking stays consistent and the union remains a forest.
 	err = rt.Phase("FinishMSF"+tag, func() error {
-		sort.Slice(cross, func(i, j int) bool { return edgeLess(cross[i].e, cross[j].e) })
-		clusterID := make(map[graph.NodeID]graph.NodeID)
-		idOf := func(r graph.NodeID) graph.NodeID {
-			id, ok := clusterID[r]
-			if !ok {
-				id = graph.NodeID(len(clusterID))
-				clusterID[r] = id
-			}
-			return id
+		slices.SortFunc(cross, func(a, b crossEdge) int { return edgeCmp(a.e, b.e) })
+		// Dense cluster ids, indexed by root vertex, in order of first
+		// appearance.
+		clusterID := make([]graph.NodeID, n)
+		for i := range clusterID {
+			clusterID[i] = graph.None
 		}
+		clusters := 0
 		for _, ce := range cross {
-			idOf(ce.ru)
-			idOf(ce.rv)
+			for _, r := range [2]graph.NodeID{ce.ru, ce.rv} {
+				if clusterID[r] == graph.None {
+					clusterID[r] = graph.NodeID(clusters)
+					clusters++
+				}
+			}
 		}
-		result.ContractedNodes = len(clusterID)
-		ds := seq.NewDSU(len(clusterID))
+		result.ContractedNodes = clusters
+		ds := seq.NewDSU(clusters)
 		for _, ce := range cross {
 			if ds.Union(clusterID[ce.ru], clusterID[ce.rv]) {
 				c := graph.Edge{U: ce.e.U, V: ce.e.V}.Canonical()
@@ -301,84 +282,11 @@ func runPrimPipeline(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, err
 	for e, w := range edgeSet {
 		result.Edges = append(result.Edges, graph.WeightedEdge{U: e.U, V: e.V, W: w})
 	}
-	sort.Slice(result.Edges, func(i, j int) bool { return edgeLess(result.Edges[i], result.Edges[j]) })
+	slices.SortFunc(result.Edges, edgeCmp)
 	for _, e := range result.Edges {
 		result.TotalWeight += e.W
 	}
 	return result, nil
-}
-
-// primOutcome is what one truncated Prim search reports.
-type primOutcome struct {
-	msfEdges  []graph.WeightedEdge // MSF edges discovered by the search
-	claimed   []graph.NodeID       // weaker vertices visited by the search
-	stoppedAt graph.NodeID         // stronger vertex that ended the search (case 3), or None
-}
-
-// primSearcher runs Algorithm 1's per-vertex search against the key-value
-// store.
-type primSearcher struct {
-	ctx    *ampc.Ctx
-	prio   []uint64
-	budget int
-}
-
-func (s *primSearcher) search(start graph.NodeID, startAdj []codec.WeightedNeighbor) (*primOutcome, error) {
-	out := &primOutcome{stoppedAt: graph.None}
-	inTree := map[graph.NodeID]bool{start: true}
-	// Candidate edges out of the explored set, ordered by the global edge
-	// order; primHeap (batch.go) is shared with the resumable batched search
-	// so the two cannot diverge.
-	var heap primHeap
-	addVertex := func(v graph.NodeID, adj []codec.WeightedNeighbor) {
-		s.ctx.ChargeCompute(len(adj) + 1)
-		for _, wn := range adj {
-			if !inTree[wn.Node] {
-				heap.push(primCand{edge: graph.WeightedEdge{U: v, V: wn.Node, W: wn.Weight}, from: v})
-			}
-		}
-	}
-	addVertex(start, startAdj)
-
-	for len(heap) > 0 {
-		c := heap.pop()
-		next := c.edge.V
-		if inTree[next] {
-			continue
-		}
-		// The chosen edge is the minimum edge leaving the explored set, so it
-		// belongs to the (unique, tie-broken) minimum spanning forest.
-		out.msfEdges = append(out.msfEdges, c.edge)
-		inTree[next] = true
-		if s.prio[next] < s.prio[start] {
-			// Case 3: reached a stronger vertex; stop and point to it.
-			out.stoppedAt = next
-			return out, nil
-		}
-		out.claimed = append(out.claimed, next)
-		if len(inTree) >= s.budget {
-			// Case 1: exploration budget exhausted.
-			return out, nil
-		}
-		adj, err := s.fetch(next)
-		if err != nil {
-			return nil, err
-		}
-		addVertex(next, adj)
-	}
-	// Case 2: the whole component was explored.
-	return out, nil
-}
-
-func (s *primSearcher) fetch(v graph.NodeID) ([]codec.WeightedNeighbor, error) {
-	raw, ok, err := s.ctx.Lookup(uint64(v))
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("msf: vertex %d missing from the key-value store", v)
-	}
-	return codec.DecodeWeightedNeighbors(raw)
 }
 
 // PointerJump resolves every vertex's pointer chain to its root using the

@@ -261,12 +261,20 @@ func DegreeProportionalWeights(g *graph.Graph) *graph.Graph {
 
 // RandomWeights assigns independent uniform (0,1) weights to every edge,
 // which is the reduction from connectivity to MSF discussed in Section 5.7.
+// Weights are drawn in ForEachEdge order, so a seed always yields the same
+// weighted graph.
 func RandomWeights(g *graph.Graph, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	type key struct{ u, v graph.NodeID }
-	cache := make(map[key]float64, g.NumEdges())
+	wg, ok := g.WithEdgeWeights(func(_, _ graph.NodeID) float64 { return rng.Float64() })
+	if ok {
+		return wg
+	}
+	// g's neighbor lists are not in the builder's normal form, so an edge's
+	// second slot cannot be located: remember every edge's draw instead.
+	rng = rand.New(rand.NewSource(seed))
+	cache := make(map[graph.Edge]float64, g.NumEdges())
 	return g.WithWeights(func(u, v graph.NodeID) float64 {
-		k := key{u, v}
+		k := graph.Edge{U: u, V: v}
 		if w, ok := cache[k]; ok {
 			return w
 		}

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -201,6 +203,34 @@ func TestRandomWeightsSymmetricAndInRange(t *testing.T) {
 			t.Fatalf("weight %v out of (0,1)", w)
 		}
 	})
+}
+
+// TestRandomWeightsDrawOrder pins the weights to the draw order the
+// generator has always had: one rng.Float64 per edge, the first time
+// WithWeights meets it.
+func TestRandomWeightsDrawOrder(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"er":    ErdosRenyi(200, 900, 3),
+		"hubs":  PreferentialAttachment(300, 4, 5),
+		"star":  Star(50),
+		"empty": graph.FromEdges(4, nil),
+	} {
+		rng := rand.New(rand.NewSource(17))
+		seen := map[graph.Edge]float64{}
+		want := g.WithWeights(func(u, v graph.NodeID) float64 {
+			k := graph.Edge{U: u, V: v}
+			if _, ok := seen[k]; !ok {
+				seen[k] = rng.Float64()
+			}
+			return seen[k]
+		})
+		got := RandomWeights(g, 17)
+		for v := 0; v < g.NumNodes(); v++ {
+			if !slices.Equal(got.NeighborWeights(graph.NodeID(v)), want.NeighborWeights(graph.NodeID(v))) {
+				t.Fatalf("%s: weights of vertex %d differ from the reference draw order", name, v)
+			}
+		}
+	}
 }
 
 func TestDatasetsRegistry(t *testing.T) {
