@@ -110,11 +110,9 @@ func ViewWeightedNeighbors(b []byte) (WeightedList, error) {
 	return WeightedList{enc: b}, nil
 }
 
-// Len returns the number of entries.
+// Len returns the number of entries; the zero WeightedList has none, as
+// (0-4)/12 truncates to 0.
 func (l WeightedList) Len() int {
-	if l.enc == nil {
-		return 0
-	}
 	return (len(l.enc) - 4) / 12
 }
 

