@@ -82,10 +82,14 @@ chaos-smoke:
 # the race detector on small inputs, then the full-scale acceptance
 # properties — byte-identical concurrent outputs across every backend and
 # placement, and the >= 1.5x throughput win on the hub-heavy stand-ins —
-# without the race detector's slowdown.
+# without the race detector's slowdown.  The concurrent-jobs equivalence runs
+# three times: what it guards against are collisions between jobs racing
+# through the same session state (two stores handed one disk directory),
+# which a single run misses about every other time.
 serving-smoke:
-	$(GO) test -race -short -run 'TestServing|TestConcurrentJobs|TestMaxJobs|TestAdmission|TestJobCancel|TestPlanCache|TestCompilePlan|TestNewJobOnClosed|TestOpenSharedStore|TestConcurrentMakespan' ./internal/ampc/ ./internal/bench/ ./internal/simtime/
-	$(GO) test -run 'TestServingSmokeMeetsAcceptance|TestConcurrentJobsByteIdenticalAcrossBackends' ./internal/bench/
+	$(GO) test -race -short -run 'TestServing|TestConcurrentJobs|TestConcurrentOpenStore|TestMaxJobs|TestAdmission|TestJobCancel|TestPlanCache|TestEntryPoints|TestNewJobOnClosed|TestOpenSharedStore|TestConcurrentMakespan' ./internal/ampc/ ./internal/bench/ ./internal/simtime/
+	$(GO) test -run 'TestServingSmokeMeetsAcceptance' ./internal/bench/
+	$(GO) test -count=3 -run 'TestConcurrentJobsByteIdenticalAcrossBackends' ./internal/bench/
 
 # bench-smoke runs the pinned-seed batched-vs-unbatched comparison (OK and
 # TW stand-ins, seed 1) and writes the machine-readable snapshot that tracks
@@ -113,8 +117,8 @@ bench-wall-smoke:
 	$(GO) test ./benchmark
 
 # cover-check enforces a statement-coverage floor on the runtime-critical
-# packages (the pipelined scheduler in internal/ampc and the store layer in
-# internal/dht), so new scheduler or store code cannot land untested.
+# packages (the segment executor in internal/ampc and the store layer in
+# internal/dht), so new executor or store code cannot land untested.
 cover-check:
 	@$(GO) test -coverprofile=cover_ampc.out ./internal/ampc > /dev/null
 	@$(GO) test -coverprofile=cover_dht.out ./internal/dht > /dev/null

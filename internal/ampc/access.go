@@ -6,15 +6,14 @@ import (
 
 // Key-range conflict declarations.
 //
-// PR 3's pipelined scheduler ordered rounds by whole-store conflict sets: a
-// round reading a store waited for every machine of every earlier round
-// writing it.  That granularity forbids the overlap the AMPC model actually
-// allows — machine M's searches over its own contiguous key range do not
+// Ordering rounds by whole-store conflict sets makes a round reading a store
+// wait for every machine of every earlier round writing it.  That
+// granularity forbids the overlap the AMPC model actually allows — machine M's searches over its own contiguous key range do not
 // depend on a straggler still writing a *different* range of the same store.
 // Rounds therefore declare each store access as an Access: the store plus
 // the key spans touched, per machine when the partitioning is known.  The
 // zero span set means "the whole store", so a declaration that only names
-// the store keeps the old conservative meaning.
+// the store keeps that conservative meaning.
 
 // Access declares one resource a round touches: a hash table (Store), or a
 // zero-storage scheduling Token, optionally narrowed to key spans.
@@ -23,8 +22,8 @@ import (
 // machine's sub-round; otherwise Spans applies to every machine; a zero
 // Spans (and nil PerMachine) declares the whole store.  Narrowed spans are a
 // contract: the machine's Body must not touch keys outside its declared
-// spans, exactly as an undeclared write has always been a contract violation
-// under RunPipeline.
+// spans, exactly as an undeclared write is a contract violation in a
+// multi-round segment.
 type Access struct {
 	// Store is the hash table accessed; nil for token-only declarations.
 	Store *dht.Store

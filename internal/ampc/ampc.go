@@ -44,23 +44,19 @@
 // reports the hit rate, and Rebalance invalidates the cache because span
 // declarations derive from ownership.
 //
-// # Batching and read coalescing
+// # Batching
 //
 // Section 5.3 attributes the practical AMPC wins to amortizing the
-// per-request overhead of the key-value store.  The runtime models that
-// optimization at two levels.  Explicit batching (Config.Batch) switches
-// the algorithms' fan-out reads and bulk writes to Ctx.ReadMany and
+// per-request overhead of the key-value store.  Config.Batch switches the
+// algorithms' fan-out reads and bulk writes to Ctx.ReadMany and
 // Ctx.WriteMany: a whole block of work items advances in lock-step and its
 // key-value requests travel as one shard-grouped batch, which takes each
 // shard lock once per batch (instead of once per key) and is charged one
-// BatchShardLatency per shard plus a BatchPerKey marginal.  Transparent
-// coalescing (Config.CoalesceReads) keeps algorithm code on single-key
-// Lookup: concurrent lookups from a machine's worker threads are buffered
-// and flushed together by a leader thread as one batch.  Neither mode
-// changes any result — the input store is frozen for the round, so a
-// batched read returns exactly what the corresponding single-key reads
-// would — and Stats reports the grouping achieved (BatchesIssued,
-// BatchedKeys, ShardVisitsSaved, KVShardVisits).
+// BatchShardLatency per shard plus a BatchPerKey marginal.  Batching changes
+// no result — the input store is frozen for the round, so a batched read
+// returns exactly what the corresponding single-key reads would — and Stats
+// reports the grouping achieved (BatchesIssued, BatchedKeys,
+// ShardVisitsSaved, KVShardVisits).
 //
 // # Placement and the persistent pool
 //
@@ -85,34 +81,40 @@
 // read the same frozen hash table.  Call Session.Close (or Runtime.Close on
 // a one-shot runtime) to release the pool.
 //
-// # Round pipelining and key-range conflict declarations
+// # Segments: the one execution shape
 //
-// The model's global per-round barrier makes every machine wait for the
-// slowest.  Rounds declare the resources they read and write as Access
-// values (Round.Reads / Round.Writes): a store plus, optionally, the key
-// spans touched — per machine when the partitioning is known (Ranged,
-// RangedBy, Session.OwnedRanges) — or a zero-storage scheduling Token.
-// With Config.Pipeline set, sequences executed through RunPipeline (or
-// RunStaged, or a compiled Plan) are scheduled at sub-round granularity:
-// machine m's share of round j waits only for the earlier sub-rounds whose
-// declared write spans conflict with the spans machine m reads or writes,
-// so a machine finished with its own partition flows past stragglers still
-// writing ranges it never touches.
+// Every round runs through one function, the segment executor (runSegment
+// in pipeline.go).  A segment is a sequence of rounds scheduled together at
+// sub-round granularity — one sub-round being one machine's share of one
+// round: the executor freezes and fences the stores a round reads, feeds
+// each machine its shares in program order, flushes (or, under
+// Config.FaultBudget, discards and re-executes) each share's writes, and
+// charges the job's clock the critical-path makespan of the per-sub-round
+// busy times (simtime.SubroundSchedule) plus one RoundOverhead per round.
+// Run executes a segment of one round, whose makespan is its slowest
+// machine: the model's global barrier.  RunPipeline, RunStaged and RunPlan
+// run one such segment per round too unless Config.Pipeline is set, in
+// which case the whole sequence is one segment under the "+"-joined phase
+// names of its stages.
 //
-// Migration note: before this redesign Reads/Writes were whole-store sets
-// ([]*dht.Store).  An Access whose span set is the zero value declares the
-// whole store, so the old declaration `Writes: []*dht.Store{s}` becomes
-// `Writes: []ampc.Access{{Store: s}}` (or ampc.Whole(s)) with identical —
-// conservative — scheduling.  Narrowing is opt-in and is a contract: a
-// span-declared sub-round must not touch keys outside its spans.  Widen
-// strips the spans back off a round sequence to recover the whole-store
-// behavior for comparison.
+// Inside a multi-round segment, rounds declare the resources they read and
+// write as Access values (Round.Reads / Round.Writes): a store plus,
+// optionally, the key spans touched — per machine when the partitioning is
+// known (Ranged, RangedBy, Session.OwnedRanges) — or a zero-storage
+// scheduling Token.  Machine m's share of round j waits only for the
+// earlier sub-rounds whose declared write spans conflict with the spans
+// machine m reads or writes, so a machine finished with its own partition
+// flows past stragglers still writing ranges it never touches.  An Access
+// whose span set is the zero value declares the whole store; narrowing is
+// a contract: a span-declared sub-round must not touch keys outside its
+// spans.  Widen strips the spans back off a round sequence to recover the
+// whole-store scheduling for comparison.
 //
-// Results are byte-identical with pipelining on or off; modeled time
-// becomes a per-sub-round critical-path maximum, with the barrier
-// accounting of the same durations reported alongside
-// (Stats.BarrierSim/PipelineSim, BarrierIdle/PipelineIdle).  See
-// pipeline.go for the scheduler and access.go for the declaration types.
+// Results are byte-identical however a sequence is cut into segments; for
+// segments of two or more rounds Stats reports the charged makespan next to
+// the per-round-barrier accounting of the same busy times
+// (PipelineSim/BarrierSim, PipelineIdle/BarrierIdle).  See access.go for the
+// declaration types.
 package ampc
 
 import (
@@ -152,11 +154,6 @@ type Config struct {
 	// batch block (and therefore the number of keys per flush).  Defaults
 	// to 512.
 	BatchSize int
-	// CoalesceReads buffers single-key Lookup calls issued concurrently by
-	// a machine's worker threads and flushes them to the store as one
-	// shard-grouped batch.  It is the transparent variant of the batching
-	// optimization: algorithm code keeps calling Lookup.
-	CoalesceReads bool
 	// Placement selects the shard placement policy of the session's hash
 	// tables.  PlacementHash (the default) hashes keys uniformly onto
 	// shards and models every access as a remote round trip, as the paper
@@ -170,13 +167,13 @@ type Config struct {
 	// are identical under every policy; only where keys live — and
 	// therefore the local/remote statistics and modeled time — changes.
 	Placement string
-	// Pipeline enables dependency-aware round pipelining for round
-	// sequences executed through RunPipeline (and RunStaged): a machine
-	// that has finished its partition of round i starts round i+1 work
-	// whose input stores round i no longer writes, instead of idling at
-	// the global barrier while stragglers drain.  Rounds declare their
-	// store access sets (Round.Reads / Round.Writes); the scheduler
-	// serializes conflicting rounds and overlaps independent ones.
+	// Pipeline makes a round sequence executed through RunPipeline,
+	// RunStaged or RunPlan one segment instead of one segment per round: a
+	// machine that has finished its partition of round i starts round i+1
+	// work whose input stores round i no longer writes, instead of idling
+	// at the global barrier while stragglers drain.  Rounds declare their
+	// store access sets (Round.Reads / Round.Writes); the executor
+	// serializes conflicting sub-rounds and overlaps independent ones.
 	// Results are identical with pipelining on or off — only which
 	// machine works when, and therefore the modeled time and straggler
 	// idle, changes.  Rounds executed through Run are unaffected.
@@ -342,7 +339,7 @@ type Stats struct {
 	// reduces).
 	KVShardVisits int64
 	// BatchesIssued counts shard-grouped batches flushed to the stores
-	// (explicit ReadMany/WriteMany calls plus coalescer flushes).
+	// by ReadMany/WriteMany/EmitMany calls.
 	BatchesIssued int64
 	// BatchedKeys counts the keys carried by those batches; BatchedKeys /
 	// BatchesIssued is the mean keys-per-batch.
@@ -361,8 +358,8 @@ type Stats struct {
 	// KVRemoteBytes counts the key-value bytes (read + written) that
 	// crossed the network; under PlacementHash it equals KVBytesTotal.
 	KVRemoteBytes int64
-	// PipelineSegments counts RunPipeline invocations that actually ran
-	// pipelined (Config.Pipeline set and more than one round).
+	// PipelineSegments counts the executed segments of two or more rounds
+	// (Config.Pipeline set and more than one round in the sequence).
 	PipelineSegments int
 	// PipelinedRounds counts the rounds executed inside those segments.
 	PipelinedRounds int
@@ -390,7 +387,7 @@ type Stats struct {
 	MachineQueries []int64
 	// MachineBusy is the cumulative modeled busy time per machine across
 	// every round this job ran: compute plus thread-divided lookup latency,
-	// the same per-(round, machine) durations the pipelined scheduler packs
+	// the same per-(round, machine) durations the segment executor packs
 	// and Sim charges the critical path of.  Because it is per job, the
 	// vectors of concurrent jobs add machine-wise: the serving experiment
 	// derives the shared-pool makespan from them
@@ -441,12 +438,11 @@ type Ctx struct {
 	// machine without threading it through every call.
 	readView *dht.View
 	cache    *dht.Cache
-	coal     *coalescer
 	// viewCache memoizes machine-bound views of output stores (keyed by
 	// *dht.Store): after the first write to a store, looking up its view is
 	// a lock-free load.
 	viewCache sync.Map
-	// buffered defers every write into buf until the scheduler flushes the
+	// buffered defers every write into buf until the executor flushes the
 	// sub-round (Config.FaultBudget > 0) — see recover.go.
 	buffered bool
 	bufMu    sync.Mutex
@@ -480,10 +476,7 @@ func (c *Ctx) viewFor(out *dht.Store) *dht.View {
 
 // Lookup reads key from the round's input hash table.  With caching enabled
 // the per-machine cache is consulted first; a hit costs DRAM latency instead
-// of a network round trip.  With read coalescing enabled, a cache miss joins
-// the machine's pending batch and is flushed to the store as one
-// shard-grouped BatchGet together with the lookups of the other worker
-// threads.
+// of a network round trip.
 func (c *Ctx) Lookup(key uint64) ([]byte, bool, error) {
 	if c.read == nil {
 		return nil, false, fmt.Errorf("ampc: round has no input store")
@@ -494,11 +487,6 @@ func (c *Ctx) Lookup(key uint64) ([]byte, bool, error) {
 			c.latency.Add(int64(dramLookupLatency))
 			return v, ok, nil
 		}
-	}
-	if c.coal != nil {
-		// The flush leader records latency and fills the cache for the
-		// whole batch.
-		return c.coal.lookup(key)
 	}
 	readCost := int64(c.job.cfg.Model.ReadCost(c.readView.Local(key)))
 	if c.cache != nil {
@@ -568,7 +556,7 @@ type Round struct {
 	Read *dht.Store
 	// Reads declares the resources the round's Body reads beyond Read: a
 	// status store consulted directly, or a scheduling Token published by
-	// an earlier round.  The pipelined scheduler (RunPipeline) orders each
+	// an earlier round.  Within a segment the executor orders each
 	// machine's share of this round after every earlier sub-round whose
 	// write declaration conflicts with it — same resource, overlapping key
 	// spans.  An Access naming Read narrows the span of the default input
@@ -578,14 +566,15 @@ type Round struct {
 	Reads []Access
 	// Writes declares every resource the round's Body writes (hash tables
 	// via Ctx.Write / Ctx.Emit / the batched variants, plus any host-side
-	// state published under a Token).  RunPipeline orders a later
-	// conflicting sub-round after this round: whole-store declarations
-	// gate on every machine, while per-machine span declarations let
-	// disjoint-range sub-rounds overlap.  A round executed through
-	// RunPipeline MUST declare all its writes, and a span-narrowed
-	// declaration MUST cover every key the machine writes — an undeclared
-	// write could race a dependent round the scheduler believed
-	// independent.  Run ignores the field.
+	// state published under a Token).  Within a segment the executor orders
+	// a later conflicting sub-round after this round: whole-store
+	// declarations gate on every machine, while per-machine span
+	// declarations let disjoint-range sub-rounds overlap.  A round sharing
+	// a segment with others MUST declare all its writes, and a
+	// span-narrowed declaration MUST cover every key the machine writes —
+	// an undeclared write could race a dependent round the executor
+	// believed independent.  A one-round segment (Run) has nothing to
+	// order, so there the declaration is optional.
 	Writes []Access
 	// Body processes one work item on the machine owning it.
 	Body func(ctx *Ctx, item int) error
@@ -615,38 +604,20 @@ func (rd Round) readSet() []Access {
 	return append([]Access{{Store: rd.Read}}, rd.Reads...)
 }
 
-// preparedRound is one round made ready for execution: input stores frozen
-// and fenced, per-machine contexts built and jobs partitioned.  err carries
-// a preparation failure (the input store could not be frozen); the round
-// must not be dispatched when it is set.
+// preparedRound is one round made ready for execution: per-machine contexts
+// built and work items partitioned into machine jobs.
 type preparedRound struct {
-	round Round
-	ctxs  []*Ctx
-	jobs  []*machineJob
-	err   error
+	ctxs []*Ctx
+	jobs []*machineJob
 }
 
 // prepareRound counts the round, builds the per-machine contexts and
-// partitions the work items into machine jobs.  With fence set it also
-// freezes the round's input store and fences the caches of every store the
-// round reads (the barrier path); the pipelined scheduler passes false and
-// manages freezing and fencing itself, deferring both past in-flight
-// declared writers.  Item errors are captured per job (machineJob.recordErr).
-func (j *Job) prepareRound(round Round, fence bool) *preparedRound {
+// partitions the work items into machine jobs.  Freezing and fencing the
+// stores the round reads is the segment executor's business (runSegment),
+// which defers both past in-flight declared writers.  Item errors are
+// captured per job (machineJob.recordErr).
+func (j *Job) prepareRound(round Round) *preparedRound {
 	cfg := j.cfg
-	pr := &preparedRound{round: round}
-	if fence {
-		if round.Read != nil {
-			if err := round.Read.Freeze(); err != nil {
-				pr.err = fmt.Errorf("ampc: round %q: freezing input store: %w", round.Name, err)
-			}
-		}
-		for _, a := range round.readSet() {
-			if a.Store != nil {
-				j.sess.fenceCaches(a.Store)
-			}
-		}
-	}
 	j.mu.Lock()
 	j.stats.Rounds++
 	j.mu.Unlock()
@@ -659,9 +630,6 @@ func (j *Job) prepareRound(round Round, fence bool) *preparedRound {
 		}
 		if cfg.EnableCache && round.Read != nil {
 			ctxs[m].cache = j.sess.cacheFor(round.Read, m)
-		}
-		if cfg.CoalesceReads && round.Read != nil {
-			ctxs[m].coal = &coalescer{ctx: ctxs[m], window: cfg.BatchSize}
 		}
 	}
 
@@ -705,8 +673,7 @@ func (j *Job) prepareRound(round Round, fence bool) *preparedRound {
 			}
 		}
 	}
-	pr.ctxs, pr.jobs = ctxs, jobs
-	return pr
+	return &preparedRound{ctxs: ctxs, jobs: jobs}
 }
 
 // machineDuration returns the modeled busy time of one machine in a round:

@@ -2,8 +2,6 @@ package ampc
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"ampcgraph/internal/dht"
 )
@@ -14,9 +12,7 @@ import (
 // hash, a latency round trip) is what the optimizations of §5.3 amortize.
 // ReadMany and WriteMany let algorithm code hand the runtime a whole fan-out
 // (a frontier of neighbor lists, a round's worth of parent pointers) in one
-// call; the store groups the keys by shard and visits every shard once.  The
-// coalescer below does the same transparently for single-key Lookups issued
-// concurrently by a machine's worker threads.
+// call; the store groups the keys by shard and visits every shard once.
 
 // ReadMany reads all keys from the round's input hash table in one
 // shard-grouped batch.  vals[i] and oks[i] correspond to keys[i].  With
@@ -174,14 +170,14 @@ func (r *Runtime) WriteTable(name string, store *dht.Store, items, computePerIte
 
 // WriteTableRound builds (without running) the round that stores value(i)
 // under key i for every work item i in [0, items), reading nothing and
-// declaring its single store write for the pipelined scheduler.
+// declaring its single store write for the segment executor.
 // computePerItem units of local computation are charged per item.  With
 // batching enabled the items are written in shard-grouped blocks of
 // BatchSize keys; otherwise one Put per key, exactly as the hand-written
 // kv-write rounds did.  Items are partitioned by key ownership, so under the
 // owner-affine placement every machine writes its own keys to its co-located
 // shards — and the write declaration carries those per-machine spans
-// (WriteRanges), so the pipelined scheduler can overlap later sub-rounds
+// (WriteRanges), so the segment executor can overlap later sub-rounds
 // that only touch other machines' ranges.
 func (s *Session) WriteTableRound(name string, store *dht.Store, items, computePerItem int, value func(int) []byte) Round {
 	if !s.cfg.Batch {
@@ -211,101 +207,5 @@ func (s *Session) WriteTableRound(name string, store *dht.Store, items, computeP
 			ctx.ChargeCompute(computePerItem * (hi - lo))
 			return ctx.WriteMany(store, pairs)
 		},
-	}
-}
-
-// coalescer buffers single-key lookups issued by the worker threads of one
-// machine and flushes them to the store as one shard-grouped batch.  The
-// first thread to find the buffer idle becomes the flush leader: it yields
-// the processor a few times so the machine's other threads can append their
-// pending lookups, then serves the whole buffer with one BatchGet.
-// Correctness does not depend on how many lookups end up grouped together —
-// the input store is frozen for the round, so a batched read returns exactly
-// what the corresponding single-key reads would.
-type coalescer struct {
-	ctx    *Ctx
-	window int
-
-	mu       sync.Mutex
-	pending  []coalReq
-	flushing bool
-}
-
-type coalReq struct {
-	key uint64
-	ch  chan coalResult
-}
-
-type coalResult struct {
-	val []byte
-	ok  bool
-	err error
-}
-
-func (co *coalescer) lookup(key uint64) ([]byte, bool, error) {
-	ch := make(chan coalResult, 1)
-	co.mu.Lock()
-	co.pending = append(co.pending, coalReq{key: key, ch: ch})
-	lead := !co.flushing
-	if lead {
-		co.flushing = true
-	}
-	full := len(co.pending) >= co.window
-	co.mu.Unlock()
-	if lead {
-		if !full {
-			// Give the machine's other worker threads a chance to join.
-			for i := 0; i < 4; i++ {
-				runtime.Gosched()
-			}
-		}
-		co.flush()
-	}
-	res := <-ch
-	return res.val, res.ok, res.err
-}
-
-// flush serves every pending request with one batched read.  Requests
-// appended after the buffer is grabbed find flushing == false again and
-// elect a new leader, so no request is ever stranded.
-func (co *coalescer) flush() {
-	co.mu.Lock()
-	batch := co.pending
-	co.pending = nil
-	co.flushing = false
-	co.mu.Unlock()
-	if len(batch) == 0 {
-		return
-	}
-	keys := make([]uint64, 0, len(batch))
-	index := make(map[uint64]int, len(batch))
-	pos := make([]int, len(batch))
-	for i, r := range batch {
-		j, ok := index[r.key]
-		if !ok {
-			j = len(keys)
-			index[r.key] = j
-			keys = append(keys, r.key)
-		}
-		pos[i] = j
-	}
-	vals, oks, visits, err := co.ctx.readView.BatchGet(keys)
-	if err == nil {
-		co.ctx.recordBatch(len(keys), visits.Total())
-		co.ctx.latency.Add(int64(co.ctx.job.cfg.Model.BatchReadCostSplit(visits.Local, visits.Remote, len(keys))))
-		if co.ctx.cache != nil {
-			// Fill once per unique key; waiters sharing a key are the
-			// equivalent of a cache hit, not a second miss.
-			for j, k := range keys {
-				co.ctx.cache.Fill(k, vals[j], oks[j])
-			}
-		}
-	}
-	for i, r := range batch {
-		if err != nil {
-			r.ch <- coalResult{err: err}
-			continue
-		}
-		r.ch <- coalResult{val: vals[pos[i]], ok: oks[pos[i]]}
 	}
 }

@@ -2,7 +2,6 @@ package ampc
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"ampcgraph/internal/dht"
@@ -151,58 +150,6 @@ func TestWriteTableBatchedMatchesUnbatched(t *testing.T) {
 	// The batched table write must visit fewer shards than it writes keys.
 	if st := batched.Stats(); st.ShardVisitsSaved == 0 {
 		t.Fatalf("batched WriteTable saved no shard visits: %+v", st)
-	}
-}
-
-func TestCoalescedLookupMatchesDirect(t *testing.T) {
-	const n = 500
-	direct := New(Config{Machines: 2, Threads: 8})
-	ds := direct.NewStore("d0")
-	fillStore(t, direct, ds, n)
-	coal := New(Config{Machines: 2, Threads: 8, CoalesceReads: true})
-	cs := coal.NewStore("d0")
-	fillStore(t, coal, cs, n)
-
-	read := func(rt *Runtime, store *dht.Store) ([]byte, error) {
-		out := make([]byte, n)
-		var mu sync.Mutex
-		err := rt.Run(Round{
-			Name:  "read",
-			Items: n,
-			Read:  store,
-			Body: func(ctx *Ctx, item int) error {
-				v, ok, err := ctx.Lookup(uint64(item))
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("key %d missing", item)
-				}
-				mu.Lock()
-				out[item] = v[0]
-				mu.Unlock()
-				return nil
-			},
-		})
-		return out, err
-	}
-	want, err := read(direct, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := read(coal, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(want) != string(got) {
-		t.Fatal("coalesced lookups returned different values than direct lookups")
-	}
-	st := coal.Stats()
-	if st.BatchesIssued == 0 {
-		t.Fatal("coalescing issued no batches")
-	}
-	if st.BatchedKeys == 0 {
-		t.Fatal("coalescing carried no keys")
 	}
 }
 

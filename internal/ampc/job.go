@@ -2,7 +2,6 @@ package ampc
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,9 +22,9 @@ type Job struct {
 	sess  *Session
 	cfg   Config // the session configuration, copied for lock-free access
 	clock *simtime.Clock
-	// ctx cancels the job: rounds check it between dispatches and the
-	// pipelined scheduler stops submitting new sub-rounds once it is done,
-	// draining the in-flight ones before returning the context error.
+	// ctx cancels the job: the segment executor stops submitting new
+	// sub-rounds once it is done, draining the in-flight ones before
+	// returning the context error.
 	ctx context.Context
 
 	mu         sync.Mutex
@@ -37,9 +36,9 @@ type Job struct {
 	// query cannot exhaust the recovery budget of its neighbors.
 	faultBudgetUsed int
 
-	// runMu serializes round execution within this job: Run, RunPipeline
-	// and Rebalance hold it for their whole duration, so concurrent calls
-	// on one job queue instead of interleaving — while different jobs
+	// runMu serializes execution within this job: every segment and
+	// Rebalance hold it for their whole duration, so concurrent calls on
+	// one job queue instead of interleaving — while different jobs
 	// interleave freely in the shared pool.
 	runMu sync.Mutex
 
@@ -199,90 +198,13 @@ func (j *Job) MeasuredCostModel() (simtime.CostModel, bool) {
 	return simtime.Measured(string(bs.Kind), read, write), true
 }
 
-// Run executes one AMPC round on the session's persistent worker pool.  Work
-// item i is assigned to machine i mod Machines (or Partitioner(i) when set);
-// each machine processes its items with Threads concurrent workers sharing
-// one Ctx.  The simulated duration of the round is the maximum over machines
-// of (compute + key-value latency / Threads), modeling the fact that
-// multithreading hides lookup latency but not computation.
+// Run executes one AMPC round — a segment of one round — on the session's
+// persistent worker pool.  Work item i is assigned to machine i mod Machines
+// (or Partitioner(i) when set); each machine processes its items with Threads
+// concurrent workers sharing one Ctx.  The simulated duration of the round is
+// the maximum over machines of (compute + key-value latency / Threads),
+// modeling the fact that multithreading hides lookup latency but not
+// computation.
 func (j *Job) Run(round Round) error {
-	j.runMu.Lock()
-	defer j.runMu.Unlock()
-	return j.runBarrier(round)
-}
-
-// runBarrier is Run without the per-job serialization lock (held by the
-// caller).
-func (j *Job) runBarrier(round Round) error {
-	s := j.sess
-	// Hold the lifecycle read lock for the whole round so a concurrent
-	// Session.Close cannot tear the pool down mid-dispatch (it waits
-	// instead); the execMu read lock keeps Rebalance's shard migration from
-	// interleaving with the round.
-	s.lifecycle.RLock()
-	defer s.lifecycle.RUnlock()
-	if s.closed.Load() || j.closed.Load() {
-		return fmt.Errorf("ampc: round %q: %w", round.Name, ErrClosed)
-	}
-	if err := j.ctx.Err(); err != nil {
-		return fmt.Errorf("ampc: round %q: job cancelled: %w", round.Name, err)
-	}
-	s.execMu.RLock()
-	defer s.execMu.RUnlock()
-
-	pr := j.prepareRound(round, true)
-	if pr.err != nil {
-		return pr.err
-	}
-
-	// Dispatch-and-recover loop.  Each pass runs the pending sub-rounds to
-	// the barrier; a failed share is discarded and re-dispatched while the
-	// fault budget lasts (see recover.go), a successful one flushes its
-	// buffered writes.  With FaultBudget 0 the buffers are pass-throughs,
-	// every sub-round runs exactly once, and the first failure (lowest
-	// machine index, deterministically) is the round's error.
-	var firstErr error
-	pending := pr.jobs
-	for len(pending) > 0 && firstErr == nil {
-		s.workers().dispatch(pending)
-		var retry []*machineJob
-		for _, job := range pending {
-			if job == nil {
-				continue
-			}
-			if !job.failed.Load() {
-				if err := job.ctx.flushWrites(); err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("ampc: round %q: flushing machine %d writes: %w",
-						round.Name, job.machine, err)
-				}
-				continue
-			}
-			if j.consumeFaultBudget() {
-				job.ctx.discardWrites()
-				job.reset()
-				retry = append(retry, job)
-				continue
-			}
-			if err := job.takeErr(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if err := j.ctx.Err(); err != nil && firstErr == nil && len(retry) > 0 {
-			firstErr = fmt.Errorf("ampc: round %q: job cancelled: %w", round.Name, err)
-		}
-		pending = retry
-	}
-
-	// Simulated round time: slowest machine plus the round-spawn overhead.
-	// Re-executed shares accumulate their counters across attempts, so
-	// recovery overhead lands in the modeled duration.
-	var slowest time.Duration
-	for _, ctx := range pr.ctxs {
-		if d := j.machineDuration(ctx); d > slowest {
-			slowest = d
-		}
-	}
-	j.absorbRoundStats(pr.ctxs)
-	j.clock.Charge(slowest + j.cfg.Model.RoundOverhead)
-	return firstErr
+	return j.runStages([]StagedRound{{Round: round}}, nil)
 }

@@ -95,22 +95,28 @@ func TestSetOwnershipInertUnderOtherPlacements(t *testing.T) {
 func TestSetKeyspaceDropsMismatchedOwnership(t *testing.T) {
 	r := New(Config{Machines: 4, Placement: PlacementWeighted})
 	defer r.Close()
+	// declared reports whether partitioners of the keyspace answer from the
+	// declared table rather than the uniform split.
+	declared := func(keys int) bool {
+		own := r.ownershipFor(keys)
+		return own.Keys() == keys && own == r.ownership
+	}
 	r.SetOwnership(skewedWeights(64))
-	if r.currentOwnership(64) == nil {
+	if !declared(64) {
 		t.Fatal("ownership table not built")
 	}
 	// A partitioner for a different keyspace must not use the table.
-	if r.currentOwnership(100) != nil {
+	if declared(100) {
 		t.Fatal("table served for a mismatched keyspace")
 	}
 	r.SetKeyspace(100)
-	if r.currentOwnership(64) != nil {
+	if declared(64) {
 		t.Fatal("stale table survived a keyspace change")
 	}
 	// Same keyspace keeps the table.
 	r.SetOwnership(skewedWeights(64))
 	r.SetKeyspace(64)
-	if r.currentOwnership(64) == nil {
+	if !declared(64) {
 		t.Fatal("matching keyspace dropped the table")
 	}
 }

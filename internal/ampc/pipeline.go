@@ -3,14 +3,13 @@ package ampc
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"ampcgraph/internal/dht"
 	"ampcgraph/internal/simtime"
 )
 
-// Range-gated round pipelining.
+// The segment executor.
 //
 // The AMPC model is barrier-synchronized: round i+1 starts only after every
 // machine has finished round i, so one straggler machine idles the whole
@@ -18,8 +17,8 @@ import (
 // machine only truly needs the keys it reads to be fully written.  Rounds
 // therefore declare their accesses (Round.Reads / Round.Writes) as Access
 // values: the store touched plus, optionally, the key spans touched per
-// machine.  RunPipeline schedules a round sequence at sub-round granularity
-// — one sub-round being machine m's share of round j — so that:
+// machine.  runSegment schedules a round sequence — a segment — at sub-round
+// granularity, one sub-round being machine m's share of round j, so that:
 //
 //   - each machine executes its shares in program order (round j after
 //     round j-1, enforced by the per-machine FIFO job feeds of the pool);
@@ -27,31 +26,33 @@ import (
 //     (i, m') has finished, where a conflict is a RAW, WAR or WAW pair on
 //     the same store with overlapping declared spans (see subroundDeps).
 //
-// Whole-store declarations (the zero span set) make every machine of a
-// writing round a predecessor — the conservative store-set behavior this
-// scheduler generalizes.  Per-machine span declarations let a machine whose
-// reads fall inside its own owned range flow past a straggler still writing
-// a different range of the same store.
+// A segment of one round has no earlier sub-rounds to wait for: all machines
+// start together and the segment ends when the slowest finishes, which is
+// the model's barrier round.  Whole-store declarations (the zero span set)
+// make every machine of a writing round a predecessor; per-machine span
+// declarations let a machine whose reads fall inside its own owned range
+// flow past a straggler still writing a different range of the same store.
 //
 // Coherence bookkeeping follows the same granularity.  A read store is
 // frozen when its last declared write sub-round completes (immediately at
 // prepare when no declared writes are pending).  Per-machine caches are
 // fenced with exactly the spans completed write sub-rounds have dirtied
 // since the machine's cache was last fenced (dht.Cache.InvalidateRange), so
-// disjoint-range sub-rounds no longer thrash caches that cannot hold stale
+// disjoint-range sub-rounds do not thrash caches that cannot hold stale
 // entries; when the segment drains, the remaining dirty spans are applied
 // and the whole-store fence point (Session.cacheFence) is recorded so later
-// barrier rounds see coherent caches.  Because a sub-round's reads begin
-// only after every write overlapping its declared spans has completed —
-// and reads outside the declared spans are a contract violation — the
-// computation observes exactly the same store contents as the barrier
-// execution: results are byte-identical with pipelining on or off.  Only
-// the schedule — and therefore the modeled wall-clock, computed as a
-// per-sub-round critical-path max (simtime.SubroundSchedule) instead of a
-// sum of per-round maxima — changes.  The old barrier accounting is
+// segments see coherent caches.  Because a sub-round's reads begin only
+// after every write overlapping its declared spans has completed — and
+// reads outside the declared spans are a contract violation — the
+// computation observes exactly the same store contents however a round
+// sequence is cut into segments: results are byte-identical with
+// Config.Pipeline on or off.  Only the schedule — and therefore the modeled
+// wall-clock, a per-sub-round critical-path max (simtime.SubroundSchedule)
+// instead of a sum of per-round maxima — changes.  For segments of two or
+// more rounds the per-round-barrier accounting of the same busy times is
 // preserved in Stats.BarrierSim so the two can be compared on the same run.
 //
-// Concurrent jobs interleave at the same granularity: each job's scheduler
+// Concurrent jobs interleave at the same granularity: each job's executor
 // submits its sub-rounds into the shared per-machine pool feeds, which keep
 // FIFO order per machine, so one job's straggler sub-round overlaps with
 // another job's independent work on other machines.
@@ -68,7 +69,7 @@ import (
 //
 // This analysis is the expensive part of scheduling a segment; compiled
 // plans (Session.CompilePlan) cache its result per (key, ownership
-// generation) and pass it back in through runPipelined's deps parameter.
+// generation) and pass it back in through runSegment's deps parameter.
 func subroundDeps(rounds []Round, machines int) [][][]simtime.SubDep {
 	reads := make([][]Access, len(rounds))
 	for i := range rounds {
@@ -116,30 +117,19 @@ func subroundsConflict(a Round, aReads []Access, am int, b Round, bReads []Acces
 	return false
 }
 
-// RunPipeline executes a sequence of rounds.  With Config.Pipeline unset it
-// is exactly equivalent to calling Run on each round in order (per-round
-// barriers, byte-identical accounting).  With Pipeline set the rounds run as
-// one dependency-scheduled segment: machines proceed through the sequence in
-// program order, and each machine's share of a round is gated on exactly the
-// conflicting predecessor sub-rounds (see the package comment above).  Every
-// round must declare its full access sets via Read/Reads and Writes.  The
-// first item error of any round is returned after the whole segment has
-// drained.
+// RunPipeline executes a sequence of rounds: one segment per round with
+// Config.Pipeline unset — exactly equivalent to calling Run on each round in
+// order — and one dependency-scheduled segment with it set, in which
+// machines proceed through the sequence in program order and each machine's
+// share of a round is gated on exactly the conflicting predecessor
+// sub-rounds (see the package comment above).  Every round must declare its
+// full access sets via Read/Reads and Writes.
 func (j *Job) RunPipeline(rounds []Round) error {
-	if len(rounds) == 0 {
-		return nil
+	stages := make([]StagedRound, len(rounds))
+	for i := range rounds {
+		stages[i].Round = rounds[i]
 	}
-	j.runMu.Lock()
-	defer j.runMu.Unlock()
-	if !j.cfg.Pipeline || len(rounds) == 1 {
-		for i := range rounds {
-			if err := j.runBarrier(rounds[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return j.runPipelined(rounds, nil)
+	return j.runStages(stages, nil)
 }
 
 // pipeDone is one (round, machine) completion event.
@@ -153,52 +143,61 @@ type dirtyLog struct {
 	fenced []int          // per machine: log prefix already applied
 }
 
-// runPipelined runs one dependency-scheduled segment.  deps is the sub-round
-// conflict analysis to schedule under; nil computes it fresh (RunPipeline),
-// non-nil reuses a compiled plan's cached analysis (RunPlan).  Caller holds
-// j.runMu.
+// runSegment executes one segment: it is the only function that prepares
+// rounds, feeds the worker pool, flushes or discards buffered writes, spends
+// fault budget and charges the modeled clock.  deps is the sub-round conflict
+// analysis to schedule under; nil computes it fresh, non-nil reuses a
+// compiled plan's cached analysis.
+//
+// A failing segment drains before it returns, and returns the error of its
+// lowest failed (round, machine) sub-round, so the reported failure does not
+// depend on how completions interleave.
 //
 // Job cancellation is honored between sub-rounds: once j.ctx is done the
-// scheduler stops submitting new sub-rounds and stops spending fault budget
+// executor stops submitting new sub-rounds and stops spending fault budget
 // on retries, drains the in-flight ones (their writes still flush, keeping
 // the stores consistent for other jobs sharing them), and returns the
 // context error.  The session stays fully usable.
-func (j *Job) runPipelined(rounds []Round, deps [][][]simtime.SubDep) error {
+func (j *Job) runSegment(rounds []Round, deps [][][]simtime.SubDep) error {
+	j.runMu.Lock()
+	defer j.runMu.Unlock()
 	cfg := j.cfg
 	s := j.sess
+	// Hold the lifecycle read lock for the whole segment so a concurrent
+	// Session.Close cannot tear the pool down mid-flight (it waits instead);
+	// the execMu read lock keeps Rebalance's shard migration from
+	// interleaving with the segment.
 	s.lifecycle.RLock()
 	defer s.lifecycle.RUnlock()
 	if s.closed.Load() || j.closed.Load() {
-		return fmt.Errorf("ampc: pipeline %q: %w", rounds[0].Name, ErrClosed)
+		return fmt.Errorf("ampc: round %q: %w", rounds[0].Name, ErrClosed)
 	}
 	if err := j.ctx.Err(); err != nil {
-		return fmt.Errorf("ampc: pipeline %q: job cancelled: %w", rounds[0].Name, err)
+		return fmt.Errorf("ampc: round %q: job cancelled: %w", rounds[0].Name, err)
 	}
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
 
+	k := len(rounds)
+	// fail keeps the error of the lowest (round, machine) position; errors
+	// of the segment as a whole (cancellation) are filed at round k, behind
+	// every sub-round's.  Only this goroutine records errors.
 	var firstErr error
-	var errMu sync.Mutex
-	recordErr := func(err error) {
-		if err == nil {
-			return
+	errRound, errMachine := k+1, 0
+	fail := func(round, machine int, err error) {
+		if err != nil && (round < errRound || round == errRound && machine < errMachine) {
+			firstErr, errRound, errMachine = err, round, machine
 		}
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
 	}
 
-	k := len(rounds)
 	machines := cfg.Machines
 	if deps == nil {
 		deps = subroundDeps(rounds, machines)
 	}
 	prepared := make([]*preparedRound, k)
-	// All busy rows are allocated up front: a cancelled segment never
-	// prepares its tail rounds, but the schedule computation below still
-	// wants a rectangular matrix (unrun sub-rounds contribute zero).
+	// All busy rows are allocated up front: a stopped segment never prepares
+	// its tail rounds, but the schedule computation below still wants a
+	// rectangular matrix (unrun sub-rounds contribute zero).
 	busy := make([][]time.Duration, k)
 	for i := range busy {
 		busy[i] = make([]time.Duration, machines)
@@ -236,10 +235,11 @@ func (j *Job) runPipelined(rounds []Round, deps [][][]simtime.SubDep) error {
 	nextRound := make([]int, machines) // next round to enqueue, per machine
 
 	// submitted counts sub-rounds handed to the pool (or completed inline);
-	// received counts their completion events consumed.  Cancellation stops
-	// submitting, so the drain loop waits for exactly the outstanding gap.
+	// received counts their completion events consumed.  stopped — the job
+	// was cancelled, or a round's input store could not be frozen — ends
+	// submission, so the drain loop waits for exactly the outstanding gap.
 	submitted, received := 0, 0
-	cancelled := false
+	stopped := false
 
 	ready := func(rj, m int) bool {
 		for _, dep := range deps[rj][m] {
@@ -250,21 +250,20 @@ func (j *Job) runPipelined(rounds []Round, deps [][][]simtime.SubDep) error {
 		return true
 	}
 
-	// prepare partitions round rj the first time any machine reaches it.
-	// Freezing the input store must wait for its stragglers: with declared
-	// write sub-rounds still in flight the freeze (and the legacy
-	// whole-store fence) is deferred to the last writer's completion, and
-	// the caches are instead fenced range-exactly at sub-round dispatch.
-	prepare := func(rj int) {
-		prepared[rj] = j.prepareRound(rounds[rj], false)
-		recordErr(prepared[rj].err)
+	// prepare partitions round rj the first time any machine reaches it and
+	// reports whether the round may be dispatched.  Freezing the input store
+	// must wait for its stragglers: with declared write sub-rounds still in
+	// flight the freeze (and the whole-store fence) is deferred to the last
+	// writer's completion, and the caches are instead fenced range-exactly
+	// at sub-round dispatch.
+	prepare := func(rj int) bool {
+		prepared[rj] = j.prepareRound(rounds[rj])
 		if st := rounds[rj].Read; st != nil {
-			if writersLeft[st] == 0 {
-				if err := st.Freeze(); err != nil {
-					recordErr(fmt.Errorf("ampc: round %q: freezing input store: %w", rounds[rj].Name, err))
-				}
-			} else {
+			if writersLeft[st] > 0 {
 				pendingFreeze[st] = true
+			} else if err := st.Freeze(); err != nil {
+				fail(rj, -1, fmt.Errorf("ampc: round %q: freezing input store: %w", rounds[rj].Name, err))
+				return false
 			}
 		}
 		for _, a := range rounds[rj].readSet() {
@@ -274,23 +273,29 @@ func (j *Job) runPipelined(rounds []Round, deps [][][]simtime.SubDep) error {
 				s.fenceCaches(a.Store)
 			}
 		}
+		return true
 	}
 
-	// fenceSub applies, to machine m's caches, the dirty spans completed
-	// write sub-rounds have logged for round rj's read stores since m was
-	// last fenced.
+	// fenceMachine applies, to machine m's cache of st, the dirty spans
+	// completed write sub-rounds have logged since m was last fenced.
+	fenceMachine := func(st *dht.Store, lg *dirtyLog, m int) {
+		if lg.fenced[m] >= len(lg.spans) {
+			return
+		}
+		set := dht.EmptyRange()
+		for _, spans := range lg.spans[lg.fenced[m]:] {
+			set = set.Union(spans)
+		}
+		lg.fenced[m] = len(lg.spans)
+		s.invalidateMachineCache(st, m, set)
+	}
+	// fenceSub brings machine m's caches of round rj's read stores up to
+	// date before the sub-round is (re)submitted.
 	fenceSub := func(rj, m int) {
 		for _, a := range rounds[rj].readSet() {
-			lg := logs[a.Store]
-			if a.Store == nil || lg == nil || lg.fenced[m] >= len(lg.spans) {
-				continue
+			if lg := logs[a.Store]; a.Store != nil && lg != nil {
+				fenceMachine(a.Store, lg, m)
 			}
-			set := dht.EmptyRange()
-			for _, spans := range lg.spans[lg.fenced[m]:] {
-				set = set.Union(spans)
-			}
-			lg.fenced[m] = len(lg.spans)
-			s.invalidateMachineCache(a.Store, m, set)
 		}
 	}
 
@@ -298,19 +303,17 @@ func (j *Job) runPipelined(rounds []Round, deps [][][]simtime.SubDep) error {
 	// sub-rounds have all finished.  The per-machine feeds keep program
 	// order, so enqueueing ahead of the machine's current work is safe —
 	// and safe across jobs, since each feed keeps every job's shares in its
-	// own program order.  After cancellation pump stops submitting; the
+	// own program order.  Once stopped, pump submits nothing more; the
 	// in-flight sub-rounds drain through the event loop.
 	pump := func() {
-		if cancelled {
-			return
-		}
-		for m := 0; m < machines; m++ {
+		for m := 0; m < machines && !stopped; m++ {
 			for nextRound[m] < k && ready(nextRound[m], m) {
 				rj := nextRound[m]
-				nextRound[m]++
-				if prepared[rj] == nil {
-					prepare(rj)
+				if prepared[rj] == nil && !prepare(rj) {
+					stopped = true
+					break
 				}
+				nextRound[m]++
 				fenceSub(rj, m)
 				submitted++
 				job := prepared[rj].jobs[m]
@@ -346,7 +349,7 @@ func (j *Job) runPipelined(rounds []Round, deps [][][]simtime.SubDep) error {
 		// they are all done with it, so its counters are final.
 		job := prepared[ev.round].jobs[ev.machine]
 		if job != nil && job.failed.Load() {
-			if !cancelled && j.consumeFaultBudget() {
+			if !stopped && j.consumeFaultBudget() {
 				// Re-execute just this sub-round: drop the failed attempt's
 				// buffered writes, re-fence the machine's caches against any
 				// spans dirtied since dispatch, and resubmit.  Conflicting
@@ -362,10 +365,10 @@ func (j *Job) runPipelined(rounds []Round, deps [][][]simtime.SubDep) error {
 				s.workers().submit(ev.machine, job)
 				continue
 			}
-			recordErr(job.takeErr())
+			fail(ev.round, ev.machine, job.takeErr())
 		} else if job != nil {
 			if err := job.ctx.flushWrites(); err != nil {
-				recordErr(fmt.Errorf("ampc: round %q: flushing machine %d writes: %w",
+				fail(ev.round, ev.machine, fmt.Errorf("ampc: round %q: flushing machine %d writes: %w",
 					rounds[ev.round].Name, ev.machine, err))
 			}
 		}
@@ -381,36 +384,27 @@ func (j *Job) runPipelined(rounds []Round, deps [][][]simtime.SubDep) error {
 			writersLeft[w.Store]--
 			if writersLeft[w.Store] == 0 && pendingFreeze[w.Store] {
 				if err := w.Store.Freeze(); err != nil {
-					recordErr(fmt.Errorf("ampc: pipeline: freezing store after last writer: %w", err))
+					fail(ev.round, ev.machine, fmt.Errorf("ampc: round %q: freezing store after last writer: %w",
+						rounds[ev.round].Name, err))
 				}
 				delete(pendingFreeze, w.Store)
 			}
 		}
-		if !cancelled && j.ctx.Err() != nil {
-			cancelled = true
+		if err := j.ctx.Err(); err != nil && !stopped {
+			stopped = true
+			fail(k, 0, fmt.Errorf("ampc: round %q: job cancelled: %w", rounds[0].Name, err))
 		}
 		pump()
-	}
-	if cancelled {
-		recordErr(fmt.Errorf("ampc: pipeline %q: job cancelled: %w", rounds[0].Name, j.ctx.Err()))
 	}
 
 	// Segment-end fence finalization: apply the dirty spans each machine has
 	// not yet been fenced with, then record the stores' whole-store fence
-	// points — a later barrier round fences by write count, and without the
+	// points — a later segment fences by write count, and without the
 	// recorded point it would mistake this segment's writes for coherent
 	// cache state.
 	for st, lg := range logs {
 		for m := 0; m < machines; m++ {
-			if lg.fenced[m] >= len(lg.spans) {
-				continue
-			}
-			set := dht.EmptyRange()
-			for _, spans := range lg.spans[lg.fenced[m]:] {
-				set = set.Union(spans)
-			}
-			lg.fenced[m] = len(lg.spans)
-			s.invalidateMachineCache(st, m, set)
+			fenceMachine(st, lg, m)
 		}
 		w := st.WriteCount()
 		s.mu.Lock()
@@ -425,67 +419,76 @@ func (j *Job) runPipelined(rounds []Round, deps [][][]simtime.SubDep) error {
 	}
 
 	// Modeled time: the critical-path makespan of the range-gated sub-round
-	// schedule, with the classic barrier accounting of the same durations
-	// kept alongside for comparison.
+	// schedule — for a one-round segment, its slowest machine — plus the
+	// round-spawn overheads.  Re-executed shares accumulate their counters
+	// across attempts, so recovery overhead lands in the modeled duration.
+	// Segments that overlapped rounds keep the per-round-barrier accounting
+	// of the same durations alongside for comparison.
 	overhead := time.Duration(k) * cfg.Model.RoundOverhead
 	pipe := simtime.SubroundSchedule(busy, deps)
-	barrier := simtime.BarrierSchedule(busy)
 	j.clock.Charge(pipe.Makespan + overhead)
-	j.mu.Lock()
-	j.stats.PipelineSegments++
-	j.stats.PipelinedRounds += k
-	j.stats.PipelineSim += pipe.Makespan + overhead
-	j.stats.BarrierSim += barrier.Makespan + overhead
-	j.stats.PipelineIdle += pipe.Idle
-	j.stats.BarrierIdle += barrier.Idle
-	j.mu.Unlock()
+	if k > 1 {
+		barrier := simtime.BarrierSchedule(busy)
+		j.mu.Lock()
+		j.stats.PipelineSegments++
+		j.stats.PipelinedRounds += k
+		j.stats.PipelineSim += pipe.Makespan + overhead
+		j.stats.BarrierSim += barrier.Makespan + overhead
+		j.stats.PipelineIdle += pipe.Idle
+		j.stats.BarrierIdle += barrier.Idle
+		j.mu.Unlock()
+	}
 	return firstErr
 }
 
-// StagedRound couples a Round with the Phase it runs under when the sequence
-// executes round-by-round.
+// StagedRound couples a Round with the Phase it runs under.
 type StagedRound struct {
-	// Phase names the phase wrapping the round in barrier mode; empty runs
-	// the round without a phase of its own.
+	// Phase names the phase wrapping the round; empty runs the round
+	// without a phase of its own.  Stages sharing a segment run under one
+	// phase joining their names with "+".
 	Phase string
 	// Round is the round to execute.
 	Round Round
 }
 
 // RunStaged executes a static round sequence the way the core algorithms
-// drive their pipelines.  With Config.Pipeline unset each round runs at a
-// global barrier under its own phase — byte-identical, in results and in
+// drive their pipelines.  With Config.Pipeline unset each round is its own
+// segment under its own phase — byte-identical, in results and in
 // accounting, to writing Phase+Run by hand.  With Pipeline set the whole
-// sequence runs as one dependency-scheduled pipeline (RunPipeline) under a
-// single phase combining the stage names, so a machine done with its share
-// of one stage flows into the next stage's independent work instead of
-// idling at the barrier.
-func (j *Job) RunStaged(stages []StagedRound) error {
+// sequence runs as one segment under a single phase combining the stage
+// names, so a machine done with its share of one stage flows into the next
+// stage's independent work instead of idling at the barrier.
+func (j *Job) RunStaged(stages []StagedRound) error { return j.runStages(stages, nil) }
+
+// runStages cuts a staged round sequence into segments and executes them in
+// order: the whole sequence as one segment under Config.Pipeline, one segment
+// per stage otherwise.  Each segment runs under the joined phase names of its
+// stages.  deps is the compiled sub-round analysis of the whole sequence, if
+// there is one (RunPlan under Config.Pipeline).
+func (j *Job) runStages(stages []StagedRound, deps [][][]simtime.SubDep) error {
+	size := len(stages)
 	if !j.cfg.Pipeline {
-		for _, st := range stages {
-			run := st.Round
-			if st.Phase == "" {
-				if err := j.Run(run); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := j.Phase(st.Phase, func() error { return j.Run(run) }); err != nil {
-				return err
+		size = 1
+	}
+	for lo := 0; lo < len(stages); lo += size {
+		rounds := make([]Round, 0, size)
+		var names []string
+		for _, st := range stages[lo : lo+size] {
+			rounds = append(rounds, st.Round)
+			if st.Phase != "" {
+				names = append(names, st.Phase)
 			}
 		}
-		return nil
-	}
-	rounds := make([]Round, len(stages))
-	var names []string
-	for i, st := range stages {
-		rounds[i] = st.Round
-		if st.Phase != "" {
-			names = append(names, st.Phase)
+		run := func() error { return j.runSegment(rounds, deps) }
+		var err error
+		if len(names) == 0 {
+			err = run()
+		} else {
+			err = j.Phase(strings.Join(names, "+"), run)
+		}
+		if err != nil {
+			return err
 		}
 	}
-	if len(names) == 0 {
-		return j.RunPipeline(rounds)
-	}
-	return j.Phase(strings.Join(names, "+"), func() error { return j.RunPipeline(rounds) })
+	return nil
 }

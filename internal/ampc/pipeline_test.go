@@ -110,43 +110,6 @@ func TestSubroundDepsFromDeclaredAccesses(t *testing.T) {
 	checkRound(deps, 1, 0)
 }
 
-func TestRunPipelineBarrierFallbackMatchesRun(t *testing.T) {
-	// With Pipeline unset, RunPipeline must charge exactly what per-round
-	// Run calls would.
-	mk := func(pipeline, viaPipeline bool) time.Duration {
-		r := New(Config{Machines: 2, Threads: 1, Pipeline: pipeline, Model: testModel()})
-		defer r.Close()
-		rounds := []Round{
-			{Name: "r0", Items: 2, Body: func(ctx *Ctx, item int) error {
-				ctx.ChargeCompute(1 + 9*item)
-				return nil
-			}},
-			{Name: "r1", Items: 2, Body: func(ctx *Ctx, item int) error {
-				ctx.ChargeCompute(8 - 7*item)
-				return nil
-			}},
-		}
-		var err error
-		if viaPipeline {
-			err = r.RunPipeline(rounds)
-		} else {
-			for _, rd := range rounds {
-				if e := r.Run(rd); e != nil {
-					err = e
-					break
-				}
-			}
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Stats().Sim
-	}
-	if a, b := mk(false, true), mk(false, false); a != b {
-		t.Fatalf("barrier fallback sim %v != per-round Run sim %v", a, b)
-	}
-}
-
 func TestPipelineCriticalPathAccounting(t *testing.T) {
 	// Two independent rounds with opposite straggler machines: the
 	// pipelined schedule charges the per-machine critical path, and the

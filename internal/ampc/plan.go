@@ -2,7 +2,6 @@ package ampc
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"ampcgraph/internal/simtime"
@@ -10,8 +9,8 @@ import (
 
 // Compiled plans.
 //
-// Executing a round sequence through RunPipeline re-derives the same
-// conflict analysis every time: subroundDeps walks every (round, machine,
+// Executing a multi-round segment through RunPipeline or RunStaged re-derives
+// the same conflict analysis every time: subroundDeps walks every (round, machine,
 // machine) triple comparing declared access spans.  For a serving workload
 // the sequences are static — the same query shape arrives over and over —
 // so the analysis is compiled once into a Plan and cached per Session,
@@ -29,8 +28,8 @@ import (
 // ownership); hand-built plans must keep the same discipline.
 
 // Plan is an immutable, reusable compilation of a staged round sequence:
-// the rounds plus the sub-round dependency analysis the pipelined scheduler
-// needs.  Build one with Session.CompilePlan and execute it with
+// the rounds plus the sub-round dependency analysis the segment executor
+// schedules under.  Build one with Session.CompilePlan and execute it with
 // Runtime.RunPlan; repeated compilations of the same key hit the session's
 // plan cache and skip the conflict analysis.
 type Plan struct {
@@ -43,7 +42,7 @@ type Plan struct {
 	stages []StagedRound
 	rounds []Round
 	// deps is the per-(round, machine) predecessor matrix; nil when the
-	// plan executes at per-round barriers (Config.Pipeline unset or fewer
+	// plan executes as one-round segments (Config.Pipeline unset or fewer
 	// than two rounds), where no analysis is needed.
 	deps [][][]simtime.SubDep
 }
@@ -107,8 +106,7 @@ func (s *Session) PlanCacheStats() PlanCacheStats { return s.planCache.stats() }
 // cache key.  With Config.Pipeline set and at least two rounds, the
 // sub-round conflict analysis is looked up in the session's plan cache —
 // keyed by key and the current ownership generation — and computed (and
-// cached) on a miss; otherwise the plan simply records the stages for
-// barrier execution.  See the package comment above for the aliasing
+// cached) on a miss; otherwise the plan simply records the stages.  See the package comment above for the aliasing
 // contract a reused key carries.
 func (s *Session) CompilePlan(key string, stages []StagedRound) *Plan {
 	p := &Plan{Key: key, stages: append([]StagedRound(nil), stages...)}
@@ -130,29 +128,7 @@ func (s *Session) CompilePlan(key string, stages []StagedRound) *Plan {
 	return p
 }
 
-// RunPlan executes a compiled plan on this runtime's job: at per-round
-// barriers (each stage under its own phase) when the plan was compiled
-// without pipelining, as one dependency-scheduled segment — reusing the
-// plan's cached analysis instead of re-deriving it — otherwise.  Results
+// RunPlan executes a compiled plan on this runtime's job, reusing the
+// plan's cached analysis instead of re-deriving it.  Results and accounting
 // are byte-identical to RunStaged on the same stages.
-func (r *Runtime) RunPlan(p *Plan) error {
-	j := r.Job
-	if p.deps == nil {
-		return j.RunStaged(p.stages)
-	}
-	var names []string
-	for _, st := range p.stages {
-		if st.Phase != "" {
-			names = append(names, st.Phase)
-		}
-	}
-	run := func() error {
-		j.runMu.Lock()
-		defer j.runMu.Unlock()
-		return j.runPipelined(p.rounds, p.deps)
-	}
-	if len(names) == 0 {
-		return run()
-	}
-	return j.Phase(strings.Join(names, "+"), run)
-}
+func (r *Runtime) RunPlan(p *Plan) error { return r.Job.runStages(p.stages, p.deps) }

@@ -8,28 +8,19 @@ import (
 
 // Persistent machine/worker pool with per-machine job queues.
 //
-// The original runtime spawned one goroutine per machine (plus Threads
-// worker goroutines inside it) on every Run and tore everything down at the
-// end of the round, the way the dataflow host framework respawns its
-// workers.  A production system keeps its machine processes alive for the
-// lifetime of the computation, so the runtime owns a persistent pool:
-// Machines x Threads worker goroutines are started once, on the first Run,
-// and rounds are dispatched to them as jobs.  Items are pulled from a shared
-// atomic cursor per machine, so a machine's threads self-balance within its
-// partition exactly as the transient workers did.
-//
-// PR 3 replaced the one-shot dispatch (hand every thread one job, wait at a
-// global WaitGroup) with per-machine FIFO job queues plus per-job completion
-// tracking: each machine owns an ordered feed of jobs, its threads drain the
-// feed in order, and the last thread to leave a job fires the job's
-// completion callback.  The barrier dispatch of Run is a thin layer on top
-// (enqueue one job per machine, wait for all completions); the pipelined
-// scheduler of RunPipeline uses the same queues to keep a machine's rounds
-// in program order while different machines run different rounds.  Close
-// releases the pool; a Runtime that never runs a round never spawns it.
+// A production system keeps its machine processes alive for the lifetime of
+// the computation, so the session owns a persistent pool: Machines x Threads
+// worker goroutines are started once, on the first segment, and every
+// sub-round of every job is handed to them as a machineJob.  Each machine
+// owns an ordered feed of jobs, its threads drain the feed in order — which
+// keeps a machine's rounds in program order while different machines run
+// different rounds — and the last thread to leave a job fires the job's
+// completion callback.  Items are pulled from a shared atomic cursor per
+// job, so a machine's threads self-balance within its partition.  Close
+// releases the pool; a session that never runs a round never spawns it.
 
 // machineJob is one machine's share of one round — a sub-round.  It captures
-// its own first item error, so the schedulers can decide per sub-round
+// its own first item error, so the segment executor can decide per sub-round
 // whether to surface the failure or re-execute the share (sub-round recovery
 // under Config.FaultBudget).
 type machineJob struct {
@@ -47,7 +38,7 @@ type machineJob struct {
 	threadsLeft atomic.Int32
 	done        func(*machineJob)
 	// abortOnErr makes the job's threads stop claiming items once one item
-	// has failed.  Set when the scheduler will retry the whole sub-round
+	// has failed.  Set when the executor will retry the whole sub-round
 	// (Config.FaultBudget > 0): the remaining items would be re-executed
 	// anyway, so finishing them only delays recovery.  Items already claimed
 	// still run to completion — their writes are buffered and discarded.
@@ -168,23 +159,6 @@ func (p *workerPool) submit(m int, job *machineJob) {
 	f.tail = n
 	f.mu.Unlock()
 	f.cond.Broadcast()
-}
-
-// dispatch hands each machine its job and waits for every job to complete
-// (the barrier execution of Run).  Entries may be nil when a machine has no
-// items this round; jobs carry their own machine index, so retry subsets
-// dispatch the same way as full rounds.
-func (p *workerPool) dispatch(jobs []*machineJob) {
-	var wg sync.WaitGroup
-	for _, job := range jobs {
-		if job == nil {
-			continue
-		}
-		wg.Add(1)
-		job.done = func(*machineJob) { wg.Done() }
-		p.submit(job.machine, job)
-	}
-	wg.Wait()
 }
 
 // close wakes the worker goroutines and lets them exit once their feeds are

@@ -9,21 +9,21 @@ import (
 // A machine's share of a round — a sub-round — can fail past the stores' own
 // retry tier: an injected fatal fault (dht.FaultPlan.PFatal), an op abandoned
 // at the retry deadline, a real backend error.  With Config.FaultBudget > 0
-// the schedulers recover at exactly that granularity instead of failing the
-// run: the failed (round, machine) share is re-executed from scratch while
+// the segment executor recovers at exactly that granularity instead of failing
+// the run: the failed (round, machine) share is re-executed from scratch while
 // every other machine's work stands.
 //
 // Re-execution is only sound if the failed attempt left no trace.  Reads are
 // naturally replayable (the input store is frozen for the round), but writes
 // are not — a re-executed Emit would append its records twice.  So under a
 // fault budget every Ctx write (Write, Emit, WriteMany, EmitMany) is buffered
-// in the Ctx instead of applied: the scheduler flushes the buffer to the
+// in the Ctx instead of applied: the executor flushes the buffer to the
 // stores only after the sub-round has completed without error, and discards
 // it before a retry.  The flush happens before the sub-round is marked done,
-// so dependent rounds — gated on that completion by both the barrier and the
-// pipelined scheduler — observe exactly the writes a fault-free execution
-// produces.  Values are copied at buffer time, preserving the store façade's
-// "values are copied on write" contract for callers that reuse buffers.
+// so dependent sub-rounds — gated on that completion — observe exactly the
+// writes a fault-free execution produces.  Values are copied at buffer time,
+// preserving the store façade's "values are copied on write" contract for
+// callers that reuse buffers.
 //
 // The contract this leaves with round bodies: key-value effects are recovered
 // automatically, host-side effects are not.  A body that mutates per-item
@@ -72,7 +72,7 @@ func (c *Ctx) bufferBatch(out *dht.Store, pairs []dht.Pair, appendMode bool) err
 }
 
 // flushWrites applies the sub-round's buffered writes to the stores, in
-// buffer order.  The schedulers call it exactly once per successful
+// buffer order.  The executor calls it exactly once per successful
 // sub-round, before marking the sub-round complete (and before reading the
 // Ctx's counters for the modeled duration).  A flush error is not recoverable
 // by re-execution — part of the buffer may already be applied — so callers
@@ -121,7 +121,7 @@ func (c *Ctx) discardWrites() {
 }
 
 // consumeFaultBudget reserves one sub-round re-execution.  It reports false
-// once Config.FaultBudget re-executions have been spent — the scheduler then
+// once Config.FaultBudget re-executions have been spent — the executor then
 // surfaces the failure as the run's error.  The budget is per job, so one
 // fault-heavy query cannot starve the recovery of its session neighbors.
 func (j *Job) consumeFaultBudget() bool {

@@ -29,6 +29,7 @@ type Session struct {
 	mu        sync.Mutex
 	stores    []*dht.Store
 	diskBase  string // per-session parent dir of disk-backend stores
+	diskSeq   int    // disk-backend store directories handed out so far
 	keyspace  int
 	ownership *dht.Ownership
 	caches    map[*dht.Store][]*dht.Cache
@@ -275,17 +276,18 @@ func intSlicesEqual(a, b []int) bool {
 	return true
 }
 
-// currentOwnership returns the weighted ownership table when one is
-// declared for exactly the given keyspace, nil otherwise (callers fall back
-// to the uniform RangeOwner split, which is what the owner-affine placement
-// uses).
-func (s *Session) currentOwnership(keys int) *dht.Ownership {
+// ownershipFor returns the contiguous partition of the keyspace [0, keys)
+// that the session's partitioners and placement answer from: the declared
+// ownership table when its keyspace matches, the uniform range split
+// otherwise.
+func (s *Session) ownershipFor(keys int) *dht.Ownership {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ownership != nil && s.ownership.Keys() == keys {
-		return s.ownership
+	own := s.ownership
+	s.mu.Unlock()
+	if own != nil && own.Keys() == keys {
+		return own
 	}
-	return nil
+	return dht.RangeOwnership(s.cfg.Machines, keys)
 }
 
 // Close releases the session's persistent worker pool and the resources of
@@ -333,24 +335,18 @@ func (s *Session) workers() *workerPool {
 	return s.pool
 }
 
-// placement builds the dht placement policy for a new store.
+// placement builds the dht placement policy for a new store: co-location by
+// the session's ownership of the declared keyspace under the owner-affine
+// and weighted policies (uniform until weights are declared; hashing while
+// no keyspace is), uniform hashing otherwise.
 func (s *Session) placement() dht.Placement {
+	if s.cfg.Placement != PlacementOwnerAffine && s.cfg.Placement != PlacementWeighted {
+		return dht.HashRandom()
+	}
 	s.mu.Lock()
 	keys := s.keyspace
-	own := s.ownership
 	s.mu.Unlock()
-	switch {
-	case s.cfg.Placement == PlacementWeighted && own != nil:
-		return dht.OwnershipPlacement(own)
-	case s.cfg.Placement == PlacementWeighted && keys > 0:
-		// Weighted placement requested but no weights declared: the uniform
-		// range split is the weighted split for equal weights, and it keeps
-		// co-location consistent with the RangeOwner partitioners.
-		return dht.OwnerAffine(s.cfg.Machines, keys)
-	case s.cfg.Placement == PlacementOwnerAffine && keys > 0:
-		return dht.OwnerAffine(s.cfg.Machines, keys)
-	}
-	return dht.HashRandom()
+	return dht.OwnershipPlacement(s.ownershipFor(keys))
 }
 
 // Owner returns the machine owning key under the session's contiguous
@@ -359,10 +355,7 @@ func (s *Session) placement() dht.Placement {
 // split otherwise.  It is the machine whose co-located shards hold the key
 // under the owner-affine and weighted placements.
 func (s *Session) Owner(key uint64, keys int) int {
-	if own := s.currentOwnership(keys); own != nil {
-		return own.OwnerOf(key)
-	}
-	return dht.RangeOwner(key, s.cfg.Machines, keys)
+	return s.ownershipFor(keys).OwnerOf(key)
 }
 
 // OwnerPartitioner returns a Round partitioner assigning work item i (a key
@@ -372,11 +365,8 @@ func (s *Session) Owner(key uint64, keys int) int {
 // built: rounds built after SetOwnership partition by the same table their
 // stores were placed with.
 func (s *Session) OwnerPartitioner(keys int) func(int) int {
-	machines := s.cfg.Machines
-	if own := s.currentOwnership(keys); own != nil {
-		return func(item int) int { return own.OwnerOf(uint64(item)) }
-	}
-	return func(item int) int { return dht.RangeOwner(uint64(item), machines, keys) }
+	own := s.ownershipFor(keys)
+	return func(item int) int { return own.OwnerOf(uint64(item)) }
 }
 
 // BlockOwnerPartitioner returns a Round partitioner for lock-step block
@@ -397,18 +387,12 @@ func (s *Session) BlockOwnerPartitioner(size, items int) func(int) int {
 // the session's partition of the keyspace [0, keys) — exactly the items
 // OwnerPartitioner(keys) assigns to it.  Rounds partitioned by ownership use
 // it (via OwnedRanges) to declare per-machine access spans, letting the
-// pipelined scheduler overlap sub-rounds on disjoint ranges.
+// segment executor overlap sub-rounds on disjoint ranges.
 func (s *Session) OwnedSpan(machine, keys int) dht.Span {
-	machines := s.cfg.Machines
-	if keys <= 0 || machine < 0 || machine >= machines {
+	if keys <= 0 || machine < 0 || machine >= s.cfg.Machines {
 		return dht.Span{}
 	}
-	if own := s.currentOwnership(keys); own != nil {
-		lo, hi := own.Range(machine)
-		return dht.Span{Lo: uint64(lo), Hi: uint64(hi)}
-	}
-	lo := dht.RangeOwnerStart(machine, machines, keys)
-	hi := dht.RangeOwnerStart(machine+1, machines, keys)
+	lo, hi := s.ownershipFor(keys).Range(machine)
 	return dht.Span{Lo: uint64(lo), Hi: uint64(hi)}
 }
 
@@ -546,7 +530,9 @@ func (s *Session) SharedStore(name string) (st *dht.Store, ok bool) {
 
 // diskDirFor returns a fresh per-store log directory under the session's
 // private disk base, creating the base on first use.  Every store gets its
-// own directory — reusing one would replay another store's logs.
+// own directory — reusing one would replay another store's logs — numbered
+// from a per-session sequence allocated under the lock, so concurrent jobs
+// opening the same store name still get distinct directories.
 func (s *Session) diskDirFor(name string) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -557,7 +543,9 @@ func (s *Session) diskDirFor(name string) (string, error) {
 		}
 		s.diskBase = base
 	}
-	return filepath.Join(s.diskBase, fmt.Sprintf("%03d-%s", len(s.stores), name)), nil
+	dir := filepath.Join(s.diskBase, fmt.Sprintf("%03d-%s", s.diskSeq, name))
+	s.diskSeq++
+	return dir, nil
 }
 
 // fenceCaches is the per-store cache fence: when store's write count has

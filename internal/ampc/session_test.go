@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
+
+	"ampcgraph/internal/dht"
 )
 
 // Session/Job layer tests: admission gating, job cancellation, shared
@@ -426,37 +429,55 @@ func TestPlanCacheHitsAndOwnershipInvalidation(t *testing.T) {
 	}
 }
 
-// TestCompilePlanBarrierMode pins the non-pipelined degenerate case: the
-// plan records the stages and RunPlan executes them at barriers.
-func TestCompilePlanBarrierMode(t *testing.T) {
-	const n = 50
-	s := NewSession(Config{Machines: 2, Threads: 1, Seed: 1})
+// TestConcurrentOpenStoreDiskDirectories: stores opened concurrently under
+// one name on the disk backend (what concurrent jobs running the same
+// algorithm do) each get a log directory of their own and read back exactly
+// their own writes.
+func TestConcurrentOpenStoreDiskDirectories(t *testing.T) {
+	const openers, keys = 16, 32
+	s := NewSession(Config{Machines: 2, Backend: BackendDisk, DiskDir: t.TempDir()})
 	defer s.Close()
-	s.SetKeyspace(n)
-	rt, err := s.NewJob()
+	stores := make([]*dht.Store, openers)
+	var wg sync.WaitGroup
+	for g := range stores {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			st, err := s.OpenStore("same")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			stores[g] = st
+			for k := 0; k < keys; k++ {
+				if err := st.Put(uint64(k), []byte{byte(g), byte(k)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	dirs, err := os.ReadDir(s.diskBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
-	write, read, err := jobStoreRounds(rt, n, 5)
-	if err != nil {
-		t.Fatal(err)
+	if len(dirs) != openers {
+		t.Fatalf("%d stores opened into %d directories", openers, len(dirs))
 	}
-	p := rt.CompilePlan("barrier-query", []StagedRound{
-		{Phase: "write", Round: write},
-		{Phase: "read", Round: read},
-	})
-	if p.Cached {
-		t.Fatal("barrier-mode plan reported a cache hit")
-	}
-	if err := rt.RunPlan(p); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(p.Rounds()); got != 2 {
-		t.Fatalf("plan has %d rounds, want 2", got)
-	}
-	if st := s.PlanCacheStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("barrier-mode compilation touched the plan cache: %+v", st)
+	for g, st := range stores {
+		if st.Len() != keys {
+			t.Fatalf("store %d holds %d keys, want its own %d", g, st.Len(), keys)
+		}
+		for k := 0; k < keys; k++ {
+			v, ok, err := st.Get(uint64(k))
+			if err != nil || !ok || len(v) != 2 || v[0] != byte(g) || v[1] != byte(k) {
+				t.Fatalf("store %d key %d = %v (ok=%v err=%v), want its own write", g, k, v, ok, err)
+			}
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ func batchWalkRound(rt *ampc.Runtime, store *dht.Store, g *graph.Graph,
 	report func(start, end graph.NodeID, steps int)) ampc.Round {
 	n := g.NumNodes()
 	size := rt.Config().BatchSize
+	owner := rt.OwnerPartitioner(n)
 	return ampc.Round{
 		Name:  "walk",
 		Items: ampc.NumBlocks(len(samples), size),
@@ -37,7 +38,7 @@ func batchWalkRound(rt *ampc.Runtime, store *dht.Store, g *graph.Graph,
 		// first sample vertex, mirroring the unbatched walk round.
 		Partitioner: func(block int) int {
 			lo, _ := ampc.BlockBounds(block, size, len(samples))
-			return rt.Owner(uint64(samples[lo]), n)
+			return owner(int(samples[lo]))
 		},
 		Body: func(ctx *ampc.Ctx, block int) error {
 			lo, hi := ampc.BlockBounds(block, size, len(samples))

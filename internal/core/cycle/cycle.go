@@ -144,13 +144,14 @@ func runOn(rt *ampc.Runtime, g *graph.Graph, p float64) (*Result, error) {
 		// Lock-step walks over shard-grouped batches (batch.go).
 		walkRound = batchWalkRound(rt, store, g, samples, sampled, &mu, recordWalk)
 	} else {
+		owner := rt.OwnerPartitioner(n)
 		walkRound = ampc.Round{
 			Name:  "walk",
 			Items: len(samples),
 			Read:  store,
 			// A walk starts at its sample's own adjacency record, so owning
 			// the sample means owning the first lookups of the walk.
-			Partitioner: func(item int) int { return rt.Owner(uint64(samples[item]), n) },
+			Partitioner: func(item int) int { return owner(int(samples[item])) },
 			Body: func(ctx *ampc.Ctx, item int) error {
 				start := samples[item]
 				for _, first := range g.Neighbors(start) {

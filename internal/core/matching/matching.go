@@ -255,14 +255,28 @@ func NewPlan(rt *ampc.Runtime, g *graph.Graph) (*Plan, error) {
 }
 
 func newPlan(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, tag string) (*Plan, error) {
-	cfgD := rt.Config()
 	n := g.NumNodes()
 	rt.SetOwnership(graph.DegreeWeights(g))
 	sorted, store, write, err := sortedStore(rt, g, rank, tag)
 	if err != nil {
 		return nil, err
 	}
-	matching := seq.NewMatching(n)
+	local, spill, matching := searchStages(rt, store, sorted, rank, rt.WriteRanges(n), tag)
+	return &Plan{Write: write, Search: local, Spill: spill, Matching: matching}, nil
+}
+
+// searchStages builds the local and spill IsInMM search rounds over the
+// edge-sorted store, with fresh result state (the returned matching,
+// vertex/edge caches) private to the pair — the one-shot plan and every
+// serving query (Shared.Run) get theirs here.  The local stage reads the
+// per-machine key ranges spans — the ranges the write round declares — so
+// local(m) depends on write(m) alone; a token orders every spill sub-round
+// after every local one without naming any storage.
+func searchStages(rt *ampc.Runtime, store *dht.Store, sorted [][]graph.NodeID, rank RankFunc,
+	spans []dht.RangeSet, tag string) (local, spill ampc.Round, matching *seq.Matching) {
+	cfgD := rt.Config()
+	n := len(sorted)
+	matching = seq.NewMatching(n)
 	resolved := make([]bool, n)
 	caches := make([]*matchCache, cfgD.Machines)
 	if cfgD.EnableCache {
@@ -270,26 +284,21 @@ func newPlan(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, tag string) (*Plan
 			caches[i] = newMatchCache()
 		}
 	}
-	var mu sync.Mutex
-	// The local stage reads the same per-machine key ranges the write round
-	// declares, so local(m) depends on write(m) alone; a token orders every
-	// spill sub-round after every local one without naming any storage.
-	spans := rt.WriteRanges(n)
-	tok := ampc.NewToken("mm-local" + tag)
-	var local, spill ampc.Round
+	mu := new(sync.Mutex)
 	if cfgD.Batch {
 		// Streaming block evaluation over shard-grouped batches (see
 		// batch.go).
-		local = batchSearchRound(rt, "IsInMM"+tag, store, sorted, rank, caches, matching.Mate, resolved, &mu, spans)
-		spill = batchSearchRound(rt, "IsInMM-spill"+tag, store, sorted, rank, caches, matching.Mate, resolved, &mu, nil)
+		local = batchSearchRound(rt, "IsInMM"+tag, store, sorted, rank, caches, matching.Mate, resolved, mu, spans)
+		spill = batchSearchRound(rt, "IsInMM-spill"+tag, store, sorted, rank, caches, matching.Mate, resolved, mu, nil)
 	} else {
-		local = searchRound(rt, "IsInMM"+tag, store, sorted, rank, caches, matching.Mate, resolved, &mu, spans)
-		spill = searchRound(rt, "IsInMM-spill"+tag, store, sorted, rank, caches, matching.Mate, resolved, &mu, nil)
+		local = searchRound(rt, "IsInMM"+tag, store, sorted, rank, caches, matching.Mate, resolved, mu, spans)
+		spill = searchRound(rt, "IsInMM-spill"+tag, store, sorted, rank, caches, matching.Mate, resolved, mu, nil)
 	}
+	tok := ampc.NewToken("mm-local" + tag)
 	local.Reads = []ampc.Access{ampc.RangedBy(store, spans)}
 	local.Writes = []ampc.Access{{Token: tok}}
 	spill.Reads = []ampc.Access{{Token: tok}}
-	return &Plan{Write: write, Search: local, Spill: spill, Matching: matching}, nil
+	return local, spill, matching
 }
 
 // computeMatching runs the shuffle + KV-write + search pipeline on an

@@ -1,13 +1,10 @@
 package matching
 
 import (
-	"sync"
-
 	"ampcgraph/internal/ampc"
 	"ampcgraph/internal/codec"
 	"ampcgraph/internal/dht"
 	"ampcgraph/internal/graph"
-	"ampcgraph/internal/seq"
 )
 
 // Shared is the per-session substrate of the maximal matching computation:
@@ -71,29 +68,7 @@ func NewShared(rt *ampc.Runtime, g *graph.Graph) (*Shared, error) {
 // does.  The search rounds are compiled under a fixed plan key, so repeated
 // queries hit the session's plan cache.
 func (sh *Shared) Run(rt *ampc.Runtime) (*Result, error) {
-	cfgD := rt.Config()
-	n := len(sh.sorted)
-	caches := make([]*matchCache, cfgD.Machines)
-	if cfgD.EnableCache {
-		for i := range caches {
-			caches[i] = newMatchCache()
-		}
-	}
-	matching := seq.NewMatching(n)
-	resolved := make([]bool, n)
-	var mu sync.Mutex
-	tok := ampc.NewToken("mm-local")
-	var local, spill ampc.Round
-	if cfgD.Batch {
-		local = batchSearchRound(rt, "IsInMM", sh.store, sh.sorted, sh.rank, caches, matching.Mate, resolved, &mu, sh.spans)
-		spill = batchSearchRound(rt, "IsInMM-spill", sh.store, sh.sorted, sh.rank, caches, matching.Mate, resolved, &mu, nil)
-	} else {
-		local = searchRound(rt, "IsInMM", sh.store, sh.sorted, sh.rank, caches, matching.Mate, resolved, &mu, sh.spans)
-		spill = searchRound(rt, "IsInMM-spill", sh.store, sh.sorted, sh.rank, caches, matching.Mate, resolved, &mu, nil)
-	}
-	local.Reads = []ampc.Access{ampc.RangedBy(sh.store, sh.spans)}
-	local.Writes = []ampc.Access{{Token: tok}}
-	spill.Reads = []ampc.Access{{Token: tok}}
+	local, spill, matching := searchStages(rt, sh.store, sh.sorted, sh.rank, sh.spans, "")
 	plan := rt.CompilePlan("mm-search", []ampc.StagedRound{
 		{Phase: "IsInMM", Round: local},
 		{Phase: "IsInMM-spill", Round: spill},

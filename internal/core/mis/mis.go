@@ -186,34 +186,44 @@ func NewPlan(rt *ampc.Runtime, g *graph.Graph) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	local, spill, inMIS := searchStages(rt, store, directed, prio, rt.WriteRanges(n))
+	return &Plan{Write: write, Search: local, Spill: spill, InMIS: inMIS}, nil
+}
+
+// searchStages builds the local and spill IsInMIS search rounds over the
+// directed-graph store, with fresh result state (statuses, caches, the
+// returned InMIS vector) private to the pair — the one-shot plan and every
+// serving query (Shared.Run) get theirs here.  The local stage reads the
+// per-machine key ranges spans — the ranges the write round declares — so
+// local(m) depends on write(m) alone; a token orders every spill sub-round
+// after every local one without naming any storage.
+func searchStages(rt *ampc.Runtime, store *dht.Store, directed [][]graph.NodeID, prio []uint64,
+	spans []dht.RangeSet) (local, spill ampc.Round, inMIS []bool) {
+	cfgD := rt.Config()
+	n := len(directed)
 	caches := make([]*statusCache, cfgD.Machines)
 	if cfgD.EnableCache {
 		for i := range caches {
 			caches[i] = newStatusCache()
 		}
 	}
-	inMIS := make([]bool, n)
+	inMIS = make([]bool, n)
 	resolved := make([]bool, n)
-	var mu sync.Mutex
-	// The local stage reads the same per-machine key ranges the write round
-	// declares, so local(m) depends on write(m) alone; a token orders every
-	// spill sub-round after every local one without naming any storage.
-	spans := rt.WriteRanges(n)
-	tok := ampc.NewToken("mis-local")
-	var local, spill ampc.Round
+	mu := new(sync.Mutex)
 	if cfgD.Batch {
 		// Streaming block evaluation: fan-out reads travel as
 		// shard-grouped batches (see batch.go).
-		local = batchSearchRound(rt, "IsInMIS", store, directed, caches, inMIS, resolved, &mu, spans)
-		spill = batchSearchRound(rt, "IsInMIS-spill", store, directed, caches, inMIS, resolved, &mu, nil)
+		local = batchSearchRound(rt, "IsInMIS", store, directed, caches, inMIS, resolved, mu, spans)
+		spill = batchSearchRound(rt, "IsInMIS-spill", store, directed, caches, inMIS, resolved, mu, nil)
 	} else {
-		local = searchRound(rt, "IsInMIS", store, directed, prio, caches, inMIS, resolved, &mu, spans)
-		spill = searchRound(rt, "IsInMIS-spill", store, directed, prio, caches, inMIS, resolved, &mu, nil)
+		local = searchRound(rt, "IsInMIS", store, directed, prio, caches, inMIS, resolved, mu, spans)
+		spill = searchRound(rt, "IsInMIS-spill", store, directed, prio, caches, inMIS, resolved, mu, nil)
 	}
+	tok := ampc.NewToken("mis-local")
 	local.Reads = []ampc.Access{ampc.RangedBy(store, spans)}
 	local.Writes = []ampc.Access{{Token: tok}}
 	spill.Reads = []ampc.Access{{Token: tok}}
-	return &Plan{Write: write, Search: local, Spill: spill, InMIS: inMIS}, nil
+	return local, spill, inMIS
 }
 
 func run(g *graph.Graph, cfg ampc.Config, budget int) (*Result, error) {

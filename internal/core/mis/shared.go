@@ -1,8 +1,6 @@
 package mis
 
 import (
-	"sync"
-
 	"ampcgraph/internal/ampc"
 	"ampcgraph/internal/codec"
 	"ampcgraph/internal/dht"
@@ -72,29 +70,7 @@ func NewShared(rt *ampc.Runtime, g *graph.Graph) (*Shared, error) {
 // search rounds are compiled under a fixed plan key, so repeated queries hit
 // the session's plan cache instead of re-deriving the conflict analysis.
 func (sh *Shared) Run(rt *ampc.Runtime) (*Result, error) {
-	cfgD := rt.Config()
-	n := len(sh.directed)
-	caches := make([]*statusCache, cfgD.Machines)
-	if cfgD.EnableCache {
-		for i := range caches {
-			caches[i] = newStatusCache()
-		}
-	}
-	inMIS := make([]bool, n)
-	resolved := make([]bool, n)
-	var mu sync.Mutex
-	tok := ampc.NewToken("mis-local")
-	var local, spill ampc.Round
-	if cfgD.Batch {
-		local = batchSearchRound(rt, "IsInMIS", sh.store, sh.directed, caches, inMIS, resolved, &mu, sh.spans)
-		spill = batchSearchRound(rt, "IsInMIS-spill", sh.store, sh.directed, caches, inMIS, resolved, &mu, nil)
-	} else {
-		local = searchRound(rt, "IsInMIS", sh.store, sh.directed, sh.prio, caches, inMIS, resolved, &mu, sh.spans)
-		spill = searchRound(rt, "IsInMIS-spill", sh.store, sh.directed, sh.prio, caches, inMIS, resolved, &mu, nil)
-	}
-	local.Reads = []ampc.Access{ampc.RangedBy(sh.store, sh.spans)}
-	local.Writes = []ampc.Access{{Token: tok}}
-	spill.Reads = []ampc.Access{{Token: tok}}
+	local, spill, inMIS := searchStages(rt, sh.store, sh.directed, sh.prio, sh.spans)
 	plan := rt.CompilePlan("mis-search", []ampc.StagedRound{
 		{Phase: "IsInMIS", Round: local},
 		{Phase: "IsInMIS-spill", Round: spill},

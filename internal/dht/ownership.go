@@ -31,6 +31,9 @@ type Ownership struct {
 	// keys.  Machine m owns the half-open range [starts[m], starts[m+1]),
 	// which may be empty only when machines > keys.
 	starts []int
+	// uniform marks the balanced equal-weight split (RangeOwnership); the
+	// placement built over it reports the owner-affine policy's name.
+	uniform bool
 }
 
 // NewOwnership builds the degree-weighted ownership table for
@@ -95,8 +98,8 @@ func NewOwnership(machines int, weights []int) *Ownership {
 
 // RangeOwnership returns the ownership table of the uniform-weight balanced
 // split: the table form of RangeOwner, with OwnerOf agreeing with
-// RangeOwner on every key.  It exists so experiments can compare range and
-// weighted partitions through one interface.
+// RangeOwner on every key, so the uniform and the weighted partition answer
+// through one interface.
 func RangeOwnership(machines, keys int) *Ownership {
 	if machines < 1 {
 		machines = 1
@@ -104,7 +107,7 @@ func RangeOwnership(machines, keys int) *Ownership {
 	if keys < 0 {
 		keys = 0
 	}
-	own := &Ownership{machines: machines, keys: keys, starts: make([]int, machines+1)}
+	own := &Ownership{machines: machines, keys: keys, starts: make([]int, machines+1), uniform: true}
 	for m := 1; m <= machines; m++ {
 		own.starts[m] = RangeOwnerStart(m, machines, keys)
 	}
@@ -146,8 +149,9 @@ func (o *Ownership) Range(m int) (lo, hi int) {
 }
 
 // ownershipAffine co-locates each key's shard with the machine owning the
-// key under an Ownership table, exactly as ownerAffine does under the
-// uniform range partition.
+// key under an Ownership table.  Machine m is assigned the shard block
+// [m·spm, (m+1)·spm) where spm = shards/machines; a key owned by machine m
+// is hashed onto one of m's shards.
 type ownershipAffine struct {
 	own *Ownership
 }
@@ -172,7 +176,12 @@ func WeightedOwner(machines int, weights []int) Placement {
 	return OwnershipPlacement(NewOwnership(machines, weights))
 }
 
-func (ownershipAffine) Name() string { return "weighted" }
+func (p ownershipAffine) Name() string {
+	if p.own.uniform {
+		return "owner"
+	}
+	return "weighted"
+}
 
 func (p ownershipAffine) ShardFor(key uint64, shards int) int {
 	spm := shards / p.own.machines

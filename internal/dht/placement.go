@@ -17,7 +17,7 @@ package dht
 // co-located with.  Implementations must be pure functions of their inputs
 // (the same key always lands on the same shard) and safe for concurrent use.
 type Placement interface {
-	// Name identifies the policy in reports ("hash", "owner").
+	// Name identifies the policy in reports ("hash", "owner", "weighted").
 	Name() string
 	// ShardFor returns the shard index of key given shards total shards.
 	ShardFor(key uint64, shards int) int
@@ -50,56 +50,19 @@ func (hashRandom) ShardFor(key uint64, shards int) int {
 
 func (hashRandom) MachineFor(shard, shards int) int { return -1 }
 
-// ownerAffine co-locates each key's shard with the machine that owns the key
-// under a contiguous range partition of the keyspace [0, keys) across
-// machines.  Machine m is assigned the shard block [m·spm, (m+1)·spm) where
-// spm = shards/machines; a key owned by machine m is hashed onto one of m's
-// shards.  When a round's work items are partitioned by the same ownership
-// function, each machine's reads and writes of its own keys stay local.
-type ownerAffine struct {
-	machines int
-	keys     int
-}
-
 // OwnerAffine returns a placement that co-locates each key's shard with the
 // machine owning the key under a contiguous range partition of [0, keys)
-// across machines (see RangeOwner).  Affinity requires shards >= machines;
-// with fewer shards the policy degrades to hashing with no co-location.
-// A non-positive keyspace has no ownership to co-locate by, so it falls back
-// to HashRandom semantics outright: with keys <= 0 every key would otherwise
-// clamp to machine 0 and silently co-locate the whole store with it.
+// across machines (see RangeOwner): the OwnershipPlacement of the uniform
+// table RangeOwnership(machines, keys), reporting name "owner".  When a
+// round's work items are partitioned by the same ownership function, each
+// machine's reads and writes of its own keys stay local.  Affinity requires
+// shards >= machines; with fewer shards the policy degrades to hashing with
+// no co-location.  A non-positive keyspace has no ownership to co-locate by,
+// so it falls back to HashRandom semantics outright: with keys <= 0 every
+// key would otherwise clamp to machine 0 and silently co-locate the whole
+// store with it.
 func OwnerAffine(machines, keys int) Placement {
-	if keys <= 0 {
-		return HashRandom()
-	}
-	if machines < 1 {
-		machines = 1
-	}
-	return ownerAffine{machines: machines, keys: keys}
-}
-
-func (ownerAffine) Name() string { return "owner" }
-
-func (p ownerAffine) ShardFor(key uint64, shards int) int {
-	spm := shards / p.machines
-	if spm < 1 {
-		return int(fibHash(key) % uint64(shards))
-	}
-	owner := RangeOwner(key, p.machines, p.keys)
-	return owner*spm + int(fibHash(key)%uint64(spm))
-}
-
-func (p ownerAffine) MachineFor(shard, shards int) int {
-	spm := shards / p.machines
-	if spm < 1 {
-		return -1
-	}
-	m := shard / spm
-	if m >= p.machines {
-		// Trailing shards beyond machines*spm are never used by ShardFor.
-		return -1
-	}
-	return m
+	return OwnershipPlacement(RangeOwnership(machines, keys))
 }
 
 // RangeOwner returns the machine owning key under a balanced contiguous

@@ -2,19 +2,18 @@ package simtime
 
 import "time"
 
-// Pipeline schedule accounting.
+// Segment schedule accounting.
 //
-// The AMPC runtime historically charged every round at a global barrier: the
-// round costs as much as its slowest machine, and every faster machine idles
-// until the barrier releases.  With dependency-aware round pipelining a
-// machine that has finished its share of round i may move on to round j > i
-// as soon as every round j transitively depends on has completed everywhere,
-// so the modeled wall-clock of a round sequence becomes a per-machine
-// critical-path maximum instead of a sum of per-round maxima.  The two
-// functions below compute both accountings from the same per-(round, machine)
-// busy durations, so the pipelined runtime can report the modeled time it
-// actually charges next to the barrier time the same rounds would have cost —
-// and therefore the straggler idle the pipeline removed.
+// At a global barrier a round costs as much as its slowest machine, and
+// every faster machine idles until the barrier releases.  Inside a segment
+// of the AMPC runtime a machine that has finished its share of round i moves
+// on to round j > i as soon as the sub-rounds its share of j conflicts with
+// have completed, so the modeled wall-clock of a round sequence becomes a
+// per-machine critical-path maximum instead of a sum of per-round maxima.
+// The two functions below compute both accountings from the same
+// per-(round, machine) busy durations, so the runtime can report the modeled
+// time it actually charges next to the barrier time the same rounds would
+// have cost — and therefore the straggler idle the segment removed.
 
 // Schedule is the result of scheduling one round sequence: the modeled
 // makespan (time until the last machine finishes its last round) and the
@@ -60,53 +59,6 @@ func BarrierSchedule(busy [][]time.Duration) Schedule {
 	return s
 }
 
-// PipelineSchedule models the dependency-gated pipelined execution: machine m
-// starts round j as soon as it has finished its own round j-1 AND every
-// machine has finished round deps[j] (and, transitively, all earlier rounds).
-// deps[j] is the index of the latest round that round j depends on, or a
-// negative value when round j depends on no earlier round.  With deps[j] =
-// j-1 for every j this degenerates to BarrierSchedule exactly.
-func PipelineSchedule(busy [][]time.Duration, deps []int) Schedule {
-	var s Schedule
-	machines := scheduleWidth(busy)
-	if machines == 0 {
-		return s
-	}
-	finish := make([]time.Duration, machines) // per-machine program-order finish time
-	total := make([]time.Duration, machines)  // per-machine busy time
-	// barrier[j] is the time by which every machine has finished round j.
-	barrier := make([]time.Duration, len(busy))
-	for j, round := range busy {
-		var gate time.Duration
-		if j < len(deps) && deps[j] >= 0 && deps[j] < j {
-			gate = barrier[deps[j]]
-		}
-		var done time.Duration
-		for m := 0; m < machines; m++ {
-			start := finish[m]
-			if gate > start {
-				start = gate
-			}
-			d := durAt(round, m)
-			finish[m] = start + d
-			total[m] += d
-			if finish[m] > done {
-				done = finish[m]
-			}
-		}
-		barrier[j] = done
-	}
-	for m := 0; m < machines; m++ {
-		if finish[m] > s.Makespan {
-			s.Makespan = finish[m]
-		}
-	}
-	for m := 0; m < machines; m++ {
-		s.Idle += s.Makespan - total[m]
-	}
-	return s
-}
-
 // SubDep names one sub-round — the share of one round executed by one
 // machine — as a scheduling predecessor.
 type SubDep struct {
@@ -121,9 +73,8 @@ type SubDep struct {
 // a round that only conflicts with a predecessor on some machines' owned
 // ranges gates each machine on exactly those (round, machine) pairs instead
 // of on a whole-round barrier.  With deps[j][m] naming every machine of
-// round j-1 for all j and m, this degenerates to BarrierSchedule; with
-// deps[j][m] naming every machine of one predecessor round it reproduces
-// PipelineSchedule.
+// round j-1 for all j and m — or with a single round — this degenerates to
+// BarrierSchedule.
 func SubroundSchedule(busy [][]time.Duration, deps [][][]SubDep) Schedule {
 	var s Schedule
 	machines := scheduleWidth(busy)

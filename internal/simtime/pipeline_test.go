@@ -22,58 +22,6 @@ func TestBarrierScheduleSumsRoundMaxima(t *testing.T) {
 	}
 }
 
-func TestPipelineScheduleMatchesBarrierWhenFullyDependent(t *testing.T) {
-	busy := [][]time.Duration{
-		{ms(10), ms(2)},
-		{ms(3), ms(9)},
-		{ms(4), ms(4)},
-	}
-	deps := []int{-1, 0, 1} // every round depends on its predecessor
-	b := BarrierSchedule(busy)
-	p := PipelineSchedule(busy, deps)
-	if p != b {
-		t.Fatalf("fully dependent pipeline %+v != barrier %+v", p, b)
-	}
-}
-
-func TestPipelineScheduleOverlapsIndependentRounds(t *testing.T) {
-	// Round 0: machine 0 is a straggler.  Round 1 is independent, so
-	// machine 1 runs it while machine 0 is still busy.
-	busy := [][]time.Duration{
-		{ms(10), ms(1)},
-		{ms(1), ms(9)},
-	}
-	deps := []int{-1, -1}
-	b := BarrierSchedule(busy)
-	p := PipelineSchedule(busy, deps)
-	// Pipelined: machine 0 finishes at 10+1=11, machine 1 at 1+9=10.
-	if p.Makespan != ms(11) {
-		t.Fatalf("pipelined makespan %v, want 11ms", p.Makespan)
-	}
-	if b.Makespan != ms(19) {
-		t.Fatalf("barrier makespan %v, want 19ms", b.Makespan)
-	}
-	if p.Idle >= b.Idle {
-		t.Fatalf("pipelining did not reduce idle: %v -> %v", b.Idle, p.Idle)
-	}
-}
-
-func TestPipelineScheduleGateWaitsForDependency(t *testing.T) {
-	// Round 2 depends on round 0; round 1 is independent filler.
-	busy := [][]time.Duration{
-		{ms(10), ms(1)},
-		{ms(1), ms(1)},
-		{ms(1), ms(5)},
-	}
-	p := PipelineSchedule(busy, []int{-1, -1, 0})
-	// barrier(round 0) = 10 (machine 0).  Machine 1 runs round 1 at t=1..2,
-	// then waits for the gate and runs round 2 at t=10..15.  Machine 0 runs
-	// rounds back to back: 10, 11, 12.
-	if p.Makespan != ms(15) {
-		t.Fatalf("makespan %v, want 15ms", p.Makespan)
-	}
-}
-
 // allOf returns sub-round deps naming every machine of round i.
 func allOf(i, machines int) []SubDep {
 	deps := make([]SubDep, machines)
@@ -83,7 +31,7 @@ func allOf(i, machines int) []SubDep {
 	return deps
 }
 
-func TestSubroundScheduleDegeneratesToPipelineSchedule(t *testing.T) {
+func TestSubroundScheduleDegeneratesToBarrier(t *testing.T) {
 	busy := [][]time.Duration{
 		{ms(10), ms(2)},
 		{ms(3), ms(9)},
@@ -98,15 +46,20 @@ func TestSubroundScheduleDegeneratesToPipelineSchedule(t *testing.T) {
 	if b, s := BarrierSchedule(busy), SubroundSchedule(busy, full); s != b {
 		t.Fatalf("whole-round sub deps %+v != barrier %+v", s, b)
 	}
-	// Whole-store deps on round 0 only reproduce PipelineSchedule.
+	// So does a single round, whatever its deps: the slowest machine.
+	if b, s := BarrierSchedule(busy[:1]), SubroundSchedule(busy[:1], nil); s != b || s.Makespan != ms(10) {
+		t.Fatalf("one-round schedule %+v != barrier %+v", s, b)
+	}
+	// Whole-round deps on round 0 only: round 1 is independent filler, round
+	// 2 waits for the round-0 straggler.  Machine 0 runs back to back (10,
+	// 13, 17); machine 1 runs 2, 11, and is past the gate at 10 already: 15.
 	sparse := [][][]SubDep{
 		{nil, nil},
 		{nil, nil},
 		{allOf(0, 2), allOf(0, 2)},
 	}
-	p := PipelineSchedule(busy, []int{-1, -1, 0})
-	if s := SubroundSchedule(busy, sparse); s != p {
-		t.Fatalf("round-level sub deps %+v != pipeline %+v", s, p)
+	if s := SubroundSchedule(busy, sparse); s.Makespan != ms(17) {
+		t.Fatalf("round-level sub deps makespan %v, want 17ms", s.Makespan)
 	}
 }
 
@@ -172,8 +125,8 @@ func TestSchedulesHandleEmptyAndRaggedInput(t *testing.T) {
 	if s := BarrierSchedule(nil); s.Makespan != 0 || s.Idle != 0 {
 		t.Fatalf("empty barrier schedule %+v", s)
 	}
-	if s := PipelineSchedule(nil, nil); s.Makespan != 0 || s.Idle != 0 {
-		t.Fatalf("empty pipeline schedule %+v", s)
+	if s := SubroundSchedule(nil, nil); s.Makespan != 0 || s.Idle != 0 {
+		t.Fatalf("empty sub-round schedule %+v", s)
 	}
 	// Ragged rows: missing machines contribute zero busy time.
 	busy := [][]time.Duration{{ms(4)}, {ms(2), ms(6)}}
@@ -181,9 +134,9 @@ func TestSchedulesHandleEmptyAndRaggedInput(t *testing.T) {
 	if b.Makespan != ms(10) {
 		t.Fatalf("ragged barrier makespan %v, want 10ms", b.Makespan)
 	}
-	p := PipelineSchedule(busy, []int{-1, -1})
+	p := SubroundSchedule(busy, nil)
 	// Machine 1 skips round 0 (no work) and runs round 1 immediately.
 	if p.Makespan != ms(6) {
-		t.Fatalf("ragged pipelined makespan %v, want 6ms", p.Makespan)
+		t.Fatalf("ragged sub-round makespan %v, want 6ms", p.Makespan)
 	}
 }
