@@ -85,10 +85,14 @@ chaos-smoke:
 # without the race detector's slowdown.  The concurrent-jobs equivalence runs
 # three times: what it guards against are collisions between jobs racing
 # through the same session state (two stores handed one disk directory),
-# which a single run misses about every other time.
+# which a single run misses about every other time.  The soak (thousands of
+# store-opening jobs on one session; stores, caches, goroutines, open files,
+# heap and disk directory back to the shared-only baseline after every wave)
+# runs a tenth of its jobs under the race detector and all of them without.
 serving-smoke:
-	$(GO) test -race -short -run 'TestServing|TestConcurrentJobs|TestConcurrentOpenStore|TestMaxJobs|TestAdmission|TestJobCancel|TestPlanCache|TestEntryPoints|TestNewJobOnClosed|TestOpenSharedStore|TestConcurrentMakespan' ./internal/ampc/ ./internal/bench/ ./internal/simtime/
+	$(GO) test -race -short -run 'TestServing|TestConcurrentJobs|TestConcurrentOpenStore|TestMaxJobs|TestAdmission|TestJobCancel|TestJobClose|TestStoreCounters|TestSoak|TestPlanCache|TestEntryPoints|TestNewJobOnClosed|TestOpenSharedStore|TestConcurrentMakespan' ./internal/ampc/ ./internal/bench/ ./internal/simtime/
 	$(GO) test -run 'TestServingSmokeMeetsAcceptance' ./internal/bench/
+	$(GO) test -run 'TestSoakJobStoreLifetime' ./internal/ampc/
 	$(GO) test -count=3 -run 'TestConcurrentJobsByteIdenticalAcrossBackends' ./internal/bench/
 
 # bench-smoke runs the pinned-seed batched-vs-unbatched comparison (OK and

@@ -170,8 +170,9 @@ func ConnectedComponents(g *Graph, cfg Config) (*ConnectivityResult, error) {
 type Session = ampc.Session
 
 // Runtime executes one job — one query — on a session.  The Runtime returned
-// by Session.NewJob carries the job's own statistics, modeled clock and
-// cancellation context while sharing the session's pool and stores.
+// by Session.NewJob carries the job's own statistics, modeled clock,
+// cancellation context and the stores it opens (released by its Close) while
+// sharing the session's pool and resident stores.
 type Runtime = ampc.Runtime
 
 // NewSession creates a long-lived session for concurrent queries.

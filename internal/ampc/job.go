@@ -10,14 +10,16 @@ import (
 )
 
 // Job is one execution against a Session: it carries the per-job simulated
-// clock, statistics, phase stack, fault budget and cancellation context,
-// while the pool, stores, caches and ownership table come from the shared
-// Session.  Jobs obtained through Session.NewJob run concurrently — their
-// sub-rounds interleave in the per-machine pool feeds — and each still
-// observes its own rounds in program order.
+// clock, statistics, phase stack, fault budget, cancellation context and the
+// stores it opened for its own rounds, while the pool, resident stores,
+// caches and ownership table come from the shared Session.  Jobs obtained
+// through Session.NewJob run concurrently — their sub-rounds interleave in
+// the per-machine pool feeds — and each still observes its own rounds in
+// program order.
 //
 // A Job is driven through the *Runtime wrapper (Run, RunPipeline, RunStaged,
-// RunPlan, Phase); Close releases its admission slot and marks it finished.
+// RunPlan, Phase); Close releases its stores and its admission slot and
+// marks it finished.
 type Job struct {
 	sess  *Session
 	cfg   Config // the session configuration, copied for lock-free access
@@ -42,6 +44,10 @@ type Job struct {
 	// interleave freely in the shared pool.
 	runMu sync.Mutex
 
+	// stores are the stores opened through this job's handle, released by
+	// Close.  Guarded by sess.mu.
+	stores []ownedStore
+
 	admitted bool
 	closed   atomic.Bool
 }
@@ -62,14 +68,20 @@ func (j *Job) Clock() *simtime.Clock { return j.clock }
 // jobs created without one).
 func (j *Job) Context() context.Context { return j.ctx }
 
-// Close marks the job finished and releases its admission slot, unblocking
-// the oldest NewJob waiter.  The session — pool, stores, caches — is
-// unaffected; only this job's Run/RunPipeline calls fail with ErrClosed
+// Close marks the job finished, releases the stores it opened (see
+// Runtime.OpenStore) and then its admission slot, unblocking the oldest
+// NewJob waiter.  It first waits for a segment the job still has in flight
+// on another goroutine — a store is never closed under a running round — so
+// it must not be called from inside a Round body.  The session is
+// unaffected; only this job's rounds and store opens fail with ErrClosed
 // afterwards.  Statistics remain readable.  Safe to call more than once.
 func (j *Job) Close() {
 	if j.closed.Swap(true) {
 		return
 	}
+	j.runMu.Lock()
+	j.sess.releaseStores(j)
+	j.runMu.Unlock()
 	if j.admitted {
 		j.sess.release()
 	}
@@ -93,8 +105,8 @@ func (j *Job) RecordShuffle(name string, bytes int64) {
 
 // Phase runs fn as a named, timed phase.  Phases may nest; statistics are
 // attributed to the innermost phase.  The KV-byte attribution is measured
-// against the session's stores, so with concurrent jobs it approximates the
-// phase's share of traffic.
+// against the session-wide byte count (live and released stores), so with
+// concurrent jobs it approximates the phase's share of traffic.
 func (j *Job) Phase(name string, fn func() error) error {
 	kv := j.sess.kvBytes()
 	j.mu.Lock()
@@ -126,8 +138,10 @@ func (j *Job) Phase(name string, fn func() error) error {
 
 // Stats returns a snapshot of the execution statistics accumulated so far.
 // Round, shuffle, phase, pipeline and recovery counters are per job; the
-// store-derived counters (KVReads, cache hits, backend stats, ...) aggregate
-// the session's stores, which concurrent jobs share.
+// store-derived counters (KVReads, cache hits, backend wire counters, ...)
+// are session-wide: the live stores plus the retired total of those closed
+// jobs have released, so they never fall when a job closes.  Only the
+// footprint gauges Backend.DiskBytes and ResidentBytes are the live stores'.
 func (j *Job) Stats() Stats {
 	j.mu.Lock()
 	st := j.stats
@@ -139,42 +153,15 @@ func (j *Job) Stats() Stats {
 
 	s := j.sess
 	s.mu.Lock()
+	kv := s.retired
 	for _, store := range s.stores {
-		ds := store.Stats()
-		st.KVReads += ds.Reads
-		st.KVWrites += ds.Writes
-		st.KVBytesRead += ds.BytesRead
-		st.KVBytesWritten += ds.BytesWritten
-		st.KVShardVisits += ds.ShardVisits
-		st.LocalReads += ds.LocalReads
-		st.RemoteReads += ds.RemoteReads
-		st.KVRemoteBytes += ds.RemoteBytes
-		st.KVFailovers += ds.Failovers
-		st.KVRetries += ds.Retries
-		st.KVHedges += ds.Hedges
-		st.KVDeadlineExceeded += ds.DeadlineExceeded
-		bs := store.BackendStats()
-		st.Backend.Kind = bs.Kind
-		st.Backend.DiskBytes += bs.DiskBytes
-		st.Backend.ResidentBytes += bs.ResidentBytes
-		st.Backend.WireReadOps += bs.WireReadOps
-		st.Backend.WireWriteOps += bs.WireWriteOps
-		st.Backend.WireBytes += bs.WireBytes
-		st.Backend.WireReadTime += bs.WireReadTime
-		st.Backend.WireWriteTime += bs.WireWriteTime
-		st.Backend.Reconnects += bs.Reconnects
-	}
-	// Per-machine caches are persistent (they outlive rounds and jobs), so
-	// their counters are aggregated here rather than accumulated per round.
-	for _, cs := range s.caches {
-		for _, c := range cs {
-			if c != nil {
-				st.CacheHits += c.Hits()
-				st.CacheMisses += c.Misses()
-			}
-		}
+		kv.addStore(store.Stats(), store.BackendStats(), s.caches[store])
 	}
 	s.mu.Unlock()
+	st.KVReads, st.KVWrites, st.KVBytesRead, st.KVBytesWritten = kv.KVReads, kv.KVWrites, kv.KVBytesRead, kv.KVBytesWritten
+	st.KVShardVisits, st.LocalReads, st.RemoteReads, st.KVRemoteBytes = kv.KVShardVisits, kv.LocalReads, kv.RemoteReads, kv.KVRemoteBytes
+	st.KVFailovers, st.KVRetries, st.KVHedges, st.KVDeadlineExceeded = kv.KVFailovers, kv.KVRetries, kv.KVHedges, kv.KVDeadlineExceeded
+	st.Backend, st.CacheHits, st.CacheMisses = kv.Backend, kv.CacheHits, kv.CacheMisses
 
 	st.KVBytesTotal = st.KVBytesRead + st.KVBytesWritten
 	if reads := st.LocalReads + st.RemoteReads; reads > 0 {

@@ -1,18 +1,24 @@
 package ampc
 
-import "context"
+import (
+	"context"
+
+	"ampcgraph/internal/dht"
+)
 
 // Runtime is one job bound to a session, exposing both layers' APIs as one
 // handle.  The historical one-shot API is preserved exactly: New creates a
 // private Session plus its single Job, and Close tears both down.  Runtimes
 // returned by Session.NewJob wrap the shared session instead — Close then
-// finishes only the job, and the session (pool, stores, ownership, caches,
-// plan cache) stays up for the next query.
+// finishes only the job, taking the stores the job opened with it, and the
+// session (pool, resident stores, ownership, plan cache) stays up for the
+// next query.
 //
 // The embedded layers split the API: Session carries the substrate
-// (SetOwnership, OpenStore/OpenSharedStore, partitioners, CompilePlan),
-// Job carries the execution (Run, RunPipeline, RunStaged, RunPlan, Phase,
-// Stats, Clock).
+// (SetOwnership, OpenSharedStore, partitioners, CompilePlan), Job carries the
+// execution (Run, RunPipeline, RunStaged, RunPlan, Phase, Stats, Clock).
+// OpenStore and NewStore on the handle shadow the session's: they open the
+// job's own stores.
 type Runtime struct {
 	*Session
 	*Job
@@ -28,11 +34,24 @@ func New(cfg Config) *Runtime {
 	return &Runtime{Session: s, Job: s.newJob(context.Background(), false), ownsSession: true}
 }
 
-// Close finishes the job and, for runtimes created with New, closes the
-// underlying session too (pool, stores, disk footprint) — the historical
-// one-shot teardown.  For job runtimes from Session.NewJob it releases only
-// the job's admission slot; the session survives.  Safe to call more than
-// once; statistics remain readable after Close.
+// OpenStore creates the next distributed hash table (D0, D1, …) of this job's
+// computation.  The store belongs to the job: its later rounds read it, and
+// Job.Close releases it — memory, disk logs, rpc listener — folding its
+// counters into the session-wide statistics.  It must not be handed to
+// another job: tables that outlive one job are opened on the session
+// (Session.OpenStore, OpenSharedStore).  A closed job gets ErrClosed.
+func (r *Runtime) OpenStore(name string) (*dht.Store, error) {
+	return r.Session.openStore(name, r.Job)
+}
+
+// NewStore is OpenStore panicking when the store cannot be created.
+func (r *Runtime) NewStore(name string) *dht.Store { return mustStore(r.OpenStore(name)) }
+
+// Close finishes the job — releasing the stores it opened — and, for runtimes
+// created with New, closes the underlying session too (pool, disk footprint)
+// — the historical one-shot teardown.  For job runtimes from Session.NewJob
+// the session survives.  Safe to call more than once; statistics remain
+// readable after Close.
 func (r *Runtime) Close() {
 	r.Job.Close()
 	if r.ownsSession {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,11 +15,18 @@ import (
 )
 
 // Session is the long-lived shared substrate of the execution stack: the
-// persistent worker pool, the stores (with refcounted lifecycle), the
-// ownership table, the per-machine caches and the compiled-plan cache all
-// live here and survive across jobs.  Many concurrent Jobs — one execution
-// each — run against one Session through Session.NewJob; the one-shot
-// Runtime returned by New is a Session with a single implicit Job.
+// persistent worker pool, the ownership table, the compiled-plan cache and
+// the resident stores with their per-machine caches live here and survive
+// across jobs.  Many concurrent Jobs — one execution each — run against one
+// Session through Session.NewJob; the one-shot Runtime returned by New is a
+// Session with a single implicit Job.
+//
+// A store lives as long as whoever opened it: on the session (OpenStore,
+// OpenSharedStore) it stays resident until Close; through a job's handle
+// (Runtime.OpenStore) it is one of that job's round tables, dead once the
+// computation has returned, and Job.Close releases it — so a warm session
+// holds its resident stores plus those of the jobs in flight, however many
+// jobs it has served.
 //
 // A Session is safe for concurrent use.  Close tears down the pool, the
 // stores and the disk footprint after in-flight rounds drain; every
@@ -26,8 +34,12 @@ import (
 type Session struct {
 	cfg Config
 
-	mu        sync.Mutex
-	stores    []*dht.Store
+	mu sync.Mutex
+	// stores are the live stores: the session's own plus those of open jobs.
+	stores []*dht.Store
+	// retired totals the store-derived counters of every store a job has
+	// released, so session-wide statistics keep counting their traffic.
+	retired   Stats
 	diskBase  string // per-session parent dir of disk-backend stores
 	diskSeq   int    // disk-backend store directories handed out so far
 	keyspace  int
@@ -291,11 +303,12 @@ func (s *Session) ownershipFor(keys int) *dht.Ownership {
 }
 
 // Close releases the session's persistent worker pool and the resources of
-// every store it created (log files of the disk backend, sockets of the rpc
-// backend), waiting for any in-flight round of any job to drain first.  It
-// is safe to call more than once and on sessions that never ran a round;
-// statistics — including the stores' operation counters — remain readable
-// after Close.  Close must not be called from inside a Round body.
+// every store still live — the session's own and those of jobs not yet
+// closed (log files of the disk backend, sockets of the rpc backend) —
+// waiting for any in-flight round of any job to drain first.  It is safe to
+// call more than once and on sessions that never ran a round; statistics —
+// including the stores' operation counters — remain readable after Close.
+// Close must not be called from inside a Round body.
 func (s *Session) Close() {
 	s.lifecycle.Lock()
 	defer s.lifecycle.Unlock()
@@ -442,23 +455,36 @@ func (s *Session) WriteRanges(items int) []dht.RangeSet {
 	return s.OwnedRanges(items)
 }
 
-// NewStore creates and registers the next distributed hash table (D0, D1, …).
-// It panics when the configured backend cannot be constructed (unknown kind,
-// unusable disk directory); callers that want to handle those errors use
-// OpenStore.
-func (s *Session) NewStore(name string) *dht.Store {
-	st, err := s.OpenStore(name)
+// NewStore is OpenStore panicking when the configured backend cannot be
+// constructed (unknown kind, unusable disk directory).
+func (s *Session) NewStore(name string) *dht.Store { return mustStore(s.OpenStore(name)) }
+
+func mustStore(st *dht.Store, err error) *dht.Store {
 	if err != nil {
-		panic(fmt.Sprintf("ampc: creating store %q: %v", name, err))
+		panic(fmt.Sprintf("ampc: creating store: %v", err))
 	}
 	return st
 }
 
-// OpenStore creates and registers the next distributed hash table, reporting
-// backend construction errors instead of panicking.  Stores are owned by
-// the session: they stay resident across jobs and are closed at
-// Session.Close.
-func (s *Session) OpenStore(name string) (*dht.Store, error) {
+// OpenStore creates and registers the next distributed hash table (D0, D1, …)
+// as a resident store of the session: it is shared by every job and closed at
+// Session.Close.  A job's own round tables are opened through its handle
+// instead (Runtime.OpenStore) and leave with the job.
+func (s *Session) OpenStore(name string) (*dht.Store, error) { return s.openStore(name, nil) }
+
+// ownedStore is a store a job opened, with the directory the disk backend
+// logs it into ("" on the other backends).
+type ownedStore struct {
+	store *dht.Store
+	dir   string
+}
+
+// openStore creates a store and registers it as live, owned by owner (nil:
+// the session).
+func (s *Session) openStore(name string, owner *Job) (*dht.Store, error) {
+	if s.closed.Load() {
+		return nil, fmt.Errorf("ampc: opening store %q: %w", name, ErrClosed)
+	}
 	opts := dht.Options{
 		Shards:    s.cfg.Shards,
 		Replicate: s.cfg.Replicate,
@@ -479,12 +505,52 @@ func (s *Session) OpenStore(name string) (*dht.Store, error) {
 		return nil, err
 	}
 	s.mu.Lock()
+	// Job.Close marks the job closed before it collects the job's stores
+	// under this lock, so a store registered here is always released.
+	if owner != nil && owner.closed.Load() {
+		s.mu.Unlock()
+		st.Close()
+		os.RemoveAll(opts.DiskDir)
+		return nil, fmt.Errorf("ampc: opening store %q: %w", name, ErrClosed)
+	}
 	s.stores = append(s.stores, st)
+	if owner != nil {
+		owner.stores = append(owner.stores, ownedStore{st, opts.DiskDir})
+	}
 	s.mu.Unlock()
 	return st, nil
 }
 
-// OpenSharedStore returns the session store registered under name, creating
+// releaseStores drops the stores j opened: their counters and their caches'
+// fold into s.retired, the session forgets them, and their backends (disk
+// logs and directory, rpc listener and socket dir) are closed.  The round
+// locks exclude Session.Close and Rebalance, which walk the live stores.
+func (s *Session) releaseStores(j *Job) {
+	s.lifecycle.RLock()
+	defer s.lifecycle.RUnlock()
+	s.execMu.RLock()
+	defer s.execMu.RUnlock()
+	s.mu.Lock()
+	owned := j.stores
+	j.stores = nil
+	for _, o := range owned {
+		bs := o.store.BackendStats()
+		bs.DiskBytes, bs.ResidentBytes = 0, 0 // the footprint leaves with the store
+		s.retired.addStore(o.store.Stats(), bs, s.caches[o.store])
+		delete(s.caches, o.store)
+		delete(s.cacheFence, o.store)
+	}
+	s.stores = slices.DeleteFunc(s.stores, func(st *dht.Store) bool {
+		return slices.ContainsFunc(owned, func(o ownedStore) bool { return o.store == st })
+	})
+	s.mu.Unlock()
+	for _, o := range owned {
+		o.store.Close()
+		os.RemoveAll(o.dir)
+	}
+}
+
+// OpenSharedStore returns the resident store registered under name, creating
 // it on first call.  This is the seam concurrent jobs share input tables
 // through: the first job to ask for "graph" creates and fills the store,
 // and every later job gets the same (typically frozen) store back instead
@@ -611,13 +677,44 @@ func (s *Session) invalidateMachineCache(store *dht.Store, machine int, set dht.
 	}
 }
 
-// kvBytes totals the bytes moved through every store of the session.
+// kvBytes totals the bytes moved through every store the session has held.
 func (s *Session) kvBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var total int64
+	total := s.retired.KVBytesRead + s.retired.KVBytesWritten
 	for _, st := range s.stores {
 		total += st.TotalBytes()
 	}
 	return total
+}
+
+// addStore adds one store's counters, and its per-machine caches', to st.
+func (st *Stats) addStore(ds dht.Stats, bs dht.BackendStats, caches []*dht.Cache) {
+	st.KVReads += ds.Reads
+	st.KVWrites += ds.Writes
+	st.KVBytesRead += ds.BytesRead
+	st.KVBytesWritten += ds.BytesWritten
+	st.KVShardVisits += ds.ShardVisits
+	st.LocalReads += ds.LocalReads
+	st.RemoteReads += ds.RemoteReads
+	st.KVRemoteBytes += ds.RemoteBytes
+	st.KVFailovers += ds.Failovers
+	st.KVRetries += ds.Retries
+	st.KVHedges += ds.Hedges
+	st.KVDeadlineExceeded += ds.DeadlineExceeded
+	st.Backend.Kind = bs.Kind
+	st.Backend.DiskBytes += bs.DiskBytes
+	st.Backend.ResidentBytes += bs.ResidentBytes
+	st.Backend.WireReadOps += bs.WireReadOps
+	st.Backend.WireWriteOps += bs.WireWriteOps
+	st.Backend.WireBytes += bs.WireBytes
+	st.Backend.WireReadTime += bs.WireReadTime
+	st.Backend.WireWriteTime += bs.WireWriteTime
+	st.Backend.Reconnects += bs.Reconnects
+	for _, c := range caches {
+		if c != nil {
+			st.CacheHits += c.Hits()
+			st.CacheMisses += c.Misses()
+		}
+	}
 }
