@@ -59,14 +59,15 @@ examples-smoke:
 	$(GO) run ./examples/cycles
 	$(GO) run ./examples/concurrent
 
-# backend-matrix runs the cross-backend equivalence suite once per storage
-# engine (the CI backend-matrix job runs the same thing as three parallel
-# jobs): every core algorithm must produce byte-identical results whether
-# the shards live in in-memory maps, disk log files, or behind net/rpc.
+# backend-matrix runs the cross-backend equivalence suites on every storage
+# engine: every core algorithm must produce byte-identical, oracle-valid
+# results whether the shards live in in-memory maps, disk log files, or
+# behind net/rpc.  The suites name their subtests backend/placement, so the
+# CI backend-matrix job splits the same run into three parallel jobs with
+# -run '($(BACKEND_SUITES))/rpc' and so on.
+BACKEND_SUITES = TestBackendsPreserveAllFiveAlgorithms|TestDiskBackendCompletesPastMemoryBudget|TestAdaptiveOwnershipPreservesAlgorithms
 backend-matrix:
-	BENCH_BACKEND=mem $(GO) test -run 'TestBackendsPreserveAllFiveAlgorithms|TestDiskBackendCompletesPastMemoryBudget|TestAdaptiveOwnershipPreservesAlgorithms' ./internal/bench/
-	BENCH_BACKEND=disk $(GO) test -run 'TestBackendsPreserveAllFiveAlgorithms|TestDiskBackendCompletesPastMemoryBudget|TestAdaptiveOwnershipPreservesAlgorithms' ./internal/bench/
-	BENCH_BACKEND=rpc $(GO) test -run 'TestBackendsPreserveAllFiveAlgorithms|TestDiskBackendCompletesPastMemoryBudget|TestAdaptiveOwnershipPreservesAlgorithms' ./internal/bench/
+	$(GO) test -run '$(BACKEND_SUITES)' ./internal/bench/
 
 # chaos-smoke runs the five-algorithm fault-injection equivalence suite under
 # the race detector: every core algorithm, on every storage backend and both
@@ -95,16 +96,18 @@ serving-smoke:
 	$(GO) test -run 'TestSoakJobStoreLifetime' ./internal/ampc/
 	$(GO) test -count=3 -run 'TestConcurrentJobsByteIdenticalAcrossBackends' ./internal/bench/
 
-# bench-smoke runs the pinned-seed batched-vs-unbatched comparison (OK and
-# TW stand-ins, seed 1) and writes the machine-readable snapshot that tracks
-# the batching win across the repository's history.
+# bench-smoke runs the gated experiments on their pinned smoke datasets (seed
+# 1) and writes their gate rows — the machine-readable snapshot that tracks
+# each win across the repository's history (EXPERIMENTS.md lists the gates).
 bench-smoke:
-	$(GO) run ./cmd/ampcbench -experiment batch -json BENCH_smoke.json
+	$(GO) run ./cmd/ampcbench -experiment batch,rebalance,backend,pipeline,locality,adaptive,chaos,serving -json BENCH_smoke.json
 
-# bench-check re-runs the pinned-seed smoke benchmark and fails when
-# visit_reduction or sim_speedup regresses >10% against the committed
-# BENCH_smoke.json.  The fresh measurement lands in BENCH_fresh.json
-# (uploaded as an artifact by the bench-regression CI job).
+# bench-check re-runs the experiments present in the committed
+# BENCH_smoke.json and fails when one of its gates no longer holds (a
+# fractional metric down >10%, a mean past its variance-derived floor or
+# ceiling, outputs no longer identical and valid, a row missing).  The fresh
+# measurement lands in BENCH_fresh.json (uploaded as an artifact by the
+# bench-regression CI job).
 bench-check:
 	$(GO) run ./cmd/benchcheck -baseline BENCH_smoke.json -out BENCH_fresh.json
 

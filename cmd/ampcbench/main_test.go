@@ -29,60 +29,54 @@ func TestSharedFlagSetRegistersUniformly(t *testing.T) {
 	}
 }
 
-func TestRejectUnsupportedFlagsErrors(t *testing.T) {
-	// An explicitly set axis flag is an error for the experiment sweeping
-	// that axis...
-	err := rejectUnsupported([]string{"locality"}, map[string]bool{"placement": true})
-	if err == nil || !strings.Contains(err.Error(), "-placement") {
-		t.Fatalf("locality + -placement not rejected: %v", err)
+// TestRejectPinnedFlags drives flag rejection from the registry: for every
+// experiment, an explicit setting of each flag it pins is an error naming
+// the flag, and every other shared flag is accepted.
+func TestRejectPinnedFlags(t *testing.T) {
+	fs := flag.NewFlagSet("ampcbench", flag.ContinueOnError)
+	new(benchFlags).register(fs)
+	exps, err := bench.Resolve(bench.AllExperiments()...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := rejectUnsupported([]string{"backend"}, map[string]bool{"backend": true}); err == nil {
-		t.Fatal("backend + -backend not rejected")
+	pinnedSomewhere := false
+	for _, e := range exps {
+		pins := make(map[string]bool)
+		for _, fl := range e.Pins {
+			pins[fl] = true
+			if fs.Lookup(fl) == nil {
+				t.Errorf("experiment %s pins -%s, which is not a registered flag", e.Name, fl)
+			}
+		}
+		fs.VisitAll(func(fl *flag.Flag) {
+			err := rejectPinned([]bench.Experiment{e}, map[string]bool{fl.Name: true})
+			switch {
+			case pins[fl.Name] && (err == nil || !strings.Contains(err.Error(), "-"+fl.Name)):
+				t.Errorf("%s + -%s not rejected: %v", e.Name, fl.Name, err)
+			case !pins[fl.Name] && err != nil:
+				t.Errorf("%s + -%s rejected: %v", e.Name, fl.Name, err)
+			}
+		})
+		pinnedSomewhere = pinnedSomewhere || len(pins) > 0
+		// A pinned flag that was not set explicitly never errs.
+		if err := rejectPinned([]bench.Experiment{e}, nil); err != nil {
+			t.Errorf("%s with no explicit flags rejected: %v", e.Name, err)
+		}
 	}
-	// ...but fine for experiments that honor it, and unset flags never err.
-	if err := rejectUnsupported([]string{"table3"}, map[string]bool{"placement": true}); err != nil {
-		t.Fatalf("table3 + -placement rejected: %v", err)
-	}
-	if err := rejectUnsupported([]string{"locality"}, map[string]bool{"seed": true}); err != nil {
-		t.Fatalf("locality + -seed rejected: %v", err)
+	if !pinnedSomewhere {
+		t.Error("no experiment pins any flag: the rejection path is untested")
 	}
 }
 
-// TestUnsupportedFlagsNamesAreRealExperiments guards the list against drift:
-// every experiment naming unsupported flags must exist, and the axis
-// experiments must each fix exactly their own axis.
-func TestUnsupportedFlagsNamesAreRealExperiments(t *testing.T) {
-	known := make(map[string]bool)
-	for _, name := range bench.AllExperiments() {
-		known[name] = true
+// TestExperimentNames pins the -experiment grammar: 'all' expands to the
+// registry, anything else is a comma-separated list like -datasets.
+func TestExperimentNames(t *testing.T) {
+	f := benchFlags{experiment: "all"}
+	if got := f.experimentNames(); len(got) != len(bench.AllExperiments()) {
+		t.Fatalf("'all' expanded to %v", got)
 	}
-	want := map[string][]string{
-		"batch":     {"batch"},
-		"locality":  {"placement"},
-		"rebalance": {"placement"},
-		"pipeline":  {"pipeline"},
-		"backend":   {"backend"},
-		"chaos":     {"batch"},             // chaos pins batching on in both arms
-		"serving":   {"batch", "pipeline"}, // serving pins batch off, pipeline on
-	}
-	for name, axes := range want {
-		if !known[name] {
-			t.Errorf("experiment %s not in AllExperiments", name)
-		}
-		got := bench.UnsupportedFlags(name)
-		if len(got) != len(axes) {
-			t.Errorf("UnsupportedFlags(%s) = %v, want %v", name, got, axes)
-			continue
-		}
-		for i, axis := range axes {
-			if got[i] != axis {
-				t.Errorf("UnsupportedFlags(%s) = %v, want %v", name, got, axes)
-			}
-		}
-	}
-	for _, name := range bench.AllExperiments() {
-		if len(want[name]) == 0 && bench.UnsupportedFlags(name) != nil {
-			t.Errorf("experiment %s unexpectedly rejects flags: %v", name, bench.UnsupportedFlags(name))
-		}
+	f.experiment = "batch,chaos"
+	if got := f.experimentNames(); len(got) != 2 || got[0] != "batch" || got[1] != "chaos" {
+		t.Fatalf("list expanded to %v", got)
 	}
 }

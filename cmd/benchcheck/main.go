@@ -1,22 +1,23 @@
-// Command benchcheck guards the batching win recorded in BENCH_smoke.json.
+// Command benchcheck holds a fresh run of the gated experiments against the
+// committed BENCH_smoke.json.
 //
-// It re-runs the pinned-seed batched-vs-unbatched smoke benchmark with the
-// exact configuration recorded in the committed snapshot (seed, datasets,
-// machines, threads), writes the fresh result next to it, and fails when the
-// fresh visit_reduction or sim_speedup of any (graph, algorithm) row
-// regresses by more than the tolerance against the committed value — or when
-// the batched run stops producing byte-identical results.  CI runs it as the
-// bench-regression job (`make bench-check`) and uploads the fresh JSON as an
-// artifact, so a PR that erodes the batching win fails visibly instead of
-// silently.
+// It re-runs exactly the experiments that have rows in the baseline, with
+// the seed, scale, machines and threads recorded there and each experiment's
+// pinned smoke datasets, writes the first fresh snapshot next to it, folds
+// -runs measurements into one row per metric (bench.MergeBest) and fails when
+// any committed gate does not hold (bench.Check): a row missing, outputs no
+// longer byte-identical and valid, a metric more than -tolerance below its
+// committed value or past its committed floor or ceiling, a failed run, a
+// recovery tier that stopped firing.  CI runs it as the bench-regression job
+// (`make bench-check`) and uploads the fresh JSON as an artifact, so a PR
+// that erodes a gated win fails visibly instead of silently.
 //
 // Usage:
 //
-//	benchcheck [-baseline BENCH_smoke.json] [-out BENCH_fresh.json] [-tolerance 0.10]
+//	benchcheck [-baseline BENCH_smoke.json] [-out BENCH_fresh.json] [-tolerance 0.10] [-runs 2]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,92 +29,43 @@ func main() {
 	var (
 		baselinePath = flag.String("baseline", "BENCH_smoke.json", "committed benchmark snapshot to compare against")
 		outPath      = flag.String("out", "BENCH_fresh.json", "where to write the freshly measured snapshot")
-		tolerance    = flag.Float64("tolerance", 0.10, "maximum allowed fractional regression per metric (0.10 = 10%)")
+		tolerance    = flag.Float64("tolerance", 0.10, "maximum allowed fractional regression of a frac-gated metric (0.10 = 10%)")
 		runs         = flag.Int("runs", 2, "measurement runs; each metric keeps its best run, damping scheduler noise")
 	)
 	flag.Parse()
-	if *runs < 1 {
-		*runs = 1
-	}
 
-	baseline, err := readSmoke(*baselinePath)
+	baseline, err := bench.ReadSnapshot(*baselinePath)
 	if err != nil {
 		fatalf("reading baseline: %v", err)
 	}
-
-	// Re-run with the exact pinned configuration of the committed snapshot.
-	// The metrics depend slightly on goroutine scheduling (racy cache fills
-	// change which lookups reach the store), so each metric keeps its best
-	// value over -runs measurements (bench.MergeBestRows): noise cannot
-	// fail the gate, while a real regression persists across every run.
-	freshRows := make(map[string]bench.BatchRow, len(baseline.Rows))
-	freshRebalance := make(map[string]bench.RebalanceSmokeRow, len(baseline.Rebalance))
-	freshBackend := make(map[string]bench.BackendSmokeRow, len(baseline.Backend))
-	freshPipeline := make(map[string]bench.PipelineRow, len(baseline.Pipeline))
-	freshLocality := make(map[string]bench.LocalitySmokeRow, len(baseline.Locality))
-	freshAdaptive := make(map[string]bench.AdaptiveRow, len(baseline.Adaptive))
-	freshChaos := make(map[string]bench.ChaosSmokeRow, len(baseline.Chaos))
-	freshServing := make(map[string]bench.ServingRow, len(baseline.Serving))
-	for attempt := 0; attempt < *runs; attempt++ {
-		fresh, _, err := bench.BatchSmoke(bench.Options{
-			Seed:     baseline.Seed,
-			Datasets: baseline.Datasets,
-			Scale:    baseline.Scale,
-			Machines: baseline.Machines,
-			Threads:  baseline.Threads,
-		})
+	exps, err := bench.Resolve(baseline.Experiments()...)
+	if err != nil {
+		fatalf("%s: %v", *baselinePath, err)
+	}
+	var measured [][]bench.GateRow
+	for attempt := 0; attempt < max(*runs, 1); attempt++ {
+		fresh, _, err := bench.RunSnapshot(exps, baseline.Options())
 		if err != nil {
 			fatalf("running smoke benchmark: %v", err)
 		}
 		if attempt == 0 {
 			// The artifact records one representative measurement.
-			if err := bench.WriteSmokeJSON(*outPath, fresh); err != nil {
+			if err := bench.WriteSnapshot(*outPath, fresh); err != nil {
 				fatalf("writing %s: %v", *outPath, err)
 			}
 			fmt.Printf("wrote %s\n", *outPath)
 		}
-		bench.MergeBestRows(freshRows, fresh.Rows)
-		// The rebalance and backend rows' gate metrics are deterministic
-		// for the pinned seed, so any run's computation is authoritative
-		// (no best-of merging).
-		for _, row := range fresh.Rebalance {
-			freshRebalance[row.Graph] = row
-		}
-		for _, row := range fresh.Backend {
-			freshBackend[row.Graph+"/"+row.Backend] = row
-		}
-		// The pipeline, locality and adaptive rows' metrics are noisy by
-		// nature; keep the best run per row, mirroring the batch rows.
-		bench.MergeBestPipelineRows(freshPipeline, fresh.Pipeline)
-		bench.MergeBestLocalityRows(freshLocality, fresh.Locality)
-		bench.MergeBestAdaptiveRows(freshAdaptive, fresh.Adaptive)
-		bench.MergeBestChaosRows(freshChaos, fresh.Chaos)
-		bench.MergeBestServingRows(freshServing, fresh.Serving)
+		measured = append(measured, fresh.Rows)
 	}
 
-	lines, failures := bench.CheckSmoke(baseline, freshRows, freshRebalance, freshBackend, freshPipeline, freshLocality, freshAdaptive, freshChaos, freshServing, *tolerance)
+	lines, failures := bench.Check(baseline.Rows, bench.MergeBest(measured...), *tolerance)
 	for _, line := range lines {
 		fmt.Println(line)
 	}
 	if failures > 0 {
-		fatalf("%d metric(s) regressed more than %.0f%% against %s", failures, *tolerance*100, *baselinePath)
+		fatalf("%d gate(s) failed against %s", failures, *baselinePath)
 	}
 	fmt.Println("bench-check: no regression")
-}
-
-func readSmoke(path string) (bench.Smoke, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return bench.Smoke{}, err
-	}
-	var s bench.Smoke
-	if err := json.Unmarshal(data, &s); err != nil {
-		return bench.Smoke{}, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(s.Rows) == 0 {
-		return bench.Smoke{}, fmt.Errorf("%s: no benchmark rows", path)
-	}
-	return s, nil
 }
 
 func fatalf(format string, args ...any) {

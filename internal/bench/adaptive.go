@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"ampcgraph/internal/ampc"
@@ -11,7 +10,7 @@ import (
 	"ampcgraph/internal/graph"
 )
 
-// The adaptive arm of the rebalance experiment measures online ownership
+// The adaptive experiment measures online ownership
 // rebalancing between pipeline segments: the static degree-weighted table
 // balances owned bytes, but the queries a segment actually issues follow
 // search-tree work, not owned degree.  Runtime.Rebalance re-derives the
@@ -73,31 +72,31 @@ type AdaptiveRow struct {
 // — whose plan is built after the rebalance, so its partitioners answer from
 // the updated table.  It returns the second segment's per-machine query
 // max/mean, the outputs, and the runtime's stats.
-func adaptiveFusedRun(g *graph.Graph, cfg ampc.Config, adaptive bool) (float64, []bool, []graph.NodeID, ampc.Stats, error) {
+func adaptiveFusedRun(g *graph.Graph, cfg ampc.Config, adaptive bool) (maxMean float64, out outputs, st ampc.Stats, err error) {
 	rt := ampc.New(cfg)
 	defer rt.Close()
 	misPlan, err := mis.NewPlan(rt, g)
 	if err != nil {
-		return 0, nil, nil, ampc.Stats{}, err
+		return
 	}
-	if err := rt.RunPipeline(misPlan.Rounds()); err != nil {
-		return 0, nil, nil, ampc.Stats{}, err
+	if err = rt.RunPipeline(misPlan.Rounds()); err != nil {
+		return
 	}
 	if adaptive {
-		if _, err := rt.Rebalance(); err != nil {
-			return 0, nil, nil, ampc.Stats{}, err
+		if _, err = rt.Rebalance(); err != nil {
+			return
 		}
 	}
 	mmPlan, err := matching.NewPlan(rt, g)
 	if err != nil {
-		return 0, nil, nil, ampc.Stats{}, err
+		return
 	}
 	before := rt.Stats().MachineQueries
-	if err := rt.RunPipeline(mmPlan.Rounds()); err != nil {
-		return 0, nil, nil, ampc.Stats{}, err
+	if err = rt.RunPipeline(mmPlan.Rounds()); err != nil {
+		return
 	}
-	st := rt.Stats()
-	return queryMaxMean(before, st.MachineQueries), misPlan.InMIS, mmPlan.Matching.Mate, st, nil
+	st = rt.Stats()
+	return queryMaxMean(before, st.MachineQueries), outputs{InMIS: misPlan.InMIS, Mate: mmPlan.Matching.Mate}, st, nil
 }
 
 // queryMaxMean computes the max/mean ratio of the per-machine query counts
@@ -134,11 +133,6 @@ func imbalanceReductionPct(static, adaptive float64) float64 {
 // segments, verifying byte-identical outputs and reporting how much of the
 // second segment's observed query imbalance the rebalance removed.
 func AdaptiveComparison(opts Options) ([]AdaptiveRow, Report, error) {
-	if len(opts.Datasets) == 0 {
-		// The hub-heavy web stand-ins, where observed query load diverges
-		// most from the a-priori degree weights.
-		opts.Datasets = []string{"CW", "HL"}
-	}
 	opts = opts.withDefaults()
 	rep := Report{
 		Title: "Adaptive ownership: static degree-weighted vs online rebalanced between segments",
@@ -157,19 +151,22 @@ func AdaptiveComparison(opts Options) ([]AdaptiveRow, Report, error) {
 	var rows []AdaptiveRow
 	for _, ng := range opts.graphs() {
 		row := AdaptiveRow{Graph: ng.name, Identical: true, Repeats: adaptiveRepeats}
-		staticMM, wantMIS, wantMate, _, err := adaptiveFusedRun(ng.g, cfg, false)
+		in := &inputs{g: ng.g}
+		staticMM, ref, _, err := adaptiveFusedRun(ng.g, cfg, false)
+		if err == nil {
+			err = ref.Validate(in)
+		}
 		if err != nil {
 			return nil, rep, err
 		}
 		row.StaticMaxMean = staticMM
 		var ratios, improvements []float64
 		for i := 0; i < adaptiveRepeats; i++ {
-			mm, inMIS, mate, st, err := adaptiveFusedRun(ng.g, cfg, true)
+			mm, out, st, err := adaptiveFusedRun(ng.g, cfg, true)
 			if err != nil {
 				return nil, rep, err
 			}
-			row.Identical = row.Identical &&
-				reflect.DeepEqual(inMIS, wantMIS) && reflect.DeepEqual(mate, wantMate)
+			row.Identical = row.Identical && out.Matches(ref, in)
 			ratios = append(ratios, mm)
 			improvements = append(improvements, imbalanceReductionPct(staticMM, mm))
 			row.MigratedKeys = st.MigratedKeys
@@ -188,11 +185,15 @@ func AdaptiveComparison(opts Options) ([]AdaptiveRow, Report, error) {
 	return rows, rep, nil
 }
 
-// AdaptiveSmoke computes the adaptive-ownership rows of the smoke snapshot
-// on the hub-heavy CW/HL stand-ins (where the observed-load divergence
-// lives), regardless of the smoke run's own dataset selection.
-func AdaptiveSmoke(opts Options) ([]AdaptiveRow, error) {
-	opts.Datasets = []string{"CW", "HL"}
-	rows, _, err := AdaptiveComparison(opts)
-	return rows, err
+// adaptiveGates projects a row onto the gated metrics: byte-identity and
+// the improvement mean against its variance-derived floor; the imbalance
+// ratios behind it ride along as info.
+func adaptiveGates(row AdaptiveRow) []GateRow {
+	return []GateRow{identicalRow(row.Graph, row.Identical),
+		gateRow(row.Graph, "improvement_mean_pct", GateFloor, row.ImprovementMeanPct).
+			spread(row.ImprovementStdPct, row.Repeats, row.GateFloorPct),
+		GateRow{Key: row.Graph, Metric: "static_max_mean", Value: row.StaticMaxMean, Direction: Lower, Gate: GateInfo},
+		GateRow{Key: row.Graph, Metric: "adaptive_max_mean", Value: row.AdaptiveMaxMeanMean,
+			Std: row.AdaptiveMaxMeanStd, Repeats: row.Repeats, Direction: Lower, Gate: GateInfo},
+	}
 }

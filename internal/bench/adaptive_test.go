@@ -2,16 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"ampcgraph/internal/ampc"
-	"ampcgraph/internal/core/connectivity"
-	"ampcgraph/internal/core/cycle"
 	"ampcgraph/internal/core/mis"
 	"ampcgraph/internal/core/msf"
-	"ampcgraph/internal/gen"
-	"ampcgraph/internal/graph"
 )
 
 // msfSegmentedRun composes the MSF pipeline with a preceding MIS segment on
@@ -20,11 +15,11 @@ import (
 // runs on the adapted runtime — its stores and partitioners answer from the
 // migrated table.  This is the composition seam msf.RunOn exists for, here
 // exercising a rebalance between the composed phases.
-func msfSegmentedRun(t *testing.T, g, weighted *graph.Graph, cfg ampc.Config, adaptive bool) *msf.Result {
+func msfSegmentedRun(t *testing.T, in *inputs, cfg ampc.Config, adaptive bool) outputs {
 	t.Helper()
 	rt := ampc.New(cfg)
 	defer rt.Close()
-	misPlan, err := mis.NewPlan(rt, g)
+	misPlan, err := mis.NewPlan(rt, in.g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,51 +31,52 @@ func msfSegmentedRun(t *testing.T, g, weighted *graph.Graph, cfg ampc.Config, ad
 			t.Fatal(err)
 		}
 	}
-	res, err := msf.RunOn(rt, weighted)
+	res, err := msf.RunOn(rt, in.msfInput())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return outputs{Forest: res.Edges}
 }
 
 // TestAdaptiveOwnershipPreservesAlgorithms extends the storage-backend
 // equivalence suite with the adaptive-ownership axis: adaptive on/off x
 // {hash, weighted} placement x {mem, disk, rpc} backend must all produce
-// byte-identical outputs.  The two-segment MIS+MM workload rebalances
-// between its segments (the tentpole path), the MIS+MSF composition
-// rebalances between composed phases, and connectivity and cycle — which
-// run as a single segment with no rebalance seam — pin the combo's backend
-// and placement exactly as the backend suite does.  Under hash placement
-// Rebalance must be a no-op (there is no ownership table to adapt); under
-// weighted placement the adaptive arm must actually move shard data.
+// byte-identical, oracle-valid outputs.  The two-segment MIS+MM workload
+// rebalances between its segments (the tentpole path), the MIS+MSF
+// composition rebalances between composed phases, and connectivity and cycle
+// — which run as a single segment with no rebalance seam — pin the combo's
+// backend and placement exactly as the backend suite does.  Under hash
+// placement Rebalance must be a no-op (there is no ownership table to
+// adapt); under weighted placement the adaptive arm must actually move shard
+// data.
 func TestAdaptiveOwnershipPreservesAlgorithms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the segmented workloads across twelve backend/placement/adaptive combos")
 	}
 	base := ampc.Config{Machines: 4, Threads: 2, EnableCache: true, Pipeline: true, Seed: 1}
-	g := gen.Datasets()[0].Build(1, base.Seed) // OK stand-in
-	weighted := gen.DegreeProportionalWeights(g)
-	cycleG := gen.TwoCycles(2_500)
+	in := okInputs(base.Seed, 2_500)
 
-	ref := base
-	ref.Placement = ampc.PlacementHash
-	ref.Backend = ampc.BackendMem
+	refCfg := base
+	refCfg.Placement = ampc.PlacementHash
+	refCfg.Backend = ampc.BackendMem
 
-	_, misRef, mateRef, _, err := adaptiveFusedRun(g, ref, false)
-	if err != nil {
-		t.Fatal(err)
+	// run assembles the five outputs of one combo: MIS+MM from the fused
+	// two-segment run, MSF from the MIS+MSF composition, CC and CY one-shot.
+	run := func(t *testing.T, cfg ampc.Config, adaptive bool) (outputs, ampc.Stats) {
+		t.Helper()
+		_, out, st, err := adaptiveFusedRun(in.g, cfg, adaptive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Forest = msfSegmentedRun(t, in, cfg, adaptive).Forest
+		rest := mustRun(t, in, cfg, "CC", "CY")
+		out.Labels, out.Cycle = rest.Labels, rest.Cycle
+		return out, st
 	}
-	msfRef := msfSegmentedRun(t, g, weighted, ref, false)
-	ccRef, err := connectivity.Run(g, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cyRef, err := cycle.Run(cycleG, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, _ := run(t, refCfg, false)
+	mustMatch(t, in, ref, ref, "mem/hash/static reference")
 
-	for _, backend := range benchBackends(t) {
+	for _, backend := range allBackends {
 		for _, placement := range []string{ampc.PlacementHash, ampc.PlacementWeighted} {
 			for _, adaptive := range []bool{false, true} {
 				if backend == ampc.BackendMem && placement == ampc.PlacementHash && !adaptive {
@@ -94,17 +90,8 @@ func TestAdaptiveOwnershipPreservesAlgorithms(t *testing.T) {
 					if backend == ampc.BackendDisk {
 						cfg.DiskDir = t.TempDir()
 					}
-
-					_, inMIS, mate, st, err := adaptiveFusedRun(g, cfg, adaptive)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(misRef, inMIS) {
-						t.Error("MIS differs from the mem/hash/static reference")
-					}
-					if !reflect.DeepEqual(mateRef, mate) {
-						t.Error("matching differs from the mem/hash/static reference")
-					}
+					got, st := run(t, cfg, adaptive)
+					mustMatch(t, in, got, ref, "segmented workloads")
 					if adaptive && placement == ampc.PlacementWeighted {
 						if st.Rebalances == 0 || st.MigratedKeys == 0 {
 							t.Errorf("adaptive weighted run moved nothing (rebalances=%d keys=%d); the rebalance seam is dead",
@@ -112,26 +99,6 @@ func TestAdaptiveOwnershipPreservesAlgorithms(t *testing.T) {
 						}
 					} else if st.Rebalances != 0 {
 						t.Errorf("rebalances = %d, want 0 (no-op outside the adaptive weighted arm)", st.Rebalances)
-					}
-
-					msfGot := msfSegmentedRun(t, g, weighted, cfg, adaptive)
-					if !reflect.DeepEqual(msfRef.Edges, msfGot.Edges) {
-						t.Error("MSF differs from the mem/hash/static reference")
-					}
-
-					ccGot, err := connectivity.Run(g, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(ccRef.Components, ccGot.Components) {
-						t.Error("connectivity differs from the mem/hash reference")
-					}
-					cyGot, err := cycle.Run(cycleG, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if cyRef.SingleCycle != cyGot.SingleCycle || cyRef.NumCycles != cyGot.NumCycles {
-						t.Error("cycle answer differs from the mem/hash reference")
 					}
 				})
 			}

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"ampcgraph/internal/ampc"
-	"ampcgraph/internal/core/mis"
 )
 
 // The backend experiment compares the three shard storage engines behind the
@@ -60,25 +58,28 @@ func BackendComparison(opts Options) ([]BackendRow, Report, error) {
 	}
 	var rows []BackendRow
 	for _, ng := range opts.graphs() {
-		var refMIS []bool
+		in := &inputs{g: ng.g}
+		var ref outputs
 		for _, backend := range []string{ampc.BackendMem, ampc.BackendDisk, ampc.BackendRPC} {
 			cfg := opts.ampcConfig()
 			cfg.Backend = backend
 			start := time.Now()
-			res, err := mis.Run(ng.g, cfg)
+			out, err := in.run(cfg, "MIS")
+			wall := time.Since(start)
 			if err != nil {
 				return nil, rep, fmt.Errorf("%s on %s backend: %w", ng.name, backend, err)
 			}
 			if backend == ampc.BackendMem {
-				refMIS = res.InMIS
+				ref = out
 			}
-			bs := res.Stats.Backend
+			st := out.Stats["MIS"]
+			bs := st.Backend
 			row := BackendRow{
 				Graph:            ng.name,
 				Backend:          backend,
-				Identical:        reflect.DeepEqual(refMIS, res.InMIS),
-				Wall:             time.Since(start),
-				Sim:              res.Stats.Sim,
+				Identical:        out.Matches(ref, in),
+				Wall:             wall,
+				Sim:              st.Sim,
 				DiskBytes:        bs.DiskBytes,
 				ResidentBytes:    bs.ResidentBytes,
 				WireReadOps:      bs.WireReadOps,
@@ -97,53 +98,21 @@ func BackendComparison(opts Options) ([]BackendRow, Report, error) {
 	return rows, rep, nil
 }
 
-// BackendSmokeRow is the pinned-seed per-backend snapshot tracked in
-// BENCH_smoke.json.  The gate metrics are deterministic: Identical compares
-// the backend's output against the in-memory reference byte for byte, and
-// the disk row's SpillRatio is a pure function of the pinned run's store
-// traffic (wall-clock and wire timings are deliberately excluded).
-type BackendSmokeRow struct {
-	Graph   string `json:"graph"`
-	Backend string `json:"backend"`
-	// Identical must hold in every run: the backends store the same bytes.
-	Identical bool `json:"identical"`
-	// DiskBytes/ResidentBytes snapshot the disk backend's footprint;
-	// SpillRatio = DiskBytes / ResidentBytes is the gated spill headroom
-	// (0 for the backends that keep everything resident).
-	DiskBytes     int64   `json:"disk_bytes,omitempty"`
-	ResidentBytes int64   `json:"resident_bytes,omitempty"`
-	SpillRatio    float64 `json:"spill_ratio,omitempty"`
-}
-
-// BackendSmoke runs MIS under every storage backend for the snapshot.  An
-// unset dataset list is pinned to the small OK stand-in so the smoke run
-// stays fast; only the non-default backends produce rows (the mem run is the
-// reference the others are compared against).
-func BackendSmoke(opts Options) ([]BackendSmokeRow, error) {
-	if len(opts.Datasets) == 0 {
-		opts.Datasets = []string{"OK"}
+// backendGates projects a non-default backend's row (the mem run is the
+// reference the others are compared against) onto the gated metrics.  Both are
+// deterministic for a pinned seed: Identical compares the backend's output
+// with the in-memory reference byte for byte, and the disk row's spill
+// ratio DiskBytes / ResidentBytes — its headroom past RAM — is a pure
+// function of the run's store traffic (wall-clock and wire timings are
+// deliberately excluded).
+func backendGates(row BackendRow) []GateRow {
+	key := row.Graph + "/" + row.Backend
+	switch row.Backend {
+	case ampc.BackendMem:
+		return nil
+	case ampc.BackendDisk:
+		return []GateRow{identicalRow(key, row.Identical),
+			gateRow(key, "spill_ratio", GateFrac, safeRatio(float64(row.DiskBytes), float64(row.ResidentBytes)))}
 	}
-	opts = opts.withDefaults()
-	all, _, err := BackendComparison(opts)
-	if err != nil {
-		return nil, err
-	}
-	var rows []BackendSmokeRow
-	for _, row := range all {
-		if row.Backend == ampc.BackendMem {
-			continue
-		}
-		smoke := BackendSmokeRow{
-			Graph:         row.Graph,
-			Backend:       row.Backend,
-			Identical:     row.Identical,
-			DiskBytes:     row.DiskBytes,
-			ResidentBytes: row.ResidentBytes,
-		}
-		if row.ResidentBytes > 0 {
-			smoke.SpillRatio = float64(row.DiskBytes) / float64(row.ResidentBytes)
-		}
-		rows = append(rows, smoke)
-	}
-	return rows, nil
+	return []GateRow{identicalRow(key, row.Identical)}
 }

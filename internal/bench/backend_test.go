@@ -1,79 +1,34 @@
 package bench
 
 import (
-	"os"
-	"reflect"
 	"testing"
 
 	"ampcgraph/internal/ampc"
-	"ampcgraph/internal/core/connectivity"
-	"ampcgraph/internal/core/cycle"
-	"ampcgraph/internal/core/matching"
 	"ampcgraph/internal/core/mis"
-	"ampcgraph/internal/core/msf"
 	"ampcgraph/internal/gen"
 )
 
-// benchBackends returns the backend kinds to exercise.  The BENCH_BACKEND
-// environment variable restricts the suite to a single backend so the CI
-// matrix can split the work across jobs.
-func benchBackends(t *testing.T) []string {
-	all := []string{ampc.BackendMem, ampc.BackendDisk, ampc.BackendRPC}
-	want := os.Getenv("BENCH_BACKEND")
-	if want == "" {
-		return all
-	}
-	for _, b := range all {
-		if b == want {
-			return []string{b}
-		}
-	}
-	t.Fatalf("BENCH_BACKEND=%q is not a known backend (want one of %v)", want, all)
-	return nil
-}
-
 // TestBackendsPreserveAllFiveAlgorithms is the acceptance property of the
-// storage-backend seam: every core algorithm must produce byte-identical
-// output whether the shards live in in-memory maps, in log-structured files
-// on disk, or behind a loopback net/rpc transport — and that must hold under
-// both hash and degree-weighted placement.  The backend only stores bytes;
-// routing, accounting and algorithm logic live above the seam, so any
-// divergence is a bug in a backend.
+// storage-backend seam: every core algorithm must produce byte-identical,
+// oracle-valid output whether the shards live in in-memory maps, in
+// log-structured files on disk, or behind a loopback net/rpc transport — and
+// that must hold under both hash and degree-weighted placement.  The backend
+// only stores bytes; routing, accounting and algorithm logic live above the
+// seam, so any divergence is a bug in a backend.
 func TestBackendsPreserveAllFiveAlgorithms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs five algorithms once per backend and placement")
 	}
 	base := ampc.Config{Machines: 4, Threads: 2, EnableCache: true, Seed: 1}
-	g := gen.Datasets()[0].Build(1, base.Seed) // OK stand-in
-	weighted := gen.DegreeProportionalWeights(g)
-	cycleG := gen.TwoCycles(2_500)
+	in := okInputs(base.Seed, 2_500)
 
-	ref := base
-	ref.Placement = ampc.PlacementHash
-	ref.Backend = ampc.BackendMem
+	refCfg := base
+	refCfg.Placement = ampc.PlacementHash
+	refCfg.Backend = ampc.BackendMem
+	ref := mustRun(t, in, refCfg)
+	mustMatch(t, in, ref, ref, "mem/hash reference")
 
-	misRef, err := mis.Run(g, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mmRef, err := matching.Run(g, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msfRef, err := msf.Run(weighted, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccRef, err := connectivity.Run(g, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cyRef, err := cycle.Run(cycleG, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, backend := range benchBackends(t) {
+	for _, backend := range allBackends {
 		for _, placement := range []string{ampc.PlacementHash, ampc.PlacementWeighted} {
 			if backend == ampc.BackendMem && placement == ampc.PlacementHash {
 				continue // this is the reference configuration
@@ -85,46 +40,7 @@ func TestBackendsPreserveAllFiveAlgorithms(t *testing.T) {
 				if backend == ampc.BackendDisk {
 					cfg.DiskDir = t.TempDir()
 				}
-
-				misGot, err := mis.Run(g, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(misRef.InMIS, misGot.InMIS) {
-					t.Error("MIS differs from the mem/hash reference")
-				}
-
-				mmGot, err := matching.Run(g, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(mmRef.Matching.Mate, mmGot.Matching.Mate) {
-					t.Error("matching differs from the mem/hash reference")
-				}
-
-				msfGot, err := msf.Run(weighted, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(msfRef.Edges, msfGot.Edges) {
-					t.Error("MSF differs from the mem/hash reference")
-				}
-
-				ccGot, err := connectivity.Run(g, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(ccRef.Components, ccGot.Components) {
-					t.Error("connectivity differs from the mem/hash reference")
-				}
-
-				cyGot, err := cycle.Run(cycleG, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cyRef.SingleCycle != cyGot.SingleCycle || cyRef.NumCycles != cyGot.NumCycles {
-					t.Error("cycle answer differs from the mem/hash reference")
-				}
+				mustMatch(t, in, mustRun(t, in, cfg), ref, "five algorithms")
 			})
 		}
 	}

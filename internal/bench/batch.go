@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"ampcgraph/internal/ampc"
@@ -90,129 +88,12 @@ func BatchComparison(opts Options) ([]BatchRow, Report, error) {
 	return rows, rep, nil
 }
 
-// Smoke is the pinned-seed benchmark snapshot emitted as BENCH_smoke.json by
-// `make bench-smoke`, tracking the batching and load-rebalancing wins across
-// the repository's history.
-type Smoke struct {
-	Seed     int64      `json:"seed"`
-	Datasets []string   `json:"datasets"`
-	Scale    int        `json:"scale"`
-	Machines int        `json:"machines"`
-	Threads  int        `json:"threads"`
-	Rows     []BatchRow `json:"rows"`
-	// Rebalance tracks the degree-weighted ownership win on the hub-heavy
-	// CW/HL stand-ins (see RebalanceSmoke); the load-imbalance reduction is
-	// a pure function of the pinned graphs, so the gate metric carries no
-	// run-to-run noise.
-	Rebalance []RebalanceSmokeRow `json:"rebalance,omitempty"`
-	// Backend tracks the storage-backend seam (see BackendSmoke): the disk
-	// and rpc backends must keep producing results byte-identical to the
-	// in-memory reference, and the disk backend must keep its spill
-	// headroom.  Both gate metrics are deterministic for the pinned seed.
-	Backend []BackendSmokeRow `json:"backend,omitempty"`
-	// Pipeline tracks the range-declared pipelining win on the hub-heavy
-	// CW/HL stand-ins (see PipelineSmoke): the fused MIS+MM segment's
-	// straggler-idle reduction under key-range conflict declarations, its
-	// advantage over the whole-store declarations, and the variance-derived
-	// regression floor.
-	Pipeline []PipelineRow `json:"pipeline,omitempty"`
-	// Locality tracks the remote-read reduction of the owner-affine
-	// placement on the OK stand-in (see LocalitySmoke); identical outputs
-	// plus a fractionally-gated reduction ratio.
-	Locality []LocalitySmokeRow `json:"locality,omitempty"`
-	// Adaptive tracks the online ownership rebalancing win on the hub-heavy
-	// CW/HL stand-ins (see AdaptiveSmoke): how much of the second segment's
-	// observed query imbalance a between-segment rebalance removes, with a
-	// variance-derived regression floor.
-	Adaptive []AdaptiveRow `json:"adaptive,omitempty"`
-	// Chaos tracks the fault-tolerance acceptance property on the OK
-	// stand-in (see ChaosSmoke): the five algorithms under the pinned fault
-	// schedule must stay byte-identical to the clean run with zero failed
-	// jobs, every recovery tier must stay exercised, and the recovery
-	// overhead is gated by a variance-derived ceiling.
-	Chaos []ChaosSmokeRow `json:"chaos,omitempty"`
-	// Serving tracks the Plan/Session/Job serving layer on the hub-heavy
-	// CW/HL stand-ins (see ServingSmoke): N concurrent query jobs on one
-	// warm session must stay byte-identical to the serialized one-shot runs
-	// while beating them on modeled throughput, with the session plan cache
-	// scoring hits; the throughput gate is a variance-derived floor.
-	Serving []ServingRow `json:"serving,omitempty"`
-}
-
-// BatchSmoke runs the batched-vs-unbatched comparison for the snapshot and
-// attaches the deterministic rebalance rows.  Caller-set options are
-// honored; only an unset dataset list is pinned to the small OK+TW subset
-// (the `make bench-smoke` configuration; the rebalance rows always use the
-// hub-heavy CW+HL pair, where the rebalancing win lives).
-func BatchSmoke(opts Options) (Smoke, Report, error) {
-	if len(opts.Datasets) == 0 {
-		opts.Datasets = []string{"OK", "TW"}
+// batchGates projects a row onto the gated metrics: byte-identity, the
+// shard-visit reduction and the modeled speedup.
+func batchGates(row BatchRow) []GateRow {
+	key := row.Graph + "/" + row.Algo
+	return []GateRow{identicalRow(key, row.Identical),
+		gateRow(key, "visit_reduction", GateFrac, row.VisitReduction),
+		gateRow(key, "sim_speedup", GateFrac, row.SimSpeedup),
 	}
-	opts = opts.withDefaults()
-	rows, rep, err := BatchComparison(opts)
-	if err != nil {
-		return Smoke{}, rep, err
-	}
-	rebalanceOpts := opts
-	rebalanceOpts.Datasets = nil // RebalanceSmoke pins CW+HL
-	backendOpts := opts
-	backendOpts.Datasets = nil // BackendSmoke pins OK
-	backendRows, err := BackendSmoke(backendOpts)
-	if err != nil {
-		return Smoke{}, rep, err
-	}
-	pipelineOpts := opts
-	pipelineOpts.Datasets = nil // PipelineSmoke pins CW+HL
-	pipelineRows, err := PipelineSmoke(pipelineOpts)
-	if err != nil {
-		return Smoke{}, rep, err
-	}
-	localityOpts := opts
-	localityOpts.Datasets = nil // LocalitySmoke pins OK
-	localityRows, err := LocalitySmoke(localityOpts)
-	if err != nil {
-		return Smoke{}, rep, err
-	}
-	adaptiveOpts := opts
-	adaptiveOpts.Datasets = nil // AdaptiveSmoke pins CW+HL
-	adaptiveRows, err := AdaptiveSmoke(adaptiveOpts)
-	if err != nil {
-		return Smoke{}, rep, err
-	}
-	chaosOpts := opts
-	chaosOpts.Datasets = nil // ChaosSmoke pins OK
-	chaosRows, err := ChaosSmoke(chaosOpts)
-	if err != nil {
-		return Smoke{}, rep, err
-	}
-	servingOpts := opts
-	servingOpts.Datasets = nil // ServingSmoke pins CW+HL
-	servingRows, err := ServingSmoke(servingOpts)
-	if err != nil {
-		return Smoke{}, rep, err
-	}
-	return Smoke{
-		Seed:      opts.Seed,
-		Datasets:  opts.Datasets,
-		Scale:     opts.Scale,
-		Machines:  opts.Machines,
-		Threads:   opts.Threads,
-		Rows:      rows,
-		Rebalance: RebalanceSmoke(rebalanceOpts),
-		Backend:   backendRows,
-		Pipeline:  pipelineRows,
-		Locality:  localityRows,
-		Adaptive:  adaptiveRows,
-		Chaos:     chaosRows,
-		Serving:   servingRows,
-	}, rep, nil
-}
-
-// WriteSmokeJSON writes a Smoke snapshot to path as indented JSON.
-func WriteSmokeJSON(path string, s Smoke) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

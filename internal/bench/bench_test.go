@@ -233,19 +233,3 @@ func TestSection57ContractionDominates(t *testing.T) {
 		}
 	}
 }
-
-func TestRunByName(t *testing.T) {
-	rep, err := RunByName("table2", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) == 0 {
-		t.Fatal("empty report")
-	}
-	if _, err := RunByName("nope", quickOpts()); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-	if len(AllExperiments()) != 19 {
-		t.Fatalf("experiment registry %v", AllExperiments())
-	}
-}

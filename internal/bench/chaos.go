@@ -2,18 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"ampcgraph/internal/ampc"
-	"ampcgraph/internal/core/connectivity"
-	"ampcgraph/internal/core/cycle"
-	"ampcgraph/internal/core/matching"
-	"ampcgraph/internal/core/mis"
-	"ampcgraph/internal/core/msf"
 	"ampcgraph/internal/dht"
 	"ampcgraph/internal/gen"
-	"ampcgraph/internal/graph"
 )
 
 // The chaos experiment runs all five core algorithms under a pinned,
@@ -85,24 +78,32 @@ func chaosConfig(cfg ampc.Config) ampc.Config {
 }
 
 // ChaosRow is one dataset of the fault-injection comparison: the five
-// algorithms run clean and under the pinned fault schedule.
+// algorithms run clean once and chaosRepeats times under the pinned fault
+// schedule.
 type ChaosRow struct {
 	Graph string `json:"graph"`
 	// Identical reports whether every chaotic run's output was byte-identical
-	// to the fault-free run's — the acceptance property of the recovery
-	// stack.
+	// to the fault-free run's and valid — the acceptance property of the
+	// recovery stack.
 	Identical bool `json:"identical"`
 	// FailedRuns counts algorithm runs that returned an error under chaos.
 	// The fault budget must absorb every injected failure, so any value but
 	// zero is a regression.
 	FailedRuns int `json:"failed_runs"`
-	// CleanSim and ChaosSim are the summed modeled running times of the five
-	// algorithms without and with faults; OverheadPct is the recovery
-	// overhead (re-executed shares land their counters twice).
+	// CleanSim is the summed modeled running time of the five algorithms
+	// without faults, ChaosSim the slowest chaotic pass, OverheadPct its
+	// recovery overhead (re-executed shares land their counters twice).
 	CleanSim    time.Duration `json:"clean_sim_ns"`
 	ChaosSim    time.Duration `json:"chaos_sim_ns"`
 	OverheadPct float64       `json:"overhead_pct"`
-	// Recovery-tier counters summed over the five chaotic runs: transient
+	// OverheadMeanPct/StdPct summarize the overhead over the chaotic passes,
+	// and GateCeilingPct = mean + 3 x std + 1 is the variance-derived
+	// regression ceiling (the absolute pad covers near-zero spreads): a
+	// ceiling, not a floor, because for overhead smaller is better.
+	OverheadMeanPct float64 `json:"overhead_mean_pct"`
+	OverheadStdPct  float64 `json:"overhead_std_pct"`
+	GateCeilingPct  float64 `json:"gate_ceiling_pct"`
+	// Recovery-tier counters summed over the chaotic passes: transient
 	// faults absorbed by store-level retry, crash-window reads served by the
 	// replica, batch reads rescued by a hedge, and sub-rounds re-executed by
 	// the runtime.
@@ -110,106 +111,21 @@ type ChaosRow struct {
 	Failovers       int64 `json:"failovers"`
 	Hedges          int64 `json:"hedges"`
 	SubroundRetries int   `json:"subround_retries"`
-}
-
-// chaosAlgo is one of the five core algorithms in a shape the chaos harness
-// can run uniformly: the returned output is the byte-identity comparison key.
-type chaosAlgo struct {
-	name string
-	run  func(cfg ampc.Config) (any, ampc.Stats, error)
-}
-
-func chaosAlgos(g, weighted, cycleG *graph.Graph) []chaosAlgo {
-	return []chaosAlgo{
-		{"MIS", func(cfg ampc.Config) (any, ampc.Stats, error) {
-			res, err := mis.Run(g, cfg)
-			if err != nil {
-				return nil, ampc.Stats{}, err
-			}
-			return res.InMIS, res.Stats, nil
-		}},
-		{"MM", func(cfg ampc.Config) (any, ampc.Stats, error) {
-			res, err := matching.Run(g, cfg)
-			if err != nil {
-				return nil, ampc.Stats{}, err
-			}
-			return res.Matching.Mate, res.Stats, nil
-		}},
-		{"MSF", func(cfg ampc.Config) (any, ampc.Stats, error) {
-			res, err := msf.Run(weighted, cfg)
-			if err != nil {
-				return nil, ampc.Stats{}, err
-			}
-			return res.Edges, res.Stats, nil
-		}},
-		{"CC", func(cfg ampc.Config) (any, ampc.Stats, error) {
-			res, err := connectivity.Run(g, cfg)
-			if err != nil {
-				return nil, ampc.Stats{}, err
-			}
-			return res.Components, res.Stats, nil
-		}},
-		{"CY", func(cfg ampc.Config) (any, ampc.Stats, error) {
-			res, err := cycle.Run(cycleG, cfg)
-			if err != nil {
-				return nil, ampc.Stats{}, err
-			}
-			return [2]any{res.SingleCycle, res.NumCycles}, res.Stats, nil
-		}},
-	}
-}
-
-// chaosPass is one full pass over the five algorithms under one config.
-type chaosPass struct {
-	outs            []any
-	sim             time.Duration
-	retries         int64
-	failovers       int64
-	hedges          int64
-	subroundRetries int
-	failed          int
-}
-
-// runChaosPass runs every algorithm under cfg.  strict failures (the clean
-// reference run) propagate; under chaos an algorithm error is counted in
-// failed and leaves a nil output, so the caller can still gate on the rest.
-func runChaosPass(algos []chaosAlgo, cfg ampc.Config, strict bool) (chaosPass, error) {
-	p := chaosPass{outs: make([]any, len(algos))}
-	for i, a := range algos {
-		out, st, err := a.run(cfg)
-		if err != nil {
-			if strict {
-				return p, fmt.Errorf("%s: %w", a.name, err)
-			}
-			p.failed++
-			continue
-		}
-		p.outs[i] = out
-		p.sim += st.Sim
-		p.retries += st.KVRetries
-		p.failovers += st.KVFailovers
-		p.hedges += st.KVHedges
-		p.subroundRetries += st.SubroundRetries
-	}
-	return p, nil
-}
-
-// chaosIdentical reports whether a chaotic pass reproduced the clean pass
-// byte for byte (a failed run's nil output counts as divergence).
-func chaosIdentical(clean, chaos chaosPass) bool {
-	for i := range clean.outs {
-		if chaos.outs[i] == nil || !reflect.DeepEqual(clean.outs[i], chaos.outs[i]) {
-			return false
-		}
-	}
-	return true
+	// MinRetries, MinFailovers and MinSubroundRetries are the smallest
+	// per-pass values; the gate requires them positive, proving the schedule
+	// still exercises every recovery tier in every pass.
+	MinRetries         int64 `json:"min_retries"`
+	MinFailovers       int64 `json:"min_failovers"`
+	MinSubroundRetries int   `json:"min_subround_retries"`
 }
 
 // ChaosComparison runs the five core algorithms on every dataset of opts,
 // once fault-free and chaosRepeats times under the pinned fault schedule,
-// verifying byte-identical outputs and reporting the recovery overhead.
-// Both arms run with synchronous replication so the overhead isolates fault
-// recovery, and with batching on so hedged batch reads are exercised.
+// verifying byte-identical, valid outputs and reporting the recovery
+// overhead.  Both arms run with synchronous replication so the overhead
+// isolates fault recovery, and with batching on so hedged batch reads are
+// exercised.  Under chaos an algorithm error is counted in FailedRuns and
+// the pass goes on, so the gate can still judge the rest.
 func ChaosComparison(opts Options) ([]ChaosRow, Report, error) {
 	opts = opts.withDefaults()
 	rep := Report{
@@ -222,36 +138,46 @@ func ChaosComparison(opts Options) ([]ChaosRow, Report, error) {
 			fmt.Sprintf("overhead is modeled-time cost of recovery, worst of %d chaotic runs; re-executed sub-rounds charge their counters twice", chaosRepeats),
 		},
 	}
-	cycleG := gen.TwoCycles(2_500)
 	var rows []ChaosRow
 	for _, ng := range opts.graphs() {
 		cfg := opts.ampcConfig()
 		cfg.Batch = true
 		cfg.Replicate = true
-		algos := chaosAlgos(ng.g, gen.DegreeProportionalWeights(ng.g), cycleG)
-		clean, err := runChaosPass(algos, cfg, true)
+		in := &inputs{g: ng.g, cycleG: gen.TwoCycles(2_500)}
+		clean, err := in.runValid(cfg)
 		if err != nil {
 			return nil, rep, fmt.Errorf("%s clean reference: %w", ng.name, err)
 		}
-		row := ChaosRow{Graph: ng.name, Identical: true, CleanSim: clean.sim}
-		for rep := 0; rep < chaosRepeats; rep++ {
-			chaos, err := runChaosPass(algos, chaosConfig(cfg), false)
-			if err != nil {
-				return nil, Report{}, err // unreachable: non-strict pass
+		row := ChaosRow{Graph: ng.name, Identical: true, CleanSim: recoveryTotals(clean).Sim}
+		overheadPct := func(sim time.Duration) float64 {
+			if row.CleanSim <= 0 {
+				return 0
 			}
-			row.Identical = row.Identical && chaosIdentical(clean, chaos)
-			row.FailedRuns += chaos.failed
-			if chaos.sim > row.ChaosSim {
-				row.ChaosSim = chaos.sim
+			return 100 * float64(sim-row.CleanSim) / float64(row.CleanSim)
+		}
+		var overheads []float64
+		for pass := 0; pass < chaosRepeats; pass++ {
+			chaos, _ := in.run(chaosConfig(cfg)) // a failed algorithm is counted below, not fatal
+			t := recoveryTotals(chaos)
+			failed := len(fiveAlgos) - len(chaos.Stats) // an algorithm that errored left no stats
+			row.Identical = row.Identical && failed == 0 && chaos.Matches(clean, in)
+			row.FailedRuns += failed
+			row.ChaosSim = max(row.ChaosSim, t.Sim)
+			overheads = append(overheads, overheadPct(t.Sim))
+			row.Retries += t.KVRetries
+			row.Failovers += t.KVFailovers
+			row.Hedges += t.KVHedges
+			row.SubroundRetries += t.SubroundRetries
+			if pass == 0 {
+				row.MinRetries, row.MinFailovers, row.MinSubroundRetries = t.KVRetries, t.KVFailovers, t.SubroundRetries
 			}
-			row.Retries += chaos.retries
-			row.Failovers += chaos.failovers
-			row.Hedges += chaos.hedges
-			row.SubroundRetries += chaos.subroundRetries
+			row.MinRetries = min(row.MinRetries, t.KVRetries)
+			row.MinFailovers = min(row.MinFailovers, t.KVFailovers)
+			row.MinSubroundRetries = min(row.MinSubroundRetries, t.SubroundRetries)
 		}
-		if clean.sim > 0 {
-			row.OverheadPct = 100 * float64(row.ChaosSim-row.CleanSim) / float64(row.CleanSim)
-		}
+		row.OverheadPct = overheadPct(row.ChaosSim)
+		row.OverheadMeanPct, row.OverheadStdPct = meanStd(overheads)
+		row.GateCeilingPct = row.OverheadMeanPct + 3*row.OverheadStdPct + 1
 		rows = append(rows, row)
 		rep.Rows = append(rep.Rows, fmt.Sprintf("%-8s %10v %8d %12s %12s %9.2f%% %9d %10d %8d %9d",
 			row.Graph, row.Identical, row.FailedRuns,
@@ -261,75 +187,31 @@ func ChaosComparison(opts Options) ([]ChaosRow, Report, error) {
 	return rows, rep, nil
 }
 
-// ChaosSmokeRow is the pinned-seed chaos snapshot tracked in
-// BENCH_smoke.json.  Identical and FailedRuns gate absolutely (the recovery
-// stack either preserves outputs or it does not); the recovery overhead is
-// gated by a variance-derived ceiling, inverted relative to the floor gates
-// of the other sections because here smaller is better.
-type ChaosSmokeRow struct {
-	Graph string `json:"graph"`
-	// Identical must hold in every run: chaotic outputs match the clean run.
-	Identical bool `json:"identical"`
-	// FailedRuns must stay zero: the fault budget absorbs every failure.
-	FailedRuns int `json:"failed_runs"`
-	// OverheadMeanPct/StdPct summarize the recovery overhead over the
-	// chaotic repeats of the pinned run.
-	OverheadMeanPct float64 `json:"overhead_mean_pct"`
-	OverheadStdPct  float64 `json:"overhead_std_pct"`
-	// GateCeilingPct is the variance-derived regression ceiling: a fresh
-	// overhead mean above it fails benchcheck.  Committed as mean + 3 x std
-	// (with a small absolute pad for near-zero spreads).
-	GateCeilingPct float64 `json:"gate_ceiling_pct"`
-	// Retries, Failovers and SubroundRetries are the minimum counter values
-	// observed across the chaotic repeats; the gate requires them positive,
-	// proving the schedule still exercises every recovery tier.
-	Retries         int64 `json:"retries"`
-	Failovers       int64 `json:"failovers"`
-	SubroundRetries int   `json:"subround_retries"`
-	// Hedges is informational: hedged batch reads rescued from spikes.
-	Hedges int64 `json:"hedges"`
+// recoveryTotals sums the modeled time and the recovery-tier counters over
+// the algorithms of one pass.
+func recoveryTotals(o outputs) (t ampc.Stats) {
+	for _, st := range o.Stats {
+		t.Sim += st.Sim
+		t.KVRetries += st.KVRetries
+		t.KVFailovers += st.KVFailovers
+		t.KVHedges += st.KVHedges
+		t.SubroundRetries += st.SubroundRetries
+	}
+	return t
 }
 
-// ChaosSmoke computes the chaos row of the smoke snapshot on the OK stand-in
-// (regardless of the smoke run's own dataset selection): one clean reference
-// pass plus chaosRepeats chaotic passes over the five algorithms.
-func ChaosSmoke(opts Options) ([]ChaosSmokeRow, error) {
-	opts.Datasets = []string{"OK"}
-	opts = opts.withDefaults()
-	cycleG := gen.TwoCycles(2_500)
-	var rows []ChaosSmokeRow
-	for _, ng := range opts.graphs() {
-		cfg := opts.ampcConfig()
-		cfg.Batch = true
-		cfg.Replicate = true
-		algos := chaosAlgos(ng.g, gen.DegreeProportionalWeights(ng.g), cycleG)
-		clean, err := runChaosPass(algos, cfg, true)
-		if err != nil {
-			return nil, fmt.Errorf("%s clean reference: %w", ng.name, err)
-		}
-		row := ChaosSmokeRow{Graph: ng.name, Identical: true}
-		var overheads []float64
-		for rep := 0; rep < chaosRepeats; rep++ {
-			chaos, _ := runChaosPass(algos, chaosConfig(cfg), false)
-			row.Identical = row.Identical && chaosIdentical(clean, chaos)
-			row.FailedRuns += chaos.failed
-			if clean.sim > 0 {
-				overheads = append(overheads, 100*float64(chaos.sim-clean.sim)/float64(clean.sim))
-			}
-			if rep == 0 || chaos.retries < row.Retries {
-				row.Retries = chaos.retries
-			}
-			if rep == 0 || chaos.failovers < row.Failovers {
-				row.Failovers = chaos.failovers
-			}
-			if rep == 0 || chaos.subroundRetries < row.SubroundRetries {
-				row.SubroundRetries = chaos.subroundRetries
-			}
-			row.Hedges += chaos.hedges
-		}
-		row.OverheadMeanPct, row.OverheadStdPct = meanStd(overheads)
-		row.GateCeilingPct = row.OverheadMeanPct + 3*row.OverheadStdPct + 1
-		rows = append(rows, row)
+// chaosGates projects a row onto the gated metrics.  Identical and
+// FailedRuns gate absolutely (the recovery stack either preserves outputs or
+// it does not), each recovery tier must have fired in every pass, and the
+// overhead mean is held under its variance-derived ceiling.
+func chaosGates(row ChaosRow) []GateRow {
+	return []GateRow{identicalRow(row.Graph, row.Identical),
+		gateRow(row.Graph, "failed_runs", GateZero, float64(row.FailedRuns)),
+		gateRow(row.Graph, "overhead_mean_pct", GateCeil, row.OverheadMeanPct).
+			spread(row.OverheadStdPct, chaosRepeats, row.GateCeilingPct),
+		gateRow(row.Graph, "retries", GatePositive, float64(row.MinRetries)),
+		gateRow(row.Graph, "failovers", GatePositive, float64(row.MinFailovers)),
+		gateRow(row.Graph, "subround_retries", GatePositive, float64(row.MinSubroundRetries)),
+		gateRow(row.Graph, "hedges", GateInfo, float64(row.Hedges)),
 	}
-	return rows, nil
 }

@@ -1,46 +1,38 @@
 package bench
 
 import (
-	"reflect"
 	"testing"
 
 	"ampcgraph/internal/ampc"
-	"ampcgraph/internal/gen"
 )
 
 // TestChaosPreservesAllFiveAlgorithms is the acceptance property of the
 // fault-tolerance stack: every core algorithm, on every storage backend and
 // under both placement policies, must produce output byte-identical to a
-// fault-free run while the pinned fault schedule (ChaosFaultPlan) injects
-// transient errors, latency spikes, shard crash windows, torn disk tails and
-// rpc connection drops.  The store-level retry tier, replica failover,
-// hedged batch reads and the runtime's sub-round re-execution together must
-// absorb every fault — and the suite asserts each of those tiers actually
-// fired, so a plan that quietly stops injecting cannot pass vacuously.
+// fault-free run — and valid against the internal/seq oracles — while the
+// pinned fault schedule (ChaosFaultPlan) injects transient errors, latency
+// spikes, shard crash windows, torn disk tails and rpc connection drops.
+// The store-level retry tier, replica failover, hedged batch reads and the
+// runtime's sub-round re-execution together must absorb every fault — and
+// the suite asserts each of those tiers actually fired, so a plan that
+// quietly stops injecting cannot pass vacuously.
 func TestChaosPreservesAllFiveAlgorithms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs five algorithms once per backend and placement, clean and under chaos")
 	}
 	base := ampc.Config{Machines: 4, Threads: 2, EnableCache: true, Batch: true, Seed: 1}
-	g := gen.Datasets()[0].Build(1, base.Seed) // OK stand-in
-	weighted := gen.DegreeProportionalWeights(g)
-	cycleG := gen.TwoCycles(2_500)
-	algos := chaosAlgos(g, weighted, cycleG)
+	in := okInputs(base.Seed, 2_500)
 
-	ref := base
-	ref.Placement = ampc.PlacementHash
-	ref.Backend = ampc.BackendMem
-	clean, err := runChaosPass(algos, ref, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refCfg := base
+	refCfg.Placement = ampc.PlacementHash
+	refCfg.Backend = ampc.BackendMem
+	clean := mustRun(t, in, refCfg)
+	mustMatch(t, in, clean, clean, "fault-free reference")
 
 	// Recovery-tier counters aggregated over the whole matrix: every tier
 	// must fire somewhere in the suite.
-	var retries, failovers int64
-	var subroundRetries int
-
-	for _, backend := range benchBackends(t) {
+	var fired ampc.Stats
+	for _, backend := range allBackends {
 		for _, placement := range []string{ampc.PlacementHash, ampc.PlacementWeighted} {
 			t.Run(backend+"/"+placement, func(t *testing.T) {
 				cfg := base
@@ -50,58 +42,40 @@ func TestChaosPreservesAllFiveAlgorithms(t *testing.T) {
 				if backend == ampc.BackendDisk {
 					cfg.DiskDir = t.TempDir()
 				}
-				chaos, err := runChaosPass(algos, chaosConfig(cfg), true)
+				chaos, err := in.run(chaosConfig(cfg))
 				if err != nil {
 					t.Fatalf("chaotic run failed past the fault budget: %v", err)
 				}
-				for i, a := range algos {
-					if !reflect.DeepEqual(clean.outs[i], chaos.outs[i]) {
-						t.Errorf("%s under chaos differs from the fault-free reference", a.name)
-					}
-				}
-				retries += chaos.retries
-				failovers += chaos.failovers
-				subroundRetries += chaos.subroundRetries
+				mustMatch(t, in, chaos, clean, "five algorithms under chaos")
+				tiers := recoveryTotals(chaos)
+				fired.KVRetries += tiers.KVRetries
+				fired.KVFailovers += tiers.KVFailovers
+				fired.SubroundRetries += tiers.SubroundRetries
 			})
 		}
 	}
 
-	if retries == 0 {
+	if fired.KVRetries == 0 {
 		t.Error("no store-level retries across the suite: the plan no longer injects transients")
 	}
-	if failovers == 0 {
+	if fired.KVFailovers == 0 {
 		t.Error("no replica failovers across the suite: the crash windows no longer fire")
 	}
-	if subroundRetries == 0 {
+	if fired.SubroundRetries == 0 {
 		t.Error("no sub-round re-executions across the suite: the plan no longer injects fatal faults")
 	}
 }
 
-// TestChaosSmokeGatesHold runs the smoke computation once and asserts the
-// invariants benchcheck will gate on: identical outputs, zero failed runs,
-// and every recovery tier exercised in every repeat.
+// TestChaosSmokeGatesHold runs the chaos smoke once and asserts the
+// invariants benchcheck will gate on: identical and valid outputs, zero
+// failed runs, every recovery tier exercised in every pass, and the ceiling
+// above the measured overhead.
 func TestChaosSmokeGatesHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the five-algorithm chaos suite four times")
 	}
-	rows, err := ChaosSmoke(Options{Seed: 1, Machines: 4, Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want 1 (OK)", len(rows))
-	}
-	row := rows[0]
-	if !row.Identical {
-		t.Error("chaotic outputs differ from the fault-free run")
-	}
-	if row.FailedRuns != 0 {
-		t.Errorf("%d algorithm run(s) failed under chaos", row.FailedRuns)
-	}
-	if row.Retries == 0 || row.Failovers == 0 || row.SubroundRetries == 0 {
-		t.Errorf("a recovery tier went unexercised: %+v", row)
-	}
-	if row.GateCeilingPct <= row.OverheadMeanPct {
-		t.Errorf("gate ceiling %.2f not above the overhead mean %.2f", row.GateCeilingPct, row.OverheadMeanPct)
+	rows := smokeGatesHold(t, "chaos", Options{Seed: 1, Machines: 4, Threads: 2})
+	if v := gateValue(t, rows, "OK", "overhead_mean_pct"); v.Bound <= v.Value {
+		t.Errorf("gate ceiling %.2f not above the overhead mean %.2f", v.Bound, v.Value)
 	}
 }

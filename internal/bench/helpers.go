@@ -1,11 +1,6 @@
 package bench
 
-import (
-	"math"
-
-	"ampcgraph/internal/core/connectivity"
-	"ampcgraph/internal/graph"
-)
+import "math"
 
 // meanStd returns the mean and sample standard deviation of xs (std 0 for
 // fewer than two samples).
@@ -50,135 +45,4 @@ func safeReductionPct(base, remaining float64) float64 {
 		return 0
 	}
 	return 100 * (base - remaining) / base
-}
-
-// connectivityRun runs the AMPC connectivity pipeline with the experiment's
-// configuration.
-func connectivityRun(g *graph.Graph, opts Options) (*connectivity.Result, error) {
-	return connectivity.Run(g, opts.ampcConfig())
-}
-
-// AllExperiments lists the experiment names understood by cmd/ampcbench and
-// RunByName, in the order they appear in the paper.
-func AllExperiments() []string {
-	return []string{
-		"table2", "table3", "figure3", "figure4", "figure5", "figure6",
-		"figure7", "figure8", "figure9", "table4", "cycle", "connectivity",
-		"batch", "locality", "pipeline", "rebalance", "backend", "chaos",
-		"serving",
-	}
-}
-
-// UnsupportedFlags returns the CLI flag names the named experiment fixes
-// internally because they are its comparison axis: the "batch" experiment
-// runs batching off and on itself, "locality" and "rebalance" sweep the
-// placement policies, "pipeline" runs barrier and pipelined schedules,
-// "backend" sweeps the storage engines, "chaos" pins batching on in both of
-// its arms (hedged batch reads are part of the recovery stack under test),
-// and "serving" pins batching off and pipelining on in both of its arms (the
-// compiled-plan cache under test caches pipelined conflict analyses).
-// cmd/ampcbench rejects an explicitly set flag from this list
-// instead of silently ignoring it.  Every other experiment accepts the full
-// shared flag set and returns nil.
-func UnsupportedFlags(name string) []string {
-	switch name {
-	case "batch":
-		return []string{"batch"}
-	case "locality", "rebalance":
-		return []string{"placement"}
-	case "pipeline":
-		return []string{"pipeline"}
-	case "backend":
-		return []string{"backend"}
-	case "chaos":
-		return []string{"batch"}
-	case "serving":
-		return []string{"batch", "pipeline"}
-	}
-	return nil
-}
-
-// RunByName runs the named experiment and returns its formatted report.
-func RunByName(name string, opts Options) (Report, error) {
-	switch name {
-	case "table2":
-		return Table2(opts)
-	case "table3":
-		_, rep, err := Table3(opts)
-		return rep, err
-	case "figure3":
-		_, rep, err := Figure3(opts)
-		return rep, err
-	case "figure4":
-		_, rep, err := Figure4(opts)
-		return rep, err
-	case "figure5":
-		_, rep, err := Figure5(opts)
-		return rep, err
-	case "figure6":
-		_, rep, err := Figure6(opts)
-		return rep, err
-	case "figure7":
-		_, rep, err := Figure7(opts)
-		return rep, err
-	case "figure8":
-		_, rep, err := Figure8(opts)
-		return rep, err
-	case "figure9":
-		_, rep, err := Figure9(opts)
-		return rep, err
-	case "table4":
-		_, rep, err := Table4(opts)
-		return rep, err
-	case "cycle":
-		_, rep, err := Section56Cycle(opts)
-		return rep, err
-	case "connectivity":
-		_, rep, err := Section57Connectivity(opts)
-		return rep, err
-	case "batch":
-		_, rep, err := BatchComparison(opts)
-		return rep, err
-	case "locality":
-		_, rep, err := LocalityComparison(opts)
-		return rep, err
-	case "pipeline":
-		_, rep, err := PipelineComparison(opts)
-		return rep, err
-	case "rebalance":
-		if opts.Adaptive {
-			_, rep, err := AdaptiveComparison(opts)
-			return rep, err
-		}
-		_, rep, err := RebalanceComparison(opts)
-		return rep, err
-	case "backend":
-		_, rep, err := BackendComparison(opts)
-		return rep, err
-	case "chaos":
-		_, rep, err := ChaosComparison(opts)
-		return rep, err
-	case "serving":
-		_, rep, err := ServingComparison(opts)
-		return rep, err
-	default:
-		return Report{}, errUnknownExperiment(name)
-	}
-}
-
-type errUnknownExperiment string
-
-func (e errUnknownExperiment) Error() string {
-	return "bench: unknown experiment " + string(e) + " (known: " + joinNames() + ")"
-}
-
-func joinNames() string {
-	out := ""
-	for i, n := range AllExperiments() {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
 }

@@ -99,39 +99,12 @@ func LocalityComparison(opts Options) ([]LocalityRow, Report, error) {
 	return rows, rep, nil
 }
 
-// LocalitySmokeRow is the pinned-seed per-(graph, algo) snapshot of the
-// remote-read reduction tracked in BENCH_smoke.json: the subset of
-// LocalityRow that cmd/benchcheck gates.
-type LocalitySmokeRow struct {
-	Graph string `json:"graph"`
-	Algo  string `json:"algo"`
-	// Identical reports whether the hash and owner-affine runs produced
-	// byte-identical results.
-	Identical bool `json:"identical"`
-	// RemoteReduction is RemoteReadsHash / RemoteReadsOwner, the metric the
-	// gate protects.
-	RemoteReduction float64 `json:"remote_reduction"`
-}
-
-// LocalitySmoke computes the locality rows of the smoke snapshot on the
-// small OK stand-in (the remote-read counts are deterministic up to cache
-// scheduling; the gate's fractional tolerance plus benchcheck's best-of
-// merging absorb the noise), regardless of the smoke run's own dataset
-// selection.
-func LocalitySmoke(opts Options) ([]LocalitySmokeRow, error) {
-	opts.Datasets = []string{"OK"}
-	rows, _, err := LocalityComparison(opts)
-	if err != nil {
-		return nil, err
+// localityGates projects a row onto the gated metrics.  The remote-read
+// counts are deterministic up to cache scheduling; the fractional tolerance
+// plus best-of merging absorb that.
+func localityGates(row LocalityRow) []GateRow {
+	key := row.Graph + "/" + row.Algo
+	return []GateRow{identicalRow(key, row.Identical),
+		gateRow(key, "remote_reduction", GateFrac, row.RemoteReduction),
 	}
-	out := make([]LocalitySmokeRow, 0, len(rows))
-	for _, row := range rows {
-		out = append(out, LocalitySmokeRow{
-			Graph:           row.Graph,
-			Algo:            row.Algo,
-			Identical:       row.Identical,
-			RemoteReduction: row.RemoteReduction,
-		})
-	}
-	return out, nil
 }

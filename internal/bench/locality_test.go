@@ -1,24 +1,18 @@
 package bench
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"ampcgraph/internal/ampc"
-	"ampcgraph/internal/core/connectivity"
-	"ampcgraph/internal/core/cycle"
-	"ampcgraph/internal/core/matching"
-	"ampcgraph/internal/core/mis"
-	"ampcgraph/internal/core/msf"
-	"ampcgraph/internal/gen"
 )
 
 // TestPlacementPreservesAllFiveAlgorithms is the acceptance property of the
-// placement layer: every core algorithm must produce byte-identical output
-// under hash, range-owner and degree-weighted ownership placement, across
-// seeds and both the single-key and batched pipelines.  Placement only
-// decides which shard holds each key and which machine does which work, so
-// any divergence is a bug.
+// placement layer: every core algorithm must produce byte-identical,
+// oracle-valid output under hash, range-owner and degree-weighted ownership
+// placement, across seeds and both the single-key and batched pipelines.
+// Placement only decides which shard holds each key and which machine does
+// which work, so any divergence is a bug.
 func TestPlacementPreservesAllFiveAlgorithms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs five algorithms three times per configuration")
@@ -29,77 +23,15 @@ func TestPlacementPreservesAllFiveAlgorithms(t *testing.T) {
 		{Machines: 5, Threads: 1, Seed: 3},
 	}
 	for _, base := range configs {
-		g := gen.Datasets()[0].Build(1, base.Seed) // OK stand-in
-		weighted := gen.DegreeProportionalWeights(g)
-		cycleG := gen.TwoCycles(2_000 + 500*int(base.Seed))
-
+		in := okInputs(base.Seed, 2_000+500*int(base.Seed))
 		hash := base
 		hash.Placement = ampc.PlacementHash
-
-		misRef, err := mis.Run(g, hash)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mmRef, err := matching.Run(g, hash)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msfRef, err := msf.Run(weighted, hash)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ccRef, err := connectivity.Run(g, hash)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cyRef, err := cycle.Run(cycleG, hash)
-		if err != nil {
-			t.Fatal(err)
-		}
-
+		ref := mustRun(t, in, hash)
+		mustMatch(t, in, ref, ref, fmt.Sprintf("cfg %+v: hash reference", base))
 		for _, placement := range []string{ampc.PlacementOwnerAffine, ampc.PlacementWeighted} {
 			cfg := base
 			cfg.Placement = placement
-
-			misGot, err := mis.Run(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(misRef.InMIS, misGot.InMIS) {
-				t.Errorf("cfg %+v: MIS differs under %s placement", base, placement)
-			}
-
-			mmGot, err := matching.Run(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(mmRef.Matching.Mate, mmGot.Matching.Mate) {
-				t.Errorf("cfg %+v: matching differs under %s placement", base, placement)
-			}
-
-			msfGot, err := msf.Run(weighted, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(msfRef.Edges, msfGot.Edges) {
-				t.Errorf("cfg %+v: MSF differs under %s placement", base, placement)
-			}
-
-			ccGot, err := connectivity.Run(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ccRef.Components, ccGot.Components) {
-				t.Errorf("cfg %+v: connectivity differs under %s placement", base, placement)
-			}
-
-			cyGot, err := cycle.Run(cycleG, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cyRef.SingleCycle != cyGot.SingleCycle || cyRef.NumCycles != cyGot.NumCycles {
-				t.Errorf("cfg %+v: cycle answer differs under %s placement", base, placement)
-			}
+			mustMatch(t, in, mustRun(t, in, cfg), ref, fmt.Sprintf("cfg %+v under %s placement", base, placement))
 		}
 	}
 }

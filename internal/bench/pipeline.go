@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"ampcgraph/internal/ampc"
@@ -86,11 +85,6 @@ type PipelineRow struct {
 // standalone runs under both declarations; each variant runs
 // pipelineRepeats times and the row reports mean/std.
 func PipelineComparison(opts Options) ([]PipelineRow, Report, error) {
-	if len(opts.Datasets) == 0 {
-		// The hub-heavy web stand-ins, where one machine owning the hubs
-		// makes barrier rounds wait the longest.
-		opts.Datasets = []string{"CW", "HL"}
-	}
 	opts = opts.withDefaults()
 	rep := Report{
 		Title: "Range-declared round pipelining: barrier vs pipelined schedule (fused MIS+MM)",
@@ -121,20 +115,19 @@ func PipelineComparison(opts Options) ([]PipelineRow, Report, error) {
 }
 
 // fusedPipelineRun executes one fused MIS+MM pipeline segment on a fresh
-// runtime and reports whether its outputs match the references.  With widen
-// set the rounds' conflict declarations are stripped to whole stores
-// (ampc.Widen) — same bodies, same work, coarser scheduling.
-func fusedPipelineRun(g *graph.Graph, cfg ampc.Config, widen bool,
-	wantMIS []bool, wantMate []graph.NodeID) (bool, ampc.Stats, error) {
+// runtime and returns its outputs.  With widen set the rounds' conflict
+// declarations are stripped to whole stores (ampc.Widen) — same bodies, same
+// work, coarser scheduling.
+func fusedPipelineRun(g *graph.Graph, cfg ampc.Config, widen bool) (outputs, ampc.Stats, error) {
 	rt := ampc.New(cfg)
 	defer rt.Close()
 	misPlan, err := mis.NewPlan(rt, g)
 	if err != nil {
-		return false, ampc.Stats{}, err
+		return outputs{}, ampc.Stats{}, err
 	}
 	mmPlan, err := matching.NewPlan(rt, g)
 	if err != nil {
-		return false, ampc.Stats{}, err
+		return outputs{}, ampc.Stats{}, err
 	}
 	mr, qr := misPlan.Rounds(), mmPlan.Rounds()
 	// Software-pipelined arrangement: MM's write+local first, then MIS's
@@ -149,11 +142,9 @@ func fusedPipelineRun(g *graph.Graph, cfg ampc.Config, widen bool,
 		rounds = ampc.Widen(rounds)
 	}
 	if err := rt.RunPipeline(rounds); err != nil {
-		return false, ampc.Stats{}, err
+		return outputs{}, ampc.Stats{}, err
 	}
-	identical := reflect.DeepEqual(misPlan.InMIS, wantMIS) &&
-		reflect.DeepEqual(mmPlan.Matching.Mate, wantMate)
-	return identical, rt.Stats(), nil
+	return outputs{InMIS: misPlan.InMIS, Mate: mmPlan.Matching.Mate}, rt.Stats(), nil
 }
 
 func pipelineRow(name string, g *graph.Graph, opts Options) (PipelineRow, error) {
@@ -162,11 +153,8 @@ func pipelineRow(name string, g *graph.Graph, opts Options) (PipelineRow, error)
 	// Standalone barrier-mode runs: the reference outputs.
 	cfg := opts.ampcConfig()
 	cfg.Pipeline = false
-	misRef, err := mis.Run(g, cfg)
-	if err != nil {
-		return row, err
-	}
-	mmRef, err := matching.Run(g, cfg)
+	in := &inputs{g: g}
+	ref, err := in.runValid(cfg, "MIS", "MM")
 	if err != nil {
 		return row, err
 	}
@@ -175,11 +163,11 @@ func pipelineRow(name string, g *graph.Graph, opts Options) (PipelineRow, error)
 	cfgOn.Pipeline = true
 	var ranged, whole []float64
 	for i := 0; i < pipelineRepeats; i++ {
-		identical, st, err := fusedPipelineRun(g, cfgOn, false, misRef.InMIS, mmRef.Matching.Mate)
+		out, st, err := fusedPipelineRun(g, cfgOn, false)
 		if err != nil {
 			return row, err
 		}
-		row.Identical = row.Identical && identical
+		row.Identical = row.Identical && out.Matches(ref, in)
 		ranged = append(ranged, safeReductionPct(float64(st.BarrierIdle), float64(st.PipelineIdle)))
 		// The duration columns report the last ranged run's schedule.
 		row.PipelinedRounds = st.PipelinedRounds
@@ -190,11 +178,11 @@ func pipelineRow(name string, g *graph.Graph, opts Options) (PipelineRow, error)
 		row.BarrierIdle = st.BarrierIdle
 		row.PipelineIdle = st.PipelineIdle
 
-		identical, st, err = fusedPipelineRun(g, cfgOn, true, misRef.InMIS, mmRef.Matching.Mate)
+		out, st, err = fusedPipelineRun(g, cfgOn, true)
 		if err != nil {
 			return row, err
 		}
-		row.Identical = row.Identical && identical
+		row.Identical = row.Identical && out.Matches(ref, in)
 		whole = append(whole, safeReductionPct(float64(st.BarrierIdle), float64(st.PipelineIdle)))
 	}
 	row.RangedIdleReductionMeanPct, row.RangedIdleReductionStdPct = meanStd(ranged)
@@ -205,11 +193,15 @@ func pipelineRow(name string, g *graph.Graph, opts Options) (PipelineRow, error)
 	return row, nil
 }
 
-// PipelineSmoke computes the pipeline rows of the smoke snapshot on the
-// hub-heavy CW/HL stand-ins (where the straggler-idle win lives),
-// regardless of the smoke run's own dataset selection.
-func PipelineSmoke(opts Options) ([]PipelineRow, error) {
-	opts.Datasets = []string{"CW", "HL"}
-	rows, _, err := PipelineComparison(opts)
-	return rows, err
+// pipelineGates projects a row onto the gated metrics: byte-identity,
+// the ranged idle-reduction mean against its variance-derived floor, and
+// the ranged-over-whole advantage, which must stay positive.
+func pipelineGates(row PipelineRow) []GateRow {
+	return []GateRow{identicalRow(row.Graph, row.Identical),
+		gateRow(row.Graph, "ranged_idle_reduction_mean_pct", GateFloor, row.RangedIdleReductionMeanPct).
+			spread(row.RangedIdleReductionStdPct, row.Repeats, row.GateFloorPct),
+		gateRow(row.Graph, "ranged_advantage_pct", GatePositive, row.RangedAdvantagePct),
+		gateRow(row.Graph, "whole_idle_reduction_mean_pct", GateInfo, row.WholeIdleReductionMeanPct).
+			spread(row.WholeIdleReductionStdPct, row.Repeats, 0),
+	}
 }

@@ -1,16 +1,10 @@
 package bench
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"ampcgraph/internal/ampc"
-	"ampcgraph/internal/core/connectivity"
-	"ampcgraph/internal/core/cycle"
-	"ampcgraph/internal/core/matching"
-	"ampcgraph/internal/core/mis"
-	"ampcgraph/internal/core/msf"
-	"ampcgraph/internal/gen"
 )
 
 // visitCounts is the request-level fingerprint of a run: with one thread per
@@ -26,11 +20,12 @@ func countsOf(st ampc.Stats) visitCounts {
 }
 
 // TestPipelineEquivalenceAllFiveAlgorithms is the acceptance property of the
-// pipelined scheduler: every core algorithm must produce byte-identical
-// outputs — and, with one thread per machine, identical visit counts — with
-// round pipelining on and off, across seeds and all three placement
-// policies (hash, range-owner, degree-weighted ownership).  Pipelining only
-// reorders which machine works when; any divergence is a scheduler bug.
+// pipelined scheduler: every core algorithm must produce byte-identical,
+// oracle-valid outputs — and, with one thread per machine, identical visit
+// counts — with round pipelining on and off, across seeds and all three
+// placement policies (hash, range-owner, degree-weighted ownership).
+// Pipelining only reorders which machine works when; any divergence is a
+// scheduler bug.
 func TestPipelineEquivalenceAllFiveAlgorithms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs five algorithms twice per configuration")
@@ -62,83 +57,15 @@ func TestPipelineEquivalenceAllFiveAlgorithms(t *testing.T) {
 		pipelined := base
 		pipelined.Pipeline = true
 
-		g := gen.Datasets()[0].Build(1, tc.seed) // OK stand-in
-		weighted := gen.DegreeProportionalWeights(g)
-		cycleG := gen.TwoCycles(2_000 + 300*int(tc.seed))
-
-		mis0, err := mis.Run(g, barrier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mis1, err := mis.Run(g, pipelined)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(mis0.InMIS, mis1.InMIS) {
-			t.Errorf("%+v: MIS differs under pipelining", tc)
-		}
-		if a, b := countsOf(mis0.Stats), countsOf(mis1.Stats); a != b {
-			t.Errorf("%+v: MIS visit counts differ: %+v vs %+v", tc, a, b)
-		}
-
-		mm0, err := matching.Run(g, barrier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mm1, err := matching.Run(g, pipelined)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(mm0.Matching.Mate, mm1.Matching.Mate) {
-			t.Errorf("%+v: matching differs under pipelining", tc)
-		}
-		if a, b := countsOf(mm0.Stats), countsOf(mm1.Stats); a != b {
-			t.Errorf("%+v: matching visit counts differ: %+v vs %+v", tc, a, b)
-		}
-
-		msf0, err := msf.Run(weighted, barrier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msf1, err := msf.Run(weighted, pipelined)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(msf0.Edges, msf1.Edges) {
-			t.Errorf("%+v: MSF differs under pipelining", tc)
-		}
-		if a, b := countsOf(msf0.Stats), countsOf(msf1.Stats); a != b {
-			t.Errorf("%+v: MSF visit counts differ: %+v vs %+v", tc, a, b)
-		}
-
-		cc0, err := connectivity.Run(g, barrier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc1, err := connectivity.Run(g, pipelined)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(cc0.Components, cc1.Components) {
-			t.Errorf("%+v: connectivity differs under pipelining", tc)
-		}
-		if a, b := countsOf(cc0.Stats), countsOf(cc1.Stats); a != b {
-			t.Errorf("%+v: connectivity visit counts differ: %+v vs %+v", tc, a, b)
-		}
-
-		cy0, err := cycle.Run(cycleG, barrier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cy1, err := cycle.Run(cycleG, pipelined)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cy0.SingleCycle != cy1.SingleCycle || cy0.NumCycles != cy1.NumCycles {
-			t.Errorf("%+v: cycle answer differs under pipelining", tc)
-		}
-		if a, b := countsOf(cy0.Stats), countsOf(cy1.Stats); a != b {
-			t.Errorf("%+v: cycle visit counts differ: %+v vs %+v", tc, a, b)
+		in := okInputs(tc.seed, 2_000+300*int(tc.seed))
+		off := mustRun(t, in, barrier)
+		on := mustRun(t, in, pipelined)
+		mustMatch(t, in, off, off, fmt.Sprintf("%+v at barriers", tc))
+		mustMatch(t, in, on, off, fmt.Sprintf("%+v pipelined", tc))
+		for _, algo := range fiveAlgos {
+			if a, b := countsOf(off.Stats[algo]), countsOf(on.Stats[algo]); a != b {
+				t.Errorf("%+v: %s visit counts differ: %+v vs %+v", tc, algo, a, b)
+			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"ampcgraph/internal/ampc"
 	"ampcgraph/internal/dht"
-	"ampcgraph/internal/gen"
 	"ampcgraph/internal/graph"
 )
 
@@ -129,17 +128,12 @@ func rebalanceLoads(g *graph.Graph, machines int) (rangeLoad, weightedLoad LoadS
 
 // RebalanceComparison runs MIS, maximal matching and MSF under the uniform
 // range ownership and the degree-weighted ownership on the hub-heavy
-// stand-ins (default CW and HL), verifying byte-identical results and
+// stand-ins, verifying byte-identical results and
 // reporting the per-machine load balance, the straggler idle at barriers,
 // the remote fraction and the modeled time of each policy.  Both sides run
 // with round pipelining enabled so the per-(round, machine) durations — and
 // therefore the barrier straggler idle — are accounted.
 func RebalanceComparison(opts Options) ([]RebalanceRow, Report, error) {
-	if len(opts.Datasets) == 0 {
-		// The hub-heavy web stand-ins: extreme-degree vertices at the front
-		// of the keyspace overload the range owner of the first machine.
-		opts.Datasets = []string{"CW", "HL"}
-	}
 	opts = opts.withDefaults()
 	rep := Report{
 		Title: "Degree-weighted ownership rebalancing: range vs weighted contiguous partition",
@@ -196,41 +190,13 @@ func RebalanceComparison(opts Options) ([]RebalanceRow, Report, error) {
 	return rows, rep, nil
 }
 
-// RebalanceSmokeRow is the pinned-seed per-graph snapshot of the load
-// rebalancing win tracked in BENCH_smoke.json.  It is a pure function of
-// the generated graph and the machine count (no run, no scheduling), so the
-// gate metric has zero run-to-run noise.
-type RebalanceSmokeRow struct {
-	Graph        string    `json:"graph"`
-	RangeLoad    LoadStats `json:"range_load"`
-	WeightedLoad LoadStats `json:"weighted_load"`
-	// LoadImbalanceReduction is RangeLoad.MaxMean / WeightedLoad.MaxMean,
-	// the metric cmd/benchcheck gates.
-	LoadImbalanceReduction float64 `json:"load_imbalance_reduction"`
-}
-
-// RebalanceSmoke computes the deterministic per-graph load statistics for
-// the snapshot.  An unset dataset list is pinned to the hub-heavy CW+HL
-// stand-ins, where the rebalancing win lives.
-func RebalanceSmoke(opts Options) []RebalanceSmokeRow {
-	if len(opts.Datasets) == 0 {
-		opts.Datasets = []string{"CW", "HL"}
+// rebalanceGates projects a row onto the gated metrics, keyed by graph: the
+// load statistics are a pure function of the generated graph and the machine
+// count (identical across the algorithms of one graph, which fold into one
+// row; no scheduling), so the gate carries no run-to-run noise.
+func rebalanceGates(row RebalanceRow) []GateRow {
+	return []GateRow{
+		gateRow(row.Graph, "load_imbalance_reduction", GateFrac, row.LoadImbalanceReduction),
+		gateRow(row.Graph, "zero_key_machines", GateZero, float64(row.RangeLoad.ZeroKeyMachines+row.WeightedLoad.ZeroKeyMachines)),
 	}
-	opts = opts.withDefaults()
-	var rows []RebalanceSmokeRow
-	for _, name := range opts.Datasets {
-		d, ok := gen.DatasetByName(name)
-		if !ok {
-			continue
-		}
-		g := d.Build(opts.Scale, opts.Seed)
-		rangeLoad, weightedLoad := rebalanceLoads(g, opts.Machines)
-		rows = append(rows, RebalanceSmokeRow{
-			Graph:                  name,
-			RangeLoad:              rangeLoad,
-			WeightedLoad:           weightedLoad,
-			LoadImbalanceReduction: safeRatio(rangeLoad.MaxMean, weightedLoad.MaxMean),
-		})
-	}
-	return rows
 }

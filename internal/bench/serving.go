@@ -1,8 +1,8 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"time"
 
@@ -24,7 +24,7 @@ const servingRepeats = 3
 // servingMix is the query mix of one concurrent batch: two MIS queries, one
 // maximal matching and one connectivity, all against the same graph.  The
 // repeated MIS entry is what exercises the session plan cache across jobs.
-var servingMix = []string{"mis", "mm", "cc", "mis"}
+var servingMix = []string{"MIS", "MM", "CC", "MIS"}
 
 // ServingRow is one dataset of the serving-layer comparison: N concurrent
 // query jobs sharing one ampc.Session — one worker pool, one resident
@@ -87,11 +87,6 @@ type ServingRow struct {
 // modeled makespan of a warm-session batch (every one-shot run pays its own
 // preparation; the session pays PrepSim once and amortizes it).
 func ServingComparison(opts Options) ([]ServingRow, Report, error) {
-	if len(opts.Datasets) == 0 {
-		// The hub-heavy web stand-ins: big shuffles make the shared
-		// preparation matter, skew makes the shared pool matter.
-		opts.Datasets = []string{"CW", "HL"}
-	}
 	opts = opts.withDefaults()
 	rep := Report{
 		Title: "Serving layer: N concurrent query jobs on one session vs serialized one-shot runs",
@@ -135,100 +130,133 @@ func servingConfig(opts Options) ampc.Config {
 	return cfg
 }
 
-// servingJobResult is one concurrent query job's contribution to the batch
-// makespan plus its identity check against the one-shot references.
-type servingJobResult struct {
-	busy      []time.Duration
-	sim       time.Duration
-	identical bool
-	err       error
+// servingSession is one warm session with the shared MIS and MM substrates
+// its query jobs read.
+type servingSession struct {
+	*ampc.Session
+	mis *mis.Shared
+	mm  *matching.Shared
+	// prepSim is the modeled time of the preparation job that built the
+	// substrates.
+	prepSim time.Duration
+}
+
+// openServing opens a session under cfg and runs the preparation job that
+// builds the shared substrates of g exactly once.
+func openServing(cfg ampc.Config, g *graph.Graph) (*servingSession, error) {
+	ss := &servingSession{Session: ampc.NewSession(cfg)}
+	if err := ss.prepare(g); err != nil {
+		ss.Close()
+		return nil, err
+	}
+	return ss, nil
+}
+
+func (ss *servingSession) prepare(g *graph.Graph) error {
+	prep, err := ss.NewJob()
+	if err != nil {
+		return err
+	}
+	defer prep.Close()
+	if ss.mis, err = mis.NewShared(prep, g); err != nil {
+		return err
+	}
+	if ss.mm, err = matching.NewShared(prep, g); err != nil {
+		return err
+	}
+	ss.prepSim = prep.Stats().Sim
+	return nil
+}
+
+// job runs one query of the mix as a job of the session and returns its
+// output and the job's stats.
+func (ss *servingSession) job(q string, g *graph.Graph) (out outputs, st ampc.Stats, err error) {
+	rt, err := ss.NewJob()
+	if err != nil {
+		return out, st, err
+	}
+	defer rt.Close()
+	switch q {
+	case "MIS":
+		var r *mis.Result
+		if r, err = ss.mis.Run(rt); err == nil {
+			out.InMIS = r.InMIS
+		}
+	case "MM":
+		var r *matching.Result
+		if r, err = ss.mm.Run(rt); err == nil {
+			out.Mate = r.Matching.Mate
+		}
+	case "CC":
+		var r *connectivity.Result
+		if r, err = connectivity.RunOn(rt, g); err == nil {
+			out.Labels = r.Components
+		}
+	default:
+		err = fmt.Errorf("bench: unknown serving query %q", q)
+	}
+	return out, rt.Stats(), err
+}
+
+// batch runs the queries as concurrent jobs of the session and returns
+// their outputs and stats in query order.
+func (ss *servingSession) batch(queries []string, g *graph.Graph) ([]outputs, []ampc.Stats, error) {
+	outs := make([]outputs, len(queries))
+	stats := make([]ampc.Stats, len(queries))
+	errs := make([]error, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func(i int, q string) {
+			defer wg.Done()
+			outs[i], stats[i], errs[i] = ss.job(q, g)
+		}(i, q)
+	}
+	wg.Wait()
+	return outs, stats, errors.Join(errs...)
 }
 
 func servingRow(name string, g *graph.Graph, opts Options) (ServingRow, error) {
 	row := ServingRow{Graph: name, Jobs: len(servingMix), Identical: true, Repeats: servingRepeats}
 	cfg := servingConfig(opts)
+	in := &inputs{g: g}
 
-	// Serialized arm and reference outputs: every query of the mix as an
-	// independent one-shot run.
-	misRef, err := mis.Run(g, cfg)
-	if err != nil {
-		return row, err
-	}
-	mmRef, err := matching.Run(g, cfg)
-	if err != nil {
-		return row, err
-	}
-	ccRef, err := connectivity.Run(g, cfg)
+	// Reference outputs, then the serialized arm: every query of the mix as
+	// an independent one-shot run.
+	ref, err := in.runValid(cfg, "MIS", "MM", "CC")
 	if err != nil {
 		return row, err
 	}
 	for _, q := range servingMix {
-		switch q {
-		case "mis":
-			r, err := mis.Run(g, cfg)
-			if err != nil {
-				return row, err
-			}
-			row.Identical = row.Identical && reflect.DeepEqual(r.InMIS, misRef.InMIS)
-			row.SerializedSim += r.Stats.Sim
-		case "mm":
-			r, err := matching.Run(g, cfg)
-			if err != nil {
-				return row, err
-			}
-			row.Identical = row.Identical && reflect.DeepEqual(r.Matching.Mate, mmRef.Matching.Mate)
-			row.SerializedSim += r.Stats.Sim
-		case "cc":
-			r, err := connectivity.Run(g, cfg)
-			if err != nil {
-				return row, err
-			}
-			row.Identical = row.Identical && reflect.DeepEqual(r.Components, ccRef.Components)
-			row.SerializedSim += r.Stats.Sim
+		r, err := in.run(cfg, q)
+		if err != nil {
+			return row, err
 		}
+		row.Identical = row.Identical && r.Equal(ref)
+		row.SerializedSim += r.Stats[q].Sim
 	}
 
 	// Concurrent arm: one session, one preparation job building the shared
 	// MIS and MM substrates, then servingRepeats batches of concurrent query
 	// jobs on the shared pool.
-	s := ampc.NewSession(cfg)
-	defer s.Close()
-	prep, err := s.NewJob()
+	ss, err := openServing(cfg, g)
 	if err != nil {
 		return row, err
 	}
-	misShared, err := mis.NewShared(prep, g)
-	if err != nil {
-		return row, err
-	}
-	mmShared, err := matching.NewShared(prep, g)
-	if err != nil {
-		return row, err
-	}
-	row.PrepSim = prep.Stats().Sim
-	prep.Close()
+	defer ss.Close()
+	row.PrepSim = ss.prepSim
 
 	var ratios []float64
 	for rep := 0; rep < servingRepeats; rep++ {
-		results := make([]servingJobResult, len(servingMix))
-		var wg sync.WaitGroup
-		for i, q := range servingMix {
-			wg.Add(1)
-			go func(i int, q string) {
-				defer wg.Done()
-				results[i] = servingJob(s, q, g, misShared, mmShared, misRef, mmRef, ccRef)
-			}(i, q)
+		outs, stats, err := ss.batch(servingMix, g)
+		if err != nil {
+			return row, err
 		}
-		wg.Wait()
-		busy := make([][]time.Duration, len(results))
-		sims := make([]time.Duration, len(results))
-		for i, r := range results {
-			if r.err != nil {
-				return row, r.err
-			}
-			row.Identical = row.Identical && r.identical
-			busy[i] = r.busy
-			sims[i] = r.sim
+		busy := make([][]time.Duration, len(outs))
+		sims := make([]time.Duration, len(outs))
+		for i, out := range outs {
+			row.Identical = row.Identical && out.Matches(ref, in)
+			busy[i], sims[i] = stats[i].MachineBusy, stats[i].Sim
 		}
 		row.ConcurrentSim = simtime.ConcurrentMakespan(busy, sims)
 		ratios = append(ratios, safeRatio(float64(row.SerializedSim), float64(row.ConcurrentSim)))
@@ -236,53 +264,18 @@ func servingRow(name string, g *graph.Graph, opts Options) (ServingRow, error) {
 	row.ThroughputMeanX, row.ThroughputStdX = meanStd(ratios)
 	row.ThroughputX = row.ThroughputMeanX
 	row.GateFloorX = row.ThroughputMeanX - 3*row.ThroughputStdX - 0.05
-	pcs := s.PlanCacheStats()
+	pcs := ss.PlanCacheStats()
 	row.PlanCacheHits, row.PlanCacheMisses = pcs.Hits, pcs.Misses
 	return row, nil
 }
 
-// servingJob runs one query of the mix as a job of s and checks its output
-// against the one-shot reference.
-func servingJob(s *ampc.Session, q string, g *graph.Graph,
-	misShared *mis.Shared, mmShared *matching.Shared,
-	misRef *mis.Result, mmRef *matching.Result, ccRef *connectivity.Result) servingJobResult {
-	rt, err := s.NewJob()
-	if err != nil {
-		return servingJobResult{err: err}
+// servingGates projects a row onto the gated metrics: byte-identity, the
+// throughput mean against its variance-derived floor, and plan-cache hits,
+// which must stay positive in every run.
+func servingGates(row ServingRow) []GateRow {
+	return []GateRow{identicalRow(row.Graph, row.Identical),
+		gateRow(row.Graph, "throughput_mean_x", GateFloor, row.ThroughputMeanX).
+			spread(row.ThroughputStdX, row.Repeats, row.GateFloorX),
+		gateRow(row.Graph, "plan_cache_hits", GatePositive, float64(row.PlanCacheHits)),
 	}
-	defer rt.Close()
-	var identical bool
-	switch q {
-	case "mis":
-		r, err := misShared.Run(rt)
-		if err != nil {
-			return servingJobResult{err: err}
-		}
-		identical = reflect.DeepEqual(r.InMIS, misRef.InMIS)
-	case "mm":
-		r, err := mmShared.Run(rt)
-		if err != nil {
-			return servingJobResult{err: err}
-		}
-		identical = reflect.DeepEqual(r.Matching.Mate, mmRef.Matching.Mate)
-	case "cc":
-		r, err := connectivity.RunOn(rt, g)
-		if err != nil {
-			return servingJobResult{err: err}
-		}
-		identical = reflect.DeepEqual(r.Components, ccRef.Components)
-	default:
-		return servingJobResult{err: fmt.Errorf("bench: unknown serving query %q", q)}
-	}
-	st := rt.Stats()
-	return servingJobResult{busy: st.MachineBusy, sim: st.Sim, identical: identical}
-}
-
-// ServingSmoke computes the serving rows of the smoke snapshot on the
-// hub-heavy CW/HL stand-ins (where the shared-substrate win lives),
-// regardless of the smoke run's own dataset selection.
-func ServingSmoke(opts Options) ([]ServingRow, error) {
-	opts.Datasets = []string{"CW", "HL"}
-	rows, _, err := ServingComparison(opts)
-	return rows, err
 }

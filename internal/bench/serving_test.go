@@ -1,15 +1,10 @@
 package bench
 
 import (
-	"reflect"
-	"sync"
+	"fmt"
 	"testing"
 
 	"ampcgraph/internal/ampc"
-	"ampcgraph/internal/core/connectivity"
-	"ampcgraph/internal/core/matching"
-	"ampcgraph/internal/core/mis"
-	"ampcgraph/internal/gen"
 )
 
 // TestServingComparisonSmall runs the serving experiment on the small OK
@@ -49,27 +44,16 @@ func TestServingComparisonSmall(t *testing.T) {
 // TestServingSmokeMeetsAcceptance pins the headline acceptance number of the
 // serving layer on the smoke configuration: four concurrent query jobs on
 // one warm session must beat the serialized one-shot runs by at least 1.5x
-// on both hub-heavy stand-ins, at byte-identical outputs.
+// on both hub-heavy stand-ins, at byte-identical, valid outputs and with the
+// plan cache scoring hits.
 func TestServingSmokeMeetsAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full CW/HL serving comparison")
 	}
-	rows, err := ServingSmoke(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want CW and HL", len(rows))
-	}
-	for _, row := range rows {
-		if !row.Identical {
-			t.Errorf("%s: concurrent jobs diverged from the one-shot references", row.Graph)
-		}
-		if row.PlanCacheHits <= 0 {
-			t.Errorf("%s: plan cache hits = %d, want > 0", row.Graph, row.PlanCacheHits)
-		}
-		if row.ThroughputX < 1.5 {
-			t.Errorf("%s: throughput = %.2fx, want >= 1.5x", row.Graph, row.ThroughputX)
+	rows := smokeGatesHold(t, "serving", Options{})
+	for _, graph := range hubs {
+		if x := gateValue(t, rows, graph, "throughput_mean_x").Value; x < 1.5 {
+			t.Errorf("%s: throughput = %.2fx, want >= 1.5x", graph, x)
 		}
 	}
 }
@@ -77,101 +61,41 @@ func TestServingSmokeMeetsAcceptance(t *testing.T) {
 // TestConcurrentJobsByteIdenticalAcrossBackends is the serving-layer stress
 // matrix: N concurrent query jobs per session, across every storage backend
 // and both placement policies, must each reproduce the one-shot reference
-// outputs exactly.  Sharing a session changes where shards live and which
-// machine does which work — never what is computed.
+// outputs exactly and pass the oracles.  Sharing a session changes where
+// shards live and which machine does which work — never what is computed.
 func TestConcurrentJobsByteIdenticalAcrossBackends(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs concurrent job batches once per backend and placement")
 	}
 	base := ampc.Config{Machines: 4, Threads: 2, Pipeline: true, Seed: 1}
-	g := gen.Datasets()[0].Build(1, base.Seed) // OK stand-in
+	in := okInputs(base.Seed, 3)
 
-	ref := base
-	ref.Backend = ampc.BackendMem
-	ref.Placement = ampc.PlacementHash
-	misRef, err := mis.Run(g, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mmRef, err := matching.Run(g, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccRef, err := connectivity.Run(g, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refCfg := base
+	refCfg.Backend = ampc.BackendMem
+	refCfg.Placement = ampc.PlacementHash
+	ref := mustRun(t, in, refCfg, "MIS", "MM", "CC")
+	mustMatch(t, in, ref, ref, "one-shot reference")
 
-	for _, backend := range benchBackends(t) {
+	queries := append(append([]string(nil), servingMix...), servingMix...)
+	for _, backend := range allBackends {
 		for _, placement := range []string{ampc.PlacementHash, ampc.PlacementWeighted} {
 			t.Run(backend+"/"+placement, func(t *testing.T) {
 				cfg := base
 				cfg.Backend = backend
 				cfg.Placement = placement
-				s := ampc.NewSession(cfg)
-				defer s.Close()
-
-				prep, err := s.NewJob()
+				ss, err := openServing(cfg, in.g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				misShared, err := mis.NewShared(prep, g)
+				defer ss.Close()
+				outs, _, err := ss.batch(queries, in.g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				mmShared, err := matching.NewShared(prep, g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prep.Close()
-
-				var wg sync.WaitGroup
-				errs := make([]error, 2*len(servingMix))
-				for i, q := range append(append([]string(nil), servingMix...), servingMix...) {
-					wg.Add(1)
-					go func(i int, q string) {
-						defer wg.Done()
-						rt, err := s.NewJob()
-						if err != nil {
-							errs[i] = err
-							return
-						}
-						defer rt.Close()
-						switch q {
-						case "mis":
-							r, err := misShared.Run(rt)
-							if err == nil && !reflect.DeepEqual(r.InMIS, misRef.InMIS) {
-								err = errMismatch("mis")
-							}
-							errs[i] = err
-						case "mm":
-							r, err := mmShared.Run(rt)
-							if err == nil && !reflect.DeepEqual(r.Matching.Mate, mmRef.Matching.Mate) {
-								err = errMismatch("mm")
-							}
-							errs[i] = err
-						case "cc":
-							r, err := connectivity.RunOn(rt, g)
-							if err == nil && !reflect.DeepEqual(r.Components, ccRef.Components) {
-								err = errMismatch("cc")
-							}
-							errs[i] = err
-						}
-					}(i, q)
-				}
-				wg.Wait()
-				for i, err := range errs {
-					if err != nil {
-						t.Errorf("job %d (%s): %v", i, servingMix[i%len(servingMix)], err)
-					}
+				for i, out := range outs {
+					mustMatch(t, in, out, ref, fmt.Sprintf("job %d (%s)", i, queries[i]))
 				}
 			})
 		}
 	}
-}
-
-type errMismatch string
-
-func (e errMismatch) Error() string {
-	return string(e) + ": concurrent job output differs from the one-shot reference"
 }
