@@ -9,7 +9,7 @@ COVER_FLOOR_DHT  ?= 90
 # Per-target budget for the short fuzz pass (fuzz-smoke).
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt ci bench-smoke bench-check bench-wall bench-wall-smoke cover-check fuzz-smoke examples-smoke backend-matrix chaos-smoke serving-smoke deprecation-gate
+.PHONY: all build test race vet fmt ci microbench bench-smoke bench-check bench-wall bench-wall-smoke cover-check fuzz-smoke examples-smoke backend-matrix chaos-smoke serving-smoke deprecation-gate
 
 all: build
 
@@ -28,7 +28,7 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 
-ci: fmt vet build test race deprecation-gate cover-check fuzz-smoke bench-check examples-smoke
+ci: fmt vet build test race deprecation-gate cover-check fuzz-smoke microbench bench-check examples-smoke
 
 # deprecation-gate fails when any caller uses the deleted machine-threading
 # exported *From store methods instead of Store.View.  The gate now guards
@@ -123,6 +123,14 @@ bench-wall:
 bench-wall-smoke:
 	$(GO) test ./benchmark
 
+# microbench runs the layer micro-benchmarks once each — the three shuffle
+# stages on the HL stand-in (DirectGraph, PermuteGraph, SortGraph) and the
+# placement lookup — so they keep compiling and running; it measures nothing.
+# For numbers: go test -run '^$$' -bench <name> -benchmem -count 5 <package>.
+microbench:
+	$(GO) test -run '^$$' -bench 'BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkLocalTo$$' -benchtime=1x \
+		./internal/core/mis ./internal/core/matching ./internal/core/msf ./internal/dht
+
 # cover-check enforces a statement-coverage floor on the runtime-critical
 # packages (the segment executor in internal/ampc and the store layer in
 # internal/dht), so new executor or store code cannot land untested.
@@ -151,4 +159,5 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeNodeIDs -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWeightedNeighbors -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzWeightedList -fuzztime=$(FUZZTIME) ./internal/codec
+	$(GO) test -run=NONE -fuzz=FuzzNodeList -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzNodeIDRoundTrip -fuzztime=$(FUZZTIME) ./internal/codec

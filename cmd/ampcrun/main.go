@@ -8,12 +8,18 @@
 //	ampcrun -algorithm msf -dataset TW -machines 16 -model tcp
 //	ampcrun -algorithm mpc-mis -dataset OK
 //	ampcrun -algorithm cycle -cycle-length 100000 -single=false
+//	ampcrun -algorithm matching -dataset HL -machines 2 -threads 1 -cpuprofile cpu.prof -memprofile mem.prof
+//
+// -cpuprofile and -memprofile cover the algorithm run only, not the dataset
+// generation before it; read them with `go tool pprof`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"ampcgraph/internal/ampc"
@@ -45,6 +51,8 @@ func main() {
 		cycleLength = flag.Int("cycle-length", 100_000, "cycle length for -algorithm cycle")
 		single      = flag.Bool("single", false, "use a single cycle instead of two for -algorithm cycle")
 		threshold   = flag.Int("mpc-threshold", 2000, "in-memory switch-over threshold for MPC baselines")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the algorithm run to this file")
+		memProfile  = flag.String("memprofile", "", "write an allocation profile of the algorithm run to this file")
 	)
 	flag.Parse()
 
@@ -73,6 +81,7 @@ func main() {
 	fmt.Println(gen.DescribeDataset(*dataset, g))
 
 	pipeline := mpc.NewPipeline(mpc.Config{Seed: *seed, Model: cfg.Model})
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 	start := time.Now()
 	switch *algorithm {
 	case "mis":
@@ -136,6 +145,33 @@ func main() {
 		fail(fmt.Errorf("unknown algorithm %q", *algorithm))
 	}
 	fmt.Printf("wall-clock: %s\n", time.Since(start).Round(time.Millisecond))
+	stopProfiles()
+}
+
+// startProfiles starts the CPU profile, if one was asked for, and returns the
+// function that ends it and writes the allocation profile.  A run that fails
+// exits without calling it and leaves no usable profile.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		var err error
+		cpuFile, err = os.Create(cpuPath)
+		exitOn(err)
+		exitOn(pprof.StartCPUProfile(cpuFile))
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			exitOn(cpuFile.Close())
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			exitOn(err)
+			runtime.GC() // so the profile holds every allocation of the run
+			exitOn(pprof.Lookup("allocs").WriteTo(f, 0))
+			exitOn(f.Close())
+		}
+	}
 }
 
 func printAMPCStats(st ampc.Stats) {
@@ -144,8 +180,8 @@ func printAMPCStats(st ampc.Stats) {
 	fmt.Printf("cache hits: %d, max per-machine queries: %d\n", st.CacheHits, st.MaxMachineQueries)
 	fmt.Printf("modeled time: %s\n", st.Sim.Round(time.Millisecond))
 	for _, ph := range st.Phases {
-		fmt.Printf("  phase %-20s model=%-12s shuffles=%d kv-bytes=%d\n",
-			ph.Name, ph.Sim.Round(time.Millisecond), ph.Shuffles, ph.KVBytes)
+		fmt.Printf("  phase %-20s model=%-12s wall=%-12s shuffles=%d kv-bytes=%d\n",
+			ph.Name, ph.Sim.Round(time.Millisecond), ph.Wall.Round(10*time.Microsecond), ph.Shuffles, ph.KVBytes)
 	}
 }
 

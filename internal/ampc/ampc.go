@@ -25,6 +25,23 @@
 // counts them); algorithms report them explicitly with RecordShuffle so that
 // the AMPC-versus-MPC comparison of the paper can be reproduced exactly.
 //
+// # Shuffle stages
+//
+// Every algorithm of Section 5 opens with one shuffle whose output the first
+// KV-write round stores: a per-vertex map (keep and order the neighbours),
+// which the paper's dataflow system runs on all of its workers.  Job.Shuffle
+// is that step here.  What it is: the body, called on contiguous chunks of
+// the item range by the session's pool threads (chunk c on machine
+// c mod Machines, whatever Config.Placement says — a partition of a pure
+// function cannot change an output), under the locks a segment holds, with a
+// segment's cancellation and ErrClosed behaviour; accounted as one Phase of
+// the stage's name holding one RecordShuffle of the bytes the bodies report.
+// What it is not: a round.  It reads and writes no store, has no Ctx, counts
+// nothing into Stats.Rounds, pays no RoundOverhead, and puts nothing on the
+// modeled clock beyond RecordShuffle's charge — the model has always priced
+// the step as a parallel shuffle, and the stage only makes the wall clock
+// agree.  A pool of 1 x 1 is the sequential case; there is no other path.
+//
 // # Sessions, jobs and plans
 //
 // The one-shot shape — build a runtime, run one query, tear everything

@@ -18,8 +18,8 @@ import (
 // program order.
 //
 // A Job is driven through the *Runtime wrapper (Run, RunPipeline, RunStaged,
-// RunPlan, Phase); Close releases its stores and its admission slot and
-// marks it finished.
+// RunPlan, Shuffle, Phase); Close releases its stores and its admission slot
+// and marks it finished.
 type Job struct {
 	sess  *Session
 	cfg   Config // the session configuration, copied for lock-free access

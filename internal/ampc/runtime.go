@@ -16,9 +16,9 @@ import (
 //
 // The embedded layers split the API: Session carries the substrate
 // (SetOwnership, OpenSharedStore, partitioners, CompilePlan), Job carries the
-// execution (Run, RunPipeline, RunStaged, RunPlan, Phase, Stats, Clock).
-// OpenStore and NewStore on the handle shadow the session's: they open the
-// job's own stores.
+// execution (Run, RunPipeline, RunStaged, RunPlan, Shuffle, Phase, Stats,
+// Clock).  OpenStore and NewStore on the handle shadow the session's: they
+// open the job's own stores.
 type Runtime struct {
 	*Session
 	*Job

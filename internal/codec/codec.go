@@ -36,20 +36,77 @@ func EncodeNodeIDs(ids []graph.NodeID) []byte {
 
 // DecodeNodeIDs decodes a neighbor list encoded by EncodeNodeIDs.
 func DecodeNodeIDs(b []byte) ([]graph.NodeID, error) {
+	l, err := ViewNodeIDs(b)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]graph.NodeID, l.Len())
+	for i := range out {
+		out[i] = l.At(i)
+	}
+	return out, nil
+}
+
+// NodeList is a read-only view of a list encoded by EncodeNodeIDs, the
+// unweighted counterpart of WeightedList: entries are read in place from the
+// fixed-width encoding, so the list a shuffle produced is at once the value
+// the key-value write stores (Encoded) and the list a search iterates
+// (Len/At), and a list fetched from a frozen store is walked without
+// decoding a copy.  The view aliases the buffer it was made from, which must
+// not change while the view is in use.  The zero value is the empty list; it
+// has no encoding (Encoded returns nil), unlike the empty list AppendNodeList
+// writes, whose encoding is the four header bytes.
+type NodeList struct {
+	enc []byte // header and entries; nil for the zero value
+}
+
+// ViewNodeIDs validates the header of b once and returns the view; it
+// accepts exactly the buffers DecodeNodeIDs accepts.
+func ViewNodeIDs(b []byte) (NodeList, error) {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("codec: short buffer (%d bytes)", len(b))
+		return NodeList{}, fmt.Errorf("codec: short buffer (%d bytes)", len(b))
 	}
 	n := binary.LittleEndian.Uint32(b)
 	// 64-bit arithmetic: a hostile header close to 2^32 must not overflow
 	// the expected length back onto the actual one.
 	if uint64(len(b)) != 4+4*uint64(n) {
-		return nil, fmt.Errorf("codec: length mismatch: header %d, bytes %d", n, len(b))
+		return NodeList{}, fmt.Errorf("codec: length mismatch: header %d, bytes %d", n, len(b))
 	}
-	out := make([]graph.NodeID, n)
-	for i := range out {
-		out[i] = graph.NodeID(binary.LittleEndian.Uint32(b[4+4*i:]))
+	return NodeList{enc: b}, nil
+}
+
+// Len returns the number of entries; the zero NodeList has none.
+func (l NodeList) Len() int {
+	if l.enc == nil {
+		return 0
 	}
-	return out, nil
+	return (len(l.enc) - 4) / 4
+}
+
+// At returns entry i; it panics when i is out of range, like a slice index.
+func (l NodeList) At(i int) graph.NodeID {
+	if i < 0 {
+		// Entry -1 would otherwise read the header.
+		panic("codec: NodeList index out of range")
+	}
+	return graph.NodeID(binary.LittleEndian.Uint32(l.enc[4+4*i:]))
+}
+
+// Encoded returns the buffer the view reads, which is the list's encoding.
+// It must not be modified.
+func (l NodeList) Encoded() []byte { return l.enc }
+
+// AppendNodeList appends the encoding of ids to b, so many lists can share
+// one buffer, and returns the grown buffer with a view of the list just
+// written.  The view's capacity is clipped to the list, so appending to its
+// Encoded bytes can never run into whatever b receives next.
+func AppendNodeList(b []byte, ids []graph.NodeID) ([]byte, NodeList) {
+	lo := len(b)
+	b = AppendUint32(b, uint32(len(ids)))
+	for _, id := range ids {
+		b = AppendUint32(b, uint32(id))
+	}
+	return b, NodeList{enc: b[lo:len(b):len(b)]}
 }
 
 // WeightedNeighbor is one entry of a weight-annotated adjacency list.
@@ -103,7 +160,7 @@ func ViewWeightedNeighbors(b []byte) (WeightedList, error) {
 		return WeightedList{}, fmt.Errorf("codec: short buffer (%d bytes)", len(b))
 	}
 	n := binary.LittleEndian.Uint32(b)
-	// 64-bit arithmetic: see DecodeNodeIDs.
+	// 64-bit arithmetic: see ViewNodeIDs.
 	if uint64(len(b)) != 4+12*uint64(n) {
 		return WeightedList{}, fmt.Errorf("codec: length mismatch: header %d, bytes %d", n, len(b))
 	}

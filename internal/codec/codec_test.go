@@ -114,6 +114,41 @@ func TestWeightedListView(t *testing.T) {
 	}
 }
 
+func TestNodeListView(t *testing.T) {
+	if z := (NodeList{}); z.Len() != 0 || z.Encoded() != nil {
+		t.Fatalf("zero view has %d entries and encoding %x", z.Len(), z.Encoded())
+	}
+	// Three lists appended into one buffer read back independently; the
+	// empty one still has its four header bytes.
+	a := []graph.NodeID{3, 9, 1 << 31}
+	var b []graph.NodeID
+	c := []graph.NodeID{7}
+	buf, la := AppendNodeList(make([]byte, 0, 64), a)
+	buf, lb := AppendNodeList(buf, b)
+	buf, lc := AppendNodeList(buf, c)
+	// Growing the first list's bytes must not write into the second.
+	_ = append(la.Encoded(), 0xff)
+	for _, tc := range []struct {
+		l    NodeList
+		want []graph.NodeID
+	}{{la, a}, {lb, b}, {lc, c}} {
+		if !bytes.Equal(tc.l.Encoded(), EncodeNodeIDs(tc.want)) {
+			t.Fatalf("view encodes %x, want the encoding of %v", tc.l.Encoded(), tc.want)
+		}
+		if tc.l.Len() != len(tc.want) {
+			t.Fatalf("view has %d entries, want %d", tc.l.Len(), len(tc.want))
+		}
+		for i, w := range tc.want {
+			if tc.l.At(i) != w {
+				t.Fatalf("entry %d = %v, want %v", i, tc.l.At(i), w)
+			}
+		}
+	}
+	if _, err := ViewNodeIDs(buf); err == nil {
+		t.Fatal("three concatenated lists accepted as one")
+	}
+}
+
 func TestNodeIDRoundTrip(t *testing.T) {
 	enc := EncodeNodeID(graph.NodeID(123456))
 	id, err := DecodeNodeID(enc)

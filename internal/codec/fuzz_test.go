@@ -90,6 +90,43 @@ func FuzzWeightedList(f *testing.F) {
 	})
 }
 
+// FuzzNodeList is the same property for the unweighted view against
+// DecodeNodeIDs.
+func FuzzNodeList(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 0x80})
+	f.Add([]byte{1, 0, 0, 0, 1, 2, 3})
+	f.Add(EncodeNodeIDs([]graph.NodeID{1, 2, 3}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		arena := append(append([]byte(nil), b...), EncodeNodeIDs([]graph.NodeID{7})...)
+		l, viewErr := ViewNodeIDs(arena[:len(b)])
+		ids, decErr := DecodeNodeIDs(b)
+		if (viewErr == nil) != (decErr == nil) {
+			t.Fatalf("view error %v, decode error %v", viewErr, decErr)
+		}
+		if viewErr != nil {
+			return
+		}
+		if l.Len() != len(ids) {
+			t.Fatalf("view has %d entries, decode %d", l.Len(), len(ids))
+		}
+		for i, want := range ids {
+			if got := l.At(i); got != want {
+				t.Fatalf("entry %d: view %v, decode %v", i, got, want)
+			}
+		}
+		if !bytes.Equal(l.Encoded(), b) {
+			t.Fatalf("Encoded() = %x, want the input %x", l.Encoded(), b)
+		}
+		for _, i := range []int{-1, l.Len()} {
+			if !panics(func() { l.At(i) }) {
+				t.Fatalf("At(%d) on a %d-entry list did not panic", i, l.Len())
+			}
+		}
+	})
+}
+
 func panics(fn func()) (p bool) {
 	defer func() { p = recover() != nil }()
 	fn()

@@ -24,7 +24,7 @@ type batchMatcher struct {
 	ctx   *ampc.Ctx
 	cache *matchCache
 	rank  RankFunc
-	lists map[graph.NodeID][]graph.NodeID
+	lists map[graph.NodeID]codec.NodeList
 	// charged marks edges whose merge scan has been charged, so a scan
 	// re-run after a fetch suspension is not billed again — the single-key
 	// edgeProcess charges each edge's scan exactly once.
@@ -44,7 +44,8 @@ func (s *batchMatcher) evalVertex(v graph.NodeID) (mate, miss graph.NodeID) {
 	if !ok {
 		return graph.None, v
 	}
-	for _, u := range lst {
+	for i := 0; i < lst.Len(); i++ {
+		u := lst.At(i)
 		in, miss := s.evalEdge(v, u)
 		if miss != graph.None {
 			return graph.None, miss
@@ -94,19 +95,19 @@ func (s *batchMatcher) evalEdge(u, v graph.NodeID) (in bool, miss graph.NodeID) 
 	myRank := s.rank(u, v)
 	if !s.charged[key] {
 		s.charged[key] = true
-		s.ctx.ChargeCompute(len(au) + len(av))
+		s.ctx.ChargeCompute(au.Len() + av.Len())
 	}
 	i, j := 0, 0
-	for i < len(au) || j < len(av) {
+	for i < au.Len() || j < av.Len() {
 		var a, b graph.NodeID
 		var ra, rb uint64
-		haveA, haveB := i < len(au), j < len(av)
+		haveA, haveB := i < au.Len(), j < av.Len()
 		if haveA {
-			a = au[i]
+			a = au.At(i)
 			ra = s.rank(u, a)
 		}
 		if haveB {
-			b = av[j]
+			b = av.At(j)
 			rb = s.rank(v, b)
 		}
 		var x, y graph.NodeID
@@ -145,7 +146,7 @@ func (s *batchMatcher) evalEdge(u, v graph.NodeID) (in bool, miss graph.NodeID) 
 // inside spans[machine]: a search that suspends on an out-of-range key
 // escapes — its iterator completes without resolving the vertex — and the
 // spill stage (spans == nil) finishes it against the whole store.
-func batchSearchRound(rt *ampc.Runtime, phaseName string, store *dht.Store, sorted [][]graph.NodeID,
+func batchSearchRound(rt *ampc.Runtime, phaseName string, store *dht.Store, sorted []codec.NodeList,
 	rank RankFunc, caches []*matchCache, matching []graph.NodeID, resolved []bool, mu *sync.Mutex,
 	spans []dht.RangeSet) ampc.Round {
 	n := len(sorted)
@@ -169,7 +170,7 @@ func batchSearchRound(rt *ampc.Runtime, phaseName string, store *dht.Store, sort
 				ctx:     ctx,
 				cache:   cache,
 				rank:    rank,
-				lists:   make(map[graph.NodeID][]graph.NodeID, hi-lo),
+				lists:   make(map[graph.NodeID]codec.NodeList, hi-lo),
 				charged: make(map[uint64]bool),
 			}
 			its := make([]ampc.Iterator, 0, hi-lo)
@@ -199,7 +200,7 @@ func batchSearchRound(rt *ampc.Runtime, phaseName string, store *dht.Store, sort
 					if !ok {
 						return fmt.Errorf("matching: vertex %d missing from the key-value store", k)
 					}
-					nbrs, err := codec.DecodeNodeIDs(raw)
+					nbrs, err := codec.ViewNodeIDs(raw)
 					if err != nil {
 						return err
 					}

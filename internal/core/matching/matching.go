@@ -25,11 +25,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"ampcgraph/internal/ampc"
 	"ampcgraph/internal/codec"
+	"ampcgraph/internal/core/rankadj"
 	"ampcgraph/internal/dht"
 	"ampcgraph/internal/graph"
 	"ampcgraph/internal/rng"
@@ -178,38 +178,16 @@ func runProcess(g *graph.Graph, cfg ampc.Config, rank RankFunc, budget int) (*Re
 }
 
 // permuteGraph runs the PermuteGraph shuffle (Step 1): every vertex's
-// incident edges sorted by edge priority.
-func permuteGraph(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, tag string) ([][]graph.NodeID, error) {
-	n := g.NumNodes()
-	sorted := make([][]graph.NodeID, n)
-	err := rt.Phase("PermuteGraph"+tag, func() error {
-		var bytes int64
-		for v := 0; v < n; v++ {
-			nv := graph.NodeID(v)
-			nbrs := append([]graph.NodeID(nil), g.Neighbors(nv)...)
-			sort.Slice(nbrs, func(i, j int) bool {
-				ri, rj := rank(nv, nbrs[i]), rank(nv, nbrs[j])
-				if ri != rj {
-					return ri < rj
-				}
-				return nbrs[i] < nbrs[j]
-			})
-			sorted[v] = nbrs
-			bytes += int64(codec.SizeOfNodeList(len(nbrs)))
-		}
-		rt.RecordShuffle("permute-graph"+tag, bytes)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sorted, nil
+// incident edges sorted by edge priority — one shuffle stage on the worker
+// pool (rankadj.Lists), which evaluates rank once per endpoint.
+func permuteGraph(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, tag string) ([]codec.NodeList, error) {
+	return rankadj.Lists(rt, "PermuteGraph"+tag, g, nil, rank)
 }
 
 // sortedStore runs the PermuteGraph shuffle and prepares the store holding
 // the edge-sorted graph plus the KV-write round that fills it — the shared
 // prefix of the single-pass plan and the truncated driver.
-func sortedStore(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, tag string) ([][]graph.NodeID, *dht.Store, ampc.Round, error) {
+func sortedStore(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, tag string) ([]codec.NodeList, *dht.Store, ampc.Round, error) {
 	sorted, err := permuteGraph(rt, g, rank, tag)
 	if err != nil {
 		return nil, nil, ampc.Round{}, err
@@ -219,7 +197,7 @@ func sortedStore(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, tag string) ([
 		return nil, nil, ampc.Round{}, err
 	}
 	write := rt.WriteTableRound("kv-write"+tag, store, g.NumNodes(), 1, func(item int) []byte {
-		return codec.EncodeNodeIDs(sorted[item])
+		return sorted[item].Encoded()
 	})
 	return sorted, store, write, nil
 }
@@ -272,7 +250,7 @@ func newPlan(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, tag string) (*Plan
 // per-machine key ranges spans — the ranges the write round declares — so
 // local(m) depends on write(m) alone; a token orders every spill sub-round
 // after every local one without naming any storage.
-func searchStages(rt *ampc.Runtime, store *dht.Store, sorted [][]graph.NodeID, rank RankFunc,
+func searchStages(rt *ampc.Runtime, store *dht.Store, sorted []codec.NodeList, rank RankFunc,
 	spans []dht.RangeSet, tag string) (local, spill ampc.Round, matching *seq.Matching) {
 	cfgD := rt.Config()
 	n := len(sorted)
@@ -449,7 +427,7 @@ func computeMatching(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, budget int
 // outside the range escapes and is left unresolved for the spill stage,
 // which passes spans == nil and finishes the remainder against the whole
 // store.
-func searchRound(rt *ampc.Runtime, name string, store *dht.Store, sorted [][]graph.NodeID,
+func searchRound(rt *ampc.Runtime, name string, store *dht.Store, sorted []codec.NodeList,
 	rank RankFunc, caches []*matchCache, mate []graph.NodeID, resolved []bool, mu *sync.Mutex,
 	spans []dht.RangeSet) ampc.Round {
 	n := len(sorted)
@@ -509,8 +487,16 @@ type searcher struct {
 
 // vertexProcess returns the mate of v in the random-greedy maximal matching
 // (graph.None when v stays unmatched).  sortedNbrs is v's adjacency sorted by
-// edge rank; pass nil to have it fetched.
-func (s *searcher) vertexProcess(v graph.NodeID, sortedNbrs []graph.NodeID) (graph.NodeID, error) {
+// edge rank when the caller holds it — the work item's list from the shuffle
+// — and the zero NodeList when it must be fetched.
+//
+// An EMPTY list also means "fetch": the drivers have always handed an
+// isolated vertex a nil list, indistinguishable from "not held", so every
+// degree-0 vertex pays one store lookup for the 4-byte encoding of its empty
+// list.  That lookup is part of the algorithm's KV traffic and modeled time
+// as recorded everywhere (bench's pinned stats, kv_bytes_per_edge, sim_s),
+// so it is kept; removing it is a declared traffic change (ROADMAP item 2).
+func (s *searcher) vertexProcess(v graph.NodeID, sortedNbrs codec.NodeList) (graph.NodeID, error) {
 	if st := s.cache.vertex(v); st.kind == vertexMatched {
 		return st.mate, nil
 	} else if st.kind == vertexUnmatched {
@@ -521,7 +507,7 @@ func (s *searcher) vertexProcess(v graph.NodeID, sortedNbrs []graph.NodeID) (gra
 	} else if ok {
 		return mate, nil
 	}
-	if sortedNbrs == nil {
+	if sortedNbrs.Len() == 0 {
 		var err error
 		sortedNbrs, err = s.fetchNeighbors(v)
 		if err != nil {
@@ -529,7 +515,8 @@ func (s *searcher) vertexProcess(v graph.NodeID, sortedNbrs []graph.NodeID) (gra
 		}
 	}
 	s.ctx.ChargeCompute(1)
-	for _, u := range sortedNbrs {
+	for i := 0; i < sortedNbrs.Len(); i++ {
+		u := sortedNbrs.At(i)
 		in, err := s.edgeProcess(v, u)
 		if err != nil {
 			return graph.None, err
@@ -584,20 +571,20 @@ func (s *searcher) edgeProcess(u, v graph.NodeID) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	s.ctx.ChargeCompute(len(au) + len(av))
+	s.ctx.ChargeCompute(au.Len() + av.Len())
 	// Merge the two rank-sorted adjacency lists, visiting adjacent edges of
 	// rank lower than (u,v) in increasing rank order.
 	i, j := 0, 0
-	for i < len(au) || j < len(av) {
+	for i < au.Len() || j < av.Len() {
 		var a, b graph.NodeID
 		var ra, rb uint64
-		haveA, haveB := i < len(au), j < len(av)
+		haveA, haveB := i < au.Len(), j < av.Len()
 		if haveA {
-			a = au[i]
+			a = au.At(i)
 			ra = s.rank(u, a)
 		}
 		if haveB {
-			b = av[j]
+			b = av.At(j)
 			rb = s.rank(v, b)
 		}
 		var x, y graph.NodeID
@@ -630,24 +617,26 @@ func (s *searcher) edgeProcess(u, v graph.NodeID) (bool, error) {
 	return true, nil
 }
 
-func (s *searcher) fetchNeighbors(v graph.NodeID) ([]graph.NodeID, error) {
+// fetchNeighbors reads v's edge-sorted list from the store and walks it in
+// place: the value of a frozen store does not change under the view.
+func (s *searcher) fetchNeighbors(v graph.NodeID) (codec.NodeList, error) {
 	if !s.span.Contains(uint64(v)) {
-		return nil, errEscape
+		return codec.NodeList{}, errEscape
 	}
 	if s.budget > 0 {
 		s.queries++
 		if s.queries > s.budget {
-			return nil, errTruncated
+			return codec.NodeList{}, errTruncated
 		}
 	}
 	raw, ok, err := s.ctx.Lookup(uint64(v))
 	if err != nil {
-		return nil, err
+		return codec.NodeList{}, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("matching: vertex %d missing from the key-value store", v)
+		return codec.NodeList{}, fmt.Errorf("matching: vertex %d missing from the key-value store", v)
 	}
-	return codec.DecodeNodeIDs(raw)
+	return codec.ViewNodeIDs(raw)
 }
 
 func (s *searcher) lookupPublishedMate(v graph.NodeID) (graph.NodeID, bool, error) {

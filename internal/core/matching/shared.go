@@ -16,7 +16,7 @@ import (
 // result state, through the session's compiled-plan cache.
 type Shared struct {
 	rank   RankFunc
-	sorted [][]graph.NodeID
+	sorted []codec.NodeList
 	store  *dht.Store
 	spans  []dht.RangeSet
 }
@@ -46,7 +46,7 @@ func NewShared(rt *ampc.Runtime, g *graph.Graph) (*Shared, error) {
 	}
 	if !store.Frozen() {
 		write := rt.WriteTableRound("kv-write", store, n, 1, func(item int) []byte {
-			return codec.EncodeNodeIDs(sorted[item])
+			return sorted[item].Encoded()
 		})
 		if err := rt.Phase("KV-Write", func() error { return rt.Run(write) }); err != nil {
 			return nil, err

@@ -28,7 +28,7 @@ import (
 type batchSearcher struct {
 	ctx   *ampc.Ctx
 	cache *statusCache
-	lists map[graph.NodeID][]graph.NodeID
+	lists map[graph.NodeID]codec.NodeList
 }
 
 // eval returns v's status, or the vertex whose directed neighbor list must
@@ -43,8 +43,8 @@ func (s *batchSearcher) eval(v graph.NodeID) (status, graph.NodeID) {
 	if !ok {
 		return statusUnknown, v
 	}
-	for _, u := range lst {
-		st, need := s.eval(u)
+	for i := 0; i < lst.Len(); i++ {
+		st, need := s.eval(lst.At(i))
 		if need != graph.None {
 			return statusUnknown, need
 		}
@@ -65,7 +65,7 @@ func (s *batchSearcher) eval(v graph.NodeID) (status, graph.NodeID) {
 // inside spans[machine]: a search that suspends on an out-of-range key
 // escapes — its iterator completes without resolving the vertex — and the
 // spill stage (spans == nil) finishes it against the whole store.
-func batchSearchRound(rt *ampc.Runtime, phaseName string, store *dht.Store, directed [][]graph.NodeID,
+func batchSearchRound(rt *ampc.Runtime, phaseName string, store *dht.Store, directed []codec.NodeList,
 	caches []*statusCache, inMIS, resolved []bool, mu *sync.Mutex, spans []dht.RangeSet) ampc.Round {
 	n := len(directed)
 	size := rt.Config().BatchSize
@@ -87,7 +87,7 @@ func batchSearchRound(rt *ampc.Runtime, phaseName string, store *dht.Store, dire
 			s := &batchSearcher{
 				ctx:   ctx,
 				cache: cache,
-				lists: make(map[graph.NodeID][]graph.NodeID, hi-lo),
+				lists: make(map[graph.NodeID]codec.NodeList, hi-lo),
 			}
 			its := make([]ampc.Iterator, 0, hi-lo)
 			for v := lo; v < hi; v++ {
@@ -116,7 +116,7 @@ func batchSearchRound(rt *ampc.Runtime, phaseName string, store *dht.Store, dire
 					if !ok {
 						return fmt.Errorf("mis: vertex %d missing from the key-value store", k)
 					}
-					nbrs, err := codec.DecodeNodeIDs(raw)
+					nbrs, err := codec.ViewNodeIDs(raw)
 					if err != nil {
 						return err
 					}

@@ -1,10 +1,7 @@
 package mis
 
 import (
-	"sort"
-
 	"ampcgraph/internal/ampc"
-	"ampcgraph/internal/codec"
 	"ampcgraph/internal/dht"
 	"ampcgraph/internal/graph"
 	"ampcgraph/internal/rng"
@@ -25,23 +22,9 @@ func runWithFaultInjection(rt *ampc.Runtime, g *graph.Graph, inject func([]store
 	n := g.NumNodes()
 	rt.SetOwnership(graph.DegreeWeights(g))
 	prio := rng.VertexPriorities(cfg.Seed, n)
-	less := func(a, b graph.NodeID) bool {
-		if prio[a] != prio[b] {
-			return prio[a] < prio[b]
-		}
-		return a < b
-	}
-	directed := make([][]graph.NodeID, n)
-	for v := 0; v < n; v++ {
-		nv := graph.NodeID(v)
-		var earlier []graph.NodeID
-		for _, u := range g.Neighbors(nv) {
-			if less(u, nv) {
-				earlier = append(earlier, u)
-			}
-		}
-		sort.Slice(earlier, func(i, j int) bool { return less(earlier[i], earlier[j]) })
-		directed[v] = earlier
+	directed, err := directGraph(rt, g, prio)
+	if err != nil {
+		return nil, err
 	}
 	store, err := rt.OpenStore("directed-graph")
 	if err != nil {
@@ -52,7 +35,7 @@ func runWithFaultInjection(rt *ampc.Runtime, g *graph.Graph, inject func([]store
 		Items:       n,
 		Partitioner: rt.OwnerPartitioner(n),
 		Body: func(ctx *ampc.Ctx, item int) error {
-			return ctx.Write(store, uint64(item), codec.EncodeNodeIDs(directed[item]))
+			return ctx.Write(store, uint64(item), directed[item].Encoded())
 		},
 	})
 	if err != nil {

@@ -23,11 +23,11 @@ package mis
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"ampcgraph/internal/ampc"
 	"ampcgraph/internal/codec"
+	"ampcgraph/internal/core/rankadj"
 	"ampcgraph/internal/dht"
 	"ampcgraph/internal/graph"
 	"ampcgraph/internal/rng"
@@ -99,43 +99,17 @@ func RunTruncated(g *graph.Graph, cfg ampc.Config) (*Result, error) {
 
 // directGraph runs the DirectGraph shuffle (Step 1): every vertex keeps only
 // its neighbors of higher priority (earlier rank), sorted by rank.  In the
-// dataflow implementation this is the single shuffle of the algorithm.
-func directGraph(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([][]graph.NodeID, error) {
-	n := g.NumNodes()
-	less := func(a, b graph.NodeID) bool {
-		if prio[a] != prio[b] {
-			return prio[a] < prio[b]
-		}
-		return a < b
-	}
-	directed := make([][]graph.NodeID, n)
-	err := rt.Phase("DirectGraph", func() error {
-		var bytes int64
-		for v := 0; v < n; v++ {
-			nv := graph.NodeID(v)
-			var earlier []graph.NodeID
-			for _, u := range g.Neighbors(nv) {
-				if less(u, nv) {
-					earlier = append(earlier, u)
-				}
-			}
-			sort.Slice(earlier, func(i, j int) bool { return less(earlier[i], earlier[j]) })
-			directed[v] = earlier
-			bytes += int64(codec.SizeOfNodeList(len(earlier)))
-		}
-		rt.RecordShuffle("direct-graph", bytes)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return directed, nil
+// dataflow implementation this is the single shuffle of the algorithm; here
+// it is one shuffle stage on the worker pool (rankadj.Lists).
+func directGraph(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([]codec.NodeList, error) {
+	earlier := func(v, u graph.NodeID) bool { return prio[u] < prio[v] || prio[u] == prio[v] && u < v }
+	return rankadj.Lists(rt, "DirectGraph", g, earlier, func(_, u graph.NodeID) uint64 { return prio[u] })
 }
 
 // directedStore runs the DirectGraph shuffle and prepares the store holding
 // the directed graph plus the KV-write round that fills it — the shared
 // prefix of the single-pass plan and the truncated driver.
-func directedStore(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([][]graph.NodeID, *dht.Store, ampc.Round, error) {
+func directedStore(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([]codec.NodeList, *dht.Store, ampc.Round, error) {
 	directed, err := directGraph(rt, g, prio)
 	if err != nil {
 		return nil, nil, ampc.Round{}, err
@@ -145,7 +119,7 @@ func directedStore(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([][]graph.N
 		return nil, nil, ampc.Round{}, err
 	}
 	write := rt.WriteTableRound("kv-write", store, g.NumNodes(), 1, func(item int) []byte {
-		return codec.EncodeNodeIDs(directed[item])
+		return directed[item].Encoded()
 	})
 	return directed, store, write, nil
 }
@@ -197,7 +171,7 @@ func NewPlan(rt *ampc.Runtime, g *graph.Graph) (*Plan, error) {
 // per-machine key ranges spans — the ranges the write round declares — so
 // local(m) depends on write(m) alone; a token orders every spill sub-round
 // after every local one without naming any storage.
-func searchStages(rt *ampc.Runtime, store *dht.Store, directed [][]graph.NodeID, prio []uint64,
+func searchStages(rt *ampc.Runtime, store *dht.Store, directed []codec.NodeList, prio []uint64,
 	spans []dht.RangeSet) (local, spill ampc.Round, inMIS []bool) {
 	cfgD := rt.Config()
 	n := len(directed)
@@ -379,7 +353,7 @@ func run(g *graph.Graph, cfg ampc.Config, budget int) (*Result, error) {
 // needs a key outside the range escapes and is left unresolved for the spill
 // stage, which passes spans == nil and finishes the remainder against the
 // whole store.
-func searchRound(rt *ampc.Runtime, name string, store *dht.Store, directed [][]graph.NodeID, prio []uint64,
+func searchRound(rt *ampc.Runtime, name string, store *dht.Store, directed []codec.NodeList, prio []uint64,
 	caches []*statusCache, inMIS, resolved []bool, mu *sync.Mutex, spans []dht.RangeSet) ampc.Round {
 	n := len(directed)
 	return ampc.Round{
@@ -441,9 +415,19 @@ type searcher struct {
 }
 
 // inMIS reports whether v belongs to the MIS.  neighbors is v's directed
-// (earlier, rank-sorted) neighborhood; pass nil to have it fetched from the
-// store.
-func (s *searcher) inMIS(v graph.NodeID, neighbors []graph.NodeID) (bool, error) {
+// (earlier, rank-sorted) neighborhood when the caller holds it — the work
+// item's list from the shuffle — and the zero NodeList when it must be
+// fetched.
+//
+// An EMPTY list also means "fetch": the drivers have always handed a
+// vertex with no earlier neighbor a nil list, which is indistinguishable from
+// "not held", so every such vertex — each of them is in the MIS — pays one
+// store lookup for the 4-byte encoding of its empty list before the loop
+// below finds nothing to do.  That lookup is part of the algorithm's KV
+// traffic and modeled time as recorded everywhere (bench's pinned stats,
+// kv_bytes_per_edge, sim_s), so it is kept; removing it is a declared
+// traffic change (ROADMAP item 2).
+func (s *searcher) inMIS(v graph.NodeID, neighbors codec.NodeList) (bool, error) {
 	if st := s.cache.get(v); st != statusUnknown {
 		return st == statusIn, nil
 	}
@@ -457,7 +441,7 @@ func (s *searcher) inMIS(v graph.NodeID, neighbors []graph.NodeID) (bool, error)
 			return in, nil
 		}
 	}
-	if neighbors == nil {
+	if neighbors.Len() == 0 {
 		var err error
 		neighbors, err = s.fetchNeighbors(v)
 		if err != nil {
@@ -465,8 +449,8 @@ func (s *searcher) inMIS(v graph.NodeID, neighbors []graph.NodeID) (bool, error)
 		}
 	}
 	s.ctx.ChargeCompute(1)
-	for _, u := range neighbors {
-		in, err := s.inMIS(u, nil)
+	for i := 0; i < neighbors.Len(); i++ {
+		in, err := s.inMIS(neighbors.At(i), codec.NodeList{})
 		if err != nil {
 			return false, err
 		}
@@ -479,24 +463,26 @@ func (s *searcher) inMIS(v graph.NodeID, neighbors []graph.NodeID) (bool, error)
 	return true, nil
 }
 
-func (s *searcher) fetchNeighbors(v graph.NodeID) ([]graph.NodeID, error) {
+// fetchNeighbors reads v's directed list from the store and walks it in
+// place: the value of a frozen store does not change under the view.
+func (s *searcher) fetchNeighbors(v graph.NodeID) (codec.NodeList, error) {
 	if !s.span.Contains(uint64(v)) {
-		return nil, errEscape
+		return codec.NodeList{}, errEscape
 	}
 	if s.budget > 0 {
 		s.queries++
 		if s.queries > s.budget {
-			return nil, errTruncated
+			return codec.NodeList{}, errTruncated
 		}
 	}
 	raw, ok, err := s.ctx.Lookup(uint64(v))
 	if err != nil {
-		return nil, err
+		return codec.NodeList{}, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("mis: vertex %d missing from the key-value store", v)
+		return codec.NodeList{}, fmt.Errorf("mis: vertex %d missing from the key-value store", v)
 	}
-	return codec.DecodeNodeIDs(raw)
+	return codec.ViewNodeIDs(raw)
 }
 
 func (s *searcher) ctxLookupStatus(v graph.NodeID) (status, bool, error) {

@@ -17,7 +17,7 @@ import (
 // job-private result state — through the session's compiled-plan cache.
 type Shared struct {
 	prio     []uint64
-	directed [][]graph.NodeID
+	directed []codec.NodeList
 	store    *dht.Store
 	spans    []dht.RangeSet
 }
@@ -48,7 +48,7 @@ func NewShared(rt *ampc.Runtime, g *graph.Graph) (*Shared, error) {
 	}
 	if !store.Frozen() {
 		write := rt.WriteTableRound("kv-write", store, n, 1, func(item int) []byte {
-			return codec.EncodeNodeIDs(directed[item])
+			return directed[item].Encoded()
 		})
 		if err := rt.Phase("KV-Write", func() error { return rt.Run(write) }); err != nil {
 			return nil, err

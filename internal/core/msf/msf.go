@@ -108,16 +108,7 @@ func runPrimPipeline(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, err
 	budget := cfg.SpaceBudget(n)
 
 	// Phase 1: sort each adjacency list by edge weight (one shuffle).
-	var sorted []codec.WeightedList
-	err := rt.Phase("SortGraph"+tag, func() error {
-		sorted = sortGraph(g)
-		var bytes int64
-		for _, l := range sorted {
-			bytes += int64(len(l.Encoded()))
-		}
-		rt.RecordShuffle("sort-graph"+tag, bytes)
-		return nil
-	})
+	sorted, err := sortGraph(rt, g, tag)
 	if err != nil {
 		return nil, err
 	}

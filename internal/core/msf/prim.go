@@ -55,29 +55,41 @@ func neighborCmp(a, b codec.WeightedNeighbor) int {
 	return cmp.Compare(a.Node, b.Node)
 }
 
-// sortGraph is the SortGraph step: it sorts every adjacency list of g by
-// edge order and encodes the lists back to back into one buffer, returning
-// one view per vertex.  The views double as the values of the key-value
-// write and as the lists the searches start from.
-func sortGraph(g *graph.Graph) []codec.WeightedList {
-	n := g.NumNodes()
-	size := 0
-	for v := 0; v < n; v++ {
-		size += codec.SizeOfWeightedList(g.Degree(graph.NodeID(v)))
-	}
-	arena := make([]byte, 0, size)
-	lists := make([]codec.WeightedList, n)
-	scratch := make([]codec.WeightedNeighbor, 0, g.MaxDegree())
-	for v := 0; v < n; v++ {
-		nv := graph.NodeID(v)
-		scratch = scratch[:0]
-		for i, u := range g.Neighbors(nv) {
-			scratch = append(scratch, codec.WeightedNeighbor{Node: u, Weight: g.EdgeWeight(nv, i)})
+// sortGraph is the SortGraph step, one shuffle stage on rt's worker pool: it
+// sorts every adjacency list of g by edge order and encodes the lists back to
+// back into one exactly sized arena per chunk of vertices, returning one view
+// per vertex.  The views double as the values of the key-value write and as
+// the lists the searches start from.  The shuffle is accounted as the encoded
+// size of the lists.
+func sortGraph(rt *ampc.Runtime, g *graph.Graph, tag string) ([]codec.WeightedList, error) {
+	lists := make([]codec.WeightedList, g.NumNodes())
+	scratch := make([][]codec.WeightedNeighbor, rt.PoolSize()) // one per worker
+	maxDeg := g.MaxDegree()
+	err := rt.Shuffle("SortGraph"+tag, len(lists), func(w, lo, hi int) (int64, error) {
+		if scratch[w] == nil {
+			scratch[w] = make([]codec.WeightedNeighbor, 0, maxDeg)
 		}
-		slices.SortFunc(scratch, neighborCmp)
-		arena, lists[v] = codec.AppendWeightedList(arena, scratch)
+		size := 0
+		for v := lo; v < hi; v++ {
+			size += codec.SizeOfWeightedList(g.Degree(graph.NodeID(v)))
+		}
+		arena := make([]byte, 0, size)
+		list := scratch[w]
+		for v := lo; v < hi; v++ {
+			nv := graph.NodeID(v)
+			list = list[:0]
+			for i, u := range g.Neighbors(nv) {
+				list = append(list, codec.WeightedNeighbor{Node: u, Weight: g.EdgeWeight(nv, i)})
+			}
+			slices.SortFunc(list, neighborCmp)
+			arena, lists[v] = codec.AppendWeightedList(arena, list)
+		}
+		return int64(size), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return lists
+	return lists, nil
 }
 
 // primOutcome is what one truncated Prim search reports.

@@ -98,7 +98,7 @@ func TestLazyFrontierMatchesEagerSearch(t *testing.T) {
 	}
 	for name, g := range graphs {
 		n := g.NumNodes()
-		views := sortGraph(g)
+		views := sortedLists(t, g)
 		decoded := make([][]codec.WeightedNeighbor, n)
 		for v := range decoded {
 			var err error
@@ -143,7 +143,7 @@ func sameOutcome(got, want primOutcome) error {
 // what lets the frontier look only at list heads.
 func TestSortGraphOrder(t *testing.T) {
 	g := tiedWeights(gen.PreferentialAttachment(200, 4, 3), 3, 5)
-	lists := sortGraph(g)
+	lists := sortedLists(t, g)
 	for v := 0; v < g.NumNodes(); v++ {
 		nv := graph.NodeID(v)
 		l := lists[v]

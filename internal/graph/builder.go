@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates edges and produces an immutable Graph.  Edges may be
@@ -50,14 +51,16 @@ func (b *Builder) Build() *Graph {
 		}
 		canon = append(canon, e.Canonical())
 	}
-	sort.Slice(canon, func(i, j int) bool {
-		if canon[i].U != canon[j].U {
-			return canon[i].U < canon[j].U
+	// The order is total up to exact duplicates, which dedup cannot tell
+	// apart, so an unstable sort builds the same graph.
+	slices.SortFunc(canon, func(a, b WeightedEdge) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-		if canon[i].V != canon[j].V {
-			return canon[i].V < canon[j].V
+		if c := cmp.Compare(a.V, b.V); c != 0 {
+			return c
 		}
-		return canon[i].W < canon[j].W
+		return cmp.Compare(a.W, b.W)
 	})
 	dedup := canon[:0]
 	for _, e := range canon {
@@ -95,28 +98,10 @@ func (b *Builder) Build() *Graph {
 		place(e.U, e.V, e.W)
 		place(e.V, e.U, e.W)
 	}
-	// Sort each neighbor list (weights move with neighbors).
-	for v := 0; v < b.n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		if g.weights == nil {
-			s := g.adj[lo:hi]
-			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-			continue
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = i
-		}
-		a, w := g.adj[lo:hi], g.weights[lo:hi]
-		sort.Slice(idx, func(i, j int) bool { return a[idx[i]] < a[idx[j]] })
-		na := make([]NodeID, len(idx))
-		nw := make([]float64, len(idx))
-		for i, k := range idx {
-			na[i], nw[i] = a[k], w[k]
-		}
-		copy(a, na)
-		copy(w, nw)
-	}
+	// Every neighbor list is already sorted: dedup is in (U, V) order with
+	// U < V, so vertex x first receives its smaller neighbors — the U of the
+	// edges (u, x), met in increasing u, all before any edge whose U is x —
+	// and then its larger ones, the V of the edges (x, v), in increasing v.
 	return g
 }
 
