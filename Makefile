@@ -124,12 +124,14 @@ bench-wall-smoke:
 	$(GO) test ./benchmark
 
 # microbench runs the layer micro-benchmarks once each — the three shuffle
-# stages on the HL stand-in (DirectGraph, PermuteGraph, SortGraph) and the
-# placement lookup — so they keep compiling and running; it measures nothing.
+# stages on the HL stand-in (DirectGraph, PermuteGraph, SortGraph), the batch
+# read path (the streamed cycle walk, a warm ReadMany, the per-batch shard
+# grouping) and the placement lookup — so they keep compiling and running; it
+# measures nothing.
 # For numbers: go test -run '^$$' -bench <name> -benchmem -count 5 <package>.
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkLocalTo$$' -benchtime=1x \
-		./internal/core/mis ./internal/core/matching ./internal/core/msf ./internal/dht
+	$(GO) test -run '^$$' -bench 'BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$' -benchtime=1x \
+		./internal/core/mis ./internal/core/matching ./internal/core/msf ./internal/core/cycle ./internal/ampc ./internal/dht
 
 # cover-check enforces a statement-coverage floor on the runtime-critical
 # packages (the segment executor in internal/ampc and the store layer in

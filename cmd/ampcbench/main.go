@@ -27,6 +27,10 @@
 // -datasets names others) and the gate rows of whatever ran are written to
 // the path: `make bench-smoke` names the gated experiments and writes
 // BENCH_smoke.json, which cmd/benchcheck holds fresh runs against.
+//
+// -cpuprofile and -memprofile cover the experiment runs (dataset generation
+// included — an experiment builds its own inputs); read them with
+// `go tool pprof`.  A run that fails leaves no usable profile.
 package main
 
 import (
@@ -36,6 +40,7 @@ import (
 	"strings"
 
 	"ampcgraph/internal/bench"
+	"ampcgraph/internal/prof"
 )
 
 // benchFlags is the shared flag set: every experiment sees the same flags,
@@ -53,6 +58,8 @@ type benchFlags struct {
 	pipeline   bool
 	backend    string
 	jsonPath   string
+	cpuProfile string
+	memProfile string
 }
 
 func (f *benchFlags) register(fs *flag.FlagSet) {
@@ -68,6 +75,8 @@ func (f *benchFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.pipeline, "pipeline", false, "run the AMPC algorithms with dependency-aware round pipelining")
 	fs.StringVar(&f.backend, "backend", "", "shard storage backend for the AMPC runs: mem (default), disk, or rpc")
 	fs.StringVar(&f.jsonPath, "json", "", "run on the pinned smoke datasets and write the gate rows of the experiments that ran to this path")
+	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of the experiment runs to this file")
+	fs.StringVar(&f.memProfile, "memprofile", "", "write an allocation profile of the experiment runs to this file")
 }
 
 func (f *benchFlags) options() bench.Options {
@@ -128,6 +137,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ampcbench: %v\n", err)
 		os.Exit(2)
 	}
+	stopProfiles, err := prof.Start(f.cpuProfile, f.memProfile)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	if f.jsonPath != "" {
 		snap, reps, err := bench.RunSnapshot(exps, opts)
 		for _, rep := range reps {
@@ -140,14 +153,17 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Printf("wrote %s\n", f.jsonPath)
-		return
-	}
-	for _, e := range exps {
-		rep, _, err := e.Run(opts)
-		if err != nil {
-			fatalf("%s: %v", e.Name, err)
+	} else {
+		for _, e := range exps {
+			rep, _, err := e.Run(opts)
+			if err != nil {
+				fatalf("%s: %v", e.Name, err)
+			}
+			fmt.Println(rep.String())
 		}
-		fmt.Println(rep.String())
+	}
+	if err := stopProfiles(); err != nil {
+		fatalf("%v", err)
 	}
 }
 

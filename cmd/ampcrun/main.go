@@ -9,17 +9,18 @@
 //	ampcrun -algorithm mpc-mis -dataset OK
 //	ampcrun -algorithm cycle -cycle-length 100000 -single=false
 //	ampcrun -algorithm matching -dataset HL -machines 2 -threads 1 -cpuprofile cpu.prof -memprofile mem.prof
+//	ampcrun -algorithm cycle -cycle-length 200000 -machines 2 -threads 1 -batch -pipeline -placement weighted -cpuprofile cpu.prof
 //
-// -cpuprofile and -memprofile cover the algorithm run only, not the dataset
-// generation before it; read them with `go tool pprof`.
+// -batch, -pipeline and -placement set the ampc.Config fields of the same
+// names, spelled as ampcbench spells them.  -cpuprofile and -memprofile cover
+// the algorithm run only, not the dataset generation before it; read them
+// with `go tool pprof`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"ampcgraph/internal/ampc"
@@ -35,6 +36,7 @@ import (
 	"ampcgraph/internal/gen"
 	"ampcgraph/internal/graph"
 	"ampcgraph/internal/mpc"
+	"ampcgraph/internal/prof"
 	"ampcgraph/internal/simtime"
 )
 
@@ -51,12 +53,21 @@ func main() {
 		cycleLength = flag.Int("cycle-length", 100_000, "cycle length for -algorithm cycle")
 		single      = flag.Bool("single", false, "use a single cycle instead of two for -algorithm cycle")
 		threshold   = flag.Int("mpc-threshold", 2000, "in-memory switch-over threshold for MPC baselines")
+		batch       = flag.Bool("batch", false, "run the AMPC algorithm with the shard-grouped batch pipeline")
+		pipelined   = flag.Bool("pipeline", false, "run the AMPC algorithm with dependency-aware round pipelining")
+		placement   = flag.String("placement", ampc.PlacementHash, "shard placement policy: hash | owner | weighted")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the algorithm run to this file")
 		memProfile  = flag.String("memprofile", "", "write an allocation profile of the algorithm run to this file")
 	)
 	flag.Parse()
 
-	cfg := ampc.Config{Machines: *machines, Threads: *threads, EnableCache: *cache, Seed: *seed}
+	cfg := ampc.Config{Machines: *machines, Threads: *threads, EnableCache: *cache, Seed: *seed,
+		Batch: *batch, Pipeline: *pipelined, Placement: *placement}
+	switch *placement {
+	case ampc.PlacementHash, ampc.PlacementOwnerAffine, ampc.PlacementWeighted:
+	default:
+		fail(fmt.Errorf("unknown placement %q", *placement))
+	}
 	switch *model {
 	case "rdma":
 		cfg.Model = simtime.RDMA()
@@ -81,7 +92,8 @@ func main() {
 	fmt.Println(gen.DescribeDataset(*dataset, g))
 
 	pipeline := mpc.NewPipeline(mpc.Config{Seed: *seed, Model: cfg.Model})
-	stopProfiles := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	exitOn(err)
 	start := time.Now()
 	switch *algorithm {
 	case "mis":
@@ -145,33 +157,7 @@ func main() {
 		fail(fmt.Errorf("unknown algorithm %q", *algorithm))
 	}
 	fmt.Printf("wall-clock: %s\n", time.Since(start).Round(time.Millisecond))
-	stopProfiles()
-}
-
-// startProfiles starts the CPU profile, if one was asked for, and returns the
-// function that ends it and writes the allocation profile.  A run that fails
-// exits without calling it and leaves no usable profile.
-func startProfiles(cpuPath, memPath string) (stop func()) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		var err error
-		cpuFile, err = os.Create(cpuPath)
-		exitOn(err)
-		exitOn(pprof.StartCPUProfile(cpuFile))
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			exitOn(cpuFile.Close())
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			exitOn(err)
-			runtime.GC() // so the profile holds every allocation of the run
-			exitOn(pprof.Lookup("allocs").WriteTo(f, 0))
-			exitOn(f.Close())
-		}
-	}
+	exitOn(stopProfiles())
 }
 
 func printAMPCStats(st ampc.Stats) {

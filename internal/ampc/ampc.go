@@ -75,6 +75,20 @@
 // reports the grouping achieved (BatchesIssued, BatchedKeys,
 // ShardVisitsSaved, KVShardVisits).
 //
+// How blocks are formed: a round over the dense key range cuts it into a
+// fixed grid of BatchSize keys and gives each block to the owner of its
+// first key (BlockOwnerPartitioner; at most one block per ownership boundary
+// straddles it).  A round over an indirect item list — the cycle walk's
+// samples — cuts the list at every ownership change as well
+// (OwnerCutBlocks), because there a grid block can be the whole round and
+// one machine would run all of it.  What a fetch cycle costs: Ctx.Stream
+// allocates its live window, key list, dedupe set and result slices once per
+// call and reuses them every cycle; the cache is probed and filled once per
+// batch under one lock (dht.Cache.PeekMany / FillMany); the store groups the
+// batch by shard with a counting sort into one buffer.  A cycle therefore
+// allocates the store's reply — a handful of slices per batch plus two per
+// shard visited — and nothing per key.
+//
 // # Placement and the persistent pool
 //
 // Beyond grouping requests, the runtime can also move the data next to the

@@ -2,6 +2,7 @@ package ampc
 
 import (
 	"fmt"
+	"sync"
 
 	"ampcgraph/internal/dht"
 )
@@ -26,72 +27,100 @@ func (c *Ctx) ReadMany(keys []uint64) ([][]byte, []bool, error) {
 		return nil, nil, nil
 	}
 	c.queries.Add(int64(len(keys)))
+	if c.cache == nil {
+		return c.fetch(keys)
+	}
 	vals := make([][]byte, len(keys))
 	oks := make([]bool, len(keys))
-	missKeys := keys
-	var missPos, missIdx []int // position in keys / index into missKeys
-	if c.cache != nil {
-		missKeys = missKeys[:0:0]
-		index := make(map[uint64]int)
-		for i, k := range keys {
-			if v, ok, cached := c.cache.Peek(k); cached {
-				vals[i] = v
-				oks[i] = ok
-				c.latency.Add(int64(dramLookupLatency))
-				continue
-			}
-			// Deduplicate uncached keys so a repeated key is fetched — and
-			// counted as a cache miss — once, as on the single-key path
-			// where only the first access reaches the store.
-			j, seen := index[k]
-			if !seen {
-				j = len(missKeys)
-				index[k] = j
-				missKeys = append(missKeys, k)
-			}
-			missPos = append(missPos, i)
-			missIdx = append(missIdx, j)
-		}
-		if len(missKeys) == 0 {
-			return vals, oks, nil
-		}
+	missPos := c.cache.PeekMany(keys, vals, oks, nil)
+	c.latency.Add(int64(len(keys)-len(missPos)) * int64(dramLookupLatency))
+	if len(missPos) == 0 {
+		return vals, oks, nil
 	}
-	mv, mo, visits, err := c.readView.BatchGet(missKeys)
+	// Deduplicate uncached keys so a repeated key is fetched — and counted
+	// as a cache miss — once, as on the single-key path where only the
+	// first access reaches the store.
+	missKeys := make([]uint64, 0, len(missPos))
+	missIdx := make([]int, len(missPos)) // index into missKeys
+	index := make(map[uint64]int, len(missPos))
+	for t, p := range missPos {
+		k := keys[p]
+		j, seen := index[k]
+		if !seen {
+			j = len(missKeys)
+			index[k] = j
+			missKeys = append(missKeys, k)
+		}
+		missIdx[t] = j
+	}
+	mv, mo, err := c.fetch(missKeys)
 	if err != nil {
 		return nil, nil, err
 	}
-	c.recordBatch(len(missKeys), visits.Total())
-	c.latency.Add(int64(c.job.cfg.Model.BatchReadCostSplit(visits.Local, visits.Remote, len(missKeys))))
-	if missPos == nil {
-		copy(vals, mv)
-		copy(oks, mo)
-	} else {
-		for j := range missKeys {
-			c.cache.Fill(missKeys[j], mv[j], mo[j])
-		}
-		for t, p := range missPos {
-			vals[p] = mv[missIdx[t]]
-			oks[p] = mo[missIdx[t]]
-		}
+	c.cache.FillMany(missKeys, mv, mo)
+	for t, p := range missPos {
+		vals[p] = mv[missIdx[t]]
+		oks[p] = mo[missIdx[t]]
 	}
 	return vals, oks, nil
 }
 
-// FetchInto reads all keys in one shard-grouped batch and hands each result
-// to fill.  It is the shared tail of the streaming iterator driver (see
-// Ctx.Stream): collect a cycle's missing keys, fetch them together, decode
-// into local state.
-func (c *Ctx) FetchInto(keys []uint64, fill func(key uint64, raw []byte, ok bool) error) error {
-	vals, oks, err := c.ReadMany(keys)
+// fetch reads keys from the store in one shard-grouped batch, past the
+// cache, recording the batch and its modeled cost.
+func (c *Ctx) fetch(keys []uint64) ([][]byte, []bool, error) {
+	vals, oks, visits, err := c.readView.BatchGet(keys)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	for i, k := range keys {
-		if err := fill(k, vals[i], oks[i]); err != nil {
-			return err
-		}
+	c.recordBatch(len(keys), visits.Total())
+	c.latency.Add(int64(c.job.cfg.Model.BatchReadCostSplit(visits.Local, visits.Remote, len(keys))))
+	return vals, oks, nil
+}
+
+// readScratch holds the slices one caller of readUnique reuses from fetch
+// cycle to fetch cycle.
+type readScratch struct {
+	vals     [][]byte
+	oks      []bool
+	missPos  []int
+	missKeys []uint64
+}
+
+// readUnique is ReadMany for keys the caller has already made distinct — one
+// Stream cycle's — so nothing is deduplicated again, and its results live in
+// sc: valid until the next call with the same scratch.  Counters and modeled
+// latency are ReadMany's, key for key.
+func (c *Ctx) readUnique(keys []uint64, sc *readScratch) ([][]byte, []bool, error) {
+	if c.read == nil {
+		return nil, nil, fmt.Errorf("ampc: round has no input store")
 	}
-	return nil
+	c.queries.Add(int64(len(keys)))
+	if c.cache == nil {
+		return c.fetch(keys)
+	}
+	if cap(sc.vals) < len(keys) {
+		sc.vals = make([][]byte, len(keys))
+		sc.oks = make([]bool, len(keys))
+	}
+	vals, oks := sc.vals[:len(keys)], sc.oks[:len(keys)]
+	sc.missPos = c.cache.PeekMany(keys, vals, oks, sc.missPos[:0])
+	c.latency.Add(int64(len(keys)-len(sc.missPos)) * int64(dramLookupLatency))
+	if len(sc.missPos) == 0 {
+		return vals, oks, nil
+	}
+	sc.missKeys = sc.missKeys[:0]
+	for _, p := range sc.missPos {
+		sc.missKeys = append(sc.missKeys, keys[p])
+	}
+	mv, mo, err := c.fetch(sc.missKeys)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.cache.FillMany(sc.missKeys, mv, mo)
+	for t, p := range sc.missPos {
+		vals[p], oks[p] = mv[t], mo[t]
+	}
+	return vals, oks, nil
 }
 
 // WriteMany stores all pairs into the given output hash table in one
@@ -193,6 +222,9 @@ func (s *Session) WriteTableRound(name string, store *dht.Store, items, computeP
 		}
 	}
 	size := s.cfg.BatchSize
+	// A worker's pair block, reused across the blocks it writes: WriteMany
+	// does not keep the slice (the store, or the fault-budget buffer, copies).
+	var scratch sync.Pool
 	return Round{
 		Name:        name,
 		Items:       NumBlocks(items, size),
@@ -200,12 +232,20 @@ func (s *Session) WriteTableRound(name string, store *dht.Store, items, computeP
 		Partitioner: s.BlockOwnerPartitioner(size, items),
 		Body: func(ctx *Ctx, block int) error {
 			lo, hi := BlockBounds(block, size, items)
-			pairs := make([]dht.Pair, 0, hi-lo)
+			buf, _ := scratch.Get().(*[]dht.Pair)
+			if buf == nil {
+				buf = new([]dht.Pair)
+			}
+			pairs := (*buf)[:0]
 			for i := lo; i < hi; i++ {
 				pairs = append(pairs, dht.Pair{Key: uint64(i), Value: value(i)})
 			}
 			ctx.ChargeCompute(computePerItem * (hi - lo))
-			return ctx.WriteMany(store, pairs)
+			err := ctx.WriteMany(store, pairs)
+			clear(pairs) // do not pin the values while the block sits in the pool
+			*buf = pairs
+			scratch.Put(buf)
+			return err
 		},
 	}
 }

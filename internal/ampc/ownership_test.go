@@ -2,6 +2,9 @@ package ampc
 
 import (
 	"encoding/binary"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"ampcgraph/internal/dht"
@@ -182,5 +185,59 @@ func TestWeightedPlacementKeepsOwnedTrafficLocal(t *testing.T) {
 	}
 	if st.KVRemoteBytes != 0 {
 		t.Fatalf("owned traffic moved %d remote bytes", st.KVRemoteBytes)
+	}
+}
+
+// TestOwnerCutBlocks: the blocks partition the item list in order, none is
+// larger than size or holds items of two owners, a block is cut short only at
+// an ownership change, and every machine owning an item gets one — on sorted
+// item lists (samples in vertex order) and unsorted ones, under the uniform
+// and the weighted partition.
+func TestOwnerCutBlocks(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		machines, keys := 1+rnd.Intn(5), 1+rnd.Intn(400)
+		cfg := Config{Machines: machines}
+		if trial%2 == 1 {
+			cfg.Placement = PlacementWeighted
+		}
+		s := NewSession(cfg)
+		s.SetOwnership(skewedWeights(keys))
+		items := make([]int, rnd.Intn(120))
+		for i := range items {
+			items[i] = rnd.Intn(keys)
+		}
+		if trial%3 != 0 {
+			sort.Ints(items)
+		}
+		size := 1 + rnd.Intn(40)
+		blocks := s.OwnerCutBlocks(size, len(items), keys, func(i int) int { return items[i] })
+		owns, runs := make([]bool, machines), make([]bool, machines)
+		next := 0
+		for b, blk := range blocks {
+			if blk.Lo != next || blk.Hi <= blk.Lo || blk.Hi-blk.Lo > size {
+				t.Fatalf("trial %d: block %d = %+v after item %d, size %d", trial, b, blk, next, size)
+			}
+			next = blk.Hi
+			runs[blk.Machine] = true
+			for i := blk.Lo; i < blk.Hi; i++ {
+				if o := s.Owner(uint64(items[i]), keys); o != blk.Machine {
+					t.Fatalf("trial %d: block %+v holds item %d (key %d) of machine %d", trial, blk, i, items[i], o)
+				}
+			}
+			if b > 0 && blocks[b-1].Machine == blk.Machine && blocks[b-1].Hi-blocks[b-1].Lo < size {
+				t.Fatalf("trial %d: block %+v cut short before %+v of the same owner", trial, blocks[b-1], blk)
+			}
+		}
+		if next != len(items) {
+			t.Fatalf("trial %d: blocks cover %d of %d items", trial, next, len(items))
+		}
+		for _, k := range items {
+			owns[s.Owner(uint64(k), keys)] = true
+		}
+		if !reflect.DeepEqual(owns, runs) {
+			t.Fatalf("trial %d: machines owning items %v, machines given blocks %v", trial, owns, runs)
+		}
+		s.Close()
 	}
 }

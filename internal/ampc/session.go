@@ -383,17 +383,54 @@ func (s *Session) OwnerPartitioner(keys int) func(int) int {
 }
 
 // BlockOwnerPartitioner returns a Round partitioner for lock-step block
-// rounds (see NumBlocks): block b, covering keys [b·size, (b+1)·size), is
-// assigned to the machine owning its first key.  Blocks are contiguous key
-// ranges, so all but the machine-boundary blocks are wholly owned.  Like
-// OwnerPartitioner it answers from the weighted ownership table when one is
-// declared.
+// rounds over the dense key range itself (see NumBlocks): block b, covering
+// keys [b·size, (b+1)·size), is assigned to the machine owning its first key.
+// The block grid is fixed by size alone, so a block may straddle an ownership
+// boundary — at most one per boundary, Machines-1 in all — and its tail then
+// runs on the neighbouring owner; every other block is wholly owned.  Rounds
+// whose blocks run over an indirect item list, where one straddling block
+// can be the whole round, cut at the boundaries instead (OwnerCutBlocks).
+// Like OwnerPartitioner it answers from the weighted ownership table when one
+// is declared.
 func (s *Session) BlockOwnerPartitioner(size, items int) func(int) int {
 	owner := s.OwnerPartitioner(items)
 	return func(block int) int {
 		lo, _ := BlockBounds(block, size, items)
 		return owner(lo)
 	}
+}
+
+// OwnedBlock is one lock-step block of an item list cut by OwnerCutBlocks:
+// items [Lo, Hi), every one of them keyed to a key Machine owns.
+type OwnedBlock struct {
+	Lo, Hi  int
+	Machine int
+}
+
+// OwnerCutBlocks cuts the item list [0, items) — item i working on key
+// keyOf(i) of the keyspace [0, keys), as a sample list works on its sampled
+// vertices — into lock-step blocks of at most size consecutive items, cutting
+// also wherever the key's owner changes.  No block holds items of two owners
+// and every machine owning an item gets at least one block, which a grid of
+// size-item blocks assigned by first item does not give: with items <= size
+// that grid is one block and one machine runs the whole round.  A round over
+// the blocks uses len(blocks) as Items, blocks[b].Machine as Partitioner and
+// [blocks[b].Lo, blocks[b].Hi) in its Body.
+func (s *Session) OwnerCutBlocks(size, items, keys int, keyOf func(item int) int) []OwnedBlock {
+	if size <= 0 {
+		size = 1
+	}
+	owner := s.OwnerPartitioner(keys)
+	var blocks []OwnedBlock
+	for i := 0; i < items; i++ {
+		m := owner(keyOf(i))
+		if last := len(blocks) - 1; last >= 0 && blocks[last].Machine == m && blocks[last].Hi-blocks[last].Lo < size {
+			blocks[last].Hi++
+			continue
+		}
+		blocks = append(blocks, OwnedBlock{Lo: i, Hi: i + 1, Machine: m})
+	}
+	return blocks
 }
 
 // OwnedSpan returns the contiguous key span [lo, hi) that machine owns under
@@ -421,10 +458,11 @@ func (s *Session) OwnedRanges(keys int) []dht.RangeSet {
 
 // BlockOwnedRanges returns, per machine, the key spans covered by the
 // lock-step blocks BlockOwnerPartitioner(size, items) assigns to it — the
-// per-machine access declaration matching block-partitioned rounds.  Blocks
-// straddling an ownership boundary belong wholly to the owner of their first
-// key, so these spans can exceed the machine's owned range; declaring the
-// actual block assignment keeps the declaration exact.
+// per-machine access declaration matching block-partitioned rounds.  The one
+// block that may straddle each ownership boundary belongs wholly to the owner
+// of its first key, so a machine's spans can run up to size-1 keys past the
+// end of its owned range (and start as many keys after its beginning);
+// declaring the actual block assignment keeps the declaration exact.
 func (s *Session) BlockOwnedRanges(size, items int) []dht.RangeSet {
 	machines := s.cfg.Machines
 	part := s.BlockOwnerPartitioner(size, items)

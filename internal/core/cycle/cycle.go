@@ -78,23 +78,10 @@ func runOn(rt *ampc.Runtime, g *graph.Graph, p float64) (*Result, error) {
 	rt.SetOwnership(graph.DegreeWeights(g))
 	res := &Result{}
 
-	// Choose the samples.  At least two vertices are always sampled so the
-	// contracted graph is well defined even on tiny inputs.
-	sampled := make([]bool, n)
+	var sampled []bool
 	var samples []graph.NodeID
 	err := rt.Phase("Sample", func() error {
-		for v := 0; v < n; v++ {
-			if rng.UniformFloat(cfgD.Seed+3, uint64(v)) < p {
-				sampled[v] = true
-				samples = append(samples, graph.NodeID(v))
-			}
-		}
-		for v := 0; len(samples) < 2 && v < n; v++ {
-			if !sampled[v] {
-				sampled[v] = true
-				samples = append(samples, graph.NodeID(v))
-			}
-		}
+		sampled, samples = chooseSamples(n, cfgD.Seed, p)
 		return nil
 	})
 	if err != nil {
@@ -206,6 +193,26 @@ func runOn(rt *ampc.Runtime, g *graph.Graph, p float64) (*Result, error) {
 	}
 	res.Stats = rt.Stats()
 	return res, nil
+}
+
+// chooseSamples samples every vertex of [0, n) with probability p, from the
+// seed alone.  At least two vertices are always sampled so the contracted
+// graph is well defined even on tiny inputs.
+func chooseSamples(n int, seed int64, p float64) (sampled []bool, samples []graph.NodeID) {
+	sampled = make([]bool, n)
+	for v := 0; v < n; v++ {
+		if rng.UniformFloat(seed+3, uint64(v)) < p {
+			sampled[v] = true
+			samples = append(samples, graph.NodeID(v))
+		}
+	}
+	for v := 0; len(samples) < 2 && v < n; v++ {
+		if !sampled[v] {
+			sampled[v] = true
+			samples = append(samples, graph.NodeID(v))
+		}
+	}
+	return sampled, samples
 }
 
 // walk follows the cycle from start through its neighbor first until a

@@ -15,7 +15,7 @@ import (
 // Like the MIS variant in internal/core/mis/batch.go, a block of vertex
 // searches runs as pull-based iterators (ampc.Stream): each search proceeds
 // until it needs an adjacency list that is not locally known, the block's
-// missing lists are fetched with one shard-grouped ReadMany, and the
+// missing lists are fetched with one shard-grouped batch read, and the
 // searches resume.  The edge oracle computed is exactly the recursive
 // process of §5.4, so the matching is identical to the unbatched run for
 // the same seed.
@@ -140,6 +140,39 @@ func (s *batchMatcher) evalEdge(u, v graph.NodeID) (in bool, miss graph.NodeID) 
 	return true, graph.None
 }
 
+// blockSearch is what the searches of one block share: the matcher, the
+// span the stage may fetch from, and where results are published.
+type blockSearch struct {
+	batchMatcher
+	span     dht.RangeSet
+	mu       *sync.Mutex
+	matching []graph.NodeID
+	resolved []bool
+}
+
+// vertexSearch is the search for one vertex's mate, as a pull-based
+// iterator; a block keeps its searches in one slice.
+type vertexSearch struct {
+	b *blockSearch
+	v graph.NodeID
+}
+
+func (it *vertexSearch) Pull() (uint64, bool) {
+	b := it.b
+	mate, miss := b.evalVertex(it.v)
+	if miss != graph.None {
+		if !b.span.Contains(uint64(miss)) {
+			return 0, false // escaped; the spill stage finishes v
+		}
+		return uint64(miss), true
+	}
+	b.mu.Lock()
+	b.matching[it.v] = mate
+	b.resolved[it.v] = true
+	b.mu.Unlock()
+	return 0, false
+}
+
 // batchSearchRound builds one stage of the streaming IsInMM round over
 // blocks of vertices; the caller runs it (or stages it into a pipeline).
 // With spans set (the local stage) each machine's searches only fetch keys
@@ -162,38 +195,28 @@ func batchSearchRound(rt *ampc.Runtime, phaseName string, store *dht.Store, sort
 			if cache == nil {
 				cache = newMatchCache()
 			}
-			var span dht.RangeSet
+			b := &blockSearch{
+				batchMatcher: batchMatcher{
+					ctx:     ctx,
+					cache:   cache,
+					rank:    rank,
+					lists:   make(map[graph.NodeID]codec.NodeList, hi-lo),
+					charged: make(map[uint64]bool),
+				},
+				mu: mu, matching: matching, resolved: resolved,
+			}
 			if spans != nil {
-				span = spans[ctx.Machine]
+				b.span = spans[ctx.Machine]
 			}
-			s := &batchMatcher{
-				ctx:     ctx,
-				cache:   cache,
-				rank:    rank,
-				lists:   make(map[graph.NodeID]codec.NodeList, hi-lo),
-				charged: make(map[uint64]bool),
-			}
+			searches := make([]vertexSearch, 0, hi-lo)
 			its := make([]ampc.Iterator, 0, hi-lo)
 			for v := lo; v < hi; v++ {
 				if resolved[v] {
 					continue
 				}
-				v := graph.NodeID(v)
-				s.lists[v] = sorted[v]
-				its = append(its, ampc.PullFunc(func() (uint64, bool) {
-					mate, miss := s.evalVertex(v)
-					if miss != graph.None {
-						if !span.Contains(uint64(miss)) {
-							return 0, false // escaped; the spill stage finishes v
-						}
-						return uint64(miss), true
-					}
-					mu.Lock()
-					matching[v] = mate
-					resolved[v] = true
-					mu.Unlock()
-					return 0, false
-				}))
+				b.lists[graph.NodeID(v)] = sorted[v]
+				searches = append(searches, vertexSearch{b: b, v: graph.NodeID(v)})
+				its = append(its, &searches[len(searches)-1])
 			}
 			return ctx.Stream(0, its,
 				func(k uint64, raw []byte, ok bool) error {
@@ -204,7 +227,7 @@ func batchSearchRound(rt *ampc.Runtime, phaseName string, store *dht.Store, sort
 					if err != nil {
 						return err
 					}
-					s.lists[graph.NodeID(k)] = nbrs
+					b.lists[graph.NodeID(k)] = nbrs
 					return nil
 				})
 		},

@@ -18,7 +18,7 @@ import (
 // drives a whole block of vertices as pull-based iterators instead
 // (ampc.Stream): every search runs until it needs a directed neighbor list
 // that is not yet known locally, the block's missing lists are fetched with
-// one shard-grouped ReadMany, and the searches resume.  The vertex-status
+// one shard-grouped batch read, and the searches resume.  The vertex-status
 // function being computed is unchanged, so batched and unbatched runs
 // produce identical independent sets for the same seed; only the grouping
 // of key-value requests differs.
@@ -59,6 +59,38 @@ func (s *batchSearcher) eval(v graph.NodeID) (status, graph.NodeID) {
 	return statusIn, graph.None
 }
 
+// blockSearch is what the searches of one block share: the searcher, the
+// span the stage may fetch from, and where results are published.
+type blockSearch struct {
+	batchSearcher
+	span            dht.RangeSet
+	mu              *sync.Mutex
+	inMIS, resolved []bool
+}
+
+// vertexSearch is the search for one vertex's status, as a pull-based
+// iterator; a block keeps its searches in one slice.
+type vertexSearch struct {
+	b *blockSearch
+	v graph.NodeID
+}
+
+func (it *vertexSearch) Pull() (uint64, bool) {
+	b := it.b
+	st, miss := b.eval(it.v)
+	if miss != graph.None {
+		if !b.span.Contains(uint64(miss)) {
+			return 0, false // escaped; the spill stage finishes v
+		}
+		return uint64(miss), true
+	}
+	b.mu.Lock()
+	b.inMIS[it.v] = st == statusIn
+	b.resolved[it.v] = true
+	b.mu.Unlock()
+	return 0, false
+}
+
 // batchSearchRound builds one stage of the streaming IsInMIS round over
 // blocks of vertices; the caller runs it (or stages it into a pipeline).
 // With spans set (the local stage) each machine's searches only fetch keys
@@ -80,36 +112,26 @@ func batchSearchRound(rt *ampc.Runtime, phaseName string, store *dht.Store, dire
 			if cache == nil {
 				cache = newStatusCache()
 			}
-			var span dht.RangeSet
+			b := &blockSearch{
+				batchSearcher: batchSearcher{
+					ctx:   ctx,
+					cache: cache,
+					lists: make(map[graph.NodeID]codec.NodeList, hi-lo),
+				},
+				mu: mu, inMIS: inMIS, resolved: resolved,
+			}
 			if spans != nil {
-				span = spans[ctx.Machine]
+				b.span = spans[ctx.Machine]
 			}
-			s := &batchSearcher{
-				ctx:   ctx,
-				cache: cache,
-				lists: make(map[graph.NodeID]codec.NodeList, hi-lo),
-			}
+			searches := make([]vertexSearch, 0, hi-lo)
 			its := make([]ampc.Iterator, 0, hi-lo)
 			for v := lo; v < hi; v++ {
 				if resolved[v] {
 					continue
 				}
-				v := graph.NodeID(v)
-				s.lists[v] = directed[v]
-				its = append(its, ampc.PullFunc(func() (uint64, bool) {
-					st, miss := s.eval(v)
-					if miss != graph.None {
-						if !span.Contains(uint64(miss)) {
-							return 0, false // escaped; the spill stage finishes v
-						}
-						return uint64(miss), true
-					}
-					mu.Lock()
-					inMIS[v] = st == statusIn
-					resolved[v] = true
-					mu.Unlock()
-					return 0, false
-				}))
+				b.lists[graph.NodeID(v)] = directed[v]
+				searches = append(searches, vertexSearch{b: b, v: graph.NodeID(v)})
+				its = append(its, &searches[len(searches)-1])
 			}
 			return ctx.Stream(0, its,
 				func(k uint64, raw []byte, ok bool) error {
@@ -120,7 +142,7 @@ func batchSearchRound(rt *ampc.Runtime, phaseName string, store *dht.Store, dire
 					if err != nil {
 						return err
 					}
-					s.lists[graph.NodeID(k)] = nbrs
+					b.lists[graph.NodeID(k)] = nbrs
 					return nil
 				})
 		},

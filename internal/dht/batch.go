@@ -33,16 +33,31 @@ type Visits struct {
 // Total returns the total number of shard visits.
 func (v Visits) Total() int { return v.Local + v.Remote }
 
-// shardGroups groups the positions of keys by shard index.  The returned map
-// is keyed by shard index so callers can iterate shards in a deterministic
-// order.
-func (s *Store) shardGroups(keys []uint64) map[int][]int {
-	groups := make(map[int][]int)
-	for i, k := range keys {
-		idx := s.shardIndexFor(k)
-		groups[idx] = append(groups[idx], i)
+// shardGroups groups the positions [0, n) of a batch — keyAt(i) being the key
+// at position i — by shard with a counting sort: order holds every position,
+// shard 0's first, each shard's in input order, and shard idx's positions are
+// order[starts[idx]:starts[idx+1]].  One allocation whatever the number of
+// shards touched.
+func (s *Store) shardGroups(n int, keyAt func(i int) uint64) (order, starts []int32) {
+	buf := make([]int32, 2*n+s.numShards+1)
+	shardOf, order, starts := buf[:n], buf[n:2*n], buf[2*n:]
+	for i := range shardOf {
+		idx := s.shardIndexFor(keyAt(i))
+		shardOf[i] = int32(idx)
+		starts[idx+1]++
 	}
-	return groups
+	for idx := 0; idx < s.numShards; idx++ {
+		starts[idx+1] += starts[idx]
+	}
+	// Place each position at its shard's cursor; starts[idx] ends up at the
+	// shard's end, so shift the boundaries back afterwards.
+	for i, idx := range shardOf {
+		order[starts[idx]] = int32(i)
+		starts[idx]++
+	}
+	copy(starts[1:], starts[:s.numShards])
+	starts[0] = 0
+	return order, starts
 }
 
 // shardLocalTo reports whether shard idx is co-located with machine.
@@ -71,7 +86,11 @@ func (s *Store) batchGetFrom(machine int, keys []uint64) (vals [][]byte, oks []b
 	if len(keys) == 0 {
 		return vals, oks, Visits{}, nil
 	}
-	groups := s.shardGroups(keys)
+	order, starts := s.shardGroups(len(keys), func(i int) uint64 { return keys[i] })
+	grouped := make([]uint64, len(keys)) // keys in shard order: each shard's request is a sub-slice
+	for i, p := range order {
+		grouped[i] = keys[p]
+	}
 	var bytesRead, remoteBytes, missed, failedOver int64
 	var localKeys, remoteKeys int64
 	// flush publishes the batch's counters; it runs exactly once, whether
@@ -98,15 +117,12 @@ func (s *Store) batchGetFrom(machine int, keys []uint64) (vals [][]byte, oks []b
 		}
 	}
 	for idx := 0; idx < s.numShards; idx++ {
-		positions, ok := groups[idx]
-		if !ok {
+		positions := order[starts[idx]:starts[idx+1]]
+		if len(positions) == 0 {
 			continue
 		}
 		local := s.shardLocalTo(machine, idx)
-		shardKeys := make([]uint64, len(positions))
-		for i, p := range positions {
-			shardKeys[i] = keys[p]
-		}
+		shardKeys := grouped[starts[idx]:starts[idx+1]:starts[idx+1]]
 		var shardVals [][]byte
 		var shardOKs []bool
 		var failovers int
@@ -170,26 +186,26 @@ func (s *Store) batchWrite(machine int, pairs []Pair, appendMode bool) (Visits, 
 	if len(pairs) == 0 {
 		return Visits{}, nil
 	}
-	keys := make([]uint64, len(pairs))
 	var bytesWritten int64
-	for i, p := range pairs {
-		keys[i] = p.Key
+	for _, p := range pairs {
 		bytesWritten += int64(len(p.Value)) + 8
 	}
-	groups := s.shardGroups(keys)
+	order, starts := s.shardGroups(len(pairs), func(i int) uint64 { return pairs[i].Key })
+	grouped := make([]Pair, len(pairs)) // pairs in shard order: each shard's request is a sub-slice
+	for i, p := range order {
+		grouped[i] = pairs[p]
+	}
 	var visits Visits
 	var remoteBytes int64
 	for idx := 0; idx < s.numShards; idx++ {
-		positions, ok := groups[idx]
-		if !ok {
+		shardPairs := grouped[starts[idx]:starts[idx+1]:starts[idx+1]]
+		if len(shardPairs) == 0 {
 			continue
 		}
 		local := s.shardLocalTo(machine, idx)
-		shardPairs := make([]Pair, len(positions))
-		for i, p := range positions {
-			shardPairs[i] = pairs[p]
-			if !local {
-				remoteBytes += int64(len(pairs[p].Value)) + 8
+		if !local {
+			for _, p := range shardPairs {
+				remoteBytes += int64(len(p.Value)) + 8
 			}
 		}
 		if err := s.withRetry(false, func() error {
@@ -197,7 +213,7 @@ func (s *Store) batchWrite(machine int, pairs []Pair, appendMode bool) (Visits, 
 		}); err != nil {
 			return visits, err
 		}
-		s.shardOps[idx].Add(int64(len(positions)))
+		s.shardOps[idx].Add(int64(len(shardPairs)))
 		if local {
 			visits.Local++
 		} else {

@@ -71,9 +71,9 @@ func (c *Cache) GetFrom(machine int, key uint64) ([]byte, bool, error) {
 // Peek returns the cached value for key without reading through to the
 // store.  cached reports whether the cache holds an answer (present or
 // known-absent) for key; a successful Peek counts as a hit.  It is the
-// building block of batched reads: callers Peek every key first, batch the
-// remainder through the store in one shard-grouped BatchGet, and Fill the
-// results back.
+// single-key form of PeekMany, the building block of batched reads: callers
+// peek every key first, batch the remainder through the store in one
+// shard-grouped BatchGet, and fill the results back (FillMany).
 func (c *Cache) Peek(key uint64) (v []byte, ok, cached bool) {
 	c.mu.RLock()
 	if v, ok := c.local[key]; ok {
@@ -100,6 +100,51 @@ func (c *Cache) Fill(key uint64, v []byte, ok bool) {
 		c.local[key] = v
 	} else {
 		c.absent[key] = true
+	}
+	c.mu.Unlock()
+}
+
+// PeekMany is Peek over a batch under one lock acquisition: for every key the
+// cache holds an answer for, vals[i] and oks[i] are set and one hit is
+// counted, exactly as Peek(keys[i]) would; the positions of the other keys
+// are appended to miss, in key order, and the extended slice is returned.
+// vals and oks must be at least as long as keys; entries at missed positions
+// are left as they were.
+func (c *Cache) PeekMany(keys []uint64, vals [][]byte, oks []bool, miss []int) []int {
+	hits := 0
+	c.mu.RLock()
+	for i, k := range keys {
+		if v, ok := c.local[k]; ok {
+			vals[i], oks[i] = v, true
+			hits++
+		} else if c.absent[k] {
+			vals[i], oks[i] = nil, false
+			hits++
+		} else {
+			miss = append(miss, i)
+		}
+	}
+	c.mu.RUnlock()
+	if hits > 0 {
+		c.hits.Add(int64(hits))
+	}
+	return miss
+}
+
+// FillMany is Fill over a batch under one lock acquisition: every
+// (keys[i], vals[i], oks[i]) is recorded and counted as one miss.
+func (c *Cache) FillMany(keys []uint64, vals [][]byte, oks []bool) {
+	if len(keys) == 0 {
+		return
+	}
+	c.misses.Add(int64(len(keys)))
+	c.mu.Lock()
+	for i, k := range keys {
+		if oks[i] {
+			c.local[k] = vals[i]
+		} else {
+			c.absent[k] = true
+		}
 	}
 	c.mu.Unlock()
 }
