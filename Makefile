@@ -9,7 +9,7 @@ COVER_FLOOR_DHT  ?= 90
 # Per-target budget for the short fuzz pass (fuzz-smoke).
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt ci microbench bench-smoke bench-check bench-wall bench-wall-smoke cover-check fuzz-smoke examples-smoke backend-matrix chaos-smoke serving-smoke deprecation-gate
+.PHONY: all build test race vet fmt ci loc microbench bench-smoke bench-check bench-wall bench-wall-smoke cover-check fuzz-smoke examples-smoke backend-matrix chaos-smoke serving-smoke deprecation-gate
 
 all: build
 
@@ -27,6 +27,18 @@ vet:
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
+
+# loc prints the Go lines of every package, non-test and test files apart —
+# every line counts (code, comments, blanks): the figures ROADMAP.md and
+# CHANGES.md quote when a change claims to shrink something.
+loc:
+	@find . -name '*.go' -not -path './.bench_*' | sort | xargs wc -l | awk ' \
+		$$2 == "total" { next } \
+		{ dir = $$2; sub(/\/[^\/]*$$/, "", dir); if (!(dir in seen)) { seen[dir] = 1; dirs[++n] = dir } \
+		  if ($$2 ~ /_test\.go$$/) { test[dir] += $$1; tt += $$1 } else { code[dir] += $$1; tc += $$1 } } \
+		END { printf "%8s %8s  %s\n", "non-test", "test", "package"; \
+		      for (i = 1; i <= n; i++) printf "%8d %8d  %s\n", code[dirs[i]], test[dirs[i]], dirs[i]; \
+		      printf "%8d %8d  total\n", tc, tt }'
 
 ci: fmt vet build test race deprecation-gate cover-check fuzz-smoke microbench bench-check examples-smoke
 
@@ -124,13 +136,14 @@ bench-wall-smoke:
 	$(GO) test ./benchmark
 
 # microbench runs the layer micro-benchmarks once each — the three shuffle
-# stages on the HL stand-in (DirectGraph, PermuteGraph, SortGraph), the batch
+# stages on the HL stand-in (DirectGraph, PermuteGraph, SortGraph), the MIS and
+# matching search stages (allocs/vertex of the rankadj round bodies), the batch
 # read path (the streamed cycle walk, a warm ReadMany, the per-batch shard
 # grouping) and the placement lookup — so they keep compiling and running; it
 # measures nothing.
 # For numbers: go test -run '^$$' -bench <name> -benchmem -count 5 <package>.
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$' -benchtime=1x \
+	$(GO) test -run '^$$' -bench 'BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkSearchStages$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$' -benchtime=1x \
 		./internal/core/mis ./internal/core/matching ./internal/core/msf ./internal/core/cycle ./internal/ampc ./internal/dht
 
 # cover-check enforces a statement-coverage floor on the runtime-critical

@@ -6,8 +6,20 @@ import (
 	"testing"
 
 	"ampcgraph/internal/codec"
+	"ampcgraph/internal/dht"
 	"ampcgraph/internal/simtime"
 )
+
+// newStore opens a store of rt's job, failing the test when the backend cannot
+// be constructed.
+func newStore(t testing.TB, rt *Runtime, name string) *dht.Store {
+	t.Helper()
+	st, err := rt.OpenStore(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
@@ -75,13 +87,13 @@ func TestRoundDistributesAllItems(t *testing.T) {
 
 func TestRoundReadWriteStores(t *testing.T) {
 	r := New(Config{Machines: 4})
-	d0 := r.NewStore("d0")
+	d0 := newStore(t, r, "d0")
 	for i := 0; i < 50; i++ {
 		if err := d0.Put(uint64(i), codec.EncodeUint64(uint64(i*i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d1 := r.NewStore("d1")
+	d1 := newStore(t, r, "d1")
 	err := r.Run(Round{
 		Name:  "square",
 		Items: 50,
@@ -151,7 +163,7 @@ func TestLookupWithoutReadStoreFails(t *testing.T) {
 func TestCachingReducesStoreReads(t *testing.T) {
 	run := func(cache bool) (storeReads int64, hits int64) {
 		r := New(Config{Machines: 2, EnableCache: cache})
-		d0 := r.NewStore("d0")
+		d0 := newStore(t, r, "d0")
 		d0.Put(1, []byte("x"))
 		err := r.Run(Round{
 			Name:  "hammer",
@@ -187,7 +199,7 @@ func TestCachingReducesStoreReads(t *testing.T) {
 func TestMultithreadingReducesSimTime(t *testing.T) {
 	run := func(threads int) (sim int64) {
 		r := New(Config{Machines: 2, Threads: threads})
-		d0 := r.NewStore("d0")
+		d0 := newStore(t, r, "d0")
 		for i := 0; i < 100; i++ {
 			d0.Put(uint64(i), []byte("x"))
 		}
@@ -281,7 +293,7 @@ func TestMoreMachinesReduceSimTime(t *testing.T) {
 	// shrinking as machines are added.
 	run := func(machines int) int64 {
 		r := New(Config{Machines: machines})
-		d0 := r.NewStore("d0")
+		d0 := newStore(t, r, "d0")
 		for i := 0; i < 2000; i++ {
 			d0.Put(uint64(i), []byte("x"))
 		}

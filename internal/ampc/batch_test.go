@@ -26,7 +26,7 @@ func TestReadManyMatchesLookup(t *testing.T) {
 	for _, cache := range []bool{false, true} {
 		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
 			rt := New(Config{Machines: 2, EnableCache: cache})
-			store := rt.NewStore("d0")
+			store := newStore(t, rt, "d0")
 			fillStore(t, rt, store, 100)
 			err := rt.Run(Round{
 				Name:  "read",
@@ -72,7 +72,7 @@ func TestReadManyMatchesLookup(t *testing.T) {
 
 func TestWriteManyAndEmitMany(t *testing.T) {
 	rt := New(Config{Machines: 2})
-	store := rt.NewStore("d0")
+	store := newStore(t, rt, "d0")
 	err := rt.Run(Round{
 		Name:  "write",
 		Items: 1,
@@ -110,7 +110,7 @@ func TestWriteManyAndEmitMany(t *testing.T) {
 
 func TestWriteManyFrozen(t *testing.T) {
 	rt := New(Config{Machines: 1})
-	store := rt.NewStore("d0")
+	store := newStore(t, rt, "d0")
 	store.Freeze()
 	err := rt.Run(Round{
 		Name:  "write",
@@ -128,12 +128,12 @@ func TestWriteTableBatchedMatchesUnbatched(t *testing.T) {
 	value := func(i int) []byte { return []byte{byte(i), byte(i >> 8)} }
 	const n = 300
 	single := New(Config{Machines: 3})
-	s0 := single.NewStore("d0")
+	s0 := newStore(t, single, "d0")
 	if err := single.WriteTable("w", s0, n, 1, value); err != nil {
 		t.Fatal(err)
 	}
 	batched := New(Config{Machines: 3, Batch: true, BatchSize: 64})
-	s1 := batched.NewStore("d0")
+	s1 := newStore(t, batched, "d0")
 	if err := batched.WriteTable("w", s1, n, 1, value); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestStreamDrivesIteratorsAcrossWindows(t *testing.T) {
 		{4, 0 /* unchecked */},
 	} {
 		rt := New(Config{Machines: 1})
-		store := rt.NewStore("d0")
+		store := newStore(t, rt, "d0")
 		fillStore(t, rt, store, 64)
 		sums := make([]int, units)
 		err := rt.Run(Round{

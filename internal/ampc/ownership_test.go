@@ -32,7 +32,7 @@ func TestSetOwnershipBuildsWeightedPlacement(t *testing.T) {
 	r := New(Config{Machines: 4, Placement: PlacementWeighted})
 	defer r.Close()
 	r.SetOwnership(skewedWeights(n))
-	store := r.NewStore("d0")
+	store := newStore(t, r, "d0")
 	if got := store.Placement().Name(); got != "weighted" {
 		t.Fatalf("store placement %q, want weighted", got)
 	}
@@ -130,15 +130,15 @@ func TestSetKeyspaceDropsMismatchedOwnership(t *testing.T) {
 func TestWeightedPlacementWithoutWeightsFallsBack(t *testing.T) {
 	r := New(Config{Machines: 4, Placement: PlacementWeighted})
 	defer r.Close()
-	if got := r.NewStore("no-keyspace").Placement().Name(); got != "hash" {
+	if got := newStore(t, r, "no-keyspace").Placement().Name(); got != "hash" {
 		t.Fatalf("no keyspace: placement %q, want hash", got)
 	}
 	r.SetKeyspace(100)
-	if got := r.NewStore("keyspace-only").Placement().Name(); got != "owner" {
+	if got := newStore(t, r, "keyspace-only").Placement().Name(); got != "owner" {
 		t.Fatalf("keyspace only: placement %q, want owner", got)
 	}
 	r.SetOwnership(make([]int, 0))
-	if got := r.NewStore("empty-weights").Placement().Name(); got != "hash" {
+	if got := newStore(t, r, "empty-weights").Placement().Name(); got != "hash" {
 		t.Fatalf("empty weights: placement %q, want hash", got)
 	}
 }
@@ -151,7 +151,7 @@ func TestWeightedPlacementKeepsOwnedTrafficLocal(t *testing.T) {
 	r := New(Config{Machines: 4, Placement: PlacementWeighted})
 	defer r.Close()
 	r.SetOwnership(skewedWeights(n))
-	store := r.NewStore("d0")
+	store := newStore(t, r, "d0")
 	err := r.Run(Round{
 		Name:        "write-own",
 		Items:       n,

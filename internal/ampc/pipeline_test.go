@@ -23,8 +23,8 @@ func TestSubroundDepsFromDeclaredAccesses(t *testing.T) {
 	const machines = 2
 	r := New(Config{Machines: machines})
 	defer r.Close()
-	a := r.NewStore("a")
-	b := r.NewStore("b")
+	a := newStore(t, r, "a")
+	b := newStore(t, r, "b")
 
 	// checkRound asserts that every machine's share of round j depends on
 	// exactly the named predecessor rounds (on every machine), or on nothing
@@ -212,7 +212,7 @@ func TestPipelineGateBlocksDependentRound(t *testing.T) {
 	const machines = 4
 	r := New(Config{Machines: machines, Threads: 2, Pipeline: true})
 	defer r.Close()
-	store := r.NewStore("gate")
+	store := newStore(t, r, "gate")
 	var writesLeft atomic.Int64
 	writesLeft.Store(int64(machines))
 	var early atomic.Int64
@@ -267,8 +267,8 @@ func TestPipelineWriteReadCacheCoherence(t *testing.T) {
 	r := New(Config{Machines: machines, Threads: 2, Pipeline: true, EnableCache: true})
 	defer r.Close()
 	r.SetKeyspace(n)
-	filler := r.NewStore("filler")
-	data := r.NewStore("data")
+	filler := newStore(t, r, "filler")
+	data := newStore(t, r, "data")
 	value := func(i int) byte { return byte((i * 7) % 251) }
 	rounds := []Round{
 		// Independent slow round, so machines enter the write round at
@@ -313,7 +313,7 @@ func TestFenceCachesInvalidatesAfterWrites(t *testing.T) {
 	// store's write counter moved after the caches were filled.
 	r := New(Config{Machines: 2, EnableCache: true})
 	defer r.Close()
-	s := r.NewStore("fenced")
+	s := newStore(t, r, "fenced")
 	r.fenceCaches(s)
 	c := r.cacheFor(s, 0)
 	if _, ok, err := c.Get(7); ok || err != nil {

@@ -108,7 +108,7 @@ func TestCachePersistsAcrossRounds(t *testing.T) {
 	// persistent per-machine caches instead of re-fetching.
 	r := New(Config{Machines: 2, EnableCache: true})
 	defer r.Close()
-	d0 := r.NewStore("d0")
+	d0 := newStore(t, r, "d0")
 	for i := 0; i < 100; i++ {
 		if err := d0.Put(uint64(i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -142,7 +142,7 @@ func TestOwnerPlacementKeepsOwnedTrafficLocal(t *testing.T) {
 	r := New(Config{Machines: 4, Placement: PlacementOwnerAffine})
 	defer r.Close()
 	r.SetKeyspace(n)
-	store := r.NewStore("d0")
+	store := newStore(t, r, "d0")
 	// Every machine writes its own keys: all writes local.
 	err := r.WriteTable("write", store, n, 0, func(i int) []byte { return []byte{byte(i)} })
 	if err != nil {
@@ -182,7 +182,7 @@ func TestHashPlacementStaysFullyRemote(t *testing.T) {
 	r := New(Config{Machines: 4}) // default placement
 	defer r.Close()
 	r.SetKeyspace(n)
-	store := r.NewStore("d0")
+	store := newStore(t, r, "d0")
 	if err := r.WriteTable("write", store, n, 0, func(i int) []byte { return []byte{1} }); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestOwnerPlacementReducesModeledTime(t *testing.T) {
 		r := New(Config{Machines: 4, Placement: placement})
 		defer r.Close()
 		r.SetKeyspace(n)
-		store := r.NewStore("d0")
+		store := newStore(t, r, "d0")
 		if err := r.WriteTable("write", store, n, 0, func(i int) []byte { return []byte{1} }); err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestBatchedOwnerPlacementSplitsVisits(t *testing.T) {
 	r := New(Config{Machines: 4, Batch: true, Placement: PlacementOwnerAffine})
 	defer r.Close()
 	r.SetKeyspace(n)
-	store := r.NewStore("d0")
+	store := newStore(t, r, "d0")
 	if err := r.WriteTable("write", store, n, 0, func(i int) []byte { return []byte{byte(i)} }); err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func rebalanceTestRuntime(t *testing.T, n int, cfg Config) (*Runtime, *dht.Store
 	t.Helper()
 	r := New(cfg)
 	r.SetOwnership(skewedWeights(n))
-	store := r.NewStore("data")
+	store := newStore(t, r, "data")
 	write := Round{
 		Name:  "write",
 		Items: n,

@@ -17,7 +17,7 @@ import (
 func TestSubroundRecoveryBarrier(t *testing.T) {
 	r := New(Config{Machines: 4, Threads: 2, FaultBudget: 4})
 	defer r.Close()
-	out := r.NewStore("out")
+	out := newStore(t, r, "out")
 	var tripped atomic.Bool
 	err := r.Run(Round{
 		Name:  "flaky",
@@ -146,8 +146,8 @@ func TestSubroundRecoveryPipelined(t *testing.T) {
 	run := func(trip bool) (map[uint64]string, Stats) {
 		r := New(Config{Machines: 2, Threads: 2, Pipeline: true, FaultBudget: 4, Model: testModel()})
 		defer r.Close()
-		a := r.NewStore("a")
-		b := r.NewStore("b")
+		a := newStore(t, r, "a")
+		b := newStore(t, r, "b")
 		var tripped atomic.Bool
 		rounds := []Round{
 			{
@@ -209,7 +209,7 @@ func TestSubroundRecoveryPipelined(t *testing.T) {
 func TestFaultBudgetZeroKeepsLegacyPath(t *testing.T) {
 	r := New(Config{Machines: 2})
 	defer r.Close()
-	out := r.NewStore("out")
+	out := newStore(t, r, "out")
 	boom := errors.New("boom")
 	err := r.Run(Round{
 		Name:  "fail",

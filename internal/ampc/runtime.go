@@ -17,8 +17,8 @@ import (
 // The embedded layers split the API: Session carries the substrate
 // (SetOwnership, OpenSharedStore, partitioners, CompilePlan), Job carries the
 // execution (Run, RunPipeline, RunStaged, RunPlan, Shuffle, Phase, Stats,
-// Clock).  OpenStore and NewStore on the handle shadow the session's: they
-// open the job's own stores.
+// Clock).  OpenStore on the handle shadows the session's: it opens the job's
+// own stores.
 type Runtime struct {
 	*Session
 	*Job
@@ -43,9 +43,6 @@ func New(cfg Config) *Runtime {
 func (r *Runtime) OpenStore(name string) (*dht.Store, error) {
 	return r.Session.openStore(name, r.Job)
 }
-
-// NewStore is OpenStore panicking when the store cannot be created.
-func (r *Runtime) NewStore(name string) *dht.Store { return mustStore(r.OpenStore(name)) }
 
 // Close finishes the job — releasing the stores it opened — and, for runtimes
 // created with New, closes the underlying session too (pool, disk footprint)

@@ -21,8 +21,8 @@ import (
 // keys of a (declared per owned range) into b, round 2 reads a at its own and
 // at a foreign key into c.  With flaky set, one item of the ranged read fails
 // on its first execution.
-func segmentSequence(rt *Runtime, n int, flaky bool) ([]StagedRound, []*dht.Store) {
-	a, b, c := rt.NewStore("a"), rt.NewStore("b"), rt.NewStore("c")
+func segmentSequence(t *testing.T, rt *Runtime, n int, flaky bool) ([]StagedRound, []*dht.Store) {
+	a, b, c := newStore(t, rt, "a"), newStore(t, rt, "b"), newStore(t, rt, "c")
 	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 	lookup := func(ctx *Ctx, key int) (uint64, error) {
 		v, ok, err := ctx.Lookup(uint64(key))
@@ -133,7 +133,7 @@ func TestEntryPointsShareOneExecutor(t *testing.T) {
 						Placement: PlacementOwnerAffine, Pipeline: pipeline, FaultBudget: budget})
 					defer rt.Close()
 					rt.SetKeyspace(n)
-					stages, stores := segmentSequence(rt, n, budget > 0)
+					stages, stores := segmentSequence(t, rt, n, budget > 0)
 					if err := e.run(rt, stages); err != nil {
 						t.Fatal(err)
 					}

@@ -493,17 +493,6 @@ func (s *Session) WriteRanges(items int) []dht.RangeSet {
 	return s.OwnedRanges(items)
 }
 
-// NewStore is OpenStore panicking when the configured backend cannot be
-// constructed (unknown kind, unusable disk directory).
-func (s *Session) NewStore(name string) *dht.Store { return mustStore(s.OpenStore(name)) }
-
-func mustStore(st *dht.Store, err error) *dht.Store {
-	if err != nil {
-		panic(fmt.Sprintf("ampc: creating store: %v", err))
-	}
-	return st
-}
-
 // OpenStore creates and registers the next distributed hash table (D0, D1, …)
 // as a resident store of the session: it is shared by every job and closed at
 // Session.Close.  A job's own round tables are opened through its handle

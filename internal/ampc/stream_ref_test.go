@@ -144,7 +144,7 @@ func (tr streamTrial) run(t *testing.T, stream func(*Ctx, int, []Iterator, func(
 	rt := New(tr.cfg)
 	defer rt.Close()
 	rt.SetKeyspace(streamTrialKeys)
-	in, out := rt.NewStore("in"), rt.NewStore("out")
+	in, out := newStore(t, rt, "in"), newStore(t, rt, "out")
 	err := rt.Run(rt.WriteTableRound("fill", in, streamTrialPresent, 0, func(i int) []byte {
 		return []byte{byte(i), byte(i >> 1)}
 	}))
@@ -265,7 +265,7 @@ func TestReadManyMatchesReference(t *testing.T) {
 	run := func(cfg Config, lists [][]uint64, read func(*Ctx, []uint64) ([][]byte, []bool, error)) outcome {
 		rt := New(cfg)
 		defer rt.Close()
-		in := rt.NewStore("in")
+		in := newStore(t, rt, "in")
 		fillStore(t, rt, in, streamTrialPresent)
 		var res outcome
 		err := rt.Run(Round{Name: "read", Items: 1, Read: in, Body: func(ctx *Ctx, _ int) error {
@@ -312,7 +312,7 @@ func TestStreamCycleAllocatesConstant(t *testing.T) {
 		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
 			rt := New(Config{Machines: 1, Threads: 1, EnableCache: cache, Batch: true, Shards: 4})
 			defer rt.Close()
-			in := rt.NewStore("in")
+			in := newStore(t, rt, "in")
 			if err := rt.WriteTable("fill", in, 4*live, 0, func(i int) []byte { return []byte{byte(i)} }); err != nil {
 				t.Fatal(err)
 			}
@@ -388,7 +388,7 @@ func BenchmarkReadManyWarm(b *testing.B) {
 	const block = 512
 	rt := New(Config{Machines: 1, Threads: 1, EnableCache: true, Batch: true})
 	defer rt.Close()
-	in := rt.NewStore("in")
+	in := newStore(b, rt, "in")
 	if err := rt.WriteTable("fill", in, block, 0, func(i int) []byte { return []byte{byte(i)} }); err != nil {
 		b.Fatal(err)
 	}

@@ -1,25 +1,16 @@
 package matching
 
 import (
-	"fmt"
-	"sync"
-
 	"ampcgraph/internal/ampc"
 	"ampcgraph/internal/codec"
-	"ampcgraph/internal/dht"
 	"ampcgraph/internal/graph"
 )
 
-// Batched IsInMM round (Config.Batch).
-//
-// Like the MIS variant in internal/core/mis/batch.go, a block of vertex
-// searches runs as pull-based iterators (ampc.Stream): each search proceeds
-// until it needs an adjacency list that is not locally known, the block's
-// missing lists are fetched with one shard-grouped batch read, and the
-// searches resume.  The edge oracle computed is exactly the recursive
-// process of §5.4, so the matching is identical to the unbatched run for
-// the same seed.
-
+// batchMatcher is the resumable form of the IsInMM recursion that the
+// streaming round (Config.Batch, rankadj's block round) drives: vertexProcess
+// and edgeProcess with fetches replaced by lookups among the lists fed so
+// far.  The edge oracle computed is exactly the recursive process of §5.4, so
+// the matching is identical to the unbatched run for the same seed.
 type batchMatcher struct {
 	ctx   *ampc.Ctx
 	cache *matchCache
@@ -31,10 +22,12 @@ type batchMatcher struct {
 	charged map[uint64]bool
 }
 
-// evalVertex returns v's mate (graph.None when v stays unmatched) and
+func (s *batchMatcher) Feed(v graph.NodeID, list codec.NodeList) { s.lists[v] = list }
+
+// Eval returns v's mate (graph.None when v stays unmatched) and
 // whether the answer is final, or the vertex whose adjacency list must be
 // fetched first (graph.None when none is needed).
-func (s *batchMatcher) evalVertex(v graph.NodeID) (mate, miss graph.NodeID) {
+func (s *batchMatcher) Eval(v graph.NodeID) (mate, miss graph.NodeID) {
 	if st := s.cache.vertex(v); st.kind == vertexMatched {
 		return st.mate, graph.None
 	} else if st.kind == vertexUnmatched {
@@ -138,98 +131,4 @@ func (s *batchMatcher) evalEdge(u, v graph.NodeID) (in bool, miss graph.NodeID) 
 	}
 	s.cache.setEdge(key, true)
 	return true, graph.None
-}
-
-// blockSearch is what the searches of one block share: the matcher, the
-// span the stage may fetch from, and where results are published.
-type blockSearch struct {
-	batchMatcher
-	span     dht.RangeSet
-	mu       *sync.Mutex
-	matching []graph.NodeID
-	resolved []bool
-}
-
-// vertexSearch is the search for one vertex's mate, as a pull-based
-// iterator; a block keeps its searches in one slice.
-type vertexSearch struct {
-	b *blockSearch
-	v graph.NodeID
-}
-
-func (it *vertexSearch) Pull() (uint64, bool) {
-	b := it.b
-	mate, miss := b.evalVertex(it.v)
-	if miss != graph.None {
-		if !b.span.Contains(uint64(miss)) {
-			return 0, false // escaped; the spill stage finishes v
-		}
-		return uint64(miss), true
-	}
-	b.mu.Lock()
-	b.matching[it.v] = mate
-	b.resolved[it.v] = true
-	b.mu.Unlock()
-	return 0, false
-}
-
-// batchSearchRound builds one stage of the streaming IsInMM round over
-// blocks of vertices; the caller runs it (or stages it into a pipeline).
-// With spans set (the local stage) each machine's searches only fetch keys
-// inside spans[machine]: a search that suspends on an out-of-range key
-// escapes — its iterator completes without resolving the vertex — and the
-// spill stage (spans == nil) finishes it against the whole store.
-func batchSearchRound(rt *ampc.Runtime, phaseName string, store *dht.Store, sorted []codec.NodeList,
-	rank RankFunc, caches []*matchCache, matching []graph.NodeID, resolved []bool, mu *sync.Mutex,
-	spans []dht.RangeSet) ampc.Round {
-	n := len(sorted)
-	size := rt.Config().BatchSize
-	return ampc.Round{
-		Name:        phaseName,
-		Items:       ampc.NumBlocks(n, size),
-		Read:        store,
-		Partitioner: rt.BlockOwnerPartitioner(size, n),
-		Body: func(ctx *ampc.Ctx, block int) error {
-			lo, hi := ampc.BlockBounds(block, size, n)
-			cache := caches[ctx.Machine]
-			if cache == nil {
-				cache = newMatchCache()
-			}
-			b := &blockSearch{
-				batchMatcher: batchMatcher{
-					ctx:     ctx,
-					cache:   cache,
-					rank:    rank,
-					lists:   make(map[graph.NodeID]codec.NodeList, hi-lo),
-					charged: make(map[uint64]bool),
-				},
-				mu: mu, matching: matching, resolved: resolved,
-			}
-			if spans != nil {
-				b.span = spans[ctx.Machine]
-			}
-			searches := make([]vertexSearch, 0, hi-lo)
-			its := make([]ampc.Iterator, 0, hi-lo)
-			for v := lo; v < hi; v++ {
-				if resolved[v] {
-					continue
-				}
-				b.lists[graph.NodeID(v)] = sorted[v]
-				searches = append(searches, vertexSearch{b: b, v: graph.NodeID(v)})
-				its = append(its, &searches[len(searches)-1])
-			}
-			return ctx.Stream(0, its,
-				func(k uint64, raw []byte, ok bool) error {
-					if !ok {
-						return fmt.Errorf("matching: vertex %d missing from the key-value store", k)
-					}
-					nbrs, err := codec.ViewNodeIDs(raw)
-					if err != nil {
-						return err
-					}
-					b.lists[graph.NodeID(k)] = nbrs
-					return nil
-				})
-		},
-	}
 }

@@ -13,6 +13,13 @@
 //     the random-greedy matching iff none of its lower-priority adjacent
 //     edges does — terminating as soon as a matched incident edge is found.
 //
+// The steps around the recursion — substrate, local and spill search stages,
+// single-key or batched rounds, the truncated passes, the serving substrate —
+// are shared with MIS: process builds the rankadj.Process that holds what is
+// matching's own (the names, the PermuteGraph order, the vertex/edge cache,
+// the recursion as searcher and as batchMatcher) and rankadj drives it; Run,
+// RunTruncated, RunWithRank, NewPlan and NewShared are wrappers.
+//
 // RunFiltered is the O(log log Δ)-round variant of Theorem 2 (part 1,
 // Algorithm 4), which repeatedly matches a low-priority edge sample and
 // removes the matched vertices.  RunTruncated is the space-bounded variant
@@ -22,15 +29,12 @@
 package matching
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"sync"
 
 	"ampcgraph/internal/ampc"
 	"ampcgraph/internal/codec"
 	"ampcgraph/internal/core/rankadj"
-	"ampcgraph/internal/dht"
 	"ampcgraph/internal/graph"
 	"ampcgraph/internal/rng"
 	"ampcgraph/internal/seq"
@@ -167,6 +171,33 @@ func packEdge(u, v graph.NodeID) uint64 {
 	return uint64(u)<<32 | uint64(v)
 }
 
+// process is the IsInMM query process under the edge ranking rank:
+// PermuteGraph sorts every vertex's incident edges by rank, and a vertex's
+// mate is the first neighbor whose edge the recursive edge oracle admits.
+// rankadj.Process drives it.
+func process(rank RankFunc) *rankadj.Process[graph.NodeID, *matchCache] {
+	return &rankadj.Process[graph.NodeID, *matchCache]{
+		Names: rankadj.Names{
+			Shuffle: "PermuteGraph", Search: "IsInMM", Store: "edge-sorted-graph", Token: "mm-local",
+			Published: "matching-status", Shared: "mm-edge-sorted-graph", PlanKey: "mm-search",
+		},
+		Key:      rank,
+		NewCache: newMatchCache,
+		Single: func(ctx *ampc.Ctx, cache *matchCache, lim rankadj.Limits, v graph.NodeID, list codec.NodeList) (graph.NodeID, error) {
+			s := searcher{ctx: ctx, cache: cache, rank: rank, lim: lim}
+			return s.vertexProcess(v, list)
+		},
+		Block: func(ctx *ampc.Ctx, cache *matchCache, size int) rankadj.Evaluator[graph.NodeID] {
+			return &batchMatcher{
+				ctx: ctx, cache: cache, rank: rank,
+				lists:   make(map[graph.NodeID]codec.NodeList, size),
+				charged: make(map[uint64]bool),
+			}
+		},
+		Encode: codec.EncodeNodeID,
+	}
+}
+
 func runProcess(g *graph.Graph, cfg ampc.Config, rank RankFunc, budget int) (*Result, error) {
 	rt := ampc.New(cfg)
 	defer rt.Close()
@@ -177,312 +208,69 @@ func runProcess(g *graph.Graph, cfg ampc.Config, rank RankFunc, budget int) (*Re
 	return &Result{Matching: m, Stats: rt.Stats(), SearchRounds: rounds}, nil
 }
 
-// permuteGraph runs the PermuteGraph shuffle (Step 1): every vertex's
-// incident edges sorted by edge priority — one shuffle stage on the worker
-// pool (rankadj.Lists), which evaluates rank once per endpoint.
-func permuteGraph(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, tag string) ([]codec.NodeList, error) {
-	return rankadj.Lists(rt, "PermuteGraph"+tag, g, nil, rank)
-}
-
-// sortedStore runs the PermuteGraph shuffle and prepares the store holding
-// the edge-sorted graph plus the KV-write round that fills it — the shared
-// prefix of the single-pass plan and the truncated driver.
-func sortedStore(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, tag string) ([]codec.NodeList, *dht.Store, ampc.Round, error) {
-	sorted, err := permuteGraph(rt, g, rank, tag)
-	if err != nil {
-		return nil, nil, ampc.Round{}, err
-	}
-	store, err := rt.OpenStore("edge-sorted-graph" + tag)
-	if err != nil {
-		return nil, nil, ampc.Round{}, err
-	}
-	write := rt.WriteTableRound("kv-write"+tag, store, g.NumNodes(), 1, func(item int) []byte {
-		return sorted[item].Encoded()
-	})
-	return sorted, store, write, nil
-}
-
-// Plan is the 2-round maximal matching pipeline prepared on an existing
-// runtime: the KV-write round producing the edge-sorted store and the IsInMM
-// search round reading it.  The rounds declare their store dependency, so
-// they can be staged into a larger RunPipeline sequence next to another
-// algorithm's rounds (see the bench "pipeline" experiment).
-type Plan struct {
-	// Write stores the edge-sorted adjacency lists.  Search (the local
-	// stage) resolves every vertex whose edge-oracle recursion stays inside
-	// the executing machine's owned key range, reading only that range;
-	// Spill finishes the searches that escaped their range, reading the
-	// whole store.  The local stage of machine m therefore conflicts only
-	// with m's own write sub-round, which is what lets RunPipeline overlap
-	// it with the other machines' writes.
-	Write, Search, Spill ampc.Round
-	// Matching is filled by the two search stages together.
-	Matching *seq.Matching
-}
-
-// Rounds returns the plan's rounds in execution order, ready to be staged
-// into a RunPipeline sequence (possibly interleaved with another plan's).
-func (p *Plan) Rounds() []ampc.Round { return []ampc.Round{p.Write, p.Search, p.Spill} }
-
-// NewPlan runs the host-side PermuteGraph shuffle for g (under the uniform
-// edge ranking of the runtime's seed, as Run uses) and prepares the KV-write
-// and search rounds on rt.  Executing the two rounds completes the
-// computation exactly as Run does.
-func NewPlan(rt *ampc.Runtime, g *graph.Graph) (*Plan, error) {
-	return newPlan(rt, g, UniformEdgeRank(rt.Config().Seed), "")
-}
-
-func newPlan(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, tag string) (*Plan, error) {
-	n := g.NumNodes()
-	rt.SetOwnership(graph.DegreeWeights(g))
-	sorted, store, write, err := sortedStore(rt, g, rank, tag)
-	if err != nil {
-		return nil, err
-	}
-	local, spill, matching := searchStages(rt, store, sorted, rank, rt.WriteRanges(n), tag)
-	return &Plan{Write: write, Search: local, Spill: spill, Matching: matching}, nil
-}
-
-// searchStages builds the local and spill IsInMM search rounds over the
-// edge-sorted store, with fresh result state (the returned matching,
-// vertex/edge caches) private to the pair — the one-shot plan and every
-// serving query (Shared.Run) get theirs here.  The local stage reads the
-// per-machine key ranges spans — the ranges the write round declares — so
-// local(m) depends on write(m) alone; a token orders every spill sub-round
-// after every local one without naming any storage.
-func searchStages(rt *ampc.Runtime, store *dht.Store, sorted []codec.NodeList, rank RankFunc,
-	spans []dht.RangeSet, tag string) (local, spill ampc.Round, matching *seq.Matching) {
-	cfgD := rt.Config()
-	n := len(sorted)
-	matching = seq.NewMatching(n)
-	resolved := make([]bool, n)
-	caches := make([]*matchCache, cfgD.Machines)
-	if cfgD.EnableCache {
-		for i := range caches {
-			caches[i] = newMatchCache()
-		}
-	}
-	mu := new(sync.Mutex)
-	if cfgD.Batch {
-		// Streaming block evaluation over shard-grouped batches (see
-		// batch.go).
-		local = batchSearchRound(rt, "IsInMM"+tag, store, sorted, rank, caches, matching.Mate, resolved, mu, spans)
-		spill = batchSearchRound(rt, "IsInMM-spill"+tag, store, sorted, rank, caches, matching.Mate, resolved, mu, nil)
-	} else {
-		local = searchRound(rt, "IsInMM"+tag, store, sorted, rank, caches, matching.Mate, resolved, mu, spans)
-		spill = searchRound(rt, "IsInMM-spill"+tag, store, sorted, rank, caches, matching.Mate, resolved, mu, nil)
-	}
-	tok := ampc.NewToken("mm-local" + tag)
-	local.Reads = []ampc.Access{ampc.RangedBy(store, spans)}
-	local.Writes = []ampc.Access{{Token: tok}}
-	spill.Reads = []ampc.Access{{Token: tok}}
-	return local, spill, matching
-}
-
 // computeMatching runs the shuffle + KV-write + search pipeline on an
 // existing runtime.  tag suffixes the phase and store names so that the
 // filtered variant can run several iterations on one runtime.
 func computeMatching(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, budget int, tag string) (*seq.Matching, int, error) {
-	cfgD := rt.Config()
-	n := g.NumNodes()
-	// Degree-proportional placement weights keep per-machine load even under
-	// ampc.PlacementWeighted; under other placements this only declares the
-	// keyspace.
-	rt.SetOwnership(graph.DegreeWeights(g))
-
-	if budget == 0 {
-		// Untruncated searches resolve in a single pass, so the KV-write
-		// and the search form one static round sequence with a declared
-		// store dependency.  RunStaged executes them at per-round barriers
-		// by default and as one dependency-scheduled pipeline under
-		// Config.Pipeline — with byte-identical results either way.
-		plan, err := newPlan(rt, g, rank, tag)
-		if err != nil {
-			return nil, 0, err
-		}
-		err = rt.RunStaged([]ampc.StagedRound{
-			{Phase: "KV-Write" + tag, Round: plan.Write},
-			{Phase: "IsInMM" + tag, Round: plan.Search},
-			{Phase: "IsInMM-spill" + tag, Round: plan.Spill},
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return plan.Matching, 1, nil
-	}
-
-	// Truncated variant: searches are budgeted and retried across passes,
-	// so the driver stays dynamic.  The single-key path is kept so the
-	// per-search query budget retains its original meaning.
-	sorted, store, writeRound, err := sortedStore(rt, g, rank, tag)
-	if err != nil {
-		return nil, 0, err
-	}
-	matching := seq.NewMatching(n)
-	resolved := make([]bool, n)
-	err = rt.Phase("KV-Write"+tag, func() error { return rt.Run(writeRound) })
-	if err != nil {
-		return nil, 0, err
-	}
-	searchRounds := 0
-	mateStore, err := rt.OpenStore("matching-status" + tag)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	pass := 0
-	prevRemaining := -1
-	for {
-		pass++
-		remaining := 0
-		for v := 0; v < n; v++ {
-			if !resolved[v] {
-				remaining++
-			}
-		}
-		if remaining == 0 {
-			break
-		}
-		if remaining == prevRemaining {
-			// Engineering safeguard beyond the paper's analysis: if a pass
-			// made no progress, double the truncation budget so the next one
-			// must.
-			budget *= 2
-		}
-		prevRemaining = remaining
-		caches := make([]*matchCache, cfgD.Machines)
-		if cfgD.EnableCache {
-			for i := range caches {
-				caches[i] = newMatchCache()
-			}
-		}
-		phaseName := "IsInMM" + tag
-		if pass > 1 {
-			phaseName = fmt.Sprintf("IsInMM%s-pass%d", tag, pass)
-		}
-		err = rt.Phase(phaseName, func() error {
-			round := ampc.Round{
-				Name:        phaseName,
-				Items:       n,
-				Read:        store,
-				Writes:      []ampc.Access{{Store: mateStore}},
-				Partitioner: rt.OwnerPartitioner(n),
-				Body: func(ctx *ampc.Ctx, item int) error {
-					if resolved[item] {
-						return nil
-					}
-					cache := caches[ctx.Machine]
-					if cache == nil {
-						// Without the caching optimization, results are still
-						// memoized within a single query (the paper's
-						// unoptimized variant); they are just not shared
-						// across queries, so every vertex re-fetches from the
-						// key-value store.
-						cache = newMatchCache()
-					}
-					s := &searcher{
-						ctx:    ctx,
-						cache:  cache,
-						rank:   rank,
-						budget: budget,
-					}
-					if pass > 1 {
-						s.mateStore = mateStore
-					}
-					mate, err := s.vertexProcess(graph.NodeID(item), sorted[item])
-					if errors.Is(err, errTruncated) {
-						return nil // retry next pass
-					}
-					if err != nil {
-						return err
-					}
-					matching.Mate[item] = mate
-					resolved[item] = true
-					return ctx.Write(mateStore, uint64(item), codec.EncodeNodeID(mate))
-				},
-			}
-			if pass > 1 {
-				round.Reads = []ampc.Access{{Store: mateStore}}
-			}
-			return rt.Run(round)
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		searchRounds = pass
-		if pass > 64 {
-			return nil, 0, fmt.Errorf("matching: truncated search did not converge after %d passes", pass)
-		}
-	}
-	if searchRounds == 0 {
-		searchRounds = 1
-	}
-	return matching, searchRounds, nil
+	m := seq.NewMatching(g.NumNodes())
+	rounds, err := process(rank).Run(rt, g, m.Mate, budget, tag)
+	return m, rounds, err
 }
 
-// searchRound builds one stage of the single-key IsInMM search: every
-// unresolved vertex runs the vertex-centric query process against the frozen
-// edge-sorted store.  With spans set (the local stage) each machine's
-// searches are confined to spans[machine]: a recursion that needs a key
-// outside the range escapes and is left unresolved for the spill stage,
-// which passes spans == nil and finishes the remainder against the whole
-// store.
-func searchRound(rt *ampc.Runtime, name string, store *dht.Store, sorted []codec.NodeList,
-	rank RankFunc, caches []*matchCache, mate []graph.NodeID, resolved []bool, mu *sync.Mutex,
-	spans []dht.RangeSet) ampc.Round {
-	n := len(sorted)
-	return ampc.Round{
-		Name:        name,
-		Items:       n,
-		Read:        store,
-		Partitioner: rt.OwnerPartitioner(n),
-		Body: func(ctx *ampc.Ctx, item int) error {
-			if resolved[item] {
-				return nil
-			}
-			cache := caches[ctx.Machine]
-			if cache == nil {
-				cache = newMatchCache()
-			}
-			s := &searcher{ctx: ctx, cache: cache, rank: rank}
-			if spans != nil {
-				s.span = spans[ctx.Machine]
-			}
-			got, err := s.vertexProcess(graph.NodeID(item), sorted[item])
-			if errors.Is(err, errEscape) {
-				return nil // finished by the spill stage
-			}
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			mate[item] = got
-			resolved[item] = true
-			mu.Unlock()
-			return nil
-		},
-	}
+// Plan is the maximal matching pipeline prepared on an existing runtime: the
+// KV-write round and the two IsInMM search stages of rankadj.Plan.
+type Plan struct {
+	rankadj.Plan
+	// Matching is filled by the two search stages together.
+	Matching *seq.Matching
 }
 
-var errTruncated = fmt.Errorf("matching: search truncated")
+// NewPlan runs the host-side PermuteGraph shuffle for g (under the uniform
+// edge ranking of the runtime's seed, as Run uses) and prepares the KV-write
+// and search rounds on rt.  Executing the rounds in order completes the
+// computation exactly as Run does.
+func NewPlan(rt *ampc.Runtime, g *graph.Graph) (*Plan, error) {
+	m := seq.NewMatching(g.NumNodes())
+	plan, err := process(UniformEdgeRank(rt.Config().Seed)).NewPlan(rt, g, m.Mate, "")
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{Plan: *plan, Matching: m}, nil
+}
 
-// errEscape reports that a span-confined search needed a key outside its
-// range; the vertex stays unresolved and the spill stage finishes it.
-// Vertex states and edge-oracle results cached before the escape are
-// complete results and stay valid.
-var errEscape = fmt.Errorf("matching: search escaped its key range")
+// Shared is the per-session substrate of the maximal matching computation
+// (see rankadj.Shared): the PermuteGraph lists and the frozen edge-sorted
+// store every query job of the session reads.
+type Shared struct {
+	sub *rankadj.Shared[graph.NodeID, *matchCache]
+}
+
+// NewShared prepares the shared matching substrate on rt's session under the
+// uniform edge ranking of the session's seed (as Run uses).
+func NewShared(rt *ampc.Runtime, g *graph.Graph) (*Shared, error) {
+	sub, err := process(UniformEdgeRank(rt.Config().Seed)).NewShared(rt, g)
+	if err != nil {
+		return nil, err
+	}
+	return &Shared{sub: sub}, nil
+}
+
+// Run executes one maximal matching query as a job on rt against the shared
+// substrate; every call computes the same matching the one-shot Run does.
+func (sh *Shared) Run(rt *ampc.Runtime) (*Result, error) {
+	m := seq.NewMatching(sh.sub.Len())
+	if err := sh.sub.Run(rt, m.Mate); err != nil {
+		return nil, err
+	}
+	return &Result{Matching: m, Stats: rt.Stats(), SearchRounds: 1}, nil
+}
 
 // searcher runs the vertex and edge query processes for one work item.
 type searcher struct {
 	ctx   *ampc.Ctx
 	cache *matchCache
 	rank  RankFunc
-	// span confines the search to a key range (zero value: unconfined);
-	// fetching a key outside it aborts the search with errEscape.
-	span      dht.RangeSet
-	budget    int
-	queries   int
-	mateStore *dht.Store
+	lim   rankadj.Limits
 }
 
 // vertexProcess returns the mate of v in the random-greedy maximal matching
@@ -509,7 +297,7 @@ func (s *searcher) vertexProcess(v graph.NodeID, sortedNbrs codec.NodeList) (gra
 	}
 	if sortedNbrs.Len() == 0 {
 		var err error
-		sortedNbrs, err = s.fetchNeighbors(v)
+		sortedNbrs, err = s.lim.Fetch(s.ctx, v)
 		if err != nil {
 			return graph.None, err
 		}
@@ -563,11 +351,11 @@ func (s *searcher) edgeProcess(u, v graph.NodeID) (bool, error) {
 		}
 	}
 	myRank := s.rank(u, v)
-	au, err := s.fetchNeighbors(u)
+	au, err := s.lim.Fetch(s.ctx, u)
 	if err != nil {
 		return false, err
 	}
-	av, err := s.fetchNeighbors(v)
+	av, err := s.lim.Fetch(s.ctx, v)
 	if err != nil {
 		return false, err
 	}
@@ -617,33 +405,11 @@ func (s *searcher) edgeProcess(u, v graph.NodeID) (bool, error) {
 	return true, nil
 }
 
-// fetchNeighbors reads v's edge-sorted list from the store and walks it in
-// place: the value of a frozen store does not change under the view.
-func (s *searcher) fetchNeighbors(v graph.NodeID) (codec.NodeList, error) {
-	if !s.span.Contains(uint64(v)) {
-		return codec.NodeList{}, errEscape
-	}
-	if s.budget > 0 {
-		s.queries++
-		if s.queries > s.budget {
-			return codec.NodeList{}, errTruncated
-		}
-	}
-	raw, ok, err := s.ctx.Lookup(uint64(v))
-	if err != nil {
-		return codec.NodeList{}, err
-	}
-	if !ok {
-		return codec.NodeList{}, fmt.Errorf("matching: vertex %d missing from the key-value store", v)
-	}
-	return codec.ViewNodeIDs(raw)
-}
-
 func (s *searcher) lookupPublishedMate(v graph.NodeID) (graph.NodeID, bool, error) {
-	if s.mateStore == nil {
+	if s.lim.Published == nil {
 		return graph.None, false, nil
 	}
-	raw, ok, err := s.mateStore.Get(uint64(v))
+	raw, ok, err := s.lim.Published.Get(uint64(v))
 	if err != nil || !ok {
 		return graph.None, false, err
 	}

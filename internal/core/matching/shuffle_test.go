@@ -9,6 +9,7 @@ import (
 
 	"ampcgraph/internal/ampc"
 	"ampcgraph/internal/codec"
+	"ampcgraph/internal/core/rankadj"
 	"ampcgraph/internal/gen"
 	"ampcgraph/internal/graph"
 )
@@ -31,6 +32,13 @@ func permuteGraphRef(g *graph.Graph, rank RankFunc) [][]graph.NodeID {
 		sorted[v] = nbrs
 	}
 	return sorted
+}
+
+// permuteGraph runs the PermuteGraph stage alone, as the process's substrate
+// does.
+func permuteGraph(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, tag string) ([]codec.NodeList, error) {
+	p := process(rank)
+	return rankadj.Lists(rt, p.Shuffle+tag, g, p.Keep, p.Key)
 }
 
 // withIsolated returns g plus extra vertices of degree 0, keeping weights.

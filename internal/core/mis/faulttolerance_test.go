@@ -5,15 +5,41 @@ import (
 
 	"ampcgraph/internal/ampc"
 	"ampcgraph/internal/gen"
+	"ampcgraph/internal/graph"
 	"ampcgraph/internal/rng"
 	"ampcgraph/internal/seq"
 )
 
+// runWithShardFailures runs the MIS plan on a fresh runtime round by round
+// and fails the given shards of the directed-graph store between the KV-write
+// round and the two search stages.  It exists to test the fault-tolerance
+// property of the model (Section 2); the production entry points do not
+// inject failures.
+func runWithShardFailures(cfg ampc.Config, g *graph.Graph, shards ...int) ([]bool, error) {
+	rt := ampc.New(cfg)
+	defer rt.Close()
+	plan, err := NewPlan(rt, g)
+	if err != nil {
+		return nil, err
+	}
+	if err := rt.Run(plan.Write); err != nil {
+		return nil, err
+	}
+	for _, i := range shards {
+		plan.Search.Read.FailShard(i)
+	}
+	if err := rt.Run(plan.Search); err != nil {
+		return nil, err
+	}
+	if err := rt.Run(plan.Spill); err != nil {
+		return nil, err
+	}
+	return plan.InMIS, nil
+}
+
 // TestMISSurvivesShardFailureWithReplication exercises the fault-tolerance
 // property of Section 2: with replicated hash tables, losing key-value
-// servers mid-computation must not change the result.  The failure is
-// injected between the KV-write round and the search round by failing shards
-// of every store the runtime created.
+// servers mid-computation must not change the result.
 func TestMISSurvivesShardFailureWithReplication(t *testing.T) {
 	g := gen.PreferentialAttachment(400, 4, 19)
 	n := g.NumNodes()
@@ -22,16 +48,7 @@ func TestMISSurvivesShardFailureWithReplication(t *testing.T) {
 	want := seq.GreedyMIS(g, rng.VertexPriorities(19, n))
 
 	cfg := ampc.Config{Machines: 4, Threads: 2, EnableCache: true, Seed: 19, Replicate: true, Shards: 8}
-	rt := ampc.New(cfg)
-	// Build the directed graph and write it, mirroring the first two phases
-	// of Run, then fail half of the shards before the search phase.
-	res, err := runWithFaultInjection(rt, g, func(stores []storeFailer) {
-		for _, s := range stores {
-			s.FailShard(0)
-			s.FailShard(3)
-			s.FailShard(5)
-		}
-	})
+	res, err := runWithShardFailures(cfg, g, 0, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,15 +65,7 @@ func TestMISSurvivesShardFailureWithReplication(t *testing.T) {
 func TestMISFailsWithoutReplication(t *testing.T) {
 	g := gen.PreferentialAttachment(400, 4, 19)
 	cfg := ampc.Config{Machines: 4, Threads: 2, EnableCache: true, Seed: 19, Replicate: false, Shards: 8}
-	rt := ampc.New(cfg)
-	_, err := runWithFaultInjection(rt, g, func(stores []storeFailer) {
-		for _, s := range stores {
-			for i := 0; i < 8; i++ {
-				s.FailShard(i)
-			}
-		}
-	})
-	if err == nil {
+	if _, err := runWithShardFailures(cfg, g, 0, 1, 2, 3, 4, 5, 6, 7); err == nil {
 		t.Fatal("expected lookups against failed, unreplicated shards to fail")
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"ampcgraph/internal/ampc"
 	"ampcgraph/internal/codec"
+	"ampcgraph/internal/core/rankadj"
 	"ampcgraph/internal/gen"
 	"ampcgraph/internal/graph"
 	"ampcgraph/internal/rng"
@@ -36,6 +37,13 @@ func directGraphRef(g *graph.Graph, prio []uint64) [][]graph.NodeID {
 		directed[v] = earlier
 	}
 	return directed
+}
+
+// directGraph runs the DirectGraph stage alone, as the process's substrate
+// does.
+func directGraph(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([]codec.NodeList, error) {
+	p := process(prio)
+	return rankadj.Lists(rt, p.Shuffle, g, p.Keep, p.Key)
 }
 
 // withIsolated returns g plus extra vertices of degree 0.

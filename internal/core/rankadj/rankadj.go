@@ -1,10 +1,27 @@
-// Package rankadj builds rank-sorted adjacency lists: the per-vertex map
-// shuffle that opens both query-process algorithms of the paper — MIS's
-// DirectGraph (Section 5.3: keep the earlier neighbours, by vertex rank) and
-// maximal matching's PermuteGraph (Section 5.4: all neighbours, by edge
-// rank).  The two differ only in which neighbours they keep and by what key
-// they order them, so they share this one body, run as one ampc shuffle
-// stage on the session's worker pool.
+// Package rankadj is the one driver under the paper's two constant-round
+// query-process algorithms, MIS (Section 5.3) and maximal matching (Section
+// 5.4).  They are one computation around two recursions: one shuffle builds
+// every vertex's rank-sorted adjacency list (Lists — MIS's DirectGraph keeps
+// the earlier neighbours by vertex rank, matching's PermuteGraph all of them
+// by edge rank), one KV-write round stores the lists, and one search round
+// resolves every vertex by a recursion that looks other vertices' lists up
+// adaptively.
+//
+// A Process is what differs between the two: the names they run under, which
+// neighbours a list keeps and by what key it orders them, the per-machine
+// cache, the recursion itself — in single-key form (Single, fetching through
+// Limits.Fetch) and in resumable form (Block, an Evaluator the streaming round
+// feeds lists to) — and how a result is published.  Its methods are
+// everything that does not differ: the substrate (shuffle, store, write
+// round), the plan with its local stage (confined to the key range the
+// executing machine wrote, so it overlaps the other machines' writes under
+// Config.Pipeline) and its spill stage (the searches that escaped, ordered
+// after by a token), the choice between the per-vertex round and the
+// per-block ampc.Ctx.Stream round (the one place Config.Batch is branched on
+// for these algorithms), Run (the staged sequence, or the truncated
+// multi-pass loop of the O(1/ε)-round variant) and Shared (the serving
+// layer's resident substrate, queried by any number of jobs).  Packages mis
+// and matching are a recursion, a cache and a Process value each.
 package rankadj
 
 import (
