@@ -139,11 +139,12 @@ bench-wall-smoke:
 # stages on the HL stand-in (DirectGraph, PermuteGraph, SortGraph), the MIS and
 # matching search stages (allocs/vertex of the rankadj round bodies), the batch
 # read path (the streamed cycle walk, a warm ReadMany, the per-batch shard
-# grouping) and the placement lookup — so they keep compiling and running; it
-# measures nothing.
+# grouping), the placement lookup and the mem store path (fill, freeze, read
+# back: the cycle job's small values and the HL adjacency lists) — so they
+# keep compiling and running; it measures nothing.
 # For numbers: go test -run '^$$' -bench <name> -benchmem -count 5 <package>.
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkSearchStages$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$' -benchtime=1x \
+	$(GO) test -run '^$$' -bench 'BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkSearchStages$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$|BenchmarkMemStoreSmall$$|BenchmarkMemStoreAdjacency$$' -benchtime=1x \
 		./internal/core/mis ./internal/core/matching ./internal/core/msf ./internal/core/cycle ./internal/ampc ./internal/dht
 
 # cover-check enforces a statement-coverage floor on the runtime-critical
@@ -161,8 +162,8 @@ cover-check:
 		if [ "$$ok" != "1" ]; then echo "coverage of $$1 fell below $$3%" >&2; exit 1; fi; \
 	done
 
-# fuzz-smoke gives every fuzz target a short budget (the boundary-key and
-# codec round-trip fuzzers of the dht and codec packages).  Go only allows
+# fuzz-smoke gives every fuzz target a short budget (the boundary-key, slot
+# table and codec round-trip fuzzers of the dht and codec packages).  Go only allows
 # one -fuzz pattern per invocation, so the targets run one at a time; seed
 # corpora and testdata regressions always run via plain `make test`.
 fuzz-smoke:
@@ -171,6 +172,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzOwnershipOwnerOf -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzRederiveBoundaries -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz='FuzzRangeSet$$' -fuzztime=$(FUZZTIME) ./internal/dht
+	$(GO) test -run=NONE -fuzz=FuzzMemTable -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzDecodeNodeIDs -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWeightedNeighbors -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzWeightedList -fuzztime=$(FUZZTIME) ./internal/codec

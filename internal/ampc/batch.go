@@ -209,6 +209,7 @@ func (r *Runtime) WriteTable(name string, store *dht.Store, items, computePerIte
 // (WriteRanges), so the segment executor can overlap later sub-rounds
 // that only touch other machines' ranges.
 func (s *Session) WriteTableRound(name string, store *dht.Store, items, computePerItem int, value func(int) []byte) Round {
+	store.Reserve(items) // one key per item: let the engine size its tables once
 	if !s.cfg.Batch {
 		return Round{
 			Name:        name,

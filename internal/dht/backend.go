@@ -14,8 +14,13 @@ import (
 // accounts operations, while the bytes themselves live behind a ShardBackend.
 // Three backends ship with the repository:
 //
-//   - mem  (BackendMem):  one Go map per shard — the original store, and the
-//     byte-compatible default;
+//   - mem  (BackendMem):  per shard, an open-addressing table of 16-byte
+//     pointer-free slots over an append-only arena of value bytes (table.go)
+//     — the default.  A read of a frozen shard costs an atomic pointer load,
+//     one probe (usually one cache line) and a slice header; it takes no
+//     lock.  Values never move: a slice handed to a reader stays valid and
+//     unchanged for the store's lifetime, whatever is overwritten, deleted
+//     or migrated afterwards;
 //   - disk (BackendDisk): a log-structured append file plus an in-memory
 //     offset index per shard, so a store whose data outgrows RAM keeps
 //     working with only the index resident (see disk.go);
@@ -32,7 +37,8 @@ import (
 type BackendKind string
 
 const (
-	// BackendMem keeps every shard in an in-memory map (the default).
+	// BackendMem keeps every shard in memory: a flat slot table over an
+	// append-only arena (the default).
 	BackendMem BackendKind = "mem"
 	// BackendDisk keeps every shard in a log-structured append file with an
 	// in-memory offset index, spilling values past RAM.
@@ -105,7 +111,8 @@ func (b BackendStats) MeasuredWriteRTT() time.Duration {
 // Contracts shared by every implementation:
 //
 //   - Values are copied on write and must not be modified by callers after a
-//     read (exactly the map semantics of the original store).
+//     read (exactly the map semantics of the original store).  A slice
+//     returned by a read stays valid after later writes to the same key.
 //   - A write mirrors into the replica when replication is enabled.
 //   - A read of a failed shard is served from the replica (reported as a
 //     failover) or returns ErrUnavailable when the backend is unreplicated.
@@ -148,8 +155,10 @@ type ShardBackend interface {
 	// LenShard returns the number of distinct keys on shard.
 	LenShard(shard int) int
 	// Range calls fn for every key-value pair on shard until fn returns
-	// false; it returns false when fn stopped the iteration early.
-	Range(shard int, fn func(key uint64, value []byte) bool) bool
+	// false.  completed is false when fn stopped the iteration early; err
+	// reports a shard whose bytes could not be read (the disk backend), in
+	// which case the iteration stopped at the failing key.
+	Range(shard int, fn func(key uint64, value []byte) bool) (completed bool, err error)
 	// Stats returns the backend-specific counters.
 	Stats() BackendStats
 	// Close releases backend resources (files, sockets).  The backend is
@@ -187,206 +196,331 @@ func newBackend(opts Options) (ShardBackend, error) {
 	return engine, nil
 }
 
-// memShard is one in-memory shard: the primary map, the optional replica and
-// the simulated failure flag.
-type memShard struct {
-	mu      sync.RWMutex
-	data    map[uint64][]byte
-	replica map[uint64][]byte
-	failed  bool
+// memState is everything a read of one mem shard needs: the primary index,
+// the replica (a second index over the same arena bytes), the arena and the
+// simulated failure flag.  A shard mutates its own memState under its mutex;
+// a frozen shard additionally publishes a copy that is never written again.
+type memState struct {
+	prim, rep  memTable
+	arena      arena
+	replicated bool
+	failed     bool
 }
 
-// memBackend is the original in-memory storage engine: one map per shard.
-// It also serves as the server-side engine of the rpc backend.
-type memBackend struct {
-	shards   []*memShard
-	resident atomic.Int64 // approximate bytes held by primary values
-}
-
-// memKeyOverhead approximates the per-key bookkeeping of a map entry (hash
-// bucket slot, key, slice header) for the resident-bytes estimate.
-const memKeyOverhead = 48
-
-func newMemBackend(shards int, replicate bool) *memBackend {
-	b := &memBackend{shards: make([]*memShard, shards)}
-	for i := range b.shards {
-		b.shards[i] = &memShard{data: make(map[uint64][]byte)}
-		if replicate {
-			b.shards[i].replica = make(map[uint64][]byte)
-		}
+// table returns the index that serves reads: the primary, or the replica of
+// a failed shard (failover), or ErrUnavailable when a failed shard has none.
+func (st *memState) table() (t *memTable, failover bool, err error) {
+	if !st.failed {
+		return &st.prim, false, nil
 	}
-	return b
+	if !st.replicated {
+		return nil, false, ErrUnavailable
+	}
+	return &st.rep, true, nil
 }
 
-func (b *memBackend) Kind() BackendKind { return BackendMem }
-
-func (b *memBackend) Get(shard int, key uint64) ([]byte, bool, bool, error) {
-	sh := b.shards[shard]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.failed {
-		if sh.replica == nil {
-			return nil, false, false, ErrUnavailable
-		}
-		v, ok := sh.replica[key]
-		return v, ok, true, nil
+func (st *memState) get(key uint64) ([]byte, bool, bool, error) {
+	t, failover, err := st.table()
+	if err != nil {
+		return nil, false, false, err
 	}
-	v, ok := sh.data[key]
-	return v, ok, false, nil
+	ref := t.get(key)
+	if ref == refEmpty {
+		return nil, false, failover, nil
+	}
+	return refBytes(st.arena.chunks, ref), true, failover, nil
 }
 
-// accountStore updates the resident estimate for storing next under key,
-// replacing prev bytes (0 for a new key, which also pays the key overhead).
-func (b *memBackend) accountStore(isNew bool, prev, next int) {
-	delta := int64(next - prev)
-	if isNew {
-		delta += memKeyOverhead
-	}
-	b.resident.Add(delta)
-}
-
-func (b *memBackend) Put(shard int, key uint64, value []byte) error {
-	sh := b.shards[shard]
-	cp := append([]byte(nil), value...)
-	sh.mu.Lock()
-	prev, existed := sh.data[key]
-	sh.data[key] = cp
-	if sh.replica != nil {
-		sh.replica[key] = cp
-	}
-	sh.mu.Unlock()
-	b.accountStore(!existed, len(prev), len(cp))
-	return nil
-}
-
-func (b *memBackend) Append(shard int, key uint64, value []byte) error {
-	sh := b.shards[shard]
-	sh.mu.Lock()
-	cur, existed := sh.data[key]
-	next := make([]byte, 0, len(cur)+len(value))
-	next = append(next, cur...)
-	next = append(next, value...)
-	sh.data[key] = next
-	if sh.replica != nil {
-		sh.replica[key] = next
-	}
-	sh.mu.Unlock()
-	b.accountStore(!existed, len(cur), len(next))
-	return nil
-}
-
-func (b *memBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int, error) {
-	sh := b.shards[shard]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.failed && sh.replica == nil {
-		return nil, nil, 0, ErrUnavailable
-	}
-	data := sh.data
-	failovers := 0
-	if sh.failed {
-		data = sh.replica
-		failovers = len(keys)
+func (st *memState) batchGet(keys []uint64) ([][]byte, []bool, int, error) {
+	t, failover, err := st.table()
+	if err != nil {
+		return nil, nil, 0, err
 	}
 	vals := make([][]byte, len(keys))
 	oks := make([]bool, len(keys))
 	for i, k := range keys {
-		vals[i], oks[i] = data[k]
+		if ref := t.get(k); ref != refEmpty {
+			vals[i], oks[i] = refBytes(st.arena.chunks, ref), true
+		}
+	}
+	failovers := 0
+	if failover {
+		failovers = len(keys)
 	}
 	return vals, oks, failovers, nil
 }
 
-func (b *memBackend) BatchWrite(shard int, pairs []Pair, appendMode bool) error {
-	sh := b.shards[shard]
-	var delta int64
-	sh.mu.Lock()
-	for _, p := range pairs {
-		cur, existed := sh.data[p.Key]
-		var next []byte
-		if appendMode {
-			next = make([]byte, 0, len(cur)+len(p.Value))
-			next = append(next, cur...)
-			next = append(next, p.Value...)
-		} else {
-			next = append([]byte(nil), p.Value...)
-		}
-		sh.data[p.Key] = next
-		if sh.replica != nil {
-			sh.replica[p.Key] = next
-		}
-		delta += int64(len(next) - len(cur))
-		if !existed {
-			delta += memKeyOverhead
-		}
-	}
-	sh.mu.Unlock()
-	b.resident.Add(delta)
-	return nil
-}
-
-func (b *memBackend) BatchDelete(shard int, keys []uint64) error {
-	sh := b.shards[shard]
-	var delta int64
-	sh.mu.Lock()
-	for _, k := range keys {
-		if prev, existed := sh.data[k]; existed {
-			delta -= int64(len(prev)) + memKeyOverhead
-			delete(sh.data, k)
-		}
-		if sh.replica != nil {
-			delete(sh.replica, k)
-		}
-	}
-	sh.mu.Unlock()
-	b.resident.Add(delta)
-	return nil
-}
-
-func (b *memBackend) Freeze() error { return nil }
-
-func (b *memBackend) FailShard(shard int) {
-	sh := b.shards[shard]
-	sh.mu.Lock()
-	sh.failed = true
-	sh.mu.Unlock()
-}
-
-func (b *memBackend) RecoverShard(shard int) error {
-	sh := b.shards[shard]
-	sh.mu.Lock()
-	sh.failed = false
-	if sh.replica != nil {
-		// Rebuild the primary from the replica, as a recovering server would.
-		sh.data = make(map[uint64][]byte, len(sh.replica))
-		for k, v := range sh.replica {
-			sh.data[k] = v
-		}
-	}
-	sh.mu.Unlock()
-	return nil
-}
-
-func (b *memBackend) LenShard(shard int) int {
-	sh := b.shards[shard]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.data)
-}
-
-func (b *memBackend) Range(shard int, fn func(key uint64, value []byte) bool) bool {
-	sh := b.shards[shard]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for k, v := range sh.data {
-		if !fn(k, v) {
+func (st *memState) each(fn func(key uint64, value []byte) bool) bool {
+	for _, s := range st.prim.slots {
+		if s.ref > refDeleted && !fn(s.key, refBytes(st.arena.chunks, s.ref)) {
 			return false
 		}
 	}
 	return true
 }
 
+// memShard is one in-memory shard.  Until the backend is frozen every
+// operation takes mu.  Freeze publishes the state through view, and from
+// then on reads load the view and take no lock and write no shared cache
+// line; the rare post-freeze mutation (a simulated failure or recovery,
+// Rebalance's BatchWrite/BatchDelete) copies what it is about to change,
+// mutates the copy under mu and publishes a new view, so nothing reachable
+// from a published view is ever written again.
+type memShard struct {
+	view     atomic.Pointer[memState] // nil until Freeze
+	mu       sync.Mutex
+	st       memState
+	resident int64    // value bytes plus memKeyOverhead per key of the primary
+	_        [64]byte // pads the shard to whole cache lines: neighbours in the slice share none
+}
+
+// memBackend is the in-memory storage engine: per shard, a flat slot table
+// over an append-only arena (see table.go).  It also serves as the
+// server-side engine of the rpc backend, which never freezes it.
+type memBackend struct {
+	shards []memShard
+}
+
+// memKeyOverhead is the per-key bookkeeping charged to the resident-bytes
+// estimate.  It is the figure the map engine used (hash bucket slot, key,
+// slice header) and is kept so ResidentBytes means the same across versions
+// of the engine; a table slot at the load bound costs about half of it.
+const memKeyOverhead = 48
+
+func newMemBackend(shards int, replicate bool) *memBackend {
+	b := &memBackend{shards: make([]memShard, shards)}
+	for i := range b.shards {
+		b.shards[i].st.replicated = replicate
+	}
+	return b
+}
+
+func (b *memBackend) Kind() BackendKind { return BackendMem }
+
+// lockForWrite takes the shard mutex for a mutation of the indexes.  On a
+// frozen shard the published view shares the slot arrays, so the mutation
+// gets copies of its own; on an unfrozen one it first reclaims the arena if
+// overwrites and deletes have left more dead bytes than live ones.
+func (sh *memShard) lockForWrite() {
+	sh.mu.Lock()
+	if sh.view.Load() != nil {
+		sh.st.prim = sh.st.prim.clone()
+		if sh.st.replicated {
+			sh.st.rep = sh.st.rep.clone()
+		}
+		return
+	}
+	live := sh.resident - memKeyOverhead*int64(sh.st.prim.live)
+	if sh.st.arena.capBytes-live > live+compactSlack {
+		sh.compact()
+	}
+}
+
+// unlock republishes the state of a frozen shard and releases the mutex.
+func (sh *memShard) unlock() {
+	if sh.view.Load() != nil {
+		sh.publish()
+	}
+	sh.mu.Unlock()
+}
+
+// publish makes a copy of the state the one lock-free reads see.
+func (sh *memShard) publish() {
+	st := sh.st
+	sh.view.Store(&st)
+}
+
+// compact copies the live records into fresh chunks and repoints both
+// indexes.  The arena never recycles bytes — a slice handed to a reader
+// (per-machine caches keep them) must stay valid — so this is how an
+// overwritten value's memory is bounded: the old chunks stay intact for
+// whoever still holds a slice of them and go to the garbage collector after
+// that.
+func (sh *memShard) compact() {
+	old := sh.st.arena
+	sh.st.arena = arena{nextCap: old.nextCap}
+	slots := sh.st.prim.slots
+	for i := range slots {
+		if s := &slots[i]; s.ref > refDeleted {
+			s.ref = sh.st.arena.put(nil, refBytes(old.chunks, s.ref))
+		}
+	}
+	if sh.st.replicated {
+		// Every write reaches both indexes, so the replica is the primary's
+		// copy.
+		sh.st.rep = sh.st.prim.clone()
+	}
+}
+
+// store writes head+tail under key into both indexes and keeps the resident
+// estimate; the caller holds the shard for writing.
+func (sh *memShard) store(key uint64, head, tail []byte) {
+	ref := sh.st.arena.put(head, tail)
+	old := sh.st.prim.set(key, ref)
+	if sh.st.replicated {
+		sh.st.rep.set(key, ref)
+	}
+	sh.resident += int64(len(head) + len(tail))
+	if old == refEmpty {
+		sh.resident += memKeyOverhead
+	} else {
+		sh.resident -= int64(refLen(sh.st.arena.chunks, old))
+	}
+}
+
+// appendTo extends key's value by value, written as one new record.
+func (sh *memShard) appendTo(key uint64, value []byte) {
+	var cur []byte
+	if ref := sh.st.prim.get(key); ref != refEmpty {
+		cur = refBytes(sh.st.arena.chunks, ref)
+	}
+	sh.store(key, cur, value)
+}
+
+func (b *memBackend) Get(shard int, key uint64) ([]byte, bool, bool, error) {
+	sh := &b.shards[shard]
+	if st := sh.view.Load(); st != nil {
+		return st.get(key)
+	}
+	sh.mu.Lock()
+	v, ok, failover, err := sh.st.get(key)
+	sh.mu.Unlock()
+	return v, ok, failover, err
+}
+
+func (b *memBackend) Put(shard int, key uint64, value []byte) error {
+	sh := &b.shards[shard]
+	sh.lockForWrite()
+	sh.store(key, nil, value)
+	sh.unlock()
+	return nil
+}
+
+func (b *memBackend) Append(shard int, key uint64, value []byte) error {
+	sh := &b.shards[shard]
+	sh.lockForWrite()
+	sh.appendTo(key, value)
+	sh.unlock()
+	return nil
+}
+
+func (b *memBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int, error) {
+	sh := &b.shards[shard]
+	if st := sh.view.Load(); st != nil {
+		return st.batchGet(keys)
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.st.batchGet(keys)
+}
+
+func (b *memBackend) BatchWrite(shard int, pairs []Pair, appendMode bool) error {
+	sh := &b.shards[shard]
+	sh.lockForWrite()
+	for _, p := range pairs {
+		if appendMode {
+			sh.appendTo(p.Key, p.Value)
+		} else {
+			sh.store(p.Key, nil, p.Value)
+		}
+	}
+	sh.unlock()
+	return nil
+}
+
+func (b *memBackend) BatchDelete(shard int, keys []uint64) error {
+	sh := &b.shards[shard]
+	sh.lockForWrite()
+	for _, k := range keys {
+		if old := sh.st.prim.del(k); old != refEmpty {
+			sh.resident -= int64(refLen(sh.st.arena.chunks, old)) + memKeyOverhead
+		}
+		if sh.st.replicated {
+			sh.st.rep.del(k)
+		}
+	}
+	sh.unlock()
+	return nil
+}
+
+// Reserve tells the engine that about keys entries are coming, spread over
+// the shards: each table is then sized once (its share plus 1/8 slack for an
+// uneven placement) instead of doubled into place.  A table whose shard a
+// placement skews past the reservation still grows.
+func (b *memBackend) Reserve(keys int) {
+	per := keys / len(b.shards)
+	per += per/8 + 1
+	for i := range b.shards {
+		sh := &b.shards[i]
+		sh.mu.Lock()
+		sh.st.prim.reserve(per)
+		if sh.st.replicated {
+			sh.st.rep.reserve(per)
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// Freeze publishes every shard's state: the store is read-only from here on
+// (Store.Freeze refuses writes), so reads stop taking the shard mutex.
+func (b *memBackend) Freeze() error {
+	for i := range b.shards {
+		sh := &b.shards[i]
+		sh.mu.Lock()
+		sh.publish()
+		sh.mu.Unlock()
+	}
+	return nil
+}
+
+func (b *memBackend) FailShard(shard int) {
+	sh := &b.shards[shard]
+	sh.mu.Lock()
+	sh.st.failed = true
+	sh.unlock()
+}
+
+func (b *memBackend) RecoverShard(shard int) error {
+	sh := &b.shards[shard]
+	sh.mu.Lock()
+	sh.st.failed = false
+	if sh.st.replicated {
+		// Rebuild the primary from the replica, as a recovering server would.
+		sh.st.prim = sh.st.rep.clone()
+	}
+	sh.unlock()
+	return nil
+}
+
+func (b *memBackend) LenShard(shard int) int {
+	sh := &b.shards[shard]
+	if st := sh.view.Load(); st != nil {
+		return st.prim.live
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.st.prim.live
+}
+
+func (b *memBackend) Range(shard int, fn func(key uint64, value []byte) bool) (bool, error) {
+	sh := &b.shards[shard]
+	if st := sh.view.Load(); st != nil {
+		return st.each(fn), nil
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.st.each(fn), nil
+}
+
 func (b *memBackend) Stats() BackendStats {
-	return BackendStats{Kind: BackendMem, ResidentBytes: b.resident.Load()}
+	var resident int64
+	for i := range b.shards {
+		sh := &b.shards[i]
+		sh.mu.Lock()
+		resident += sh.resident
+		sh.mu.Unlock()
+	}
+	return BackendStats{Kind: BackendMem, ResidentBytes: resident}
 }
 
 func (b *memBackend) Close() error { return nil }

@@ -60,14 +60,6 @@ func (s *Store) shardGroups(n int, keyAt func(i int) uint64) (order, starts []in
 	return order, starts
 }
 
-// shardLocalTo reports whether shard idx is co-located with machine.
-func (s *Store) shardLocalTo(machine, idx int) bool {
-	if machine < 0 {
-		return false
-	}
-	return s.shardMachine[idx] == machine
-}
-
 // BatchGet returns the values stored under keys, visiting each shard once.
 // vals[i] and oks[i] correspond to keys[i]; duplicate keys are served from
 // the same shard visit.  shardVisits is the number of distinct shards (lock
@@ -91,20 +83,20 @@ func (s *Store) batchGetFrom(machine int, keys []uint64) (vals [][]byte, oks []b
 	for i, p := range order {
 		grouped[i] = keys[p]
 	}
+	c := s.countersFor(machine)
 	var bytesRead, remoteBytes, missed, failedOver int64
 	var localKeys, remoteKeys int64
 	// flush publishes the batch's counters; it runs exactly once, whether
 	// the batch completes or aborts on a failed shard.
 	flush := func() {
-		s.shardVisits.Add(int64(visits.Total()))
-		s.reads.Add(int64(len(keys)))
-		s.batchReads.Add(1)
-		s.bytesRead.Add(bytesRead)
-		s.misses.Add(missed)
-		s.failovers.Add(failedOver)
-		s.localReads.Add(localKeys)
-		s.remoteReads.Add(remoteKeys)
-		s.remoteBytes.Add(remoteBytes)
+		c.shardVisits.Add(int64(visits.Total()))
+		c.batchReads.Add(1)
+		c.bytesRead.Add(bytesRead)
+		c.misses.Add(missed)
+		c.failovers.Add(failedOver)
+		c.localReads.Add(localKeys)
+		c.remoteReads.Add(remoteKeys)
+		c.remoteBytes.Add(remoteBytes)
 		s.charge(s.model.BatchReadCostSplit(visits.Local, visits.Remote, len(keys)))
 	}
 	countVisit := func(local bool, positions int) {
@@ -158,7 +150,7 @@ func (s *Store) batchGetFrom(machine int, keys []uint64) (vals [][]byte, oks []b
 				missed++
 			}
 		}
-		s.shardOps[idx].Add(int64(len(positions)))
+		c.shardOps[idx].Add(int64(len(positions)))
 		countVisit(local, len(positions))
 	}
 	flush()
@@ -195,6 +187,7 @@ func (s *Store) batchWrite(machine int, pairs []Pair, appendMode bool) (Visits, 
 	for i, p := range order {
 		grouped[i] = pairs[p]
 	}
+	c := s.countersFor(machine)
 	var visits Visits
 	var remoteBytes int64
 	for idx := 0; idx < s.numShards; idx++ {
@@ -213,18 +206,18 @@ func (s *Store) batchWrite(machine int, pairs []Pair, appendMode bool) (Visits, 
 		}); err != nil {
 			return visits, err
 		}
-		s.shardOps[idx].Add(int64(len(shardPairs)))
+		c.shardOps[idx].Add(int64(len(shardPairs)))
 		if local {
 			visits.Local++
 		} else {
 			visits.Remote++
 		}
 	}
-	s.shardVisits.Add(int64(visits.Total()))
-	s.writes.Add(int64(len(pairs)))
-	s.batchWrites.Add(1)
-	s.bytesWritten.Add(bytesWritten)
-	s.remoteBytes.Add(remoteBytes)
+	c.shardVisits.Add(int64(visits.Total()))
+	c.writes.Add(int64(len(pairs)))
+	c.batchWrites.Add(1)
+	c.bytesWritten.Add(bytesWritten)
+	c.remoteBytes.Add(remoteBytes)
 	s.charge(s.model.BatchWriteCostSplit(visits.Local, visits.Remote, len(pairs)))
 	return visits, nil
 }

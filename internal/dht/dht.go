@@ -3,16 +3,25 @@
 //
 // The store is sharded: keys are routed onto a fixed number of shards, each
 // standing in for one key-value server.  Where the bytes of a shard actually
-// live is decided by a pluggable ShardBackend (see backend.go): an in-memory
-// map per shard (the default), a log-structured file per shard that spills
-// stores past RAM, or a net/rpc server reached over a loopback transport that
+// live is decided by a pluggable ShardBackend (see backend.go): in memory, a
+// flat pointer-free slot table over an append-only arena per shard (the
+// default, see table.go), a log-structured file per shard that spills stores
+// past RAM, or a net/rpc server reached over a loopback transport that
 // measures real wire costs.  The Store type itself is a thin routing and
 // accounting façade: it owns key→shard placement, freeze semantics, and
 // exactly the quantities the paper measures — number of reads and writes,
 // bytes transferred, and per-shard load (query contention, §2) — while the
-// backend owns the bytes.  Freeze implements the round discipline of the
-// model: within round i machines read D_{i-1} (frozen, read-only) and write
-// D_i.
+// backend owns the bytes.  The counters are kept per calling machine (one
+// cache-line-padded block each, folded by Stats), so accounting an operation
+// never makes two machines write the same line.  Freeze implements the round
+// discipline of the model: within round i machines read D_{i-1} (frozen,
+// read-only) and write D_i — and because every round input is frozen, the
+// mem engine serves those reads from an immutable published view: one probe
+// of one cache line, a slice into the arena, no lock taken and no shared
+// line written.  Values never move once written (a reader, or a per-machine
+// Cache, may keep the slice it was handed for the life of the store), so an
+// overwrite appends and the shard reclaims dead bytes by copying the live
+// ones into fresh chunks, never by reusing old ones.
 //
 // The real system in the paper uses an RDMA-backed key-value store with a
 // TCP/IP fallback; here the latency of each operation is charged to a
@@ -109,31 +118,17 @@ type Store struct {
 	replicate    bool
 	retry        *RetryPolicy
 
-	// shardOps counts reads+writes per shard for the MaxShardOps contention
-	// statistic; it stays in the façade so every backend reports it the same
-	// way.
-	shardOps []atomic.Int64
-
-	reads        atomic.Int64
-	writes       atomic.Int64
-	bytesRead    atomic.Int64
-	bytesWritten atomic.Int64
-	misses       atomic.Int64
-	failovers    atomic.Int64
-	shardVisits  atomic.Int64
-	batchReads   atomic.Int64
-	batchWrites  atomic.Int64
-	localReads   atomic.Int64
-	remoteReads  atomic.Int64
-	remoteBytes  atomic.Int64
-
 	retries          atomic.Int64
 	hedges           atomic.Int64
 	deadlineExceeded atomic.Int64
 	retrySeq         atomic.Uint64 // jitter stream position
 
-	viewMu sync.Mutex
-	views  map[int]*View
+	// counters holds one opCounters block per calling machine, indexed by
+	// machine+1 (slot 0 is the anonymous caller's); the slice is replaced,
+	// never written, when a new machine shows up (see countersFor).
+	counters atomic.Pointer[[]*opCounters]
+	viewMu   sync.Mutex // guards views and the replacement of counters
+	views    map[int]*View
 
 	// refs counts the logical owners of the store (see Retain): Close only
 	// releases the backend once the last owner has closed.  Stores shared
@@ -198,7 +193,6 @@ func NewStore(name string, opts Options) (*Store, error) {
 		clock:        opts.Clock,
 		replicate:    opts.Replicate,
 		retry:        opts.Retry,
-		shardOps:     make([]atomic.Int64, opts.Shards),
 		views:        make(map[int]*View),
 	}
 	for i := range s.shardMachine {
@@ -241,28 +235,88 @@ func (s *Store) Placement() Placement { return s.placement }
 // LocalTo reports whether key lives on a shard co-located with machine.  A
 // negative machine (an anonymous caller) is never local.
 func (s *Store) LocalTo(machine int, key uint64) bool {
+	return s.shardLocalTo(machine, s.shardIndexFor(key))
+}
+
+// shardLocalTo reports whether shard idx is co-located with machine.
+func (s *Store) shardLocalTo(machine, idx int) bool {
+	return machine >= 0 && s.shardMachine[idx] == machine
+}
+
+// Reserve tells the store that about keys entries are about to be written,
+// so an engine that sizes an index (mem, and the mem engine behind rpc) can
+// size it once.  It is a hint: it changes no result, an engine without an
+// index to size ignores it, and so does one reached through a wrapper that
+// does not forward it.
+func (s *Store) Reserve(keys int) {
+	if r, ok := s.backend.(interface{ Reserve(keys int) }); ok {
+		r.Reserve(keys)
+	}
+}
+
+// opCounters is the operation accounting of one calling machine.  Every
+// counted operation adds to the block of the machine performing it, so two
+// machines never write the same cache line (the block fills two lines and is
+// allocated on its own); Stats, TotalBytes and WriteCount fold the blocks.
+// Reads is not stored: every read counts as exactly one of localReads and
+// remoteReads.
+type opCounters struct {
+	writes       atomic.Int64
+	bytesRead    atomic.Int64
+	bytesWritten atomic.Int64
+	misses       atomic.Int64
+	failovers    atomic.Int64
+	shardVisits  atomic.Int64
+	batchReads   atomic.Int64
+	batchWrites  atomic.Int64
+	localReads   atomic.Int64
+	remoteReads  atomic.Int64
+	remoteBytes  atomic.Int64
+	// shardOps counts reads+writes per shard for the MaxShardOps contention
+	// statistic; it stays in the façade so every backend reports it the same
+	// way.
+	shardOps []atomic.Int64
+	_        [16]byte
+}
+
+// countersFor returns machine's counter block, creating it on first use.
+// Every negative machine is the anonymous caller.
+func (s *Store) countersFor(machine int) *opCounters {
 	if machine < 0 {
-		return false
+		machine = -1
 	}
-	return s.shardMachine[s.shardIndexFor(key)] == machine
+	if blocks := s.counters.Load(); blocks != nil && machine+1 < len(*blocks) {
+		if c := (*blocks)[machine+1]; c != nil {
+			return c
+		}
+	}
+	s.viewMu.Lock()
+	defer s.viewMu.Unlock()
+	var blocks []*opCounters
+	if cur := s.counters.Load(); cur != nil {
+		blocks = *cur
+	}
+	if machine+1 < len(blocks) && blocks[machine+1] != nil {
+		return blocks[machine+1]
+	}
+	// Per-shard counts padded to whole cache lines, so the blocks of two
+	// machines share none.
+	c := &opCounters{shardOps: make([]atomic.Int64, (s.numShards+7)&^7)[:s.numShards]}
+	next := make([]*opCounters, max(len(blocks), machine+2))
+	copy(next, blocks)
+	next[machine+1] = c
+	s.counters.Store(&next)
+	return c
 }
 
-// countRead records the local/remote classification of one served read of
-// size bytes (the 8-byte key header included, matching BytesRead).
-func (s *Store) countRead(local bool, bytes int64) {
-	if local {
-		s.localReads.Add(1)
-	} else {
-		s.remoteReads.Add(1)
-		s.remoteBytes.Add(bytes)
-	}
-}
-
-// countWrite records the local/remote classification of one write moving
-// bytes bytes.
-func (s *Store) countWrite(local bool, bytes int64) {
-	if !local {
-		s.remoteBytes.Add(bytes)
+// foldCounters calls fn for every machine's counter block.
+func (s *Store) foldCounters(fn func(c *opCounters)) {
+	if blocks := s.counters.Load(); blocks != nil {
+		for _, c := range *blocks {
+			if c != nil {
+				fn(c)
+			}
+		}
 	}
 }
 
@@ -277,21 +331,7 @@ func (s *Store) Put(key uint64, value []byte) error {
 // excluded from the remote-byte count.  A negative machine is an anonymous
 // (always remote) caller.
 func (s *Store) putFrom(machine int, key uint64, value []byte) error {
-	if s.frozen.Load() {
-		return ErrFrozen
-	}
-	local := s.LocalTo(machine, key)
-	idx := s.shardIndexFor(key)
-	if err := s.withRetry(false, func() error { return s.backend.Put(idx, key, value) }); err != nil {
-		return err
-	}
-	s.shardOps[idx].Add(1)
-	s.shardVisits.Add(1)
-	s.writes.Add(1)
-	s.bytesWritten.Add(int64(len(value)) + 8)
-	s.countWrite(local, int64(len(value))+8)
-	s.charge(s.model.WriteCost(local))
-	return nil
+	return s.writeFrom(machine, key, value, false)
 }
 
 // Append appends value to the existing entry for key (creating it when
@@ -304,21 +344,39 @@ func (s *Store) Append(key uint64, value []byte) error {
 
 // appendFrom is Append performed by the given machine (see putFrom).
 func (s *Store) appendFrom(machine int, key uint64, value []byte) error {
+	return s.writeFrom(machine, key, value, true)
+}
+
+func (s *Store) writeFrom(machine int, key uint64, value []byte, appendMode bool) error {
 	if s.frozen.Load() {
 		return ErrFrozen
 	}
-	local := s.LocalTo(machine, key)
 	idx := s.shardIndexFor(key)
-	if err := s.withRetry(false, func() error { return s.backend.Append(idx, key, value) }); err != nil {
-		return err
+	local := s.shardLocalTo(machine, idx)
+	if err := s.backendWrite(idx, key, value, appendMode); err != nil {
+		err = s.retryAfter(false, err, func() error { return s.backendWrite(idx, key, value, appendMode) })
+		if err != nil {
+			return err
+		}
 	}
-	s.shardOps[idx].Add(1)
-	s.shardVisits.Add(1)
-	s.writes.Add(1)
-	s.bytesWritten.Add(int64(len(value)) + 8)
-	s.countWrite(local, int64(len(value))+8)
+	c := s.countersFor(machine)
+	bytes := int64(len(value)) + 8
+	c.shardOps[idx].Add(1)
+	c.shardVisits.Add(1)
+	c.writes.Add(1)
+	c.bytesWritten.Add(bytes)
+	if !local {
+		c.remoteBytes.Add(bytes)
+	}
 	s.charge(s.model.WriteCost(local))
 	return nil
+}
+
+func (s *Store) backendWrite(idx int, key uint64, value []byte, appendMode bool) error {
+	if appendMode {
+		return s.backend.Append(idx, key, value)
+	}
+	return s.backend.Put(idx, key, value)
 }
 
 // Get returns the value stored under key.  The returned slice must not be
@@ -332,21 +390,22 @@ func (s *Store) Get(key uint64) ([]byte, bool, error) {
 // charged the local latency.  A negative machine is an anonymous (always
 // remote) caller.
 func (s *Store) getFrom(machine int, key uint64) ([]byte, bool, error) {
-	local := s.LocalTo(machine, key)
 	idx := s.shardIndexFor(key)
-	var v []byte
-	var ok, failover bool
-	err := s.withRetry(true, func() error {
-		var aerr error
-		v, ok, failover, aerr = s.backend.Get(idx, key)
-		return aerr
-	})
+	local := s.shardLocalTo(machine, idx)
+	v, ok, failover, err := s.backend.Get(idx, key)
+	if err != nil {
+		err = s.retryAfter(true, err, func() error {
+			var aerr error
+			v, ok, failover, aerr = s.backend.Get(idx, key)
+			return aerr
+		})
+	}
+	c := s.countersFor(machine)
 	if err != nil {
 		// A read that failed past any retry budget: the lookup is paid for
 		// (and counted) even though it cannot be served.
-		s.reads.Add(1)
-		s.shardVisits.Add(1)
-		s.countRead(local, 0)
+		c.shardVisits.Add(1)
+		c.countRead(local, 0)
 		s.charge(s.model.ReadCost(local))
 		if errors.Is(err, ErrUnavailable) {
 			return nil, false, fmt.Errorf("%w: key %d", ErrUnavailable, key)
@@ -354,20 +413,30 @@ func (s *Store) getFrom(machine int, key uint64) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("dht: %s: get key %d: %w", s.name, key, err)
 	}
 	if failover {
-		s.failovers.Add(1)
+		c.failovers.Add(1)
 	}
-	s.shardOps[idx].Add(1)
-	s.shardVisits.Add(1)
-	s.reads.Add(1)
+	c.shardOps[idx].Add(1)
+	c.shardVisits.Add(1)
 	if ok {
-		s.bytesRead.Add(int64(len(v)) + 8)
-		s.countRead(local, int64(len(v))+8)
+		c.bytesRead.Add(int64(len(v)) + 8)
+		c.countRead(local, int64(len(v))+8)
 	} else {
-		s.misses.Add(1)
-		s.countRead(local, 0)
+		c.misses.Add(1)
+		c.countRead(local, 0)
 	}
 	s.charge(s.model.ReadCost(local))
 	return v, ok, nil
+}
+
+// countRead records one read of size bytes (the 8-byte key header included,
+// matching BytesRead) as local or remote.
+func (c *opCounters) countRead(local bool, bytes int64) {
+	if local {
+		c.localReads.Add(1)
+	} else {
+		c.remoteReads.Add(1)
+		c.remoteBytes.Add(bytes)
+	}
 }
 
 // WriteCount returns the number of writes (puts and appends, single or
@@ -375,7 +444,11 @@ func (s *Store) getFrom(machine int, key uint64) ([]byte, bool, error) {
 // the AMPC runtime compares it against the value recorded when a store's
 // per-machine caches were last validated to decide whether the caches must
 // be invalidated before the next round reads the store.
-func (s *Store) WriteCount() int64 { return s.writes.Load() }
+func (s *Store) WriteCount() int64 {
+	var n int64
+	s.foldCounters(func(c *opCounters) { n += c.writes.Load() })
+	return n
+}
 
 // Freeze makes the store read-only; subsequent Put and Append calls fail.
 // In the AMPC model D_{i-1} is immutable while round i runs.  The backend
@@ -423,42 +496,55 @@ func (s *Store) Len() int {
 
 // Range calls fn for every key-value pair until fn returns false.  Iteration
 // order is unspecified.  It is intended for draining a store at the end of a
-// round, not for point lookups.  Range is a no-op on a closed store.
-func (s *Store) Range(fn func(key uint64, value []byte) bool) {
+// round, not for point lookups.  Range is a no-op on a closed store.  An
+// error means a shard's bytes could not be read (a disk log gone bad); the
+// pairs delivered before it are valid.
+func (s *Store) Range(fn func(key uint64, value []byte) bool) error {
 	if s.closed.Load() {
-		return
+		return nil
 	}
 	for i := 0; i < s.numShards; i++ {
-		if !s.backend.Range(i, fn) {
-			return
+		completed, err := s.backend.Range(i, fn)
+		if err != nil {
+			return fmt.Errorf("dht: %s: reading shard %d: %w", s.name, i, err)
+		}
+		if !completed {
+			return nil
 		}
 	}
+	return nil
 }
 
-// Stats returns a snapshot of the operation counters.  It remains valid
-// after Close (the key count freezes at its close-time value).
+// Stats returns a snapshot of the operation counters, folded over the
+// per-machine blocks.  It remains valid after Close (the key count freezes
+// at its close-time value).
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Reads:        s.reads.Load(),
-		Writes:       s.writes.Load(),
-		BytesRead:    s.bytesRead.Load(),
-		BytesWritten: s.bytesWritten.Load(),
-		Misses:       s.misses.Load(),
-		Failovers:    s.failovers.Load(),
-		Keys:         int64(s.Len()),
-		ShardVisits:  s.shardVisits.Load(),
-		BatchReads:   s.batchReads.Load(),
-		BatchWrites:  s.batchWrites.Load(),
-		LocalReads:   s.localReads.Load(),
-		RemoteReads:  s.remoteReads.Load(),
-		RemoteBytes:  s.remoteBytes.Load(),
-
+		Keys:             int64(s.Len()),
 		Retries:          s.retries.Load(),
 		Hedges:           s.hedges.Load(),
 		DeadlineExceeded: s.deadlineExceeded.Load(),
 	}
-	for i := range s.shardOps {
-		if ops := s.shardOps[i].Load(); ops > st.MaxShardOps {
+	shardOps := make([]int64, s.numShards)
+	s.foldCounters(func(c *opCounters) {
+		st.Writes += c.writes.Load()
+		st.BytesRead += c.bytesRead.Load()
+		st.BytesWritten += c.bytesWritten.Load()
+		st.Misses += c.misses.Load()
+		st.Failovers += c.failovers.Load()
+		st.ShardVisits += c.shardVisits.Load()
+		st.BatchReads += c.batchReads.Load()
+		st.BatchWrites += c.batchWrites.Load()
+		st.LocalReads += c.localReads.Load()
+		st.RemoteReads += c.remoteReads.Load()
+		st.RemoteBytes += c.remoteBytes.Load()
+		for i := range shardOps {
+			shardOps[i] += c.shardOps[i].Load()
+		}
+	})
+	st.Reads = st.LocalReads + st.RemoteReads
+	for _, ops := range shardOps {
+		if ops > st.MaxShardOps {
 			st.MaxShardOps = ops
 		}
 	}
@@ -468,7 +554,9 @@ func (s *Store) Stats() Stats {
 // TotalBytes returns bytes read plus bytes written, the quantity plotted in
 // Figures 3 and 9 of the paper ("communication with the key-value store").
 func (s *Store) TotalBytes() int64 {
-	return s.bytesRead.Load() + s.bytesWritten.Load()
+	var n int64
+	s.foldCounters(func(c *opCounters) { n += c.bytesRead.Load() + c.bytesWritten.Load() })
+	return n
 }
 
 // MeasuredCostModel derives a cost model from the wire round trips measured

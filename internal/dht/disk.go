@@ -2,6 +2,7 @@ package dht
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -140,9 +141,17 @@ func (t *diskTable) write(op byte, key uint64, value []byte) (int64, error) {
 	return int64(len(rec)), nil
 }
 
+// errDiskClosed is what a read finds after Close has released the shard's
+// tables: the losing copy of a hedged batch read can still be in flight when
+// its job closes the store.
+var errDiskClosed = errors.New("dht: disk backend is closed")
+
 // read concatenates the key's extents.  A key whose extents total zero bytes
 // returns nil, matching the mem backend's value for an empty Put.
 func (t *diskTable) read(key uint64) ([]byte, bool, error) {
+	if t == nil {
+		return nil, false, errDiskClosed
+	}
 	exts, ok := t.index[key]
 	if !ok {
 		return nil, false, nil
@@ -432,20 +441,20 @@ func (b *diskBackend) LenShard(shard int) int {
 	return len(sh.prim.index)
 }
 
-func (b *diskBackend) Range(shard int, fn func(key uint64, value []byte) bool) bool {
+func (b *diskBackend) Range(shard int, fn func(key uint64, value []byte) bool) (bool, error) {
 	sh := b.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	for k := range sh.prim.index {
 		v, _, err := sh.prim.read(k)
 		if err != nil {
-			panic(fmt.Sprintf("dht: reading shard %d during Range: %v", shard, err))
+			return false, fmt.Errorf("key %d: %w", k, err)
 		}
 		if !fn(k, v) {
-			return false
+			return false, nil
 		}
 	}
-	return true
+	return true, nil
 }
 
 func (b *diskBackend) Stats() BackendStats {

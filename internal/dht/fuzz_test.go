@@ -223,3 +223,73 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// FuzzMemTable drives the mem engine's slot table against a Go map with an
+// op stream decoded from the fuzz input — insert, overwrite, delete,
+// reinsert, reserve, over a key universe small enough to collide and to
+// churn tombstones, key 0 included — and checks after every op that set and
+// del report the ref they replaced, that get agrees for every key of the
+// universe, that the live count matches, and that the probe bound holds
+// (an empty slot always exists).
+func FuzzMemTable(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 1, 0, 0, 0, 2, 0})
+	f.Add([]byte{3, 200, 0, 5, 0, 6, 0, 7, 1, 5, 0, 5, 2, 9})
+	grow := make([]byte, 0, 600)
+	for k := byte(0); k < 200; k++ {
+		grow = append(grow, 0, k, 1, k/2) // insert k, delete k/2: growth through tombstones
+	}
+	f.Add(grow)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var table memTable
+		model := make(map[uint64]uint64)
+		// Keys spread like shard keys do (an arithmetic progression) plus
+		// the extremes.
+		keyOf := func(b byte) uint64 {
+			switch b {
+			case 254:
+				return 1 << 63
+			case 255:
+				return ^uint64(0)
+			}
+			return uint64(b) * 8
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, key := ops[i]%4, keyOf(ops[i+1])
+			switch op {
+			case 0, 2: // insert or overwrite
+				ref := uint64(i)<<refChunkShift | uint64(op+2)
+				if old := table.set(key, ref); old != model[key] {
+					t.Fatalf("op %d: set(%d) replaced %#x, model had %#x", i, key, old, model[key])
+				}
+				model[key] = ref
+			case 1:
+				if old := table.del(key); old != model[key] {
+					t.Fatalf("op %d: del(%d) returned %#x, model had %#x", i, key, old, model[key])
+				}
+				delete(model, key)
+			case 3:
+				table.reserve(int(ops[i+1]))
+			}
+			if table.live != len(model) {
+				t.Fatalf("op %d: live = %d, model holds %d", i, table.live, len(model))
+			}
+			if table.used < table.live || table.used*tableLoadDenom > len(table.slots)*tableLoadNum {
+				t.Fatalf("op %d: used %d, live %d of %d slots breaks the load bound", i, table.used, table.live, len(table.slots))
+			}
+			for b := 0; b < 256; b++ {
+				if k := keyOf(byte(b)); table.get(k) != model[k] {
+					t.Fatalf("op %d: get(%d) = %#x, model %#x", i, k, table.get(k), model[k])
+				}
+			}
+		}
+		clone := table.clone()
+		for k, ref := range model {
+			if clone.get(k) != ref {
+				t.Fatalf("clone lost key %d", k)
+			}
+		}
+		if len(table.slots) > 0 && len(clone.slots) > 0 && &clone.slots[0] == &table.slots[0] {
+			t.Fatal("clone shares the slot array")
+		}
+	})
+}

@@ -39,7 +39,9 @@ type MigrationStats struct {
 // or writes of the same store: the placement swap is unsynchronized by
 // design (the hot paths read it lock-free), so the caller must quiesce the
 // store first, as the ampc Runtime's runMu does.  The migrated payload is
-// charged to the store's clock as MigrateCost(BytesMoved).
+// charged to the store's clock as MigrateCost(BytesMoved).  A shard that
+// cannot be read (ShardBackend.Range's error) fails the call while it is
+// still planning, before anything has moved.
 func (s *Store) Rebalance(next Placement) (MigrationStats, error) {
 	var st MigrationStats
 	if next == nil {
@@ -56,7 +58,7 @@ func (s *Store) Rebalance(next Placement) (MigrationStats, error) {
 	deletes := make(map[int][]uint64)
 	touched := make(map[int]bool)
 	for shard := 0; shard < s.numShards; shard++ {
-		s.backend.Range(shard, func(k uint64, v []byte) bool {
+		_, err := s.backend.Range(shard, func(k uint64, v []byte) bool {
 			to := next.ShardFor(k, s.numShards)
 			if to == shard {
 				return true
@@ -69,6 +71,9 @@ func (s *Store) Rebalance(next Placement) (MigrationStats, error) {
 			st.BytesMoved += int64(len(v)) + 8
 			return true
 		})
+		if err != nil {
+			return MigrationStats{}, fmt.Errorf("dht: rebalance %s: reading shard %d: %w", s.name, shard, err)
+		}
 	}
 	// Apply: copy before delete.
 	for shard, pairs := range writes {

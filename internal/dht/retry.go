@@ -56,7 +56,17 @@ func retryable(err error) bool {
 // simulated cost charged per extra attempt.
 func (s *Store) withRetry(isRead bool, op func() error) error {
 	err := op()
-	if err == nil || s.retry == nil {
+	if err == nil {
+		return nil
+	}
+	return s.retryAfter(isRead, err, op)
+}
+
+// retryAfter is withRetry for a caller whose first attempt already failed
+// with err: the single-key paths make that attempt themselves, so an
+// operation that succeeds first time never builds the closure.
+func (s *Store) retryAfter(isRead bool, err error, op func() error) error {
+	if s.retry == nil {
 		return err
 	}
 	p := s.retry

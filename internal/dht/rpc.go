@@ -444,9 +444,11 @@ func (b *rpcBackend) RecoverShard(shard int) error { return b.engine.RecoverShar
 
 func (b *rpcBackend) LenShard(shard int) int { return b.engine.LenShard(shard) }
 
-func (b *rpcBackend) Range(shard int, fn func(key uint64, value []byte) bool) bool {
+func (b *rpcBackend) Range(shard int, fn func(key uint64, value []byte) bool) (bool, error) {
 	return b.engine.Range(shard, fn)
 }
+
+func (b *rpcBackend) Reserve(keys int) { b.engine.Reserve(keys) }
 
 func (b *rpcBackend) Stats() BackendStats {
 	engine := b.engine.Stats()
