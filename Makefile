@@ -50,7 +50,7 @@ ci: fmt vet build test race deprecation-gate cover-check fuzz-smoke microbench b
 # no View equivalent — are allowed (the wall-clock benchmark's cache probe
 # calls it on a *dht.Cache named c; that one statement is matched whole).
 deprecation-gate:
-	@out=$$(grep -rnE '\.(Get|Put|Append|BatchGet|BatchPut|BatchAppend)From\(' \
+	@out=$$(grep -rnE '\.(Get|Put|BatchGet|BatchPut)From\(' \
 		--include='*.go' . \
 		| grep -v '^\./internal/dht/cache\.go:' \
 		| grep -v '^\./benchmark/probes\.go:[0-9]*:[[:space:]]*_, _, err := c\.GetFrom(0, ks\[0\])$$' \
@@ -163,9 +163,10 @@ cover-check:
 	done
 
 # fuzz-smoke gives every fuzz target a short budget (the boundary-key, slot
-# table and codec round-trip fuzzers of the dht and codec packages).  Go only allows
-# one -fuzz pattern per invocation, so the targets run one at a time; seed
-# corpora and testdata regressions always run via plain `make test`.
+# table, disk log replay and codec round-trip fuzzers of the dht and codec
+# packages).  Go only allows one -fuzz pattern per invocation, so the targets
+# run one at a time; seed corpora and testdata regressions always run via
+# plain `make test`.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRangeOwner -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzOwnerAffinePlacement -fuzztime=$(FUZZTIME) ./internal/dht
@@ -173,6 +174,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRederiveBoundaries -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz='FuzzRangeSet$$' -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzMemTable -fuzztime=$(FUZZTIME) ./internal/dht
+	$(GO) test -run=NONE -fuzz=FuzzDiskReplay -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzDecodeNodeIDs -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWeightedNeighbors -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzWeightedList -fuzztime=$(FUZZTIME) ./internal/codec

@@ -370,7 +370,7 @@ type Stats struct {
 	// reduces).
 	KVShardVisits int64
 	// BatchesIssued counts shard-grouped batches flushed to the stores
-	// by ReadMany/WriteMany/EmitMany calls.
+	// by ReadMany/WriteMany calls.
 	BatchesIssued int64
 	// BatchedKeys counts the keys carried by those batches; BatchedKeys /
 	// BatchesIssued is the mean keys-per-batch.
@@ -544,22 +544,9 @@ func (c *Ctx) Write(out *dht.Store, key uint64, value []byte) error {
 	c.writes.Add(1)
 	c.latency.Add(int64(c.job.cfg.Model.WriteCost(view.Local(key))))
 	if c.buffered {
-		return c.bufferWrite(out, key, value, false)
+		return c.bufferWrite(out, key, value)
 	}
 	return view.Put(key, value)
-}
-
-// Emit appends a record under key in the given output hash table (multi-value
-// semantics).  Under a fault budget the append is buffered like Write —
-// which is what makes a re-executed sub-round unable to append twice.
-func (c *Ctx) Emit(out *dht.Store, key uint64, value []byte) error {
-	view := c.viewFor(out)
-	c.writes.Add(1)
-	c.latency.Add(int64(c.job.cfg.Model.WriteCost(view.Local(key))))
-	if c.buffered {
-		return c.bufferWrite(out, key, value, true)
-	}
-	return view.Append(key, value)
 }
 
 // ChargeCompute records that the machine performed n units of local
@@ -596,7 +583,7 @@ type Round struct {
 	// passes) may appear in both Reads and Writes of the same round.
 	Reads []Access
 	// Writes declares every resource the round's Body writes (hash tables
-	// via Ctx.Write / Ctx.Emit / the batched variants, plus any host-side
+	// via Ctx.Write / Ctx.WriteMany, plus any host-side
 	// state published under a Token).  Within a segment the executor orders
 	// a later conflicting sub-round after this round: whole-store
 	// declarations gate on every machine, while per-machine span

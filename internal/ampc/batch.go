@@ -130,27 +130,9 @@ func (c *Ctx) readUnique(keys []uint64, sc *readScratch) ([][]byte, []bool, erro
 func (c *Ctx) WriteMany(out *dht.Store, pairs []dht.Pair) error {
 	if c.buffered {
 		c.writes.Add(int64(len(pairs)))
-		return c.bufferBatch(out, pairs, false)
+		return c.bufferBatch(out, pairs)
 	}
 	visits, err := c.viewFor(out).BatchPut(pairs)
-	if err != nil {
-		return err
-	}
-	c.writes.Add(int64(len(pairs)))
-	c.recordBatch(len(pairs), visits.Total())
-	c.latency.Add(int64(c.job.cfg.Model.BatchWriteCostSplit(visits.Local, visits.Remote, len(pairs))))
-	return nil
-}
-
-// EmitMany appends all pairs into the given output hash table in one
-// shard-grouped batch (multi-value semantics).  Buffered under a fault
-// budget, like WriteMany.
-func (c *Ctx) EmitMany(out *dht.Store, pairs []dht.Pair) error {
-	if c.buffered {
-		c.writes.Add(int64(len(pairs)))
-		return c.bufferBatch(out, pairs, true)
-	}
-	visits, err := c.viewFor(out).BatchAppend(pairs)
 	if err != nil {
 		return err
 	}

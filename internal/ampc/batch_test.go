@@ -70,7 +70,7 @@ func TestReadManyMatchesLookup(t *testing.T) {
 	}
 }
 
-func TestWriteManyAndEmitMany(t *testing.T) {
+func TestWriteManyOverwrites(t *testing.T) {
 	rt := New(Config{Machines: 2})
 	store := newStore(t, rt, "d0")
 	err := rt.Run(Round{
@@ -83,7 +83,7 @@ func TestWriteManyAndEmitMany(t *testing.T) {
 			}); err != nil {
 				return err
 			}
-			return ctx.EmitMany(store, []dht.Pair{
+			return ctx.WriteMany(store, []dht.Pair{
 				{Key: 1, Value: []byte("x")},
 				{Key: 3, Value: []byte("c")},
 			})
@@ -92,7 +92,7 @@ func TestWriteManyAndEmitMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[uint64]string{1: "ax", 2: "b", 3: "c"}
+	want := map[uint64]string{1: "x", 2: "b", 3: "c"}
 	for k, w := range want {
 		v, ok, err := store.Get(k)
 		if err != nil || !ok || string(v) != w {

@@ -15,11 +15,13 @@ import (
 //
 // Re-execution is only sound if the failed attempt left no trace.  Reads are
 // naturally replayable (the input store is frozen for the round), but writes
-// are not — a re-executed Emit would append its records twice.  So under a
-// fault budget every Ctx write (Write, Emit, WriteMany, EmitMany) is buffered
-// in the Ctx instead of applied: the executor flushes the buffer to the
-// stores only after the sub-round has completed without error, and discards
-// it before a retry.  The flush happens before the sub-round is marked done,
+// are not: an attempt that failed half way has written some of its keys, and
+// a dependent sub-round — or the run's caller, should the retry fail too —
+// must never see a key only a failed attempt wrote.  So under a fault budget
+// every Ctx write (Write, WriteMany) is buffered in the Ctx instead of
+// applied: the executor flushes the buffer to the stores only after the
+// sub-round has completed without error, and discards it before a retry.
+// The flush happens before the sub-round is marked done,
 // so dependent sub-rounds — gated on that completion — observe exactly the
 // writes a fault-free execution produces.  Values are copied at buffer time,
 // preserving the store façade's "values are copied on write" contract for
@@ -33,23 +35,21 @@ import (
 // run with a fault budget.  The five core algorithms write all cross-round
 // state through the hash tables.
 
-// bufferedWrite is one deferred Ctx write: a single put/append or a whole
+// bufferedWrite is one deferred Ctx write: a single put or a whole
 // shard-grouped batch.
 type bufferedWrite struct {
-	out        *dht.Store
-	pairs      []dht.Pair // values copied at buffer time
-	appendMode bool
-	single     bool
+	out    *dht.Store
+	pairs  []dht.Pair // values copied at buffer time
+	single bool
 }
 
 // bufferWrite defers a single-key write.  The per-op counters and modeled
 // latency were recorded by the caller; only the store application waits.
-func (c *Ctx) bufferWrite(out *dht.Store, key uint64, value []byte, appendMode bool) error {
+func (c *Ctx) bufferWrite(out *dht.Store, key uint64, value []byte) error {
 	w := bufferedWrite{
-		out:        out,
-		pairs:      []dht.Pair{{Key: key, Value: append([]byte(nil), value...)}},
-		appendMode: appendMode,
-		single:     true,
+		out:    out,
+		pairs:  []dht.Pair{{Key: key, Value: append([]byte(nil), value...)}},
+		single: true,
 	}
 	c.bufMu.Lock()
 	c.buf = append(c.buf, w)
@@ -60,13 +60,13 @@ func (c *Ctx) bufferWrite(out *dht.Store, key uint64, value []byte, appendMode b
 // bufferBatch defers a shard-grouped batch write.  Batch accounting (shard
 // visits, modeled latency) needs the store's visit split, so it is recorded
 // at flush time.
-func (c *Ctx) bufferBatch(out *dht.Store, pairs []dht.Pair, appendMode bool) error {
+func (c *Ctx) bufferBatch(out *dht.Store, pairs []dht.Pair) error {
 	cp := make([]dht.Pair, len(pairs))
 	for i, p := range pairs {
 		cp[i] = dht.Pair{Key: p.Key, Value: append([]byte(nil), p.Value...)}
 	}
 	c.bufMu.Lock()
-	c.buf = append(c.buf, bufferedWrite{out: out, pairs: cp, appendMode: appendMode})
+	c.buf = append(c.buf, bufferedWrite{out: out, pairs: cp})
 	c.bufMu.Unlock()
 	return nil
 }
@@ -85,25 +85,12 @@ func (c *Ctx) flushWrites() error {
 	for _, w := range buf {
 		view := c.viewFor(w.out)
 		if w.single {
-			p := w.pairs[0]
-			var err error
-			if w.appendMode {
-				err = view.Append(p.Key, p.Value)
-			} else {
-				err = view.Put(p.Key, p.Value)
-			}
-			if err != nil {
+			if err := view.Put(w.pairs[0].Key, w.pairs[0].Value); err != nil {
 				return err
 			}
 			continue
 		}
-		var visits dht.Visits
-		var err error
-		if w.appendMode {
-			visits, err = view.BatchAppend(w.pairs)
-		} else {
-			visits, err = view.BatchPut(w.pairs)
-		}
+		visits, err := view.BatchPut(w.pairs)
 		if err != nil {
 			return err
 		}

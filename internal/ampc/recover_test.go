@@ -11,42 +11,57 @@ import (
 )
 
 // Sub-round recovery tests: a failed (round, machine) share is re-executed
-// against the stores a fault-free run would see, the retried writes apply
-// exactly once, and the budget bounds how many re-executions a run absorbs.
+// against the stores a fault-free run would see, nothing the failed attempt
+// wrote is visible, and the budget bounds how many re-executions a run absorbs.
 
 func TestSubroundRecoveryBarrier(t *testing.T) {
-	r := New(Config{Machines: 4, Threads: 2, FaultBudget: 4})
-	defer r.Close()
-	out := newStore(t, r, "out")
-	var tripped atomic.Bool
-	err := r.Run(Round{
-		Name:  "flaky",
-		Items: 64,
-		Body: func(ctx *Ctx, item int) error {
-			if item == 13 && tripped.CompareAndSwap(false, true) {
-				return errors.New("injected")
-			}
-			// Append so a double-applied retry is visible as "xx".
-			return ctx.Emit(out, uint64(item), []byte("x"))
+	writers := map[string]func(ctx *Ctx, out *dht.Store, key uint64, value []byte) error{
+		"Write": func(ctx *Ctx, out *dht.Store, key uint64, value []byte) error {
+			return ctx.Write(out, key, value)
 		},
-	})
-	if err != nil {
-		t.Fatalf("run should recover: %v", err)
+		"WriteMany": func(ctx *Ctx, out *dht.Store, key uint64, value []byte) error {
+			return ctx.WriteMany(out, []dht.Pair{{Key: key, Value: value}})
+		},
 	}
-	if got := r.Stats().SubroundRetries; got != 1 {
-		t.Fatalf("SubroundRetries = %d, want 1", got)
-	}
-	if out.Len() != 64 {
-		t.Fatalf("out has %d keys, want 64", out.Len())
-	}
-	for i := 0; i < 64; i++ {
-		v, ok, err := out.Get(uint64(i))
-		if err != nil || !ok {
-			t.Fatalf("key %d: %v %v", i, ok, err)
-		}
-		if string(v) != "x" {
-			t.Fatalf("key %d = %q: retried writes applied more than once", i, v)
-		}
+	for name, write := range writers {
+		t.Run(name, func(t *testing.T) {
+			r := New(Config{Machines: 4, Threads: 2, FaultBudget: 4})
+			defer r.Close()
+			out := newStore(t, r, "out")
+			const ghost = 1000 // written by the failing attempt only
+			var tripped atomic.Bool
+			err := r.Run(Round{
+				Name:  "flaky",
+				Items: 64,
+				Body: func(ctx *Ctx, item int) error {
+					if item == 13 && tripped.CompareAndSwap(false, true) {
+						if err := write(ctx, out, ghost, []byte("ghost")); err != nil {
+							return err
+						}
+						return errors.New("injected")
+					}
+					return write(ctx, out, uint64(item), []byte("x"))
+				},
+			})
+			if err != nil {
+				t.Fatalf("run should recover: %v", err)
+			}
+			if got := r.Stats().SubroundRetries; got != 1 {
+				t.Fatalf("SubroundRetries = %d, want 1", got)
+			}
+			if _, ok, err := out.Get(ghost); ok || err != nil {
+				t.Fatalf("key %d, written only by the failed attempt, is visible after the retry (ok=%v err=%v)", ghost, ok, err)
+			}
+			if out.Len() != 64 {
+				t.Fatalf("out has %d keys, want 64", out.Len())
+			}
+			for i := 0; i < 64; i++ {
+				v, ok, err := out.Get(uint64(i))
+				if err != nil || !ok || string(v) != "x" {
+					t.Fatalf("key %d = %q, %v, %v", i, v, ok, err)
+				}
+			}
+		})
 	}
 }
 
@@ -174,7 +189,7 @@ func TestSubroundRecoveryPipelined(t *testing.T) {
 					if !ok {
 						return fmt.Errorf("missing key %d: recovered writes not visible", item)
 					}
-					return ctx.Emit(b, uint64(item), append(v, 'y'))
+					return ctx.Write(b, uint64(item), append(v, 'y'))
 				},
 			},
 		}

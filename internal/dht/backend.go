@@ -125,17 +125,15 @@ type ShardBackend interface {
 	// Get returns the value stored under key on shard.  failover reports
 	// that the read was served by the replica of a failed shard.
 	Get(shard int, key uint64) (val []byte, ok, failover bool, err error)
-	// Put stores a copy of value under key on shard.
+	// Put stores a copy of value under key on shard, replacing the key's
+	// earlier value.
 	Put(shard int, key uint64, value []byte) error
-	// Append appends value to the existing entry for key on shard
-	// (multi-value semantics), creating it when absent.
-	Append(shard int, key uint64, value []byte) error
 	// BatchGet serves keys from one shard under a single visit.  failovers
 	// is the number of keys served by the replica of a failed shard.
 	BatchGet(shard int, keys []uint64) (vals [][]byte, oks []bool, failovers int, err error)
-	// BatchWrite applies pairs to one shard under a single visit;
-	// appendMode selects Append over Put semantics.
-	BatchWrite(shard int, pairs []Pair, appendMode bool) error
+	// BatchWrite stores a copy of every pair's value under its key on one
+	// shard under a single visit; a later pair for a key wins.
+	BatchWrite(shard int, pairs []Pair) error
 	// BatchDelete removes keys from one shard under a single visit,
 	// mirroring into the replica; absent keys are ignored.  It exists for
 	// shard migration (Store.Rebalance), which copies a key's bytes to its
@@ -342,7 +340,7 @@ func (sh *memShard) compact() {
 	slots := sh.st.prim.slots
 	for i := range slots {
 		if s := &slots[i]; s.ref > refDeleted {
-			s.ref = sh.st.arena.put(nil, refBytes(old.chunks, s.ref))
+			s.ref = sh.st.arena.put(refBytes(old.chunks, s.ref))
 		}
 	}
 	if sh.st.replicated {
@@ -352,29 +350,20 @@ func (sh *memShard) compact() {
 	}
 }
 
-// store writes head+tail under key into both indexes and keeps the resident
+// store writes value under key into both indexes and keeps the resident
 // estimate; the caller holds the shard for writing.
-func (sh *memShard) store(key uint64, head, tail []byte) {
-	ref := sh.st.arena.put(head, tail)
+func (sh *memShard) store(key uint64, value []byte) {
+	ref := sh.st.arena.put(value)
 	old := sh.st.prim.set(key, ref)
 	if sh.st.replicated {
 		sh.st.rep.set(key, ref)
 	}
-	sh.resident += int64(len(head) + len(tail))
+	sh.resident += int64(len(value))
 	if old == refEmpty {
 		sh.resident += memKeyOverhead
 	} else {
 		sh.resident -= int64(refLen(sh.st.arena.chunks, old))
 	}
-}
-
-// appendTo extends key's value by value, written as one new record.
-func (sh *memShard) appendTo(key uint64, value []byte) {
-	var cur []byte
-	if ref := sh.st.prim.get(key); ref != refEmpty {
-		cur = refBytes(sh.st.arena.chunks, ref)
-	}
-	sh.store(key, cur, value)
 }
 
 func (b *memBackend) Get(shard int, key uint64) ([]byte, bool, bool, error) {
@@ -391,15 +380,7 @@ func (b *memBackend) Get(shard int, key uint64) ([]byte, bool, bool, error) {
 func (b *memBackend) Put(shard int, key uint64, value []byte) error {
 	sh := &b.shards[shard]
 	sh.lockForWrite()
-	sh.store(key, nil, value)
-	sh.unlock()
-	return nil
-}
-
-func (b *memBackend) Append(shard int, key uint64, value []byte) error {
-	sh := &b.shards[shard]
-	sh.lockForWrite()
-	sh.appendTo(key, value)
+	sh.store(key, value)
 	sh.unlock()
 	return nil
 }
@@ -414,15 +395,11 @@ func (b *memBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int, 
 	return sh.st.batchGet(keys)
 }
 
-func (b *memBackend) BatchWrite(shard int, pairs []Pair, appendMode bool) error {
+func (b *memBackend) BatchWrite(shard int, pairs []Pair) error {
 	sh := &b.shards[shard]
 	sh.lockForWrite()
 	for _, p := range pairs {
-		if appendMode {
-			sh.appendTo(p.Key, p.Value)
-		} else {
-			sh.store(p.Key, nil, p.Value)
-		}
+		sh.store(p.Key, p.Value)
 	}
 	sh.unlock()
 	return nil

@@ -85,22 +85,6 @@ func (b *refMemBackend) Put(shard int, key uint64, value []byte) error {
 	return nil
 }
 
-func (b *refMemBackend) Append(shard int, key uint64, value []byte) error {
-	sh := b.shards[shard]
-	sh.mu.Lock()
-	cur, existed := sh.data[key]
-	next := make([]byte, 0, len(cur)+len(value))
-	next = append(next, cur...)
-	next = append(next, value...)
-	sh.data[key] = next
-	if sh.replica != nil {
-		sh.replica[key] = next
-	}
-	sh.mu.Unlock()
-	b.accountStore(!existed, len(cur), len(next))
-	return nil
-}
-
 func (b *refMemBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int, error) {
 	sh := b.shards[shard]
 	sh.mu.RLock()
@@ -122,20 +106,13 @@ func (b *refMemBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, in
 	return vals, oks, failovers, nil
 }
 
-func (b *refMemBackend) BatchWrite(shard int, pairs []Pair, appendMode bool) error {
+func (b *refMemBackend) BatchWrite(shard int, pairs []Pair) error {
 	sh := b.shards[shard]
 	var delta int64
 	sh.mu.Lock()
 	for _, p := range pairs {
 		cur, existed := sh.data[p.Key]
-		var next []byte
-		if appendMode {
-			next = make([]byte, 0, len(cur)+len(p.Value))
-			next = append(next, cur...)
-			next = append(next, p.Value...)
-		} else {
-			next = append([]byte(nil), p.Value...)
-		}
+		next := append([]byte(nil), p.Value...)
 		sh.data[p.Key] = next
 		if sh.replica != nil {
 			sh.replica[p.Key] = next
@@ -249,8 +226,8 @@ func refTrialValue(rnd *rand.Rand) []byte {
 // TestMemBackendMatchesReference drives the mem engine and the map engine it
 // replaced with the same seeded op sequences and compares every return
 // value, and after every op each shard's length, contents and the resident
-// estimate.  The sequences cover overwrite, Append, both BatchWrite modes,
-// BatchDelete and reinsertion, reads of present, absent and deleted keys,
+// estimate.  The sequences cover overwrite, BatchWrite, BatchDelete and
+// reinsertion, reads of present, absent and deleted keys,
 // key 0 and the largest key, zero-length and larger-than-a-chunk values,
 // shard failure and recovery with and without a replica, and a Freeze at a
 // random point after which the same ops continue (copy-on-write).
@@ -295,16 +272,10 @@ func TestMemBackendMatchesReference(t *testing.T) {
 				want.Freeze()
 			}
 			switch p := rnd.Intn(100); {
-			case p < 25:
+			case p < 33:
 				k, v := pick(), refTrialValue(rnd)
 				desc = fmt.Sprintf("Put(%d, %d bytes)", k, len(v))
 				if eg, ew := got.Put(shardOf(k), k, v), want.Put(shardOf(k), k, v); eg != nil || ew != nil {
-					t.Fatalf("trial %d op %d %s: errors %v / %v", trial, op, desc, eg, ew)
-				}
-			case p < 33:
-				k, v := pick(), refTrialValue(rnd)
-				desc = fmt.Sprintf("Append(%d, %d bytes)", k, len(v))
-				if eg, ew := got.Append(shardOf(k), k, v), want.Append(shardOf(k), k, v); eg != nil || ew != nil {
 					t.Fatalf("trial %d op %d %s: errors %v / %v", trial, op, desc, eg, ew)
 				}
 			case p < 45:
@@ -313,9 +284,8 @@ func TestMemBackendMatchesReference(t *testing.T) {
 				for i, k := range ks {
 					pairs[i] = Pair{Key: k, Value: refTrialValue(rnd)}
 				}
-				appendMode := rnd.Intn(3) == 0
-				desc = fmt.Sprintf("BatchWrite(shard %d, %d pairs, append=%v)", shard, len(pairs), appendMode)
-				if eg, ew := got.BatchWrite(shard, pairs, appendMode), want.BatchWrite(shard, pairs, appendMode); eg != nil || ew != nil {
+				desc = fmt.Sprintf("BatchWrite(shard %d, %d pairs)", shard, len(pairs))
+				if eg, ew := got.BatchWrite(shard, pairs), want.BatchWrite(shard, pairs); eg != nil || ew != nil {
 					t.Fatalf("trial %d op %d %s: errors %v / %v", trial, op, desc, eg, ew)
 				}
 			case p < 55:

@@ -50,14 +50,8 @@ func TestBackendsFreezeSemantics(t *testing.T) {
 			if err := s.Put(2, []byte("b")); !errors.Is(err, ErrFrozen) {
 				t.Fatalf("Put on frozen store: %v, want ErrFrozen", err)
 			}
-			if err := s.Append(1, []byte("c")); !errors.Is(err, ErrFrozen) {
-				t.Fatalf("Append on frozen store: %v, want ErrFrozen", err)
-			}
 			if _, err := s.BatchPut([]Pair{{Key: 3, Value: []byte("d")}}); !errors.Is(err, ErrFrozen) {
 				t.Fatalf("BatchPut on frozen store: %v, want ErrFrozen", err)
-			}
-			if _, err := s.BatchAppend([]Pair{{Key: 1, Value: []byte("e")}}); !errors.Is(err, ErrFrozen) {
-				t.Fatalf("BatchAppend on frozen store: %v, want ErrFrozen", err)
 			}
 			// Reads keep working, and the rejected writes left no trace.
 			v, ok, err := s.Get(1)
@@ -192,7 +186,7 @@ func TestBackendsFailShardMidBatch(t *testing.T) {
 
 func TestBackendsValueRoundTrip(t *testing.T) {
 	// Every backend must return byte-identical values for the same sequence
-	// of puts, appends, overwrites and batches — including the nil-vs-empty
+	// of puts, overwrites and batches — including the nil-vs-empty
 	// edge: an empty Put reads back as a present key with a nil/empty value.
 	type result struct {
 		val []byte
@@ -206,10 +200,7 @@ func TestBackendsValueRoundTrip(t *testing.T) {
 		if err := s.Put(1, []byte("beta")); err != nil { // overwrite
 			t.Fatal(err)
 		}
-		if err := s.Append(2, []byte("a")); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Append(2, []byte("bc")); err != nil {
+		if err := s.Put(2, []byte("abc")); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Put(3, nil); err != nil { // empty value
@@ -218,7 +209,7 @@ func TestBackendsValueRoundTrip(t *testing.T) {
 		if _, err := s.BatchPut([]Pair{{Key: 4, Value: []byte("dd")}, {Key: 5, Value: []byte("e")}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.BatchAppend([]Pair{{Key: 2, Value: []byte("f")}, {Key: 4, Value: []byte("g")}}); err != nil {
+		if _, err := s.BatchPut([]Pair{{Key: 2, Value: []byte("f")}, {Key: 4, Value: []byte("g")}}); err != nil { // batched overwrite
 			t.Fatal(err)
 		}
 		out := make(map[uint64]result)
@@ -285,7 +276,7 @@ func TestDiskBackendCrashReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Append(200, []byte{byte('x' + i)}); err != nil {
+		if err := s.Put(200, []byte{byte('x' + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,8 +303,8 @@ func TestDiskBackendCrashReopen(t *testing.T) {
 			t.Fatalf("key %d after reopen: %q %v %v, want %q", k, v, ok, err, want)
 		}
 	}
-	if v, ok, _ := r1.Get(200); !ok || string(v) != "xyz" {
-		t.Fatalf("appended key after reopen: %q %v, want \"xyz\"", v, ok)
+	if v, ok, _ := r1.Get(200); !ok || string(v) != "z" {
+		t.Fatalf("thrice-written key after reopen: %q %v, want \"z\"", v, ok)
 	}
 	if err := r1.Close(); err != nil {
 		t.Fatal(err)
@@ -331,11 +322,7 @@ func TestDiskBackendCrashReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A valid put header promising 1000 payload bytes, followed by only 3.
-	partial := make([]byte, diskHeader+3)
-	partial[0] = diskOpPut
-	partial[9] = 0xe8 // little-endian 1000
-	partial[10] = 0x03
-	if _, err := f.Write(partial); err != nil {
+	if _, err := f.Write(diskRecord(diskOpPut, 0, make([]byte, 1000))[:diskHeader+3]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -424,7 +411,7 @@ func TestRPCBackendMeasuresWireCosts(t *testing.T) {
 }
 
 func TestMemStoreHasNoMeasuredModel(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 4})
+	s := mustStore("d0", Options{Shards: 4})
 	if err := s.Put(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +425,7 @@ func TestMemStoreHasNoMeasuredModel(t *testing.T) {
 // policy's MachineFor per key.
 func BenchmarkLocalTo(b *testing.B) {
 	const keys = 1 << 16
-	s := MustStore("d0", Options{Shards: 64, Placement: OwnerAffine(16, keys)})
+	s := mustStore("d0", Options{Shards: 64, Placement: OwnerAffine(16, keys)})
 	b.ReportAllocs()
 	var local int
 	for i := 0; i < b.N; i++ {

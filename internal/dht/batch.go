@@ -7,7 +7,7 @@ import (
 
 // Batched operations.
 //
-// Single-key Get/Put/Append pay one shard visit, one hash and one latency
+// Single-key Get/Put pay one shard visit, one hash and one latency
 // round trip per key.  The batched variants group their keys by shard and
 // visit every shard exactly once — one backend call, which for the mem and
 // disk backends is one lock acquisition and for the rpc backend one wire
@@ -160,18 +160,12 @@ func (s *Store) batchGetFrom(machine int, keys []uint64) (vals [][]byte, oks []b
 // BatchPut stores all pairs, visiting each shard once.  Values are copied.
 // It returns ErrFrozen after Freeze has been called.
 func (s *Store) BatchPut(pairs []Pair) (shardVisits int, err error) {
-	visits, err := s.batchWrite(-1, pairs, false)
+	visits, err := s.batchWrite(-1, pairs)
 	return visits.Total(), err
 }
 
-// BatchAppend appends every pair's value to the existing entry for its key
-// (multi-value semantics), visiting each shard once.
-func (s *Store) BatchAppend(pairs []Pair) (shardVisits int, err error) {
-	visits, err := s.batchWrite(-1, pairs, true)
-	return visits.Total(), err
-}
-
-func (s *Store) batchWrite(machine int, pairs []Pair, appendMode bool) (Visits, error) {
+// batchWrite is BatchPut performed by the given machine (see putFrom).
+func (s *Store) batchWrite(machine int, pairs []Pair) (Visits, error) {
 	if s.frozen.Load() {
 		return Visits{}, ErrFrozen
 	}
@@ -202,7 +196,7 @@ func (s *Store) batchWrite(machine int, pairs []Pair, appendMode bool) (Visits, 
 			}
 		}
 		if err := s.withRetry(false, func() error {
-			return s.backend.BatchWrite(idx, shardPairs, appendMode)
+			return s.backend.BatchWrite(idx, shardPairs)
 		}); err != nil {
 			return visits, err
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestBatchGetMatchesGet(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 8})
+	s := mustStore("d0", Options{Shards: 8})
 	for i := uint64(0); i < 100; i += 2 {
 		if err := s.Put(i, []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -37,7 +37,7 @@ func TestBatchGetMatchesGet(t *testing.T) {
 }
 
 func TestBatchGetGroupsByShard(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 4})
+	s := mustStore("d0", Options{Shards: 4})
 	var keys []uint64
 	for i := uint64(0); i < 64; i++ {
 		keys = append(keys, i)
@@ -65,9 +65,11 @@ func TestBatchGetGroupsByShard(t *testing.T) {
 	}
 }
 
-func TestBatchPutAndAppendSemantics(t *testing.T) {
-	batched := MustStore("b", Options{Shards: 4})
-	single := MustStore("s", Options{Shards: 4})
+// TestBatchPutMatchesPut: a batch that names a key twice leaves what the
+// same puts issued one by one leave — the later pair wins.
+func TestBatchPutMatchesPut(t *testing.T) {
+	batched := mustStore("b", Options{Shards: 4})
+	single := mustStore("s", Options{Shards: 4})
 	var pairs []Pair
 	for i := uint64(0); i < 32; i++ {
 		pairs = append(pairs, Pair{Key: i % 16, Value: []byte{byte(i)}})
@@ -75,16 +77,8 @@ func TestBatchPutAndAppendSemantics(t *testing.T) {
 	if _, err := batched.BatchPut(pairs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := batched.BatchAppend(pairs); err != nil {
-		t.Fatal(err)
-	}
 	for _, p := range pairs {
 		if err := single.Put(p.Key, p.Value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range pairs {
-		if err := single.Append(p.Key, p.Value); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +98,7 @@ func TestBatchPutAndAppendSemantics(t *testing.T) {
 }
 
 func TestBatchPutCopiesValues(t *testing.T) {
-	s := MustStore("d0", Options{})
+	s := mustStore("d0", Options{})
 	buf := []byte{1, 2, 3}
 	if _, err := s.BatchPut([]Pair{{Key: 7, Value: buf}}); err != nil {
 		t.Fatal(err)
@@ -117,13 +111,10 @@ func TestBatchPutCopiesValues(t *testing.T) {
 }
 
 func TestBatchWriteFrozen(t *testing.T) {
-	s := MustStore("d0", Options{})
+	s := mustStore("d0", Options{})
 	s.Freeze()
 	if _, err := s.BatchPut([]Pair{{Key: 1, Value: []byte("a")}}); !errors.Is(err, ErrFrozen) {
 		t.Fatalf("BatchPut on frozen store: %v, want ErrFrozen", err)
-	}
-	if _, err := s.BatchAppend([]Pair{{Key: 1, Value: []byte("a")}}); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("BatchAppend on frozen store: %v, want ErrFrozen", err)
 	}
 	if _, _, _, err := s.BatchGet([]uint64{1}); err != nil {
 		t.Fatalf("BatchGet on frozen store: %v, want nil", err)
@@ -131,7 +122,7 @@ func TestBatchWriteFrozen(t *testing.T) {
 }
 
 func TestBatchGetFailoverWithReplication(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 4, Replicate: true})
+	s := mustStore("d0", Options{Shards: 4, Replicate: true})
 	keys := make([]uint64, 64)
 	for i := range keys {
 		keys[i] = uint64(i)
@@ -157,7 +148,7 @@ func TestBatchGetFailoverWithReplication(t *testing.T) {
 }
 
 func TestBatchGetUnreplicatedFailure(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 2})
+	s := mustStore("d0", Options{Shards: 2})
 	keys := make([]uint64, 32)
 	for i := range keys {
 		keys[i] = uint64(i)
@@ -173,7 +164,7 @@ func TestBatchGetUnreplicatedFailure(t *testing.T) {
 }
 
 func TestCachePeekFill(t *testing.T) {
-	s := MustStore("d0", Options{})
+	s := mustStore("d0", Options{})
 	if err := s.Put(1, []byte("a")); err != nil {
 		t.Fatal(err)
 	}

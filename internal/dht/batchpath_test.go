@@ -28,7 +28,7 @@ func TestShardGroupsMatchesMapVersion(t *testing.T) {
 		if trial%2 == 1 {
 			opts.Placement = OwnerAffine(1+rnd.Intn(4), 500)
 		}
-		s := MustStore("d0", opts)
+		s := mustStore("d0", opts)
 		keys := make([]uint64, rnd.Intn(300))
 		for i := range keys {
 			keys[i] = uint64(rnd.Intn(500))
@@ -55,7 +55,7 @@ func TestShardGroupsMatchesMapVersion(t *testing.T) {
 // the same keys leave it in — repeats, absent keys and a partly warm cache
 // included.
 func TestCacheBatchProbesMatchPerKey(t *testing.T) {
-	s := MustStore("d0", Options{})
+	s := mustStore("d0", Options{})
 	const present = 40
 	for k := uint64(0); k < present; k++ {
 		if err := s.Put(k, []byte{byte(k)}); err != nil {
@@ -115,7 +115,7 @@ var benchStarts []int32
 // of the wall-clock benchmark (8 shards, range placement over 2 machines).
 func BenchmarkShardGroups(b *testing.B) {
 	const keyspace = 1 << 18
-	s := MustStore("d0", Options{Shards: 8, Placement: OwnerAffine(2, keyspace)})
+	s := mustStore("d0", Options{Shards: 8, Placement: OwnerAffine(2, keyspace)})
 	rnd := rand.New(rand.NewSource(1))
 	keys := make([]uint64, 512)
 	for i := range keys {

@@ -3,7 +3,7 @@ package dht
 import "testing"
 
 func TestCacheInvalidateDropsEntriesKeepsCounters(t *testing.T) {
-	s := MustStore("c", Options{Shards: 4})
+	s := mustStore("c", Options{Shards: 4})
 	if err := s.Put(1, []byte{10}); err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +36,14 @@ func TestCacheInvalidateDropsEntriesKeepsCounters(t *testing.T) {
 }
 
 func TestWriteCountCoversSingleAndBatchedWrites(t *testing.T) {
-	s := MustStore("w", Options{Shards: 4})
+	s := mustStore("w", Options{Shards: 4})
 	if got := s.WriteCount(); got != 0 {
 		t.Fatalf("fresh store write count %d", got)
 	}
 	if err := s.Put(1, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(1, []byte{2}); err != nil {
+	if err := s.Put(1, []byte{2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.WriteCount(); got != 2 {
@@ -52,7 +52,7 @@ func TestWriteCountCoversSingleAndBatchedWrites(t *testing.T) {
 	if _, err := s.BatchPut([]Pair{{Key: 2, Value: []byte{3}}, {Key: 3, Value: []byte{4}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.BatchAppend([]Pair{{Key: 2, Value: []byte{5}}}); err != nil {
+	if _, err := s.BatchPut([]Pair{{Key: 2, Value: []byte{5}}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.WriteCount(); got != 5 {

@@ -1,6 +1,9 @@
 // Package dht implements the distributed hash table (distributed key-value
 // store) at the heart of the AMPC model.
 //
+// The store holds one value per key: there is one write mode, and a Put or
+// BatchPut of a key replaces its value.
+//
 // The store is sharded: keys are routed onto a fixed number of shards, each
 // standing in for one key-value server.  Where the bytes of a shard actually
 // live is decided by a pluggable ShardBackend (see backend.go): in memory, a
@@ -84,7 +87,7 @@ type Stats struct {
 	Keys         int64 // number of distinct keys currently stored
 	ShardVisits  int64 // shard lock acquisitions (1 per single op, 1 per shard per batch)
 	BatchReads   int64 // BatchGet calls
-	BatchWrites  int64 // BatchPut + BatchAppend calls
+	BatchWrites  int64 // BatchPut calls
 	LocalReads   int64 // reads served by a shard co-located with the caller
 	RemoteReads  int64 // reads that crossed the network (includes anonymous callers)
 	RemoteBytes  int64 // bytes moved by remote reads and writes
@@ -200,16 +203,6 @@ func NewStore(name string, opts Options) (*Store, error) {
 	}
 	s.refs.Store(1)
 	return s, nil
-}
-
-// MustStore is NewStore panicking on error, for callers whose options are
-// statically known to be valid (tests, the default mem backend).
-func MustStore(name string, opts Options) *Store {
-	s, err := NewStore(name, opts)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Name returns the store's name (D0, D1, ... in the model).
@@ -331,30 +324,13 @@ func (s *Store) Put(key uint64, value []byte) error {
 // excluded from the remote-byte count.  A negative machine is an anonymous
 // (always remote) caller.
 func (s *Store) putFrom(machine int, key uint64, value []byte) error {
-	return s.writeFrom(machine, key, value, false)
-}
-
-// Append appends value to the existing entry for key (creating it when
-// absent).  This is the "a DHT returns all corresponding values" multi-value
-// semantics of the model, used by algorithms that emit several records per
-// key.
-func (s *Store) Append(key uint64, value []byte) error {
-	return s.appendFrom(-1, key, value)
-}
-
-// appendFrom is Append performed by the given machine (see putFrom).
-func (s *Store) appendFrom(machine int, key uint64, value []byte) error {
-	return s.writeFrom(machine, key, value, true)
-}
-
-func (s *Store) writeFrom(machine int, key uint64, value []byte, appendMode bool) error {
 	if s.frozen.Load() {
 		return ErrFrozen
 	}
 	idx := s.shardIndexFor(key)
 	local := s.shardLocalTo(machine, idx)
-	if err := s.backendWrite(idx, key, value, appendMode); err != nil {
-		err = s.retryAfter(false, err, func() error { return s.backendWrite(idx, key, value, appendMode) })
+	if err := s.backend.Put(idx, key, value); err != nil {
+		err = s.retryAfter(false, err, func() error { return s.backend.Put(idx, key, value) })
 		if err != nil {
 			return err
 		}
@@ -370,13 +346,6 @@ func (s *Store) writeFrom(machine int, key uint64, value []byte, appendMode bool
 	}
 	s.charge(s.model.WriteCost(local))
 	return nil
-}
-
-func (s *Store) backendWrite(idx int, key uint64, value []byte, appendMode bool) error {
-	if appendMode {
-		return s.backend.Append(idx, key, value)
-	}
-	return s.backend.Put(idx, key, value)
 }
 
 // Get returns the value stored under key.  The returned slice must not be
@@ -439,8 +408,8 @@ func (c *opCounters) countRead(local bool, bytes int64) {
 	}
 }
 
-// WriteCount returns the number of writes (puts and appends, single or
-// batched) applied to the store so far.  It is a cheap monotone counter:
+// WriteCount returns the number of writes (single or batched) applied to the
+// store so far.  It is a cheap monotone counter:
 // the AMPC runtime compares it against the value recorded when a store's
 // per-machine caches were last validated to decide whether the caches must
 // be invalidated before the next round reads the store.
@@ -450,7 +419,7 @@ func (s *Store) WriteCount() int64 {
 	return n
 }
 
-// Freeze makes the store read-only; subsequent Put and Append calls fail.
+// Freeze makes the store read-only; subsequent Put and BatchPut calls fail.
 // In the AMPC model D_{i-1} is immutable while round i runs.  The backend
 // may use the transition to flush buffered state (the disk backend syncs
 // its logs); an error means that flush failed — the store is frozen

@@ -11,8 +11,18 @@ import (
 	"ampcgraph/internal/simtime"
 )
 
+// mustStore is NewStore panicking on error, for tests whose options are
+// statically known to be valid.
+func mustStore(name string, opts Options) *Store {
+	s, err := NewStore(name, opts)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 4})
+	s := mustStore("d0", Options{Shards: 4})
 	if err := s.Put(1, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +41,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestPutCopiesValue(t *testing.T) {
-	s := MustStore("d0", Options{})
+	s := mustStore("d0", Options{})
 	buf := []byte{1, 2, 3}
 	s.Put(7, buf)
 	buf[0] = 99
@@ -42,7 +52,7 @@ func TestPutCopiesValue(t *testing.T) {
 }
 
 func TestFreeze(t *testing.T) {
-	s := MustStore("d0", Options{})
+	s := mustStore("d0", Options{})
 	s.Put(1, []byte("a"))
 	s.Freeze()
 	if !s.Frozen() {
@@ -51,27 +61,14 @@ func TestFreeze(t *testing.T) {
 	if err := s.Put(2, []byte("b")); !errors.Is(err, ErrFrozen) {
 		t.Fatalf("put after freeze: %v", err)
 	}
-	if err := s.Append(1, []byte("b")); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("append after freeze: %v", err)
-	}
 	// Reads still work.
 	if _, ok, _ := s.Get(1); !ok {
 		t.Fatal("read after freeze failed")
 	}
 }
 
-func TestAppendAccumulates(t *testing.T) {
-	s := MustStore("d0", Options{})
-	s.Append(5, []byte("ab"))
-	s.Append(5, []byte("cd"))
-	v, ok, _ := s.Get(5)
-	if !ok || string(v) != "abcd" {
-		t.Fatalf("append result %q", v)
-	}
-}
-
 func TestLenAndRange(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 3})
+	s := mustStore("d0", Options{Shards: 3})
 	for i := uint64(0); i < 100; i++ {
 		s.Put(i, []byte{byte(i)})
 	}
@@ -97,7 +94,7 @@ func TestLenAndRange(t *testing.T) {
 }
 
 func TestFailShardWithoutReplication(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 1})
+	s := mustStore("d0", Options{Shards: 1})
 	s.Put(1, []byte("x"))
 	s.FailShard(0)
 	_, _, err := s.Get(1)
@@ -113,7 +110,7 @@ func TestFailShardWithoutReplication(t *testing.T) {
 }
 
 func TestFailShardWithReplication(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 2, Replicate: true})
+	s := mustStore("d0", Options{Shards: 2, Replicate: true})
 	for i := uint64(0); i < 50; i++ {
 		s.Put(i, []byte{byte(i)})
 	}
@@ -132,7 +129,7 @@ func TestFailShardWithReplication(t *testing.T) {
 
 func TestLatencyCharging(t *testing.T) {
 	clock := &simtime.Clock{}
-	s := MustStore("d0", Options{Model: simtime.RDMA(), Clock: clock})
+	s := mustStore("d0", Options{Model: simtime.RDMA(), Clock: clock})
 	s.Put(1, []byte("x"))
 	s.Get(1)
 	want := simtime.RDMA().LookupLatency + simtime.RDMA().WriteLatency
@@ -144,7 +141,7 @@ func TestLatencyCharging(t *testing.T) {
 func TestTCPCostsMoreThanRDMA(t *testing.T) {
 	run := func(m simtime.CostModel) time.Duration {
 		clock := &simtime.Clock{}
-		s := MustStore("d0", Options{Model: m, Clock: clock})
+		s := mustStore("d0", Options{Model: m, Clock: clock})
 		for i := uint64(0); i < 100; i++ {
 			s.Put(i, []byte("x"))
 			s.Get(i)
@@ -160,7 +157,7 @@ func TestTCPCostsMoreThanRDMA(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 8})
+	s := mustStore("d0", Options{Shards: 8})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -193,7 +190,7 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestStatsBytes(t *testing.T) {
-	s := MustStore("d0", Options{})
+	s := mustStore("d0", Options{})
 	s.Put(1, make([]byte, 100))
 	s.Get(1)
 	st := s.Stats()
@@ -206,7 +203,7 @@ func TestStatsBytes(t *testing.T) {
 }
 
 func TestPropertyRoundTripArbitrary(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 5})
+	s := mustStore("d0", Options{Shards: 5})
 	f := func(key uint64, val []byte) bool {
 		if err := s.Put(key, val); err != nil {
 			return false
@@ -231,7 +228,7 @@ func TestPropertyRoundTripArbitrary(t *testing.T) {
 }
 
 func TestCacheReadThrough(t *testing.T) {
-	s := MustStore("d0", Options{})
+	s := mustStore("d0", Options{})
 	s.Put(1, []byte("v"))
 	c := NewCache(s)
 	for i := 0; i < 10; i++ {
@@ -250,7 +247,7 @@ func TestCacheReadThrough(t *testing.T) {
 }
 
 func TestCacheNegativeEntries(t *testing.T) {
-	s := MustStore("d0", Options{})
+	s := mustStore("d0", Options{})
 	c := NewCache(s)
 	for i := 0; i < 5; i++ {
 		if _, ok, err := c.Get(42); ok || err != nil {
@@ -266,7 +263,7 @@ func TestCacheNegativeEntries(t *testing.T) {
 }
 
 func TestCacheConcurrent(t *testing.T) {
-	s := MustStore("d0", Options{})
+	s := mustStore("d0", Options{})
 	for i := uint64(0); i < 100; i++ {
 		s.Put(i, []byte{byte(i)})
 	}

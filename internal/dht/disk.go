@@ -14,11 +14,10 @@ import (
 // The disk backend.
 //
 // Each shard is a log-structured append-only file plus an in-memory offset
-// index: a Put appends one record and repoints the key's index entry at it, an
-// Append appends one record and adds it to the key's extent list, and a Get
-// concatenates the key's extents with positioned reads.  Values therefore
-// never occupy RAM between operations — only the fixed-size index entries do —
-// so a store whose payload far exceeds the configured memory budget still
+// index: a Put appends one record and repoints the key's index entry at it,
+// and a Get is one positioned read of that extent.  Values therefore never
+// occupy RAM between operations — only the fixed-size index entries do — so a
+// store whose payload far exceeds the configured memory budget still
 // completes (the property PIMDAL calls out as the limiting factor for this
 // workload class).  Opening an existing directory replays the logs, truncating
 // a torn tail record, which is what makes the crash/reopen round trip work.
@@ -27,13 +26,13 @@ import (
 //
 //	[1B op] [8B key] [4B payload length] [payload]
 //
-// op 1 = put (replaces the key's extents), op 2 = append (adds an extent),
-// op 3 = delete (a zero-payload tombstone that drops the key's extents; the
-// dead payload bytes stay in the log until the shard is rewritten).
+// op 1 = put (the key's extent is this record's payload), op 3 = delete (a
+// zero-payload tombstone that drops the key's extent; the dead payload bytes
+// stay in the log until the shard is rewritten).  Op 2 is retired and never
+// written: replay rejects it, like any other unknown op, as a corrupt log.
 
 const (
 	diskOpPut    = 1
-	diskOpAppend = 2
 	diskOpDelete = 3
 	diskHeader   = 1 + 8 + 4
 )
@@ -44,20 +43,17 @@ type extent struct {
 	n   int32
 }
 
-// diskIndexEntryBytes approximates the resident cost of one index extent
-// (slice entry plus its share of the map bookkeeping).
-const diskIndexEntryBytes = 16
-
-// diskKeyOverhead approximates the resident cost of one indexed key (map
-// bucket slot, key, slice header).
-const diskKeyOverhead = 56
+// diskKeyBytes approximates the resident cost of one indexed key (map bucket
+// slot, key, extent): what a key adds to ResidentBytes when it is first
+// written or replayed, and what it gives back when it is deleted.
+const diskKeyBytes = 56
 
 // diskTable is one append log with its index: the primary or the replica of a
 // shard.
 type diskTable struct {
 	f     *os.File
 	size  int64
-	index map[uint64][]extent
+	index map[uint64]extent
 }
 
 // openDiskTable opens or creates the log at path and replays it into a fresh
@@ -67,7 +63,7 @@ func openDiskTable(path string) (*diskTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &diskTable{f: f, index: make(map[uint64][]extent)}
+	t := &diskTable{f: f, index: make(map[uint64]extent)}
 	if err := t.replay(); err != nil {
 		f.Close()
 		return nil, err
@@ -92,7 +88,7 @@ func (t *diskTable) replay() error {
 		op := hdr[0]
 		key := binary.LittleEndian.Uint64(hdr[1:9])
 		n := int32(binary.LittleEndian.Uint32(hdr[9:13]))
-		if (op != diskOpPut && op != diskOpAppend && op != diskOpDelete) || n < 0 {
+		if (op != diskOpPut && op != diskOpDelete) || n < 0 {
 			return fmt.Errorf("dht: corrupt disk log %s at offset %d", t.f.Name(), off)
 		}
 		if off+diskHeader+int64(n) > total {
@@ -101,9 +97,7 @@ func (t *diskTable) replay() error {
 		ext := extent{off: off + diskHeader, n: n}
 		switch op {
 		case diskOpPut:
-			t.index[key] = []extent{ext}
-		case diskOpAppend:
-			t.index[key] = append(t.index[key], ext)
+			t.index[key] = ext
 		case diskOpDelete:
 			delete(t.index, key)
 		}
@@ -131,9 +125,7 @@ func (t *diskTable) write(op byte, key uint64, value []byte) (int64, error) {
 	ext := extent{off: t.size + diskHeader, n: int32(len(value))}
 	switch op {
 	case diskOpPut:
-		t.index[key] = []extent{ext}
-	case diskOpAppend:
-		t.index[key] = append(t.index[key], ext)
+		t.index[key] = ext
 	case diskOpDelete:
 		delete(t.index, key)
 	}
@@ -146,36 +138,28 @@ func (t *diskTable) write(op byte, key uint64, value []byte) (int64, error) {
 // its job closes the store.
 var errDiskClosed = errors.New("dht: disk backend is closed")
 
-// read concatenates the key's extents.  A key whose extents total zero bytes
-// returns nil, matching the mem backend's value for an empty Put.
+// read returns the key's extent.  A zero-length value returns nil, matching
+// the mem backend's value for an empty Put.
 func (t *diskTable) read(key uint64) ([]byte, bool, error) {
 	if t == nil {
 		return nil, false, errDiskClosed
 	}
-	exts, ok := t.index[key]
+	e, ok := t.index[key]
 	if !ok {
 		return nil, false, nil
 	}
-	total := 0
-	for _, e := range exts {
-		total += int(e.n)
-	}
-	if total == 0 {
+	if e.n == 0 {
 		return nil, true, nil
 	}
-	buf := make([]byte, total)
-	pos := 0
-	for _, e := range exts {
-		if e.n == 0 {
-			continue
-		}
-		if _, err := t.f.ReadAt(buf[pos:pos+int(e.n)], e.off); err != nil {
-			return nil, false, err
-		}
-		pos += int(e.n)
+	buf := make([]byte, e.n)
+	if _, err := t.f.ReadAt(buf, e.off); err != nil {
+		return nil, false, err
 	}
 	return buf, true, nil
 }
+
+// indexCost estimates the resident footprint of the table's index.
+func (t *diskTable) indexCost() int64 { return diskKeyBytes * int64(len(t.index)) }
 
 func (t *diskTable) close() error { return t.f.Close() }
 
@@ -225,34 +209,20 @@ func newDiskBackend(shards int, replicate bool, dir string) (*diskBackend, error
 		}
 		b.shards[i] = sh
 		b.disk.Add(prim.size)
-		b.resident.Add(b.indexCost(prim))
+		b.resident.Add(prim.indexCost())
 	}
 	return b, nil
-}
-
-// indexCost estimates the resident footprint of a table's index.
-func (b *diskBackend) indexCost(t *diskTable) int64 {
-	var cost int64
-	for _, exts := range t.index {
-		cost += diskKeyOverhead + int64(len(exts))*diskIndexEntryBytes
-	}
-	return cost
 }
 
 func (b *diskBackend) Kind() BackendKind { return BackendDisk }
 
 // accountWrite tracks the footprint deltas of one record written to the
 // primary: recBytes on disk, and the index growth in RAM.
-func (b *diskBackend) accountWrite(recBytes int64, newKey bool, newExtent bool) {
+func (b *diskBackend) accountWrite(recBytes int64, newKey bool) {
 	b.disk.Add(recBytes)
-	var res int64
 	if newKey {
-		res += diskKeyOverhead
+		b.resident.Add(diskKeyBytes)
 	}
-	if newExtent {
-		res += diskIndexEntryBytes
-	}
-	b.resident.Add(res)
 }
 
 func (b *diskBackend) Get(shard int, key uint64) ([]byte, bool, bool, error) {
@@ -270,19 +240,17 @@ func (b *diskBackend) Get(shard int, key uint64) ([]byte, bool, bool, error) {
 	return v, ok, false, err
 }
 
-// writeLocked appends one record to the primary (and replica) of sh, assuming
-// sh.mu is held for writing.
-func (b *diskBackend) writeLocked(sh *diskShard, op byte, key uint64, value []byte) error {
+// writeLocked appends one put record to the primary (and replica) of sh,
+// assuming sh.mu is held for writing.
+func (b *diskBackend) writeLocked(sh *diskShard, key uint64, value []byte) error {
 	_, hadKey := sh.prim.index[key]
-	prevExts := len(sh.prim.index[key])
-	n, err := sh.prim.write(op, key, value)
+	n, err := sh.prim.write(diskOpPut, key, value)
 	if err != nil {
 		return err
 	}
-	newExtent := op == diskOpAppend && prevExts > 0 || !hadKey
-	b.accountWrite(n, !hadKey, newExtent && hadKey)
+	b.accountWrite(n, !hadKey)
 	if sh.rep != nil {
-		if _, err := sh.rep.write(op, key, value); err != nil {
+		if _, err := sh.rep.write(diskOpPut, key, value); err != nil {
 			return err
 		}
 	}
@@ -293,14 +261,7 @@ func (b *diskBackend) Put(shard int, key uint64, value []byte) error {
 	sh := b.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return b.writeLocked(sh, diskOpPut, key, value)
-}
-
-func (b *diskBackend) Append(shard int, key uint64, value []byte) error {
-	sh := b.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return b.writeLocked(sh, diskOpAppend, key, value)
+	return b.writeLocked(sh, key, value)
 }
 
 func (b *diskBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int, error) {
@@ -328,16 +289,12 @@ func (b *diskBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int,
 	return vals, oks, failovers, nil
 }
 
-func (b *diskBackend) BatchWrite(shard int, pairs []Pair, appendMode bool) error {
+func (b *diskBackend) BatchWrite(shard int, pairs []Pair) error {
 	sh := b.shards[shard]
-	op := byte(diskOpPut)
-	if appendMode {
-		op = diskOpAppend
-	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, p := range pairs {
-		if err := b.writeLocked(sh, op, p.Key, p.Value); err != nil {
+		if err := b.writeLocked(sh, p.Key, p.Value); err != nil {
 			return err
 		}
 	}
@@ -353,14 +310,13 @@ func (b *diskBackend) BatchDelete(shard int, keys []uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, k := range keys {
-		exts, ok := sh.prim.index[k]
-		if ok {
+		if _, ok := sh.prim.index[k]; ok {
 			n, err := sh.prim.write(diskOpDelete, k, nil)
 			if err != nil {
 				return err
 			}
 			b.disk.Add(n)
-			b.resident.Add(-(diskKeyOverhead + int64(len(exts))*diskIndexEntryBytes))
+			b.resident.Add(-diskKeyBytes)
 		}
 		if sh.rep != nil {
 			if _, ok := sh.rep.index[k]; ok {
@@ -408,13 +364,13 @@ func (b *diskBackend) RecoverShard(shard int) error {
 	if sh.rep == nil {
 		return nil
 	}
-	b.resident.Add(-b.indexCost(sh.prim))
+	b.resident.Add(-sh.prim.indexCost())
 	b.disk.Add(-sh.prim.size)
 	if err := sh.prim.f.Truncate(0); err != nil {
 		return fmt.Errorf("dht: truncating primary during recovery: %w", err)
 	}
 	sh.prim.size = 0
-	sh.prim.index = make(map[uint64][]extent, len(sh.rep.index))
+	sh.prim.index = make(map[uint64]extent, len(sh.rep.index))
 	keys := make([]uint64, 0, len(sh.rep.index))
 	for k := range sh.rep.index {
 		keys = append(keys, k)
@@ -429,7 +385,7 @@ func (b *diskBackend) RecoverShard(shard int) error {
 		if err != nil {
 			return fmt.Errorf("dht: rebuilding primary during recovery: %w", err)
 		}
-		b.accountWrite(n, true, false)
+		b.accountWrite(n, true)
 	}
 	return nil
 }

@@ -34,7 +34,7 @@ func keysOffShard(s *Store, shard, count int) []uint64 {
 }
 
 func TestBatchGetUnreplicatedFailureSurfacesUnavailable(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 4})
+	s := mustStore("d0", Options{Shards: 4})
 	onFailed := keysOnShard(s, 2, 8)
 	offFailed := keysOffShard(s, 2, 24)
 	keys := append(append([]uint64(nil), offFailed...), onFailed...)
@@ -94,7 +94,7 @@ func TestBatchGetUnreplicatedFailureSurfacesUnavailable(t *testing.T) {
 }
 
 func TestBatchGetReplicatedFailureFailsOver(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 4, Replicate: true})
+	s := mustStore("d0", Options{Shards: 4, Replicate: true})
 	onFailed := keysOnShard(s, 1, 6)
 	offFailed := keysOffShard(s, 1, 10)
 	keys := append(append([]uint64(nil), onFailed...), offFailed...)
@@ -135,7 +135,7 @@ func TestBatchGetMidBatchFailureMatchesSingleKeyAccounting(t *testing.T) {
 	// already served (shards are visited in index order), so the partial
 	// byte and miss counters flushed by the failure path must reflect the
 	// shards served before it.
-	s := MustStore("d0", Options{Shards: 8})
+	s := mustStore("d0", Options{Shards: 8})
 	lastShard := 7
 	healthy := keysOffShard(s, lastShard, 32)
 	broken := keysOnShard(s, lastShard, 4)
@@ -171,7 +171,7 @@ func TestBatchPutDuringFailureKeepsReplicaConsistent(t *testing.T) {
 	// Writes do not fail over: like the single-key path, BatchPut keeps
 	// writing through to primary and replica while a shard is marked
 	// failed, so a later RecoverShard rebuilds a complete primary.
-	s := MustStore("d0", Options{Shards: 4, Replicate: true})
+	s := mustStore("d0", Options{Shards: 4, Replicate: true})
 	s.FailShard(3)
 	pairs := make([]Pair, 0, 32)
 	for k := uint64(0); k < 32; k++ {
@@ -209,14 +209,14 @@ func TestBatchPutDuringFailureKeepsReplicaConsistent(t *testing.T) {
 	}
 }
 
-func TestBatchAppendFrozenAndEmptyBatches(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 4})
+func TestBatchPutFrozenAndEmptyBatches(t *testing.T) {
+	s := mustStore("d0", Options{Shards: 4})
 	if _, err := s.BatchPut(nil); err != nil {
 		t.Fatalf("empty BatchPut: %v", err)
 	}
 	s.Freeze()
-	if _, err := s.BatchAppend([]Pair{{Key: 1, Value: []byte("x")}}); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("BatchAppend on frozen store: %v, want ErrFrozen", err)
+	if _, err := s.BatchPut([]Pair{{Key: 1, Value: []byte("x")}}); !errors.Is(err, ErrFrozen) {
+		t.Fatalf("BatchPut on frozen store: %v, want ErrFrozen", err)
 	}
 	if st := s.Stats(); st.Writes != 0 || st.BatchWrites != 0 {
 		t.Fatalf("rejected batch writes must not count: %+v", st)

@@ -39,12 +39,6 @@ var errInjectedTransient = errors.New("dht: injected transient fault")
 // surface to the caller (and, in the ampc runtime, fail the sub-round).
 var errInjectedFatal = errors.New("dht: injected fatal fault")
 
-// IsInjectedFault reports whether err originates from a FaultPlan (either
-// severity).  Tests use it to tell injected chaos from real backend errors.
-func IsInjectedFault(err error) bool {
-	return errors.Is(err, errInjectedTransient) || errors.Is(err, errInjectedFatal)
-}
-
 // ShardCrash schedules one whole-shard failure: the shard fails once it has
 // served AfterReads read visits and recovers after RecoverReads further read
 // visits arrive (failed reads count, so retries drain the outage).  On a
@@ -291,14 +285,7 @@ func (b *faultBackend) Put(shard int, key uint64, value []byte) error {
 	return b.ShardBackend.Put(shard, key, value)
 }
 
-func (b *faultBackend) Append(shard int, key uint64, value []byte) error {
-	if err := b.beforeWrite(shard, key); err != nil {
-		return err
-	}
-	return b.ShardBackend.Append(shard, key, value)
-}
-
-func (b *faultBackend) BatchWrite(shard int, pairs []Pair, appendMode bool) error {
+func (b *faultBackend) BatchWrite(shard int, pairs []Pair) error {
 	if b.plan.PTransient > 0 {
 		keys := make([]uint64, len(pairs))
 		for i, p := range pairs {
@@ -308,7 +295,7 @@ func (b *faultBackend) BatchWrite(shard int, pairs []Pair, appendMode bool) erro
 			return err
 		}
 	}
-	return b.ShardBackend.BatchWrite(shard, pairs, appendMode)
+	return b.ShardBackend.BatchWrite(shard, pairs)
 }
 
 // Freeze flushes the engine and then, for a disk engine under a TornTail

@@ -46,8 +46,8 @@ func runFaultWorkload(t *testing.T, s *Store) map[uint64][]byte {
 		t.Fatalf("batch put: %v", err)
 	}
 	for k := uint64(0); k < 8; k++ {
-		if err := s.Append(2*n+k, []byte{byte(k)}); err != nil {
-			t.Fatalf("append %d: %v", k, err)
+		if err := s.Put(2*n+k, []byte{byte(k)}); err != nil {
+			t.Fatalf("put %d: %v", 2*n+k, err)
 		}
 	}
 	out := make(map[uint64][]byte)
@@ -107,7 +107,7 @@ func chaosTestRetry(seed int64) *RetryPolicy {
 // byte-identical contents to a clean store, on every backend, while actually
 // absorbing faults (Retries > 0).
 func TestFaultPlanByteIdenticalUnderRetry(t *testing.T) {
-	clean := MustStore("d0", Options{Shards: 4, Replicate: true})
+	clean := mustStore("d0", Options{Shards: 4, Replicate: true})
 	defer clean.Close()
 	want := runFaultWorkload(t, clean)
 	for _, kind := range BackendKinds() {
@@ -139,7 +139,7 @@ func TestFaultPlanByteIdenticalUnderRetry(t *testing.T) {
 // surfaces to the caller).
 func TestFaultPlanDeterministic(t *testing.T) {
 	run := func() []string {
-		s := MustStore("d0", Options{Shards: 4, Faults: &FaultPlan{Seed: 7, PTransient: 0.3}})
+		s := mustStore("d0", Options{Shards: 4, Faults: &FaultPlan{Seed: 7, PTransient: 0.3}})
 		defer s.Close()
 		var errs []string
 		for k := uint64(0); k < 200; k++ {
@@ -166,10 +166,10 @@ func TestFaultPlanDeterministic(t *testing.T) {
 // TestFaultPlanFirstOccurrenceOnly: an identity fails its first occurrence
 // and succeeds afterwards, which is what makes a single retry sufficient.
 func TestFaultPlanFirstOccurrenceOnly(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 2, Faults: &FaultPlan{Seed: 1, PTransient: 1}})
+	s := mustStore("d0", Options{Shards: 2, Faults: &FaultPlan{Seed: 1, PTransient: 1}})
 	defer s.Close()
 	err := s.Put(5, []byte("x"))
-	if !errors.Is(err, errInjectedTransient) || !IsInjectedFault(err) {
+	if !errors.Is(err, errInjectedTransient) {
 		t.Fatalf("first put: %v, want injected transient", err)
 	}
 	if err := s.Put(5, []byte("x")); err != nil {
@@ -186,33 +186,36 @@ func TestFaultPlanFirstOccurrenceOnly(t *testing.T) {
 }
 
 // TestRetryAbsorbsTransientsExactlyOnce: a retried write applies once (the
-// injection fires before the engine applies the op), visible through Append.
+// injection fires before the engine applies the op), visible in the disk
+// engine's log: one record per Put, however many attempts it took.
 func TestRetryAbsorbsTransientsExactlyOnce(t *testing.T) {
-	s := MustStore("d0", Options{
+	s := storeForBackend(t, BackendDisk, Options{
 		Shards: 2,
 		Faults: &FaultPlan{Seed: 1, PTransient: 1},
 		Retry:  &RetryPolicy{MaxAttempts: 3},
 	})
-	defer s.Close()
-	if err := s.Append(9, []byte("ab")); err != nil {
-		t.Fatalf("append under retry: %v", err)
+	if err := s.Put(9, []byte("ab")); err != nil {
+		t.Fatalf("put under retry: %v", err)
 	}
-	if err := s.Append(9, []byte("c")); err != nil {
-		t.Fatalf("second append: %v", err)
+	if err := s.Put(10, []byte("c")); err != nil {
+		t.Fatalf("second put: %v", err)
 	}
-	v, ok, err := s.Get(9)
-	if err != nil || !ok || string(v) != "abc" {
-		t.Fatalf("value after retried appends: %q %v %v, want \"abc\" exactly once", v, ok, err)
+	if v, ok, err := s.Get(9); err != nil || !ok || string(v) != "ab" {
+		t.Fatalf("value after a retried put: %q %v %v", v, ok, err)
 	}
-	if st := s.Stats(); st.Retries == 0 {
-		t.Fatalf("stats %+v recorded no retries", st)
+	if got, want := s.BackendStats().DiskBytes, int64(2*diskHeader+3); got != want {
+		t.Fatalf("DiskBytes = %d after two retried puts, want %d (each applied exactly once)", got, want)
+	}
+	st := s.Stats()
+	if st.Retries == 0 || st.Writes != 2 {
+		t.Fatalf("stats %+v: want retries recorded and 2 writes", st)
 	}
 }
 
 // TestFatalFaultsAreNotRetried: PFatal escapes the retry loop immediately —
 // that is the class the runtime recovers from at the sub-round level.
 func TestFatalFaultsAreNotRetried(t *testing.T) {
-	s := MustStore("d0", Options{
+	s := mustStore("d0", Options{
 		Shards: 2,
 		Faults: &FaultPlan{Seed: 3, PFatal: 1},
 		Retry:  &RetryPolicy{MaxAttempts: 10},
@@ -240,7 +243,7 @@ func TestFatalFaultsAreNotRetried(t *testing.T) {
 // the shard recovers after RecoverReads further read visits.
 func TestShardCrashSchedule(t *testing.T) {
 	plan := &FaultPlan{Seed: 1, Crashes: []ShardCrash{{Shard: 1, AfterReads: 3, RecoverReads: 2}}}
-	s := MustStore("d0", Options{Shards: 2, Faults: plan})
+	s := mustStore("d0", Options{Shards: 2, Faults: plan})
 	defer s.Close()
 	key := keysOnShard(s, 1, 1)[0]
 	if err := s.Put(key, []byte("v")); err != nil {
@@ -269,7 +272,7 @@ func TestShardCrashSchedule(t *testing.T) {
 // so a retrying store rides out the outage without the caller noticing.
 func TestRetryDrainsCrashWindow(t *testing.T) {
 	plan := &FaultPlan{Seed: 1, Crashes: []ShardCrash{{Shard: 1, AfterReads: 1, RecoverReads: 3}}}
-	s := MustStore("d0", Options{Shards: 2, Faults: plan, Retry: &RetryPolicy{MaxAttempts: 10}})
+	s := mustStore("d0", Options{Shards: 2, Faults: plan, Retry: &RetryPolicy{MaxAttempts: 10}})
 	defer s.Close()
 	key := keysOnShard(s, 1, 1)[0]
 	if err := s.Put(key, []byte("v")); err != nil {
@@ -289,7 +292,7 @@ func TestRetryDrainsCrashWindow(t *testing.T) {
 // values identical.
 func TestCrashWindowFailsOverWhenReplicated(t *testing.T) {
 	plan := &FaultPlan{Seed: 1, Crashes: []ShardCrash{{Shard: 1, AfterReads: 1, RecoverReads: 100}}}
-	s := MustStore("d0", Options{Shards: 2, Replicate: true, Faults: plan})
+	s := mustStore("d0", Options{Shards: 2, Replicate: true, Faults: plan})
 	defer s.Close()
 	key := keysOnShard(s, 1, 1)[0]
 	if err := s.Put(key, []byte("v")); err != nil {
@@ -307,7 +310,7 @@ func TestCrashWindowFailsOverWhenReplicated(t *testing.T) {
 // TestRetryDeadlineExceeded: an op that cannot succeed within the deadline
 // fails with the last error and increments Stats.DeadlineExceeded.
 func TestRetryDeadlineExceeded(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 2, Retry: &RetryPolicy{
+	s := mustStore("d0", Options{Shards: 2, Retry: &RetryPolicy{
 		MaxAttempts: 1 << 20,
 		BaseBackoff: 200 * time.Microsecond,
 		MaxBackoff:  200 * time.Microsecond,
@@ -337,7 +340,7 @@ func TestRetryDeadlineExceeded(t *testing.T) {
 // is fast) and Stats.Hedges counts it.
 func TestHedgedBatchGetCutsSpikes(t *testing.T) {
 	plan := &FaultPlan{Seed: 5, PSpike: 1, Spike: 200 * time.Millisecond}
-	s := MustStore("d0", Options{Shards: 2, Faults: plan,
+	s := mustStore("d0", Options{Shards: 2, Faults: plan,
 		Retry: &RetryPolicy{MaxAttempts: 2, HedgeAfter: time.Millisecond}})
 	defer s.Close()
 	keys := []uint64{1, 2, 3, 4}
@@ -493,7 +496,7 @@ func TestRPCCloseLeaksNoGoroutines(t *testing.T) {
 // TestFaultPlanErrorsNameTheOp: injected errors identify the op, shard and
 // key, so chaos-run logs are actionable.
 func TestFaultPlanErrorsNameTheOp(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 2, Faults: &FaultPlan{Seed: 1, PTransient: 1}})
+	s := mustStore("d0", Options{Shards: 2, Faults: &FaultPlan{Seed: 1, PTransient: 1}})
 	defer s.Close()
 	err := s.Put(5, []byte("x"))
 	if err == nil {

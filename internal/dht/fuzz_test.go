@@ -118,7 +118,7 @@ func FuzzOwnerAffinePlacement(f *testing.F) {
 // weight vectors: OwnerOf must return exactly the machine whose boundary
 // range contains the key, ownership must be monotone and leave no machine
 // empty when keys >= machines, the uniform-weight table must agree with
-// RangeOwner key-for-key, and WeightedOwner's co-location must agree with
+// RangeOwner key-for-key, and OwnershipPlacement's co-location must agree with
 // OwnerOf (the partitioner-agreement property the ampc runtime relies on).
 func FuzzOwnershipOwnerOf(f *testing.F) {
 	f.Add(uint64(0), 4, 16, []byte{1, 1, 1, 1, 1, 1, 1, 1})

@@ -26,7 +26,10 @@ func benchMemStore(b *testing.B, values [][]byte) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := MustStore("bench", Options{Shards: 8})
+		s, err := NewStore("bench", Options{Shards: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if r, ok := any(s).(interface{ Reserve(keys int) }); ok {
 			r.Reserve(n)
 		}

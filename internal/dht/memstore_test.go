@@ -43,7 +43,7 @@ func TestFrozenReadsDuringFailoverAndRebalance(t *testing.T) {
 	for _, replicate := range []bool{true, false} {
 		t.Run(fmt.Sprintf("replicate=%v", replicate), func(t *testing.T) {
 			placements := []Placement{HashRandom(), OwnerAffine(machines, keys)}
-			s := MustStore("d0", Options{Shards: shards, Replicate: replicate, Placement: placements[0]})
+			s := mustStore("d0", Options{Shards: shards, Replicate: replicate, Placement: placements[0]})
 			for k := uint64(0); k < keys; k++ {
 				if err := s.Put(k, memTestValue(k, 0)); err != nil {
 					t.Fatal(err)
@@ -169,7 +169,7 @@ func TestValueSlicesOutliveOverwrites(t *testing.T) {
 	if testing.Short() {
 		overwrites = 100_000
 	}
-	s := MustStore("d0", Options{Shards: shards, Replicate: true})
+	s := mustStore("d0", Options{Shards: shards, Replicate: true})
 	type held struct {
 		key     uint64
 		version int
@@ -247,7 +247,7 @@ func TestValueSlicesOutliveOverwrites(t *testing.T) {
 // twice.
 func TestStatsFoldAcrossMachines(t *testing.T) {
 	const machines, workers, opsEach, keyspace, shards = 4, 8, 50_000, 1 << 12, 8
-	s := MustStore("d0", Options{Shards: shards, Placement: OwnerAffine(machines, keyspace)})
+	s := mustStore("d0", Options{Shards: shards, Placement: OwnerAffine(machines, keyspace)})
 	type tally struct {
 		st       Stats
 		shardOps [shards]int64
@@ -268,7 +268,7 @@ func TestStatsFoldAcrossMachines(t *testing.T) {
 				idx := s.shardIndexFor(k)
 				local := s.LocalTo(machine, k)
 				switch i % 5 {
-				case 0, 1:
+				case 0, 1, 2:
 					v := memTestValue(k, i)
 					if err := view.Put(k, v); err != nil {
 						t.Error(err)
@@ -279,17 +279,6 @@ func TestStatsFoldAcrossMachines(t *testing.T) {
 					tl.st.BytesWritten += int64(len(v)) + 8
 					if !local {
 						tl.st.RemoteBytes += int64(len(v)) + 8
-					}
-				case 2:
-					if err := view.Append(k, []byte{1, 2, 3}); err != nil {
-						t.Error(err)
-						return
-					}
-					length[k] += 3
-					tl.st.Writes++
-					tl.st.BytesWritten += 3 + 8
-					if !local {
-						tl.st.RemoteBytes += 3 + 8
 					}
 				default:
 					v, ok, err := view.Get(k)
@@ -382,7 +371,7 @@ func TestCounterBlocksAreLinePadded(t *testing.T) {
 	if n := unsafe.Sizeof(memShard{}); n%64 != 0 {
 		t.Fatalf("memShard is %d bytes, not a multiple of a cache line", n)
 	}
-	s := MustStore("d0", Options{Shards: 3})
+	s := mustStore("d0", Options{Shards: 3})
 	if s.countersFor(-1) != s.countersFor(-7) {
 		t.Fatal("negative machines do not share the anonymous block")
 	}
@@ -400,7 +389,7 @@ func TestCounterBlocksAreLinePadded(t *testing.T) {
 // is lost without an error.
 func TestReserveSizesTablesOnce(t *testing.T) {
 	const keys, shards = 40_000, 8
-	s := MustStore("d0", Options{Shards: shards, Replicate: true})
+	s := mustStore("d0", Options{Shards: shards, Replicate: true})
 	s.Reserve(keys)
 	b := s.backend.(*memBackend)
 	for i := range b.shards {
@@ -425,7 +414,7 @@ func TestReserveSizesTablesOnce(t *testing.T) {
 		t.Fatalf("shard holds %d keys in %d slots", got, len(first.prim.slots))
 	}
 	// Skew past the reservation still works: the table grows.
-	small := MustStore("d1", Options{Shards: 2})
+	small := mustStore("d1", Options{Shards: 2})
 	small.Reserve(10)
 	for k := uint64(0); k < 1000; k++ {
 		if err := small.Put(k, []byte("v")); err != nil {
@@ -436,9 +425,9 @@ func TestReserveSizesTablesOnce(t *testing.T) {
 		t.Fatalf("Len = %d, want 1000", small.Len())
 	}
 	// Lost hints: behind the fault injector, on the disk engine, after Freeze.
-	wrapped := MustStore("d2", Options{Shards: 2, Faults: &FaultPlan{Seed: 1, PTransient: 0.5}})
+	wrapped := mustStore("d2", Options{Shards: 2, Faults: &FaultPlan{Seed: 1, PTransient: 0.5}})
 	wrapped.Reserve(1000)
-	disk := MustStore("d3", Options{Shards: 2, Backend: BackendDisk, DiskDir: t.TempDir()})
+	disk := mustStore("d3", Options{Shards: 2, Backend: BackendDisk, DiskDir: t.TempDir()})
 	defer disk.Close()
 	disk.Reserve(1000)
 	s.Reserve(0)

@@ -30,8 +30,7 @@ type MigrationStats struct {
 // installs next as the store's placement.  Keys whose shard is unchanged
 // are untouched; moved keys are copied to their new shard first and deleted
 // from the old one second, so a concurrent reader of either shard sees the
-// key at least once (never zero times).  Append-accumulated values move as
-// one concatenated record, which reads back byte-identically.
+// key at least once (never zero times).
 //
 // Rebalance works on a frozen store — migration relocates bytes without
 // changing any key's value, so it does not violate the round discipline —
@@ -77,7 +76,7 @@ func (s *Store) Rebalance(next Placement) (MigrationStats, error) {
 	}
 	// Apply: copy before delete.
 	for shard, pairs := range writes {
-		if err := s.backend.BatchWrite(shard, pairs, false); err != nil {
+		if err := s.backend.BatchWrite(shard, pairs); err != nil {
 			return st, fmt.Errorf("dht: rebalance %s: copying to shard %d: %w", s.name, shard, err)
 		}
 	}

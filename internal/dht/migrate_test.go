@@ -89,13 +89,12 @@ func TestStoreRebalanceMigratesAcrossBackends(t *testing.T) {
 				}
 				want[k] = v
 			}
-			// Append-accumulated values must migrate as one concatenated
-			// record.
+			// An overwritten value must migrate as its latest version.
 			for k := uint64(0); k < 8; k++ {
-				if err := s.Append(k, []byte{0xEE}); err != nil {
+				want[k] = append(want[k], 0xEE)
+				if err := s.Put(k, want[k]); err != nil {
 					t.Fatal(err)
 				}
-				want[k] = append(want[k], 0xEE)
 			}
 
 			next := OwnershipPlacement(own)

@@ -13,7 +13,7 @@ package dht
 // equal total weight — and, whenever keys >= machines, at least one key.
 //
 // The table is the single source of truth shared by the shard placement
-// (OwnershipPlacement / WeightedOwner) and the ampc round partitioners:
+// (OwnershipPlacement) and the ampc round partitioners:
 // both sides answer "which machine owns key k" from the same boundaries,
 // which is the invariant that keeps a machine's reads and writes of its own
 // keys on its co-located shards.  RangeOwner remains the uniform-weight
@@ -166,14 +166,6 @@ func OwnershipPlacement(own *Ownership) Placement {
 		return HashRandom()
 	}
 	return ownershipAffine{own: own}
-}
-
-// WeightedOwner returns the placement of the degree-weighted contiguous
-// partition of len(weights) keys over machines machines: NewOwnership
-// boundaries, owner-affine co-location.  It is the weighted counterpart of
-// OwnerAffine.
-func WeightedOwner(machines int, weights []int) Placement {
-	return OwnershipPlacement(NewOwnership(machines, weights))
 }
 
 func (p ownershipAffine) Name() string {

@@ -83,7 +83,7 @@ func TestOwnerAffineZeroKeyspaceFallsBackToHash(t *testing.T) {
 	}
 	// The store built on the degenerate placement classifies everything
 	// remote — no machine can claim local reads it does not deserve.
-	s := MustStore("d0", Options{Shards: 8, Placement: OwnerAffine(4, 0)})
+	s := mustStore("d0", Options{Shards: 8, Placement: OwnerAffine(4, 0)})
 	if err := s.View(0).Put(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestOwnershipOwnerOfMatchesOracle(t *testing.T) {
 func TestWeightedOwnerPlacement(t *testing.T) {
 	weights := []int{50, 1, 1, 1, 1, 1, 1, 50}
 	const machines, shards = 4, 16
-	p := WeightedOwner(machines, weights)
+	p := OwnershipPlacement(NewOwnership(machines, weights))
 	if p.Name() != "weighted" {
 		t.Fatalf("name %q", p.Name())
 	}
@@ -203,7 +203,7 @@ func TestWeightedOwnerPlacement(t *testing.T) {
 		}
 	}
 	// Empty keyspace: HashRandom semantics.
-	for _, empty := range []Placement{WeightedOwner(4, nil), OwnershipPlacement(nil)} {
+	for _, empty := range []Placement{OwnershipPlacement(NewOwnership(4, nil)), OwnershipPlacement(nil)} {
 		if empty.Name() != "hash" {
 			t.Fatalf("empty weights placement %q, want hash fallback", empty.Name())
 		}

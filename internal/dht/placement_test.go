@@ -94,7 +94,7 @@ func TestOwnerAffineDegradesWithFewShards(t *testing.T) {
 
 func TestStoreClassifiesLocalAndRemoteReads(t *testing.T) {
 	const machines, keys = 4, 100
-	s := MustStore("d0", Options{Shards: 16, Placement: OwnerAffine(machines, keys)})
+	s := mustStore("d0", Options{Shards: 16, Placement: OwnerAffine(machines, keys)})
 	for k := uint64(0); k < keys; k++ {
 		if err := s.View(RangeOwner(k, machines, keys)).Put(k, []byte{1}); err != nil {
 			t.Fatal(err)
@@ -132,7 +132,7 @@ func TestStoreClassifiesLocalAndRemoteReads(t *testing.T) {
 func TestAnonymousCallersStayRemote(t *testing.T) {
 	// The pre-placement API (Get/Put without a machine) must behave exactly
 	// as before: everything remote, hash placement.
-	s := MustStore("d0", Options{Shards: 8})
+	s := mustStore("d0", Options{Shards: 8})
 	if err := s.Put(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestLocalReadsChargeLocalLatency(t *testing.T) {
 	model := simtime.RDMA()
 	run := func(machine int) time.Duration {
 		clock := &simtime.Clock{}
-		s := MustStore("d0", Options{
+		s := mustStore("d0", Options{
 			Shards: 16, Placement: OwnerAffine(machines, keys),
 			Model: model, Clock: clock,
 		})
@@ -181,7 +181,7 @@ func TestLocalReadsChargeLocalLatency(t *testing.T) {
 
 func TestBatchGetFromSplitsVisits(t *testing.T) {
 	const machines, keys = 4, 100
-	s := MustStore("d0", Options{Shards: 8, Placement: OwnerAffine(machines, keys)})
+	s := mustStore("d0", Options{Shards: 8, Placement: OwnerAffine(machines, keys)})
 	var all []uint64
 	for k := uint64(0); k < keys; k++ {
 		all = append(all, k)
@@ -219,7 +219,7 @@ func TestBatchGetFromSplitsVisits(t *testing.T) {
 
 func TestBatchPutFromLocalWritesMoveNoRemoteBytes(t *testing.T) {
 	const machines, keys = 4, 100
-	s := MustStore("d0", Options{Shards: 8, Placement: OwnerAffine(machines, keys)})
+	s := mustStore("d0", Options{Shards: 8, Placement: OwnerAffine(machines, keys)})
 	var pairs []Pair
 	for k := uint64(25); k < 50; k++ { // all owned by machine 1
 		pairs = append(pairs, Pair{Key: k, Value: []byte{byte(k)}})
@@ -235,11 +235,11 @@ func TestBatchPutFromLocalWritesMoveNoRemoteBytes(t *testing.T) {
 		t.Fatalf("owner batch write moved %d remote bytes", st.RemoteBytes)
 	}
 	// The same write from a non-owner is fully remote.
-	visits, err = s.View(2).BatchAppend(pairs)
+	visits, err = s.View(2).BatchPut(pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if visits.Local != 0 || visits.Remote == 0 {
-		t.Fatalf("non-owner batch append visits = %+v, want all remote", visits)
+		t.Fatalf("non-owner batch write visits = %+v, want all remote", visits)
 	}
 }

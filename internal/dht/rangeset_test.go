@@ -238,7 +238,7 @@ func FuzzRangeSet(f *testing.F) {
 }
 
 func TestCacheInvalidateRange(t *testing.T) {
-	s := MustStore("inv-range", Options{Shards: 4})
+	s := mustStore("inv-range", Options{Shards: 4})
 	for k := uint64(0); k < 10; k++ {
 		if err := s.Put(k, []byte{byte(k)}); err != nil {
 			t.Fatal(err)

@@ -60,12 +60,11 @@ type WireGetReply struct {
 	Unavailable bool
 }
 
-// WirePutArgs carries a single-key put or append.
+// WirePutArgs carries a single-key put.
 type WirePutArgs struct {
-	Shard  int
-	Key    uint64
-	Value  []byte
-	Append bool
+	Shard int
+	Key   uint64
+	Value []byte
 }
 
 // WireBatchGetArgs / WireBatchGetReply carry a one-shard batched read.
@@ -83,9 +82,8 @@ type WireBatchGetReply struct {
 
 // WireBatchWriteArgs carries a one-shard batched write.
 type WireBatchWriteArgs struct {
-	Shard  int
-	Pairs  []Pair
-	Append bool
+	Shard int
+	Pairs []Pair
 }
 
 // WireBatchDeleteArgs carries a one-shard batched delete (shard migration).
@@ -115,9 +113,6 @@ func (s *StoreService) Get(args *WireGetArgs, reply *WireGetReply) error {
 }
 
 func (s *StoreService) Put(args *WirePutArgs, reply *WireNone) error {
-	if args.Append {
-		return s.engine.Append(args.Shard, args.Key, args.Value)
-	}
 	return s.engine.Put(args.Shard, args.Key, args.Value)
 }
 
@@ -132,7 +127,7 @@ func (s *StoreService) BatchGet(args *WireBatchGetArgs, reply *WireBatchGetReply
 }
 
 func (s *StoreService) BatchWrite(args *WireBatchWriteArgs, reply *WireNone) error {
-	return s.engine.BatchWrite(args.Shard, args.Pairs, args.Append)
+	return s.engine.BatchWrite(args.Shard, args.Pairs)
 }
 
 func (s *StoreService) BatchDelete(args *WireBatchDeleteArgs, reply *WireNone) error {
@@ -382,15 +377,6 @@ func (b *rpcBackend) Put(shard int, key uint64, value []byte) error {
 	return nil
 }
 
-func (b *rpcBackend) Append(shard int, key uint64, value []byte) error {
-	var reply WireNone
-	err := b.timeCall("Store.Put", &WirePutArgs{Shard: shard, Key: key, Value: value, Append: true}, &reply, false, 8+len(value))
-	if err != nil {
-		return fmt.Errorf("dht: rpc append: %w", err)
-	}
-	return nil
-}
-
 func (b *rpcBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int, error) {
 	var reply WireBatchGetReply
 	err := b.timeCall("Store.BatchGet", &WireBatchGetArgs{Shard: shard, Keys: keys}, &reply, true, 8*len(keys))
@@ -408,13 +394,13 @@ func (b *rpcBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int, 
 	return reply.Values, reply.OKs, reply.Failovers, nil
 }
 
-func (b *rpcBackend) BatchWrite(shard int, pairs []Pair, appendMode bool) error {
+func (b *rpcBackend) BatchWrite(shard int, pairs []Pair) error {
 	payload := 0
 	for _, p := range pairs {
 		payload += 8 + len(p.Value)
 	}
 	var reply WireNone
-	err := b.timeCall("Store.BatchWrite", &WireBatchWriteArgs{Shard: shard, Pairs: pairs, Append: appendMode}, &reply, false, payload)
+	err := b.timeCall("Store.BatchWrite", &WireBatchWriteArgs{Shard: shard, Pairs: pairs}, &reply, false, payload)
 	if err != nil {
 		return fmt.Errorf("dht: rpc batch write: %w", err)
 	}

@@ -215,17 +215,15 @@ type arena struct {
 	capBytes int64 // total capacity of all chunks
 }
 
-// put copies the concatenation head+tail into the arena as one record and
-// returns its packed ref (a plain write passes a nil head; Append passes the
-// value it extends).
-func (a *arena) put(head, tail []byte) uint64 {
-	n := len(head) + len(tail)
+// put copies value into the arena as one record and returns its packed ref.
+func (a *arena) put(value []byte) uint64 {
+	n := len(value)
 	if n == 0 {
 		return 1 << refChunkShift // decodes to nil without touching a chunk
 	}
 	if n > chunkValueMax {
 		own := make([]byte, n)
-		copy(own[copy(own, head):], tail)
+		copy(own, value)
 		a.chunks = append(a.chunks, own)
 		a.capBytes += int64(n)
 		return uint64(len(a.chunks))<<refChunkShift | refDedicated
@@ -234,8 +232,7 @@ func (a *arena) put(head, tail []byte) uint64 {
 		a.grow(n)
 	}
 	off := a.fill
-	dst := a.chunks[a.cur][off : off+n]
-	copy(dst[copy(dst, head):], tail)
+	copy(a.chunks[a.cur][off:], value)
 	a.fill += n
 	return uint64(a.cur+1)<<refChunkShift | uint64(off)<<refFieldBits | uint64(n)
 }

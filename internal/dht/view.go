@@ -57,11 +57,6 @@ func (v *View) Put(key uint64, value []byte) error {
 	return v.store.putFrom(v.machine, key, value)
 }
 
-// Append appends value to the existing entry for key (see Store.Append).
-func (v *View) Append(key uint64, value []byte) error {
-	return v.store.appendFrom(v.machine, key, value)
-}
-
 // BatchGet returns the values stored under keys, visiting each shard once;
 // visits to shards co-located with the view's machine are classified as
 // local (see Store.BatchGet).
@@ -71,11 +66,5 @@ func (v *View) BatchGet(keys []uint64) (vals [][]byte, oks []bool, visits Visits
 
 // BatchPut stores all pairs, visiting each shard once (see Store.BatchPut).
 func (v *View) BatchPut(pairs []Pair) (Visits, error) {
-	return v.store.batchWrite(v.machine, pairs, false)
-}
-
-// BatchAppend appends every pair's value to the existing entry for its key,
-// visiting each shard once (see Store.BatchAppend).
-func (v *View) BatchAppend(pairs []Pair) (Visits, error) {
-	return v.store.batchWrite(v.machine, pairs, true)
+	return v.store.batchWrite(v.machine, pairs)
 }

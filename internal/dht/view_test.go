@@ -14,7 +14,7 @@ import (
 // classification) is identical.
 
 func TestViewIsCachedPerMachine(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 4, Placement: OwnerAffine(2, 1<<10)})
+	s := mustStore("d0", Options{Shards: 4, Placement: OwnerAffine(2, 1<<10)})
 	if s.View(1) != s.View(1) {
 		t.Fatal("View(1) is not cached")
 	}
@@ -35,8 +35,8 @@ func TestViewOperationsMatchMachineClassifiedPath(t *testing.T) {
 	// other through the internal machine-classified operations the views
 	// delegate to: contents and every counter must come out identical.
 	opts := Options{Shards: 8, Placement: OwnerAffine(4, 1<<10)}
-	viaView := MustStore("d0", opts)
-	direct := MustStore("d0", opts)
+	viaView := mustStore("d0", opts)
+	direct := mustStore("d0", opts)
 	// Machine 0 owns the low key range under the owner-affine placement, so
 	// the small keys below classify as local and exercise both splits.
 	const machine = 0
@@ -50,24 +50,24 @@ func TestViewOperationsMatchMachineClassifiedPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := v.Append(3, []byte("xy")); err != nil {
+	if err := v.Put(3, []byte("xy")); err != nil { // overwrite
 		t.Fatal(err)
 	}
-	if err := direct.appendFrom(machine, 3, []byte("xy")); err != nil {
+	if err := direct.putFrom(machine, 3, []byte("xy")); err != nil {
 		t.Fatal(err)
 	}
 	pairs := []Pair{{Key: 100, Value: []byte("a")}, {Key: 101, Value: []byte("b")}}
 	if _, err := v.BatchPut(pairs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := direct.batchWrite(machine, pairs, false); err != nil {
+	if _, err := direct.batchWrite(machine, pairs); err != nil {
 		t.Fatal(err)
 	}
-	apps := []Pair{{Key: 100, Value: []byte("+")}, {Key: 102, Value: []byte("c")}}
-	if _, err := v.BatchAppend(apps); err != nil {
+	more := []Pair{{Key: 100, Value: []byte("+")}, {Key: 102, Value: []byte("c")}}
+	if _, err := v.BatchPut(more); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := direct.batchWrite(machine, apps, true); err != nil {
+	if _, err := direct.batchWrite(machine, more); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +107,7 @@ func TestViewOperationsMatchMachineClassifiedPath(t *testing.T) {
 // survives one Close per additional owner and releases its backend only on
 // the last, with later Closes and Retains being no-ops.
 func TestStoreRetainRefcount(t *testing.T) {
-	s := MustStore("d0", Options{Shards: 2})
+	s := mustStore("d0", Options{Shards: 2})
 	if err := s.Put(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -207,13 +207,4 @@ func TestFreezeIsIdempotent(t *testing.T) {
 			t.Fatalf("Put on frozen store: %v, want ErrFrozen", err)
 		}
 	}
-}
-
-func TestMustStorePanicsOnInvalidOptions(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustStore with an unknown backend did not panic")
-		}
-	}()
-	MustStore("d0", Options{Shards: 2, Backend: BackendKind("bogus")})
 }
