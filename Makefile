@@ -2,14 +2,14 @@ GO ?= go
 
 # Minimum statement coverage for the runtime-critical packages (cover-check).
 # Raised with the shard-migration code (Store.Rebalance, BatchDelete,
-# Runtime.Rebalance) so the adaptive-ownership paths cannot regress untested.
+# Job.Rebalance) so the adaptive-ownership paths cannot regress untested.
 COVER_FLOOR_AMPC ?= 85
 COVER_FLOOR_DHT  ?= 90
 
 # Per-target budget for the short fuzz pass (fuzz-smoke).
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt ci loc microbench bench-smoke bench-check bench-wall bench-wall-smoke cover-check fuzz-smoke examples-smoke backend-matrix chaos-smoke serving-smoke deprecation-gate
+.PHONY: all build test race vet fmt ci loc microbench bench-smoke bench-check bench-wall bench-wall-smoke cover-check fuzz-smoke examples-smoke backend-matrix chaos-smoke serving-smoke
 
 all: build
 
@@ -40,26 +40,7 @@ loc:
 		      for (i = 1; i <= n; i++) printf "%8d %8d  %s\n", code[dirs[i]], test[dirs[i]], dirs[i]; \
 		      printf "%8d %8d  total\n", tc, tt }'
 
-ci: fmt vet build test race deprecation-gate cover-check fuzz-smoke microbench bench-check examples-smoke
-
-# deprecation-gate fails when any caller uses the deleted machine-threading
-# exported *From store methods instead of Store.View.  The gate now guards
-# against the wrappers coming back: only the store's own unexported
-# implementation methods (lowercase, matched as .xxxFrom( with a lowercase
-# first letter) and Cache.GetFrom — not deprecated, a cache read-through has
-# no View equivalent — are allowed (the wall-clock benchmark's cache probe
-# calls it on a *dht.Cache named c; that one statement is matched whole).
-deprecation-gate:
-	@out=$$(grep -rnE '\.(Get|Put|BatchGet|BatchPut)From\(' \
-		--include='*.go' . \
-		| grep -v '^\./internal/dht/cache\.go:' \
-		| grep -v '^\./benchmark/probes\.go:[0-9]*:[[:space:]]*_, _, err := c\.GetFrom(0, ks\[0\])$$' \
-		| grep -vi 'cache\.GetFrom'); \
-	if [ -n "$$out" ]; then \
-		echo "deprecated *From store methods called (use Store.View):" >&2; \
-		echo "$$out" >&2; exit 1; \
-	fi
-	@echo "deprecation-gate: no deprecated *From call sites"
+ci: fmt vet build test race cover-check fuzz-smoke microbench bench-check examples-smoke
 
 # examples-smoke builds and runs every example end to end (they were
 # compiled but never executed by CI before); each must exit 0 on its own

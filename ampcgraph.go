@@ -169,11 +169,11 @@ func ConnectedComponents(g *Graph, cfg Config) (*ConnectivityResult, error) {
 // the serving layer is for running many queries against one resident graph.
 type Session = ampc.Session
 
-// Runtime executes one job — one query — on a session.  The Runtime returned
-// by Session.NewJob carries the job's own statistics, modeled clock,
-// cancellation context and the stores it opens (released by its Close) while
-// sharing the session's pool and resident stores.
-type Runtime = ampc.Runtime
+// Job executes one query on a session.  The Job returned by Session.NewJob
+// carries its own statistics, modeled clock, cancellation context and the
+// stores it opens (released by its Close) while sharing the session's pool and
+// resident stores.
+type Job = ampc.Job
 
 // NewSession creates a long-lived session for concurrent queries.
 func NewSession(cfg Config) *Session { return ampc.NewSession(cfg) }
@@ -187,21 +187,21 @@ type MISShared = mis.Shared
 // dedicated preparation job).  Subsequent MISShared.Run calls on jobs of the
 // same session compute the exact MIS(g, cfg) set without repeating the
 // shuffle or the key-value write.
-func NewMISShared(rt *Runtime, g *Graph) (*MISShared, error) { return mis.NewShared(rt, g) }
+func NewMISShared(rt *Job, g *Graph) (*MISShared, error) { return mis.NewShared(rt, g) }
 
 // MatchingShared is the resident substrate of the maximal matching
 // computation, mirroring MISShared.
 type MatchingShared = matching.Shared
 
 // NewMatchingShared builds the shared matching substrate on rt's session.
-func NewMatchingShared(rt *Runtime, g *Graph) (*MatchingShared, error) {
+func NewMatchingShared(rt *Job, g *Graph) (*MatchingShared, error) {
 	return matching.NewShared(rt, g)
 }
 
 // ConnectedComponentsOn computes connected components as a job of a
 // long-lived session.  The stores it opens are private to the call, so
 // concurrent connectivity jobs on one session do not interfere.
-func ConnectedComponentsOn(rt *Runtime, g *Graph) (*ConnectivityResult, error) {
+func ConnectedComponentsOn(rt *Job, g *Graph) (*ConnectivityResult, error) {
 	return connectivity.RunOn(rt, g)
 }
 

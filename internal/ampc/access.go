@@ -39,14 +39,6 @@ type Access struct {
 	PerMachine func(machine int) dht.RangeSet
 }
 
-// Whole declares a whole-store access — the PR 3 store-set granularity.
-func Whole(s *dht.Store) Access { return Access{Store: s} }
-
-// Ranged declares a store access narrowed to the same spans on every machine.
-func Ranged(s *dht.Store, spans dht.RangeSet) Access {
-	return Access{Store: s, Spans: spans}
-}
-
 // RangedBy declares a store access with per-machine spans: machine m touches
 // only per[m].  Machines beyond len(per) declare the empty set.
 func RangedBy(s *dht.Store, per []dht.RangeSet) Access {
@@ -100,11 +92,9 @@ func (a Access) conflictsWith(am int, b Access, bm int) bool {
 type Token struct{ name string }
 
 // NewToken returns a fresh scheduling token.  Identity is pointer identity;
-// the name only labels diagnostics.
+// the name only labels the token in a debugger or a %+v, and keeps the struct
+// non-empty, so two tokens never share an address.
 func NewToken(name string) *Token { return &Token{name: name} }
-
-// Name returns the diagnostic label of the token.
-func (t *Token) Name() string { return t.name }
 
 // Widen returns a copy of rounds with every access declaration stretched to
 // its whole store, recovering the PR 3 store-set conflict granularity.  The

@@ -12,12 +12,12 @@
 //     the hash tables (D0, D1, ...), the ownership table, the per-machine
 //     caches and the plan cache — that many concurrent queries share;
 //   - Job: one execution against a Session, with its own simulated clock,
-//     statistics, fault budget and cancellation context;
+//     statistics, fault budget, cancellation context and round tables.  It
+//     embeds its Session, so it is the one handle algorithm code holds: New
+//     gives a one-shot job on a private session, Session.NewJob a job sharing
+//     a long-lived one;
 //   - Plan: an immutable, reusable compilation of a round sequence (the
 //     sub-round conflict analysis), cached per Session;
-//   - Runtime: one job bound to a session as a single handle.  New gives the
-//     historical one-shot pairing (private session + one job);
-//     Session.NewJob gives a job sharing a long-lived session;
 //   - Ctx: the per-machine handle through which algorithm code reads and
 //     writes the hash tables.
 //
@@ -44,21 +44,23 @@
 //
 // # Sessions, jobs and plans
 //
-// The one-shot shape — build a runtime, run one query, tear everything
-// down — is wasteful for serving: every query would respawn the pool,
-// re-shuffle the graph into fresh stores and re-derive the same conflict
-// analysis.  The three layers split those lifetimes.  A Session outlives
-// queries: its pool threads, stores (shared ones are reference-counted, see
-// OpenSharedStore), ownership table and caches persist.  A Job is one query:
-// per-job clock, Stats, fault budget and context cancellation, admitted
+// The one-shot shape — New, run one query, Close — is wasteful for serving:
+// every query would respawn the pool, re-shuffle the graph into fresh stores
+// and re-derive the same conflict analysis.  Session, Job and Plan split those
+// lifetimes.  A Session outlives queries: its pool threads, resident stores
+// (OpenStore; OpenSharedStore is get-or-create by name), ownership table and
+// caches persist until Session.Close, which closes each store once.  A Job is
+// one query: per-job clock, Stats, fault budget, context cancellation and the
+// stores it opened itself (Job.OpenStore, closed by Job.Close), admitted
 // under Config.MaxJobs (FIFO beyond the limit).  Concurrent jobs interleave
 // their sub-rounds in the per-machine pool feeds instead of serializing
 // behind a global run lock; results stay byte-identical to running each job
 // alone because rounds read frozen stores and jobs write disjoint stores or
 // disjoint spans.  A Plan compiles a staged round sequence once
-// (Session.CompilePlan) and executes many times (Runtime.RunPlan), with the
-// analysis cached per (key, ownership generation) — Session.PlanCacheStats
-// reports the hit rate, and Rebalance invalidates the cache because span
+// (Session.CompilePlan) and executes many times (Job.RunPlan), with the
+// analysis cached per key for the current ownership generation —
+// Session.PlanCacheStats reports the hit rate, and a new ownership table
+// (SetKeyspace, SetOwnership, Rebalance) empties the cache because span
 // declarations derive from ownership.
 //
 // # Batching
@@ -109,8 +111,8 @@
 // Rounds execute on a persistent machine/worker pool (Machines x Threads
 // goroutines spawned on first use and reused by every round of every job),
 // and with EnableCache the per-machine caches survive across rounds that
-// read the same frozen hash table.  Call Session.Close (or Runtime.Close on
-// a one-shot runtime) to release the pool.
+// read the same frozen hash table.  Call Session.Close (or Close on the
+// one-shot job of New) to release the pool.
 //
 // # Segments: the one execution shape
 //
@@ -131,7 +133,7 @@
 // Inside a multi-round segment, rounds declare the resources they read and
 // write as Access values (Round.Reads / Round.Writes): a store plus,
 // optionally, the key spans touched — per machine when the partitioning is
-// known (Ranged, RangedBy, Session.OwnedRanges) — or a zero-storage
+// known (RangedBy, Session.OwnedRanges) — or a zero-storage
 // scheduling Token.  Machine m's share of round j waits only for the
 // earlier sub-rounds whose declared write spans conflict with the spans
 // machine m reads or writes, so a machine finished with its own partition
@@ -424,7 +426,7 @@ type Stats struct {
 	// derives the shared-pool makespan from them
 	// (simtime.ConcurrentMakespan).
 	MachineBusy []time.Duration
-	// Rebalances counts Runtime.Rebalance calls that installed a new
+	// Rebalances counts Job.Rebalance calls that installed a new
 	// ownership table and migrated shard data.
 	Rebalances int
 	// MigratedKeys / MigratedBytes total the shard data moved by those
@@ -463,16 +465,11 @@ type Ctx struct {
 	// Machine is the machine index in [0, Machines).
 	Machine int
 	job     *Job
-	read    *dht.Store
-	// readView is the input store's view bound to this machine; all reads
-	// go through it so they are classified (and charged) against the
-	// machine without threading it through every call.
-	readView *dht.View
-	cache    *dht.Cache
-	// viewCache memoizes machine-bound views of output stores (keyed by
-	// *dht.Store): after the first write to a store, looking up its view is
-	// a lock-free load.
-	viewCache sync.Map
+	// read is the round's input store; reads go through its view bound to
+	// this machine (read.View(Machine)), so they are classified — and
+	// charged — against the machine.
+	read  *dht.Store
+	cache *dht.Cache
 	// buffered defers every write into buf until the executor flushes the
 	// sub-round (Config.FaultBudget > 0) — see recover.go.
 	buffered bool
@@ -492,19 +489,6 @@ type Ctx struct {
 // machine's own memory (a cache hit).
 var dramLookupLatency = simtime.DRAM().LookupLatency
 
-// Config returns the session configuration (space budgets, seed, ...).
-func (c *Ctx) Config() Config { return c.job.cfg }
-
-// viewFor returns out's view bound to this machine, memoized per Ctx.
-func (c *Ctx) viewFor(out *dht.Store) *dht.View {
-	if v, ok := c.viewCache.Load(out); ok {
-		return v.(*dht.View)
-	}
-	v := out.View(c.Machine)
-	c.viewCache.Store(out, v)
-	return v
-}
-
 // Lookup reads key from the round's input hash table.  With caching enabled
 // the per-machine cache is consulted first; a hit costs DRAM latency instead
 // of a network round trip.
@@ -519,7 +503,8 @@ func (c *Ctx) Lookup(key uint64) ([]byte, bool, error) {
 			return v, ok, nil
 		}
 	}
-	readCost := int64(c.job.cfg.Model.ReadCost(c.readView.Local(key)))
+	view := c.read.View(c.Machine)
+	readCost := int64(c.job.cfg.Model.ReadCost(view.Local(key)))
 	if c.cache != nil {
 		v, ok, err := c.cache.GetFrom(c.Machine, key)
 		if err != nil {
@@ -528,7 +513,7 @@ func (c *Ctx) Lookup(key uint64) ([]byte, bool, error) {
 		c.latency.Add(readCost)
 		return v, ok, nil
 	}
-	v, ok, err := c.readView.Get(key)
+	v, ok, err := view.Get(key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -540,7 +525,7 @@ func (c *Ctx) Lookup(key uint64) ([]byte, bool, error) {
 // fault budget the write is buffered and applied when the sub-round
 // completes without error (see recover.go).
 func (c *Ctx) Write(out *dht.Store, key uint64, value []byte) error {
-	view := c.viewFor(out)
+	view := out.View(c.Machine)
 	c.writes.Add(1)
 	c.latency.Add(int64(c.job.cfg.Model.WriteCost(view.Local(key))))
 	if c.buffered {
@@ -556,10 +541,6 @@ func (c *Ctx) ChargeCompute(n int) {
 		c.compute.Add(int64(n))
 	}
 }
-
-// Queries returns the number of lookups issued by this machine so far in the
-// current round; algorithms use it to respect the O(S) communication bound.
-func (c *Ctx) Queries() int64 { return c.queries.Load() }
 
 // Round describes one AMPC round: Items work items are distributed over the
 // machines, every machine runs Body for each of its items, reading from Read
@@ -643,11 +624,8 @@ func (j *Job) prepareRound(round Round) *preparedRound {
 	ctxs := make([]*Ctx, cfg.Machines)
 	for m := range ctxs {
 		ctxs[m] = &Ctx{Machine: m, job: j, read: round.Read, buffered: cfg.FaultBudget > 0}
-		if round.Read != nil {
-			ctxs[m].readView = round.Read.View(m)
-		}
 		if cfg.EnableCache && round.Read != nil {
-			ctxs[m].cache = j.sess.cacheFor(round.Read, m)
+			ctxs[m].cache = j.cacheFor(round.Read, m)
 		}
 	}
 
@@ -738,7 +716,7 @@ func (j *Job) absorbRoundStats(ctxs []*Ctx) {
 	}
 	j.mu.Unlock()
 
-	s := j.sess
+	s := j.Session
 	s.mu.Lock()
 	for _, ctx := range ctxs {
 		if ctx.Machine < 0 || ctx.Machine >= j.cfg.Machines {

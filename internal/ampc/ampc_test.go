@@ -12,7 +12,7 @@ import (
 
 // newStore opens a store of rt's job, failing the test when the backend cannot
 // be constructed.
-func newStore(t testing.TB, rt *Runtime, name string) *dht.Store {
+func newStore(t testing.TB, rt *Job, name string) *dht.Store {
 	t.Helper()
 	st, err := rt.OpenStore(name)
 	if err != nil {

@@ -68,7 +68,7 @@ func (c *Ctx) ReadMany(keys []uint64) ([][]byte, []bool, error) {
 // fetch reads keys from the store in one shard-grouped batch, past the
 // cache, recording the batch and its modeled cost.
 func (c *Ctx) fetch(keys []uint64) ([][]byte, []bool, error) {
-	vals, oks, visits, err := c.readView.BatchGet(keys)
+	vals, oks, visits, err := c.read.View(c.Machine).BatchGet(keys)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -132,7 +132,7 @@ func (c *Ctx) WriteMany(out *dht.Store, pairs []dht.Pair) error {
 		c.writes.Add(int64(len(pairs)))
 		return c.bufferBatch(out, pairs)
 	}
-	visits, err := c.viewFor(out).BatchPut(pairs)
+	visits, err := out.View(c.Machine).BatchPut(pairs)
 	if err != nil {
 		return err
 	}
@@ -175,8 +175,8 @@ func BlockBounds(block, size, items int) (lo, hi int) {
 
 // WriteTable runs one round that stores value(i) under key i for every work
 // item i in [0, items), reading nothing.  See WriteTableRound.
-func (r *Runtime) WriteTable(name string, store *dht.Store, items, computePerItem int, value func(int) []byte) error {
-	return r.Job.Run(r.Session.WriteTableRound(name, store, items, computePerItem, value))
+func (j *Job) WriteTable(name string, store *dht.Store, items, computePerItem int, value func(int) []byte) error {
+	return j.Run(j.WriteTableRound(name, store, items, computePerItem, value))
 }
 
 // WriteTableRound builds (without running) the round that stores value(i)

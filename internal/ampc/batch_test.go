@@ -8,7 +8,7 @@ import (
 )
 
 // fillStore writes n keys (key i -> [i]) through an unbatched runtime round.
-func fillStore(t *testing.T, rt *Runtime, store *dht.Store, n int) {
+func fillStore(t *testing.T, rt *Job, store *dht.Store, n int) {
 	t.Helper()
 	err := rt.Run(Round{
 		Name:  "fill",

@@ -6,23 +6,28 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ampcgraph/internal/dht"
 	"ampcgraph/internal/simtime"
 )
 
-// Job is one execution against a Session: it carries the per-job simulated
-// clock, statistics, phase stack, fault budget, cancellation context and the
-// stores it opened for its own rounds, while the pool, resident stores,
-// caches and ownership table come from the shared Session.  Jobs obtained
-// through Session.NewJob run concurrently — their sub-rounds interleave in
-// the per-machine pool feeds — and each still observes its own rounds in
-// program order.
+// Job is one execution against a Session, and the one handle algorithm code
+// holds: it carries the per-job simulated clock, statistics, phase stack,
+// fault budget, cancellation context and the stores it opened for its own
+// rounds (OpenStore), and it embeds the Session it runs on, so the substrate —
+// pool, resident stores, caches, ownership table, partitioners, CompilePlan —
+// is reached through the same value.  Jobs obtained through Session.NewJob
+// run concurrently — their sub-rounds interleave in the per-machine pool
+// feeds — and each still observes its own rounds in program order.
 //
-// A Job is driven through the *Runtime wrapper (Run, RunPipeline, RunStaged,
-// RunPlan, Shuffle, Phase); Close releases its stores and its admission slot
-// and marks it finished.
+// Run, RunPipeline, RunStaged, RunPlan, Shuffle and Phase execute; Close
+// releases the job's stores and its admission slot and marks it finished.  A
+// job made by New owns a private session, and its Close closes that too.
 type Job struct {
-	sess  *Session
-	cfg   Config // the session configuration, copied for lock-free access
+	*Session
+	// ownsSession marks the job of New: it holds no admission slot, and its
+	// Close also closes the session.
+	ownsSession bool
+
 	clock *simtime.Clock
 	// ctx cancels the job: the segment executor stops submitting new
 	// sub-rounds once it is done, draining the in-flight ones before
@@ -44,13 +49,16 @@ type Job struct {
 	// interleave freely in the shared pool.
 	runMu sync.Mutex
 
-	// stores are the stores opened through this job's handle, released by
-	// Close.  Guarded by sess.mu.
-	stores []ownedStore
+	// owned are the stores opened through Job.OpenStore, released by Close.
+	// Guarded by Session.mu.
+	owned []ownedStore
 
-	admitted bool
-	closed   atomic.Bool
+	closed atomic.Bool
 }
+
+// Runtime is the name the frozen wall-clock benchmark (benchmark/) still
+// spells Job by; nothing else uses it.
+type Runtime = Job
 
 type phaseFrame struct {
 	name         string
@@ -61,29 +69,44 @@ type phaseFrame struct {
 	kvBytes      int64
 }
 
-// Clock returns the job's simulated clock.
-func (j *Job) Clock() *simtime.Clock { return j.clock }
+// New returns a one-shot job on a fresh private Session; its Close releases
+// both.  Long-lived serving callers use NewSession + Session.NewJob instead,
+// so many queries share one pool and one set of stores.
+func New(cfg Config) *Job {
+	j := NewSession(cfg).newJob(context.Background())
+	j.ownsSession = true
+	return j
+}
 
-// Context returns the job's cancellation context (context.Background for
-// jobs created without one).
-func (j *Job) Context() context.Context { return j.ctx }
+// OpenStore creates the next distributed hash table (D0, D1, …) of this job's
+// computation, shadowing Session.OpenStore.  The store belongs to the job: its
+// later rounds read it, and Close releases it — memory, disk logs, rpc
+// listener — folding its counters into the session-wide statistics.  It must
+// not be handed to another job: tables that outlive one job are opened on the
+// session (Session.OpenStore, OpenSharedStore).  A closed job gets ErrClosed.
+func (j *Job) OpenStore(name string) (*dht.Store, error) {
+	return j.Session.openStore(name, j)
+}
 
-// Close marks the job finished, releases the stores it opened (see
-// Runtime.OpenStore) and then its admission slot, unblocking the oldest
-// NewJob waiter.  It first waits for a segment the job still has in flight
-// on another goroutine — a store is never closed under a running round — so
-// it must not be called from inside a Round body.  The session is
-// unaffected; only this job's rounds and store opens fail with ErrClosed
-// afterwards.  Statistics remain readable.  Safe to call more than once.
+// Close marks the job finished, releases the stores it opened (OpenStore) and
+// then its admission slot, unblocking the oldest NewJob waiter — or, for the
+// job of New, closes its private session (pool, disk footprint).  It first
+// waits for a segment the job still has in flight on another goroutine — a
+// store is never closed under a running round — so it must not be called
+// from inside a Round body.  A shared session is unaffected; only this job's
+// rounds and store opens fail with ErrClosed afterwards.  Statistics remain
+// readable.  Safe to call more than once.
 func (j *Job) Close() {
 	if j.closed.Swap(true) {
 		return
 	}
 	j.runMu.Lock()
-	j.sess.releaseStores(j)
+	j.Session.releaseStores(j)
 	j.runMu.Unlock()
-	if j.admitted {
-		j.sess.release()
+	if j.ownsSession {
+		j.Session.Close()
+	} else {
+		j.Session.release()
 	}
 }
 
@@ -108,7 +131,7 @@ func (j *Job) RecordShuffle(name string, bytes int64) {
 // against the session-wide byte count (live and released stores), so with
 // concurrent jobs it approximates the phase's share of traffic.
 func (j *Job) Phase(name string, fn func() error) error {
-	kv := j.sess.kvBytes()
+	kv := j.Session.kvBytes()
 	j.mu.Lock()
 	j.phaseStack = append(j.phaseStack, phaseFrame{
 		name:     name,
@@ -120,7 +143,7 @@ func (j *Job) Phase(name string, fn func() error) error {
 
 	err := fn()
 
-	kv = j.sess.kvBytes()
+	kv = j.Session.kvBytes()
 	j.mu.Lock()
 	frame := j.phaseStack[len(j.phaseStack)-1]
 	j.phaseStack = j.phaseStack[:len(j.phaseStack)-1]
@@ -151,7 +174,7 @@ func (j *Job) Stats() Stats {
 	started := j.started
 	j.mu.Unlock()
 
-	s := j.sess
+	s := j.Session
 	s.mu.Lock()
 	kv := s.retired
 	for _, store := range s.stores {

@@ -17,7 +17,7 @@ import (
 
 // runStoreJob runs one write-then-verify-twice job over its own n-key store,
 // a phase per round, and returns the per-phase KV bytes it was attributed.
-func runStoreJob(rt *Runtime, n int, salt uint64) ([]int64, error) {
+func runStoreJob(rt *Job, n int, salt uint64) ([]int64, error) {
 	write, read, err := jobStoreRounds(rt, n, salt)
 	if err != nil {
 		return nil, err
@@ -164,7 +164,7 @@ func TestJobCloseReleasesStoresAfterInFlightRun(t *testing.T) {
 	<-entered
 	closed := make(chan struct{})
 	go func() { rt.Close(); close(closed) }()
-	for !rt.Job.closed.Load() {
+	for !rt.closed.Load() {
 		runtime.Gosched()
 	}
 	close(gate)
@@ -237,7 +237,7 @@ func TestStoreCountersSurviveRelease(t *testing.T) {
 				s := NewSession(cfg)
 				defer s.Close()
 				s.SetKeyspace(n)
-				var held []*Runtime
+				var held []*Job
 				var phases [][]int64
 				for i := 0; i < jobs; i++ {
 					rt, err := s.NewJob()
@@ -329,5 +329,59 @@ func TestOneShotStatsSurviveClose(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOneShotCloseClosesSessionOnce: Close on the job of New releases the
+// job's stores, then the private session — pool and disk base — and a second
+// Close does nothing.  A session job's Close leaves the session up.
+func TestOneShotCloseClosesSessionOnce(t *testing.T) {
+	const n = 100
+	dir := t.TempDir()
+	rt := New(Config{Machines: 2, Threads: 1, Backend: BackendDisk, DiskDir: dir, Seed: 1})
+	rt.SetKeyspace(n)
+	if _, err := runStoreJob(rt, n, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Session.OpenStore("resident"); err != nil {
+		t.Fatal(err)
+	}
+	if len(rt.owned) != 1 || len(rt.stores) != 2 {
+		t.Fatalf("before Close: job owns %d stores, session holds %d; want 1 and 2", len(rt.owned), len(rt.stores))
+	}
+	pool := rt.pool
+	for i := 0; i < 2; i++ {
+		rt.Close()
+		if len(rt.owned) != 0 || len(rt.stores) != 1 {
+			t.Fatalf("Close %d: job owns %d stores, session holds %d; want 0 and the resident one", i, len(rt.owned), len(rt.stores))
+		}
+		if !rt.Session.closed.Load() {
+			t.Fatalf("Close %d left the private session open", i)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Fatalf("Close %d: %d entries left under DiskDir", i, len(left))
+		}
+	}
+	for m, f := range pool.feeds {
+		f.mu.Lock()
+		closed := f.closed
+		f.mu.Unlock()
+		if !closed {
+			t.Fatalf("machine %d's pool feed is still open after Close", m)
+		}
+	}
+	if err := rt.Run(Round{Name: "late", Items: 1, Body: func(*Ctx, int) error { return nil }}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("round after Close: %v, want ErrClosed", err)
+	}
+
+	s := NewSession(Config{Machines: 2, Threads: 1, Seed: 1})
+	defer s.Close()
+	job, err := s.NewJob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Close()
+	if s.closed.Load() {
+		t.Fatal("a session job's Close closed the shared session")
 	}
 }

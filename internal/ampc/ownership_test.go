@@ -40,9 +40,6 @@ func TestSetOwnershipBuildsWeightedPlacement(t *testing.T) {
 	shards := store.NumShards()
 	for k := 0; k < n; k++ {
 		owner := part(k)
-		if got := r.Owner(uint64(k), n); got != owner {
-			t.Fatalf("key %d: Owner %d != partitioner %d", k, got, owner)
-		}
 		shard := store.Placement().ShardFor(uint64(k), shards)
 		if m := store.Placement().MachineFor(shard, shards); m != owner {
 			t.Fatalf("key %d: shard co-located with %d, partitioner assigns %d", k, m, owner)
@@ -212,6 +209,7 @@ func TestOwnerCutBlocks(t *testing.T) {
 		}
 		size := 1 + rnd.Intn(40)
 		blocks := s.OwnerCutBlocks(size, len(items), keys, func(i int) int { return items[i] })
+		owner := s.OwnerPartitioner(keys)
 		owns, runs := make([]bool, machines), make([]bool, machines)
 		next := 0
 		for b, blk := range blocks {
@@ -221,7 +219,7 @@ func TestOwnerCutBlocks(t *testing.T) {
 			next = blk.Hi
 			runs[blk.Machine] = true
 			for i := blk.Lo; i < blk.Hi; i++ {
-				if o := s.Owner(uint64(items[i]), keys); o != blk.Machine {
+				if o := owner(items[i]); o != blk.Machine {
 					t.Fatalf("trial %d: block %+v holds item %d (key %d) of machine %d", trial, blk, i, items[i], o)
 				}
 			}
@@ -233,7 +231,7 @@ func TestOwnerCutBlocks(t *testing.T) {
 			t.Fatalf("trial %d: blocks cover %d of %d items", trial, next, len(items))
 		}
 		for _, k := range items {
-			owns[s.Owner(uint64(k), keys)] = true
+			owns[owner(k)] = true
 		}
 		if !reflect.DeepEqual(owns, runs) {
 			t.Fatalf("trial %d: machines owning items %v, machines given blocks %v", trial, owns, runs)

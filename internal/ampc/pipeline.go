@@ -162,7 +162,7 @@ func (j *Job) runSegment(rounds []Round, deps [][][]simtime.SubDep) error {
 	j.runMu.Lock()
 	defer j.runMu.Unlock()
 	cfg := j.cfg
-	s := j.sess
+	s := j.Session
 	// Hold the lifecycle read lock for the whole segment so a concurrent
 	// Session.Close cannot tear the pool down mid-flight (it waits instead);
 	// the execMu read lock keeps Rebalance's shard migration from

@@ -1,7 +1,6 @@
 package ampc
 
 import (
-	"fmt"
 	"sync"
 
 	"ampcgraph/internal/simtime"
@@ -13,10 +12,11 @@ import (
 // the same conflict analysis every time: subroundDeps walks every (round, machine,
 // machine) triple comparing declared access spans.  For a serving workload
 // the sequences are static — the same query shape arrives over and over —
-// so the analysis is compiled once into a Plan and cached per Session,
-// keyed by the caller's plan key plus the session's ownership generation
-// (span declarations are derived from ownership, so a rebalance invalidates
-// every compiled plan).
+// so the analysis is compiled once into a Plan and cached per Session under
+// the caller's plan key.  The cache holds one ownership generation: span
+// declarations are derived from ownership, so installing a new table
+// (SetKeyspace, SetOwnership, Rebalance) drops every compiled analysis, and a
+// session whose keyspace keeps changing holds at most its live keys.
 //
 // A Plan's cached dependency matrix describes the *aliasing pattern* of the
 // declared accesses — which accesses name the same store or token, and how
@@ -30,7 +30,7 @@ import (
 // Plan is an immutable, reusable compilation of a staged round sequence:
 // the rounds plus the sub-round dependency analysis the segment executor
 // schedules under.  Build one with Session.CompilePlan and execute it with
-// Runtime.RunPlan; repeated compilations of the same key hit the session's
+// Job.RunPlan; repeated compilations of the same key hit the session's
 // plan cache and skip the conflict analysis.
 type Plan struct {
 	// Key is the caller-chosen cache key the plan was compiled under.
@@ -57,18 +57,28 @@ type PlanCacheStats struct {
 	Size   int
 }
 
-// planCache memoizes sub-round dependency analyses per (key, ownership
-// generation).
+// planCache memoizes sub-round dependency analyses per key for one ownership
+// generation — the newest it has been asked about.
 type planCache struct {
 	mu     sync.Mutex
+	gen    int64
 	deps   map[string][][][]simtime.SubDep
 	hits   int64
 	misses int64
 }
 
-func (pc *planCache) lookup(key string) ([][][]simtime.SubDep, bool) {
+// lookup returns key's analysis under generation gen; a generation newer
+// than the cache's drops everything the cache holds.
+func (pc *planCache) lookup(key string, gen int64) ([][][]simtime.SubDep, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
+	if gen > pc.gen {
+		pc.gen, pc.deps = gen, nil
+	}
+	if gen < pc.gen { // the caller read the generation before a newer one arrived
+		pc.misses++
+		return nil, false
+	}
 	d, ok := pc.deps[key]
 	if ok {
 		pc.hits++
@@ -78,19 +88,18 @@ func (pc *planCache) lookup(key string) ([][][]simtime.SubDep, bool) {
 	return d, ok
 }
 
-func (pc *planCache) store(key string, deps [][][]simtime.SubDep) {
+// store caches deps under key, unless gen was overtaken since the caller's
+// lookup (the analysis is still good for the plan being compiled).
+func (pc *planCache) store(key string, gen int64, deps [][][]simtime.SubDep) {
 	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if gen != pc.gen {
+		return
+	}
 	if pc.deps == nil {
 		pc.deps = make(map[string][][][]simtime.SubDep)
 	}
 	pc.deps[key] = deps
-	pc.mu.Unlock()
-}
-
-func (pc *planCache) invalidate() {
-	pc.mu.Lock()
-	pc.deps = nil
-	pc.mu.Unlock()
 }
 
 func (pc *planCache) stats() PlanCacheStats {
@@ -104,10 +113,10 @@ func (s *Session) PlanCacheStats() PlanCacheStats { return s.planCache.stats() }
 
 // CompilePlan compiles a staged round sequence into a Plan under the given
 // cache key.  With Config.Pipeline set and at least two rounds, the
-// sub-round conflict analysis is looked up in the session's plan cache —
-// keyed by key and the current ownership generation — and computed (and
-// cached) on a miss; otherwise the plan simply records the stages.  See the package comment above for the aliasing
-// contract a reused key carries.
+// sub-round conflict analysis is looked up in the session's plan cache under
+// key, for the current ownership generation, and computed (and cached) on a
+// miss; otherwise the plan simply records the stages.  See the comment above
+// for the aliasing contract a reused key carries.
 func (s *Session) CompilePlan(key string, stages []StagedRound) *Plan {
 	p := &Plan{Key: key, stages: append([]StagedRound(nil), stages...)}
 	p.rounds = make([]Round, len(stages))
@@ -117,18 +126,18 @@ func (s *Session) CompilePlan(key string, stages []StagedRound) *Plan {
 	if !s.cfg.Pipeline || len(p.rounds) < 2 {
 		return p
 	}
-	ck := fmt.Sprintf("%s|g%d", key, s.ownGen.Load())
-	if deps, ok := s.planCache.lookup(ck); ok {
+	gen := s.ownGen.Load()
+	if deps, ok := s.planCache.lookup(key, gen); ok {
 		p.deps = deps
 		p.Cached = true
 		return p
 	}
 	p.deps = subroundDeps(p.rounds, s.cfg.Machines)
-	s.planCache.store(ck, p.deps)
+	s.planCache.store(key, gen, p.deps)
 	return p
 }
 
-// RunPlan executes a compiled plan on this runtime's job, reusing the
-// plan's cached analysis instead of re-deriving it.  Results and accounting
-// are byte-identical to RunStaged on the same stages.
-func (r *Runtime) RunPlan(p *Plan) error { return r.Job.runStages(p.stages, p.deps) }
+// RunPlan executes a compiled plan on this job, reusing the plan's cached
+// analysis instead of re-deriving it.  Results and accounting are
+// byte-identical to RunStaged on the same stages.
+func (j *Job) RunPlan(p *Plan) error { return j.runStages(p.stages, p.deps) }

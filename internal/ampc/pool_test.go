@@ -6,6 +6,10 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"ampcgraph/internal/dht"
+	"ampcgraph/internal/simtime"
 )
 
 func TestPartitionerRoutesItems(t *testing.T) {
@@ -239,6 +243,66 @@ func TestOwnerPlacementReducesModeledTime(t *testing.T) {
 	}
 	if owner, hash := run(PlacementOwnerAffine), run(PlacementHash); owner >= hash {
 		t.Fatalf("owner placement modeled %d ns, hash %d ns; want owner < hash", owner, hash)
+	}
+}
+
+// TestLocalReadsChargeLocalLatency: the store keeps no clock — ampc prices
+// every operation as the machine issues it.  One Ctx.Lookup of a co-located
+// key puts exactly Model.LocalShardLatency on that machine's busy time, a
+// remote one Model.LookupLatency, and one Ctx.Write the write cost of the side
+// its shard is on.
+func TestLocalReadsChargeLocalLatency(t *testing.T) {
+	const machines, keys, key = 4, 100, 3
+	model := simtime.RDMA()
+	// busy runs body once on machine and returns what that cost it.
+	busy := func(machine int, body func(ctx *Ctx, in, out *dht.Store) error) time.Duration {
+		r := New(Config{Machines: machines, Threads: 1, Placement: PlacementOwnerAffine, Model: model})
+		defer r.Close()
+		r.SetKeyspace(keys)
+		in, out := newStore(t, r, "in"), newStore(t, r, "out")
+		if err := in.Put(key, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		err := r.Run(Round{
+			Name:        "one-op",
+			Items:       1,
+			Read:        in,
+			Partitioner: func(int) int { return machine },
+			Body:        func(ctx *Ctx, _ int) error { return body(ctx, in, out) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := r.Stats()
+		for m, d := range st.MachineBusy {
+			if m != machine && d != 0 {
+				t.Fatalf("machine %d ran the op, machine %d was charged %v", machine, m, d)
+			}
+		}
+		return st.MachineBusy[machine]
+	}
+	lookup := func(ctx *Ctx, _, _ *dht.Store) error {
+		_, _, err := ctx.Lookup(key)
+		return err
+	}
+	write := func(ctx *Ctx, _, out *dht.Store) error { return ctx.Write(out, key, []byte("y")) }
+
+	owner := dht.RangeOwner(key, machines, keys)
+	other := (owner + 1) % machines
+	if got := busy(owner, lookup); got != model.LocalShardLatency {
+		t.Fatalf("local read charged %v, want %v", got, model.LocalShardLatency)
+	}
+	if got := busy(other, lookup); got != model.LookupLatency {
+		t.Fatalf("remote read charged %v, want %v", got, model.LookupLatency)
+	}
+	if model.LocalShardLatency >= model.LookupLatency {
+		t.Fatal("co-located reads must be cheaper than remote reads under RDMA")
+	}
+	if got := busy(owner, write); got != model.WriteCost(true) {
+		t.Fatalf("local write charged %v, want %v", got, model.WriteCost(true))
+	}
+	if got := busy(other, write); got != model.WriteCost(false) {
+		t.Fatalf("remote write charged %v, want %v", got, model.WriteCost(false))
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // byte-identical; only where keys live — and therefore which machine does
 // which work — moves.
 
-// RebalanceStats summarizes one Runtime.Rebalance call.
+// RebalanceStats summarizes one Job.Rebalance call.
 type RebalanceStats struct {
 	// Moved reports whether a new ownership table was installed and shard
 	// data migrated.  False means the call was a no-op: placement is not
@@ -42,12 +42,25 @@ type RebalanceStats struct {
 	Cost time.Duration
 }
 
-// rebalance is the session half of Runtime.Rebalance: the caller (holding
-// the job's run lock) passes the job the migration is charged to.  It takes
-// the session's exclusive execution lock, so every other job's in-flight
-// rounds drain first and none starts until the migration is installed —
-// rounds take the lock shared.
-func (s *Session) rebalance(j *Job) (RebalanceStats, error) {
+// Rebalance re-derives the weighted ownership boundaries from the load
+// observed since the last rebalance (or since the session was created) and
+// migrates shard data accordingly, charging the migration to this job.  It
+// is meant to be called between pipeline segments: it serializes against this
+// job's rounds (the per-job run lock) and against every other job's in-flight
+// rounds (the session's exclusive execution lock — rounds take it shared), so
+// the migration never interleaves with a running round.  Partitioners and
+// stores built after the call answer from the updated table, and plans
+// compiled before it are dropped from the plan cache (the ownership
+// generation they were compiled under is gone).
+//
+// Under any placement other than PlacementWeighted, or before any ownership
+// table and observed load exist, Rebalance is a documented no-op that
+// returns zero stats and a nil error — callers can run the same adaptive
+// arm against every placement without branching.
+func (j *Job) Rebalance() (RebalanceStats, error) {
+	j.runMu.Lock()
+	defer j.runMu.Unlock()
+	s := j.Session
 	var st RebalanceStats
 	s.lifecycle.RLock()
 	defer s.lifecycle.RUnlock()
@@ -117,7 +130,6 @@ func (s *Session) rebalance(j *Job) (RebalanceStats, error) {
 	// The ownership generation moves and every compiled plan dies with it:
 	// plans embed span declarations derived from the old boundaries.
 	s.ownGen.Add(1)
-	s.planCache.invalidate()
 
 	st.Moved = true
 	st.Changed = changed

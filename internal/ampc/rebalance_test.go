@@ -10,12 +10,12 @@ import (
 	"ampcgraph/internal/dht"
 )
 
-// rebalanceTestRuntime builds a weighted-placement runtime with a populated
+// rebalanceTestJob builds a weighted-placement runtime with a populated
 // store and an observed, skewed query load: round "write" stores a
 // recognizable value per key, round "read" looks every key up partitioned by
 // ownership, so the per-machine query counters mirror the (skewed) key
 // counts of the weighted table.
-func rebalanceTestRuntime(t *testing.T, n int, cfg Config) (*Runtime, *dht.Store) {
+func rebalanceTestJob(t *testing.T, n int, cfg Config) (*Job, *dht.Store) {
 	t.Helper()
 	r := New(cfg)
 	r.SetOwnership(skewedWeights(n))
@@ -68,7 +68,7 @@ func rebalanceTestRuntime(t *testing.T, n int, cfg Config) (*Runtime, *dht.Store
 func TestRebalanceMigratesAndPreservesReads(t *testing.T) {
 	const n = 400
 	cfg := Config{Machines: 4, Threads: 2, Placement: PlacementWeighted, EnableCache: true, Seed: 1}
-	r, store := rebalanceTestRuntime(t, n, cfg)
+	r, store := rebalanceTestJob(t, n, cfg)
 	defer r.Close()
 
 	reb, err := r.Rebalance()
@@ -140,7 +140,7 @@ func TestRebalanceNoOpOutsideWeightedPlacement(t *testing.T) {
 	const n = 200
 	for _, placement := range []string{PlacementHash, PlacementOwnerAffine} {
 		cfg := Config{Machines: 4, Threads: 2, Placement: placement, EnableCache: true, Seed: 1}
-		r, _ := rebalanceTestRuntime(t, n, cfg)
+		r, _ := rebalanceTestJob(t, n, cfg)
 		reb, err := r.Rebalance()
 		if err != nil {
 			t.Fatalf("%s: %v", placement, err)
@@ -161,7 +161,7 @@ func TestRebalanceNoOpOutsideWeightedPlacement(t *testing.T) {
 func TestRebalanceConcurrentWithRounds(t *testing.T) {
 	const n = 300
 	cfg := Config{Machines: 4, Threads: 2, Placement: PlacementWeighted, EnableCache: true, Pipeline: true, Seed: 1}
-	r, store := rebalanceTestRuntime(t, n, cfg)
+	r, store := rebalanceTestJob(t, n, cfg)
 	defer r.Close()
 
 	read := Round{
@@ -216,7 +216,7 @@ func TestCloseDuringRebalance(t *testing.T) {
 	const n = 300
 	for i := 0; i < 5; i++ {
 		cfg := Config{Machines: 4, Threads: 2, Placement: PlacementWeighted, EnableCache: true, Seed: 1}
-		r, _ := rebalanceTestRuntime(t, n, cfg)
+		r, _ := rebalanceTestJob(t, n, cfg)
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {

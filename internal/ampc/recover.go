@@ -83,7 +83,7 @@ func (c *Ctx) flushWrites() error {
 	c.buf = nil
 	c.bufMu.Unlock()
 	for _, w := range buf {
-		view := c.viewFor(w.out)
+		view := w.out.View(c.Machine)
 		if w.single {
 			if err := view.Put(w.pairs[0].Key, w.pairs[0].Value); err != nil {
 				return err

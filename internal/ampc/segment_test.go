@@ -21,7 +21,7 @@ import (
 // keys of a (declared per owned range) into b, round 2 reads a at its own and
 // at a foreign key into c.  With flaky set, one item of the ranged read fails
 // on its first execution.
-func segmentSequence(t *testing.T, rt *Runtime, n int, flaky bool) ([]StagedRound, []*dht.Store) {
+func segmentSequence(t *testing.T, rt *Job, n int, flaky bool) ([]StagedRound, []*dht.Store) {
 	a, b, c := newStore(t, rt, "a"), newStore(t, rt, "b"), newStore(t, rt, "c")
 	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 	lookup := func(ctx *Ctx, key int) (uint64, error) {
@@ -80,9 +80,9 @@ func TestEntryPointsShareOneExecutor(t *testing.T) {
 		name string
 		// phased entry points run their stages under the stages' phases.
 		phased bool
-		run    func(rt *Runtime, stages []StagedRound) error
+		run    func(rt *Job, stages []StagedRound) error
 	}{
-		{"Run", true, func(rt *Runtime, stages []StagedRound) error {
+		{"Run", true, func(rt *Job, stages []StagedRound) error {
 			for _, st := range stages {
 				if err := rt.Phase(st.Phase, func() error { return rt.Run(st.Round) }); err != nil {
 					return err
@@ -90,15 +90,15 @@ func TestEntryPointsShareOneExecutor(t *testing.T) {
 			}
 			return nil
 		}},
-		{"RunPipeline", false, func(rt *Runtime, stages []StagedRound) error {
+		{"RunPipeline", false, func(rt *Job, stages []StagedRound) error {
 			rounds := make([]Round, len(stages))
 			for i, st := range stages {
 				rounds[i] = st.Round
 			}
 			return rt.RunPipeline(rounds)
 		}},
-		{"RunStaged", true, func(rt *Runtime, stages []StagedRound) error { return rt.RunStaged(stages) }},
-		{"RunPlan", true, func(rt *Runtime, stages []StagedRound) error {
+		{"RunStaged", true, func(rt *Job, stages []StagedRound) error { return rt.RunStaged(stages) }},
+		{"RunPlan", true, func(rt *Job, stages []StagedRound) error {
 			p := rt.CompilePlan("sequence", stages)
 			if got := len(p.Rounds()); got != len(stages) {
 				return fmt.Errorf("plan has %d rounds, want %d", got, len(stages))

@@ -18,13 +18,13 @@ import (
 // persistent worker pool, the ownership table, the compiled-plan cache and
 // the resident stores with their per-machine caches live here and survive
 // across jobs.  Many concurrent Jobs — one execution each — run against one
-// Session through Session.NewJob; the one-shot Runtime returned by New is a
-// Session with a single implicit Job.
+// Session through Session.NewJob; the one-shot job returned by New has a
+// private Session of its own.
 //
-// A store lives as long as whoever opened it: on the session (OpenStore,
-// OpenSharedStore) it stays resident until Close; through a job's handle
-// (Runtime.OpenStore) it is one of that job's round tables, dead once the
-// computation has returned, and Job.Close releases it — so a warm session
+// A store has one owner, which closes it once: opened on the session
+// (OpenStore, OpenSharedStore) it stays resident until Session.Close; opened
+// on a job (Job.OpenStore) it is one of that job's round tables, dead once
+// the computation has returned, and Job.Close releases it — so a warm session
 // holds its resident stores plus those of the jobs in flight, however many
 // jobs it has served.
 //
@@ -67,17 +67,14 @@ type Session struct {
 	baseWeights []int
 	adaptive    bool
 
-	// sharedMu serializes OpenSharedStore so one creator wins per name.
+	// sharedMu guards shared and serializes OpenSharedStore, so one creator
+	// wins per name.
 	sharedMu sync.Mutex
 	shared   map[string]*dht.Store
-	// extraRefs holds one entry per Retain taken by OpenSharedStore on an
-	// already-registered store; Close releases them before the creation
-	// refs so the refcount drains to zero exactly at session teardown.
-	extraRefs []*dht.Store
 
 	// ownGen counts installs of a new ownership table (SetOwnership with
 	// changed weights, SetKeyspace with a changed keyspace, Rebalance).
-	// It is folded into plan-cache keys: a compiled conflict analysis is
+	// The plan cache holds one generation: a compiled conflict analysis is
 	// only valid for the ownership generation its spans were derived from.
 	ownGen    atomic.Int64
 	planCache planCache
@@ -121,36 +118,22 @@ func NewSession(cfg Config) *Session {
 // Config returns the effective (defaulted) configuration.
 func (s *Session) Config() Config { return s.cfg }
 
-// newJob builds a job bound to this session.  admitted marks jobs holding
-// an admission-gate slot (Session.NewJob); the implicit job of a one-shot
-// Runtime is not gated.
-func (s *Session) newJob(ctx context.Context, admitted bool) *Job {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &Job{
-		sess:     s,
-		cfg:      s.cfg,
-		clock:    &simtime.Clock{},
-		ctx:      ctx,
-		started:  time.Now(),
-		admitted: admitted,
-	}
+// newJob builds a job bound to this session.
+func (s *Session) newJob(ctx context.Context) *Job {
+	return &Job{Session: s, clock: &simtime.Clock{}, ctx: ctx, started: time.Now()}
 }
 
-// NewJob admits one new execution against the session and returns it
-// wrapped as a *Runtime, so the full round-running API (Run, RunPipeline,
-// Phase, Stats, ...) is available on it unchanged.  With Config.MaxJobs set,
-// NewJob blocks — FIFO — while MaxJobs jobs are already running; the slot
-// is released by Close on the returned runtime (which closes only the job;
-// the session and its stores survive).
-func (s *Session) NewJob() (*Runtime, error) { return s.NewJobContext(context.Background()) }
+// NewJob admits one new execution against the session.  With Config.MaxJobs
+// set, NewJob blocks — FIFO — while MaxJobs jobs are already running; the slot
+// is released by Close on the returned job (which closes only the job and the
+// stores it opened; the session and its stores survive).
+func (s *Session) NewJob() (*Job, error) { return s.NewJobContext(context.Background()) }
 
 // NewJobContext is NewJob bound to a context: cancelling ctx abandons the
 // wait for an admission slot, and every round the job later runs checks the
 // context between dispatches, so a cancelled job fails fast mid-pipeline
 // while the session stays reusable.
-func (s *Session) NewJobContext(ctx context.Context) (*Runtime, error) {
+func (s *Session) NewJobContext(ctx context.Context) (*Job, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -160,7 +143,7 @@ func (s *Session) NewJobContext(ctx context.Context) (*Runtime, error) {
 	if err := s.admit(ctx); err != nil {
 		return nil, err
 	}
-	return &Runtime{Session: s, Job: s.newJob(ctx, true)}, nil
+	return s.newJob(ctx), nil
 }
 
 // admit blocks until a job slot is free (FIFO order) or ctx is cancelled.
@@ -318,16 +301,10 @@ func (s *Session) Close() {
 	s.mu.Lock()
 	p := s.pool
 	stores := append([]*dht.Store(nil), s.stores...)
-	extras := append([]*dht.Store(nil), s.extraRefs...)
 	diskBase := s.diskBase
 	s.mu.Unlock()
 	if p != nil {
 		p.close()
-	}
-	// Release the OpenSharedStore retains first, then the creation refs:
-	// each store's refcount reaches zero on its creation-ref Close.
-	for _, st := range extras {
-		st.Close()
 	}
 	for _, st := range stores {
 		st.Close()
@@ -360,15 +337,6 @@ func (s *Session) placement() dht.Placement {
 	keys := s.keyspace
 	s.mu.Unlock()
 	return dht.OwnershipPlacement(s.ownershipFor(keys))
-}
-
-// Owner returns the machine owning key under the session's contiguous
-// partition of the keyspace [0, keys): the weighted ownership table when
-// one is declared (SetOwnership under PlacementWeighted), the uniform range
-// split otherwise.  It is the machine whose co-located shards hold the key
-// under the owner-affine and weighted placements.
-func (s *Session) Owner(key uint64, keys int) int {
-	return s.ownershipFor(keys).OwnerOf(key)
 }
 
 // OwnerPartitioner returns a Round partitioner assigning work item i (a key
@@ -495,8 +463,8 @@ func (s *Session) WriteRanges(items int) []dht.RangeSet {
 
 // OpenStore creates and registers the next distributed hash table (D0, D1, …)
 // as a resident store of the session: it is shared by every job and closed at
-// Session.Close.  A job's own round tables are opened through its handle
-// instead (Runtime.OpenStore) and leave with the job.
+// Session.Close.  A job's own round tables are opened on the job instead
+// (Job.OpenStore) and leave with the job.
 func (s *Session) OpenStore(name string) (*dht.Store, error) { return s.openStore(name, nil) }
 
 // ownedStore is a store a job opened, with the directory the disk backend
@@ -542,7 +510,7 @@ func (s *Session) openStore(name string, owner *Job) (*dht.Store, error) {
 	}
 	s.stores = append(s.stores, st)
 	if owner != nil {
-		owner.stores = append(owner.stores, ownedStore{st, opts.DiskDir})
+		owner.owned = append(owner.owned, ownedStore{st, opts.DiskDir})
 	}
 	s.mu.Unlock()
 	return st, nil
@@ -558,8 +526,8 @@ func (s *Session) releaseStores(j *Job) {
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
 	s.mu.Lock()
-	owned := j.stores
-	j.stores = nil
+	owned := j.owned
+	j.owned = nil
 	for _, o := range owned {
 		bs := o.store.BackendStats()
 		bs.DiskBytes, bs.ResidentBytes = 0, 0 // the footprint leaves with the store
@@ -581,44 +549,23 @@ func (s *Session) releaseStores(j *Job) {
 // it on first call.  This is the seam concurrent jobs share input tables
 // through: the first job to ask for "graph" creates and fills the store,
 // and every later job gets the same (typically frozen) store back instead
-// of rebuilding it.  Each call past the first retains the store
-// (dht.Store.Retain), and the session releases every reference at Close, so
-// the store's backing resources live exactly as long as the session.
-// Callers must not Close shared stores themselves.
+// of rebuilding it.  The session owns the store like any other resident one
+// and closes it once, at Session.Close; callers must not Close it themselves.
 func (s *Session) OpenSharedStore(name string) (*dht.Store, error) {
 	s.sharedMu.Lock()
 	defer s.sharedMu.Unlock()
-	s.mu.Lock()
-	st := s.shared[name]
-	s.mu.Unlock()
-	if st != nil {
-		st.Retain()
-		s.mu.Lock()
-		s.extraRefs = append(s.extraRefs, st)
-		s.mu.Unlock()
+	if st := s.shared[name]; st != nil {
 		return st, nil
 	}
 	st, err := s.OpenStore(name)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
 	if s.shared == nil {
 		s.shared = make(map[string]*dht.Store)
 	}
 	s.shared[name] = st
-	s.mu.Unlock()
 	return st, nil
-}
-
-// SharedStore returns the store registered under name by a previous
-// OpenSharedStore, without creating or retaining anything; ok reports
-// whether one exists.
-func (s *Session) SharedStore(name string) (st *dht.Store, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok = s.shared[name]
-	return st, ok
 }
 
 // diskDirFor returns a fresh per-store log directory under the session's

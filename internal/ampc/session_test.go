@@ -22,7 +22,7 @@ import (
 // recognizable value per key and a read round verifying every key, both
 // partitioned by ownership.  salt varies the values between jobs so a
 // cross-job mixup cannot verify.
-func jobStoreRounds(rt *Runtime, n int, salt uint64) (Round, Round, error) {
+func jobStoreRounds(rt *Job, n int, salt uint64) (Round, Round, error) {
 	store, err := rt.OpenStore(fmt.Sprintf("data-%d", salt))
 	if err != nil {
 		return Round{}, Round{}, err
@@ -276,7 +276,7 @@ func TestJobCancelMidPipelineLeavesSessionReusable(t *testing.T) {
 }
 
 // TestOpenSharedStoreSharedAcrossJobs pins the shared-store registry: one
-// store per name, retained per extra open, unaffected by job closes.
+// store per name, unaffected by job closes.
 func TestOpenSharedStoreSharedAcrossJobs(t *testing.T) {
 	s := NewSession(Config{Machines: 2, Threads: 1, Seed: 1})
 	defer s.Close()
@@ -291,12 +291,6 @@ func TestOpenSharedStoreSharedAcrossJobs(t *testing.T) {
 	}
 	if st1 != st2 {
 		t.Fatal("OpenSharedStore returned distinct stores for one name")
-	}
-	if got, ok := s.SharedStore("graph"); !ok || got != st1 {
-		t.Fatal("SharedStore does not find the registered store")
-	}
-	if _, ok := s.SharedStore("absent"); ok {
-		t.Fatal("SharedStore invented a store")
 	}
 	other, err := s.OpenSharedStore("other")
 	if err != nil {
@@ -488,4 +482,86 @@ func TestNewJobOnClosedSession(t *testing.T) {
 	if _, err := s.NewJob(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("NewJob on closed session: %v, want ErrClosed", err)
 	}
+}
+
+// TestPlanCacheBoundedAcrossGenerations: the cache holds one ownership
+// generation.  A session whose keyspace alternates between two graphs bumps
+// the generation on every switch; the cache must hold no more than the keys
+// compiled under the current one — not one dependency matrix per key per
+// generation — and within a generation repeated compilations hit again.
+func TestPlanCacheBoundedAcrossGenerations(t *testing.T) {
+	const bumps, liveKeys = 50, 2
+	s := NewSession(Config{Machines: 4, Threads: 1, Pipeline: true, Seed: 1})
+	defer s.Close()
+	stages := func() []StagedRound {
+		tok := NewToken("t")
+		nop := func(*Ctx, int) error { return nil }
+		return []StagedRound{
+			{Phase: "a", Round: Round{Name: "a", Items: 4, Writes: []Access{{Token: tok}}, Body: nop}},
+			{Phase: "b", Round: Round{Name: "b", Items: 4, Reads: []Access{{Token: tok}}, Body: nop}},
+		}
+	}
+	for i := 0; i < bumps; i++ {
+		s.SetKeyspace(100 + 100*(i%2)) // two graphs in turn: a new generation each time
+		for k := 0; k < liveKeys; k++ {
+			if p := s.CompilePlan(fmt.Sprintf("query-%d", k), stages()); p.Cached {
+				t.Fatalf("bump %d: key %d hit an analysis of an older generation", i, k)
+			}
+		}
+		if size := s.PlanCacheStats().Size; size > liveKeys {
+			t.Fatalf("after %d generation bumps the cache holds %d entries for %d live keys", i+1, size, liveKeys)
+		}
+	}
+	before := s.PlanCacheStats()
+	if before.Hits != 0 || before.Misses != bumps*liveKeys {
+		t.Fatalf("stats %+v, want 0 hits / %d misses", before, bumps*liveKeys)
+	}
+	for k := 0; k < liveKeys; k++ {
+		if p := s.CompilePlan(fmt.Sprintf("query-%d", k), stages()); !p.Cached {
+			t.Fatalf("key %d missed within one generation", k)
+		}
+	}
+	if after := s.PlanCacheStats(); after.Hits != liveKeys || after.Size != liveKeys {
+		t.Fatalf("stats %+v, want %d hits and size %d", after, liveKeys, liveKeys)
+	}
+}
+
+// TestOpenSharedStoreClosedOnceBySession: however many times a shared store
+// is opened, the session holds it once and closes it once — one log directory
+// while it lives, none after Session.Close.
+func TestOpenSharedStoreClosedOnceBySession(t *testing.T) {
+	const opens = 8
+	dir := t.TempDir()
+	s := NewSession(Config{Machines: 2, Threads: 1, Backend: BackendDisk, DiskDir: dir, Seed: 1})
+	var st *dht.Store
+	for i := 0; i < opens; i++ {
+		got, err := s.OpenSharedStore("graph")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != nil && got != st {
+			t.Fatalf("open %d returned a second store", i)
+		}
+		st = got
+	}
+	if err := st.Put(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if stores, _, _ := s.LiveStores(); stores != 1 {
+		t.Fatalf("%d opens left %d stores for the session to close, want 1", opens, stores)
+	}
+	if logs, _ := os.ReadDir(s.DiskBase()); len(logs) != 1 {
+		t.Fatalf("%d store directories under the session's disk base, want 1", len(logs))
+	}
+	s.Close()
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("%d entries left under DiskDir after Session.Close", len(left))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("the session's close left the store half closed: %v", err)
+	}
+	if got := st.Len(); got != 1 {
+		t.Fatalf("Len after close = %d, want the close-time snapshot 1", got)
+	}
+	s.Close() // twice is a no-op
 }

@@ -55,7 +55,7 @@ func (j *Job) Shuffle(name string, items int, body func(worker, lo, hi int) (int
 func (j *Job) runShuffle(name string, items int, body func(worker, lo, hi int) (int64, error)) (int64, error) {
 	j.runMu.Lock()
 	defer j.runMu.Unlock()
-	s := j.sess
+	s := j.Session
 	s.lifecycle.RLock()
 	defer s.lifecycle.RUnlock()
 	if s.closed.Load() || j.closed.Load() {

@@ -47,7 +47,7 @@ func (c *Ctx) refReadMany(keys []uint64) ([][]byte, []bool, error) {
 			return vals, oks, nil
 		}
 	}
-	mv, mo, visits, err := c.readView.BatchGet(missKeys)
+	mv, mo, visits, err := c.read.View(c.Machine).BatchGet(missKeys)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -187,7 +187,7 @@ func (tr streamTrial) run(t *testing.T, stream func(*Ctx, int, []Iterator, func(
 					return err
 				}
 			}
-			res.Queries[m] = ctx.Queries()
+			res.Queries[m] = ctx.queries.Load()
 			return nil
 		},
 	})

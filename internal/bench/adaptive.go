@@ -13,7 +13,7 @@ import (
 // The adaptive experiment measures online ownership
 // rebalancing between pipeline segments: the static degree-weighted table
 // balances owned bytes, but the queries a segment actually issues follow
-// search-tree work, not owned degree.  Runtime.Rebalance re-derives the
+// search-tree work, not owned degree.  Job.Rebalance re-derives the
 // prefix-sum boundaries from the per-machine query counters (and the modeled
 // lookup latency) observed in the finished segment and migrates the affected
 // shards, so the next segment's work partition tracks observed load instead
@@ -28,7 +28,7 @@ const adaptiveRepeats = 3
 
 // AdaptiveRow is one dataset of the static-vs-adaptive ownership comparison:
 // a fused MIS + maximal matching workload run as two pipeline segments under
-// the static degree-weighted table, and again with a Runtime.Rebalance
+// the static degree-weighted table, and again with a Job.Rebalance
 // between the segments.  The metric is the max/mean of per-machine query
 // counts in the second segment — the observed query imbalance the rebalance
 // is supposed to shrink toward 1.0.
@@ -67,7 +67,7 @@ type AdaptiveRow struct {
 
 // adaptiveFusedRun executes the two-segment MIS + MM workload on a fresh
 // runtime: segment one runs the MIS rounds pipelined, then (with adaptive
-// set) Runtime.Rebalance re-derives the ownership boundaries from the
+// set) Job.Rebalance re-derives the ownership boundaries from the
 // observed load and migrates the shards, and segment two runs the MM rounds
 // — whose plan is built after the rebalance, so its partitioners answer from
 // the updated table.  It returns the second segment's per-machine query

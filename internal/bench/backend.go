@@ -33,7 +33,7 @@ type BackendRow struct {
 	ResidentBytes int64 `json:"resident_bytes,omitempty"`
 	// WireReadOps/WriteOps/Bytes count the rpc backend's round trips, and
 	// MeasuredReadRTT/WriteRTT are the mean observed latencies that
-	// Runtime.MeasuredCostModel turns into a calibrated simtime.CostModel.
+	// Job.MeasuredCostModel turns into a calibrated simtime.CostModel.
 	WireReadOps      int64         `json:"wire_read_ops,omitempty"`
 	WireWriteOps     int64         `json:"wire_write_ops,omitempty"`
 	WireBytes        int64         `json:"wire_bytes,omitempty"`
@@ -53,7 +53,7 @@ func BackendComparison(opts Options) ([]BackendRow, Report, error) {
 		Notes: []string{
 			"the backend only stores bytes (routing, accounting and algorithms live above the dht.ShardBackend seam), so results are required to be byte-identical",
 			"disk keeps only the key index resident and spills values to per-shard log files; resident << disk-bytes is the spill headroom",
-			"rpc pays real loopback round trips; the measured RTTs feed back as a calibrated simtime cost model (Runtime.MeasuredCostModel)",
+			"rpc pays real loopback round trips; the measured RTTs feed back as a calibrated simtime cost model (Job.MeasuredCostModel)",
 		},
 	}
 	var rows []BackendRow

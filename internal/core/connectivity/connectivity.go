@@ -51,7 +51,7 @@ func Run(g *graph.Graph, cfg ampc.Config) (*Result, error) {
 // to the call (session store names are labels, not unique keys), so
 // concurrent connectivity jobs on one session do not interfere; the returned
 // Stats are rt's job-level statistics.
-func RunOn(rt *ampc.Runtime, g *graph.Graph) (*Result, error) {
+func RunOn(rt *ampc.Job, g *graph.Graph) (*Result, error) {
 	cfgD := rt.Config()
 	n := g.NumNodes()
 	// Degree-proportional placement weights (the MSF pipeline below declares
@@ -115,7 +115,7 @@ func RunOn(rt *ampc.Runtime, g *graph.Graph) (*Result, error) {
 
 // spanningForest runs the MSF Prim pipeline on an existing runtime and
 // returns the forest edges.
-func spanningForest(rt *ampc.Runtime, g *graph.Graph) ([]graph.WeightedEdge, error) {
+func spanningForest(rt *ampc.Job, g *graph.Graph) ([]graph.WeightedEdge, error) {
 	res, err := msf.RunOn(rt, g)
 	if err != nil {
 		return nil, err

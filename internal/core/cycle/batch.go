@@ -86,7 +86,7 @@ func (w *walker) advance() (uint64, bool) {
 // batchWalkRound builds the round that walks from every sample of a block
 // as streaming iterators, reporting each finished walk through report
 // (called under mu); the caller runs it (or stages it into a pipeline).
-func batchWalkRound(rt *ampc.Runtime, store *dht.Store, g *graph.Graph,
+func batchWalkRound(rt *ampc.Job, store *dht.Store, g *graph.Graph,
 	samples []graph.NodeID, sampled []bool, mu *sync.Mutex,
 	report func(start, end graph.NodeID, steps int)) ampc.Round {
 	n := g.NumNodes()

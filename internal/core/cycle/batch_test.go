@@ -80,6 +80,7 @@ func TestWalkBlocksRunOnTheirOwners(t *testing.T) {
 		rt.SetOwnership(graph.DegreeWeights(g))
 		_, samples := chooseSamples(n, cfg.Seed, SampleProbability)
 		blocks := rt.OwnerCutBlocks(rt.Config().BatchSize, len(samples), n, func(i int) int { return int(samples[i]) })
+		owner := rt.OwnerPartitioner(n)
 		owns, runs := make([]bool, machines), make([]bool, machines)
 		next := 0
 		for _, b := range blocks {
@@ -89,7 +90,7 @@ func TestWalkBlocksRunOnTheirOwners(t *testing.T) {
 			next = b.Hi
 			runs[b.Machine] = true
 			for i := b.Lo; i < b.Hi; i++ {
-				if o := rt.Owner(uint64(samples[i]), n); o != b.Machine {
+				if o := owner(int(samples[i])); o != b.Machine {
 					t.Fatalf("machines=%d: block %+v holds sample %d of machine %d", machines, b, samples[i], o)
 				}
 			}
@@ -98,7 +99,7 @@ func TestWalkBlocksRunOnTheirOwners(t *testing.T) {
 			t.Fatalf("machines=%d: blocks cover %d of %d samples", machines, next, len(samples))
 		}
 		for _, s := range samples {
-			owns[rt.Owner(uint64(s), n)] = true
+			owns[owner(int(s))] = true
 		}
 		rt.Close()
 		for m := range owns {

@@ -50,18 +50,6 @@ func Run(g *graph.Graph, cfg ampc.Config) (*Result, error) {
 func RunWithProbability(g *graph.Graph, cfg ampc.Config, p float64) (*Result, error) {
 	rt := ampc.New(cfg)
 	defer rt.Close()
-	return runOn(rt, g, p)
-}
-
-// RunOn decides 1-vs-2-Cycle on an existing runtime — a job of a long-lived
-// session, typically.  The adjacency store it opens is private to the call,
-// so concurrent cycle jobs on one session do not interfere; the returned
-// Stats are rt's job-level statistics.
-func RunOn(rt *ampc.Runtime, g *graph.Graph) (*Result, error) {
-	return runOn(rt, g, SampleProbability)
-}
-
-func runOn(rt *ampc.Runtime, g *graph.Graph, p float64) (*Result, error) {
 	n := g.NumNodes()
 	for v := 0; v < n; v++ {
 		if g.Degree(graph.NodeID(v)) != 2 {

@@ -110,9 +110,9 @@ type vertexState struct {
 
 type vertexKind uint8
 
+// The zero kind is a vertex not resolved yet.
 const (
-	vertexUnknown vertexKind = iota
-	vertexMatched
+	vertexMatched vertexKind = iota + 1
 	vertexUnmatched
 )
 
@@ -211,7 +211,7 @@ func runProcess(g *graph.Graph, cfg ampc.Config, rank RankFunc, budget int) (*Re
 // computeMatching runs the shuffle + KV-write + search pipeline on an
 // existing runtime.  tag suffixes the phase and store names so that the
 // filtered variant can run several iterations on one runtime.
-func computeMatching(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, budget int, tag string) (*seq.Matching, int, error) {
+func computeMatching(rt *ampc.Job, g *graph.Graph, rank RankFunc, budget int, tag string) (*seq.Matching, int, error) {
 	m := seq.NewMatching(g.NumNodes())
 	rounds, err := process(rank).Run(rt, g, m.Mate, budget, tag)
 	return m, rounds, err
@@ -229,7 +229,7 @@ type Plan struct {
 // edge ranking of the runtime's seed, as Run uses) and prepares the KV-write
 // and search rounds on rt.  Executing the rounds in order completes the
 // computation exactly as Run does.
-func NewPlan(rt *ampc.Runtime, g *graph.Graph) (*Plan, error) {
+func NewPlan(rt *ampc.Job, g *graph.Graph) (*Plan, error) {
 	m := seq.NewMatching(g.NumNodes())
 	plan, err := process(UniformEdgeRank(rt.Config().Seed)).NewPlan(rt, g, m.Mate, "")
 	if err != nil {
@@ -247,7 +247,7 @@ type Shared struct {
 
 // NewShared prepares the shared matching substrate on rt's session under the
 // uniform edge ranking of the session's seed (as Run uses).
-func NewShared(rt *ampc.Runtime, g *graph.Graph) (*Shared, error) {
+func NewShared(rt *ampc.Job, g *graph.Graph) (*Shared, error) {
 	sub, err := process(UniformEdgeRank(rt.Config().Seed)).NewShared(rt, g)
 	if err != nil {
 		return nil, err
@@ -257,7 +257,7 @@ func NewShared(rt *ampc.Runtime, g *graph.Graph) (*Shared, error) {
 
 // Run executes one maximal matching query as a job on rt against the shared
 // substrate; every call computes the same matching the one-shot Run does.
-func (sh *Shared) Run(rt *ampc.Runtime) (*Result, error) {
+func (sh *Shared) Run(rt *ampc.Job) (*Result, error) {
 	m := seq.NewMatching(sh.sub.Len())
 	if err := sh.sub.Run(rt, m.Mate); err != nil {
 		return nil, err

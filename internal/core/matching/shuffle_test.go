@@ -36,7 +36,7 @@ func permuteGraphRef(g *graph.Graph, rank RankFunc) [][]graph.NodeID {
 
 // permuteGraph runs the PermuteGraph stage alone, as the process's substrate
 // does.
-func permuteGraph(rt *ampc.Runtime, g *graph.Graph, rank RankFunc, tag string) ([]codec.NodeList, error) {
+func permuteGraph(rt *ampc.Job, g *graph.Graph, rank RankFunc, tag string) ([]codec.NodeList, error) {
 	p := process(rank)
 	return rankadj.Lists(rt, p.Shuffle+tag, g, p.Keep, p.Key)
 }

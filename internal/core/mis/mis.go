@@ -116,7 +116,7 @@ func process(prio []uint64) *rankadj.Process[bool, *statusCache] {
 }
 
 // seeded is the process under the hash-based priorities of rt's seed.
-func seeded(rt *ampc.Runtime, g *graph.Graph) *rankadj.Process[bool, *statusCache] {
+func seeded(rt *ampc.Job, g *graph.Graph) *rankadj.Process[bool, *statusCache] {
 	return process(rng.VertexPriorities(rt.Config().Seed, g.NumNodes()))
 }
 
@@ -156,7 +156,7 @@ type Plan struct {
 // KV-write and search rounds on rt.  Executing the rounds (in order, with the
 // declared dependency respected) completes the computation exactly as Run
 // does.
-func NewPlan(rt *ampc.Runtime, g *graph.Graph) (*Plan, error) {
+func NewPlan(rt *ampc.Job, g *graph.Graph) (*Plan, error) {
 	inMIS := make([]bool, g.NumNodes())
 	plan, err := seeded(rt, g).NewPlan(rt, g, inMIS, "")
 	if err != nil {
@@ -173,7 +173,7 @@ type Shared struct {
 }
 
 // NewShared prepares the shared MIS substrate on rt's session.
-func NewShared(rt *ampc.Runtime, g *graph.Graph) (*Shared, error) {
+func NewShared(rt *ampc.Job, g *graph.Graph) (*Shared, error) {
 	sub, err := seeded(rt, g).NewShared(rt, g)
 	if err != nil {
 		return nil, err
@@ -183,7 +183,7 @@ func NewShared(rt *ampc.Runtime, g *graph.Graph) (*Shared, error) {
 
 // Run executes one MIS query as a job on rt against the shared substrate;
 // every call computes the same set the one-shot Run does.
-func (sh *Shared) Run(rt *ampc.Runtime) (*Result, error) {
+func (sh *Shared) Run(rt *ampc.Job) (*Result, error) {
 	inMIS := make([]bool, sh.sub.Len())
 	if err := sh.sub.Run(rt, inMIS); err != nil {
 		return nil, err

@@ -41,7 +41,7 @@ func directGraphRef(g *graph.Graph, prio []uint64) [][]graph.NodeID {
 
 // directGraph runs the DirectGraph stage alone, as the process's substrate
 // does.
-func directGraph(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([]codec.NodeList, error) {
+func directGraph(rt *ampc.Job, g *graph.Graph, prio []uint64) ([]codec.NodeList, error) {
 	p := process(prio)
 	return rankadj.Lists(rt, p.Shuffle, g, p.Keep, p.Key)
 }

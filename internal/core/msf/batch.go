@@ -24,7 +24,7 @@ import (
 // batchPrimRound builds the streaming PrimSearch round over blocks of start
 // vertices, handing every search's outcome to commit (called under the
 // caller's lock); the caller runs it (or stages it into a pipeline).
-func batchPrimRound(rt *ampc.Runtime, name string, store *dht.Store,
+func batchPrimRound(rt *ampc.Job, name string, store *dht.Store,
 	sorted []codec.WeightedList, prio []uint64, budget int,
 	mu *sync.Mutex, commit func(start graph.NodeID, out *primOutcome)) ampc.Round {
 	n := len(sorted)
@@ -90,7 +90,7 @@ func batchPrimRound(rt *ampc.Runtime, name string, store *dht.Store,
 // each cycle fetches the block's missing pointers as one shard-grouped
 // batch.  Fetched pointers persist for the whole block, so a chain hops
 // through already-known pointers without suspending again.
-func batchChaseRound(rt *ampc.Runtime, name string, store *dht.Store, n int,
+func batchChaseRound(rt *ampc.Job, name string, store *dht.Store, n int,
 	roots []graph.NodeID, chains []int) ampc.Round {
 	size := rt.Config().BatchSize
 	return ampc.Round{

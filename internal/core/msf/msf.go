@@ -83,7 +83,7 @@ func Run(g *graph.Graph, cfg ampc.Config) (*Result, error) {
 // algorithms (connectivity, benchmarking harnesses) can compose it with their
 // own phases while sharing one set of statistics.  The input must be
 // weighted.
-func RunOn(rt *ampc.Runtime, g *graph.Graph) (*Result, error) {
+func RunOn(rt *ampc.Job, g *graph.Graph) (*Result, error) {
 	if !g.Weighted() {
 		return nil, fmt.Errorf("msf: input graph must be weighted")
 	}
@@ -93,7 +93,7 @@ func RunOn(rt *ampc.Runtime, g *graph.Graph) (*Result, error) {
 // runPrimPipeline executes the SortGraph / KV-Write / PrimSearch /
 // PointerJump / Contract pipeline on an existing runtime and finishes the
 // contracted remainder with the in-memory solver.
-func runPrimPipeline(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, error) {
+func runPrimPipeline(rt *ampc.Job, g *graph.Graph, tag string) (*Result, error) {
 	cfg := rt.Config()
 	n := g.NumNodes()
 	result := &Result{}
@@ -286,7 +286,7 @@ func runPrimPipeline(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, err
 // the PointerJump phase of the empirical MSF pipeline.  parent[v] == v marks
 // a root.  It returns the root of every vertex and the longest chain length
 // observed.
-func PointerJump(rt *ampc.Runtime, parent []graph.NodeID, tag string) ([]graph.NodeID, int, error) {
+func PointerJump(rt *ampc.Job, parent []graph.NodeID, tag string) ([]graph.NodeID, int, error) {
 	n := len(parent)
 	rt.SetKeyspace(n)
 	store, err := rt.OpenStore("parents" + tag)

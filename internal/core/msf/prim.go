@@ -61,7 +61,7 @@ func neighborCmp(a, b codec.WeightedNeighbor) int {
 // per vertex.  The views double as the values of the key-value write and as
 // the lists the searches start from.  The shuffle is accounted as the encoded
 // size of the lists.
-func sortGraph(rt *ampc.Runtime, g *graph.Graph, tag string) ([]codec.WeightedList, error) {
+func sortGraph(rt *ampc.Job, g *graph.Graph, tag string) ([]codec.WeightedList, error) {
 	lists := make([]codec.WeightedList, g.NumNodes())
 	scratch := make([][]codec.WeightedNeighbor, rt.PoolSize()) // one per worker
 	maxDeg := g.MaxDegree()
@@ -255,7 +255,7 @@ func (s *primState) siftDown(i int) {
 // primRound is the single-key PrimSearch round: one search per start
 // vertex, one key-value lookup per absorbed vertex.  Every search's outcome
 // goes to commit, called under mu.
-func primRound(rt *ampc.Runtime, name string, store *dht.Store,
+func primRound(rt *ampc.Job, name string, store *dht.Store,
 	sorted []codec.WeightedList, prio []uint64, budget int,
 	mu *sync.Mutex, commit func(start graph.NodeID, out *primOutcome)) ampc.Round {
 	n := len(sorted)

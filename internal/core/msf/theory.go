@@ -141,7 +141,7 @@ func RunTheoretical(g *graph.Graph, cfg ampc.Config) (*Result, error) {
 // Proposition 3.1 (the DenseMSF algorithm of Behnezhad et al.): repeated
 // minimum-edge contraction rounds, each implemented with the runtime's
 // shuffle accounting, until the graph fits in memory.
-func DenseMSF(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, error) {
+func DenseMSF(rt *ampc.Job, g *graph.Graph, tag string) (*Result, error) {
 	cfg := rt.Config()
 	result := &Result{}
 	cur := g

@@ -124,7 +124,7 @@ type substrate struct {
 // substrate declares the keyspace (degree-proportional weights keep the
 // per-machine load even under ampc.PlacementWeighted), runs the shuffle and
 // opens the list store — the job's own, or the session-resident one.
-func (p *Process[R, C]) substrate(rt *ampc.Runtime, g *graph.Graph, tag string, shared bool) (*substrate, error) {
+func (p *Process[R, C]) substrate(rt *ampc.Job, g *graph.Graph, tag string, shared bool) (*substrate, error) {
 	rt.SetOwnership(graph.DegreeWeights(g))
 	lists, err := Lists(rt, p.Shuffle+tag, g, p.Keep, p.Key)
 	if err != nil {
@@ -165,7 +165,7 @@ func (p *Plan) Rounds() []ampc.Round { return []ampc.Round{p.Write, p.Search, p.
 // NewPlan runs the shuffle for g and prepares the KV-write and the two search
 // stages on rt; executing them in order fills out (one entry per vertex)
 // exactly as Run does.
-func (p *Process[R, C]) NewPlan(rt *ampc.Runtime, g *graph.Graph, out []R, tag string) (*Plan, error) {
+func (p *Process[R, C]) NewPlan(rt *ampc.Job, g *graph.Graph, out []R, tag string) (*Plan, error) {
 	sub, err := p.substrate(rt, g, tag, false)
 	if err != nil {
 		return nil, err
@@ -178,14 +178,14 @@ func (p *Process[R, C]) NewPlan(rt *ampc.Runtime, g *graph.Graph, out []R, tag s
 // published, and which vertices have one.
 type search[R, C any] struct {
 	p        *Process[R, C]
-	rt       *ampc.Runtime
+	rt       *ampc.Job
 	sub      *substrate
 	mu       sync.Mutex // guards out and resolved
 	out      []R
 	resolved []bool
 }
 
-func (p *Process[R, C]) newSearch(rt *ampc.Runtime, sub *substrate, out []R) *search[R, C] {
+func (p *Process[R, C]) newSearch(rt *ampc.Job, sub *substrate, out []R) *search[R, C] {
 	return &search[R, C]{p: p, rt: rt, sub: sub, out: out, resolved: make([]bool, len(out))}
 }
 
@@ -222,7 +222,7 @@ func (s *search[R, C]) publish(v graph.NodeID, r R) {
 // theirs here.  The local stage reads the per-machine key ranges the write
 // round declares, so local(m) depends on write(m) alone; a token orders every
 // spill sub-round after every local one without naming any storage.
-func (p *Process[R, C]) stages(rt *ampc.Runtime, sub *substrate, out []R, tag string) (local, spill ampc.Round) {
+func (p *Process[R, C]) stages(rt *ampc.Job, sub *substrate, out []R, tag string) (local, spill ampc.Round) {
 	s := p.newSearch(rt, sub, out)
 	caches := s.caches()
 	stage := func(name string, spans []dht.RangeSet) ampc.Round {
@@ -362,7 +362,7 @@ func (s *search[R, C]) blockRound(name string, caches []C, spans []dht.RangeSet)
 // results.  A positive budget is the O(1/ε)-round variant: every search is
 // truncated after budget fetches and unresolved vertices retry in later
 // passes against the results published by earlier ones.
-func (p *Process[R, C]) Run(rt *ampc.Runtime, g *graph.Graph, out []R, budget int, tag string) (int, error) {
+func (p *Process[R, C]) Run(rt *ampc.Job, g *graph.Graph, out []R, budget int, tag string) (int, error) {
 	if budget == 0 {
 		plan, err := p.NewPlan(rt, g, out, tag)
 		if err != nil {
@@ -444,7 +444,7 @@ type Shared[R, C any] struct {
 // shuffle and the write to rt's job (callers typically use a dedicated
 // preparation job).  Calling it again on the same session reuses the
 // already-filled store and skips the write.
-func (p *Process[R, C]) NewShared(rt *ampc.Runtime, g *graph.Graph) (*Shared[R, C], error) {
+func (p *Process[R, C]) NewShared(rt *ampc.Job, g *graph.Graph) (*Shared[R, C], error) {
 	sub, err := p.substrate(rt, g, "", true)
 	if err != nil {
 		return nil, err
@@ -463,7 +463,7 @@ func (p *Process[R, C]) NewShared(rt *ampc.Runtime, g *graph.Graph) (*Shared[R, 
 // session; every one computes what the one-shot Run does.  The search rounds
 // are compiled under the process's plan key, so repeated queries hit the
 // session's plan cache instead of re-deriving the conflict analysis.
-func (sh *Shared[R, C]) Run(rt *ampc.Runtime, out []R) error {
+func (sh *Shared[R, C]) Run(rt *ampc.Job, out []R) error {
 	local, spill := sh.p.stages(rt, sh.sub, out, "")
 	return rt.RunPlan(rt.CompilePlan(sh.p.PlanKey, []ampc.StagedRound{
 		{Phase: local.Name, Round: local},

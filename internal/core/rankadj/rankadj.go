@@ -58,7 +58,7 @@ type worker struct {
 //
 // keep and key must be pure: they are called from any pool thread, key once
 // per kept endpoint, keep twice (once to size the arena).
-func Lists(rt *ampc.Runtime, name string, g *graph.Graph,
+func Lists(rt *ampc.Job, name string, g *graph.Graph,
 	keep func(v, u graph.NodeID) bool, key func(v, u graph.NodeID) uint64) ([]codec.NodeList, error) {
 	lists := make([]codec.NodeList, g.NumNodes())
 	workers := make([]worker, rt.PoolSize())

@@ -48,9 +48,9 @@ type process struct {
 	name        string
 	sharedStore string
 	reference   func(g *graph.Graph, seed int64) marks
-	plan        func(rt *ampc.Runtime, g *graph.Graph) (*rankadj.Plan, func() marks, error)
+	plan        func(rt *ampc.Job, g *graph.Graph) (*rankadj.Plan, func() marks, error)
 	run         func(g *graph.Graph, cfg ampc.Config, truncated bool) (marks, int, error)
-	shared      func(rt *ampc.Runtime, g *graph.Graph) (func(*ampc.Runtime) (marks, error), error)
+	shared      func(rt *ampc.Job, g *graph.Graph) (func(*ampc.Job) (marks, error), error)
 }
 
 var processes = []process{
@@ -60,7 +60,7 @@ var processes = []process{
 		reference: func(g *graph.Graph, seed int64) marks {
 			return misMarks(seq.GreedyMIS(g, rng.VertexPriorities(seed, g.NumNodes())))
 		},
-		plan: func(rt *ampc.Runtime, g *graph.Graph) (*rankadj.Plan, func() marks, error) {
+		plan: func(rt *ampc.Job, g *graph.Graph) (*rankadj.Plan, func() marks, error) {
 			p, err := mis.NewPlan(rt, g)
 			if err != nil {
 				return nil, nil, err
@@ -78,9 +78,9 @@ var processes = []process{
 			}
 			return misMarks(res.InMIS), res.SearchRounds, nil
 		},
-		shared: func(rt *ampc.Runtime, g *graph.Graph) (func(*ampc.Runtime) (marks, error), error) {
+		shared: func(rt *ampc.Job, g *graph.Graph) (func(*ampc.Job) (marks, error), error) {
 			sh, err := mis.NewShared(rt, g)
-			return func(rt *ampc.Runtime) (marks, error) {
+			return func(rt *ampc.Job) (marks, error) {
 				res, err := sh.Run(rt)
 				if err != nil {
 					return nil, err
@@ -95,7 +95,7 @@ var processes = []process{
 		reference: func(g *graph.Graph, seed int64) marks {
 			return seq.GreedyMaximalMatching(g, matching.UniformEdgeRank(seed)).Mate
 		},
-		plan: func(rt *ampc.Runtime, g *graph.Graph) (*rankadj.Plan, func() marks, error) {
+		plan: func(rt *ampc.Job, g *graph.Graph) (*rankadj.Plan, func() marks, error) {
 			p, err := matching.NewPlan(rt, g)
 			if err != nil {
 				return nil, nil, err
@@ -113,9 +113,9 @@ var processes = []process{
 			}
 			return res.Matching.Mate, res.SearchRounds, nil
 		},
-		shared: func(rt *ampc.Runtime, g *graph.Graph) (func(*ampc.Runtime) (marks, error), error) {
+		shared: func(rt *ampc.Job, g *graph.Graph) (func(*ampc.Job) (marks, error), error) {
 			sh, err := matching.NewShared(rt, g)
-			return func(rt *ampc.Runtime) (marks, error) {
+			return func(rt *ampc.Job) (marks, error) {
 				res, err := sh.Run(rt)
 				if err != nil {
 					return nil, err
@@ -229,9 +229,11 @@ func TestProcessDriver(t *testing.T) {
 						if wrote := slices.Contains(phaseNames(prepared), "KV-Write"); wrote != (i == 0) {
 							t.Fatalf("preparation %d: phases %v", i, phaseNames(prepared))
 						}
-						store, ok := s.SharedStore(p.sharedStore)
-						if !ok || !store.Frozen() {
-							t.Fatalf("preparation %d: shared store %q present %v, not frozen", i, p.sharedStore, ok)
+						// Get-or-create: a store the preparation had not made
+						// would come back fresh, and so unfrozen.
+						store, err := s.OpenSharedStore(p.sharedStore)
+						if err != nil || !store.Frozen() {
+							t.Fatalf("preparation %d: shared store %q not resident and frozen (err %v)", i, p.sharedStore, err)
 						}
 						got, err := query(rt)
 						rt.Close()

@@ -28,8 +28,8 @@ import (
 //     transport, which pays — and measures — real serialization and wire
 //     costs per operation instead of simulating them (see rpc.go).
 //
-// A backend stores bytes; it never decides placement, latency charging or
-// statistics classification — those stay in the Store façade, which is why
+// A backend stores bytes; it never decides placement or statistics
+// classification — those stay in the Store façade, which is why
 // every optimization layered on the store (batching, placement, pipelining)
 // behaves identically across backends.
 
@@ -106,7 +106,8 @@ func (b BackendStats) MeasuredWriteRTT() time.Duration {
 // ShardBackend is the storage engine behind a Store: it owns the per-shard
 // data (primary and, when replication is enabled, a synchronous replica) and
 // the simulated shard-failure state.  The Store façade above it owns key
-// routing (placement), freeze semantics, statistics and latency charging.
+// routing (placement), freeze semantics and statistics; modeled latency is
+// charged above both, by package ampc.
 //
 // Contracts shared by every implementation:
 //

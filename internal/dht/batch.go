@@ -70,8 +70,8 @@ func (s *Store) BatchGet(keys []uint64) (vals [][]byte, oks []bool, shardVisits 
 }
 
 // batchGetFrom is BatchGet performed by the given machine (via Store.View):
-// visits to shards co-located with the machine are classified (and charged)
-// as local.  A negative machine is an anonymous, always-remote caller.
+// visits to shards co-located with the machine are classified as local.  A
+// negative machine is an anonymous, always-remote caller.
 func (s *Store) batchGetFrom(machine int, keys []uint64) (vals [][]byte, oks []bool, visits Visits, err error) {
 	vals = make([][]byte, len(keys))
 	oks = make([]bool, len(keys))
@@ -97,7 +97,6 @@ func (s *Store) batchGetFrom(machine int, keys []uint64) (vals [][]byte, oks []b
 		c.localReads.Add(localKeys)
 		c.remoteReads.Add(remoteKeys)
 		c.remoteBytes.Add(remoteBytes)
-		s.charge(s.model.BatchReadCostSplit(visits.Local, visits.Remote, len(keys)))
 	}
 	countVisit := func(local bool, positions int) {
 		if local {
@@ -118,7 +117,7 @@ func (s *Store) batchGetFrom(machine int, keys []uint64) (vals [][]byte, oks []b
 		var shardVals [][]byte
 		var shardOKs []bool
 		var failovers int
-		err := s.withRetry(true, func() error {
+		err := s.withRetry(func() error {
 			var aerr error
 			shardVals, shardOKs, failovers, aerr = s.hedgedBatchGet(idx, shardKeys)
 			return aerr
@@ -195,7 +194,7 @@ func (s *Store) batchWrite(machine int, pairs []Pair) (Visits, error) {
 				remoteBytes += int64(len(p.Value)) + 8
 			}
 		}
-		if err := s.withRetry(false, func() error {
+		if err := s.withRetry(func() error {
 			return s.backend.BatchWrite(idx, shardPairs)
 		}); err != nil {
 			return visits, err
@@ -212,6 +211,5 @@ func (s *Store) batchWrite(machine int, pairs []Pair) (Visits, error) {
 	c.batchWrites.Add(1)
 	c.bytesWritten.Add(bytesWritten)
 	c.remoteBytes.Add(remoteBytes)
-	s.charge(s.model.BatchWriteCostSplit(visits.Local, visits.Remote, len(pairs)))
 	return visits, nil
 }

@@ -27,8 +27,11 @@
 // ones into fresh chunks, never by reusing old ones.
 //
 // The real system in the paper uses an RDMA-backed key-value store with a
-// TCP/IP fallback; here the latency of each operation is charged to a
-// simulated clock according to a simtime.CostModel, which is how the Table 4
+// TCP/IP fallback.  The store itself keeps no clock: it routes, stores and
+// counts, and classifies every operation as local or remote to the calling
+// machine (View).  Modeled time is charged by package ampc, which prices each
+// operation on its simtime.CostModel as the machine issues it (Ctx latency)
+// and charges the job's clock per segment — which is how the Table 4
 // experiments are reproduced.  The rpc backend additionally measures the real
 // round-trip of every operation, from which Store.MeasuredCostModel derives
 // an empirically calibrated cost model.
@@ -63,7 +66,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ampcgraph/internal/simtime"
 )
@@ -115,8 +117,6 @@ type Store struct {
 	// changes after construction, and the hot-path read classifiers
 	// (LocalTo, shardLocalTo) become a slice load instead of a policy call.
 	shardMachine []int
-	model        simtime.CostModel
-	clock        *simtime.Clock
 	frozen       atomic.Bool
 	replicate    bool
 	retry        *RetryPolicy
@@ -129,15 +129,9 @@ type Store struct {
 	// counters holds one opCounters block per calling machine, indexed by
 	// machine+1 (slot 0 is the anonymous caller's); the slice is replaced,
 	// never written, when a new machine shows up (see countersFor).
-	counters atomic.Pointer[[]*opCounters]
-	viewMu   sync.Mutex // guards views and the replacement of counters
-	views    map[int]*View
+	counters   atomic.Pointer[[]*opCounters]
+	countersMu sync.Mutex // serializes the replacement of counters
 
-	// refs counts the logical owners of the store (see Retain): Close only
-	// releases the backend once the last owner has closed.  Stores shared
-	// between concurrent jobs — ampc's OpenSharedStore — retain once per
-	// additional opener, so the store survives until the session tears down.
-	refs      atomic.Int32
 	closed    atomic.Bool
 	finalKeys int64 // Len snapshot taken by Close
 }
@@ -146,10 +140,6 @@ type Store struct {
 type Options struct {
 	// Shards is the number of key-value servers; defaults to 16.
 	Shards int
-	// Model is the latency model; the zero value disables latency charging.
-	Model simtime.CostModel
-	// Clock receives latency charges; may be nil.
-	Clock *simtime.Clock
 	// Replicate keeps a synchronous replica of every shard so that reads
 	// survive an injected shard failure (the fault-tolerance property of §2).
 	Replicate bool
@@ -192,16 +182,12 @@ func NewStore(name string, opts Options) (*Store, error) {
 		numShards:    opts.Shards,
 		placement:    opts.Placement,
 		shardMachine: make([]int, opts.Shards),
-		model:        opts.Model,
-		clock:        opts.Clock,
 		replicate:    opts.Replicate,
 		retry:        opts.Retry,
-		views:        make(map[int]*View),
 	}
 	for i := range s.shardMachine {
 		s.shardMachine[i] = opts.Placement.MachineFor(i, opts.Shards)
 	}
-	s.refs.Store(1)
 	return s, nil
 }
 
@@ -283,8 +269,8 @@ func (s *Store) countersFor(machine int) *opCounters {
 			return c
 		}
 	}
-	s.viewMu.Lock()
-	defer s.viewMu.Unlock()
+	s.countersMu.Lock()
+	defer s.countersMu.Unlock()
 	var blocks []*opCounters
 	if cur := s.counters.Load(); cur != nil {
 		blocks = *cur
@@ -320,9 +306,8 @@ func (s *Store) Put(key uint64, value []byte) error {
 }
 
 // putFrom is Put performed by the given machine (via Store.View): a write to
-// a shard co-located with the machine is charged the local latency and
-// excluded from the remote-byte count.  A negative machine is an anonymous
-// (always remote) caller.
+// a shard co-located with the machine is excluded from the remote-byte count.
+// A negative machine is an anonymous (always remote) caller.
 func (s *Store) putFrom(machine int, key uint64, value []byte) error {
 	if s.frozen.Load() {
 		return ErrFrozen
@@ -330,7 +315,7 @@ func (s *Store) putFrom(machine int, key uint64, value []byte) error {
 	idx := s.shardIndexFor(key)
 	local := s.shardLocalTo(machine, idx)
 	if err := s.backend.Put(idx, key, value); err != nil {
-		err = s.retryAfter(false, err, func() error { return s.backend.Put(idx, key, value) })
+		err = s.retryAfter(err, func() error { return s.backend.Put(idx, key, value) })
 		if err != nil {
 			return err
 		}
@@ -344,7 +329,6 @@ func (s *Store) putFrom(machine int, key uint64, value []byte) error {
 	if !local {
 		c.remoteBytes.Add(bytes)
 	}
-	s.charge(s.model.WriteCost(local))
 	return nil
 }
 
@@ -355,15 +339,14 @@ func (s *Store) Get(key uint64) ([]byte, bool, error) {
 }
 
 // getFrom is Get performed by the given machine (via Store.View): a read
-// served by a shard co-located with the machine counts as a local read and is
-// charged the local latency.  A negative machine is an anonymous (always
-// remote) caller.
+// served by a shard co-located with the machine counts as a local read.  A
+// negative machine is an anonymous (always remote) caller.
 func (s *Store) getFrom(machine int, key uint64) ([]byte, bool, error) {
 	idx := s.shardIndexFor(key)
 	local := s.shardLocalTo(machine, idx)
 	v, ok, failover, err := s.backend.Get(idx, key)
 	if err != nil {
-		err = s.retryAfter(true, err, func() error {
+		err = s.retryAfter(err, func() error {
 			var aerr error
 			v, ok, failover, aerr = s.backend.Get(idx, key)
 			return aerr
@@ -375,7 +358,6 @@ func (s *Store) getFrom(machine int, key uint64) ([]byte, bool, error) {
 		// (and counted) even though it cannot be served.
 		c.shardVisits.Add(1)
 		c.countRead(local, 0)
-		s.charge(s.model.ReadCost(local))
 		if errors.Is(err, ErrUnavailable) {
 			return nil, false, fmt.Errorf("%w: key %d", ErrUnavailable, key)
 		}
@@ -393,7 +375,6 @@ func (s *Store) getFrom(machine int, key uint64) ([]byte, bool, error) {
 		c.misses.Add(1)
 		c.countRead(local, 0)
 	}
-	s.charge(s.model.ReadCost(local))
 	return v, ok, nil
 }
 
@@ -541,36 +522,15 @@ func (s *Store) MeasuredCostModel() (simtime.CostModel, bool) {
 	return simtime.Measured(string(bs.Kind), read, write), true
 }
 
-// Retain adds one logical owner to the store: the next Close releases that
-// reference instead of the backend.  It lets several handles share one store
-// (each pairing its open with a Close) without coordinating who closes last.
-// Retaining an already-closed store is a no-op — the backend is gone.
-func (s *Store) Retain() {
-	if s.closed.Load() {
-		return
-	}
-	s.refs.Add(1)
-}
-
-// Close releases one reference to the store; the last Close releases the
-// backend's resources (files, sockets).  Operation counters and Stats stay
-// readable; data operations on a closed store are undefined.  Extra Close
-// calls after the last reference are no-ops.
+// Close releases the backend's resources (files, sockets).  A store has one
+// owner — the ampc session or job that opened it — which closes it once;
+// further calls are no-ops.  Operation counters and Stats stay readable; data
+// operations on a closed store are undefined.
 func (s *Store) Close() error {
 	if s.closed.Load() {
-		return nil
-	}
-	if s.refs.Add(-1) > 0 {
 		return nil
 	}
 	s.finalKeys = int64(s.Len())
 	s.closed.Store(true)
 	return s.backend.Close()
-}
-
-// charge adds a latency charge to the simulated clock when one is attached.
-func (s *Store) charge(d time.Duration) {
-	if s.clock != nil {
-		s.clock.Charge(d)
-	}
 }

@@ -6,9 +6,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"ampcgraph/internal/simtime"
 )
 
 // mustStore is NewStore panicking on error, for tests whose options are
@@ -124,35 +121,6 @@ func TestFailShardWithReplication(t *testing.T) {
 	}
 	if s.Stats().Failovers != 50 {
 		t.Fatalf("failovers = %d, want 50", s.Stats().Failovers)
-	}
-}
-
-func TestLatencyCharging(t *testing.T) {
-	clock := &simtime.Clock{}
-	s := mustStore("d0", Options{Model: simtime.RDMA(), Clock: clock})
-	s.Put(1, []byte("x"))
-	s.Get(1)
-	want := simtime.RDMA().LookupLatency + simtime.RDMA().WriteLatency
-	if clock.Elapsed() != want {
-		t.Fatalf("clock %v, want %v", clock.Elapsed(), want)
-	}
-}
-
-func TestTCPCostsMoreThanRDMA(t *testing.T) {
-	run := func(m simtime.CostModel) time.Duration {
-		clock := &simtime.Clock{}
-		s := mustStore("d0", Options{Model: m, Clock: clock})
-		for i := uint64(0); i < 100; i++ {
-			s.Put(i, []byte("x"))
-			s.Get(i)
-		}
-		return clock.Elapsed()
-	}
-	if run(simtime.TCP()) <= run(simtime.RDMA()) {
-		t.Fatal("TCP model should charge more than RDMA")
-	}
-	if run(simtime.RDMA()) <= run(simtime.DRAM()) {
-		t.Fatal("RDMA model should charge more than DRAM")
 	}
 }
 
@@ -285,19 +253,5 @@ func TestCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Hits()+c.Misses() != 800 {
 		t.Fatalf("cache op count %d", c.Hits()+c.Misses())
-	}
-}
-
-func TestSimtimeClock(t *testing.T) {
-	c := &simtime.Clock{}
-	c.Charge(time.Second)
-	c.Charge(-time.Second) // negative charges ignored
-	c.Charge(time.Millisecond)
-	if c.Elapsed() != time.Second+time.Millisecond {
-		t.Fatalf("elapsed %v", c.Elapsed())
-	}
-	c.Reset()
-	if c.Elapsed() != 0 {
-		t.Fatal("reset failed")
 	}
 }

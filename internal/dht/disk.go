@@ -182,7 +182,7 @@ type diskBackend struct {
 
 // newDiskBackend opens (or creates) one log per shard under dir, replaying any
 // existing logs.  dir must be non-empty; callers that want a throwaway store
-// pass a fresh temporary directory (the ampc Runtime does this automatically).
+// pass a fresh temporary directory (an ampc Session does this automatically).
 func newDiskBackend(shards int, replicate bool, dir string) (*diskBackend, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("dht: backend %q requires Options.DiskDir", BackendDisk)

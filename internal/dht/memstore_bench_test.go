@@ -33,35 +33,42 @@ func benchMemStore(b *testing.B, values [][]byte) {
 		if r, ok := any(s).(interface{ Reserve(keys int) }); ok {
 			r.Reserve(n)
 		}
-		// phase runs body(view, key) for every key, machine m taking the m-th
-		// contiguous half, and returns the wall time of the slower machine.
-		phase := func(body func(v *View, k uint64)) int64 {
+		// phase runs op(key) for every key, machine m taking the m-th
+		// contiguous half with the op bind(m) built over its view, and returns
+		// the wall time of the slower machine.
+		phase := func(bind func(m int) func(k uint64)) int64 {
 			var wg sync.WaitGroup
 			start := b.Elapsed()
 			for m := 0; m < machines; m++ {
 				wg.Add(1)
 				go func(m int) {
 					defer wg.Done()
-					v := s.View(m)
+					op := bind(m)
 					for k := m * n / machines; k < (m+1)*n/machines; k++ {
-						body(v, uint64(k))
+						op(uint64(k))
 					}
 				}(m)
 			}
 			wg.Wait()
 			return int64(b.Elapsed() - start)
 		}
-		putNS += phase(func(v *View, k uint64) {
-			if err := v.Put(k, values[k]); err != nil {
-				b.Error(err)
+		putNS += phase(func(m int) func(uint64) {
+			v := s.View(m)
+			return func(k uint64) {
+				if err := v.Put(k, values[k]); err != nil {
+					b.Error(err)
+				}
 			}
 		})
 		if err := s.Freeze(); err != nil {
 			b.Fatal(err)
 		}
-		getNS += phase(func(v *View, k uint64) {
-			if got, ok, err := v.Get(k); err != nil || !ok || len(got) != len(values[k]) {
-				b.Errorf("Get(%d): %d bytes, ok=%v, err=%v", k, len(got), ok, err)
+		getNS += phase(func(m int) func(uint64) {
+			v := s.View(m)
+			return func(k uint64) {
+				if got, ok, err := v.Get(k); err != nil || !ok || len(got) != len(values[k]) {
+					b.Errorf("Get(%d): %d bytes, ok=%v, err=%v", k, len(got), ok, err)
+				}
 			}
 		})
 		s.Close()

@@ -10,9 +10,10 @@ import "fmt"
 // through the ShardBackend seam (BatchWrite + BatchDelete are ordinary
 // backend operations, so mem, disk and rpc all migrate the same way) and
 // then swaps the placement and the memoized shard→machine map.  The caller
-// is responsible for quiescence and cache invalidation: the ampc Runtime
-// serializes Rebalance against running rounds and invalidates exactly the
-// migrated key spans from its per-machine caches.
+// is responsible for quiescence, cache invalidation and the modeled cost of
+// the move: ampc's Job.Rebalance serializes against running rounds,
+// invalidates exactly the migrated key spans from its per-machine caches and
+// charges MigrateCost(BytesMoved) to the job's clock.
 
 // MigrationStats summarizes one Store.Rebalance.
 type MigrationStats struct {
@@ -37,10 +38,9 @@ type MigrationStats struct {
 // but not on a closed one.  It is NOT safe to call concurrently with reads
 // or writes of the same store: the placement swap is unsynchronized by
 // design (the hot paths read it lock-free), so the caller must quiesce the
-// store first, as the ampc Runtime's runMu does.  The migrated payload is
-// charged to the store's clock as MigrateCost(BytesMoved).  A shard that
-// cannot be read (ShardBackend.Range's error) fails the call while it is
-// still planning, before anything has moved.
+// store first, as ampc's Job.Rebalance does.  A shard that cannot be read
+// (ShardBackend.Range's error) fails the call while it is still planning,
+// before anything has moved.
 func (s *Store) Rebalance(next Placement) (MigrationStats, error) {
 	var st MigrationStats
 	if next == nil {
@@ -90,6 +90,5 @@ func (s *Store) Rebalance(next Placement) (MigrationStats, error) {
 	for i := range s.shardMachine {
 		s.shardMachine[i] = next.MachineFor(i, s.numShards)
 	}
-	s.charge(s.model.MigrateCost(st.BytesMoved))
 	return st, nil
 }

@@ -1,11 +1,6 @@
 package dht
 
-import (
-	"testing"
-	"time"
-
-	"ampcgraph/internal/simtime"
-)
+import "testing"
 
 func TestRangeOwner(t *testing.T) {
 	// 100 keys over 4 machines: span 25, contiguous ranges.
@@ -145,37 +140,6 @@ func TestAnonymousCallersStayRemote(t *testing.T) {
 	}
 	if st.RemoteBytes != st.BytesRead+st.BytesWritten {
 		t.Fatalf("anonymous traffic must be fully remote: %+v", st)
-	}
-}
-
-func TestLocalReadsChargeLocalLatency(t *testing.T) {
-	const machines, keys = 4, 100
-	model := simtime.RDMA()
-	run := func(machine int) time.Duration {
-		clock := &simtime.Clock{}
-		s := mustStore("d0", Options{
-			Shards: 16, Placement: OwnerAffine(machines, keys),
-			Model: model, Clock: clock,
-		})
-		if err := s.View(-1).Put(3, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		clock.Reset()
-		if _, _, err := s.View(machine).Get(3); err != nil {
-			t.Fatal(err)
-		}
-		return clock.Elapsed()
-	}
-	owner := RangeOwner(3, machines, keys)
-	local, remote := run(owner), run(owner+1)
-	if local != model.LocalShardLatency {
-		t.Fatalf("local read charged %v, want %v", local, model.LocalShardLatency)
-	}
-	if remote != model.LookupLatency {
-		t.Fatalf("remote read charged %v, want %v", remote, model.LookupLatency)
-	}
-	if local >= remote {
-		t.Fatal("co-located reads must be cheaper than remote reads under RDMA")
 	}
 }
 

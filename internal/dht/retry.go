@@ -15,9 +15,7 @@ import (
 // and ErrUnavailable from a crashed unreplicated shard that will recover)
 // are absorbed by capped exponential backoff with seeded jitter, bounded by
 // a per-op deadline; slow batch reads are hedged with a duplicate request.
-// Each absorbed retry is charged one remote op to the simulated clock, so
-// recovery overhead shows up in modeled time, and counted in
-// Stats.{Retries, Hedges, DeadlineExceeded}.
+// The absorbed work is counted in Stats.{Retries, Hedges, DeadlineExceeded}.
 
 // RetryPolicy configures the Store's retry behavior.  A nil policy on
 // Options.Retry disables retries (every backend error surfaces immediately,
@@ -27,8 +25,7 @@ type RetryPolicy struct {
 	// Values below 2 mean a single attempt.
 	MaxAttempts int
 	// BaseBackoff is the sleep before the first retry; each further retry
-	// doubles it, capped at MaxBackoff.  Zero disables sleeping (the retry
-	// is still charged to the simulated clock).
+	// doubles it, capped at MaxBackoff.  Zero disables sleeping.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	// Deadline bounds the wall-clock time spent on one op across all its
@@ -52,20 +49,19 @@ func retryable(err error) bool {
 	return !errors.Is(err, errInjectedFatal)
 }
 
-// withRetry runs op under the store's retry policy.  isRead selects the
-// simulated cost charged per extra attempt.
-func (s *Store) withRetry(isRead bool, op func() error) error {
+// withRetry runs op under the store's retry policy.
+func (s *Store) withRetry(op func() error) error {
 	err := op()
 	if err == nil {
 		return nil
 	}
-	return s.retryAfter(isRead, err, op)
+	return s.retryAfter(err, op)
 }
 
 // retryAfter is withRetry for a caller whose first attempt already failed
 // with err: the single-key paths make that attempt themselves, so an
 // operation that succeeds first time never builds the closure.
-func (s *Store) retryAfter(isRead bool, err error, op func() error) error {
+func (s *Store) retryAfter(err error, op func() error) error {
 	if s.retry == nil {
 		return err
 	}
@@ -84,11 +80,6 @@ func (s *Store) retryAfter(isRead bool, err error, op func() error) error {
 				s.name, p.Deadline, attempt, err)
 		}
 		s.retries.Add(1)
-		if isRead {
-			s.charge(s.model.ReadCost(false))
-		} else {
-			s.charge(s.model.WriteCost(false))
-		}
 		s.backoffSleep(attempt)
 		if err = op(); err == nil {
 			return nil
@@ -145,7 +136,6 @@ func (s *Store) hedgedBatchGet(idx int, keys []uint64) ([][]byte, []bool, int, e
 	case <-timer.C:
 	}
 	s.hedges.Add(1)
-	s.charge(s.model.ReadCost(false))
 	go launch()
 	first = <-ch
 	if first.err == nil {

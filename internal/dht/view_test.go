@@ -8,25 +8,23 @@ import (
 )
 
 // The View API binds a machine once instead of threading it through a
-// per-call machine parameter; these tests pin the contract — views are
-// cached per machine, their operations match the store's internal
-// machine-classified path call for call, and the accounting (local/remote
-// classification) is identical.
+// per-call machine parameter; these tests pin the contract — a view's
+// operations match the store's internal machine-classified path call for
+// call, and the accounting (local/remote classification) is identical.
 
-func TestViewIsCachedPerMachine(t *testing.T) {
-	s := mustStore("d0", Options{Shards: 4, Placement: OwnerAffine(2, 1<<10)})
-	if s.View(1) != s.View(1) {
-		t.Fatal("View(1) is not cached")
+func TestViewsOfTwoMachinesClassifyDifferently(t *testing.T) {
+	const machines, keys = 2, 1 << 10
+	s := mustStore("d0", Options{Shards: 4, Placement: OwnerAffine(machines, keys)})
+	const key = 3
+	owner := RangeOwner(key, machines, keys)
+	if !s.View(owner).Local(key) {
+		t.Fatalf("key %d is not local to its owner, machine %d", key, owner)
 	}
-	if s.View(0) == s.View(1) {
-		t.Fatal("distinct machines share a view")
+	if s.View(1 - owner).Local(key) {
+		t.Fatalf("key %d is local to both machines", key)
 	}
-	v := s.View(1)
-	if v.Store() != s {
-		t.Fatal("View.Store does not return the owning store")
-	}
-	if v.Machine() != 1 {
-		t.Fatalf("View.Machine = %d, want 1", v.Machine())
+	if s.View(-1).Local(key) {
+		t.Fatal("the anonymous caller's view classified a key as local")
 	}
 }
 
@@ -103,33 +101,24 @@ func TestViewOperationsMatchMachineClassifiedPath(t *testing.T) {
 	}
 }
 
-// TestStoreRetainRefcount pins the shared-open protocol: a retained store
-// survives one Close per additional owner and releases its backend only on
-// the last, with later Closes and Retains being no-ops.
-func TestStoreRetainRefcount(t *testing.T) {
-	s := mustStore("d0", Options{Shards: 2})
-	if err := s.Put(1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	s.Retain()
-	s.Retain()
-	for i := 0; i < 2; i++ {
-		if err := s.Close(); err != nil {
-			t.Fatalf("close %d: %v", i, err)
+// TestStoreCloseTwice: a store has one owner, which closes it once; a second
+// Close is a no-op and Len keeps answering from the close-time snapshot.
+func TestStoreCloseTwice(t *testing.T) {
+	for _, kind := range BackendKinds() {
+		s := storeForBackend(t, kind, Options{Shards: 2})
+		for k := uint64(1); k <= 3; k++ {
+			if err := s.Put(k, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := s.Put(uint64(2+i), []byte("y")); err != nil {
-			t.Fatalf("put after non-final close %d: %v", i, err)
+		for i := 0; i < 2; i++ {
+			if err := s.Close(); err != nil {
+				t.Fatalf("%s: close %d: %v", kind, i, err)
+			}
 		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("final close: %v", err)
-	}
-	s.Retain() // retain after the last close must not resurrect the store
-	if err := s.Close(); err != nil {
-		t.Fatalf("extra close: %v", err)
-	}
-	if got := s.Len(); got != 3 {
-		t.Fatalf("Len after close = %d, want the pre-close snapshot 3", got)
+		if got := s.Len(); got != 3 {
+			t.Fatalf("%s: Len after close = %d, want the pre-close snapshot 3", kind, got)
+		}
 	}
 }
 

@@ -136,7 +136,7 @@ func bfsFarthest(g *Graph, start NodeID) (NodeID, int) {
 // degree: deg(v) + 1.  The +1 keeps zero-degree vertices at positive weight,
 // so a degree-weighted contiguous partition (dht.NewOwnership) balances key
 // counts as well as work and never hands a machine a weightless range.  The
-// AMPC algorithms pass these weights to Runtime.SetOwnership, since the
+// AMPC algorithms pass these weights to Session.SetOwnership, since the
 // key-value traffic a vertex generates is proportional to its degree.
 func DegreeWeights(g *Graph) []int {
 	w := make([]int, g.NumNodes())
