@@ -117,15 +117,17 @@ bench-wall-smoke:
 	$(GO) test ./benchmark
 
 # microbench runs the layer micro-benchmarks once each — the three shuffle
-# stages on the HL stand-in (DirectGraph, PermuteGraph, SortGraph), the MIS and
-# matching search stages (allocs/vertex of the rankadj round bodies), the batch
-# read path (the streamed cycle walk, a warm ReadMany, the per-batch shard
-# grouping), the placement lookup and the mem store path (fill, freeze, read
-# back: the cycle job's small values and the HL adjacency lists) — so they
-# keep compiling and running; it measures nothing.
+# stages on the HL stand-in (DirectGraph, PermuteGraph, SortGraph), the MSF
+# PrimSearch round and contraction tail (a per-search allocation shows in
+# PrimSearch's allocs/op, a full sort of the survivors in FinishMSF's
+# ns/edge), the MIS and matching search stages (allocs/vertex of the rankadj
+# round bodies), the batch read path (the streamed cycle walk, a warm
+# ReadMany, the per-batch shard grouping), the placement lookup and the mem
+# store path (fill, freeze, read back: the cycle job's small values and the HL
+# adjacency lists) — so they keep compiling and running; it measures nothing.
 # For numbers: go test -run '^$$' -bench <name> -benchmem -count 5 <package>.
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkSearchStages$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$|BenchmarkMemStoreSmall$$|BenchmarkMemStoreAdjacency$$' -benchtime=1x \
+	$(GO) test -run '^$$' -bench 'BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkPrimSearch$$|BenchmarkFinishMSF$$|BenchmarkSearchStages$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$|BenchmarkMemStoreSmall$$|BenchmarkMemStoreAdjacency$$' -benchtime=1x \
 		./internal/core/mis ./internal/core/matching ./internal/core/msf ./internal/core/cycle ./internal/ampc ./internal/dht
 
 # cover-check enforces a statement-coverage floor on the runtime-critical

@@ -54,28 +54,27 @@ func Run(g *graph.Graph, cfg ampc.Config) (*Result, error) {
 func RunOn(rt *ampc.Job, g *graph.Graph) (*Result, error) {
 	cfgD := rt.Config()
 	n := g.NumNodes()
-	// Degree-proportional placement weights (the MSF pipeline below declares
-	// the same ones; random edge weights never change the adjacency).
-	rt.SetOwnership(graph.DegreeWeights(g))
 	res := &Result{}
 
 	// Random edge weights reduce connectivity to minimum spanning forest
 	// (§5.7); any spanning forest would do, the random weights simply keep
-	// the Prim searches balanced.
+	// the Prim searches balanced.  The MSF pipeline declares the
+	// degree-proportional placement weights, which the random edge weights
+	// do not change.
 	weighted := g
 	if !g.Weighted() {
 		weighted = gen.RandomWeights(g, cfgD.Seed+7)
 	}
 
-	forest, err := spanningForest(rt, weighted)
+	forest, err := msf.RunOn(rt, weighted)
 	if err != nil {
 		return nil, err
 	}
-	res.SpanningForest = forest
+	res.SpanningForest = forest.Edges
 
 	// ForestConnectivity: root every tree of the forest and pointer-jump the
 	// parent relation to component representatives.
-	f, err := trees.BuildForest(n, forest)
+	f, err := trees.BuildForest(n, forest.Edges)
 	if err != nil {
 		return nil, fmt.Errorf("connectivity: invalid spanning forest: %w", err)
 	}
@@ -111,14 +110,4 @@ func RunOn(rt *ampc.Job, g *graph.Graph) (*Result, error) {
 	}
 	res.Stats = rt.Stats()
 	return res, nil
-}
-
-// spanningForest runs the MSF Prim pipeline on an existing runtime and
-// returns the forest edges.
-func spanningForest(rt *ampc.Job, g *graph.Graph) ([]graph.WeightedEdge, error) {
-	res, err := msf.RunOn(rt, g)
-	if err != nil {
-		return nil, err
-	}
-	return res.Edges, nil
 }

@@ -29,6 +29,9 @@ func batchPrimRound(rt *ampc.Job, name string, store *dht.Store,
 	mu *sync.Mutex, commit func(start graph.NodeID, out *primOutcome)) ampc.Round {
 	n := len(sorted)
 	size := rt.Config().BatchSize
+	// A worker's slab of search states, one per block slot, reused across
+	// the blocks it runs once commit has copied their outcomes.
+	var slabs sync.Pool
 	return ampc.Round{
 		Name:        name,
 		Items:       ampc.NumBlocks(n, size),
@@ -43,11 +46,18 @@ func batchPrimRound(rt *ampc.Job, name string, store *dht.Store,
 			for v := lo; v < hi; v++ {
 				lists[graph.NodeID(v)] = sorted[v]
 			}
-			states := make([]*primState, 0, hi-lo)
+			slab, _ := slabs.Get().(*[]primState)
+			if slab == nil {
+				slab = new([]primState)
+			}
+			if len(*slab) < hi-lo {
+				*slab = make([]primState, size)
+			}
+			states := (*slab)[:hi-lo]
 			its := make([]ampc.Iterator, 0, hi-lo)
-			for v := lo; v < hi; v++ {
-				st := newPrimState(prio, budget, graph.NodeID(v), sorted[v])
-				states = append(states, st)
+			for i := range states {
+				st := &states[i]
+				st.reset(prio, budget, graph.NodeID(lo+i), sorted[lo+i])
 				its = append(its, ampc.PullFunc(func() (uint64, bool) {
 					for miss := st.next(); miss != graph.None; miss = st.next() {
 						list, ok := lists[miss]
@@ -73,11 +83,12 @@ func batchPrimRound(rt *ampc.Job, name string, store *dht.Store,
 			}
 			work := 0
 			mu.Lock()
-			for _, st := range states {
-				work += st.work
-				commit(st.start, &st.out)
+			for i := range states {
+				work += states[i].work
+				commit(states[i].start, &states[i].out)
 			}
 			mu.Unlock()
+			slabs.Put(slab)
 			ctx.ChargeCompute(work)
 			return nil
 		},

@@ -9,6 +9,7 @@ import (
 	"ampcgraph/internal/gen"
 	"ampcgraph/internal/graph"
 	"ampcgraph/internal/rng"
+	"ampcgraph/internal/seq"
 )
 
 // benchHubGraph is the Hyperlink2012 stand-in the wall-clock benchmark's
@@ -35,6 +36,29 @@ func BenchmarkSortGraph(b *testing.B) {
 		if benchLists, err = sortGraph(rt, g, ""); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
+}
+
+var benchForest []graph.WeightedEdge
+
+// BenchmarkFinishMSF measures the contraction tail alone — Contract, then
+// FinishMSF — on the hub graph with fixed roots: clusters of 200 consecutive
+// vertices, 130 of them, about the 128 PointerJump leaves on HL, so nearly
+// every edge survives and a few accepts connect everything.  A full sort of
+// the survivors shows as ns/edge; allocs/op is the handful of exactly sized
+// slices.
+func BenchmarkFinishMSF(b *testing.B) {
+	g := benchHubGraph()
+	roots := make([]graph.NodeID, g.NumNodes())
+	for v := range roots {
+		roots[v] = graph.NodeID(v - v%200)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cross, clusters := contract(g, roots)
+		benchForest = filterKruskal(cross, seq.NewDSU(clusters), benchForest[:0])
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
 }

@@ -135,17 +135,25 @@ type primState struct {
 	work int
 }
 
-func newPrimState(prio []uint64, budget int, start graph.NodeID, startList codec.WeightedList) *primState {
-	s := &primState{
-		prio:    prio,
-		budget:  budget,
-		start:   start,
-		out:     primOutcome{stoppedAt: graph.None},
-		inTree:  map[graph.NodeID]bool{start: true},
-		pending: start,
+// reset starts a new search from start, whose list is startList, keeping the
+// memory of the previous one: a driver reuses one state per worker or block
+// slot instead of allocating a map and four slices per search.
+func (s *primState) reset(prio []uint64, budget int, start graph.NodeID, startList codec.WeightedList) {
+	s.prio, s.budget, s.start = prio, budget, start
+	s.out.msfEdges = s.out.msfEdges[:0]
+	s.out.claimed = s.out.claimed[:0]
+	s.out.stoppedAt = graph.None
+	if s.inTree == nil {
+		s.inTree = make(map[graph.NodeID]bool)
 	}
+	clear(s.inTree)
+	s.inTree[start] = true
+	s.cursors = s.cursors[:0]
+	s.heads = s.heads[:0]
+	s.pending = start
+	s.done = false
+	s.work = 0
 	s.absorb(startList)
-	return s
 }
 
 // absorb gives the search the list of the vertex next returned.
@@ -254,18 +262,26 @@ func (s *primState) siftDown(i int) {
 
 // primRound is the single-key PrimSearch round: one search per start
 // vertex, one key-value lookup per absorbed vertex.  Every search's outcome
-// goes to commit, called under mu.
+// goes to commit, called under mu, which copies what it keeps: the outcome's
+// slices are reused by the next search.
 func primRound(rt *ampc.Job, name string, store *dht.Store,
 	sorted []codec.WeightedList, prio []uint64, budget int,
 	mu *sync.Mutex, commit func(start graph.NodeID, out *primOutcome)) ampc.Round {
 	n := len(sorted)
+	// A worker's search state, reused across the searches it runs; a state
+	// returns to the pool only once commit has copied its outcome.
+	var states sync.Pool
 	return ampc.Round{
 		Name:        name,
 		Items:       n,
 		Read:        store,
 		Partitioner: rt.OwnerPartitioner(n),
 		Body: func(ctx *ampc.Ctx, item int) error {
-			s := newPrimState(prio, budget, graph.NodeID(item), sorted[item])
+			s, _ := states.Get().(*primState)
+			if s == nil {
+				s = new(primState)
+			}
+			s.reset(prio, budget, graph.NodeID(item), sorted[item])
 			for v := s.next(); v != graph.None; v = s.next() {
 				raw, ok, err := ctx.Lookup(uint64(v))
 				if err != nil {
@@ -281,6 +297,7 @@ func primRound(rt *ampc.Job, name string, store *dht.Store,
 			mu.Lock()
 			commit(s.start, &s.out)
 			mu.Unlock()
+			states.Put(s)
 			return nil
 		},
 	}

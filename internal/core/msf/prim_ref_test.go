@@ -64,9 +64,10 @@ func (h *eagerHeap) Pop() any {
 	return e
 }
 
-// lazyPrimSearch drives a primState to completion with every list at hand.
-func lazyPrimSearch(prio []uint64, budget int, start graph.NodeID, lists []codec.WeightedList) (primOutcome, int) {
-	s := newPrimState(prio, budget, start, lists[start])
+// lazyPrimSearch resets s to start and drives it to completion with every
+// list at hand.  The outcome shares s's slices until the next reset.
+func lazyPrimSearch(s *primState, prio []uint64, budget int, start graph.NodeID, lists []codec.WeightedList) (primOutcome, int) {
+	s.reset(prio, budget, start, lists[start])
 	for v := s.next(); v != graph.None; v = s.next() {
 		s.absorb(lists[v])
 	}
@@ -84,8 +85,11 @@ func tiedWeights(g *graph.Graph, values int, seed int64) *graph.Graph {
 // budget from 1 to n, the lazy frontier reports the same edges in the same
 // order, the same claimed vertices, the same stop and the same scan cost as
 // the eager reference — on inputs chosen to stress ties, zero weights, hubs
-// and the ternarized cycles whose dummy edges all weigh the same.
+// and the ternarized cycles whose dummy edges all weigh the same.  One state,
+// reset for every search in turn, runs them all, so anything reset leaves
+// stale shows up as a mismatch.
 func TestLazyFrontierMatchesEagerSearch(t *testing.T) {
+	var s primState
 	hubs := gen.PreferentialAttachment(48, 3, 2)
 	graphs := map[string]*graph.Graph{
 		"ties":       tiedWeights(gen.ErdosRenyi(40, 140, 1), 3, 11),
@@ -112,7 +116,7 @@ func TestLazyFrontierMatchesEagerSearch(t *testing.T) {
 				for v := 0; v < n; v++ {
 					start := graph.NodeID(v)
 					want, wantWork := eagerPrimSearch(prio, budget, start, decoded)
-					got, gotWork := lazyPrimSearch(prio, budget, start, views)
+					got, gotWork := lazyPrimSearch(&s, prio, budget, start, views)
 					if err := sameOutcome(got, want); err != nil {
 						t.Fatalf("%s seed %d budget %d start %d: %v", name, seed, budget, v, err)
 					}
