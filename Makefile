@@ -147,7 +147,7 @@ cover-check:
 
 # fuzz-smoke gives every fuzz target a short budget (the boundary-key, slot
 # table, disk log replay and codec round-trip fuzzers of the dht and codec
-# packages).  Go only allows one -fuzz pattern per invocation, so the targets
+# packages, and simtime's Price against the per-operation reference).  Go only allows one -fuzz pattern per invocation, so the targets
 # run one at a time; seed corpora and testdata regressions always run via
 # plain `make test`.
 fuzz-smoke:
@@ -163,3 +163,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWeightedList -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzNodeList -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzNodeIDRoundTrip -fuzztime=$(FUZZTIME) ./internal/codec
+	$(GO) test -run=NONE -fuzz=FuzzPrice -fuzztime=$(FUZZTIME) ./internal/simtime

@@ -19,7 +19,9 @@
 //   - Plan: an immutable, reusable compilation of a round sequence (the
 //     sub-round conflict analysis), cached per Session;
 //   - Ctx: the per-machine handle through which algorithm code reads and
-//     writes the hash tables.
+//     writes the hash tables.  It counts its machine's work into a
+//     simtime.Work vector; Config.Model's Price turns counts into modeled
+//     time, and nothing in this package reads a cost field.
 //
 // Shuffles are the expensive dataflow steps of the host framework (Table 3
 // counts them); algorithms report them explicitly with RecordShuffle so that
@@ -70,7 +72,7 @@
 // algorithms' fan-out reads and bulk writes to Ctx.ReadMany and
 // Ctx.WriteMany: a whole block of work items advances in lock-step and its
 // key-value requests travel as one shard-grouped batch, which takes each
-// shard lock once per batch (instead of once per key) and is charged one
+// shard lock once per batch (instead of once per key) and is priced at one
 // BatchShardLatency per shard plus a BatchPerKey marginal.  Batching changes
 // no result — the input store is frozen for the round, so a batched read
 // returns exactly what the corresponding single-key reads would — and Stats
@@ -217,7 +219,8 @@ type Config struct {
 	// means unlimited.  One-shot runtimes created with New are exempt —
 	// they own their private session.
 	MaxJobs int
-	// Model is the key-value store latency model.
+	// Model turns the counted work into modeled time (CostModel.Price); it
+	// changes no count and no result.
 	Model simtime.CostModel
 	// Shards is the number of key-value store shards.
 	Shards int
@@ -433,8 +436,8 @@ type Stats struct {
 	// rebalances across all stores.
 	MigratedKeys  int64
 	MigratedBytes int64
-	// MigrationSim is the modeled time charged for the migrations
-	// (simtime.CostModel.MigrateCost), already included in Sim.
+	// MigrationSim is the modeled time charged for the migrations (their
+	// fixed and per-byte cost), already included in Sim.
 	MigrationSim time.Duration
 	// KVFailovers counts key-value reads served by the replica of a failed
 	// shard, summed across all hash tables (fault tolerance, §2).
@@ -476,18 +479,36 @@ type Ctx struct {
 	bufMu    sync.Mutex
 	buf      []bufferedWrite
 
-	queries     atomic.Int64
-	writes      atomic.Int64
-	compute     atomic.Int64
-	latency     atomic.Int64 // accumulated latency in nanoseconds
-	batches     atomic.Int64
-	batchedKeys atomic.Int64
-	visitsSaved atomic.Int64
+	queries atomic.Int64
+	// work counts what the machine did this round, indexed by
+	// simtime.Count; the model prices it at the end (busy).
+	work [simtime.NumCounts]atomic.Int64
 }
 
-// dramLookupLatency is the modeled cost of a lookup served from the
-// machine's own memory (a cache hit).
-var dramLookupLatency = simtime.DRAM().LookupLatency
+// count adds n to the machine's count k.
+func (c *Ctx) count(k simtime.Count, n int) { c.work[k].Add(int64(n)) }
+
+// counts returns the work the machine has counted so far.
+func (c *Ctx) counts() (w simtime.Work) {
+	for k := range w {
+		w[k] = c.work[k].Load()
+	}
+	return w
+}
+
+// busy returns the modeled busy time of the machine in the round: its
+// counted work priced on Config.Threads threads.
+func (c *Ctx) busy() time.Duration {
+	return c.job.cfg.Model.Price(c.counts(), c.job.cfg.Threads)
+}
+
+// sided returns the local count when local is set, the remote one otherwise.
+func sided(local bool, localCount, remoteCount simtime.Count) simtime.Count {
+	if local {
+		return localCount
+	}
+	return remoteCount
+}
 
 // Lookup reads key from the round's input hash table.  With caching enabled
 // the per-machine cache is consulted first; a hit costs DRAM latency instead
@@ -499,25 +520,25 @@ func (c *Ctx) Lookup(key uint64) ([]byte, bool, error) {
 	c.queries.Add(1)
 	if c.cache != nil {
 		if v, ok, cached := c.cache.Peek(key); cached {
-			c.latency.Add(int64(dramLookupLatency))
+			c.count(simtime.CacheHits, 1)
 			return v, ok, nil
 		}
 	}
 	view := c.read.View(c.Machine)
-	readCost := int64(c.job.cfg.Model.ReadCost(view.Local(key)))
+	read := sided(view.Local(key), simtime.LocalReads, simtime.RemoteReads)
 	if c.cache != nil {
 		v, ok, err := c.cache.GetFrom(c.Machine, key)
 		if err != nil {
 			return nil, false, err
 		}
-		c.latency.Add(readCost)
+		c.count(read, 1)
 		return v, ok, nil
 	}
 	v, ok, err := view.Get(key)
 	if err != nil {
 		return nil, false, err
 	}
-	c.latency.Add(readCost)
+	c.count(read, 1)
 	return v, ok, nil
 }
 
@@ -526,8 +547,7 @@ func (c *Ctx) Lookup(key uint64) ([]byte, bool, error) {
 // completes without error (see recover.go).
 func (c *Ctx) Write(out *dht.Store, key uint64, value []byte) error {
 	view := out.View(c.Machine)
-	c.writes.Add(1)
-	c.latency.Add(int64(c.job.cfg.Model.WriteCost(view.Local(key))))
+	c.count(sided(view.Local(key), simtime.LocalWrites, simtime.RemoteWrites), 1)
 	if c.buffered {
 		return c.bufferWrite(out, key, value)
 	}
@@ -538,7 +558,7 @@ func (c *Ctx) Write(out *dht.Store, key uint64, value []byte) error {
 // computation (vertex visits, edge scans, ...).
 func (c *Ctx) ChargeCompute(n int) {
 	if n > 0 {
-		c.compute.Add(int64(n))
+		c.count(simtime.Compute, n)
 	}
 }
 
@@ -672,58 +692,34 @@ func (j *Job) prepareRound(round Round) *preparedRound {
 	return &preparedRound{ctxs: ctxs, jobs: jobs}
 }
 
-// machineDuration returns the modeled busy time of one machine in a round:
-// compute plus key-value latency divided by the thread count (threads
-// overlap lookups but not computation).
-func (j *Job) machineDuration(ctx *Ctx) time.Duration {
-	compute := time.Duration(ctx.compute.Load()) * j.cfg.Model.ComputePerItem
-	lat := time.Duration(ctx.latency.Load()) / time.Duration(j.cfg.Threads)
-	return compute + lat
-}
-
-// absorbRoundStats folds a finished round's per-context counters into the
+// absorbRoundStats folds a finished round's per-context counts into the
 // job statistics and the session's observed-load accumulators.
 func (j *Job) absorbRoundStats(ctxs []*Ctx) {
-	var maxQueries int64
-	var batches, batchedKeys, visitsSaved int64
-	for _, ctx := range ctxs {
-		if q := ctx.queries.Load(); q > maxQueries {
-			maxQueries = q
-		}
-		batches += ctx.batches.Load()
-		batchedKeys += ctx.batchedKeys.Load()
-		visitsSaved += ctx.visitsSaved.Load()
-	}
 	j.mu.Lock()
-	if maxQueries > j.stats.MaxMachineQueries {
-		j.stats.MaxMachineQueries = maxQueries
-	}
-	j.stats.BatchesIssued += batches
-	j.stats.BatchedKeys += batchedKeys
-	j.stats.ShardVisitsSaved += visitsSaved
 	if j.stats.MachineQueries == nil {
 		j.stats.MachineQueries = make([]int64, j.cfg.Machines)
-	}
-	if j.stats.MachineBusy == nil {
 		j.stats.MachineBusy = make([]time.Duration, j.cfg.Machines)
 	}
 	for _, ctx := range ctxs {
-		if ctx.Machine < 0 || ctx.Machine >= j.cfg.Machines {
-			continue
-		}
-		j.stats.MachineQueries[ctx.Machine] += ctx.queries.Load()
-		j.stats.MachineBusy[ctx.Machine] += j.machineDuration(ctx)
+		w, q := ctx.counts(), ctx.queries.Load()
+		j.stats.MaxMachineQueries = max(j.stats.MaxMachineQueries, q)
+		keys := w[simtime.BatchReadKeys] + w[simtime.BatchWriteKeys]
+		visits := w[simtime.BatchReadLocal] + w[simtime.BatchReadRemote] + w[simtime.BatchWriteLocal] + w[simtime.BatchWriteRemote]
+		j.stats.BatchesIssued += w[simtime.BatchReads] + w[simtime.BatchWrites]
+		j.stats.BatchedKeys += keys
+		j.stats.ShardVisitsSaved += keys - visits // a batch visits at most one shard per key
+		j.stats.MachineQueries[ctx.Machine] += q
+		j.stats.MachineBusy[ctx.Machine] += ctx.busy()
 	}
 	j.mu.Unlock()
 
 	s := j.Session
 	s.mu.Lock()
 	for _, ctx := range ctxs {
-		if ctx.Machine < 0 || ctx.Machine >= j.cfg.Machines {
-			continue
-		}
+		w := ctx.counts()
+		w[simtime.Compute] = 0 // the observed load is key-value work only
 		s.machineQueries[ctx.Machine] += ctx.queries.Load()
-		s.machineLatency[ctx.Machine] += ctx.latency.Load()
+		s.machineWork[ctx.Machine].Add(w)
 	}
 	s.mu.Unlock()
 }

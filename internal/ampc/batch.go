@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"ampcgraph/internal/dht"
+	"ampcgraph/internal/simtime"
 )
 
 // Batched access to the hash tables.
@@ -33,7 +34,7 @@ func (c *Ctx) ReadMany(keys []uint64) ([][]byte, []bool, error) {
 	vals := make([][]byte, len(keys))
 	oks := make([]bool, len(keys))
 	missPos := c.cache.PeekMany(keys, vals, oks, nil)
-	c.latency.Add(int64(len(keys)-len(missPos)) * int64(dramLookupLatency))
+	c.count(simtime.CacheHits, len(keys)-len(missPos))
 	if len(missPos) == 0 {
 		return vals, oks, nil
 	}
@@ -66,14 +67,13 @@ func (c *Ctx) ReadMany(keys []uint64) ([][]byte, []bool, error) {
 }
 
 // fetch reads keys from the store in one shard-grouped batch, past the
-// cache, recording the batch and its modeled cost.
+// cache, counting the batch.
 func (c *Ctx) fetch(keys []uint64) ([][]byte, []bool, error) {
 	vals, oks, visits, err := c.read.View(c.Machine).BatchGet(keys)
 	if err != nil {
 		return nil, nil, err
 	}
-	c.recordBatch(len(keys), visits.Total())
-	c.latency.Add(int64(c.job.cfg.Model.BatchReadCostSplit(visits.Local, visits.Remote, len(keys))))
+	c.countBatch(false, len(keys), visits)
 	return vals, oks, nil
 }
 
@@ -88,8 +88,8 @@ type readScratch struct {
 
 // readUnique is ReadMany for keys the caller has already made distinct — one
 // Stream cycle's — so nothing is deduplicated again, and its results live in
-// sc: valid until the next call with the same scratch.  Counters and modeled
-// latency are ReadMany's, key for key.
+// sc: valid until the next call with the same scratch.  Its counts are
+// ReadMany's, key for key.
 func (c *Ctx) readUnique(keys []uint64, sc *readScratch) ([][]byte, []bool, error) {
 	if c.read == nil {
 		return nil, nil, fmt.Errorf("ampc: round has no input store")
@@ -104,7 +104,7 @@ func (c *Ctx) readUnique(keys []uint64, sc *readScratch) ([][]byte, []bool, erro
 	}
 	vals, oks := sc.vals[:len(keys)], sc.oks[:len(keys)]
 	sc.missPos = c.cache.PeekMany(keys, vals, oks, sc.missPos[:0])
-	c.latency.Add(int64(len(keys)-len(sc.missPos)) * int64(dramLookupLatency))
+	c.count(simtime.CacheHits, len(keys)-len(sc.missPos))
 	if len(sc.missPos) == 0 {
 		return vals, oks, nil
 	}
@@ -129,25 +129,27 @@ func (c *Ctx) readUnique(keys []uint64, sc *readScratch) ([][]byte, []bool, erro
 // without error (see recover.go).
 func (c *Ctx) WriteMany(out *dht.Store, pairs []dht.Pair) error {
 	if c.buffered {
-		c.writes.Add(int64(len(pairs)))
 		return c.bufferBatch(out, pairs)
 	}
 	visits, err := out.View(c.Machine).BatchPut(pairs)
 	if err != nil {
 		return err
 	}
-	c.writes.Add(int64(len(pairs)))
-	c.recordBatch(len(pairs), visits.Total())
-	c.latency.Add(int64(c.job.cfg.Model.BatchWriteCostSplit(visits.Local, visits.Remote, len(pairs))))
+	c.countBatch(true, len(pairs), visits)
 	return nil
 }
 
-func (c *Ctx) recordBatch(keys, visits int) {
-	c.batches.Add(1)
-	c.batchedKeys.Add(int64(keys))
-	if saved := keys - visits; saved > 0 {
-		c.visitsSaved.Add(int64(saved))
+// countBatch counts one shard-grouped batch read (or write) of keys keys
+// that made the given shard visits.
+func (c *Ctx) countBatch(write bool, keys int, visits dht.Visits) {
+	batches, local, remote, keyed := simtime.BatchReads, simtime.BatchReadLocal, simtime.BatchReadRemote, simtime.BatchReadKeys
+	if write {
+		batches, local, remote, keyed = simtime.BatchWrites, simtime.BatchWriteLocal, simtime.BatchWriteRemote, simtime.BatchWriteKeys
 	}
+	c.count(batches, 1)
+	c.count(local, visits.Local)
+	c.count(remote, visits.Remote)
+	c.count(keyed, keys)
 }
 
 // NumBlocks returns the number of lock-step blocks of the given size needed

@@ -122,8 +122,7 @@ func (j *Job) RecordShuffle(name string, bytes int64) {
 		j.phaseStack[n-1].shuffleBytes += bytes
 	}
 	j.mu.Unlock()
-	j.clock.Charge(j.cfg.Model.ShuffleFixed)
-	j.clock.Charge(time.Duration(bytes) * j.cfg.Model.ShufflePerByte)
+	j.clock.Charge(j.cfg.Model.Price(simtime.Work{simtime.Shuffles: 1, simtime.ShuffleBytes: bytes}, 1))
 }
 
 // Phase runs fn as a named, timed phase.  Phases may nest; statistics are

@@ -373,7 +373,7 @@ func (j *Job) runSegment(rounds []Round, deps [][][]simtime.SubDep) error {
 			}
 		}
 		received++
-		busy[ev.round][ev.machine] = j.machineDuration(prepared[ev.round].ctxs[ev.machine])
+		busy[ev.round][ev.machine] = prepared[ev.round].ctxs[ev.machine].busy()
 		doneSub[ev.round][ev.machine] = true
 		for _, w := range rounds[ev.round].Writes {
 			if w.Store == nil {
@@ -424,7 +424,7 @@ func (j *Job) runSegment(rounds []Round, deps [][][]simtime.SubDep) error {
 	// across attempts, so recovery overhead lands in the modeled duration.
 	// Segments that overlapped rounds keep the per-round-barrier accounting
 	// of the same durations alongside for comparison.
-	overhead := time.Duration(k) * cfg.Model.RoundOverhead
+	overhead := cfg.Model.Price(simtime.Work{simtime.Rounds: int64(k)}, 1)
 	pipe := simtime.SubroundSchedule(busy, deps)
 	j.clock.Charge(pipe.Makespan + overhead)
 	if k > 1 {

@@ -246,17 +246,24 @@ func TestOwnerPlacementReducesModeledTime(t *testing.T) {
 	}
 }
 
-// TestLocalReadsChargeLocalLatency: the store keeps no clock — ampc prices
-// every operation as the machine issues it.  One Ctx.Lookup of a co-located
-// key puts exactly Model.LocalShardLatency on that machine's busy time, a
-// remote one Model.LookupLatency, and one Ctx.Write the write cost of the side
-// its shard is on.
+// TestLocalReadsChargeLocalLatency: the store keeps no clock — ampc counts
+// every operation as the machine issues it and the model prices the counts.
+// One Ctx.Lookup of a co-located key puts exactly Model.LocalShardLatency on
+// that machine's busy time, a remote one Model.LookupLatency, and one
+// Ctx.Write the write latency of the side its shard is on.  Cache hits,
+// batches with hits and misses, batch writes and writes buffered under a
+// fault budget are pinned the same way, each against its hand-priced value.
 func TestLocalReadsChargeLocalLatency(t *testing.T) {
 	const machines, keys, key = 4, 100, 3
 	model := simtime.RDMA()
-	// busy runs body once on machine and returns what that cost it.
-	busy := func(machine int, body func(ctx *Ctx, in, out *dht.Store) error) time.Duration {
-		r := New(Config{Machines: machines, Threads: 1, Placement: PlacementOwnerAffine, Model: model})
+	// busy runs body once on machine, under the harness configuration as
+	// tweak leaves it, and returns what that cost it.
+	busy := func(machine int, body func(ctx *Ctx, in, out *dht.Store) error, tweak ...func(*Config)) time.Duration {
+		cfg := Config{Machines: machines, Threads: 1, Placement: PlacementOwnerAffine, Model: model}
+		for _, f := range tweak {
+			f(&cfg)
+		}
+		r := New(cfg)
 		defer r.Close()
 		r.SetKeyspace(keys)
 		in, out := newStore(t, r, "in"), newStore(t, r, "out")
@@ -281,6 +288,8 @@ func TestLocalReadsChargeLocalLatency(t *testing.T) {
 		}
 		return st.MachineBusy[machine]
 	}
+	cached := func(c *Config) { c.EnableCache = true }
+	buffered := func(c *Config) { c.FaultBudget = 1 }
 	lookup := func(ctx *Ctx, _, _ *dht.Store) error {
 		_, _, err := ctx.Lookup(key)
 		return err
@@ -289,20 +298,57 @@ func TestLocalReadsChargeLocalLatency(t *testing.T) {
 
 	owner := dht.RangeOwner(key, machines, keys)
 	other := (owner + 1) % machines
-	if got := busy(owner, lookup); got != model.LocalShardLatency {
-		t.Fatalf("local read charged %v, want %v", got, model.LocalShardLatency)
+	far := uint64(((owner+2)%machines)*keys/machines + 1) // a key neither machine owns
+	// readMany warms the cache with key, then reads key (a hit) beside far
+	// twice (one deduplicated miss: one batch of one key on a remote shard).
+	readMany := func(ctx *Ctx, in, out *dht.Store) error {
+		if err := lookup(ctx, in, out); err != nil {
+			return err
+		}
+		_, _, err := ctx.ReadMany([]uint64{key, far, far})
+		return err
 	}
-	if got := busy(other, lookup); got != model.LookupLatency {
-		t.Fatalf("remote read charged %v, want %v", got, model.LookupLatency)
+	// writeMany writes key and far in one batch: one local and one remote
+	// shard visit carrying two keys.
+	writeMany := func(ctx *Ctx, _, out *dht.Store) error {
+		return ctx.WriteMany(out, []dht.Pair{{Key: key, Value: []byte("y")}, {Key: far, Value: []byte("z")}})
+	}
+	both := func(ctx *Ctx, in, out *dht.Store) error {
+		if err := write(ctx, in, out); err != nil {
+			return err
+		}
+		return writeMany(ctx, in, out)
+	}
+	hit := simtime.DRAM().LookupLatency
+	batchWrite := model.BatchLocalShardLatency + model.BatchShardLatency + 2*model.BatchPerKey
+	for _, c := range []struct {
+		name    string
+		machine int
+		body    func(ctx *Ctx, in, out *dht.Store) error
+		tweak   []func(*Config)
+		want    time.Duration
+	}{
+		{"local read", owner, lookup, nil, model.LocalShardLatency},
+		{"remote read", other, lookup, nil, model.LookupLatency},
+		{"local write", owner, write, nil, model.LocalShardLatency},
+		{"remote write", other, write, nil, model.WriteLatency},
+		{"cache hit", owner, func(ctx *Ctx, in, out *dht.Store) error {
+			if err := lookup(ctx, in, out); err != nil {
+				return err
+			}
+			return lookup(ctx, in, out)
+		}, []func(*Config){cached}, model.LocalShardLatency + hit},
+		{"ReadMany hits and misses", owner, readMany, []func(*Config){cached},
+			model.LocalShardLatency + hit + model.BatchShardLatency + model.BatchPerKey},
+		{"WriteMany", owner, writeMany, nil, batchWrite},
+		{"buffered Write and WriteMany", owner, both, []func(*Config){buffered}, model.LocalShardLatency + batchWrite},
+	} {
+		if got := busy(c.machine, c.body, c.tweak...); got != c.want {
+			t.Fatalf("%s charged %v, want %v", c.name, got, c.want)
+		}
 	}
 	if model.LocalShardLatency >= model.LookupLatency {
 		t.Fatal("co-located reads must be cheaper than remote reads under RDMA")
-	}
-	if got := busy(owner, write); got != model.WriteCost(true) {
-		t.Fatalf("local write charged %v, want %v", got, model.WriteCost(true))
-	}
-	if got := busy(other, write); got != model.WriteCost(false) {
-		t.Fatalf("remote write charged %v, want %v", got, model.WriteCost(false))
 	}
 }
 

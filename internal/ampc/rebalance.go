@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ampcgraph/internal/dht"
+	"ampcgraph/internal/simtime"
 )
 
 // Online ownership rebalancing.
@@ -88,7 +89,7 @@ func (j *Job) Rebalance() (RebalanceStats, error) {
 	s.mu.Lock()
 	for i := range s.machineQueries {
 		s.machineQueries[i] = 0
-		s.machineLatency[i] = 0
+		s.machineWork[i] = simtime.Work{}
 	}
 	s.mu.Unlock()
 	if changed.Empty() {
@@ -133,7 +134,7 @@ func (j *Job) Rebalance() (RebalanceStats, error) {
 
 	st.Moved = true
 	st.Changed = changed
-	st.Cost = s.cfg.Model.MigrateCost(st.MigratedBytes)
+	st.Cost = s.cfg.Model.Price(simtime.Work{simtime.Migrations: 1, simtime.MigratedBytes: st.MigratedBytes}, 1)
 	j.clock.Charge(st.Cost)
 	j.mu.Lock()
 	j.stats.Rebalances++
@@ -145,15 +146,17 @@ func (j *Job) Rebalance() (RebalanceStats, error) {
 }
 
 // observedLoadLocked blends the per-machine query counts and modeled lookup
-// latency accumulated since the last rebalance into one load vector for
-// RederiveBoundaries.  Each signal is normalized to its own total so neither
-// unit dominates, averaged, and scaled to integers.  Returns nil when
-// nothing was observed.  Caller holds s.mu.
+// latency (key-value work priced on one thread) since the last rebalance into
+// one load vector for RederiveBoundaries.  Each signal is normalized to its
+// own total so neither unit dominates, averaged, and scaled to integers.
+// Returns nil when nothing was observed.  Caller holds s.mu.
 func (s *Session) observedLoadLocked() []int64 {
 	var qTotal, lTotal int64
+	latency := make([]int64, len(s.machineWork))
 	for i := range s.machineQueries {
+		latency[i] = int64(s.cfg.Model.Price(s.machineWork[i], 1))
 		qTotal += s.machineQueries[i]
-		lTotal += s.machineLatency[i]
+		lTotal += latency[i]
 	}
 	if qTotal <= 0 {
 		return nil
@@ -163,7 +166,7 @@ func (s *Session) observedLoadLocked() []int64 {
 	for i := range load {
 		f := float64(s.machineQueries[i]) / float64(qTotal)
 		if lTotal > 0 {
-			f = (f + float64(s.machineLatency[i])/float64(lTotal)) / 2
+			f = (f + float64(latency[i])/float64(lTotal)) / 2
 		}
 		load[i] = int64(f * scale)
 	}

@@ -43,8 +43,8 @@ type bufferedWrite struct {
 	single bool
 }
 
-// bufferWrite defers a single-key write.  The per-op counters and modeled
-// latency were recorded by the caller; only the store application waits.
+// bufferWrite defers a single-key write.  The caller has counted the write;
+// only the store application waits.
 func (c *Ctx) bufferWrite(out *dht.Store, key uint64, value []byte) error {
 	w := bufferedWrite{
 		out:    out,
@@ -57,9 +57,8 @@ func (c *Ctx) bufferWrite(out *dht.Store, key uint64, value []byte) error {
 	return nil
 }
 
-// bufferBatch defers a shard-grouped batch write.  Batch accounting (shard
-// visits, modeled latency) needs the store's visit split, so it is recorded
-// at flush time.
+// bufferBatch defers a shard-grouped batch write.  Counting the batch needs
+// the store's visit split, so it happens at flush time.
 func (c *Ctx) bufferBatch(out *dht.Store, pairs []dht.Pair) error {
 	cp := make([]dht.Pair, len(pairs))
 	for i, p := range pairs {
@@ -74,7 +73,7 @@ func (c *Ctx) bufferBatch(out *dht.Store, pairs []dht.Pair) error {
 // flushWrites applies the sub-round's buffered writes to the stores, in
 // buffer order.  The executor calls it exactly once per successful
 // sub-round, before marking the sub-round complete (and before reading the
-// Ctx's counters for the modeled duration).  A flush error is not recoverable
+// Ctx's counts for the modeled duration).  A flush error is not recoverable
 // by re-execution — part of the buffer may already be applied — so callers
 // surface it instead of consuming fault budget.
 func (c *Ctx) flushWrites() error {
@@ -94,8 +93,7 @@ func (c *Ctx) flushWrites() error {
 		if err != nil {
 			return err
 		}
-		c.recordBatch(len(w.pairs), visits.Total())
-		c.latency.Add(int64(c.job.cfg.Model.BatchWriteCostSplit(visits.Local, visits.Remote, len(w.pairs))))
+		c.countBatch(true, len(w.pairs), visits)
 	}
 	return nil
 }

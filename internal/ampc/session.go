@@ -53,11 +53,11 @@ type Session struct {
 	// at the barrier" assumption with a per-store fence that stays sound
 	// when rounds overlap under pipelining.
 	cacheFence map[*dht.Store]int64
-	// machineQueries / machineLatency accumulate, per machine, the lookup
-	// count and the modeled lookup latency of every round since the last
+	// machineQueries / machineWork accumulate, per machine, the lookup
+	// count and the counted key-value work of every round since the last
 	// Rebalance — across all jobs, because ownership is session state.
 	machineQueries []int64
-	machineLatency []int64
+	machineWork    []simtime.Work
 	// baseWeights is the per-key weight vector last declared through
 	// SetOwnership (degrees, typically); Rebalance apportions observed
 	// per-machine load across a machine's keys proportionally to it.
@@ -111,7 +111,7 @@ func NewSession(cfg Config) *Session {
 		cacheFence: make(map[*dht.Store]int64),
 	}
 	s.machineQueries = make([]int64, s.cfg.Machines)
-	s.machineLatency = make([]int64, s.cfg.Machines)
+	s.machineWork = make([]simtime.Work, s.cfg.Machines)
 	return s
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ampcgraph/internal/dht"
+	"ampcgraph/internal/simtime"
 )
 
 // refReadMany is ReadMany as it stood before the batch cache probes: one
@@ -31,7 +32,7 @@ func (c *Ctx) refReadMany(keys []uint64) ([][]byte, []bool, error) {
 			if v, ok, cached := c.cache.Peek(k); cached {
 				vals[i] = v
 				oks[i] = ok
-				c.latency.Add(int64(dramLookupLatency))
+				c.count(simtime.CacheHits, 1)
 				continue
 			}
 			j, seen := index[k]
@@ -51,8 +52,7 @@ func (c *Ctx) refReadMany(keys []uint64) ([][]byte, []bool, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	c.recordBatch(len(missKeys), visits.Total())
-	c.latency.Add(int64(c.job.cfg.Model.BatchReadCostSplit(visits.Local, visits.Remote, len(missKeys))))
+	c.countBatch(false, len(missKeys), visits)
 	if missPos == nil {
 		copy(vals, mv)
 		copy(oks, mo)

@@ -141,7 +141,7 @@ func AdaptiveComparison(opts Options) ([]AdaptiveRow, Report, error) {
 		Notes: []string{
 			"two pipeline segments (MIS rounds, then MM rounds); the adaptive arm re-derives the ownership boundaries from segment one's per-machine query counters (plus a latency-sampled second-order weight) and migrates the affected shards before segment two",
 			"static-mm / adaptive-mm: max/mean of per-machine query counts in the second segment (1.0 = perfect balance); improvement is the percentage of the static excess removed, mean +/- std",
-			"migration volume is charged to the simulated clock (simtime MigrateCost); outputs are required to be byte-identical to the static run",
+			"migration volume is charged to the simulated clock (simtime's Price of one migration and its bytes); outputs are required to be byte-identical to the static run",
 			fmt.Sprintf("the adaptive arm runs %d times (the latency weight is schedule-dependent); the static arm's query counts are deterministic", adaptiveRepeats),
 		},
 	}

@@ -16,7 +16,7 @@ import (
 // shuffle stage is phase-accounted and never a round, so moving one must
 // leave every number here as it was: reads, KV bytes, modeled time, rounds,
 // shuffles, shuffle bytes and the phase list.  A change that means to move
-// one (removing the empty-list lookup, ROADMAP item 2) re-records the line
+// one (ROADMAP: "drop the empty-list lookup") re-records the line
 // and says so.
 var pinnedStats = map[string]string{
 	"plain/MIS": "reads=17018 kvbytes=3854940 sim=382586442 rounds=3 shuffles=1 shufflebytes=2365464 phases=DirectGraph,KV-Write,IsInMIS,IsInMIS-spill",

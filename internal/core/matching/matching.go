@@ -283,7 +283,8 @@ type searcher struct {
 // degree-0 vertex pays one store lookup for the 4-byte encoding of its empty
 // list.  That lookup is part of the algorithm's KV traffic and modeled time
 // as recorded everywhere (bench's pinned stats, kv_bytes_per_edge, sim_s),
-// so it is kept; removing it is a declared traffic change (ROADMAP item 2).
+// so it is kept; removing it is a declared traffic change (ROADMAP: "drop
+// the empty-list lookup").
 func (s *searcher) vertexProcess(v graph.NodeID, sortedNbrs codec.NodeList) (graph.NodeID, error) {
 	if st := s.cache.vertex(v); st.kind == vertexMatched {
 		return st.mate, nil

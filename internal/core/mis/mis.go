@@ -210,7 +210,7 @@ type searcher struct {
 // below finds nothing to do.  That lookup is part of the algorithm's KV
 // traffic and modeled time as recorded everywhere (bench's pinned stats,
 // kv_bytes_per_edge, sim_s), so it is kept; removing it is a declared
-// traffic change (ROADMAP item 2).
+// traffic change (ROADMAP: "drop the empty-list lookup").
 func (s *searcher) inMIS(v graph.NodeID, neighbors codec.NodeList) (bool, error) {
 	if st := s.cache.get(v); st != statusUnknown {
 		return st == statusIn, nil

@@ -29,10 +29,10 @@
 // The real system in the paper uses an RDMA-backed key-value store with a
 // TCP/IP fallback.  The store itself keeps no clock: it routes, stores and
 // counts, and classifies every operation as local or remote to the calling
-// machine (View).  Modeled time is charged by package ampc, which prices each
-// operation on its simtime.CostModel as the machine issues it (Ctx latency)
-// and charges the job's clock per segment — which is how the Table 4
-// experiments are reproduced.  The rpc backend additionally measures the real
+// machine (View).  Modeled time is not the store's business: package ampc
+// counts each operation by kind and side as the machine issues it, and
+// simtime prices the counts (CostModel.Price) into the job's clock per
+// segment — which is how the Table 4 experiments are reproduced.  The rpc backend additionally measures the real
 // round-trip of every operation, from which Store.MeasuredCostModel derives
 // an empirically calibrated cost model.
 //

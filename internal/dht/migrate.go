@@ -13,7 +13,7 @@ import "fmt"
 // is responsible for quiescence, cache invalidation and the modeled cost of
 // the move: ampc's Job.Rebalance serializes against running rounds,
 // invalidates exactly the migrated key spans from its per-machine caches and
-// charges MigrateCost(BytesMoved) to the job's clock.
+// charges the migration's fixed and per-byte cost to the job's clock.
 
 // MigrationStats summarizes one Store.Rebalance.
 type MigrationStats struct {

@@ -142,15 +142,14 @@ func (p *Pipeline) recordShuffle(bytes int64, maxGroup int) {
 		p.phaseStack[n-1].shuffleBytes += bytes
 	}
 	p.mu.Unlock()
-	p.clock.Charge(p.cfg.Model.ShuffleFixed)
-	p.clock.Charge(time.Duration(bytes) * p.cfg.Model.ShufflePerByte)
+	p.clock.Charge(p.cfg.Model.Price(simtime.Work{simtime.Shuffles: 1, simtime.ShuffleBytes: bytes}, 1))
 }
 
 func (p *Pipeline) recordElements(n int64) {
 	p.mu.Lock()
 	p.stats.Elements += n
 	p.mu.Unlock()
-	p.clock.Charge(time.Duration(n) * p.cfg.Model.ComputePerItem / time.Duration(p.cfg.Workers))
+	p.clock.Charge(p.cfg.Model.Price(simtime.Work{simtime.Compute: n}, 1) / time.Duration(p.cfg.Workers))
 }
 
 // KV is a key-value pair flowing through the pipeline.

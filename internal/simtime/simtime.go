@@ -7,9 +7,13 @@
 // latency depends on the transport (RDMA versus TCP/IP, Table 4).  This
 // repository reproduces the system in a single process, so wall-clock time
 // alone would hide those distributed costs.  Every runtime therefore keeps a
-// simulated clock alongside the real one: each key-value operation, shuffle
-// byte and round spawn is charged to the clock according to a CostModel, and
-// the benchmark harness reports both real and modeled time.
+// simulated clock alongside the real one, and the benchmark harness reports
+// both real and modeled time.
+//
+// The runtimes count their work — key-value operations by kind and side,
+// compute items, rounds, shuffles and their bytes, migrations — into Work
+// vectors, and CostModel.Price turns counts into time.  Price is the one
+// reader of a model: swapping the model re-prices the same counts.
 package simtime
 
 import (
@@ -80,126 +84,101 @@ type CostModel struct {
 	MigratePerByte time.Duration
 }
 
-// remoteSingle resolves the remote single-operation latency for a direction's
-// base latency (LookupLatency or WriteLatency).
-func (m CostModel) remoteSingle(single time.Duration) time.Duration {
-	if m.RemoteShardLatency != 0 {
-		return m.RemoteShardLatency
+// Count names one entry of a Work vector.
+type Count int
+
+// The counts of a Work vector.  Price charges every one of them except the
+// batch counts BatchReads and BatchWrites, which the shard visits and keys
+// they carry already price.
+const (
+	// LocalReads / RemoteReads count single-key reads served by a shard
+	// co-located with the reading machine / on another machine.
+	LocalReads Count = iota
+	RemoteReads
+	// LocalWrites / RemoteWrites count single-key writes the same way.
+	LocalWrites
+	RemoteWrites
+	// CacheHits counts reads served from the machine's own cache.
+	CacheHits
+	// BatchReads counts shard-grouped batch reads; BatchReadLocal /
+	// BatchReadRemote the co-located and remote shards they visited, and
+	// BatchReadKeys the keys they carried.
+	BatchReads
+	BatchReadLocal
+	BatchReadRemote
+	BatchReadKeys
+	// BatchWrites, BatchWriteLocal, BatchWriteRemote and BatchWriteKeys are
+	// the same four counts for shard-grouped batch writes.
+	BatchWrites
+	BatchWriteLocal
+	BatchWriteRemote
+	BatchWriteKeys
+	// Compute counts items of local computation (vertex visits, edge
+	// scans, ...).
+	Compute
+	// Rounds, Shuffles, ShuffleBytes, Migrations and MigratedBytes are the
+	// job-level counts: round spawns, shuffles of the host framework and the
+	// bytes they moved, ownership rebalances and the shard bytes they copied.
+	Rounds
+	Shuffles
+	ShuffleBytes
+	Migrations
+	MigratedBytes
+	// NumCounts is the length of a Work vector.
+	NumCounts
+)
+
+// Work is a vector of operation counts, indexed by Count.  Every cost a
+// model charges is linear in these counts, so on one thread the price of a
+// sum of Work vectors is the sum of their prices.
+type Work [NumCounts]int64
+
+// Add adds o to w, count by count.
+func (w *Work) Add(o Work) {
+	for k := range w {
+		w[k] += o[k]
 	}
-	return single
 }
 
-// localSingle resolves the co-located single-operation latency; without an
-// explicit split it equals the remote latency.
-func (m CostModel) localSingle(single time.Duration) time.Duration {
-	if m.LocalShardLatency != 0 {
-		return m.LocalShardLatency
+// cacheHitLatency is the cost of a read served from the machine's own
+// memory, whatever the transport.
+var cacheHitLatency = DRAM().LookupLatency
+
+// or returns d, or fallback when d is zero (an unset CostModel field).
+func or(d, fallback time.Duration) time.Duration {
+	if d != 0 {
+		return d
 	}
-	return m.remoteSingle(single)
+	return fallback
 }
 
-// ReadCost returns the modeled latency of one key-value read, served locally
-// (by a co-located shard) or remotely.
-func (m CostModel) ReadCost(local bool) time.Duration {
-	if local {
-		return m.localSingle(m.LookupLatency)
-	}
-	return m.remoteSingle(m.LookupLatency)
+// Price returns the modeled time of the work w done by one machine running
+// threads (at least 1) worker threads: compute, plus the key-value latency divided by
+// threads (threads overlap lookups but not computation), plus the job-level
+// costs.  Zero model fields fall back as documented on CostModel.  Price is
+// the only reader of a model's cost fields.
+func (m CostModel) Price(w Work, threads int) time.Duration {
+	kv := time.Duration(w[CacheHits])*cacheHitLatency +
+		m.kvPrice(m.LookupLatency, w[LocalReads], w[RemoteReads], w[BatchReadLocal], w[BatchReadRemote], w[BatchReadKeys]) +
+		m.kvPrice(m.WriteLatency, w[LocalWrites], w[RemoteWrites], w[BatchWriteLocal], w[BatchWriteRemote], w[BatchWriteKeys])
+	return time.Duration(w[Compute])*m.ComputePerItem + kv/time.Duration(threads) +
+		time.Duration(w[Rounds])*m.RoundOverhead +
+		time.Duration(w[Shuffles])*m.ShuffleFixed +
+		time.Duration(w[ShuffleBytes])*m.ShufflePerByte +
+		time.Duration(w[Migrations])*or(m.MigrateFixed, m.RoundOverhead) +
+		time.Duration(w[MigratedBytes])*or(m.MigratePerByte, m.ShufflePerByte)
 }
 
-// WriteCost returns the modeled latency of one key-value write, served
-// locally (by a co-located shard) or remotely.
-func (m CostModel) WriteCost(local bool) time.Duration {
-	if local {
-		return m.localSingle(m.WriteLatency)
-	}
-	return m.remoteSingle(m.WriteLatency)
-}
-
-// batchDefaults resolves the batch fields against a single-operation latency.
-func (m CostModel) batchDefaults(single time.Duration) (perShard, perKey time.Duration) {
-	perShard = m.BatchShardLatency
-	if perShard == 0 {
-		perShard = m.remoteSingle(single)
-	}
-	perKey = m.BatchPerKey
-	if perKey == 0 {
-		perKey = single / 8
-	}
-	return perShard, perKey
-}
-
-// batchLocal resolves the per-shard cost of a co-located batched shard visit;
-// without an explicit split it equals the remote batch cost.
-func (m CostModel) batchLocal(single time.Duration) time.Duration {
-	if m.BatchLocalShardLatency != 0 {
-		return m.BatchLocalShardLatency
-	}
-	if m.LocalShardLatency != 0 {
-		return m.LocalShardLatency
-	}
-	perShard, _ := m.batchDefaults(single)
-	return perShard
-}
-
-// BatchRemoteShard returns the resolved per-remote-shard cost of a batched
-// operation in the given direction base latency.
-func (m CostModel) batchRemote(single time.Duration) time.Duration {
-	if m.BatchRemoteShardLatency != 0 {
-		return m.BatchRemoteShardLatency
-	}
-	perShard, _ := m.batchDefaults(single)
-	return perShard
-}
-
-// BatchReadCost returns the modeled latency of one batched read that visited
-// shardVisits shards to serve keys keys.  All visits are charged as remote;
-// use BatchReadCostSplit when the placement policy distinguishes co-located
-// shards.
-func (m CostModel) BatchReadCost(shardVisits, keys int) time.Duration {
-	return m.BatchReadCostSplit(0, shardVisits, keys)
-}
-
-// BatchWriteCost returns the modeled latency of one batched write that
-// visited shardVisits shards to store keys keys, all remote.
-func (m CostModel) BatchWriteCost(shardVisits, keys int) time.Duration {
-	return m.BatchWriteCostSplit(0, shardVisits, keys)
-}
-
-// BatchReadCostSplit returns the modeled latency of one batched read that
-// visited localVisits co-located shards and remoteVisits remote shards to
-// serve keys keys.
-func (m CostModel) BatchReadCostSplit(localVisits, remoteVisits, keys int) time.Duration {
-	_, perKey := m.batchDefaults(m.LookupLatency)
-	return time.Duration(localVisits)*m.batchLocal(m.LookupLatency) +
-		time.Duration(remoteVisits)*m.batchRemote(m.LookupLatency) +
-		time.Duration(keys)*perKey
-}
-
-// BatchWriteCostSplit returns the modeled latency of one batched write that
-// visited localVisits co-located shards and remoteVisits remote shards to
-// store keys keys.
-func (m CostModel) BatchWriteCostSplit(localVisits, remoteVisits, keys int) time.Duration {
-	_, perKey := m.batchDefaults(m.WriteLatency)
-	return time.Duration(localVisits)*m.batchLocal(m.WriteLatency) +
-		time.Duration(remoteVisits)*m.batchRemote(m.WriteLatency) +
-		time.Duration(keys)*perKey
-}
-
-// MigrateCost returns the modeled latency of one ownership rebalance that
-// copied bytes bytes of shard data between machines: the fixed
-// drain-and-reroute overhead plus the per-byte transfer cost, resolved
-// through the zero-value fallbacks documented on the fields.
-func (m CostModel) MigrateCost(bytes int64) time.Duration {
-	fixed := m.MigrateFixed
-	if fixed == 0 {
-		fixed = m.RoundOverhead
-	}
-	perByte := m.MigratePerByte
-	if perByte == 0 {
-		perByte = m.ShufflePerByte
-	}
-	return fixed + time.Duration(bytes)*perByte
+// kvPrice prices one direction's key-value operations, single being its
+// LookupLatency or WriteLatency.
+func (m CostModel) kvPrice(single time.Duration, local, remote, batchLocal, batchRemote, batchKeys int64) time.Duration {
+	remoteLat := or(m.RemoteShardLatency, single)
+	perShard := or(m.BatchShardLatency, remoteLat)
+	return time.Duration(local)*or(m.LocalShardLatency, remoteLat) +
+		time.Duration(remote)*remoteLat +
+		time.Duration(batchLocal)*or(m.BatchLocalShardLatency, or(m.LocalShardLatency, perShard)) +
+		time.Duration(batchRemote)*or(m.BatchRemoteShardLatency, perShard) +
+		time.Duration(batchKeys)*or(m.BatchPerKey, single/8)
 }
 
 // RDMA returns the cost model of the RDMA-backed key-value store used for

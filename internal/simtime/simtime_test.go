@@ -58,23 +58,23 @@ func TestBatchCosts(t *testing.T) {
 	m := RDMA()
 	// One shard visit carrying 64 keys must be far cheaper than 64 single
 	// lookups but still dearer than one.
-	batch := m.BatchReadCost(1, 64)
+	batch := batchPrice(m, false, 0, 1, 64)
 	if batch <= m.LookupLatency {
 		t.Fatalf("batch of 64 costs %v, want > one lookup (%v)", batch, m.LookupLatency)
 	}
 	if batch >= 64*m.LookupLatency {
 		t.Fatalf("batch of 64 costs %v, want < 64 lookups (%v)", batch, 64*m.LookupLatency)
 	}
-	if got, want := m.BatchReadCost(2, 10), 2*m.BatchShardLatency+10*m.BatchPerKey; got != want {
-		t.Fatalf("BatchReadCost(2,10) = %v, want %v", got, want)
+	if got, want := batchPrice(m, false, 0, 2, 10), 2*m.BatchShardLatency+10*m.BatchPerKey; got != want {
+		t.Fatalf("batch read of 10 keys on 2 shards = %v, want %v", got, want)
 	}
-	if got, want := m.BatchWriteCost(3, 7), 3*m.BatchShardLatency+7*m.BatchPerKey; got != want {
-		t.Fatalf("BatchWriteCost(3,7) = %v, want %v", got, want)
+	if got, want := batchPrice(m, true, 0, 3, 7), 3*m.BatchShardLatency+7*m.BatchPerKey; got != want {
+		t.Fatalf("batch write of 7 keys on 3 shards = %v, want %v", got, want)
 	}
 	// Models without batch fields fall back to sane defaults.
 	var zero CostModel
 	zero.LookupLatency = 8 * time.Microsecond
-	if got, want := zero.BatchReadCost(2, 8), 2*8*time.Microsecond+8*time.Microsecond; got != want {
-		t.Fatalf("fallback BatchReadCost = %v, want %v", got, want)
+	if got, want := batchPrice(zero, false, 0, 2, 8), 2*8*time.Microsecond+8*time.Microsecond; got != want {
+		t.Fatalf("fallback batch read = %v, want %v", got, want)
 	}
 }
