@@ -55,9 +55,9 @@ examples-smoke:
 # backend-matrix runs the cross-backend equivalence suites on every storage
 # engine: every core algorithm must produce byte-identical, oracle-valid
 # results whether the shards live in in-memory maps, disk log files, or
-# behind net/rpc.  The suites name their subtests backend/placement, so the
-# CI backend-matrix job splits the same run into three parallel jobs with
-# -run '($(BACKEND_SUITES))/rpc' and so on.
+# behind a loopback socket.  The suites name their subtests
+# backend/placement, so the CI backend-matrix job splits the same run into
+# three parallel jobs with -run '($(BACKEND_SUITES))/rpc' and so on.
 BACKEND_SUITES = TestBackendsPreserveAllFiveAlgorithms|TestDiskBackendCompletesPastMemoryBudget|TestAdaptiveOwnershipPreservesAlgorithms
 backend-matrix:
 	$(GO) test -run '$(BACKEND_SUITES)' ./internal/bench/
@@ -146,8 +146,8 @@ cover-check:
 	done
 
 # fuzz-smoke gives every fuzz target a short budget (the boundary-key, slot
-# table, disk log replay and codec round-trip fuzzers of the dht and codec
-# packages, and simtime's Price against the per-operation reference).  Go only allows one -fuzz pattern per invocation, so the targets
+# table, disk log replay, rpc frame and codec round-trip fuzzers of the dht
+# and codec packages, and simtime's Price against the per-operation reference).  Go only allows one -fuzz pattern per invocation, so the targets
 # run one at a time; seed corpora and testdata regressions always run via
 # plain `make test`.
 fuzz-smoke:
@@ -158,6 +158,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='FuzzRangeSet$$' -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzMemTable -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzDiskReplay -fuzztime=$(FUZZTIME) ./internal/dht
+	$(GO) test -run=NONE -fuzz=FuzzRPCFrame -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzDecodeNodeIDs -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWeightedNeighbors -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzWeightedList -fuzztime=$(FUZZTIME) ./internal/codec

@@ -230,7 +230,7 @@ type Config struct {
 	// Backend selects the shard storage engine of the hash tables:
 	// BackendMem (the default) keeps shards in in-memory maps, BackendDisk
 	// spills them to log-structured files so stores larger than RAM
-	// complete, and BackendRPC serves them over a loopback net/rpc
+	// complete, and BackendRPC serves them over a loopback socket
 	// transport that measures real wire costs (Job.MeasuredCostModel).
 	// Results are identical under every backend; only where the bytes live
 	// and what each operation really costs changes.
@@ -292,7 +292,7 @@ const (
 	// BackendDisk keeps every shard in a log-structured file, spilling
 	// stores past RAM.
 	BackendDisk = string(dht.BackendDisk)
-	// BackendRPC serves every shard over a loopback net/rpc transport,
+	// BackendRPC serves every shard over a loopback socket transport,
 	// measuring real wire costs.
 	BackendRPC = string(dht.BackendRPC)
 )

@@ -9,7 +9,7 @@ import (
 
 // The backend experiment compares the three shard storage engines behind the
 // dht.ShardBackend seam: in-memory maps (the default), log-structured
-// per-shard files on disk, and a loopback net/rpc transport.  The backend
+// per-shard files on disk, and a loopback socket transport.  The backend
 // only stores bytes — routing, accounting and the algorithms live above the
 // seam — so the results must be byte-identical; what changes is the resource
 // profile: the disk backend keeps only its key index resident (spilling past

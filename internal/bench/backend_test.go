@@ -11,7 +11,7 @@ import (
 // TestBackendsPreserveAllFiveAlgorithms is the acceptance property of the
 // storage-backend seam: every core algorithm must produce byte-identical,
 // oracle-valid output whether the shards live in in-memory maps, in
-// log-structured files on disk, or behind a loopback net/rpc transport — and
+// log-structured files on disk, or behind a loopback socket transport — and
 // that must hold under both hash and degree-weighted placement.  The backend
 // only stores bytes; routing, accounting and algorithm logic live above the
 // seam, so any divergence is a bug in a backend.

@@ -24,9 +24,10 @@ import (
 //   - disk (BackendDisk): a log-structured append file plus an in-memory
 //     offset index per shard, so a store whose data outgrows RAM keeps
 //     working with only the index resident (see disk.go);
-//   - rpc  (BackendRPC):  a net/rpc client/server pair over a loopback
-//     transport, which pays — and measures — real serialization and wire
-//     costs per operation instead of simulating them (see rpc.go).
+//   - rpc  (BackendRPC):  a client and a server goroutine exchanging
+//     length-prefixed frames over a loopback socket, which pays — and
+//     measures — real encoding and wire costs per operation instead of
+//     simulating them (see rpc.go).
 //
 // A backend stores bytes; it never decides placement or statistics
 // classification — those stay in the Store façade, which is why
@@ -43,8 +44,8 @@ const (
 	// BackendDisk keeps every shard in a log-structured append file with an
 	// in-memory offset index, spilling values past RAM.
 	BackendDisk BackendKind = "disk"
-	// BackendRPC serves every shard from a net/rpc server reached over a
-	// loopback connection, measuring real wire costs per operation.
+	// BackendRPC serves every shard from a server goroutine reached over a
+	// loopback socket, measuring real wire costs per operation.
 	BackendRPC BackendKind = "rpc"
 )
 

@@ -232,6 +232,31 @@ func refTrialValue(rnd *rand.Rand) []byte {
 // shard failure and recovery with and without a replica, and a Freeze at a
 // random point after which the same ops continue (copy-on-write).
 func TestMemBackendMatchesReference(t *testing.T) {
+	matchReference(t, func(shards int, replicate bool) refCandidate {
+		return newMemBackend(shards, replicate)
+	})
+}
+
+// TestRPCBackendMatchesReference replays the same sequences over the rpc
+// engine, so every value, failover flag and ErrUnavailable crosses the wire
+// and back before it is compared.
+func TestRPCBackendMatchesReference(t *testing.T) {
+	matchReference(t, func(shards int, replicate bool) refCandidate {
+		b, err := newRPCBackend(shards, replicate, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	})
+}
+
+// refCandidate is an engine compared against the reference.
+type refCandidate interface {
+	ShardBackend
+	Reserve(keys int)
+}
+
+func matchReference(t *testing.T, newEngine func(shards int, replicate bool) refCandidate) {
 	keys := []uint64{0, math.MaxUint64, 1 << 63}
 	for k := uint64(1); k <= 40; k++ {
 		keys = append(keys, k, k*0x9e3779b97f4a7c15)
@@ -244,7 +269,7 @@ func TestMemBackendMatchesReference(t *testing.T) {
 		rnd := rand.New(rand.NewSource(int64(trial)))
 		shards := 1 + rnd.Intn(3)
 		replicate := trial%2 == 0
-		got, want := newMemBackend(shards, replicate), newRefMemBackend(shards, replicate)
+		got, want := newEngine(shards, replicate), newRefMemBackend(shards, replicate)
 		if trial%3 == 0 {
 			got.Reserve(rnd.Intn(200))
 		}
@@ -358,6 +383,9 @@ func TestMemBackendMatchesReference(t *testing.T) {
 			if rg, rw := got.Stats().ResidentBytes, want.Stats().ResidentBytes; rg != rw {
 				t.Fatalf("trial %d op %d %s: ResidentBytes = %d, reference %d", trial, op, desc, rg, rw)
 			}
+		}
+		if err := got.Close(); err != nil {
+			t.Fatalf("trial %d: Close: %v", trial, err)
 		}
 	}
 }

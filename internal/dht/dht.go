@@ -9,7 +9,7 @@
 // live is decided by a pluggable ShardBackend (see backend.go): in memory, a
 // flat pointer-free slot table over an append-only arena per shard (the
 // default, see table.go), a log-structured file per shard that spills stores
-// past RAM, or a net/rpc server reached over a loopback transport that
+// past RAM, or a server goroutine reached over a loopback socket that
 // measures real wire costs.  The Store type itself is a thin routing and
 // accounting façade: it owns key→shard placement, freeze semantics, and
 // exactly the quantities the paper measures — number of reads and writes,

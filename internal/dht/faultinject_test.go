@@ -454,7 +454,8 @@ func TestRPCDroppedConnectionsReconnect(t *testing.T) {
 }
 
 // TestRPCCloseLeaksNoGoroutines: Close drains the accept loop and every
-// ServeConn; after a settle window the goroutine count returns to baseline.
+// per-connection server goroutine; after a settle window the goroutine count
+// returns to baseline.
 func TestRPCCloseLeaksNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {

@@ -1,11 +1,11 @@
 package dht
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
 	"os"
 	"path/filepath"
 	"sync"
@@ -17,144 +17,87 @@ import (
 
 // The rpc backend.
 //
-// The paper's Table 4 compares the RDMA-backed key-value store against a
-// TCP/IP RPC fallback; the simulated cost models in simtime encode those
-// published latencies, but nothing in this repository had ever validated the
-// shape of the split against a real transport.  The rpc backend closes that
-// loop: shard storage lives behind a net/rpc server (wrapping the same
-// in-memory engine as the mem backend) reached over a loopback connection, so
-// every operation pays real serialization (encoding/gob) and kernel socket
-// round trips.  The client times each call; the accumulated averages calibrate
-// a simtime.Measured cost model via Store.MeasuredCostModel, which can then be
-// compared against the simulated TCP model.
+// The paper compares its RDMA-backed key-value store with a TCP/IP fallback,
+// and simtime prices both from published latencies.  This is the only engine
+// with a real transport, so the only source of a measured round trip: every
+// shard operation crosses a loopback socket to a server goroutine running
+// the mem engine, the client times each call, and the averages calibrate a
+// simtime.Measured cost model (Store.MeasuredCostModel) to set beside the
+// modeled TCP one.
 //
-// The client side keeps a small pool of connections and reconnects on
-// connection errors: a call that fails before reaching the server (a closed
-// or dropped connection, including the drops a FaultPlan injects via PDrop)
-// is re-sent once on a fresh connection.  On this loopback transport a
-// connection only breaks by being closed locally — before the request is
-// written — so the re-send cannot double-apply a write.  The server tracks
-// every ServeConn in a WaitGroup and Close drains them (net/rpc itself waits
-// for in-flight handlers before ServeConn returns), so a closed store leaks
-// no goroutines.
+// A frame is a 4-byte little-endian body length and the body.  A request
+// body is an op (read, write or delete keys), the shard and the key count
+// as uvarints, then each key as 8 little-endian bytes, a write's key
+// followed by its value as a uvarint length and the bytes.  A frame
+// addresses one shard; Get and Put are one-key frames.  A reply body starts
+// with a status byte: ok, unavailable (a failed shard without a replica),
+// or error followed by the error's text.  An ok read reply goes on with the
+// failover count and, per key, a present flag (uvarints) and a present
+// value's uvarint length and bytes.  A frame past rpcMaxFrame, or a body
+// that does not parse, is an error, never a panic.
 //
-// net/rpc requires exported service methods with exported argument and reply
-// types, hence the Wire* types below.  Errors returned by a service method
-// cross the wire as strings, which would break errors.Is(err, ErrUnavailable)
-// on the client side — so shard unavailability travels as the Unavailable
-// reply flag and is rewrapped into ErrUnavailable by the client.  Simulation
-// control-plane operations (FailShard, RecoverShard, LenShard, Range) do not
-// cross the wire at all: the server engine lives in-process, so they act on
-// it directly instead of growing panicking rpc paths.
+// The caller writes its frame and reads the reply on its own goroutine, over
+// a connection checked out of an idle list, building the request in the
+// connection's scratch buffer; the server runs one goroutine per connection.
+// A read reply is read into one exactly sized buffer, and the values
+// returned are capacity-clipped slices of it: one allocation per reply.
+// Every healthy connection returns to the idle list, so there are as many
+// as the peak number of concurrent calls.  A call that fails on its
+// connection (closed locally, as the drops a FaultPlan injects via PDrop
+// are) is re-sent once on a fresh one; a loopback connection only breaks
+// that way, before the request is written, so the re-send cannot apply a
+// write twice.  The simulation control plane (FailShard, RecoverShard,
+// LenShard, Range, Reserve) models operator actions, not client traffic,
+// and acts on the in-process engine directly.
 
-// WireGetArgs / WireGetReply carry a single-key read.
-type WireGetArgs struct {
-	Shard int
-	Key   uint64
+var errRPCClosed = errors.New("dht: rpc backend is closed")
+
+// rpcConn is one client connection: the socket, its read buffer and the
+// scratch buffer request frames are built in.
+type rpcConn struct {
+	net.Conn
+	r   *bufio.Reader
+	buf []byte
 }
 
-type WireGetReply struct {
-	Value       []byte
-	OK          bool
-	Failover    bool
-	Unavailable bool
-}
-
-// WirePutArgs carries a single-key put.
-type WirePutArgs struct {
-	Shard int
-	Key   uint64
-	Value []byte
-}
-
-// WireBatchGetArgs / WireBatchGetReply carry a one-shard batched read.
-type WireBatchGetArgs struct {
-	Shard int
-	Keys  []uint64
-}
-
-type WireBatchGetReply struct {
-	Values      [][]byte
-	OKs         []bool
-	Failovers   int
-	Unavailable bool
-}
-
-// WireBatchWriteArgs carries a one-shard batched write.
-type WireBatchWriteArgs struct {
-	Shard int
-	Pairs []Pair
-}
-
-// WireBatchDeleteArgs carries a one-shard batched delete (shard migration).
-type WireBatchDeleteArgs struct {
-	Shard int
-	Keys  []uint64
-}
-
-// WireNone is the empty argument/reply.
-type WireNone struct{}
-
-// StoreService is the server side of the rpc backend: a net/rpc service
-// wrapping the in-memory shard engine.  It is exported only because net/rpc
-// requires it; user code talks to Store, never to this type.
-type StoreService struct {
-	engine *memBackend
-}
-
-func (s *StoreService) Get(args *WireGetArgs, reply *WireGetReply) error {
-	v, ok, failover, err := s.engine.Get(args.Shard, args.Key)
-	if err != nil {
-		reply.Unavailable = true
-		return nil
+// roundTrip sends req and decodes the reply into vals and oks (nil unless
+// req is a read).  A read reply is read into a fresh buffer, which the
+// values alias; any other into the scratch buffer.  healthy reports that
+// the connection can carry the next call.
+func (c *rpcConn) roundTrip(req *rpcRequest, vals [][]byte, oks []bool) (failovers int, healthy bool, err error) {
+	if c.buf, err = appendFrame(c.buf[:0], req); err != nil {
+		return 0, true, err
 	}
-	reply.Value, reply.OK, reply.Failover = v, ok, failover
-	return nil
-}
-
-func (s *StoreService) Put(args *WirePutArgs, reply *WireNone) error {
-	return s.engine.Put(args.Shard, args.Key, args.Value)
-}
-
-func (s *StoreService) BatchGet(args *WireBatchGetArgs, reply *WireBatchGetReply) error {
-	vals, oks, failovers, err := s.engine.BatchGet(args.Shard, args.Keys)
-	if err != nil {
-		reply.Unavailable = true
-		return nil
+	if _, err = c.Write(c.buf); err == nil {
+		var body []byte
+		if req.op == rpcRead {
+			body, err = readFrame(c.r, nil)
+		} else {
+			body, err = readFrame(c.r, c.buf)
+			c.buf = body
+		}
+		if err == nil {
+			failovers, err = decodeReply(body, vals, oks)
+			return failovers, true, err
+		}
 	}
-	reply.Values, reply.OKs, reply.Failovers = vals, oks, failovers
-	return nil
+	return 0, false, err
 }
-
-func (s *StoreService) BatchWrite(args *WireBatchWriteArgs, reply *WireNone) error {
-	return s.engine.BatchWrite(args.Shard, args.Pairs)
-}
-
-func (s *StoreService) BatchDelete(args *WireBatchDeleteArgs, reply *WireNone) error {
-	return s.engine.BatchDelete(args.Shard, args.Keys)
-}
-
-// rpcPoolSize bounds the idle connection pool.  Two idle connections cover
-// the common case (a data call concurrent with a hedged duplicate) without
-// holding sockets a one-shot store never reuses.
-const rpcPoolSize = 2
 
 // rpcBackend is the client side: it implements ShardBackend by calling the
 // loopback server over pooled connections and timing every round trip.
 type rpcBackend struct {
-	engine   *memBackend // server-side engine (control plane, Stats, Close)
-	server   *rpc.Server
+	engine   *memBackend // server-side engine (control plane, Stats)
 	listener net.Listener
 	sockDir  string // non-empty when a unix socket file needs cleanup
 	faults   *FaultPlan
 
 	mu     sync.Mutex
-	idle   []*rpc.Client
-	live   map[*rpc.Client]struct{}
+	idle   []*rpcConn
+	dials  int
 	closed bool
 
-	serving sync.WaitGroup // accept loop + ServeConn goroutines
-
+	serving   sync.WaitGroup // accept loop + one goroutine per connection
 	closeOnce sync.Once
 	closeErr  error
 
@@ -167,44 +110,27 @@ type rpcBackend struct {
 	writeNS    atomic.Int64
 }
 
-// errRPCClosed is returned by data operations on a closed rpc backend.
-var errRPCClosed = errors.New("dht: rpc backend is closed")
-
-// newRPCBackend starts a per-store net/rpc server on a loopback listener and
-// opens a pooled client to it.  Each store gets its own rpc.Server (the
-// package default server would reject a second StoreService registration).
-// TCP on 127.0.0.1 is preferred; when the environment forbids loopback TCP a
-// unix socket is used instead.  A non-nil FaultPlan with PDrop > 0 makes the
-// client drop its connection before a seeded subset of calls, exercising the
-// reconnect path.
+// newRPCBackend starts a per-store server on a loopback listener: TCP on
+// 127.0.0.1, or a unix socket where loopback TCP is forbidden.  A FaultPlan
+// with PDrop > 0 makes the client drop its connection before a seeded
+// subset of calls, exercising the reconnect path.
 func newRPCBackend(shards int, replicate bool, faults *FaultPlan) (*rpcBackend, error) {
-	b := &rpcBackend{
-		engine: newMemBackend(shards, replicate),
-		server: rpc.NewServer(),
-		faults: faults,
-		live:   make(map[*rpc.Client]struct{}),
-	}
-	if err := b.server.RegisterName("Store", &StoreService{engine: b.engine}); err != nil {
-		return nil, fmt.Errorf("dht: registering rpc service: %w", err)
-	}
+	b := &rpcBackend{engine: newMemBackend(shards, replicate), faults: faults}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		dir, derr := os.MkdirTemp("", "dht-rpc-*")
 		if derr != nil {
 			return nil, fmt.Errorf("dht: rpc listen failed (tcp: %v, tmpdir: %v)", err, derr)
 		}
-		ln, derr = net.Listen("unix", filepath.Join(dir, "store.sock"))
-		if derr != nil {
+		if ln, derr = net.Listen("unix", filepath.Join(dir, "store.sock")); derr != nil {
 			os.RemoveAll(dir)
 			return nil, fmt.Errorf("dht: rpc listen failed (tcp: %v, unix: %v)", err, derr)
 		}
 		b.sockDir = dir
 	}
 	b.listener = ln
-	// Hand-rolled accept loop instead of rpc.Server.Accept: Accept logs a
-	// spurious "use of closed network connection" line when Close shuts the
-	// listener down.  The loop itself holds one WaitGroup slot, so the
-	// ServeConn Adds below cannot race a Close that is already Waiting.
+	// The accept loop holds a WaitGroup slot, so the per-connection Adds
+	// cannot race a Close that is already Waiting.
 	b.serving.Add(1)
 	go func() {
 		defer b.serving.Done()
@@ -216,182 +142,140 @@ func newRPCBackend(shards int, replicate bool, faults *FaultPlan) (*rpcBackend, 
 			b.serving.Add(1)
 			go func() {
 				defer b.serving.Done()
-				b.server.ServeConn(conn)
+				serveFrames(b.engine, conn, conn)
+				conn.Close()
 			}()
 		}
 	}()
-	c, err := b.dial()
-	if err != nil {
-		b.Close()
-		return nil, err
-	}
-	b.putClient(c)
 	return b, nil
 }
 
 func (b *rpcBackend) Kind() BackendKind { return BackendRPC }
 
-// dial opens a fresh connection to the loopback server and registers the
-// client in the live set.
-func (b *rpcBackend) dial() (*rpc.Client, error) {
-	addr := b.listener.Addr()
-	conn, err := net.Dial(addr.Network(), addr.String())
-	if err != nil {
-		return nil, fmt.Errorf("dht: dialing rpc server: %w", err)
-	}
-	c := rpc.NewClient(conn)
+// getConn checks a connection out of the idle list, or dials one.
+func (b *rpcBackend) getConn() (*rpcConn, error) {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		c.Close()
-		return nil, errRPCClosed
-	}
-	b.live[c] = struct{}{}
-	b.mu.Unlock()
-	return c, nil
-}
-
-// getClient checks a connection out of the pool, dialing when it is empty.
-func (b *rpcBackend) getClient() (*rpc.Client, error) {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return nil, errRPCClosed
-	}
 	if n := len(b.idle); n > 0 {
 		c := b.idle[n-1]
 		b.idle = b.idle[:n-1]
 		b.mu.Unlock()
 		return c, nil
 	}
+	closed := b.closed // Close empties the idle list
+	if !closed {
+		b.dials++
+	}
 	b.mu.Unlock()
-	return b.dial()
+	if closed {
+		return nil, errRPCClosed
+	}
+	addr := b.listener.Addr()
+	nc, err := net.Dial(addr.Network(), addr.String())
+	if err != nil {
+		return nil, fmt.Errorf("dht: dialing rpc server: %w", err)
+	}
+	return &rpcConn{Conn: nc, r: bufio.NewReader(nc)}, nil
 }
 
-// putClient returns a healthy connection to the pool, closing it when the
-// pool is full or the backend has been closed.
-func (b *rpcBackend) putClient(c *rpc.Client) {
+// putConn returns a healthy connection to the idle list, or closes it once
+// the backend is closed.
+func (b *rpcBackend) putConn(c *rpcConn) {
 	b.mu.Lock()
-	if !b.closed && len(b.idle) < rpcPoolSize {
-		b.idle = append(b.idle, c)
-		b.mu.Unlock()
+	defer b.mu.Unlock()
+	if b.closed {
+		c.Close()
 		return
 	}
-	delete(b.live, c)
-	b.mu.Unlock()
-	c.Close()
+	b.idle = append(b.idle, c)
 }
 
-// discardClient drops a broken connection.
-func (b *rpcBackend) discardClient(c *rpc.Client) {
-	b.mu.Lock()
-	delete(b.live, c)
-	b.mu.Unlock()
-	c.Close()
-}
-
-// isConnError reports whether err is a connection-level failure (as opposed
-// to an application error returned by the remote service method): the call
-// never produced a server-side reply, so re-sending it on a fresh connection
-// is the right recovery.
-func isConnError(err error) bool {
-	if errors.Is(err, rpc.ErrShutdown) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	var netErr net.Error
-	return errors.As(err, &netErr)
-}
-
-// call invokes method over a pooled connection, reconnecting and re-sending
-// once on a connection error.  A FaultPlan with PDrop closes the checked-out
-// connection before a seeded subset of calls — the request never reaches the
-// server, so the reconnect re-send applies it exactly once.
-func (b *rpcBackend) call(method string, args, reply any) error {
-	c, err := b.getClient()
-	if err != nil {
-		return err
-	}
-	if p := b.faults; p != nil && p.PDrop > 0 {
-		if rng.UniformFloat(p.Seed^faultSaltDrop, b.dropSeq.Add(1)) < p.PDrop {
-			b.discardClient(c) // the Call below fails with ErrShutdown
-		}
-	}
-	err = c.Call(method, args, reply)
-	if err == nil {
-		b.putClient(c)
-		return nil
-	}
-	b.discardClient(c)
-	if !isConnError(err) {
-		return err
-	}
-	c2, derr := b.dial()
-	if derr != nil {
-		return fmt.Errorf("dht: rpc reconnect after %v: %w", err, derr)
-	}
-	b.reconnects.Add(1)
-	if err2 := c2.Call(method, args, reply); err2 != nil {
-		b.discardClient(c2)
-		return err2
-	}
-	b.putClient(c2)
-	return nil
-}
-
-// timeCall invokes method over the wire, accumulating the measured round trip
-// and an approximate payload size into the read or write counters.
-func (b *rpcBackend) timeCall(method string, args, reply any, read bool, payload int) error {
+// call sends req, decodes the reply into vals and oks, and adds the round
+// trip and the payload estimate — request bytes, then the values read — to
+// the counters.
+func (b *rpcBackend) call(req *rpcRequest, payload int, vals [][]byte, oks []bool) (int, error) {
 	start := time.Now()
-	err := b.call(method, args, reply)
-	rtt := time.Since(start)
-	if read {
+	failovers, err := b.send(req, vals, oks)
+	if rtt := int64(time.Since(start)); req.op == rpcRead {
 		b.readOps.Add(1)
-		b.readNS.Add(int64(rtt))
+		b.readNS.Add(rtt)
 	} else {
 		b.writeOps.Add(1)
-		b.writeNS.Add(int64(rtt))
+		b.writeNS.Add(rtt)
+	}
+	if err != nil {
+		if err != ErrUnavailable {
+			err = fmt.Errorf("dht: rpc %s on shard %d: %w", rpcOpNames[req.op], req.shard, err)
+		}
+		vals = nil // a failed read moved no value bytes
+	}
+	for _, v := range vals {
+		payload += len(v)
 	}
 	b.wireBytes.Add(int64(payload))
-	return err
+	return failovers, err
+}
+
+// send sends req over a pooled connection.  A connection that fails is
+// dropped and the call re-sent once on a fresh one.  A FaultPlan with PDrop
+// closes the checked-out connection before a seeded subset of calls: the
+// write fails, so the re-send applies the request exactly once.
+func (b *rpcBackend) send(req *rpcRequest, vals [][]byte, oks []bool) (int, error) {
+	c, err := b.getConn()
+	if err != nil {
+		return 0, err
+	}
+	if p := b.faults; p != nil && p.PDrop > 0 && rng.UniformFloat(p.Seed^faultSaltDrop, b.dropSeq.Add(1)) < p.PDrop {
+		c.Close()
+	}
+	for resent := false; ; resent = true {
+		failovers, healthy, err := c.roundTrip(req, vals, oks)
+		if healthy {
+			b.putConn(c)
+			return failovers, err
+		}
+		c.Close()
+		if resent || !isConnError(err) {
+			return 0, err
+		}
+		var derr error
+		if c, derr = b.getConn(); derr != nil {
+			return 0, fmt.Errorf("reconnect after %v: %w", err, derr)
+		}
+		b.reconnects.Add(1)
+	}
+}
+
+// isConnError reports whether err is a connection failure, after which the
+// call is re-sent, rather than a reply that could not be read.
+func isConnError(err error) bool {
+	var netErr net.Error
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &netErr)
 }
 
 func (b *rpcBackend) Get(shard int, key uint64) ([]byte, bool, bool, error) {
-	var reply WireGetReply
-	err := b.timeCall("Store.Get", &WireGetArgs{Shard: shard, Key: key}, &reply, true, 8)
+	keys := [1]uint64{key}
+	var vals [1][]byte
+	var oks [1]bool
+	failovers, err := b.call(&rpcRequest{op: rpcRead, shard: shard, keys: keys[:]}, 8, vals[:], oks[:])
 	if err != nil {
-		return nil, false, false, fmt.Errorf("dht: rpc get: %w", err)
+		return nil, false, false, err
 	}
-	if reply.Unavailable {
-		return nil, false, false, ErrUnavailable
-	}
-	b.wireBytes.Add(int64(len(reply.Value)))
-	return reply.Value, reply.OK, reply.Failover, nil
+	return vals[0], oks[0], failovers > 0, nil
 }
 
 func (b *rpcBackend) Put(shard int, key uint64, value []byte) error {
-	var reply WireNone
-	err := b.timeCall("Store.Put", &WirePutArgs{Shard: shard, Key: key, Value: value}, &reply, false, 8+len(value))
-	if err != nil {
-		return fmt.Errorf("dht: rpc put: %w", err)
-	}
-	return nil
+	pairs := [1]Pair{{Key: key, Value: value}}
+	_, err := b.call(&rpcRequest{op: rpcWrite, shard: shard, pairs: pairs[:]}, 8+len(value), nil, nil)
+	return err
 }
 
 func (b *rpcBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int, error) {
-	var reply WireBatchGetReply
-	err := b.timeCall("Store.BatchGet", &WireBatchGetArgs{Shard: shard, Keys: keys}, &reply, true, 8*len(keys))
+	vals, oks := make([][]byte, len(keys)), make([]bool, len(keys))
+	failovers, err := b.call(&rpcRequest{op: rpcRead, shard: shard, keys: keys}, 8*len(keys), vals, oks)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("dht: rpc batch get: %w", err)
+		return nil, nil, 0, err
 	}
-	if reply.Unavailable {
-		return nil, nil, 0, ErrUnavailable
-	}
-	var respBytes int64
-	for _, v := range reply.Values {
-		respBytes += int64(len(v))
-	}
-	b.wireBytes.Add(respBytes)
-	return reply.Values, reply.OKs, reply.Failovers, nil
+	return vals, oks, failovers, nil
 }
 
 func (b *rpcBackend) BatchWrite(shard int, pairs []Pair) error {
@@ -399,30 +283,16 @@ func (b *rpcBackend) BatchWrite(shard int, pairs []Pair) error {
 	for _, p := range pairs {
 		payload += 8 + len(p.Value)
 	}
-	var reply WireNone
-	err := b.timeCall("Store.BatchWrite", &WireBatchWriteArgs{Shard: shard, Pairs: pairs}, &reply, false, payload)
-	if err != nil {
-		return fmt.Errorf("dht: rpc batch write: %w", err)
-	}
-	return nil
+	_, err := b.call(&rpcRequest{op: rpcWrite, shard: shard, pairs: pairs}, payload, nil, nil)
+	return err
 }
 
 func (b *rpcBackend) BatchDelete(shard int, keys []uint64) error {
-	var reply WireNone
-	err := b.timeCall("Store.BatchDelete", &WireBatchDeleteArgs{Shard: shard, Keys: keys}, &reply, false, 8*len(keys))
-	if err != nil {
-		return fmt.Errorf("dht: rpc batch delete: %w", err)
-	}
-	return nil
+	_, err := b.call(&rpcRequest{op: rpcDelete, shard: shard, keys: keys}, 8*len(keys), nil, nil)
+	return err
 }
 
 func (b *rpcBackend) Freeze() error { return nil }
-
-// The simulation control plane acts on the in-process server engine
-// directly: these operations model operator actions, not client traffic, so
-// there is nothing to measure by sending them over the wire — and the direct
-// calls cannot fail the way an rpc call can, which is what let the previous
-// panicking paths be removed.
 
 func (b *rpcBackend) FailShard(shard int) { b.engine.FailShard(shard) }
 
@@ -437,10 +307,9 @@ func (b *rpcBackend) Range(shard int, fn func(key uint64, value []byte) bool) (b
 func (b *rpcBackend) Reserve(keys int) { b.engine.Reserve(keys) }
 
 func (b *rpcBackend) Stats() BackendStats {
-	engine := b.engine.Stats()
 	return BackendStats{
 		Kind:          BackendRPC,
-		ResidentBytes: engine.ResidentBytes,
+		ResidentBytes: b.engine.Stats().ResidentBytes,
 		WireReadOps:   b.readOps.Load(),
 		WireWriteOps:  b.writeOps.Load(),
 		WireBytes:     b.wireBytes.Load(),
@@ -450,32 +319,22 @@ func (b *rpcBackend) Stats() BackendStats {
 	}
 }
 
-// Close shuts the backend down gracefully: no new connections are accepted
-// or dialed, every pooled and checked-out connection is closed, and the
-// WaitGroup drains the accept loop and every ServeConn — including the
-// in-flight handlers net/rpc waits for — before the socket directory is
-// removed.  Close is idempotent.
+// Close shuts the backend down: no connection is dialed or accepted any
+// more, the idle connections are closed now and the checked-out ones when
+// their calls return — each close ends the server goroutine at its other
+// end — and the WaitGroup drains the accept loop and those goroutines
+// before the socket directory is removed.  Close is idempotent.
 func (b *rpcBackend) Close() error {
 	b.closeOnce.Do(func() {
 		b.mu.Lock()
 		b.closed = true
-		clients := make([]*rpc.Client, 0, len(b.live))
-		for c := range b.live {
-			clients = append(clients, c)
-		}
-		b.live = make(map[*rpc.Client]struct{})
+		idle := b.idle
 		b.idle = nil
 		b.mu.Unlock()
-		for _, c := range clients {
-			if err := c.Close(); err != nil && b.closeErr == nil && !errors.Is(err, rpc.ErrShutdown) {
-				b.closeErr = err
-			}
+		for _, c := range idle {
+			c.Close()
 		}
-		if b.listener != nil {
-			if err := b.listener.Close(); err != nil && b.closeErr == nil {
-				b.closeErr = err
-			}
-		}
+		b.closeErr = b.listener.Close()
 		b.serving.Wait()
 		if b.sockDir != "" {
 			os.RemoveAll(b.sockDir)
