@@ -56,11 +56,13 @@ examples-smoke:
 # engine: every core algorithm must produce byte-identical, oracle-valid
 # results whether the shards live in in-memory maps, disk log files, or
 # behind a loopback socket.  The suites name their subtests
-# backend/placement, so the CI backend-matrix job splits the same run into
-# three parallel jobs with -run '($(BACKEND_SUITES))/rpc' and so on.
+# backend/placement, so BACKEND=rpc (and so on) runs one engine's subtests:
+# the CI backend-matrix job splits the same run into three parallel jobs
+# with make backend-matrix BACKEND=<engine>.  Empty, it runs every engine.
 BACKEND_SUITES = TestBackendsPreserveAllFiveAlgorithms|TestDiskBackendCompletesPastMemoryBudget|TestAdaptiveOwnershipPreservesAlgorithms
+BACKEND ?=
 backend-matrix:
-	$(GO) test -run '$(BACKEND_SUITES)' ./internal/bench/
+	$(GO) test -run '($(BACKEND_SUITES))/$(BACKEND)' ./internal/bench/
 
 # chaos-smoke runs the five-algorithm fault-injection equivalence suite under
 # the race detector: every core algorithm, on every storage backend and both

@@ -10,29 +10,31 @@ import (
 // The ShardBackend seam.
 //
 // The paper's system runs on an RDMA-backed key-value store with a TCP/IP
-// fallback; the store façade in this package only routes keys to shards and
-// accounts operations, while the bytes themselves live behind a ShardBackend.
-// Three backends ship with the repository:
+// fallback; the store façade in this package routes keys to shards, accounts
+// operations and decides what a failed shard serves, while the bytes
+// themselves live behind a ShardBackend.  Three engines ship with the
+// repository, each with one job:
 //
-//   - mem  (BackendMem):  per shard, an open-addressing table of 16-byte
-//     pointer-free slots over an append-only arena of value bytes (table.go)
-//     — the default.  A read of a frozen shard costs an atomic pointer load,
-//     one probe (usually one cache line) and a slice header; it takes no
-//     lock.  Values never move: a slice handed to a reader stays valid and
-//     unchanged for the store's lifetime, whatever is overwritten, deleted
-//     or migrated afterwards;
-//   - disk (BackendDisk): a log-structured append file plus an in-memory
-//     offset index per shard, so a store whose data outgrows RAM keeps
-//     working with only the index resident (see disk.go);
-//   - rpc  (BackendRPC):  a client and a server goroutine exchanging
-//     length-prefixed frames over a loopback socket, which pays — and
-//     measures — real encoding and wire costs per operation instead of
-//     simulating them (see rpc.go).
+//   - mem  (BackendMem) holds bytes at memory speed: per shard, an
+//     open-addressing table of 16-byte pointer-free slots over an
+//     append-only arena of value bytes (table.go) — the default.  A read of
+//     a frozen shard costs an atomic pointer load, one probe (usually one
+//     cache line) and a slice header; it takes no lock.  Values never move:
+//     a slice handed to a reader stays valid and unchanged for the store's
+//     lifetime, whatever is overwritten, deleted or migrated afterwards;
+//   - disk (BackendDisk) holds bytes past RAM and is durable at Freeze: a
+//     log-structured append file plus an in-memory offset index per shard,
+//     so a store whose data outgrows RAM keeps working with only the index
+//     resident, and a reopened directory replays its logs (see disk.go);
+//   - rpc  (BackendRPC) supplies a measured round trip: a client and a
+//     server goroutine exchanging length-prefixed frames over a loopback
+//     socket, which pays — and times — real encoding and wire costs per
+//     operation instead of simulating them (see rpc.go).
 //
-// A backend stores bytes; it never decides placement or statistics
-// classification — those stay in the Store façade, which is why
-// every optimization layered on the store (batching, placement, pipelining)
-// behaves identically across backends.
+// A backend stores bytes; it never decides placement, statistics
+// classification, replication or failover — those stay in the Store façade,
+// which is why every optimization layered on the store (batching, placement,
+// pipelining) and every recovery tier behaves identically across backends.
 
 // BackendKind names a shard storage backend in Options and reports.
 type BackendKind string
@@ -104,54 +106,45 @@ func (b BackendStats) MeasuredWriteRTT() time.Duration {
 	return b.WireWriteTime / time.Duration(b.WireWriteOps)
 }
 
-// ShardBackend is the storage engine behind a Store: it owns the per-shard
-// data (primary and, when replication is enabled, a synchronous replica) and
-// the simulated shard-failure state.  The Store façade above it owns key
-// routing (placement), freeze semantics and statistics; modeled latency is
-// charged above both, by package ampc.
+// ShardBackend is the storage engine behind a Store: it holds the bytes of
+// every shard.  The Store façade above it owns key routing (placement),
+// freeze semantics, statistics, and shard failure: a replicated store keeps a
+// second engine of the same kind as the replica, mirrors every write into it
+// and routes the reads of a down shard there, so no engine knows about
+// replicas or failures.  Modeled latency is charged above both, by package
+// ampc.
 //
 // Contracts shared by every implementation:
 //
 //   - Values are copied on write and must not be modified by callers after a
 //     read (exactly the map semantics of the original store).  A slice
 //     returned by a read stays valid after later writes to the same key.
-//   - A write mirrors into the replica when replication is enabled.
-//   - A read of a failed shard is served from the replica (reported as a
-//     failover) or returns ErrUnavailable when the backend is unreplicated.
 //   - Batch methods touch exactly one shard per call: one lock acquisition,
 //     one wire round trip.  Grouping keys by shard is the façade's job.
 //   - Implementations must be safe for concurrent use.
 type ShardBackend interface {
 	// Kind identifies the backend in stats and error messages.
 	Kind() BackendKind
-	// Get returns the value stored under key on shard.  failover reports
-	// that the read was served by the replica of a failed shard.
-	Get(shard int, key uint64) (val []byte, ok, failover bool, err error)
+	// Get returns the value stored under key on shard.
+	Get(shard int, key uint64) (val []byte, ok bool, err error)
 	// Put stores a copy of value under key on shard, replacing the key's
 	// earlier value.
 	Put(shard int, key uint64, value []byte) error
-	// BatchGet serves keys from one shard under a single visit.  failovers
-	// is the number of keys served by the replica of a failed shard.
-	BatchGet(shard int, keys []uint64) (vals [][]byte, oks []bool, failovers int, err error)
+	// BatchGet serves keys from one shard under a single visit.
+	BatchGet(shard int, keys []uint64) (vals [][]byte, oks []bool, err error)
 	// BatchWrite stores a copy of every pair's value under its key on one
 	// shard under a single visit; a later pair for a key wins.
 	BatchWrite(shard int, pairs []Pair) error
-	// BatchDelete removes keys from one shard under a single visit,
-	// mirroring into the replica; absent keys are ignored.  It exists for
-	// shard migration (Store.Rebalance), which copies a key's bytes to its
-	// new shard and then deletes them here — it is not part of the store's
-	// public write API, whose entries are immutable-once-written.
+	// BatchDelete removes keys from one shard under a single visit; absent
+	// keys are ignored.  It exists for shard migration (Store.Rebalance),
+	// which copies a key's bytes to its new shard and then deletes them
+	// here — it is not part of the store's public write API, whose entries
+	// are immutable-once-written.
 	BatchDelete(shard int, keys []uint64) error
 	// Freeze is the backend's half of Store.Freeze: the store becomes
 	// read-only, so the backend may flush buffered state to stable storage
 	// (the disk backend syncs its logs).
 	Freeze() error
-	// FailShard simulates the loss of shard; RecoverShard undoes it,
-	// rebuilding the primary from the replica when one exists (an error
-	// means the rebuild itself failed — e.g. the disk backend could not
-	// rewrite the primary log).
-	FailShard(shard int)
-	RecoverShard(shard int) error
 	// LenShard returns the number of distinct keys on shard.
 	LenShard(shard int) int
 	// Range calls fn for every key-value pair on shard until fn returns
@@ -166,92 +159,49 @@ type ShardBackend interface {
 	Close() error
 }
 
-// newBackend constructs the backend selected by opts, validating the kind,
-// and wraps it in the fault injector when a FaultPlan is installed.  The rpc
-// backend additionally receives the plan directly: dropped connections live
-// inside the transport, below the ShardBackend seam.
-func newBackend(opts Options) (ShardBackend, error) {
-	var engine ShardBackend
+// newBackend constructs the engine selected by opts, validating the kind;
+// dir is where a disk engine keeps its logs.  The rpc engine receives the
+// fault plan: dropped connections live inside the transport, below the
+// ShardBackend seam.
+func newBackend(opts Options, dir string) (ShardBackend, error) {
 	switch opts.Backend {
 	case "", BackendMem:
-		engine = newMemBackend(opts.Shards, opts.Replicate)
+		return newMemBackend(opts.Shards), nil
 	case BackendDisk:
-		e, err := newDiskBackend(opts.Shards, opts.Replicate, opts.DiskDir)
-		if err != nil {
-			return nil, err
-		}
-		engine = e
+		return newDiskBackend(opts.Shards, dir)
 	case BackendRPC:
-		e, err := newRPCBackend(opts.Shards, opts.Replicate, opts.Faults)
-		if err != nil {
-			return nil, err
-		}
-		engine = e
-	default:
-		return nil, fmt.Errorf("dht: unknown backend kind %q (known: %v)", opts.Backend, BackendKinds())
+		return newRPCBackend(opts.Shards, opts.Faults)
 	}
-	if opts.Faults != nil && opts.Faults.injects() {
-		engine = newFaultBackend(engine, opts.Shards, opts.Faults)
-	}
-	return engine, nil
+	return nil, fmt.Errorf("dht: unknown backend kind %q (known: %v)", opts.Backend, BackendKinds())
 }
 
-// memState is everything a read of one mem shard needs: the primary index,
-// the replica (a second index over the same arena bytes), the arena and the
-// simulated failure flag.  A shard mutates its own memState under its mutex;
-// a frozen shard additionally publishes a copy that is never written again.
+// memState is everything a read of one mem shard needs: the index and the
+// arena it points into.  A shard mutates its own memState under its mutex; a
+// frozen shard additionally publishes a copy that is never written again.
 type memState struct {
-	prim, rep  memTable
-	arena      arena
-	replicated bool
-	failed     bool
+	table memTable
+	arena arena
 }
 
-// table returns the index that serves reads: the primary, or the replica of
-// a failed shard (failover), or ErrUnavailable when a failed shard has none.
-func (st *memState) table() (t *memTable, failover bool, err error) {
-	if !st.failed {
-		return &st.prim, false, nil
-	}
-	if !st.replicated {
-		return nil, false, ErrUnavailable
-	}
-	return &st.rep, true, nil
-}
-
-func (st *memState) get(key uint64) ([]byte, bool, bool, error) {
-	t, failover, err := st.table()
-	if err != nil {
-		return nil, false, false, err
-	}
-	ref := t.get(key)
+func (st *memState) get(key uint64) ([]byte, bool) {
+	ref := st.table.get(key)
 	if ref == refEmpty {
-		return nil, false, failover, nil
+		return nil, false
 	}
-	return refBytes(st.arena.chunks, ref), true, failover, nil
+	return refBytes(st.arena.chunks, ref), true
 }
 
-func (st *memState) batchGet(keys []uint64) ([][]byte, []bool, int, error) {
-	t, failover, err := st.table()
-	if err != nil {
-		return nil, nil, 0, err
-	}
+func (st *memState) batchGet(keys []uint64) ([][]byte, []bool) {
 	vals := make([][]byte, len(keys))
 	oks := make([]bool, len(keys))
 	for i, k := range keys {
-		if ref := t.get(k); ref != refEmpty {
-			vals[i], oks[i] = refBytes(st.arena.chunks, ref), true
-		}
+		vals[i], oks[i] = st.get(k)
 	}
-	failovers := 0
-	if failover {
-		failovers = len(keys)
-	}
-	return vals, oks, failovers, nil
+	return vals, oks
 }
 
 func (st *memState) each(fn func(key uint64, value []byte) bool) bool {
-	for _, s := range st.prim.slots {
+	for _, s := range st.table.slots {
 		if s.ref > refDeleted && !fn(s.key, refBytes(st.arena.chunks, s.ref)) {
 			return false
 		}
@@ -262,16 +212,16 @@ func (st *memState) each(fn func(key uint64, value []byte) bool) bool {
 // memShard is one in-memory shard.  Until the backend is frozen every
 // operation takes mu.  Freeze publishes the state through view, and from
 // then on reads load the view and take no lock and write no shared cache
-// line; the rare post-freeze mutation (a simulated failure or recovery,
-// Rebalance's BatchWrite/BatchDelete) copies what it is about to change,
+// line; the rare post-freeze mutation (Rebalance's BatchWrite/BatchDelete)
+// copies what it is about to change,
 // mutates the copy under mu and publishes a new view, so nothing reachable
 // from a published view is ever written again.
 type memShard struct {
 	view     atomic.Pointer[memState] // nil until Freeze
 	mu       sync.Mutex
 	st       memState
-	resident int64    // value bytes plus memKeyOverhead per key of the primary
-	_        [64]byte // pads the shard to whole cache lines: neighbours in the slice share none
+	resident int64    // value bytes plus memKeyOverhead per key
+	_        [56]byte // pads the shard to three whole cache lines: neighbours in the slice share none
 }
 
 // memBackend is the in-memory storage engine: per shard, a flat slot table
@@ -287,30 +237,23 @@ type memBackend struct {
 // of the engine; a table slot at the load bound costs about half of it.
 const memKeyOverhead = 48
 
-func newMemBackend(shards int, replicate bool) *memBackend {
-	b := &memBackend{shards: make([]memShard, shards)}
-	for i := range b.shards {
-		b.shards[i].st.replicated = replicate
-	}
-	return b
+func newMemBackend(shards int) *memBackend {
+	return &memBackend{shards: make([]memShard, shards)}
 }
 
 func (b *memBackend) Kind() BackendKind { return BackendMem }
 
-// lockForWrite takes the shard mutex for a mutation of the indexes.  On a
-// frozen shard the published view shares the slot arrays, so the mutation
-// gets copies of its own; on an unfrozen one it first reclaims the arena if
+// lockForWrite takes the shard mutex for a mutation of the index.  On a
+// frozen shard the published view shares the slot array, so the mutation
+// gets a copy of its own; on an unfrozen one it first reclaims the arena if
 // overwrites and deletes have left more dead bytes than live ones.
 func (sh *memShard) lockForWrite() {
 	sh.mu.Lock()
 	if sh.view.Load() != nil {
-		sh.st.prim = sh.st.prim.clone()
-		if sh.st.replicated {
-			sh.st.rep = sh.st.rep.clone()
-		}
+		sh.st.table = sh.st.table.clone()
 		return
 	}
-	live := sh.resident - memKeyOverhead*int64(sh.st.prim.live)
+	live := sh.resident - memKeyOverhead*int64(sh.st.table.live)
 	if sh.st.arena.capBytes-live > live+compactSlack {
 		sh.compact()
 	}
@@ -330,8 +273,8 @@ func (sh *memShard) publish() {
 	sh.view.Store(&st)
 }
 
-// compact copies the live records into fresh chunks and repoints both
-// indexes.  The arena never recycles bytes — a slice handed to a reader
+// compact copies the live records into fresh chunks and repoints the
+// index.  The arena never recycles bytes — a slice handed to a reader
 // (per-machine caches keep them) must stay valid — so this is how an
 // overwritten value's memory is bounded: the old chunks stay intact for
 // whoever still holds a slice of them and go to the garbage collector after
@@ -339,27 +282,19 @@ func (sh *memShard) publish() {
 func (sh *memShard) compact() {
 	old := sh.st.arena
 	sh.st.arena = arena{nextCap: old.nextCap}
-	slots := sh.st.prim.slots
+	slots := sh.st.table.slots
 	for i := range slots {
 		if s := &slots[i]; s.ref > refDeleted {
 			s.ref = sh.st.arena.put(refBytes(old.chunks, s.ref))
 		}
 	}
-	if sh.st.replicated {
-		// Every write reaches both indexes, so the replica is the primary's
-		// copy.
-		sh.st.rep = sh.st.prim.clone()
-	}
 }
 
-// store writes value under key into both indexes and keeps the resident
-// estimate; the caller holds the shard for writing.
+// store writes value under key and keeps the resident estimate; the caller
+// holds the shard for writing.
 func (sh *memShard) store(key uint64, value []byte) {
 	ref := sh.st.arena.put(value)
-	old := sh.st.prim.set(key, ref)
-	if sh.st.replicated {
-		sh.st.rep.set(key, ref)
-	}
+	old := sh.st.table.set(key, ref)
 	sh.resident += int64(len(value))
 	if old == refEmpty {
 		sh.resident += memKeyOverhead
@@ -368,15 +303,16 @@ func (sh *memShard) store(key uint64, value []byte) {
 	}
 }
 
-func (b *memBackend) Get(shard int, key uint64) ([]byte, bool, bool, error) {
+func (b *memBackend) Get(shard int, key uint64) ([]byte, bool, error) {
 	sh := &b.shards[shard]
 	if st := sh.view.Load(); st != nil {
-		return st.get(key)
+		v, ok := st.get(key)
+		return v, ok, nil
 	}
 	sh.mu.Lock()
-	v, ok, failover, err := sh.st.get(key)
+	v, ok := sh.st.get(key)
 	sh.mu.Unlock()
-	return v, ok, failover, err
+	return v, ok, nil
 }
 
 func (b *memBackend) Put(shard int, key uint64, value []byte) error {
@@ -387,14 +323,16 @@ func (b *memBackend) Put(shard int, key uint64, value []byte) error {
 	return nil
 }
 
-func (b *memBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int, error) {
+func (b *memBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, error) {
 	sh := &b.shards[shard]
 	if st := sh.view.Load(); st != nil {
-		return st.batchGet(keys)
+		vals, oks := st.batchGet(keys)
+		return vals, oks, nil
 	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.st.batchGet(keys)
+	vals, oks := sh.st.batchGet(keys)
+	sh.mu.Unlock()
+	return vals, oks, nil
 }
 
 func (b *memBackend) BatchWrite(shard int, pairs []Pair) error {
@@ -411,11 +349,8 @@ func (b *memBackend) BatchDelete(shard int, keys []uint64) error {
 	sh := &b.shards[shard]
 	sh.lockForWrite()
 	for _, k := range keys {
-		if old := sh.st.prim.del(k); old != refEmpty {
+		if old := sh.st.table.del(k); old != refEmpty {
 			sh.resident -= int64(refLen(sh.st.arena.chunks, old)) + memKeyOverhead
-		}
-		if sh.st.replicated {
-			sh.st.rep.del(k)
 		}
 	}
 	sh.unlock()
@@ -432,10 +367,7 @@ func (b *memBackend) Reserve(keys int) {
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.mu.Lock()
-		sh.st.prim.reserve(per)
-		if sh.st.replicated {
-			sh.st.rep.reserve(per)
-		}
+		sh.st.table.reserve(per)
 		sh.mu.Unlock()
 	}
 }
@@ -452,33 +384,14 @@ func (b *memBackend) Freeze() error {
 	return nil
 }
 
-func (b *memBackend) FailShard(shard int) {
-	sh := &b.shards[shard]
-	sh.mu.Lock()
-	sh.st.failed = true
-	sh.unlock()
-}
-
-func (b *memBackend) RecoverShard(shard int) error {
-	sh := &b.shards[shard]
-	sh.mu.Lock()
-	sh.st.failed = false
-	if sh.st.replicated {
-		// Rebuild the primary from the replica, as a recovering server would.
-		sh.st.prim = sh.st.rep.clone()
-	}
-	sh.unlock()
-	return nil
-}
-
 func (b *memBackend) LenShard(shard int) int {
 	sh := &b.shards[shard]
 	if st := sh.view.Load(); st != nil {
-		return st.prim.live
+		return st.table.live
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.st.prim.live
+	return sh.st.table.live
 }
 
 func (b *memBackend) Range(shard int, fn func(key uint64, value []byte) bool) (bool, error) {

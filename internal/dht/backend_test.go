@@ -94,7 +94,7 @@ func TestBackendsReplicationFailover(t *testing.T) {
 			if st.Failovers != 65 || st.Misses != 1 {
 				t.Fatalf("stats after replica miss: failovers=%d misses=%d, want 65/1", st.Failovers, st.Misses)
 			}
-			// Recovery rebuilds the primary from the replica; reads stop
+			// Recovery brings the primary back; reads stop
 			// counting failovers.
 			for i := 0; i < s.NumShards(); i++ {
 				s.RecoverShard(i)

@@ -195,7 +195,7 @@ func (s *Store) batchWrite(machine int, pairs []Pair) (Visits, error) {
 			}
 		}
 		if err := s.withRetry(func() error {
-			return s.backend.BatchWrite(idx, shardPairs)
+			return s.writeShard(idx, shardPairs)
 		}); err != nil {
 			return visits, err
 		}

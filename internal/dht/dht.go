@@ -11,12 +11,13 @@
 // default, see table.go), a log-structured file per shard that spills stores
 // past RAM, or a server goroutine reached over a loopback socket that
 // measures real wire costs.  The Store type itself is a thin routing and
-// accounting façade: it owns key→shard placement, freeze semantics, and
-// exactly the quantities the paper measures — number of reads and writes,
-// bytes transferred, and per-shard load (query contention, §2) — while the
-// backend owns the bytes.  The counters are kept per calling machine (one
-// cache-line-padded block each, folded by Stats), so accounting an operation
-// never makes two machines write the same line.  Freeze implements the round
+// accounting façade: it owns key→shard placement, freeze semantics, shard
+// failure and replication (failover.go), and exactly the quantities the
+// paper measures — number of reads and writes, bytes transferred, and
+// per-shard load (query contention, §2) — while the backend owns the bytes.
+// The counters are kept per calling machine (one cache-line-padded block
+// each, folded by Stats), so accounting an operation never makes two
+// machines write the same line.  Freeze implements the round
 // discipline of the model: within round i machines read D_{i-1} (frozen,
 // read-only) and write D_i — and because every round input is frozen, the
 // mem engine serves those reads from an immutable published view: one probe
@@ -47,14 +48,16 @@
 // with seeded jitter, a per-op wall-clock deadline, and hedged batch reads
 // that duplicate a request stuck past a tail-latency threshold
 // (Stats.{Retries, Hedges, DeadlineExceeded} count the absorbed work).
-// Shard loss is the next tier: with Options.Replicate every write mirrors
-// into a synchronous replica, a read of a failed shard is served from the
-// replica and counted as a failover, and RecoverShard rebuilds the primary;
-// without replication such reads fail with ErrUnavailable — which a retry
-// policy keeps re-trying, because an unavailable shard is expected to
-// recover.  Errors that outlive every retry budget are the caller's to
-// handle; the ampc runtime recovers from them by re-executing the failing
-// (round, machine) sub-round under its Config.FaultBudget.  All of this is
+// Shard loss is the next tier: with Options.Replicate the façade keeps a
+// second engine of the same kind as a synchronous replica and mirrors every
+// write into it, a read of a failed shard is served from the replica and
+// counted as a failover, and RecoverShard clears the failure (writes reached
+// the primary throughout, so it holds the replica's bytes); without
+// replication such reads fail with ErrUnavailable — which a retry policy
+// keeps re-trying, because an unavailable shard is expected to recover.
+// Errors that outlive every retry budget are the caller's to handle; the
+// ampc runtime recovers from them by re-executing the failing (round,
+// machine) sub-round under its Config.FaultBudget.  All of this is
 // testable deterministically: Options.Faults installs a seeded FaultPlan
 // that injects transient errors, latency spikes, scheduled shard crashes,
 // torn disk tails at the Freeze point and dropped rpc connections, keyed so
@@ -64,6 +67,7 @@ package dht
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -109,7 +113,11 @@ type Pair struct {
 // ShardBackend.
 type Store struct {
 	name      string
-	backend   ShardBackend
+	backend   ShardBackend   // the primary engine
+	replica   ShardBackend   // nil unless Options.Replicate
+	mirror    []paddedMutex  // per shard, with a replica: orders its writes
+	down      []atomic.Bool  // per shard: failed, so reads fail over
+	faults    *faultInjector // nil unless Options.Faults injects at the façade
 	numShards int
 	placement Placement
 	// shardMachine memoizes placement.MachineFor for every shard: placements
@@ -118,7 +126,6 @@ type Store struct {
 	// (LocalTo, shardLocalTo) become a slice load instead of a policy call.
 	shardMachine []int
 	frozen       atomic.Bool
-	replicate    bool
 	retry        *RetryPolicy
 
 	retries          atomic.Int64
@@ -140,8 +147,9 @@ type Store struct {
 type Options struct {
 	// Shards is the number of key-value servers; defaults to 16.
 	Shards int
-	// Replicate keeps a synchronous replica of every shard so that reads
-	// survive an injected shard failure (the fault-tolerance property of §2).
+	// Replicate keeps a synchronous replica of every shard, in a second
+	// engine of the same kind, so that reads survive an injected shard
+	// failure (the fault-tolerance property of §2).
 	Replicate bool
 	// Placement decides which shard holds each key and which machine each
 	// shard is co-located with.  Nil defaults to HashRandom (uniform hashing,
@@ -151,11 +159,12 @@ type Options struct {
 	// BackendDisk or BackendRPC.  NewStore rejects unknown kinds.
 	Backend BackendKind
 	// DiskDir is the directory holding the shard log files of the disk
-	// backend (required for BackendDisk, ignored otherwise).  Reopening a
-	// store over an existing directory replays its logs.
+	// backend (required for BackendDisk, ignored otherwise); a replica's
+	// logs go in its replica/ subdirectory.  Reopening a store over an
+	// existing directory replays its logs.
 	DiskDir string
-	// Faults installs a deterministic, seeded fault-injection plan between
-	// the façade and the backend (see FaultPlan).  Nil injects nothing.
+	// Faults installs a deterministic, seeded fault-injection plan at the
+	// façade's shard visits (see FaultPlan).  Nil injects nothing.
 	Faults *FaultPlan
 	// Retry installs the façade's retry policy (see RetryPolicy).  Nil
 	// disables retries: every backend error surfaces immediately.
@@ -172,18 +181,28 @@ func NewStore(name string, opts Options) (*Store, error) {
 	if opts.Placement == nil {
 		opts.Placement = HashRandom()
 	}
-	backend, err := newBackend(opts)
+	backend, err := newBackend(opts, opts.DiskDir)
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{
 		name:         name,
 		backend:      backend,
+		down:         make([]atomic.Bool, opts.Shards),
 		numShards:    opts.Shards,
 		placement:    opts.Placement,
 		shardMachine: make([]int, opts.Shards),
-		replicate:    opts.Replicate,
 		retry:        opts.Retry,
+	}
+	if opts.Replicate {
+		if s.replica, err = newBackend(opts, filepath.Join(opts.DiskDir, "replica")); err != nil {
+			backend.Close()
+			return nil, err
+		}
+		s.mirror = make([]paddedMutex, opts.Shards)
+	}
+	if opts.Faults != nil && opts.Faults.injects() {
+		s.faults = newFaultInjector(opts.Faults, s.down)
 	}
 	for i := range s.shardMachine {
 		s.shardMachine[i] = opts.Placement.MachineFor(i, opts.Shards)
@@ -200,8 +219,8 @@ func (s *Store) NumShards() int { return s.numShards }
 // Backend returns the kind of the store's storage backend.
 func (s *Store) Backend() BackendKind { return s.backend.Kind() }
 
-// BackendStats returns the backend-specific counters (disk footprint, wire
-// costs).
+// BackendStats returns the primary engine's backend-specific counters (disk
+// footprint, wire costs).
 func (s *Store) BackendStats() BackendStats { return s.backend.Stats() }
 
 func (s *Store) shardIndexFor(key uint64) int {
@@ -224,12 +243,13 @@ func (s *Store) shardLocalTo(machine, idx int) bool {
 
 // Reserve tells the store that about keys entries are about to be written,
 // so an engine that sizes an index (mem, and the mem engine behind rpc) can
-// size it once.  It is a hint: it changes no result, an engine without an
-// index to size ignores it, and so does one reached through a wrapper that
-// does not forward it.
+// size it once, the replica's too.  It is a hint: it changes no result, and
+// an engine without an index to size ignores it.
 func (s *Store) Reserve(keys int) {
-	if r, ok := s.backend.(interface{ Reserve(keys int) }); ok {
-		r.Reserve(keys)
+	for _, e := range s.engines() {
+		if r, ok := e.(interface{ Reserve(keys int) }); ok { // false for nil
+			r.Reserve(keys)
+		}
 	}
 }
 
@@ -314,8 +334,8 @@ func (s *Store) putFrom(machine int, key uint64, value []byte) error {
 	}
 	idx := s.shardIndexFor(key)
 	local := s.shardLocalTo(machine, idx)
-	if err := s.backend.Put(idx, key, value); err != nil {
-		err = s.retryAfter(err, func() error { return s.backend.Put(idx, key, value) })
+	if err := s.putShard(idx, key, value); err != nil {
+		err = s.retryAfter(err, func() error { return s.putShard(idx, key, value) })
 		if err != nil {
 			return err
 		}
@@ -344,11 +364,11 @@ func (s *Store) Get(key uint64) ([]byte, bool, error) {
 func (s *Store) getFrom(machine int, key uint64) ([]byte, bool, error) {
 	idx := s.shardIndexFor(key)
 	local := s.shardLocalTo(machine, idx)
-	v, ok, failover, err := s.backend.Get(idx, key)
+	v, ok, failover, err := s.getShard(idx, key)
 	if err != nil {
 		err = s.retryAfter(err, func() error {
 			var aerr error
-			v, ok, failover, aerr = s.backend.Get(idx, key)
+			v, ok, failover, aerr = s.getShard(idx, key)
 			return aerr
 		})
 	}
@@ -401,35 +421,32 @@ func (s *Store) WriteCount() int64 {
 }
 
 // Freeze makes the store read-only; subsequent Put and BatchPut calls fail.
-// In the AMPC model D_{i-1} is immutable while round i runs.  The backend
+// In the AMPC model D_{i-1} is immutable while round i runs.  The engines
 // may use the transition to flush buffered state (the disk backend syncs
-// its logs); an error means that flush failed — the store is frozen
-// regardless, but its durability point was not reached.
+// its logs), and a FaultPlan with TornTail then tears every disk log's
+// tail; an error means that flush failed — the store is frozen regardless,
+// but its durability point was not reached.
 func (s *Store) Freeze() error {
 	if s.frozen.Swap(true) {
 		return nil
 	}
-	if err := s.backend.Freeze(); err != nil {
-		return fmt.Errorf("dht: freezing %s: %w", s.name, err)
+	for i, e := range s.engines() {
+		if e == nil {
+			break
+		}
+		err := e.Freeze()
+		if db, ok := e.(*diskBackend); ok && err == nil && s.faults != nil && s.faults.plan.TornTail {
+			err = injectTornTails(db, s.faults.plan.Seed, i)
+		}
+		if err != nil {
+			return fmt.Errorf("dht: freezing %s: %w", s.name, err)
+		}
 	}
 	return nil
 }
 
 // Frozen reports whether the store is read-only.
 func (s *Store) Frozen() bool { return s.frozen.Load() }
-
-// FailShard simulates the loss of shard i.  With replication enabled reads
-// continue to succeed (and are counted as failovers); without replication
-// reads of keys on the failed shard return ErrUnavailable.
-func (s *Store) FailShard(i int) {
-	s.backend.FailShard(i % s.numShards)
-}
-
-// RecoverShard undoes FailShard, rebuilding the primary from the replica
-// when one exists.  An error means the rebuild itself failed.
-func (s *Store) RecoverShard(i int) error {
-	return s.backend.RecoverShard(i % s.numShards)
-}
 
 // Len returns the number of distinct keys stored.  After Close it returns
 // the key count snapshotted at close time.
@@ -510,9 +527,9 @@ func (s *Store) TotalBytes() int64 {
 }
 
 // MeasuredCostModel derives a cost model from the wire round trips measured
-// by the store's backend.  It reports false when the backend has no transport
-// (mem, disk) or has not yet served any operation; callers then fall back to
-// the simulated models.
+// by the store's primary engine.  It reports false when the backend has no
+// transport (mem, disk) or has not yet served any operation; callers then
+// fall back to the simulated models.
 func (s *Store) MeasuredCostModel() (simtime.CostModel, bool) {
 	bs := s.backend.Stats()
 	read, write := bs.MeasuredReadRTT(), bs.MeasuredWriteRTT()
@@ -522,7 +539,7 @@ func (s *Store) MeasuredCostModel() (simtime.CostModel, bool) {
 	return simtime.Measured(string(bs.Kind), read, write), true
 }
 
-// Close releases the backend's resources (files, sockets).  A store has one
+// Close releases the engines' resources (files, sockets).  A store has one
 // owner — the ampc session or job that opened it — which closes it once;
 // further calls are no-ops.  Operation counters and Stats stay readable; data
 // operations on a closed store are undefined.
@@ -532,5 +549,14 @@ func (s *Store) Close() error {
 	}
 	s.finalKeys = int64(s.Len())
 	s.closed.Store(true)
-	return s.backend.Close()
+	var first error
+	for _, e := range s.engines() {
+		if e == nil {
+			break
+		}
+		if err := e.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }

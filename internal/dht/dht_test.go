@@ -104,6 +104,29 @@ func TestFailShardWithoutReplication(t *testing.T) {
 	if _, ok, err := s.Get(1); err != nil || !ok {
 		t.Fatalf("recovered read %v %v", ok, err)
 	}
+
+	// Shard indexes wrap: -1 is the last shard, n+1 is shard 1.
+	const n = 4
+	m := mustStore("d1", Options{Shards: n})
+	for i, want := range map[int]int{-1: n - 1, n + 1: 1} {
+		key := keysOnShard(m, want, 1)[0]
+		if err := m.Put(key, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		m.FailShard(i)
+		for shard := 0; shard < n; shard++ {
+			_, _, err := m.Get(keysOnShard(m, shard, 1)[0])
+			if down := shard == want; errors.Is(err, ErrUnavailable) != down {
+				t.Fatalf("FailShard(%d): read of shard %d returned %v, want unavailable %v", i, shard, err, down)
+			}
+		}
+		if err := m.RecoverShard(i); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := m.Get(key); err != nil || !ok {
+			t.Fatalf("RecoverShard(%d): read of shard %d: %v %v", i, want, ok, err)
+		}
+	}
 }
 
 func TestFailShardWithReplication(t *testing.T) {

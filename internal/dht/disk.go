@@ -6,12 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// The disk backend.
+// The disk backend holds bytes past RAM and is durable at Freeze.
 //
 // Each shard is a log-structured append-only file plus an in-memory offset
 // index: a Put appends one record and repoints the key's index entry at it,
@@ -28,7 +27,7 @@ import (
 //
 // op 1 = put (the key's extent is this record's payload), op 3 = delete (a
 // zero-payload tombstone that drops the key's extent; the dead payload bytes
-// stay in the log until the shard is rewritten).  Op 2 is retired and never
+// stay in the log, which is never rewritten).  Op 2 is retired and never
 // written: replay rejects it, like any other unknown op, as a corrupt log.
 
 const (
@@ -48,8 +47,7 @@ type extent struct {
 // written or replayed, and what it gives back when it is deleted.
 const diskKeyBytes = 56
 
-// diskTable is one append log with its index: the primary or the replica of a
-// shard.
+// diskTable is one shard's append log with its index.
 type diskTable struct {
 	f     *os.File
 	size  int64
@@ -163,27 +161,24 @@ func (t *diskTable) indexCost() int64 { return diskKeyBytes * int64(len(t.index)
 
 func (t *diskTable) close() error { return t.f.Close() }
 
-// diskShard pairs a primary table with an optional replica table and the
-// simulated failure flag.
+// diskShard is one shard: its table behind the lock that orders appends.
 type diskShard struct {
-	mu     sync.RWMutex
-	prim   *diskTable
-	rep    *diskTable
-	failed bool
+	mu    sync.RWMutex
+	table *diskTable
 }
 
 // diskBackend implements ShardBackend over per-shard log files in dir.
 type diskBackend struct {
 	dir      string
 	shards   []*diskShard
-	disk     atomic.Int64 // bytes appended to primary logs
+	disk     atomic.Int64 // bytes appended to the logs
 	resident atomic.Int64 // index overhead estimate
 }
 
 // newDiskBackend opens (or creates) one log per shard under dir, replaying any
 // existing logs.  dir must be non-empty; callers that want a throwaway store
 // pass a fresh temporary directory (an ampc Session does this automatically).
-func newDiskBackend(shards int, replicate bool, dir string) (*diskBackend, error) {
+func newDiskBackend(shards int, dir string) (*diskBackend, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("dht: backend %q requires Options.DiskDir", BackendDisk)
 	}
@@ -192,113 +187,73 @@ func newDiskBackend(shards int, replicate bool, dir string) (*diskBackend, error
 	}
 	b := &diskBackend{dir: dir, shards: make([]*diskShard, shards)}
 	for i := range b.shards {
-		prim, err := openDiskTable(filepath.Join(dir, fmt.Sprintf("shard-%04d.log", i)))
+		t, err := openDiskTable(filepath.Join(dir, fmt.Sprintf("shard-%04d.log", i)))
 		if err != nil {
 			b.Close()
 			return nil, fmt.Errorf("dht: opening shard %d: %w", i, err)
 		}
-		sh := &diskShard{prim: prim}
-		if replicate {
-			rep, err := openDiskTable(filepath.Join(dir, fmt.Sprintf("shard-%04d.rep.log", i)))
-			if err != nil {
-				prim.close()
-				b.Close()
-				return nil, fmt.Errorf("dht: opening shard %d replica: %w", i, err)
-			}
-			sh.rep = rep
-		}
-		b.shards[i] = sh
-		b.disk.Add(prim.size)
-		b.resident.Add(prim.indexCost())
+		b.shards[i] = &diskShard{table: t}
+		b.disk.Add(t.size)
+		b.resident.Add(t.indexCost())
 	}
 	return b, nil
 }
 
 func (b *diskBackend) Kind() BackendKind { return BackendDisk }
 
-// accountWrite tracks the footprint deltas of one record written to the
-// primary: recBytes on disk, and the index growth in RAM.
-func (b *diskBackend) accountWrite(recBytes int64, newKey bool) {
-	b.disk.Add(recBytes)
-	if newKey {
-		b.resident.Add(diskKeyBytes)
-	}
-}
-
-func (b *diskBackend) Get(shard int, key uint64) ([]byte, bool, bool, error) {
+func (b *diskBackend) Get(shard int, key uint64) ([]byte, bool, error) {
 	sh := b.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if sh.failed {
-		if sh.rep == nil {
-			return nil, false, false, ErrUnavailable
-		}
-		v, ok, err := sh.rep.read(key)
-		return v, ok, true, err
-	}
-	v, ok, err := sh.prim.read(key)
-	return v, ok, false, err
+	return sh.table.read(key)
 }
 
-// writeLocked appends one put record to the primary (and replica) of sh,
-// assuming sh.mu is held for writing.
-func (b *diskBackend) writeLocked(sh *diskShard, key uint64, value []byte) error {
-	_, hadKey := sh.prim.index[key]
-	n, err := sh.prim.write(diskOpPut, key, value)
-	if err != nil {
-		return err
+// account adds the log bytes a call appended and the index entries it added
+// (or, negative, removed) to the footprint gauges.  Every writer of the
+// engine shares them, so a call adds once, not once per record.
+func (b *diskBackend) account(bytes int64, keys int) {
+	b.disk.Add(bytes)
+	if keys != 0 {
+		b.resident.Add(diskKeyBytes * int64(keys))
 	}
-	b.accountWrite(n, !hadKey)
-	if sh.rep != nil {
-		if _, err := sh.rep.write(diskOpPut, key, value); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (b *diskBackend) Put(shard int, key uint64, value []byte) error {
-	sh := b.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return b.writeLocked(sh, key, value)
+	return b.BatchWrite(shard, []Pair{{Key: key, Value: value}})
 }
 
-func (b *diskBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int, error) {
+func (b *diskBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, error) {
 	sh := b.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if sh.failed && sh.rep == nil {
-		return nil, nil, 0, ErrUnavailable
-	}
-	table := sh.prim
-	failovers := 0
-	if sh.failed {
-		table = sh.rep
-		failovers = len(keys)
-	}
 	vals := make([][]byte, len(keys))
 	oks := make([]bool, len(keys))
 	for i, k := range keys {
-		v, ok, err := table.read(k)
+		v, ok, err := sh.table.read(k)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		vals[i], oks[i] = v, ok
 	}
-	return vals, oks, failovers, nil
+	return vals, oks, nil
 }
 
 func (b *diskBackend) BatchWrite(shard int, pairs []Pair) error {
 	sh := b.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	keys := len(sh.table.index)
+	var bytes int64
+	var err error
 	for _, p := range pairs {
-		if err := b.writeLocked(sh, p.Key, p.Value); err != nil {
-			return err
+		var n int64
+		if n, err = sh.table.write(diskOpPut, p.Key, p.Value); err != nil {
+			break
 		}
+		bytes += n
 	}
-	return nil
+	b.account(bytes, len(sh.table.index)-keys)
+	return err
 }
 
 // BatchDelete appends one tombstone record per present key, dropping the
@@ -309,24 +264,20 @@ func (b *diskBackend) BatchDelete(shard int, keys []uint64) error {
 	sh := b.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	indexed := len(sh.table.index)
+	var bytes int64
+	var err error
 	for _, k := range keys {
-		if _, ok := sh.prim.index[k]; ok {
-			n, err := sh.prim.write(diskOpDelete, k, nil)
-			if err != nil {
-				return err
+		if _, ok := sh.table.index[k]; ok {
+			var n int64
+			if n, err = sh.table.write(diskOpDelete, k, nil); err != nil {
+				break
 			}
-			b.disk.Add(n)
-			b.resident.Add(-diskKeyBytes)
-		}
-		if sh.rep != nil {
-			if _, ok := sh.rep.index[k]; ok {
-				if _, err := sh.rep.write(diskOpDelete, k, nil); err != nil {
-					return err
-				}
-			}
+			bytes += n
 		}
 	}
-	return nil
+	b.account(bytes, len(sh.table.index)-indexed)
+	return err
 }
 
 // Freeze syncs every log to stable storage: the store has become read-only,
@@ -334,10 +285,7 @@ func (b *diskBackend) BatchDelete(shard int, keys []uint64) error {
 func (b *diskBackend) Freeze() error {
 	for _, sh := range b.shards {
 		sh.mu.Lock()
-		err := sh.prim.f.Sync()
-		if err == nil && sh.rep != nil {
-			err = sh.rep.f.Sync()
-		}
+		err := sh.table.f.Sync()
 		sh.mu.Unlock()
 		if err != nil {
 			return err
@@ -346,63 +294,19 @@ func (b *diskBackend) Freeze() error {
 	return nil
 }
 
-func (b *diskBackend) FailShard(shard int) {
-	sh := b.shards[shard]
-	sh.mu.Lock()
-	sh.failed = true
-	sh.mu.Unlock()
-}
-
-// RecoverShard clears the failure flag and, when a replica exists, rebuilds
-// the primary from it — rewriting the primary log with one put per key, in
-// sorted key order for determinism.
-func (b *diskBackend) RecoverShard(shard int) error {
-	sh := b.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.failed = false
-	if sh.rep == nil {
-		return nil
-	}
-	b.resident.Add(-sh.prim.indexCost())
-	b.disk.Add(-sh.prim.size)
-	if err := sh.prim.f.Truncate(0); err != nil {
-		return fmt.Errorf("dht: truncating primary during recovery: %w", err)
-	}
-	sh.prim.size = 0
-	sh.prim.index = make(map[uint64]extent, len(sh.rep.index))
-	keys := make([]uint64, 0, len(sh.rep.index))
-	for k := range sh.rep.index {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		v, ok, err := sh.rep.read(k)
-		if err != nil || !ok {
-			return fmt.Errorf("dht: reading replica during recovery of shard %d: ok=%v err=%v", shard, ok, err)
-		}
-		n, err := sh.prim.write(diskOpPut, k, v)
-		if err != nil {
-			return fmt.Errorf("dht: rebuilding primary during recovery: %w", err)
-		}
-		b.accountWrite(n, true)
-	}
-	return nil
-}
-
 func (b *diskBackend) LenShard(shard int) int {
 	sh := b.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(sh.prim.index)
+	return len(sh.table.index)
 }
 
 func (b *diskBackend) Range(shard int, fn func(key uint64, value []byte) bool) (bool, error) {
 	sh := b.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	for k := range sh.prim.index {
-		v, _, err := sh.prim.read(k)
+	for k := range sh.table.index {
+		v, _, err := sh.table.read(k)
 		if err != nil {
 			return false, fmt.Errorf("key %d: %w", k, err)
 		}
@@ -431,17 +335,11 @@ func (b *diskBackend) Close() error {
 			continue
 		}
 		sh.mu.Lock()
-		if sh.prim != nil {
-			if err := sh.prim.close(); err != nil && first == nil {
+		if sh.table != nil {
+			if err := sh.table.close(); err != nil && first == nil {
 				first = err
 			}
-			sh.prim = nil
-		}
-		if sh.rep != nil {
-			if err := sh.rep.close(); err != nil && first == nil {
-				first = err
-			}
-			sh.rep = nil
+			sh.table = nil
 		}
 		sh.mu.Unlock()
 	}

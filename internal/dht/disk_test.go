@@ -55,7 +55,7 @@ func TestDiskRangeReportsReadErrors(t *testing.T) {
 // can reach the engine after its job has closed the store; it must get an
 // error back, not dereference a released table.
 func TestDiskReadAfterCloseIsAnError(t *testing.T) {
-	b, err := newDiskBackend(2, true, t.TempDir())
+	b, err := newDiskBackend(2, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,23 +65,23 @@ func TestDiskReadAfterCloseIsAnError(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := b.Get(1, 7); !errors.Is(err, errDiskClosed) {
+	if _, _, err := b.Get(1, 7); !errors.Is(err, errDiskClosed) {
 		t.Fatalf("Get after Close: %v, want errDiskClosed", err)
 	}
-	if _, _, _, err := b.BatchGet(1, []uint64{7, 9}); !errors.Is(err, errDiskClosed) {
+	if _, _, err := b.BatchGet(1, []uint64{7, 9}); !errors.Is(err, errDiskClosed) {
 		t.Fatalf("BatchGet after Close: %v, want errDiskClosed", err)
 	}
 }
 
 // TestDiskResidentBytesReturnToZero: the resident-index gauge charges a key
-// one constant wherever the key enters the index — a Put, RecoverShard's
-// rebuild of the primary, the replay of a reopened log — and credits the same
-// constant when the key is deleted, so deleting every key returns it to zero.
-// (It used to charge 56 bytes on a Put and credit 72 everywhere else.)
+// one constant wherever the key enters the index — a Put, the replay of a
+// reopened log — and credits the same constant when the key is deleted, so
+// deleting every key returns it to zero.  (It used to charge 56 bytes on a
+// Put and credit 72 everywhere else.)
 func TestDiskResidentBytesReturnToZero(t *testing.T) {
 	const shards, keys = 2, 100
 	dir := t.TempDir()
-	b, err := newDiskBackend(shards, true, dir)
+	b, err := newDiskBackend(shards, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +104,10 @@ func TestDiskResidentBytesReturnToZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after an overwrite", keys*diskKeyBytes)
-	b.FailShard(0)
-	if err := b.RecoverShard(0); err != nil {
-		t.Fatal(err)
-	}
-	check("after FailShard/RecoverShard", keys*diskKeyBytes)
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if b, err = newDiskBackend(shards, true, dir); err != nil {
+	if b, err = newDiskBackend(shards, dir); err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()

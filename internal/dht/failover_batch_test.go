@@ -1,8 +1,10 @@
 package dht
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -170,42 +172,56 @@ func TestBatchGetMidBatchFailureMatchesSingleKeyAccounting(t *testing.T) {
 func TestBatchPutDuringFailureKeepsReplicaConsistent(t *testing.T) {
 	// Writes do not fail over: like the single-key path, BatchPut keeps
 	// writing through to primary and replica while a shard is marked
-	// failed, so a later RecoverShard rebuilds a complete primary.
-	s := mustStore("d0", Options{Shards: 4, Replicate: true})
-	s.FailShard(3)
-	pairs := make([]Pair, 0, 32)
-	for k := uint64(0); k < 32; k++ {
-		pairs = append(pairs, Pair{Key: k, Value: []byte{byte(k)}})
-	}
-	before := s.Stats()
-	visits, err := s.BatchPut(pairs)
-	if err != nil {
-		t.Fatalf("BatchPut during shard failure: %v", err)
-	}
-	if visits != 4 {
-		t.Fatalf("visits = %d, want 4", visits)
-	}
-	after := s.Stats()
-	if got := after.Writes - before.Writes; got != 32 {
-		t.Fatalf("Writes grew by %d, want 32", got)
-	}
-	// Reads of the failed shard are served by the replica, including the
-	// writes that landed mid-failure.
-	for k := uint64(0); k < 32; k++ {
-		v, ok, err := s.Get(k)
-		if err != nil || !ok || v[0] != byte(k) {
-			t.Fatalf("key %d unreadable during failure: %v %v %v", k, v, ok, err)
-		}
-	}
-	s.RecoverShard(3)
-	for k := uint64(0); k < 32; k++ {
-		v, ok, err := s.Get(k)
-		if err != nil || !ok || v[0] != byte(k) {
-			t.Fatalf("key %d lost after recovery: %v %v %v", k, v, ok, err)
-		}
-	}
-	if fo := s.Stats().Failovers; fo == 0 {
-		t.Fatal("reads during the failure should have been counted as failovers")
+	// failed, so the primary is complete when RecoverShard brings it back.
+	for _, kind := range backendCases() {
+		t.Run(string(kind), func(t *testing.T) {
+			s := storeForBackend(t, kind, Options{Shards: 4, Replicate: true})
+			s.FailShard(3)
+			pairs := make([]Pair, 0, 32)
+			for k := uint64(0); k < 32; k++ {
+				pairs = append(pairs, Pair{Key: k, Value: []byte{byte(k)}})
+			}
+			before := s.Stats()
+			visits, err := s.BatchPut(pairs)
+			if err != nil {
+				t.Fatalf("BatchPut during shard failure: %v", err)
+			}
+			if visits != 4 {
+				t.Fatalf("visits = %d, want 4", visits)
+			}
+			after := s.Stats()
+			if got := after.Writes - before.Writes; got != 32 {
+				t.Fatalf("Writes grew by %d, want 32", got)
+			}
+			// Reads of the failed shard are served by the replica, including
+			// the writes that landed mid-failure.
+			for k := uint64(0); k < 32; k++ {
+				v, ok, err := s.Get(k)
+				if err != nil || !ok || v[0] != byte(k) {
+					t.Fatalf("key %d unreadable during failure: %v %v %v", k, v, ok, err)
+				}
+			}
+			onFailed := int64(0)
+			for k := uint64(0); k < 32; k++ {
+				if s.shardIndexFor(k) == 3 {
+					onFailed++
+				}
+			}
+			failovers := s.Stats().Failovers
+			if onFailed == 0 || failovers != onFailed {
+				t.Fatalf("Failovers = %d, want %d: one per read of the failed shard", failovers, onFailed)
+			}
+			s.RecoverShard(3)
+			for k := uint64(0); k < 32; k++ {
+				v, ok, err := s.Get(k)
+				if err != nil || !ok || v[0] != byte(k) {
+					t.Fatalf("key %d lost after recovery: %v %v %v", k, v, ok, err)
+				}
+			}
+			if fo := s.Stats().Failovers; fo != failovers {
+				t.Fatalf("Failovers grew from %d to %d after recovery: the primary should serve", failovers, fo)
+			}
+		})
 	}
 }
 
@@ -220,5 +236,43 @@ func TestBatchPutFrozenAndEmptyBatches(t *testing.T) {
 	}
 	if st := s.Stats(); st.Writes != 0 || st.BatchWrites != 0 {
 		t.Fatalf("rejected batch writes must not count: %+v", st)
+	}
+}
+
+// TestReplicaFollowsPrimaryUnderConcurrentWrites: writers racing on one key
+// may leave any of their values, but the replica must hold the one the
+// primary holds — a failover must not change what a key reads.
+func TestReplicaFollowsPrimaryUnderConcurrentWrites(t *testing.T) {
+	const writers, rounds = 8, 300
+	for _, kind := range backendCases() {
+		t.Run(string(kind), func(t *testing.T) {
+			s := storeForBackend(t, kind, Options{Shards: 2, Replicate: true})
+			for r := 0; r < rounds; r++ {
+				key := uint64(r % 3)
+				idx := s.shardIndexFor(key)
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						var err error
+						if w%2 == 0 {
+							err = s.Put(key, []byte{byte(w), byte(r)})
+						} else {
+							_, err = s.BatchPut([]Pair{{Key: key, Value: []byte{byte(w), byte(r)}}})
+						}
+						if err != nil {
+							t.Error(err)
+						}
+					}(w)
+				}
+				wg.Wait()
+				pv, _, perr := s.backend.Get(idx, key)
+				rv, _, rerr := s.replica.Get(idx, key)
+				if perr != nil || rerr != nil || !bytes.Equal(pv, rv) {
+					t.Fatalf("round %d, key %d: primary holds %v (%v), replica %v (%v)", r, key, pv, perr, rv, rerr)
+				}
+			}
+		})
 	}
 }

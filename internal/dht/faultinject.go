@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ampcgraph/internal/rng"
@@ -12,11 +13,15 @@ import (
 
 // Deterministic fault injection.
 //
-// A FaultPlan wraps any ShardBackend in a seeded chaos layer (installed via
-// Options.Faults) that injects the failure modes a real deployment sees —
-// transient per-op errors, latency spikes, whole-shard crashes with scheduled
-// recovery, torn disk tails at the Freeze durability point, and dropped rpc
-// connections — while keeping every run byte-identical to a fault-free one.
+// A FaultPlan (installed via Options.Faults) makes the Store inject the
+// failure modes a real deployment sees — transient per-op errors, latency
+// spikes, whole-shard crashes with scheduled recovery, torn disk tails at the
+// Freeze durability point, and dropped rpc connections — while keeping every
+// run byte-identical to a fault-free one.  The per-op draws and the crash
+// schedule run at the start of every façade shard visit, before the visit is
+// routed to the primary or the replica (failover.go); torn tails land at
+// Store.Freeze on every disk log, the replica's included; connection drops
+// happen inside the rpc transport, of both servers of a replicated store.
 //
 // Determinism is the point: every decision is a pure hash of the plan seed
 // and the op's identity (kind, shard, key) plus an occurrence counter, never
@@ -24,8 +29,8 @@ import (
 // FIRST occurrence and succeeds afterwards, so whichever racing caller
 // arrives first absorbs the fault, retries (or triggers a sub-round
 // re-execution in the ampc runtime), and observes exactly the bytes a clean
-// run observes.  Faults are injected BEFORE the wrapped engine applies the
-// op, so a retried write applies exactly once.
+// run observes.  Faults are injected BEFORE the engines apply the op, so a
+// retried write applies exactly once.
 //
 // Fatal faults (PFatal) are restricted to reads: they model a lookup that
 // stays stuck past any retry budget, and reads are the only ops the runtime
@@ -82,8 +87,8 @@ type FaultPlan struct {
 	PDrop float64
 }
 
-// injects reports whether the plan injects anything at the ShardBackend
-// seam (PDrop is handled inside the rpc transport, not by the wrapper).
+// injects reports whether the plan injects anything at the Store façade
+// (PDrop is handled inside the rpc transport).
 func (p *FaultPlan) injects() bool {
 	return p.PTransient > 0 || p.PFatal > 0 || p.PSpike > 0 ||
 		len(p.Crashes) > 0 || p.TornTail
@@ -115,34 +120,35 @@ type crashState struct {
 	recoverAt int64
 }
 
-// faultBackend is the injecting ShardBackend wrapper.  Control-plane methods
-// (Kind, FailShard, LenShard, Range, Stats, Close, BatchDelete) pass through
-// via the embedded engine.
-type faultBackend struct {
-	ShardBackend
+// faultInjector runs a plan's per-visit decisions for one store: the
+// occurrence counts, the per-shard read clocks, and the crash schedule, whose
+// transitions set and clear the store's down flags.
+type faultInjector struct {
 	plan *FaultPlan
+	down []atomic.Bool // the store's
 
 	mu      sync.Mutex
 	occ     map[occKey]uint32
-	reads   []int64 // per-shard read visits observed by the injector
+	reads   []int64 // per-shard read visits
 	crashes []crashState
 }
 
-// newFaultBackend wraps engine with plan.  The caller has checked
-// plan.injects().
-func newFaultBackend(engine ShardBackend, shards int, plan *FaultPlan) *faultBackend {
-	b := &faultBackend{
-		ShardBackend: engine,
-		plan:         plan,
-		occ:          make(map[occKey]uint32),
-		reads:        make([]int64, shards),
-		crashes:      make([]crashState, len(plan.Crashes)),
+// newFaultInjector runs plan against the shard down flags down.  The caller
+// has checked plan.injects().
+func newFaultInjector(plan *FaultPlan, down []atomic.Bool) *faultInjector {
+	n := len(down)
+	f := &faultInjector{
+		plan:    plan,
+		down:    down,
+		occ:     make(map[occKey]uint32),
+		reads:   make([]int64, n),
+		crashes: make([]crashState, len(plan.Crashes)),
 	}
 	for i, c := range plan.Crashes {
-		c.Shard = ((c.Shard % shards) + shards) % shards
-		b.crashes[i] = crashState{spec: c}
+		c.Shard = wrapShard(c.Shard, n)
+		f.crashes[i] = crashState{spec: c}
 	}
-	return b
+	return f
 }
 
 // identity mixes an op's (kind, shard, key) into the uint64 hashed against
@@ -156,19 +162,17 @@ func identity(write bool, shard int, key uint64) uint64 {
 }
 
 // draw returns the deterministic uniform coin for id in the salted stream.
-func (b *faultBackend) draw(salt int64, id uint64) float64 {
-	return rng.UniformFloat(b.plan.Seed^salt, id)
+func (f *faultInjector) draw(salt int64, id uint64) float64 {
+	return rng.UniformFloat(f.plan.Seed^salt, id)
 }
 
-// noteRead advances shard's read clock under b.mu and fires any crash
-// transition due at this point.  It returns the recovery error, if the
-// scheduled RecoverShard failed.
-func (b *faultBackend) noteRead(shard int) error {
-	b.reads[shard]++
-	n := b.reads[shard]
-	var err error
-	for i := range b.crashes {
-		c := &b.crashes[i]
+// noteRead advances shard's read clock under f.mu and fires any crash
+// transition due at this point: the shard goes down, or comes back up.
+func (f *faultInjector) noteRead(shard int) {
+	f.reads[shard]++
+	n := f.reads[shard]
+	for i := range f.crashes {
+		c := &f.crashes[i]
 		if c.spec.Shard != shard || c.done {
 			continue
 		}
@@ -176,86 +180,80 @@ func (b *faultBackend) noteRead(shard int) error {
 			if n >= c.spec.AfterReads {
 				c.active = true
 				c.recoverAt = n + c.spec.RecoverReads
-				b.ShardBackend.FailShard(shard)
+				f.down[shard].Store(true)
 			}
 			continue
 		}
 		if n >= c.recoverAt {
 			c.active = false
 			c.done = true
-			if rerr := b.ShardBackend.RecoverShard(shard); rerr != nil && err == nil {
-				err = fmt.Errorf("dht: injected crash recovery on shard %d: %w", shard, rerr)
-			}
+			f.down[shard].Store(false)
 		}
 	}
-	return err
 }
 
 // beforeRead runs the read-side injection for keys on shard: it advances the
-// crash schedule, consumes each key's first read occurrence, and returns
-// whether to spike and which error (if any) to fail the call with.  Fatal
-// outranks transient when a batch trips both.
-func (b *faultBackend) beforeRead(shard int, keys ...uint64) (spike bool, err error) {
-	b.mu.Lock()
-	if rerr := b.noteRead(shard); rerr != nil {
-		b.mu.Unlock()
-		return false, rerr
-	}
+// crash schedule, consumes each key's first read occurrence, sleeps a spike,
+// and returns the error (if any) to fail the visit with.  Fatal outranks
+// transient when a batch trips both.
+func (f *faultInjector) beforeRead(shard int, keys ...uint64) error {
+	f.mu.Lock()
+	f.noteRead(shard)
 	var fatalKey, transientKey uint64
-	var sawFatal, sawTransient bool
+	var sawFatal, sawTransient, spike bool
 	for _, key := range keys {
 		ok := occKey{write: false, shard: int32(shard), key: key}
-		b.occ[ok]++
-		if b.occ[ok] != 1 {
+		f.occ[ok]++
+		if f.occ[ok] != 1 {
 			continue
 		}
 		id := identity(false, shard, key)
-		if !sawFatal && b.plan.PFatal > 0 && b.draw(faultSaltFatal, id) < b.plan.PFatal {
+		if !sawFatal && f.plan.PFatal > 0 && f.draw(faultSaltFatal, id) < f.plan.PFatal {
 			sawFatal, fatalKey = true, key
 		}
-		if !sawTransient && b.plan.PTransient > 0 && b.draw(faultSaltTransient, id) < b.plan.PTransient {
+		if !sawTransient && f.plan.PTransient > 0 && f.draw(faultSaltTransient, id) < f.plan.PTransient {
 			sawTransient, transientKey = true, key
 		}
-		if !spike && b.plan.PSpike > 0 && b.draw(faultSaltSpike, id) < b.plan.PSpike {
+		if !spike && f.plan.PSpike > 0 && f.draw(faultSaltSpike, id) < f.plan.PSpike {
 			spike = true
 		}
 	}
-	b.mu.Unlock()
-	if spike && b.plan.Spike > 0 {
-		time.Sleep(b.plan.Spike)
+	f.mu.Unlock()
+	if spike && f.plan.Spike > 0 {
+		time.Sleep(f.plan.Spike)
 	}
 	switch {
 	case sawFatal:
-		return spike, fmt.Errorf("%w: shard %d key %d", errInjectedFatal, shard, fatalKey)
+		return fmt.Errorf("%w: shard %d key %d", errInjectedFatal, shard, fatalKey)
 	case sawTransient:
-		return spike, fmt.Errorf("%w: read shard %d key %d", errInjectedTransient, shard, transientKey)
+		return fmt.Errorf("%w: read shard %d key %d", errInjectedTransient, shard, transientKey)
 	}
-	return spike, nil
+	return nil
 }
 
-// beforeWrite consumes each key's first write occurrence and returns the
-// transient error to fail the call with, if any.  Writes never draw fatal
-// faults: the injector fails the op before the engine applies it, so a
-// store-level retry re-applies it exactly once — but a write that escaped
-// past retries could not be safely re-executed by the runtime.
-func (b *faultBackend) beforeWrite(shard int, keys ...uint64) error {
-	if b.plan.PTransient <= 0 {
+// beforeWrite consumes the first write occurrence of each pair's key and
+// returns the transient error to fail the visit with, if any.  Writes never
+// draw fatal faults: the injector fails the op before the engines apply it,
+// so a store-level retry re-applies it exactly once — but a write that
+// escaped past retries could not be safely re-executed by the runtime.
+func (f *faultInjector) beforeWrite(shard int, pairs []Pair) error {
+	if f.plan.PTransient <= 0 {
 		return nil
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	var faultKey uint64
 	sawFault := false
 	// Consume every key's occurrence even after a hit, so one retry clears
 	// the whole batch regardless of how many keys drew a fault.
-	for _, key := range keys {
-		ok := occKey{write: true, shard: int32(shard), key: key}
-		b.occ[ok]++
-		if b.occ[ok] != 1 {
+	for _, p := range pairs {
+		ok := occKey{write: true, shard: int32(shard), key: p.Key}
+		f.occ[ok]++
+		if f.occ[ok] != 1 {
 			continue
 		}
-		if !sawFault && b.draw(faultSaltTransient, identity(true, shard, key)) < b.plan.PTransient {
-			sawFault, faultKey = true, key
+		if !sawFault && f.draw(faultSaltTransient, identity(true, shard, p.Key)) < f.plan.PTransient {
+			sawFault, faultKey = true, p.Key
 		}
 	}
 	if sawFault {
@@ -264,75 +262,21 @@ func (b *faultBackend) beforeWrite(shard int, keys ...uint64) error {
 	return nil
 }
 
-func (b *faultBackend) Get(shard int, key uint64) ([]byte, bool, bool, error) {
-	if _, err := b.beforeRead(shard, key); err != nil {
-		return nil, false, false, err
-	}
-	return b.ShardBackend.Get(shard, key)
-}
-
-func (b *faultBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int, error) {
-	if _, err := b.beforeRead(shard, keys...); err != nil {
-		return nil, nil, 0, err
-	}
-	return b.ShardBackend.BatchGet(shard, keys)
-}
-
-func (b *faultBackend) Put(shard int, key uint64, value []byte) error {
-	if err := b.beforeWrite(shard, key); err != nil {
-		return err
-	}
-	return b.ShardBackend.Put(shard, key, value)
-}
-
-func (b *faultBackend) BatchWrite(shard int, pairs []Pair) error {
-	if b.plan.PTransient > 0 {
-		keys := make([]uint64, len(pairs))
-		for i, p := range pairs {
-			keys[i] = p.Key
-		}
-		if err := b.beforeWrite(shard, keys...); err != nil {
-			return err
-		}
-	}
-	return b.ShardBackend.BatchWrite(shard, pairs)
-}
-
-// Freeze flushes the engine and then, for a disk engine under a TornTail
-// plan, simulates a crash mid-write at the durability point: a seeded,
-// partially-written record lands past the fsynced prefix of every shard log.
-// Live reads never see it (they go through the extent index, and diskTable
-// writes position at the tracked size, not the file end); a reopen replays
-// the log and truncates it — the recovery property the torn-tail tests pin.
-func (b *faultBackend) Freeze() error {
-	if err := b.ShardBackend.Freeze(); err != nil {
-		return err
-	}
-	if b.plan.TornTail {
-		if db, ok := b.ShardBackend.(*diskBackend); ok {
-			return injectTornTails(db, b.plan.Seed)
-		}
-	}
-	return nil
-}
-
-// injectTornTails appends a torn record (complete header, truncated payload)
-// to the primary and replica log of every shard.  Sizes and bytes are seeded.
-func injectTornTails(db *diskBackend, seed int64) error {
+// injectTornTails simulates a crash mid-write at the durability point: a
+// seeded, partially-written record (complete header, truncated payload)
+// lands past the fsynced prefix of every shard log of db, the primary's
+// (engine 0) or the replica's (engine 1).  Live reads never see it (they go
+// through the extent index, and diskTable writes position at the tracked
+// size, not the file end); a reopen replays the log and truncates it — the
+// recovery property the torn-tail tests pin.
+func injectTornTails(db *diskBackend, seed int64, engine int) error {
 	for i, sh := range db.shards {
 		sh.mu.Lock()
-		tables := []*diskTable{sh.prim}
-		if sh.rep != nil {
-			tables = append(tables, sh.rep)
-		}
-		for ti, t := range tables {
-			id := rng.Hash64(seed^faultSaltTorn, uint64(i)<<8|uint64(ti))
-			if err := appendTornRecord(t, id); err != nil {
-				sh.mu.Unlock()
-				return fmt.Errorf("dht: injecting torn tail on shard %d: %w", i, err)
-			}
-		}
+		err := appendTornRecord(sh.table, rng.Hash64(seed^faultSaltTorn, uint64(i)<<8|uint64(engine)))
 		sh.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("dht: injecting torn tail on shard %d: %w", i, err)
+		}
 	}
 	return nil
 }

@@ -31,8 +31,8 @@ func memTestValue(key uint64, version int) []byte {
 // on a frozen store while one goroutine cycles FailShard/RecoverShard and
 // another rebalances the store between two placements.  Rebalance is
 // quiesced against the readers (the runtime's runMu does the same) but runs
-// concurrently with the failer, so copy-on-write republishes race with each
-// other.  Every read must return the original bytes — or ErrUnavailable
+// concurrently with the failer, so its copy-on-write republishes race with
+// the failer's flag flips.  Every read must return the original bytes — or ErrUnavailable
 // when the store has no replica — never a torn or missing value.
 func TestFrozenReadsDuringFailoverAndRebalance(t *testing.T) {
 	const keys, shards, machines = 4000, 8, 4
@@ -384,34 +384,35 @@ func TestCounterBlocksAreLinePadded(t *testing.T) {
 }
 
 // TestReserveSizesTablesOnce: a store told its item count allocates each
-// shard's slot array once — filling it to the reservation never rehashes —
-// and a reservation that a wrapper swallows, or that arrives after Freeze,
-// is lost without an error.
+// shard's slot array once, in the primary and the replica engine — filling
+// it to the reservation never rehashes — and a reservation that arrives
+// after Freeze, or reaches an engine without a table, is lost without an
+// error.
 func TestReserveSizesTablesOnce(t *testing.T) {
 	const keys, shards = 40_000, 8
 	s := mustStore("d0", Options{Shards: shards, Replicate: true})
 	s.Reserve(keys)
-	b := s.backend.(*memBackend)
-	for i := range b.shards {
-		if b.shards[i].st.prim.slots != nil {
+	prim, rep := s.backend.(*memBackend), s.replica.(*memBackend)
+	for i := range prim.shards {
+		if prim.shards[i].st.table.slots != nil || rep.shards[i].st.table.slots != nil {
 			t.Fatal("Reserve allocated before the first write")
 		}
 	}
 	if err := s.Put(0, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	first := &b.shards[s.shardIndexFor(0)].st
-	primSlots, repSlots := &first.prim.slots[0], &first.rep.slots[0]
+	first, firstRep := &prim.shards[s.shardIndexFor(0)].st, &rep.shards[s.shardIndexFor(0)].st
+	primSlots, repSlots := &first.table.slots[0], &firstRep.table.slots[0]
 	for k := uint64(1); k < keys; k++ {
 		if err := s.Put(k, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if &first.prim.slots[0] != primSlots || &first.rep.slots[0] != repSlots {
+	if &first.table.slots[0] != primSlots || &firstRep.table.slots[0] != repSlots {
 		t.Fatal("a table filled to its reservation was re-allocated")
 	}
-	if got := first.prim.live; got < keys/shards*9/10 || got > len(first.prim.slots)*tableLoadNum/tableLoadDenom {
-		t.Fatalf("shard holds %d keys in %d slots", got, len(first.prim.slots))
+	if got := first.table.live; got < keys/shards*9/10 || got > len(first.table.slots)*tableLoadNum/tableLoadDenom {
+		t.Fatalf("shard holds %d keys in %d slots", got, len(first.table.slots))
 	}
 	// Skew past the reservation still works: the table grows.
 	small := mustStore("d1", Options{Shards: 2})
@@ -424,9 +425,13 @@ func TestReserveSizesTablesOnce(t *testing.T) {
 	if small.Len() != 1000 {
 		t.Fatalf("Len = %d, want 1000", small.Len())
 	}
-	// Lost hints: behind the fault injector, on the disk engine, after Freeze.
-	wrapped := mustStore("d2", Options{Shards: 2, Faults: &FaultPlan{Seed: 1, PTransient: 0.5}})
-	wrapped.Reserve(1000)
+	// A fault plan runs in the façade, so the hint still reaches the engine.
+	faulty := mustStore("d2", Options{Shards: 2, Faults: &FaultPlan{Seed: 1, PTransient: 0.5}})
+	faulty.Reserve(1000)
+	if faulty.backend.(*memBackend).shards[0].st.table.hint == 0 {
+		t.Fatal("a store with a fault plan lost the reservation")
+	}
+	// Lost hints: on the disk engine, after Freeze.
 	disk := mustStore("d3", Options{Shards: 2, Backend: BackendDisk, DiskDir: t.TempDir()})
 	defer disk.Close()
 	disk.Reserve(1000)
@@ -444,7 +449,7 @@ func TestReserveSizesTablesOnce(t *testing.T) {
 	}
 	defer rpc.Close()
 	rpc.Reserve(1000)
-	if got := rpc.backend.(*rpcBackend).engine.shards[0].st.prim.hint; got == 0 {
+	if got := rpc.backend.(*rpcBackend).engine.shards[0].st.table.hint; got == 0 {
 		t.Fatal("the rpc backend did not pass the reservation to its server engine")
 	}
 }

@@ -7,9 +7,10 @@ import "fmt"
 // Swapping a store's placement policy is only sound if every key's bytes
 // move to the shard the new policy routes it to — otherwise reads after the
 // swap miss data written before it.  Store.Rebalance performs that move
-// through the ShardBackend seam (BatchWrite + BatchDelete are ordinary
-// backend operations, so mem, disk and rpc all migrate the same way) and
-// then swaps the placement and the memoized shard→machine map.  The caller
+// with the façade's shard visits (a BatchWrite and a BatchDelete through the
+// ShardBackend seam, mirrored into the replica, so mem, disk and rpc all
+// migrate the same way) and then swaps the placement and the memoized
+// shard→machine map.  The caller
 // is responsible for quiescence, cache invalidation and the modeled cost of
 // the move: ampc's Job.Rebalance serializes against running rounds,
 // invalidates exactly the migrated key spans from its per-machine caches and
@@ -76,12 +77,12 @@ func (s *Store) Rebalance(next Placement) (MigrationStats, error) {
 	}
 	// Apply: copy before delete.
 	for shard, pairs := range writes {
-		if err := s.backend.BatchWrite(shard, pairs); err != nil {
+		if err := s.writeShard(shard, pairs); err != nil {
 			return st, fmt.Errorf("dht: rebalance %s: copying to shard %d: %w", s.name, shard, err)
 		}
 	}
 	for shard, keys := range deletes {
-		if err := s.backend.BatchDelete(shard, keys); err != nil {
+		if err := s.deleteShard(shard, keys); err != nil {
 			return st, fmt.Errorf("dht: rebalance %s: deleting from shard %d: %w", s.name, shard, err)
 		}
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // TestBackendsBatchDelete pins the BatchDelete contract on every engine:
-// deleted keys are gone from reads and Range, absent keys are ignored, the
-// replica is kept in step (a failover after the delete must not resurrect
-// the key), and byte accounting shrinks.
+// deleted keys are gone from reads and Range, absent keys are ignored, and
+// the façade keeps the replica in step (a failover after the delete must not
+// resurrect the key).
 func TestBackendsBatchDelete(t *testing.T) {
 	for _, kind := range backendCases() {
 		t.Run(string(kind), func(t *testing.T) {
@@ -19,14 +19,14 @@ func TestBackendsBatchDelete(t *testing.T) {
 				}
 			}
 			// Group the doomed keys (plus one absent key) by shard and
-			// delete through the backend seam, as a migration does.
+			// delete them shard by shard, as a migration does.
 			doomed := map[int][]uint64{}
 			shards := s.NumShards()
 			for k := uint64(0); k < 32; k += 2 {
 				doomed[s.shardIndexFor(k)] = append(doomed[s.shardIndexFor(k)], k)
 			}
 			for shard, keys := range doomed {
-				if err := s.backend.BatchDelete(shard, append(keys, 1<<40)); err != nil {
+				if err := s.deleteShard(shard, append(keys, 1<<40)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -61,79 +61,102 @@ func TestBackendsBatchDelete(t *testing.T) {
 
 // TestStoreRebalanceMigratesAcrossBackends is the dht-level acceptance of
 // shard migration: fill a store under hash placement (including
-// append-accumulated values), rebalance it onto the ownership-affine
-// placement, and require every key to read back byte-identically from its
-// new shard on all three engines — with the placement and shard->machine
-// map swapped.
+// overwritten values), rebalance it onto the ownership-affine placement, and
+// require every key to read back byte-identically from its new shard on all
+// three engines — with the placement and shard->machine map swapped.  A
+// replicated store must have migrated its replica too: with every shard
+// failed, every key still reads back byte-identically, from the replicas.
 func TestStoreRebalanceMigratesAcrossBackends(t *testing.T) {
 	const keys = 128
 	own := NewOwnership(4, skewedTestWeights(keys))
 	for _, kind := range backendCases() {
-		t.Run(string(kind), func(t *testing.T) {
-			opts := Options{Shards: 8, Placement: HashRandom()}
-			s := storeForBackend(t, kind, opts)
-			want := map[uint64][]byte{}
-			for k := uint64(0); k < keys; k++ {
-				v := []byte{byte(k), byte(k >> 1)}
-				if err := s.Put(k, v); err != nil {
+		for _, replicate := range []bool{false, true} {
+			name := string(kind)
+			if replicate {
+				name += "/replicated"
+			}
+			t.Run(name, func(t *testing.T) {
+				s := storeForBackend(t, kind, Options{Shards: 8, Placement: HashRandom(), Replicate: replicate})
+				want := map[uint64][]byte{}
+				for k := uint64(0); k < keys; k++ {
+					v := []byte{byte(k), byte(k >> 1)}
+					if err := s.Put(k, v); err != nil {
+						t.Fatal(err)
+					}
+					want[k] = v
+				}
+				// An overwritten value must migrate as its latest version.
+				for k := uint64(0); k < 8; k++ {
+					want[k] = append(want[k], 0xEE)
+					if err := s.Put(k, want[k]); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				next := OwnershipPlacement(own)
+				st, err := s.Rebalance(next)
+				if err != nil {
 					t.Fatal(err)
 				}
-				want[k] = v
-			}
-			// An overwritten value must migrate as its latest version.
-			for k := uint64(0); k < 8; k++ {
-				want[k] = append(want[k], 0xEE)
-				if err := s.Put(k, want[k]); err != nil {
+				if st.KeysMoved == 0 || st.BytesMoved == 0 || st.ShardsTouched == 0 {
+					t.Fatalf("hash->weighted rebalance moved nothing: %+v", st)
+				}
+				if s.Placement().Name() != "weighted" {
+					t.Fatalf("placement %q after rebalance, want weighted", s.Placement().Name())
+				}
+
+				// Every key reads back byte-identically, and each key now
+				// lives on the shard the new placement routes it to (Range
+				// agrees).
+				readAll := func(when string) {
+					t.Helper()
+					for k, v := range want {
+						got, ok, err := s.Get(k)
+						if err != nil || !ok || !bytes.Equal(got, v) {
+							t.Fatalf("key %d %s: %v %v %v, want %v", k, when, got, ok, err, v)
+						}
+					}
+				}
+				readAll("after migration")
+				seen := 0
+				for shard := 0; shard < s.NumShards(); shard++ {
+					s.backend.Range(shard, func(k uint64, v []byte) bool {
+						if home := next.ShardFor(k, s.NumShards()); home != shard {
+							t.Errorf("key %d found on shard %d, new placement says %d", k, shard, home)
+						}
+						if !s.LocalTo(own.OwnerOf(k), k) {
+							t.Errorf("key %d not co-located with its owner %d after migration", k, own.OwnerOf(k))
+						}
+						seen++
+						return true
+					})
+				}
+				if seen != keys {
+					t.Fatalf("found %d keys after migration, want %d", seen, keys)
+				}
+
+				// A rebalance onto the placement already installed moves
+				// nothing.
+				st2, err := s.Rebalance(next)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-
-			next := OwnershipPlacement(own)
-			st, err := s.Rebalance(next)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.KeysMoved == 0 || st.BytesMoved == 0 || st.ShardsTouched == 0 {
-				t.Fatalf("hash->weighted rebalance moved nothing: %+v", st)
-			}
-			if s.Placement().Name() != "weighted" {
-				t.Fatalf("placement %q after rebalance, want weighted", s.Placement().Name())
-			}
-
-			// Every key reads back byte-identically, and each key now lives
-			// on the shard the new placement routes it to (Range agrees).
-			for k, v := range want {
-				got, ok, err := s.Get(k)
-				if err != nil || !ok || !bytes.Equal(got, v) {
-					t.Fatalf("key %d after migration: %v %v %v, want %v", k, got, ok, err, v)
+				if st2.KeysMoved != 0 {
+					t.Fatalf("idempotent rebalance still moved %d keys", st2.KeysMoved)
 				}
-			}
-			seen := 0
-			for shard := 0; shard < s.NumShards(); shard++ {
-				s.backend.Range(shard, func(k uint64, v []byte) bool {
-					if home := next.ShardFor(k, s.NumShards()); home != shard {
-						t.Errorf("key %d found on shard %d, new placement says %d", k, shard, home)
-					}
-					if !s.LocalTo(own.OwnerOf(k), k) {
-						t.Errorf("key %d not co-located with its owner %d after migration", k, own.OwnerOf(k))
-					}
-					seen++
-					return true
-				})
-			}
-			if seen != keys {
-				t.Fatalf("found %d keys after migration, want %d", seen, keys)
-			}
 
-			// A rebalance onto the placement already installed moves nothing.
-			st2, err := s.Rebalance(next)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st2.KeysMoved != 0 {
-				t.Fatalf("idempotent rebalance still moved %d keys", st2.KeysMoved)
-			}
-		})
+				if !replicate {
+					return
+				}
+				for shard := 0; shard < s.NumShards(); shard++ {
+					s.FailShard(shard)
+				}
+				readAll("from the replicas after migration")
+				if fo := s.Stats().Failovers; fo != keys {
+					t.Fatalf("Failovers = %d, want %d: every read served by a replica", fo, keys)
+				}
+			})
+		}
 	}
 }
 

@@ -113,7 +113,7 @@ func (s *Store) backoffSleep(attempt int) {
 // re-draw the primary's faults.
 func (s *Store) hedgedBatchGet(idx int, keys []uint64) ([][]byte, []bool, int, error) {
 	if s.retry == nil || s.retry.HedgeAfter <= 0 {
-		return s.backend.BatchGet(idx, keys)
+		return s.batchGetShard(idx, keys)
 	}
 	type result struct {
 		vals      [][]byte
@@ -123,7 +123,7 @@ func (s *Store) hedgedBatchGet(idx int, keys []uint64) ([][]byte, []bool, int, e
 	}
 	ch := make(chan result, 2)
 	launch := func() {
-		vals, oks, failovers, err := s.backend.BatchGet(idx, keys)
+		vals, oks, failovers, err := s.batchGetShard(idx, keys)
 		ch <- result{vals, oks, failovers, err}
 	}
 	go launch()

@@ -15,7 +15,7 @@ import (
 	"ampcgraph/internal/rng"
 )
 
-// The rpc backend.
+// The rpc backend supplies a measured round trip.
 //
 // The paper compares its RDMA-backed key-value store with a TCP/IP fallback,
 // and simtime prices both from published latencies.  This is the only engine
@@ -30,9 +30,8 @@ import (
 // as uvarints, then each key as 8 little-endian bytes, a write's key
 // followed by its value as a uvarint length and the bytes.  A frame
 // addresses one shard; Get and Put are one-key frames.  A reply body starts
-// with a status byte: ok, unavailable (a failed shard without a replica),
-// or error followed by the error's text.  An ok read reply goes on with the
-// failover count and, per key, a present flag (uvarints) and a present
+// with a status byte: ok, or error followed by the error's text.  An ok read
+// reply goes on with, per key, a present flag (a uvarint) and a present
 // value's uvarint length and bytes.  A frame past rpcMaxFrame, or a body
 // that does not parse, is an error, never a panic.
 //
@@ -46,9 +45,8 @@ import (
 // connection (closed locally, as the drops a FaultPlan injects via PDrop
 // are) is re-sent once on a fresh one; a loopback connection only breaks
 // that way, before the request is written, so the re-send cannot apply a
-// write twice.  The simulation control plane (FailShard, RecoverShard,
-// LenShard, Range, Reserve) models operator actions, not client traffic,
-// and acts on the in-process engine directly.
+// write twice.  LenShard, Range and Reserve model operator actions, not
+// client traffic, and act on the in-process engine directly.
 
 var errRPCClosed = errors.New("dht: rpc backend is closed")
 
@@ -64,9 +62,9 @@ type rpcConn struct {
 // req is a read).  A read reply is read into a fresh buffer, which the
 // values alias; any other into the scratch buffer.  healthy reports that
 // the connection can carry the next call.
-func (c *rpcConn) roundTrip(req *rpcRequest, vals [][]byte, oks []bool) (failovers int, healthy bool, err error) {
+func (c *rpcConn) roundTrip(req *rpcRequest, vals [][]byte, oks []bool) (healthy bool, err error) {
 	if c.buf, err = appendFrame(c.buf[:0], req); err != nil {
-		return 0, true, err
+		return true, err
 	}
 	if _, err = c.Write(c.buf); err == nil {
 		var body []byte
@@ -77,11 +75,10 @@ func (c *rpcConn) roundTrip(req *rpcRequest, vals [][]byte, oks []bool) (failove
 			c.buf = body
 		}
 		if err == nil {
-			failovers, err = decodeReply(body, vals, oks)
-			return failovers, true, err
+			return true, decodeReply(body, vals, oks)
 		}
 	}
-	return 0, false, err
+	return false, err
 }
 
 // rpcBackend is the client side: it implements ShardBackend by calling the
@@ -114,8 +111,8 @@ type rpcBackend struct {
 // 127.0.0.1, or a unix socket where loopback TCP is forbidden.  A FaultPlan
 // with PDrop > 0 makes the client drop its connection before a seeded
 // subset of calls, exercising the reconnect path.
-func newRPCBackend(shards int, replicate bool, faults *FaultPlan) (*rpcBackend, error) {
-	b := &rpcBackend{engine: newMemBackend(shards, replicate), faults: faults}
+func newRPCBackend(shards int, faults *FaultPlan) (*rpcBackend, error) {
+	b := &rpcBackend{engine: newMemBackend(shards), faults: faults}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		dir, derr := os.MkdirTemp("", "dht-rpc-*")
@@ -192,9 +189,9 @@ func (b *rpcBackend) putConn(c *rpcConn) {
 // call sends req, decodes the reply into vals and oks, and adds the round
 // trip and the payload estimate — request bytes, then the values read — to
 // the counters.
-func (b *rpcBackend) call(req *rpcRequest, payload int, vals [][]byte, oks []bool) (int, error) {
+func (b *rpcBackend) call(req *rpcRequest, payload int, vals [][]byte, oks []bool) error {
 	start := time.Now()
-	failovers, err := b.send(req, vals, oks)
+	err := b.send(req, vals, oks)
 	if rtt := int64(time.Since(start)); req.op == rpcRead {
 		b.readOps.Add(1)
 		b.readNS.Add(rtt)
@@ -203,43 +200,41 @@ func (b *rpcBackend) call(req *rpcRequest, payload int, vals [][]byte, oks []boo
 		b.writeNS.Add(rtt)
 	}
 	if err != nil {
-		if err != ErrUnavailable {
-			err = fmt.Errorf("dht: rpc %s on shard %d: %w", rpcOpNames[req.op], req.shard, err)
-		}
+		err = fmt.Errorf("dht: rpc %s on shard %d: %w", rpcOpNames[req.op], req.shard, err)
 		vals = nil // a failed read moved no value bytes
 	}
 	for _, v := range vals {
 		payload += len(v)
 	}
 	b.wireBytes.Add(int64(payload))
-	return failovers, err
+	return err
 }
 
 // send sends req over a pooled connection.  A connection that fails is
 // dropped and the call re-sent once on a fresh one.  A FaultPlan with PDrop
 // closes the checked-out connection before a seeded subset of calls: the
 // write fails, so the re-send applies the request exactly once.
-func (b *rpcBackend) send(req *rpcRequest, vals [][]byte, oks []bool) (int, error) {
+func (b *rpcBackend) send(req *rpcRequest, vals [][]byte, oks []bool) error {
 	c, err := b.getConn()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if p := b.faults; p != nil && p.PDrop > 0 && rng.UniformFloat(p.Seed^faultSaltDrop, b.dropSeq.Add(1)) < p.PDrop {
 		c.Close()
 	}
 	for resent := false; ; resent = true {
-		failovers, healthy, err := c.roundTrip(req, vals, oks)
+		healthy, err := c.roundTrip(req, vals, oks)
 		if healthy {
 			b.putConn(c)
-			return failovers, err
+			return err
 		}
 		c.Close()
 		if resent || !isConnError(err) {
-			return 0, err
+			return err
 		}
 		var derr error
 		if c, derr = b.getConn(); derr != nil {
-			return 0, fmt.Errorf("reconnect after %v: %w", err, derr)
+			return fmt.Errorf("reconnect after %v: %w", err, derr)
 		}
 		b.reconnects.Add(1)
 	}
@@ -252,30 +247,27 @@ func isConnError(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &netErr)
 }
 
-func (b *rpcBackend) Get(shard int, key uint64) ([]byte, bool, bool, error) {
+func (b *rpcBackend) Get(shard int, key uint64) ([]byte, bool, error) {
 	keys := [1]uint64{key}
 	var vals [1][]byte
 	var oks [1]bool
-	failovers, err := b.call(&rpcRequest{op: rpcRead, shard: shard, keys: keys[:]}, 8, vals[:], oks[:])
-	if err != nil {
-		return nil, false, false, err
+	if err := b.call(&rpcRequest{op: rpcRead, shard: shard, keys: keys[:]}, 8, vals[:], oks[:]); err != nil {
+		return nil, false, err
 	}
-	return vals[0], oks[0], failovers > 0, nil
+	return vals[0], oks[0], nil
 }
 
 func (b *rpcBackend) Put(shard int, key uint64, value []byte) error {
 	pairs := [1]Pair{{Key: key, Value: value}}
-	_, err := b.call(&rpcRequest{op: rpcWrite, shard: shard, pairs: pairs[:]}, 8+len(value), nil, nil)
-	return err
+	return b.call(&rpcRequest{op: rpcWrite, shard: shard, pairs: pairs[:]}, 8+len(value), nil, nil)
 }
 
-func (b *rpcBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int, error) {
+func (b *rpcBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, error) {
 	vals, oks := make([][]byte, len(keys)), make([]bool, len(keys))
-	failovers, err := b.call(&rpcRequest{op: rpcRead, shard: shard, keys: keys}, 8*len(keys), vals, oks)
-	if err != nil {
-		return nil, nil, 0, err
+	if err := b.call(&rpcRequest{op: rpcRead, shard: shard, keys: keys}, 8*len(keys), vals, oks); err != nil {
+		return nil, nil, err
 	}
-	return vals, oks, failovers, nil
+	return vals, oks, nil
 }
 
 func (b *rpcBackend) BatchWrite(shard int, pairs []Pair) error {
@@ -283,20 +275,14 @@ func (b *rpcBackend) BatchWrite(shard int, pairs []Pair) error {
 	for _, p := range pairs {
 		payload += 8 + len(p.Value)
 	}
-	_, err := b.call(&rpcRequest{op: rpcWrite, shard: shard, pairs: pairs}, payload, nil, nil)
-	return err
+	return b.call(&rpcRequest{op: rpcWrite, shard: shard, pairs: pairs}, payload, nil, nil)
 }
 
 func (b *rpcBackend) BatchDelete(shard int, keys []uint64) error {
-	_, err := b.call(&rpcRequest{op: rpcDelete, shard: shard, keys: keys}, 8*len(keys), nil, nil)
-	return err
+	return b.call(&rpcRequest{op: rpcDelete, shard: shard, keys: keys}, 8*len(keys), nil, nil)
 }
 
 func (b *rpcBackend) Freeze() error { return nil }
-
-func (b *rpcBackend) FailShard(shard int) { b.engine.FailShard(shard) }
-
-func (b *rpcBackend) RecoverShard(shard int) error { return b.engine.RecoverShard(shard) }
 
 func (b *rpcBackend) LenShard(shard int) int { return b.engine.LenShard(shard) }
 

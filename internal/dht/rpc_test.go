@@ -41,14 +41,14 @@ func FuzzRPCFrame(f *testing.F) {
 		f.Add(frame)
 		f.Add(frame[4:])
 	}
-	f.Add(appendReply(nil, nil, 1, [][]byte{[]byte("ab"), nil, {}}, []bool{true, false, true}))
-	f.Add(appendReply(nil, ErrUnavailable, 0, nil, nil))
-	f.Add(appendReply(nil, errors.New("boom"), 0, nil, nil))
+	f.Add(appendReply(nil, nil, [][]byte{[]byte("ab"), nil, {}}, []bool{true, false, true}))
+	f.Add(appendReply(nil, nil, nil, nil)) // a write's ok
+	f.Add(appendReply(nil, errors.New("boom"), nil, nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})       // past the frame bound
 	f.Add([]byte{0x00, 0x00, 0x00, 0x40, 1, 0, 1}) // at the bound, body missing
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out bytes.Buffer
-		serveFrames(newMemBackend(2, true), bytes.NewReader(data), &out)
+		serveFrames(newMemBackend(2), bytes.NewReader(data), &out)
 		replies := bufio.NewReader(&out)
 		for {
 			body, err := readFrame(replies, nil)
@@ -77,8 +77,7 @@ func FuzzRPCFrame(f *testing.F) {
 		decodeReply(data, nil, nil)
 		for n := 0; n <= 3; n++ {
 			vals, oks := make([][]byte, n), make([]bool, n)
-			failovers, err := decodeReply(data, vals, oks)
-			if err != nil {
+			if decodeReply(data, vals, oks) != nil {
 				continue
 			}
 			for _, v := range vals {
@@ -87,8 +86,8 @@ func FuzzRPCFrame(f *testing.F) {
 				}
 			}
 			vals2, oks2 := make([][]byte, n), make([]bool, n)
-			failovers2, err := decodeReply(appendReply(nil, nil, failovers, vals, oks), vals2, oks2)
-			if err != nil || failovers2 != failovers || !slices.Equal(oks, oks2) || !slices.EqualFunc(vals, vals2, bytes.Equal) {
+			err := decodeReply(appendReply(nil, nil, vals, oks), vals2, oks2)
+			if err != nil || !slices.Equal(oks, oks2) || !slices.EqualFunc(vals, vals2, bytes.Equal) {
 				t.Fatalf("reply of %d keys did not survive a round trip (%v)", n, err)
 			}
 		}
@@ -105,7 +104,7 @@ func TestRPCFrameBound(t *testing.T) {
 		t.Fatalf("oversized frame: %v, %d bytes allocated", err, cap(body))
 	}
 	var out bytes.Buffer
-	serveFrames(newMemBackend(1, false), bytes.NewReader(append(hdr, 1, 2, 3)), &out)
+	serveFrames(newMemBackend(1), bytes.NewReader(append(hdr, 1, 2, 3)), &out)
 	reply, err := readFrame(bufio.NewReader(&out), nil)
 	if err != nil || len(reply) == 0 || reply[0] != rpcError || !strings.Contains(string(reply), "oversized") {
 		t.Fatalf("server answered an oversized frame with %q (%v)", reply, err)
@@ -123,7 +122,7 @@ func TestRPCFrameBound(t *testing.T) {
 // connections however many calls they make — also when they run in rounds,
 // as a job's workers do, and all hand their connections back at once.
 func TestRPCConnectionsBoundedByConcurrency(t *testing.T) {
-	b, err := newRPCBackend(4, false, nil)
+	b, err := newRPCBackend(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ func TestRPCConnectionsBoundedByConcurrency(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < gets; i++ {
 					k := uint64(r*gets*callers+g*gets+i) % 64
-					if v, ok, _, err := b.Get(int(k%4), k); err != nil || !ok || v[0] != byte(k) {
+					if v, ok, err := b.Get(int(k%4), k); err != nil || !ok || v[0] != byte(k) {
 						t.Errorf("Get(%d) = %v %v %v", k, v, ok, err)
 						return
 					}

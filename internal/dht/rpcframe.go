@@ -26,7 +26,6 @@ var rpcOpNames = [...]string{rpcRead: "read", rpcWrite: "write", rpcDelete: "del
 
 const (
 	rpcOK byte = iota
-	rpcUnavailable
 	rpcError
 )
 
@@ -169,17 +168,15 @@ func parseRequest(body []byte, req *rpcRequest) error {
 }
 
 // appendReply appends the body of a reply to b: the status of err, and for
-// an ok read the failover count and the values.
-func appendReply(b []byte, err error, failovers int, vals [][]byte, oks []bool) []byte {
+// an ok read the values.
+func appendReply(b []byte, err error, vals [][]byte, oks []bool) []byte {
 	switch {
-	case errors.Is(err, ErrUnavailable):
-		return append(b, rpcUnavailable)
 	case err != nil:
 		return append(append(b, rpcError), err.Error()...)
 	case vals == nil:
 		return append(b, rpcOK)
 	}
-	b = binary.AppendUvarint(append(b, rpcOK), uint64(failovers))
+	b = append(b, rpcOK)
 	for i, v := range vals {
 		if b = append(b, 0); oks[i] {
 			b[len(b)-1] = 1
@@ -190,25 +187,17 @@ func appendReply(b []byte, err error, failovers int, vals [][]byte, oks []bool) 
 }
 
 // decodeReply decodes a reply body: its status, and for a read (vals
-// non-nil) the failover count and the values into vals and oks, one entry
-// per requested key.  The values alias body.
-func decodeReply(body []byte, vals [][]byte, oks []bool) (failovers int, err error) {
+// non-nil) the values into vals and oks, one entry per requested key.  The
+// values alias body.
+func decodeReply(body []byte, vals [][]byte, oks []bool) error {
 	if len(body) == 0 {
-		return 0, errBadFrame
+		return errBadFrame
 	}
 	switch body[0] {
-	case rpcUnavailable:
-		if len(body) == 1 {
-			return 0, ErrUnavailable
-		}
 	case rpcError:
-		return 0, fmt.Errorf("dht: rpc server: %s", body[1:])
+		return fmt.Errorf("dht: rpc server: %s", body[1:])
 	case rpcOK:
 		r := frameReader{b: body[1:]}
-		var f uint64
-		if vals != nil {
-			f = r.uvarint()
-		}
 		for i := range vals {
 			switch r.uvarint() {
 			case 0:
@@ -219,11 +208,11 @@ func decodeReply(body []byte, vals [][]byte, oks []bool) (failovers int, err err
 				r.bad = true
 			}
 		}
-		if r.done() && f <= uint64(len(vals)) {
-			return int(f), nil
+		if r.done() {
+			return nil
 		}
 	}
-	return 0, errBadFrame
+	return errBadFrame
 }
 
 // serveFrames answers the request frames read from r on w until r ends or
@@ -240,7 +229,7 @@ func serveFrames(engine *memBackend, r io.Reader, w io.Writer) {
 		}
 		reply, ferr = endFrame(handleFrame(engine, body, err, &req, append(reply[:0], 0, 0, 0, 0)))
 		if ferr != nil { // a read reply past the bound
-			reply, _ = endFrame(appendReply(reply[:4], ferr, 0, nil, nil))
+			reply, _ = endFrame(appendReply(reply[:4], ferr, nil, nil))
 		}
 		if _, werr := w.Write(reply); werr != nil || err != nil {
 			return
@@ -259,22 +248,15 @@ func handleFrame(engine *memBackend, body []byte, err error, req *rpcRequest, b 
 	}
 	switch {
 	case err != nil:
-		return appendReply(b, err, 0, nil, nil)
+		return appendReply(b, err, nil, nil)
 	case req.op == rpcWrite:
-		return appendReply(b, engine.BatchWrite(req.shard, req.pairs), 0, nil, nil)
+		return appendReply(b, engine.BatchWrite(req.shard, req.pairs), nil, nil)
 	case req.op == rpcDelete:
-		return appendReply(b, engine.BatchDelete(req.shard, req.keys), 0, nil, nil)
+		return appendReply(b, engine.BatchDelete(req.shard, req.keys), nil, nil)
 	case len(req.keys) == 1: // a Get: the engine's single read allocates nothing
-		v, ok, failover, err := engine.Get(req.shard, req.keys[0])
-		return appendReply(b, err, boolInt(failover), [][]byte{v}, []bool{ok})
+		v, ok, err := engine.Get(req.shard, req.keys[0])
+		return appendReply(b, err, [][]byte{v}, []bool{ok})
 	}
-	vals, oks, failovers, err := engine.BatchGet(req.shard, req.keys)
-	return appendReply(b, err, failovers, vals, oks)
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	vals, oks, err := engine.BatchGet(req.shard, req.keys)
+	return appendReply(b, err, vals, oks)
 }
