@@ -118,7 +118,9 @@ bench-wall:
 bench-wall-smoke:
 	$(GO) test ./benchmark
 
-# microbench runs the layer micro-benchmarks once each — the three shuffle
+# microbench runs the layer micro-benchmarks once each — input building (the
+# CSR Build of the shuffled HL edge list, weighted and not, and the HL×2
+# dataset generated and built whole), the three shuffle
 # stages on the HL stand-in (DirectGraph, PermuteGraph, SortGraph) and the
 # key sort under them (KeySort: short to hub-sized lists, random and tied
 # keys), the rooting of the HL stand-in's spanning forest (BuildForest,
@@ -132,8 +134,8 @@ bench-wall-smoke:
 # adjacency lists) — so they keep compiling and running; it measures nothing.
 # For numbers: go test -run '^$$' -bench <name> -benchmem -count 5 <package>.
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkKeySort$$|BenchmarkBuildForest$$|BenchmarkPrimSearch$$|BenchmarkFinishMSF$$|BenchmarkSearchStages$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$|BenchmarkMemStoreSmall$$|BenchmarkMemStoreAdjacency$$' -benchtime=1x \
-		./internal/core/mis ./internal/core/matching ./internal/core/msf ./internal/keysort ./internal/trees ./internal/core/cycle ./internal/ampc ./internal/dht
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkDatasetHL$$|BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkKeySort$$|BenchmarkBuildForest$$|BenchmarkPrimSearch$$|BenchmarkFinishMSF$$|BenchmarkSearchStages$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$|BenchmarkMemStoreSmall$$|BenchmarkMemStoreAdjacency$$' -benchtime=1x \
+		./internal/graph ./internal/gen ./internal/core/mis ./internal/core/matching ./internal/core/msf ./internal/keysort ./internal/trees ./internal/core/cycle ./internal/ampc ./internal/dht
 
 # cover-check enforces a statement-coverage floor on the runtime-critical
 # packages (the segment executor in internal/ampc and the store layer in
@@ -153,7 +155,8 @@ cover-check:
 # fuzz-smoke gives every fuzz target a short budget (the boundary-key, slot
 # table, disk log replay, rpc frame and codec round-trip fuzzers of the dht
 # and codec packages, simtime's Price against the per-operation reference,
-# and the shuffles' key sort against a stable comparator sort).  Go only allows one -fuzz pattern per invocation, so the targets
+# the shuffles' key sort against a stable comparator sort, and the CSR
+# builder against its comparison-sorted reference).  Go only allows one -fuzz pattern per invocation, so the targets
 # run one at a time; seed corpora and testdata regressions always run via
 # plain `make test`.
 fuzz-smoke:
@@ -172,3 +175,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzNodeIDRoundTrip -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzPrice -fuzztime=$(FUZZTIME) ./internal/simtime
 	$(GO) test -run=NONE -fuzz=FuzzKeySort -fuzztime=$(FUZZTIME) ./internal/keysort
+	$(GO) test -run=NONE -fuzz=FuzzBuild -fuzztime=$(FUZZTIME) ./internal/graph

@@ -374,6 +374,7 @@ func contractWithOrigins(g *graph.Graph, mapping []graph.NodeID) (*graph.Graph, 
 		}
 	})
 	b := graph.NewBuilder(repCount)
+	b.Grow(len(best))
 	origins := make(map[graph.Edge]graph.WeightedEdge, len(best))
 	for k, e := range best {
 		b.AddWeightedEdge(k.a, k.b, e.W)

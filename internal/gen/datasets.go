@@ -146,17 +146,14 @@ func webStandIn(n, k, numComponents int, seed int64) *graph.Graph {
 	if perIsland < 4 {
 		perIsland = 4
 	}
+	hubFanout := giant / 4
+	// Every component goes into one builder, sized for the giant, its hubs
+	// and fewer than two edges per island vertex.
 	b := graph.NewBuilder(n)
-	appendGraph := func(g *graph.Graph, offset int) {
-		g.ForEachEdge(func(u, v graph.NodeID, _ float64) {
-			b.AddEdge(u+graph.NodeID(offset), v+graph.NodeID(offset))
-		})
-	}
-	core := PreferentialAttachment(giant, k, seed)
-	appendGraph(core, 0)
+	b.Grow(paEdges(giant, k) + 3*hubFanout + 2*(n-giant))
+	preferentialAttachment(b, 0, giant, k, seed)
 	// Add a handful of extreme hubs inside the giant component to mimic the
 	// >10M-degree vertices of ClueWeb (scaled down).
-	hubFanout := giant / 4
 	for h := 0; h < 3; h++ {
 		hub := graph.NodeID(h)
 		for i := 0; i < hubFanout; i++ {
@@ -176,8 +173,7 @@ func webStandIn(n, k, numComponents int, seed int64) *graph.Graph {
 		if sz < 4 {
 			break
 		}
-		sub := PreferentialAttachment(sz, 2, seed+int64(1000+island))
-		appendGraph(sub, offset)
+		preferentialAttachment(b, graph.NodeID(offset), sz, 2, seed+int64(1000+island))
 		offset += sz
 		island++
 	}

@@ -7,7 +7,7 @@ package gen
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ampcgraph/internal/graph"
 )
@@ -131,19 +131,16 @@ func RandomBoundedDegreeTree(n, maxDeg int, seed int64) *graph.Graph {
 	// Candidate parents with residual capacity.
 	candidates := []int{0}
 	for i := 1; i < n; i++ {
-		j := candidates[rng.Intn(len(candidates))]
+		at := rng.Intn(len(candidates))
+		j := candidates[at]
 		b.AddEdge(graph.NodeID(i), graph.NodeID(j))
 		deg[j]++
 		deg[i]++
 		if deg[j] >= maxDeg {
-			// Remove j from candidates.
-			for k, c := range candidates {
-				if c == j {
-					candidates[k] = candidates[len(candidates)-1]
-					candidates = candidates[:len(candidates)-1]
-					break
-				}
-			}
+			// Swap-remove j: each vertex enters candidates once, so the
+			// drawn slot is its only one.
+			candidates[at] = candidates[len(candidates)-1]
+			candidates = candidates[:len(candidates)-1]
 		}
 		if deg[i] < maxDeg {
 			candidates = append(candidates, i)
@@ -177,44 +174,50 @@ func ErdosRenyi(n int, m int, seed int64) *graph.Graph {
 // degree distributions that drive the skew effects discussed for the ClueWeb
 // and Hyperlink graphs in Section 5.3.
 func PreferentialAttachment(n, k int, seed int64) *graph.Graph {
+	b := graph.NewBuilder(n)
+	preferentialAttachment(b, 0, n, k, seed)
+	return b.Build()
+}
+
+// preferentialAttachment adds PreferentialAttachment(n, k, seed)'s edges to
+// b, with every endpoint shifted by offset.
+func preferentialAttachment(b *graph.Builder, offset graph.NodeID, n, k int, seed int64) {
 	if n < k+1 {
 		panic("gen: preferential attachment needs n > k")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(n)
+	b.Grow(paEdges(n, k))
 	// Repeated-endpoint list: choosing a uniform element is degree-proportional.
 	endpoints := make([]graph.NodeID, 0, 2*n*k)
 	for i := 0; i <= k; i++ {
 		for j := i + 1; j <= k; j++ {
-			b.AddEdge(graph.NodeID(i), graph.NodeID(j))
+			b.AddEdge(offset+graph.NodeID(i), offset+graph.NodeID(j))
 			endpoints = append(endpoints, graph.NodeID(i), graph.NodeID(j))
 		}
 	}
+	chosen := make([]graph.NodeID, 0, k)
 	for v := k + 1; v < n; v++ {
-		chosen := map[graph.NodeID]bool{}
+		chosen = chosen[:0]
 		for len(chosen) < k {
 			t := endpoints[rng.Intn(len(endpoints))]
-			if int(t) == v {
-				continue
+			if int(t) != v && !slices.Contains(chosen, t) {
+				chosen = append(chosen, t)
 			}
-			chosen[t] = true
 		}
-		// Append the chosen targets in sorted order: ranging over the map
-		// directly would order the endpoints list by random map iteration,
-		// feeding different degree-proportional draws to later vertices —
-		// the same seed would generate a different graph on every run.
-		targets := make([]graph.NodeID, 0, len(chosen))
-		for t := range chosen {
-			targets = append(targets, t)
-		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-		for _, t := range targets {
-			b.AddEdge(graph.NodeID(v), t)
+		// Append the chosen targets in ascending order: the endpoints list
+		// feeds the draws of later vertices, so this order is part of what a
+		// seed generates.
+		slices.Sort(chosen)
+		for _, t := range chosen {
+			b.AddEdge(offset+graph.NodeID(v), offset+t)
 			endpoints = append(endpoints, graph.NodeID(v), t)
 		}
 	}
-	return b.Build()
 }
+
+// paEdges is the number of edges preferentialAttachment adds: a clique on
+// the first k+1 vertices, then k for each later one.
+func paEdges(n, k int) int { return k*(k+1)/2 + (n-k-1)*k }
 
 // RMAT returns an RMAT-style power-law graph on 2^scale vertices with
 // approximately edgeFactor*2^scale undirected edges, using the standard

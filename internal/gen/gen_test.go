@@ -317,3 +317,16 @@ func TestDescribeDataset(t *testing.T) {
 		t.Fatal("empty description")
 	}
 }
+
+// graphSink keeps the benchmarks' graphs live.
+var graphSink *graph.Graph
+
+// BenchmarkDatasetHL generates and builds the Hyperlink stand-in at scale 2,
+// the wall-clock benchmark's largest input.
+func BenchmarkDatasetHL(b *testing.B) {
+	d, _ := DatasetByName("HL")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		graphSink = d.Build(2, 1)
+	}
+}

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -145,5 +146,99 @@ func TestBuildMatchesReflectionSortedReference(t *testing.T) {
 				t.Fatalf("weighted=%v: weights of %d differ from the reference", weighted, v)
 			}
 		}
+	}
+}
+
+// fuzzWeights are the weights FuzzBuild draws from: ±Inf, −0 beside +0, and
+// repeats, so a run of parallel edges often ties on its minimum.
+var fuzzWeights = []float64{math.Inf(-1), -2.5, -1, math.Copysign(0, -1), 0, 0.5, 1, 1, 3, math.MaxFloat64, math.Inf(1)}
+
+// FuzzBuild: on arbitrary edge lists — self-loops, parallel edges in both
+// directions, any order — the counting-sort builder produces the reference's
+// CSR arrays, with weights compared by == (so a run whose minimum ties −0
+// with +0 may keep either).  Each edge is three bytes: its endpoints mod n
+// and an index into fuzzWeights.
+func FuzzBuild(f *testing.F) {
+	f.Add(uint8(4), []byte{0, 1, 0, 1, 0, 3, 2, 2, 5, 3, 1, 4}, true)
+	f.Add(uint8(3), []byte{0, 1, 3, 0, 1, 4, 1, 0, 3, 2, 1, 0, 1, 2, 10}, true)
+	f.Add(uint8(1), []byte{0, 0, 0}, false)
+	f.Add(uint8(40), []byte{7, 3, 1, 3, 7, 2, 39, 0, 9, 0, 39, 8, 12, 12, 0}, false)
+	f.Fuzz(func(t *testing.T, n8 uint8, data []byte, weighted bool) {
+		n := int(n8)%64 + 1
+		var edges []graph.WeightedEdge
+		b := graph.NewBuilder(n)
+		for ; len(data) >= 3; data = data[3:] {
+			u, v := graph.NodeID(int(data[0])%n), graph.NodeID(int(data[1])%n)
+			w := fuzzWeights[int(data[2])%len(fuzzWeights)]
+			if !weighted {
+				w = 1
+			}
+			edges = append(edges, graph.WeightedEdge{U: u, V: v, W: w})
+			if weighted {
+				b.AddWeightedEdge(u, v, w)
+			} else {
+				b.AddEdge(u, v)
+			}
+		}
+		weighted = weighted && len(edges) > 0
+		g := b.Build()
+		offsets, adj, weights := buildRef(n, edges, weighted)
+		if g.NumNodes() != n || g.NumDirectedEdges() != offsets[n] || g.Weighted() != weighted {
+			t.Fatalf("%d vertices, %d directed edges, weighted %v; want %d, %d, %v",
+				g.NumNodes(), g.NumDirectedEdges(), g.Weighted(), n, offsets[n], weighted)
+		}
+		for v := 0; v < n; v++ {
+			lo, hi := offsets[v], offsets[v+1]
+			if !slices.Equal(g.Neighbors(graph.NodeID(v)), adj[lo:hi]) {
+				t.Fatalf("neighbours of %d: %v, want %v", v, g.Neighbors(graph.NodeID(v)), adj[lo:hi])
+			}
+			if weighted && !slices.Equal(g.NeighborWeights(graph.NodeID(v)), weights[lo:hi]) {
+				t.Fatalf("weights of %d: %v, want %v", v, g.NeighborWeights(graph.NodeID(v)), weights[lo:hi])
+			}
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// buildSink keeps BenchmarkBuild's graphs live.
+var buildSink *graph.Graph
+
+// BenchmarkBuild builds the Hyperlink stand-in at scale 1 from its edge
+// list, shuffled and flipped at random, unweighted and with its
+// degree-proportional weights; ns/edge is per input edge.
+func BenchmarkBuild(b *testing.B) {
+	d, _ := gen.DatasetByName("HL")
+	hl := gen.DegreeProportionalWeights(d.Build(1, 1))
+	r := rand.New(rand.NewSource(1))
+	edges := hl.Edges()
+	r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	for i := range edges {
+		if r.Intn(2) == 0 {
+			edges[i].U, edges[i].V = edges[i].V, edges[i].U
+		}
+	}
+	for _, weighted := range []bool{false, true} {
+		name := "unweighted"
+		if weighted {
+			name = "weighted"
+		}
+		bld := graph.NewBuilder(hl.NumNodes())
+		bld.Grow(len(edges))
+		for _, e := range edges {
+			if weighted {
+				bld.AddWeightedEdge(e.U, e.V, e.W)
+			} else {
+				bld.AddEdge(e.U, e.V)
+			}
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildSink = bld.Build()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(edges)), "ns/edge")
+		})
 	}
 }

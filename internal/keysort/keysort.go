@@ -1,13 +1,15 @@
 // Package keysort is the one sort under the shuffle stages that build
 // rank- or weight-sorted adjacency lists (DirectGraph, PermuteGraph and
-// SortGraph): a stable radix sort of (Key, Val) pairs by their 64-bit Key,
-// into scratch the caller owns and reuses, so sorting allocates nothing.
+// SortGraph) and under graph.Builder.Build's neighbour lists: a stable radix
+// sort of (Key, Val) pairs by their 64-bit Key, into scratch the caller owns
+// and reuses, so sorting allocates nothing.
 //
 // It is stable, and the shuffles rely on that instead of a tie-break: they
 // hand over one vertex's neighbours in CSR order, which is ascending by
 // neighbour id, with the id (or the CSR index) as Val, so pairs with equal
 // keys come out ascending by id — the (key, id) order a comparator sort
-// would produce, without ever comparing ids.
+// would produce, without ever comparing ids.  The builder relies on it to
+// keep the first of equally light parallel edges.
 //
 // The sort distributes by 8-bit digits, most significant first, starting at
 // the highest digit on which the keys differ and skipping every digit a
