@@ -129,12 +129,14 @@ bench-wall-smoke:
 # PrimSearch's allocs/op, a full sort of the survivors in FinishMSF's
 # ns/edge), the MIS and matching search stages (allocs/vertex of the rankadj
 # round bodies), the batch read path (the streamed cycle walk, a warm
-# ReadMany, the per-batch shard grouping), the placement lookup and the mem
+# ReadMany, the per-batch shard grouping), the placement lookup, the mem
 # store path (fill, freeze, read back: the cycle job's small values and the HL
-# adjacency lists) — so they keep compiling and running; it measures nothing.
+# adjacency lists) and the disk engine's BatchWrite and BatchGet (8 and 256
+# keys, 12-byte and 1 KB values, allocs/op) — so they keep compiling and
+# running; it measures nothing.
 # For numbers: go test -run '^$$' -bench <name> -benchmem -count 5 <package>.
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkDatasetHL$$|BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkKeySort$$|BenchmarkBuildForest$$|BenchmarkPrimSearch$$|BenchmarkFinishMSF$$|BenchmarkSearchStages$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$|BenchmarkMemStoreSmall$$|BenchmarkMemStoreAdjacency$$' -benchtime=1x \
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkDatasetHL$$|BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkKeySort$$|BenchmarkBuildForest$$|BenchmarkPrimSearch$$|BenchmarkFinishMSF$$|BenchmarkSearchStages$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$|BenchmarkMemStoreSmall$$|BenchmarkMemStoreAdjacency$$|BenchmarkDiskBatchWrite$$|BenchmarkDiskBatchGet$$' -benchtime=1x \
 		./internal/graph ./internal/gen ./internal/core/mis ./internal/core/matching ./internal/core/msf ./internal/keysort ./internal/trees ./internal/core/cycle ./internal/ampc ./internal/dht
 
 # cover-check enforces a statement-coverage floor on the runtime-critical

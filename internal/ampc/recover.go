@@ -58,11 +58,19 @@ func (c *Ctx) bufferWrite(out *dht.Store, key uint64, value []byte) error {
 }
 
 // bufferBatch defers a shard-grouped batch write.  Counting the batch needs
-// the store's visit split, so it happens at flush time.
+// the store's visit split, so it happens at flush time.  The values are
+// copied into one arena, each a capacity-clipped slice of it.
 func (c *Ctx) bufferBatch(out *dht.Store, pairs []dht.Pair) error {
+	n := 0
+	for _, p := range pairs {
+		n += len(p.Value)
+	}
+	arena := make([]byte, 0, n)
 	cp := make([]dht.Pair, len(pairs))
 	for i, p := range pairs {
-		cp[i] = dht.Pair{Key: p.Key, Value: append([]byte(nil), p.Value...)}
+		lo := len(arena)
+		arena = append(arena, p.Value...)
+		cp[i] = dht.Pair{Key: p.Key, Value: arena[lo:len(arena):len(arena)]}
 	}
 	c.bufMu.Lock()
 	c.buf = append(c.buf, bufferedWrite{out: out, pairs: cp})

@@ -250,3 +250,39 @@ func TestFaultBudgetZeroKeepsLegacyPath(t *testing.T) {
 		t.Fatal("unbuffered writes should have applied")
 	}
 }
+
+// TestBufferBatchAllocsConstant: a buffered batch copies its values into one
+// arena, so buffering it costs the same allocations at every batch size, and
+// each copy is capacity-clipped: appending to one leaves the next intact.
+func TestBufferBatchAllocsConstant(t *testing.T) {
+	ctx := &Ctx{buffered: true}
+	allocs := func(n int) float64 {
+		pairs := make([]dht.Pair, n)
+		for i := range pairs {
+			pairs[i] = dht.Pair{Key: uint64(i), Value: []byte(fmt.Sprintf("value %5d", i))}
+		}
+		// The store is only touched by the flush, which this test never runs.
+		buffer := func() {
+			ctx.discardWrites()
+			if err := ctx.bufferBatch(nil, pairs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buffer()
+		cp := ctx.buf[0].pairs
+		_ = append(cp[0].Value, 'x')
+		for i, p := range cp {
+			if p.Key != pairs[i].Key || string(p.Value) != string(pairs[i].Value) || cap(p.Value) != len(p.Value) {
+				t.Fatalf("batch of %d: buffered pair %d is (%d, %q, cap %d), want (%d, %q), clipped",
+					n, i, p.Key, p.Value, cap(p.Value), pairs[i].Key, pairs[i].Value)
+			}
+		}
+		return testing.AllocsPerRun(20, buffer)
+	}
+	one := allocs(1)
+	for _, n := range []int{16, 1024} {
+		if got := allocs(n); got != one {
+			t.Fatalf("buffering a batch of %d pairs makes %.1f allocations, one of 1 pair %.1f", n, got, one)
+		}
+	}
+}

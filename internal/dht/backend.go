@@ -23,9 +23,11 @@ import (
 //     a slice handed to a reader stays valid and unchanged for the store's
 //     lifetime, whatever is overwritten, deleted or migrated afterwards;
 //   - disk (BackendDisk) holds bytes past RAM and is durable at Freeze: a
-//     log-structured append file plus an in-memory offset index per shard,
-//     so a store whose data outgrows RAM keeps working with only the index
-//     resident, and a reopened directory replays its logs (see disk.go);
+//     log-structured append file plus an in-memory offset index per shard.
+//     A write call appends its records with one positioned write, and a
+//     BatchGet is one buffer and one positioned read per key, so a store
+//     whose data outgrows RAM keeps working with only the index resident,
+//     and a reopened directory replays its logs (see disk.go);
 //   - rpc  (BackendRPC) supplies a measured round trip: a client and a
 //     server goroutine exchanging length-prefixed frames over a loopback
 //     socket, which pays — and times — real encoding and wire costs per

@@ -201,6 +201,20 @@ func TestRPCBackendMatchesReference(t *testing.T) {
 	})
 }
 
+// TestDiskBackendMatchesReference replays the same sequences over the disk
+// engine, every write a positioned append to a shard log and every read a
+// positioned read of one, and at the end of each trial reopens the logs and
+// compares what they replay to with the reference.
+func TestDiskBackendMatchesReference(t *testing.T) {
+	matchReference(t, func(shards int) refCandidate {
+		b, err := newDiskBackend(shards, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	})
+}
+
 // refCandidate is an engine compared against the reference.
 type refCandidate interface {
 	ShardBackend
@@ -297,38 +311,62 @@ func matchReference(t *testing.T, newEngine func(shards int) refCandidate) {
 				// the shard stays, so every other op replays as before.
 				desc = fmt.Sprintf("failure op on shard %d, skipped", rnd.Intn(shards))
 			}
-			for shard := 0; shard < shards; shard++ {
-				if lg, lw := got.LenShard(shard), want.LenShard(shard); lg != lw {
-					t.Fatalf("trial %d op %d %s: LenShard(%d) = %d, reference %d", trial, op, desc, shard, lg, lw)
-				}
-				contents := want.shards[shard].data
-				seen := 0
-				completed, err := got.Range(shard, func(k uint64, v []byte) bool {
-					seen++
-					if w, ok := contents[k]; !ok || !bytes.Equal(w, v) {
-						t.Fatalf("trial %d op %d %s: Range(%d) yields key %d with %d bytes; reference has it %v with %d",
-							trial, op, desc, shard, k, len(v), ok, len(w))
-					}
-					return true
-				})
-				if !completed || err != nil || seen != len(contents) {
-					t.Fatalf("trial %d op %d %s: Range(%d) yielded %d pairs (completed %v, err %v), reference %d",
-						trial, op, desc, shard, seen, completed, err, len(contents))
-				}
-				if len(contents) > 1 {
-					seen = 0
-					completed, _ = got.Range(shard, func(uint64, []byte) bool { seen++; return false })
-					if completed || seen != 1 {
-						t.Fatalf("trial %d op %d: an early stop yielded %d pairs, completed %v", trial, op, seen, completed)
-					}
-				}
-			}
-			if rg, rw := got.Stats().ResidentBytes, want.Stats().ResidentBytes; rg != rw {
-				t.Fatalf("trial %d op %d %s: ResidentBytes = %d, reference %d", trial, op, desc, rg, rw)
-			}
+			matchContents(t, got, want, fmt.Sprintf("trial %d op %d %s", trial, op, desc))
 		}
 		if err := got.Close(); err != nil {
 			t.Fatalf("trial %d: Close: %v", trial, err)
 		}
+		if d, ok := got.(*diskBackend); ok {
+			reopened, err := newDiskBackend(shards, d.dir)
+			if err != nil {
+				t.Fatalf("trial %d: reopening the logs: %v", trial, err)
+			}
+			matchContents(t, reopened, want, fmt.Sprintf("trial %d, the replayed logs", trial))
+			if err := reopened.Close(); err != nil {
+				t.Fatalf("trial %d: Close of the reopened engine: %v", trial, err)
+			}
+		}
+	}
+}
+
+// matchContents compares each shard's length and contents, an early-stopped
+// Range, and the resident estimate of got with the reference's.  The disk
+// engine keeps only its index resident, diskKeyBytes per key.
+func matchContents(t *testing.T, got ShardBackend, want *refMemBackend, where string) {
+	t.Helper()
+	keys := 0
+	for shard := range want.shards {
+		if lg, lw := got.LenShard(shard), want.LenShard(shard); lg != lw {
+			t.Fatalf("%s: LenShard(%d) = %d, reference %d", where, shard, lg, lw)
+		}
+		contents := want.shards[shard].data
+		keys += len(contents)
+		seen := 0
+		completed, err := got.Range(shard, func(k uint64, v []byte) bool {
+			seen++
+			if w, ok := contents[k]; !ok || !bytes.Equal(w, v) {
+				t.Fatalf("%s: Range(%d) yields key %d with %d bytes; reference has it %v with %d",
+					where, shard, k, len(v), ok, len(w))
+			}
+			return true
+		})
+		if !completed || err != nil || seen != len(contents) {
+			t.Fatalf("%s: Range(%d) yielded %d pairs (completed %v, err %v), reference %d",
+				where, shard, seen, completed, err, len(contents))
+		}
+		if len(contents) > 1 {
+			seen = 0
+			completed, _ = got.Range(shard, func(uint64, []byte) bool { seen++; return false })
+			if completed || seen != 1 {
+				t.Fatalf("%s: an early stop yielded %d pairs, completed %v", where, seen, completed)
+			}
+		}
+	}
+	resident := want.Stats().ResidentBytes
+	if got.Kind() == BackendDisk {
+		resident = diskKeyBytes * int64(keys)
+	}
+	if rg := got.Stats().ResidentBytes; rg != resident {
+		t.Fatalf("%s: ResidentBytes = %d, reference %d", where, rg, resident)
 	}
 }

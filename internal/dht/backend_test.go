@@ -435,3 +435,54 @@ func BenchmarkLocalTo(b *testing.B) {
 	}
 	_ = local
 }
+
+// TestBackendsAfterClose calls every ShardBackend method on a closed engine
+// of each kind: none may panic.  The disk engine, which releases its tables
+// at Close, answers reads, writes, deletes and Range with errDiskClosed,
+// Freeze with nil (nothing is left to sync) and LenShard with 0.
+func TestBackendsAfterClose(t *testing.T) {
+	for _, kind := range backendCases() {
+		t.Run(string(kind), func(t *testing.T) {
+			b, err := newBackend(Options{Backend: kind, Shards: 2}, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Put(1, 7, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, _, errGet := b.Get(1, 7)
+			_, _, errBatchGet := b.BatchGet(1, []uint64{7, 9})
+			errs := map[string]error{
+				"Get":         errGet,
+				"BatchGet":    errBatchGet,
+				"Put":         b.Put(1, 8, []byte("y")),
+				"BatchWrite":  b.BatchWrite(1, []Pair{{Key: 8, Value: []byte("y")}}),
+				"BatchDelete": b.BatchDelete(1, []uint64{7}),
+			}
+			_, errs["Range"] = b.Range(1, func(uint64, []byte) bool { return true })
+			if r, ok := b.(interface{ Reserve(keys int) }); ok {
+				r.Reserve(64)
+			}
+			errFreeze := b.Freeze()
+			n := b.LenShard(1)
+			_ = b.Stats()
+			if err := b.Close(); err != nil {
+				t.Fatalf("a second Close: %v", err)
+			}
+			if kind != BackendDisk {
+				return
+			}
+			for op, err := range errs {
+				if !errors.Is(err, errDiskClosed) {
+					t.Errorf("%s after Close: %v, want errDiskClosed", op, err)
+				}
+			}
+			if errFreeze != nil || n != 0 {
+				t.Errorf("after Close: Freeze returned %v and LenShard %d, want nil and 0", errFreeze, n)
+			}
+		})
+	}
+}

@@ -242,8 +242,8 @@ func (s *Store) shardLocalTo(machine, idx int) bool {
 }
 
 // Reserve tells the store that about keys entries are about to be written,
-// so an engine that sizes an index (mem, and the mem engine behind rpc) can
-// size it once, the replica's too.  It is a hint: it changes no result, and
+// so an engine that sizes an index (mem, disk, and the mem engine behind
+// rpc) can size it once, the replica's too.  It is a hint: it changes no result, and
 // an engine without an index to size ignores it.
 func (s *Store) Reserve(keys int) {
 	for _, e := range s.engines() {

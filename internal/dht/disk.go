@@ -13,8 +13,10 @@ import (
 // The disk backend holds bytes past RAM and is durable at Freeze.
 //
 // Each shard is a log-structured append-only file plus an in-memory offset
-// index: a Put appends one record and repoints the key's index entry at it,
-// and a Get is one positioned read of that extent.  Values therefore never
+// index.  A write call encodes its records into the shard's scratch buffer,
+// appends them with one positioned write, and repoints the index entries of
+// the records that write completed.  A BatchGet reads into one buffer sized
+// from the index, one positioned read per present key.  Values therefore never
 // occupy RAM between operations — only the fixed-size index entries do — so a
 // store whose payload far exceeds the configured memory budget still
 // completes (the property PIMDAL calls out as the limiting factor for this
@@ -47,11 +49,13 @@ type extent struct {
 // written or replayed, and what it gives back when it is deleted.
 const diskKeyBytes = 56
 
-// diskTable is one shard's append log with its index.
+// diskTable is one shard's append log with its index, and the scratch buffer
+// a write call encodes its records into (reused under the shard lock).
 type diskTable struct {
-	f     *os.File
-	size  int64
-	index map[uint64]extent
+	f       *os.File
+	size    int64
+	index   map[uint64]extent
+	scratch []byte
 }
 
 // openDiskTable opens or creates the log at path and replays it into a fresh
@@ -92,13 +96,7 @@ func (t *diskTable) replay() error {
 		if off+diskHeader+int64(n) > total {
 			break // torn tail: record header written but payload incomplete
 		}
-		ext := extent{off: off + diskHeader, n: n}
-		switch op {
-		case diskOpPut:
-			t.index[key] = ext
-		case diskOpDelete:
-			delete(t.index, key)
-		}
+		t.apply(op, key, extent{off: off + diskHeader, n: n})
 		off += diskHeader + int64(n)
 	}
 	if off < total {
@@ -110,30 +108,49 @@ func (t *diskTable) replay() error {
 	return nil
 }
 
-// write appends one record and updates the index.  Returns the record size.
-func (t *diskTable) write(op byte, key uint64, value []byte) (int64, error) {
-	rec := make([]byte, diskHeader+len(value))
-	rec[0] = op
-	binary.LittleEndian.PutUint64(rec[1:9], key)
-	binary.LittleEndian.PutUint32(rec[9:13], uint32(len(value)))
-	copy(rec[diskHeader:], value)
-	if _, err := t.f.WriteAt(rec, t.size); err != nil {
-		return 0, err
-	}
-	ext := extent{off: t.size + diskHeader, n: int32(len(value))}
+// apply points the index at one record: a put's payload extent, or a
+// delete's removal of the key.
+func (t *diskTable) apply(op byte, key uint64, ext extent) {
 	switch op {
 	case diskOpPut:
 		t.index[key] = ext
 	case diskOpDelete:
 		delete(t.index, key)
 	}
-	t.size += int64(len(rec))
-	return int64(len(rec)), nil
 }
 
-// errDiskClosed is what a read finds after Close has released the shard's
-// tables: the losing copy of a hedged batch read can still be in flight when
-// its job closes the store.
+// appendRecord encodes one record onto buf.
+func appendRecord(buf []byte, op byte, key uint64, value []byte) []byte {
+	var hdr [diskHeader]byte
+	hdr[0] = op
+	binary.LittleEndian.PutUint64(hdr[1:9], key)
+	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(value)))
+	return append(append(buf, hdr[:]...), value...)
+}
+
+// commit indexes the whole records at the front of recs, the bytes a write
+// placed at the end of the log, and advances the log end past them.  A short
+// write leaves its last record torn: it is not indexed, and the next write
+// overwrites it, as the record-at-a-time loop this replaced did.
+func (t *diskTable) commit(recs []byte) int64 {
+	off := 0
+	for off+diskHeader <= len(recs) {
+		n := int(binary.LittleEndian.Uint32(recs[off+9 : off+13]))
+		next := off + diskHeader + n
+		if next > len(recs) {
+			break
+		}
+		key := binary.LittleEndian.Uint64(recs[off+1 : off+9])
+		t.apply(recs[off], key, extent{off: t.size + int64(off+diskHeader), n: int32(n)})
+		off = next
+	}
+	t.size += int64(off)
+	return int64(off)
+}
+
+// errDiskClosed is what an operation finds after Close has released the
+// shard's tables: the losing copy of a hedged batch read can still be in
+// flight when its job closes the store.
 var errDiskClosed = errors.New("dht: disk backend is closed")
 
 // read returns the key's extent.  A zero-length value returns nil, matching
@@ -208,84 +225,136 @@ func (b *diskBackend) Get(shard int, key uint64) ([]byte, bool, error) {
 	return sh.table.read(key)
 }
 
-// account adds the log bytes a call appended and the index entries it added
-// (or, negative, removed) to the footprint gauges.  Every writer of the
-// engine shares them, so a call adds once, not once per record.
-func (b *diskBackend) account(bytes int64, keys int) {
-	b.disk.Add(bytes)
-	if keys != 0 {
-		b.resident.Add(diskKeyBytes * int64(keys))
+// flush appends recs, the records one call encoded into t's scratch buffer,
+// at the end of the log with one positioned write, commits what the write
+// completed, and adds the log bytes and index entries that added (or,
+// negative, removed) to the footprint gauges.  Every writer of the engine
+// shares the gauges, so a call adds once, not once per record.  recs stays
+// t's scratch buffer for the shard's next call.
+func (b *diskBackend) flush(t *diskTable, recs []byte) error {
+	t.scratch = recs
+	keys := len(t.index)
+	n, err := t.f.WriteAt(recs, t.size)
+	b.disk.Add(t.commit(recs[:n]))
+	if keys != len(t.index) {
+		b.resident.Add(diskKeyBytes * int64(len(t.index)-keys))
 	}
+	return err
 }
 
 func (b *diskBackend) Put(shard int, key uint64, value []byte) error {
 	return b.BatchWrite(shard, []Pair{{Key: key, Value: value}})
 }
 
+// BatchGet reads every present key's value into one buffer sized from the
+// index, one positioned read per key.  Each value is a capacity-clipped
+// slice of that buffer, so a caller's append cannot run into the next value.
 func (b *diskBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, error) {
 	sh := b.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	t := sh.table
+	if t == nil {
+		return nil, nil, errDiskClosed
+	}
+	total := 0
+	for _, k := range keys {
+		total += int(t.index[k].n)
+	}
+	buf := make([]byte, total)
 	vals := make([][]byte, len(keys))
 	oks := make([]bool, len(keys))
+	lo := 0
 	for i, k := range keys {
-		v, ok, err := sh.table.read(k)
-		if err != nil {
+		e, ok := t.index[k]
+		if !ok {
+			continue
+		}
+		oks[i] = true
+		if e.n == 0 {
+			continue
+		}
+		hi := lo + int(e.n)
+		vals[i] = buf[lo:hi:hi]
+		if _, err := t.f.ReadAt(vals[i], e.off); err != nil {
 			return nil, nil, err
 		}
-		vals[i], oks[i] = v, ok
+		lo = hi
 	}
 	return vals, oks, nil
 }
 
+// BatchWrite appends one put record per pair with one positioned write.
 func (b *diskBackend) BatchWrite(shard int, pairs []Pair) error {
 	sh := b.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	keys := len(sh.table.index)
-	var bytes int64
-	var err error
-	for _, p := range pairs {
-		var n int64
-		if n, err = sh.table.write(diskOpPut, p.Key, p.Value); err != nil {
-			break
-		}
-		bytes += n
+	t := sh.table
+	if t == nil {
+		return errDiskClosed
 	}
-	b.account(bytes, len(sh.table.index)-keys)
-	return err
+	recs := t.scratch[:0]
+	for _, p := range pairs {
+		recs = appendRecord(recs, diskOpPut, p.Key, p.Value)
+	}
+	return b.flush(t, recs)
 }
 
-// BatchDelete appends one tombstone record per present key, dropping the
-// keys' index entries.  The dead payload bytes stay in the log (DiskBytes
-// grows by the tombstone headers) while the resident index shrinks — the
-// same footprint trade every log-structured store makes until compaction.
+// BatchDelete appends, with one positioned write, one tombstone record per
+// present key (one for a key named twice), dropping the keys' index entries.
+// The dead payload bytes stay in the log (DiskBytes grows by the tombstone
+// headers) while the resident index shrinks — the same footprint trade every
+// log-structured store makes until compaction.
 func (b *diskBackend) BatchDelete(shard int, keys []uint64) error {
 	sh := b.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	indexed := len(sh.table.index)
-	var bytes int64
-	var err error
-	for _, k := range keys {
-		if _, ok := sh.table.index[k]; ok {
-			var n int64
-			if n, err = sh.table.write(diskOpDelete, k, nil); err != nil {
-				break
-			}
-			bytes += n
-		}
+	t := sh.table
+	if t == nil {
+		return errDiskClosed
 	}
-	b.account(bytes, len(sh.table.index)-indexed)
-	return err
+	recs := t.scratch[:0]
+	var dropped map[uint64]bool // the index changes only at flush
+	for _, k := range keys {
+		if _, ok := t.index[k]; !ok || dropped[k] {
+			continue
+		}
+		if dropped == nil {
+			dropped = make(map[uint64]bool)
+		}
+		dropped[k] = true
+		recs = appendRecord(recs, diskOpDelete, k, nil)
+	}
+	return b.flush(t, recs)
+}
+
+// Reserve tells the engine that about keys entries are coming, spread over
+// the shards: each empty shard's index is then sized once (its share plus
+// 1/8 slack, as the mem engine sizes its tables) instead of grown by
+// rehashing.  A shard that already holds keys keeps its index.
+func (b *diskBackend) Reserve(keys int) {
+	per := keys / len(b.shards)
+	per += per/8 + 1
+	for _, sh := range b.shards {
+		sh.mu.Lock()
+		if t := sh.table; t != nil && len(t.index) == 0 {
+			t.index = make(map[uint64]extent, per)
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // Freeze syncs every log to stable storage: the store has become read-only,
-// which is the natural durability point of an AMPC round boundary.
+// which is the natural durability point of an AMPC round boundary.  The
+// write scratch buffers go with it.  A closed engine has nothing to sync.
 func (b *diskBackend) Freeze() error {
 	for _, sh := range b.shards {
 		sh.mu.Lock()
-		err := sh.table.f.Sync()
+		var err error
+		if t := sh.table; t != nil {
+			t.scratch = nil
+			err = t.f.Sync()
+		}
 		sh.mu.Unlock()
 		if err != nil {
 			return err
@@ -294,10 +363,14 @@ func (b *diskBackend) Freeze() error {
 	return nil
 }
 
+// LenShard returns 0 once the engine is closed.
 func (b *diskBackend) LenShard(shard int) int {
 	sh := b.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	if sh.table == nil {
+		return 0
+	}
 	return len(sh.table.index)
 }
 
@@ -305,6 +378,9 @@ func (b *diskBackend) Range(shard int, fn func(key uint64, value []byte) bool) (
 	sh := b.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	if sh.table == nil {
+		return false, errDiskClosed
+	}
 	for k := range sh.table.index {
 		v, _, err := sh.table.read(k)
 		if err != nil {

@@ -3,10 +3,10 @@ package dht
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -48,28 +48,6 @@ func TestDiskRangeReportsReadErrors(t *testing.T) {
 	}
 	if st != (MigrationStats{}) || s.Placement() != before {
 		t.Fatalf("a failed Rebalance reported %+v and placement %s: it must not have started moving", st, s.Placement().Name())
-	}
-}
-
-// TestDiskReadAfterCloseIsAnError: the losing copy of a hedged batch read
-// can reach the engine after its job has closed the store; it must get an
-// error back, not dereference a released table.
-func TestDiskReadAfterCloseIsAnError(t *testing.T) {
-	b, err := newDiskBackend(2, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put(1, 7, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := b.Get(1, 7); !errors.Is(err, errDiskClosed) {
-		t.Fatalf("Get after Close: %v, want errDiskClosed", err)
-	}
-	if _, _, err := b.BatchGet(1, []uint64{7, 9}); !errors.Is(err, errDiskClosed) {
-		t.Fatalf("BatchGet after Close: %v, want errDiskClosed", err)
 	}
 }
 
@@ -144,11 +122,18 @@ func FuzzDiskReplay(f *testing.F) {
 		diskRecord(diskOpPut, 7, []byte("again")),
 		diskRecord(diskOpDelete, 9, nil),
 	}, nil)
+	first := diskRecord(diskOpPut, 11, []byte("first"))
+	batch := bytes.Join([][]byte{
+		first,
+		diskRecord(diskOpPut, 12, []byte("second")),
+		diskRecord(diskOpPut, 13, []byte("third")),
+	}, nil)
 	with := func(tail []byte) []byte { return append(append([]byte(nil), log...), tail...) }
 	f.Add(log)
 	f.Add(with(put[:5]))                          // torn header
 	f.Add(with(put[:diskHeader+2]))               // torn payload
 	f.Add(with(diskRecord(2, 7, []byte("tail")))) // the retired append record
+	f.Add(with(batch[:len(first)+diskHeader+3]))  // one write's three records, torn inside the second
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want := make(map[uint64][]byte)
 		end, corruptAt := 0, -1
@@ -206,4 +191,134 @@ func FuzzDiskReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDiskCommitIndexesWholeRecords: a write that completes only n bytes of
+// its batch indexes the whole records among them and nothing of the torn
+// one, and moves the log end past the whole records only — for every n.
+func TestDiskCommitIndexesWholeRecords(t *testing.T) {
+	recs := [][]byte{
+		diskRecord(diskOpPut, 1, []byte("one")),
+		diskRecord(diskOpPut, 2, nil),
+		diskRecord(diskOpDelete, 1, nil),
+		diskRecord(diskOpPut, 3, []byte("three")),
+	}
+	batch := bytes.Join(recs, nil)
+	const base = 100 // the log end before the write
+	for n := 0; n <= len(batch); n++ {
+		want := map[uint64]extent{1: {off: 7, n: 1}} // an entry the batch deletes
+		end, off := 0, int64(base)
+		for _, rec := range recs {
+			if end+len(rec) > n {
+				break
+			}
+			key := binary.LittleEndian.Uint64(rec[1:9])
+			if rec[0] == diskOpPut {
+				want[key] = extent{off: off + diskHeader, n: int32(len(rec) - diskHeader)}
+			} else {
+				delete(want, key)
+			}
+			end += len(rec)
+			off += int64(len(rec))
+		}
+		tab := &diskTable{size: base, index: map[uint64]extent{1: {off: 7, n: 1}}}
+		if grew := tab.commit(batch[:n]); grew != int64(end) || tab.size != base+int64(end) {
+			t.Fatalf("n=%d: commit grew the log by %d to %d, want %d to %d", n, grew, tab.size, end, base+end)
+		}
+		if !reflect.DeepEqual(tab.index, want) {
+			t.Fatalf("n=%d: index %v, want %v", n, tab.index, want)
+		}
+	}
+}
+
+// TestDiskBatchDeleteRepeatedKey: a key named twice in one BatchDelete is
+// dropped by one tombstone, as when each delete looked the key up after the
+// previous one had removed it.
+func TestDiskBatchDeleteRepeatedKey(t *testing.T) {
+	b, err := newDiskBackend(1, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Put(0, 5, []byte("five")); err != nil {
+		t.Fatal(err)
+	}
+	before := b.Stats().DiskBytes
+	if err := b.BatchDelete(0, []uint64{5, 5}); err != nil {
+		t.Fatal(err)
+	}
+	if grew := b.Stats().DiskBytes - before; grew != diskHeader {
+		t.Fatalf("BatchDelete of a repeated key grew the log by %d bytes, want one %d-byte tombstone", grew, diskHeader)
+	}
+	if n := b.LenShard(0); n != 0 {
+		t.Fatalf("LenShard after the delete = %d, want 0", n)
+	}
+}
+
+// TestDiskBatchAllocs pins the disk engine's allocations per call: a
+// BatchWrite into a reserved index encodes into the shard's reused scratch
+// buffer and makes none, and a BatchGet makes its values, its present flags
+// and one buffer for every value's bytes, whatever the number of keys.
+func TestDiskBatchAllocs(t *testing.T) {
+	const batch, batches = 64, 16
+	b, err := newDiskBackend(1, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Reserve(2 * batch * batches)
+	pairs := make([]Pair, batch)
+	value := []byte("twelve bytes")
+	next := uint64(0)
+	write := func() {
+		for n := 0; n < batches; n++ {
+			for i := range pairs {
+				pairs[i] = Pair{Key: next, Value: value}
+				next++
+			}
+			if err := b.BatchWrite(0, pairs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The warm-up call leaves a batch in the scratch buffer; the measured
+	// call writes batches more fresh keys into the reserved index.
+	if allocs := testing.AllocsPerRun(1, write); allocs != 0 {
+		t.Fatalf("%d warm BatchWrites of %d pairs into a reserved index make %.0f allocations, want 0", batches, batch, allocs)
+	}
+	for _, n := range []int{1, 256} {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64(i * 17) // past 2 048, beyond every written key: absent
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := b.BatchGet(0, keys); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Fatalf("BatchGet of %d keys makes %.1f allocations, want <= 3", n, allocs)
+		}
+	}
+}
+
+// TestDiskBatchGetValuesAreClipped: the values of one BatchGet share a
+// buffer, each capacity-clipped, so appending to one leaves the next intact.
+func TestDiskBatchGetValuesAreClipped(t *testing.T) {
+	b, err := newDiskBackend(1, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.BatchWrite(0, []Pair{{Key: 1, Value: []byte("ab")}, {Key: 2, Value: []byte("cd")}}); err != nil {
+		t.Fatal(err)
+	}
+	vals, oks, err := b.BatchGet(0, []uint64{1, 3, 2})
+	if err != nil || !oks[0] || oks[1] || !oks[2] {
+		t.Fatalf("BatchGet: %q %v %v", vals, oks, err)
+	}
+	_ = append(vals[0], 'x')
+	if string(vals[0]) != "ab" || string(vals[2]) != "cd" || cap(vals[0]) != 2 {
+		t.Fatalf("after an append to the first value: %q, %q (cap %d)", vals[0], vals[2], cap(vals[0]))
+	}
 }
