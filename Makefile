@@ -73,8 +73,8 @@ backend-matrix:
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos|TestSubroundRecovery|TestFaultPlan|TestTornTail|TestRPC' ./internal/bench/ ./internal/ampc/ ./internal/dht/
 
-# serving-smoke guards the Plan/Session/Job serving layer: the concurrency
-# seams (admission, shared stores, plan cache, per-job cancellation) under
+# serving-smoke guards the Session/Job serving layer: the concurrency
+# seams (admission, shared stores, per-job cancellation) under
 # the race detector on small inputs, then the full-scale acceptance
 # properties — byte-identical concurrent outputs across every backend and
 # placement, and the >= 1.5x throughput win on the hub-heavy stand-ins —
@@ -86,7 +86,7 @@ chaos-smoke:
 # heap and disk directory back to the shared-only baseline after every wave)
 # runs a tenth of its jobs under the race detector and all of them without.
 serving-smoke:
-	$(GO) test -race -short -run 'TestServing|TestConcurrentJobs|TestConcurrentOpenStore|TestMaxJobs|TestAdmission|TestJobCancel|TestJobClose|TestStoreCounters|TestSoak|TestPlanCache|TestEntryPoints|TestNewJobOnClosed|TestOpenSharedStore|TestConcurrentMakespan' ./internal/ampc/ ./internal/bench/ ./internal/simtime/
+	$(GO) test -race -short -run 'TestServing|TestConcurrentJobs|TestConcurrentOpenStore|TestMaxJobs|TestAdmission|TestJobCancel|TestJobClose|TestStoreCounters|TestSoak|TestEntryPoints|TestNewJobOnClosed|TestOpenSharedStore|TestConcurrentMakespan' ./internal/ampc/ ./internal/bench/ ./internal/simtime/
 	$(GO) test -run 'TestServingSmokeMeetsAcceptance' ./internal/bench/
 	$(GO) test -run 'TestSoakJobStoreLifetime' ./internal/ampc/
 	$(GO) test -count=3 -run 'TestConcurrentJobsByteIdenticalAcrossBackends' ./internal/bench/
@@ -95,7 +95,7 @@ serving-smoke:
 # 1) and writes their gate rows — the machine-readable snapshot that tracks
 # each win across the repository's history (EXPERIMENTS.md lists the gates).
 bench-smoke:
-	$(GO) run ./cmd/ampcbench -experiment batch,rebalance,backend,pipeline,locality,adaptive,chaos,serving -json BENCH_smoke.json
+	$(GO) run ./cmd/ampcbench -experiment batch,rebalance,backend,locality,adaptive,chaos,serving -json BENCH_smoke.json
 
 # bench-check re-runs the experiments present in the committed
 # BENCH_smoke.json and fails when one of its gates no longer holds (a

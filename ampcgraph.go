@@ -162,8 +162,8 @@ func ConnectedComponents(g *Graph, cfg Config) (*ConnectivityResult, error) {
 }
 
 // Session is a long-lived AMPC substrate — one worker pool, one set of
-// shard stores, one ownership table and one compiled-plan cache — that many
-// concurrent query jobs share.  Create one with NewSession, submit jobs with
+// shard stores and one ownership table — that many concurrent query jobs
+// share.  Create one with NewSession, submit jobs with
 // Session.NewJob, and Close it when done.  The one-shot entry points above
 // (MIS, ConnectedComponents, ...) each build a private session per call;
 // the serving layer is for running many queries against one resident graph.

@@ -1,6 +1,6 @@
 // Command ampcbench regenerates the tables and figures of the paper's
 // evaluation (Section 5) on the synthetic stand-in datasets, and runs the
-// system experiments (batch, locality, pipeline, rebalance, adaptive,
+// system experiments (batch, locality, rebalance, adaptive,
 // backend, chaos, serving) built on the same harness.
 //
 // Usage:
@@ -16,8 +16,7 @@
 // experiment: what it reproduces, the datasets it pins and its gates.  Every
 // experiment accepts the same flag set, registered once by benchFlags:
 // -batch runs the AMPC algorithms through the shard-grouped batch pipeline,
-// -placement selects the shard placement policy (hash, owner, or weighted),
-// -pipeline runs the rounds through the dependency-aware pipelined scheduler
+// -placement selects the shard placement policy (hash, owner, or weighted)
 // and -backend selects the shard storage engine (mem, disk or rpc).  An
 // experiment that pins one of those flags because it is its comparison axis
 // (bench.Experiment.Pins) rejects an explicit setting with exit code 2
@@ -55,7 +54,6 @@ type benchFlags struct {
 	threshold  int
 	batch      bool
 	placement  string
-	pipeline   bool
 	backend    string
 	jsonPath   string
 	cpuProfile string
@@ -72,7 +70,6 @@ func (f *benchFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&f.threshold, "mpc-threshold", 2000, "in-memory switch-over threshold (edges) for the MPC baselines")
 	fs.BoolVar(&f.batch, "batch", false, "run the AMPC algorithms with the shard-grouped batch pipeline")
 	fs.StringVar(&f.placement, "placement", "", "shard placement policy for the AMPC runs: hash (default), owner, or weighted (degree-balanced ownership)")
-	fs.BoolVar(&f.pipeline, "pipeline", false, "run the AMPC algorithms with dependency-aware round pipelining")
 	fs.StringVar(&f.backend, "backend", "", "shard storage backend for the AMPC runs: mem (default), disk, or rpc")
 	fs.StringVar(&f.jsonPath, "json", "", "run on the pinned smoke datasets and write the gate rows of the experiments that ran to this path")
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of the experiment runs to this file")
@@ -88,7 +85,6 @@ func (f *benchFlags) options() bench.Options {
 		MPCThreshold: f.threshold,
 		Batch:        f.batch,
 		Placement:    f.placement,
-		Pipeline:     f.pipeline,
 		Backend:      f.backend,
 	}
 	if f.datasets != "" {

@@ -15,16 +15,16 @@ func TestSharedFlagSetRegistersUniformly(t *testing.T) {
 	fs := flag.NewFlagSet("ampcbench", flag.ContinueOnError)
 	var f benchFlags
 	f.register(fs)
-	for _, name := range []string{"experiment", "datasets", "scale", "seed", "machines", "threads", "mpc-threshold", "batch", "placement", "pipeline", "backend", "json"} {
+	for _, name := range []string{"experiment", "datasets", "scale", "seed", "machines", "threads", "mpc-threshold", "batch", "placement", "backend", "json"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("shared flag set missing -%s", name)
 		}
 	}
-	if err := fs.Parse([]string{"-placement", "owner", "-backend", "disk", "-pipeline", "-seed", "7"}); err != nil {
+	if err := fs.Parse([]string{"-placement", "owner", "-backend", "disk", "-seed", "7"}); err != nil {
 		t.Fatal(err)
 	}
 	opts := f.options()
-	if opts.Placement != "owner" || opts.Backend != "disk" || !opts.Pipeline || opts.Seed != 7 {
+	if opts.Placement != "owner" || opts.Backend != "disk" || opts.Seed != 7 {
 		t.Fatalf("options did not carry the shared flags: %+v", opts)
 	}
 }

@@ -9,9 +9,9 @@
 //	ampcrun -algorithm mpc-mis -dataset OK
 //	ampcrun -algorithm cycle -cycle-length 100000 -single=false
 //	ampcrun -algorithm matching -dataset HL -machines 2 -threads 1 -cpuprofile cpu.prof -memprofile mem.prof
-//	ampcrun -algorithm cycle -cycle-length 200000 -machines 2 -threads 1 -batch -pipeline -placement weighted -cpuprofile cpu.prof
+//	ampcrun -algorithm cycle -cycle-length 200000 -machines 2 -threads 1 -batch -placement weighted -cpuprofile cpu.prof
 //
-// -batch, -pipeline and -placement set the ampc.Config fields of the same
+// -batch and -placement set the ampc.Config fields of the same
 // names, spelled as ampcbench spells them.  -cpuprofile and -memprofile cover
 // the algorithm run only, not the dataset generation before it; read them
 // with `go tool pprof`.
@@ -54,7 +54,6 @@ func main() {
 		single      = flag.Bool("single", false, "use a single cycle instead of two for -algorithm cycle")
 		threshold   = flag.Int("mpc-threshold", 2000, "in-memory switch-over threshold for MPC baselines")
 		batch       = flag.Bool("batch", false, "run the AMPC algorithm with the shard-grouped batch pipeline")
-		pipelined   = flag.Bool("pipeline", false, "run the AMPC algorithm with dependency-aware round pipelining")
 		placement   = flag.String("placement", ampc.PlacementHash, "shard placement policy: hash | owner | weighted")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the algorithm run to this file")
 		memProfile  = flag.String("memprofile", "", "write an allocation profile of the algorithm run to this file")
@@ -62,7 +61,7 @@ func main() {
 	flag.Parse()
 
 	cfg := ampc.Config{Machines: *machines, Threads: *threads, EnableCache: *cache, Seed: *seed,
-		Batch: *batch, Pipeline: *pipelined, Placement: *placement}
+		Batch: *batch, Placement: *placement}
 	switch *placement {
 	case ampc.PlacementHash, ampc.PlacementOwnerAffine, ampc.PlacementWeighted:
 	default:

@@ -1,10 +1,10 @@
 // Concurrent queries: build one graph, warm one long-lived session with its
 // shared substrates, then answer several queries at once — two maximal
 // independent sets, a maximal matching and a connected components run — as
-// concurrent jobs sharing the session's worker pool, resident stores and
-// compiled-plan cache.  Every job returns exactly what the one-shot entry
-// points (ampcgraph.MIS, ...) return for the same graph and seed; sharing a
-// session changes where the work happens, never what is computed.
+// concurrent jobs sharing the session's worker pool and resident stores.
+// Every job returns exactly what the one-shot entry points (ampcgraph.MIS,
+// ...) return for the same graph and seed; sharing a session changes where
+// the work happens, never what is computed.
 package main
 
 import (
@@ -28,7 +28,7 @@ func main() {
 	}
 	g := b.Build()
 
-	cfg := ampcgraph.Config{Machines: 4, Threads: 2, Pipeline: true, Seed: 42}
+	cfg := ampcgraph.Config{Machines: 4, Threads: 2, Seed: 42}
 
 	// One session holds the pool and the stores for every query below.
 	session := ampcgraph.NewSession(cfg)
@@ -50,8 +50,8 @@ func main() {
 	}
 	prep.Close()
 
-	// Four queries, concurrently, on one pool: the repeated MIS hits the
-	// session's compiled-plan cache instead of re-deriving its schedule.
+	// Four queries, concurrently, on one pool and one set of resident
+	// stores.
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -152,11 +152,9 @@ func main() {
 		log.Fatalf("session MIS size %d != one-shot size %d", misSizes[0], refSize)
 	}
 
-	pcs := session.PlanCacheStats()
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumNodes(), g.NumEdges())
 	fmt.Printf("4 concurrent jobs on one session:\n")
 	fmt.Printf("  MIS size (both queries): %d\n", misSizes[0])
 	fmt.Printf("  maximal matching edges:  %d\n", mmEdges)
 	fmt.Printf("  connected components:    %d\n", ccCount)
-	fmt.Printf("plan cache: %d hits, %d misses\n", pcs.Hits, pcs.Misses)
 }

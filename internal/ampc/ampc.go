@@ -9,15 +9,13 @@
 //   - Config: machines, ε / space budget, per-machine threads, caching, and
 //     the key-value latency model (RDMA / TCP / DRAM, for Table 4);
 //   - Session: the long-lived shared substrate — the persistent worker pool,
-//     the hash tables (D0, D1, ...), the ownership table, the per-machine
-//     caches and the plan cache — that many concurrent queries share;
+//     the hash tables (D0, D1, ...), the ownership table and the per-machine
+//     caches — that many concurrent queries share;
 //   - Job: one execution against a Session, with its own simulated clock,
 //     statistics, fault budget, cancellation context and round tables.  It
 //     embeds its Session, so it is the one handle algorithm code holds: New
 //     gives a one-shot job on a private session, Session.NewJob a job sharing
 //     a long-lived one;
-//   - Plan: an immutable, reusable compilation of a round sequence (the
-//     sub-round conflict analysis), cached per Session;
 //   - Ctx: the per-machine handle through which algorithm code reads and
 //     writes the hash tables.  It counts its machine's work into a
 //     simtime.Work vector; Config.Model's Price turns counts into modeled
@@ -35,8 +33,8 @@
 // is that step here.  What it is: the body, called on contiguous chunks of
 // the item range by the session's pool threads (chunk c on machine
 // c mod Machines, whatever Config.Placement says — a partition of a pure
-// function cannot change an output), under the locks a segment holds, with a
-// segment's cancellation and ErrClosed behaviour; accounted as one Phase of
+// function cannot change an output), under the locks a round holds, with a
+// round's cancellation and ErrClosed behaviour; accounted as one Phase of
 // the stage's name holding one RecordShuffle of the bytes the bodies report.
 // What it is not: a round.  It reads and writes no store, has no Ctx, counts
 // nothing into Stats.Rounds, pays no RoundOverhead, and puts nothing on the
@@ -44,26 +42,21 @@
 // the step as a parallel shuffle, and the stage only makes the wall clock
 // agree.  A pool of 1 x 1 is the sequential case; there is no other path.
 //
-// # Sessions, jobs and plans
+// # Sessions and jobs
 //
 // The one-shot shape — New, run one query, Close — is wasteful for serving:
-// every query would respawn the pool, re-shuffle the graph into fresh stores
-// and re-derive the same conflict analysis.  Session, Job and Plan split those
-// lifetimes.  A Session outlives queries: its pool threads, resident stores
-// (OpenStore; OpenSharedStore is get-or-create by name), ownership table and
-// caches persist until Session.Close, which closes each store once.  A Job is
+// every query would respawn the pool and re-shuffle the graph into fresh
+// stores.  Session and Job split those lifetimes.  A Session outlives
+// queries: its pool threads, resident stores (OpenStore; OpenSharedStore is
+// get-or-create by name), ownership table and caches persist until
+// Session.Close, which closes each store once.  A Job is
 // one query: per-job clock, Stats, fault budget, context cancellation and the
 // stores it opened itself (Job.OpenStore, closed by Job.Close), admitted
 // under Config.MaxJobs (FIFO beyond the limit).  Concurrent jobs interleave
-// their sub-rounds in the per-machine pool feeds instead of serializing
+// their machine shares in the per-machine pool feeds instead of serializing
 // behind a global run lock; results stay byte-identical to running each job
 // alone because rounds read frozen stores and jobs write disjoint stores or
-// disjoint spans.  A Plan compiles a staged round sequence once
-// (Session.CompilePlan) and executes many times (Job.RunPlan), with the
-// analysis cached per key for the current ownership generation —
-// Session.PlanCacheStats reports the hit rate, and a new ownership table
-// (SetKeyspace, SetOwnership, Rebalance) empties the cache because span
-// declarations derive from ownership.
+// disjoint spans.
 //
 // # Batching
 //
@@ -116,40 +109,22 @@
 // read the same frozen hash table.  Call Session.Close (or Close on the
 // one-shot job of New) to release the pool.
 //
-// # Segments: the one execution shape
+// # Rounds: the one execution shape
 //
-// Every round runs through one function, the segment executor (runSegment
-// in pipeline.go).  A segment is a sequence of rounds scheduled together at
-// sub-round granularity — one sub-round being one machine's share of one
-// round: the executor freezes and fences the stores a round reads, feeds
-// each machine its shares in program order, flushes (or, under
-// Config.FaultBudget, discards and re-executes) each share's writes, and
-// charges the job's clock the critical-path makespan of the per-sub-round
-// busy times (simtime.SubroundSchedule) plus one RoundOverhead per round.
-// Run executes a segment of one round, whose makespan is its slowest
-// machine: the model's global barrier.  RunPipeline, RunStaged and RunPlan
-// run one such segment per round too unless Config.Pipeline is set, in
-// which case the whole sequence is one segment under the "+"-joined phase
-// names of its stages.
-//
-// Inside a multi-round segment, rounds declare the resources they read and
-// write as Access values (Round.Reads / Round.Writes): a store plus,
-// optionally, the key spans touched — per machine when the partitioning is
-// known (RangedBy, Session.OwnedRanges) — or a zero-storage
-// scheduling Token.  Machine m's share of round j waits only for the
-// earlier sub-rounds whose declared write spans conflict with the spans
-// machine m reads or writes, so a machine finished with its own partition
-// flows past stragglers still writing ranges it never touches.  An Access
-// whose span set is the zero value declares the whole store; narrowing is
-// a contract: a span-declared sub-round must not touch keys outside its
-// spans.  Widen strips the spans back off a round sequence to recover the
-// whole-store scheduling for comparison.
-//
-// Results are byte-identical however a sequence is cut into segments; for
-// segments of two or more rounds Stats reports the charged makespan next to
-// the per-round-barrier accounting of the same busy times
-// (PipelineSim/BarrierSim, PipelineIdle/BarrierIdle).  See access.go for the
-// declaration types.
+// One round is one barrier segment, executed by one function (runSegment in
+// segment.go): it freezes the round's Read store and fences the caches of
+// every store the round reads, hands each machine its share of the items,
+// flushes each share's writes when it completes (under Config.FaultBudget it
+// discards a failed share's writes and re-executes the share), invalidates
+// the spans the round wrote from the machines' caches, and charges the job's
+// clock the slowest machine's busy time plus one round overhead — the
+// model's global barrier.  Stats.BarrierIdle sums, over every round, the time
+// the faster machines wait for the slowest.  Run executes one round;
+// RunStaged is a Phase and a Run per stage.  Rounds declare the stores they
+// read and write as Access values (Round.Reads / Round.Writes), narrowed to
+// per-machine key spans when the partitioning is known (RangedBy,
+// Session.OwnedRanges), so a round's writes invalidate only the cache
+// entries they can have made stale.  See access.go for the declaration type.
 package ampc
 
 import (
@@ -202,16 +177,11 @@ type Config struct {
 	// are identical under every policy; only where keys live — and
 	// therefore the local/remote statistics and modeled time — changes.
 	Placement string
-	// Pipeline makes a round sequence executed through RunPipeline,
-	// RunStaged or RunPlan one segment instead of one segment per round: a
-	// machine that has finished its partition of round i starts round i+1
-	// work whose input stores round i no longer writes, instead of idling
-	// at the global barrier while stragglers drain.  Rounds declare their
-	// store access sets (Round.Reads / Round.Writes); the executor
-	// serializes conflicting sub-rounds and overlaps independent ones.
-	// Results are identical with pipelining on or off — only which
-	// machine works when, and therefore the modeled time and straggler
-	// idle, changes.  Rounds executed through Run are unaffected.
+	// Pipeline is deprecated and ignored: every round is its own barrier
+	// segment.  The field stays only because the frozen wall-clock
+	// benchmark (benchmark/) sets it; see compat.go.  (It carries no
+	// "Deprecated:" marker, which would make staticcheck fail on the
+	// benchmark's uses.)
 	Pipeline bool
 	// MaxJobs bounds the number of jobs concurrently admitted to a Session
 	// through NewJob: beyond the limit, NewJob blocks and admits waiters in
@@ -355,9 +325,9 @@ type PhaseStat struct {
 }
 
 // Stats aggregates everything the paper measures about an AMPC execution.
-// Round, shuffle, phase, pipeline, migration and recovery counters are per
-// job; the store-derived counters (KVReads, cache hits, backend stats, ...)
-// aggregate the session's stores, which concurrent jobs share.
+// Round, shuffle, phase, migration and recovery counters are per job; the
+// store-derived counters (KVReads, cache hits, backend stats, ...) aggregate
+// the session's stores, which concurrent jobs share.
 type Stats struct {
 	Rounds            int
 	Shuffles          int
@@ -394,37 +364,20 @@ type Stats struct {
 	// KVRemoteBytes counts the key-value bytes (read + written) that
 	// crossed the network; under PlacementHash it equals KVBytesTotal.
 	KVRemoteBytes int64
-	// PipelineSegments counts the executed segments of two or more rounds
-	// (Config.Pipeline set and more than one round in the sequence).
-	PipelineSegments int
-	// PipelinedRounds counts the rounds executed inside those segments.
-	PipelinedRounds int
-	// BarrierSim is the modeled time the pipelined segments would have
-	// cost under the classic per-round barrier accounting (sum over rounds
-	// of the slowest machine, plus round overheads), computed from the
-	// same per-(round, machine) busy durations.  BarrierSim - PipelineSim
-	// is the modeled-time delta of pipelining.
-	BarrierSim time.Duration
-	// PipelineSim is the modeled time actually charged for the pipelined
-	// segments: the per-machine critical-path makespan respecting the
-	// declared round dependencies, plus round overheads.
-	PipelineSim time.Duration
-	// BarrierIdle is the straggler idle (summed over machines) the same
-	// segments would have paid at per-round barriers; PipelineIdle is the
-	// idle remaining under the pipelined schedule.  Their relative gap is
-	// the straggler-idle reduction reported by the pipeline experiment.
-	BarrierIdle  time.Duration
-	PipelineIdle time.Duration
+	// BarrierIdle is the straggler idle paid at the round barriers: summed
+	// over every round this job ran, the slowest machine's busy time minus
+	// each machine's, summed over machines.
+	BarrierIdle time.Duration
 	// MachineQueries is the cumulative per-machine lookup count across every
 	// round this job ran (MaxMachineQueries is the per-round maximum; this
 	// is the whole-job distribution).  Its max/mean is the observed query
 	// imbalance the adaptive-ownership rebalance targets; diffing snapshots
-	// isolates one pipeline segment.
+	// isolates a stretch of rounds.
 	MachineQueries []int64
 	// MachineBusy is the cumulative modeled busy time per machine across
 	// every round this job ran: compute plus thread-divided lookup latency,
-	// the same per-(round, machine) durations the segment executor packs
-	// and Sim charges the critical path of.  Because it is per job, the
+	// the same per-(round, machine) durations whose per-round maximum Sim
+	// charges.  Because it is per job, the
 	// vectors of concurrent jobs add machine-wise: the serving experiment
 	// derives the shared-pool makespan from them
 	// (simtime.ConcurrentMakespan).
@@ -474,7 +427,7 @@ type Ctx struct {
 	read  *dht.Store
 	cache *dht.Cache
 	// buffered defers every write into buf until the executor flushes the
-	// sub-round (Config.FaultBudget > 0) — see recover.go.
+	// machine's share (Config.FaultBudget > 0) — see recover.go.
 	buffered bool
 	bufMu    sync.Mutex
 	buf      []bufferedWrite
@@ -543,7 +496,7 @@ func (c *Ctx) Lookup(key uint64) ([]byte, bool, error) {
 }
 
 // Write stores a key-value pair into the given output hash table.  Under a
-// fault budget the write is buffered and applied when the sub-round
+// fault budget the write is buffered and applied when the machine's share
 // completes without error (see recover.go).
 func (c *Ctx) Write(out *dht.Store, key uint64, value []byte) error {
 	view := out.View(c.Machine)
@@ -573,27 +526,19 @@ type Round struct {
 	// Read is the input hash table; it is frozen for the duration of the
 	// round.  May be nil for rounds that only compute locally.
 	Read *dht.Store
-	// Reads declares the resources the round's Body reads beyond Read: a
-	// status store consulted directly, or a scheduling Token published by
-	// an earlier round.  Within a segment the executor orders each
-	// machine's share of this round after every earlier sub-round whose
-	// write declaration conflicts with it — same resource, overlapping key
-	// spans.  An Access naming Read narrows the span of the default input
-	// access instead of adding a second one.  Unlike Read, declared reads
-	// are NOT frozen — a cumulative store (statuses published across
+	// Reads declares the stores the round's Body reads beyond Read, such as
+	// a status store consulted directly; their caches are fenced before the
+	// round runs.  An Access naming Read narrows the span of the default
+	// input access instead of adding a second one.  Unlike Read, declared
+	// reads are NOT frozen — a cumulative store (statuses published across
 	// passes) may appear in both Reads and Writes of the same round.
 	Reads []Access
-	// Writes declares every resource the round's Body writes (hash tables
-	// via Ctx.Write / Ctx.WriteMany, plus any host-side
-	// state published under a Token).  Within a segment the executor orders
-	// a later conflicting sub-round after this round: whole-store
-	// declarations gate on every machine, while per-machine span
-	// declarations let disjoint-range sub-rounds overlap.  A round sharing
-	// a segment with others MUST declare all its writes, and a
-	// span-narrowed declaration MUST cover every key the machine writes —
-	// an undeclared write could race a dependent round the executor
-	// believed independent.  A one-round segment (Run) has nothing to
-	// order, so there the declaration is optional.
+	// Writes declares the stores the round's Body writes (Ctx.Write /
+	// Ctx.WriteMany).  After the round the executor invalidates the
+	// declared spans from every machine's cache of each written store, so a
+	// span-narrowed declaration MUST cover every key the machine writes.  An
+	// undeclared write leaves the caches to the write-count fence of the
+	// next round that reads the store, which drops the whole cache.
 	Writes []Access
 	// Body processes one work item on the machine owning it.
 	Body func(ctx *Ctx, item int) error
@@ -633,9 +578,8 @@ type preparedRound struct {
 
 // prepareRound counts the round, builds the per-machine contexts and
 // partitions the work items into machine jobs.  Freezing and fencing the
-// stores the round reads is the segment executor's business (runSegment),
-// which defers both past in-flight declared writers.  Item errors are
-// captured per job (machineJob.recordErr).
+// stores the round reads is the executor's business (runSegment).  Item
+// errors are captured per job (machineJob.recordErr).
 func (j *Job) prepareRound(round Round) *preparedRound {
 	cfg := j.cfg
 	j.mu.Lock()

@@ -3,6 +3,7 @@ package ampc
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"ampcgraph/internal/codec"
@@ -142,6 +143,24 @@ func TestRoundErrorPropagates(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
+	}
+}
+
+// TestRoundRejectsNegativeItems: a negative item count is an error before
+// the round is prepared — with a Partitioner it used to panic sizing the
+// item array — and the round counts nothing.
+func TestRoundRejectsNegativeItems(t *testing.T) {
+	for _, part := range []func(int) int{nil, func(item int) int { return item }} {
+		r := New(Config{Machines: 2})
+		err := r.Run(Round{Name: "negative", Items: -3, Partitioner: part,
+			Body: func(*Ctx, int) error { return nil }})
+		if err == nil || !strings.Contains(err.Error(), "negative item count") {
+			t.Errorf("partitioner=%v: error %v, want a negative item count", part != nil, err)
+		}
+		if got := r.Stats().Rounds; got != 0 {
+			t.Errorf("partitioner=%v: %d rounds counted, want 0", part != nil, got)
+		}
+		r.Close()
 	}
 }
 

@@ -14,14 +14,14 @@ import (
 // holds: it carries the per-job simulated clock, statistics, phase stack,
 // fault budget, cancellation context and the stores it opened for its own
 // rounds (OpenStore), and it embeds the Session it runs on, so the substrate —
-// pool, resident stores, caches, ownership table, partitioners, CompilePlan —
-// is reached through the same value.  Jobs obtained through Session.NewJob
-// run concurrently — their sub-rounds interleave in the per-machine pool
+// pool, resident stores, caches, ownership table, partitioners — is reached
+// through the same value.  Jobs obtained through Session.NewJob run
+// concurrently — their machine shares interleave in the per-machine pool
 // feeds — and each still observes its own rounds in program order.
 //
-// Run, RunPipeline, RunStaged, RunPlan, Shuffle and Phase execute; Close
-// releases the job's stores and its admission slot and marks it finished.  A
-// job made by New owns a private session, and its Close closes that too.
+// Run, RunStaged, Shuffle and Phase execute; Close releases the job's stores
+// and its admission slot and marks it finished.  A job made by New owns a
+// private session, and its Close closes that too.
 type Job struct {
 	*Session
 	// ownsSession marks the job of New: it holds no admission slot, and its
@@ -29,9 +29,9 @@ type Job struct {
 	ownsSession bool
 
 	clock *simtime.Clock
-	// ctx cancels the job: the segment executor stops submitting new
-	// sub-rounds once it is done, draining the in-flight ones before
-	// returning the context error.
+	// ctx cancels the job: a round stops spending fault budget once it is
+	// done, drains its in-flight shares and returns the context error; later
+	// rounds fail at once.
 	ctx context.Context
 
 	mu         sync.Mutex
@@ -43,7 +43,7 @@ type Job struct {
 	// query cannot exhaust the recovery budget of its neighbors.
 	faultBudgetUsed int
 
-	// runMu serializes execution within this job: every segment and
+	// runMu serializes execution within this job: every round, shuffle and
 	// Rebalance hold it for their whole duration, so concurrent calls on
 	// one job queue instead of interleaving — while different jobs
 	// interleave freely in the shared pool.
@@ -55,10 +55,6 @@ type Job struct {
 
 	closed atomic.Bool
 }
-
-// Runtime is the name the frozen wall-clock benchmark (benchmark/) still
-// spells Job by; nothing else uses it.
-type Runtime = Job
 
 type phaseFrame struct {
 	name         string
@@ -91,7 +87,7 @@ func (j *Job) OpenStore(name string) (*dht.Store, error) {
 // Close marks the job finished, releases the stores it opened (OpenStore) and
 // then its admission slot, unblocking the oldest NewJob waiter — or, for the
 // job of New, closes its private session (pool, disk footprint).  It first
-// waits for a segment the job still has in flight on another goroutine — a
+// waits for a round the job still has in flight on another goroutine — a
 // store is never closed under a running round — so it must not be called
 // from inside a Round body.  A shared session is unaffected; only this job's
 // rounds and store opens fail with ErrClosed afterwards.  Statistics remain
@@ -159,7 +155,7 @@ func (j *Job) Phase(name string, fn func() error) error {
 }
 
 // Stats returns a snapshot of the execution statistics accumulated so far.
-// Round, shuffle, phase, pipeline and recovery counters are per job; the
+// Round, shuffle, phase and recovery counters are per job; the
 // store-derived counters (KVReads, cache hits, backend wire counters, ...)
 // are session-wide: the live stores plus the retired total of those closed
 // jobs have released, so they never fall when a job closes.  Only the
@@ -205,15 +201,4 @@ func (j *Job) MeasuredCostModel() (simtime.CostModel, bool) {
 		return simtime.CostModel{}, false
 	}
 	return simtime.Measured(string(bs.Kind), read, write), true
-}
-
-// Run executes one AMPC round — a segment of one round — on the session's
-// persistent worker pool.  Work item i is assigned to machine i mod Machines
-// (or Partitioner(i) when set); each machine processes its items with Threads
-// concurrent workers sharing one Ctx.  The simulated duration of the round is
-// the maximum over machines of (compute + key-value latency / Threads),
-// modeling the fact that multithreading hides lookup latency but not
-// computation.
-func (j *Job) Run(round Round) error {
-	return j.runStages([]StagedRound{{Round: round}}, nil)
 }

@@ -78,7 +78,7 @@ func TestRebalanceMigratesLiveStoresOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := live.RunPipeline([]Round{write, read}); err != nil {
+	if err := live.RunStaged(staged(write, read)); err != nil {
 		t.Fatal(err)
 	}
 	if stores, _, _ := s.LiveStores(); stores != 2 {

@@ -10,8 +10,8 @@ import (
 //
 // A production system keeps its machine processes alive for the lifetime of
 // the computation, so the session owns a persistent pool: Machines x Threads
-// worker goroutines are started once, on the first segment, and every
-// sub-round of every job is handed to them as a machineJob.  Each machine
+// worker goroutines are started once, on the first round, and every
+// machine share of every job is handed to them as a machineJob.  Each machine
 // owns an ordered feed of jobs, its threads drain the feed in order — which
 // keeps a machine's rounds in program order while different machines run
 // different rounds — and the last thread to leave a job fires the job's
@@ -20,7 +20,7 @@ import (
 // releases the pool; a session that never runs a round never spawns it.
 
 // machineJob is one machine's share of one round — a sub-round.  It captures
-// its own first item error, so the segment executor can decide per sub-round
+// its own first item error, so the executor can decide per share
 // whether to surface the failure or re-execute the share (sub-round recovery
 // under Config.FaultBudget).
 type machineJob struct {
@@ -148,8 +148,8 @@ func poolWorker(f *machineFeed, cur *jobNode) {
 }
 
 // submit appends a job to machine m's feed.  The machine's threads process
-// feed entries strictly in submission order, which is what preserves
-// per-machine program order under pipelining.
+// feed entries strictly in submission order, which keeps each job's
+// shares on a machine in program order when several jobs share the pool.
 func (p *workerPool) submit(m int, job *machineJob) {
 	job.threadsLeft.Store(int32(p.threads))
 	f := p.feeds[m]

@@ -14,8 +14,8 @@ import (
 // the keyspace by declared per-key weights (degrees) before any round runs.
 // Observed load can disagree with it — search rounds walk far past the keys
 // a machine owns, and caches shift where lookups actually land — so between
-// pipeline segments the session can re-derive the boundaries from what the
-// finished segment measured.  Rebalance folds the per-machine query counts
+// rounds the session can re-derive the boundaries from what the finished
+// rounds measured.  Rebalance folds the per-machine query counts
 // (first-order) and modeled lookup latency (a sampled search-cost
 // second-order weight) into a per-key cost vector, rebuilds the prefix-sum
 // boundaries, migrates the affected shards of every weighted-placed store
@@ -46,13 +46,11 @@ type RebalanceStats struct {
 // Rebalance re-derives the weighted ownership boundaries from the load
 // observed since the last rebalance (or since the session was created) and
 // migrates shard data accordingly, charging the migration to this job.  It
-// is meant to be called between pipeline segments: it serializes against this
-// job's rounds (the per-job run lock) and against every other job's in-flight
+// is meant to be called between rounds: it serializes against this job's
+// rounds (the per-job run lock) and against every other job's in-flight
 // rounds (the session's exclusive execution lock — rounds take it shared), so
 // the migration never interleaves with a running round.  Partitioners and
-// stores built after the call answer from the updated table, and plans
-// compiled before it are dropped from the plan cache (the ownership
-// generation they were compiled under is gone).
+// stores built after the call answer from the updated table.
 //
 // Under any placement other than PlacementWeighted, or before any ownership
 // table and observed load exist, Rebalance is a documented no-op that
@@ -84,8 +82,8 @@ func (j *Job) Rebalance() (RebalanceStats, error) {
 	changed := dht.ChangedSpans(old, next)
 
 	// The observation window closes here whether or not the boundaries
-	// moved: the next segment's load is measured against the table it
-	// actually runs under.
+	// moved: the next rounds' load is measured against the table they
+	// actually run under.
 	s.mu.Lock()
 	for i := range s.machineQueries {
 		s.machineQueries[i] = 0
@@ -100,7 +98,7 @@ func (j *Job) Rebalance() (RebalanceStats, error) {
 	// the migration below runs already answer from it, then migrate every
 	// weighted-placed store.  Migration relocates bytes through backend
 	// operations without touching the stores' write counters, so the cache
-	// fences recorded at segment ends stay valid; the migrated spans are
+	// fences recorded at round ends stay valid; the migrated spans are
 	// invalidated explicitly instead.
 	s.mu.Lock()
 	s.ownership = next
@@ -127,10 +125,6 @@ func (j *Job) Rebalance() (RebalanceStats, error) {
 		}
 		s.mu.Unlock()
 	}
-
-	// The ownership generation moves and every compiled plan dies with it:
-	// plans embed span declarations derived from the old boundaries.
-	s.ownGen.Add(1)
 
 	st.Moved = true
 	st.Changed = changed

@@ -153,14 +153,14 @@ func TestRebalanceNoOpOutsideWeightedPlacement(t *testing.T) {
 }
 
 // TestRebalanceConcurrentWithRounds races Rebalance against in-flight
-// pipelined rounds: the run lock serializes them, so every interleaving must
+// rounds: the run lock serializes them, so every interleaving must
 // leave the store coherent — each round that runs after a migration reads
 // post-migration data, and no round overlaps the shard moves.  Run with
 // -race (make race) this also proves the placement swap is never read
 // mid-write.
 func TestRebalanceConcurrentWithRounds(t *testing.T) {
 	const n = 300
-	cfg := Config{Machines: 4, Threads: 2, Placement: PlacementWeighted, EnableCache: true, Pipeline: true, Seed: 1}
+	cfg := Config{Machines: 4, Threads: 2, Placement: PlacementWeighted, EnableCache: true, Seed: 1}
 	r, store := rebalanceTestJob(t, n, cfg)
 	defer r.Close()
 
@@ -196,7 +196,7 @@ func TestRebalanceConcurrentWithRounds(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
-			if err := r.RunPipeline([]Round{read}); err != nil {
+			if err := r.Run(read); err != nil {
 				errs <- err
 				return
 			}

@@ -9,21 +9,20 @@ import (
 // A machine's share of a round — a sub-round — can fail past the stores' own
 // retry tier: an injected fatal fault (dht.FaultPlan.PFatal), an op abandoned
 // at the retry deadline, a real backend error.  With Config.FaultBudget > 0
-// the segment executor recovers at exactly that granularity instead of failing
+// the executor recovers at exactly that granularity instead of failing
 // the run: the failed (round, machine) share is re-executed from scratch while
 // every other machine's work stands.
 //
 // Re-execution is only sound if the failed attempt left no trace.  Reads are
 // naturally replayable (the input store is frozen for the round), but writes
 // are not: an attempt that failed half way has written some of its keys, and
-// a dependent sub-round — or the run's caller, should the retry fail too —
-// must never see a key only a failed attempt wrote.  So under a fault budget
+// a later round — or the run's caller, should the retry fail too — must
+// never see a key only a failed attempt wrote.  So under a fault budget
 // every Ctx write (Write, WriteMany) is buffered in the Ctx instead of
 // applied: the executor flushes the buffer to the stores only after the
 // sub-round has completed without error, and discards it before a retry.
-// The flush happens before the sub-round is marked done,
-// so dependent sub-rounds — gated on that completion — observe exactly the
-// writes a fault-free execution produces.  Values are copied at buffer time,
+// Every flush happens before the round ends, so later rounds observe exactly
+// the writes a fault-free execution produces.  Values are copied at buffer time,
 // preserving the store façade's "values are copied on write" contract for
 // callers that reuse buffers.
 //

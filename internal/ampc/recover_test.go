@@ -154,50 +154,60 @@ func TestSubroundRecoveryStoreFault(t *testing.T) {
 	}
 }
 
-// TestSubroundRecoveryPipelined retries a failed share inside a pipelined
-// segment without disturbing the rest of the schedule: the output matches the
-// clean run and later conflicting sub-rounds observe the recovered writes.
+// TestSubroundRecoveryPipelined retries a failed share inside a three-stage
+// RunStaged sequence whose last round reads a store it also writes: sum
+// holds a[i] after the second stage, and the third adds a[i] again, reading
+// sum directly.  The failed attempt's buffered writes are discarded, so the
+// retry reads sum as the other machines' flushed shares left it and the
+// result matches the clean run — nothing is added twice.
 func TestSubroundRecoveryPipelined(t *testing.T) {
+	const n = 32
 	run := func(trip bool) (map[uint64]string, Stats) {
-		r := New(Config{Machines: 2, Threads: 2, Pipeline: true, FaultBudget: 4, Model: testModel()})
+		r := New(Config{Machines: 2, Threads: 2, FaultBudget: 4, Model: testModel()})
 		defer r.Close()
 		a := newStore(t, r, "a")
-		b := newStore(t, r, "b")
+		sum := newStore(t, r, "sum")
 		var tripped atomic.Bool
-		rounds := []Round{
-			{
+		// add writes sum[i] = sum[i] + a[i], an absent sum[i] counting as 0.
+		add := func(ctx *Ctx, item int) error {
+			v, ok, err := ctx.Lookup(uint64(item))
+			if err != nil || !ok {
+				return fmt.Errorf("a[%d]: ok=%v err=%v", item, ok, err)
+			}
+			prev, _, err := sum.Get(uint64(item))
+			if err != nil {
+				return err
+			}
+			total := v[0]
+			if len(prev) > 0 {
+				total += prev[0]
+			}
+			if err := ctx.Write(sum, uint64(item), []byte{total}); err != nil {
+				return err
+			}
+			if trip && item == 5 && tripped.CompareAndSwap(false, true) {
+				return errors.New("injected") // after the write: only discarding undoes it
+			}
+			return nil
+		}
+		err := r.RunStaged([]StagedRound{
+			{Phase: "produce", Round: Round{
 				Name:   "produce",
-				Items:  32,
+				Items:  n,
 				Writes: []Access{{Store: a}},
 				Body: func(ctx *Ctx, item int) error {
-					if trip && item == 5 && tripped.CompareAndSwap(false, true) {
-						return errors.New("injected")
-					}
 					return ctx.Write(a, uint64(item), []byte{byte(item)})
 				},
-			},
-			{
-				Name:   "consume",
-				Items:  32,
-				Read:   a,
-				Writes: []Access{{Store: b}},
-				Body: func(ctx *Ctx, item int) error {
-					v, ok, err := ctx.Lookup(uint64(item))
-					if err != nil {
-						return err
-					}
-					if !ok {
-						return fmt.Errorf("missing key %d: recovered writes not visible", item)
-					}
-					return ctx.Write(b, uint64(item), append(v, 'y'))
-				},
-			},
-		}
-		if err := r.RunPipeline(rounds); err != nil {
+			}},
+			{Phase: "first", Round: Round{Name: "first", Items: n, Read: a, Writes: []Access{{Store: sum}}, Body: add}},
+			{Phase: "again", Round: Round{Name: "again", Items: n, Read: a,
+				Reads: []Access{{Store: sum}}, Writes: []Access{{Store: sum}}, Body: add}},
+		})
+		if err != nil {
 			t.Fatalf("trip=%v: %v", trip, err)
 		}
 		got := make(map[uint64]string)
-		b.Range(func(k uint64, v []byte) bool {
+		sum.Range(func(k uint64, v []byte) bool {
 			got[k] = string(v)
 			return true
 		})
@@ -209,10 +219,13 @@ func TestSubroundRecoveryPipelined(t *testing.T) {
 	if st.SubroundRetries != 1 {
 		t.Fatalf("SubroundRetries = %d, want 1", st.SubroundRetries)
 	}
-	if len(clean) != 32 || len(chaos) != 32 {
-		t.Fatalf("clean %d keys, chaos %d keys, want 32", len(clean), len(chaos))
+	if len(clean) != n || len(chaos) != n {
+		t.Fatalf("clean %d keys, chaos %d keys, want %d", len(clean), len(chaos), n)
 	}
 	for k, v := range clean {
+		if v != string([]byte{byte(2 * k)}) {
+			t.Fatalf("clean key %d: %q, want 2*%d", k, v, k)
+		}
 		if chaos[k] != v {
 			t.Fatalf("key %d: clean %q, chaos %q", k, v, chaos[k])
 		}

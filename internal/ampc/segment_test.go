@@ -5,16 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ampcgraph/internal/dht"
+	"ampcgraph/internal/simtime"
 )
 
-// Segment executor tests: every entry point is a way of cutting a round
-// sequence into segments for the one executor, so they must agree on the
-// stores' contents always and, when the cut is the same, on the accounting.
+// Executor tests: every entry point runs a round sequence one barrier
+// segment per round through the one executor, so they must agree on the
+// stores' contents and on the accounting.
 
 // segmentSequence builds a write -> ranged read -> whole read sequence on
 // fresh stores of rt: round 0 fills a, round 1 has every machine read its own
@@ -98,31 +101,17 @@ func TestEntryPointsShareOneExecutor(t *testing.T) {
 			return rt.RunPipeline(rounds)
 		}},
 		{"RunStaged", true, func(rt *Job, stages []StagedRound) error { return rt.RunStaged(stages) }},
-		{"RunPlan", true, func(rt *Job, stages []StagedRound) error {
-			p := rt.CompilePlan("sequence", stages)
-			if got := len(p.Rounds()); got != len(stages) {
-				return fmt.Errorf("plan has %d rounds, want %d", got, len(stages))
-			}
-			if !rt.Config().Pipeline {
-				// One-round segments need no conflict analysis.
-				if st := rt.PlanCacheStats(); p.Cached || st.Hits != 0 || st.Misses != 0 {
-					return fmt.Errorf("plan without pipelining touched the plan cache: cached=%v %+v", p.Cached, st)
-				}
-			}
-			return rt.RunPlan(p)
-		}},
 	}
-	// accounting is everything two runs that cut the sequence into the same
-	// segments must agree on.
+	// accounting is everything two runs of the same rounds must agree on.
 	type accounting struct {
-		Sim                                   time.Duration
-		Rounds, Retries                       int
-		Reads, Writes, BytesRead, BytesWrite  int64
-		CacheHits, CacheMisses                int64
-		Segments, PipelinedRounds             int
-		PipeSim, BarrierSim, PipeIdle, BarIdl time.Duration
+		Sim, BarrierIdle                     time.Duration
+		Rounds, Retries                      int
+		Reads, Writes, BytesRead, BytesWrite int64
+		CacheHits, CacheMisses               int64
 	}
 	var wantContents [][]uint64
+	// Config.Pipeline is deprecated and ignored: both settings must cut the
+	// same one-round segments and agree on everything.
 	for _, pipeline := range []bool{false, true} {
 		for _, budget := range []int{0, 2} {
 			var want *accounting
@@ -157,39 +146,22 @@ func TestEntryPointsShareOneExecutor(t *testing.T) {
 						t.Fatal("store contents differ from the first run's")
 					}
 
-					// Run cuts one segment per round whatever Config.Pipeline
-					// says.
-					oneRoundSegments := !pipeline || e.name == "Run"
 					var phases, wantPhases []string
 					for _, ph := range st.Phases {
 						phases = append(phases, ph.Name)
 					}
-					if e.phased && oneRoundSegments {
+					if e.phased {
 						wantPhases = []string{"write", "ranged", "whole"}
-					} else if e.phased {
-						wantPhases = []string{"write+ranged+whole"}
 					}
 					if !reflect.DeepEqual(phases, wantPhases) {
 						t.Fatalf("phases %v, want %v", phases, wantPhases)
 					}
 
-					got := accounting{st.Sim, st.Rounds, st.SubroundRetries,
+					got := accounting{st.Sim, st.BarrierIdle, st.Rounds, st.SubroundRetries,
 						st.KVReads, st.KVWrites, st.KVBytesRead, st.KVBytesWritten,
-						st.CacheHits, st.CacheMisses,
-						st.PipelineSegments, st.PipelinedRounds,
-						st.PipelineSim, st.BarrierSim, st.PipelineIdle, st.BarrierIdle}
+						st.CacheHits, st.CacheMisses}
 					if got.Rounds != 3 || got.CacheHits == 0 || got.Retries != budget/2 {
 						t.Fatalf("implausible accounting %+v", got)
-					}
-					if oneRoundSegments && (got.Segments != 0 || got.PipelinedRounds != 0 || got.PipeSim != 0 ||
-						got.BarrierSim != 0 || got.PipeIdle != 0 || got.BarIdl != 0) {
-						t.Fatalf("one-round segments moved the pipeline counters: %+v", got)
-					}
-					if !oneRoundSegments && (got.Segments != 1 || got.PipelinedRounds != 3) {
-						t.Fatalf("%d segments of %d rounds, want 1 of 3", got.Segments, got.PipelinedRounds)
-					}
-					if oneRoundSegments == pipeline {
-						return // Run under pipelining: cut unlike its neighbours
 					}
 					if want == nil {
 						want = &got
@@ -202,9 +174,10 @@ func TestEntryPointsShareOneExecutor(t *testing.T) {
 	}
 }
 
-// TestSegmentReportsLowestFailedSubround: when several sub-rounds fail with
-// no budget left, the segment's error is the one of the lowest (round,
-// machine) — however late that sub-round's completion arrives.
+// TestSegmentReportsLowestFailedSubround: when several machines of a round
+// fail with no budget left, the round's error is the lowest machine's —
+// however late its completion arrives — and a failed round ends the
+// sequence.
 func TestSegmentReportsLowestFailedSubround(t *testing.T) {
 	const machines = 4
 	failures := make([][]error, 3)
@@ -214,8 +187,8 @@ func TestSegmentReportsLowestFailedSubround(t *testing.T) {
 			failures[rj][m] = fmt.Errorf("round %d machine %d failed", rj, m)
 		}
 	}
-	// failing builds round rj of a segment: the named machines fail, the
-	// lowest of them last.
+	// failing builds round rj: the named machines fail, the lowest of them
+	// last.
 	failing := func(rj int, fail ...int) Round {
 		return Round{Name: fmt.Sprintf("r%d", rj), Items: machines, Body: func(ctx *Ctx, item int) error {
 			for i, m := range fail {
@@ -230,17 +203,294 @@ func TestSegmentReportsLowestFailedSubround(t *testing.T) {
 		}}
 	}
 	for rep := 0; rep < 20; rep++ {
-		r := New(Config{Machines: machines, Threads: 2, Pipeline: true})
+		r := New(Config{Machines: machines, Threads: 2})
 		if err := r.Run(failing(0, 1, 3)); !errors.Is(err, failures[0][1]) {
-			t.Fatalf("rep %d: one-round segment failed with %v, want machine 1's error", rep, err)
+			t.Fatalf("rep %d: round failed with %v, want machine 1's error", rep, err)
 		}
-		// Machine 0 fails in the last round — first to be reported, since the
-		// undeclared rounds do not wait for each other — and machines 1 and 3
-		// in the middle one.
-		err := r.RunPipeline([]Round{failing(0), failing(1, 1, 3), failing(2, 0)})
+		// Machines 1 and 3 fail in the middle round, machine 0 in the last,
+		// which never runs.
+		err := r.RunStaged(staged(failing(0), failing(1, 1, 3), failing(2, 0)))
 		if !errors.Is(err, failures[1][1]) {
-			t.Fatalf("rep %d: three-round segment failed with %v, want round 1 machine 1's error", rep, err)
+			t.Fatalf("rep %d: three-round sequence failed with %v, want round 1 machine 1's error", rep, err)
+		}
+		if got := r.Stats().Rounds; got != 3 {
+			t.Fatalf("rep %d: %d rounds ran, want 3 (the round after the failure must not)", rep, got)
 		}
 		r.Close()
+	}
+}
+
+// testModel is a cost model where only compute counts, so modeled durations
+// are exact functions of ChargeCompute calls.
+func testModel() simtime.CostModel {
+	return simtime.CostModel{Name: "test", ComputePerItem: time.Millisecond}
+}
+
+// staged wraps rounds as phaseless stages.
+func staged(rounds ...Round) []StagedRound {
+	stages := make([]StagedRound, len(rounds))
+	for i, rd := range rounds {
+		stages[i].Round = rd
+	}
+	return stages
+}
+
+// TestPipelineCriticalPathAccounting: a sequence of rounds is charged its
+// barrier critical path — the sum over rounds of the slowest machine — and
+// Stats.BarrierIdle is the sum over rounds of Σ_m (max − busy_m), here on
+// three uneven rounds, the last of which leaves machine 2 without items.
+func TestPipelineCriticalPathAccounting(t *testing.T) {
+	r := New(Config{Machines: 3, Threads: 1, Model: testModel()})
+	defer r.Close()
+	// busy[j][m] is machine m's compute in round j, in milliseconds.
+	busy := [][]int{{5, 2, 1}, {1, 6, 3}, {4, 9}}
+	var rounds []Round
+	for j, row := range busy {
+		rounds = append(rounds, Round{
+			Name:        fmt.Sprintf("r%d", j),
+			Items:       len(row),
+			Partitioner: func(item int) int { return item },
+			Body: func(ctx *Ctx, item int) error {
+				ctx.ChargeCompute(row[item])
+				return nil
+			},
+		})
+	}
+	if err := r.RunStaged(staged(rounds...)); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	// Slowest machines: 5 + 6 + 9.
+	if st.Sim != ms(20) {
+		t.Fatalf("sim %v, want 20ms", st.Sim)
+	}
+	// Idle: (0+3+4) + (5+0+3) + (5+0+9).
+	if st.BarrierIdle != ms(29) {
+		t.Fatalf("barrier idle %v, want 29ms", st.BarrierIdle)
+	}
+	if want := []time.Duration{ms(10), ms(17), ms(4)}; !reflect.DeepEqual(st.MachineBusy, want) {
+		t.Fatalf("machine busy %v, want %v", st.MachineBusy, want)
+	}
+}
+
+func TestPipelineGateBlocksDependentRound(t *testing.T) {
+	// A round reading a store must not start anywhere before every machine
+	// has finished the round writing it — even with a straggler.
+	const machines = 4
+	r := New(Config{Machines: machines, Threads: 2})
+	defer r.Close()
+	store := newStore(t, r, "gate")
+	var writesLeft atomic.Int64
+	writesLeft.Store(int64(machines))
+	var early atomic.Int64
+	write := Round{
+		Name:        "write",
+		Items:       machines,
+		Writes:      []Access{{Store: store}},
+		Partitioner: func(item int) int { return item },
+		Body: func(ctx *Ctx, item int) error {
+			if ctx.Machine == 0 {
+				time.Sleep(100 * time.Millisecond)
+			}
+			if err := ctx.Write(store, uint64(item), []byte{byte(item)}); err != nil {
+				return err
+			}
+			writesLeft.Add(-1)
+			return nil
+		},
+	}
+	read := Round{
+		Name:        "read",
+		Items:       machines,
+		Read:        store,
+		Partitioner: func(item int) int { return item },
+		Body: func(ctx *Ctx, item int) error {
+			if writesLeft.Load() != 0 {
+				early.Add(1)
+			}
+			v, ok, err := ctx.Lookup(uint64(item))
+			if err != nil || !ok || v[0] != byte(item) {
+				return fmt.Errorf("read %d: %v %v %v", item, v, ok, err)
+			}
+			return nil
+		},
+	}
+	if err := r.RunStaged(staged(write, read)); err != nil {
+		t.Fatal(err)
+	}
+	if early.Load() != 0 {
+		t.Fatalf("dependent round started %d times before the write round drained", early.Load())
+	}
+}
+
+func TestPipelineWriteReadCacheCoherence(t *testing.T) {
+	// Cache-coherence regression: a store written in round i and read in
+	// round i+1 must never serve a stale per-machine cache entry, with
+	// caching enabled and machines entering the write round at very
+	// different times.
+	const machines = 4
+	const n = 400
+	r := New(Config{Machines: machines, Threads: 2, EnableCache: true})
+	defer r.Close()
+	r.SetKeyspace(n)
+	filler := newStore(t, r, "filler")
+	data := newStore(t, r, "data")
+	value := func(i int) byte { return byte((i * 7) % 251) }
+	stagger := Round{
+		Name:        "stagger",
+		Items:       machines,
+		Writes:      []Access{{Store: filler}},
+		Partitioner: func(item int) int { return item },
+		Body: func(ctx *Ctx, item int) error {
+			time.Sleep(time.Duration(item) * 30 * time.Millisecond)
+			return ctx.Write(filler, uint64(item), []byte{1})
+		},
+	}
+	readData := Round{
+		Name:  "read-data",
+		Items: n,
+		Read:  data,
+		// Every machine reads keys it does not own, so reads cross
+		// machine caches arbitrarily.
+		Partitioner: func(item int) int { return (item + 1) % machines },
+		Body: func(ctx *Ctx, item int) error {
+			v, ok, err := ctx.Lookup(uint64(item))
+			if err != nil {
+				return err
+			}
+			if !ok || len(v) != 1 || v[0] != value(item) {
+				return fmt.Errorf("stale or missing value for %d: %v %v", item, v, ok)
+			}
+			return nil
+		},
+	}
+	writeData := r.WriteTableRound("write-data", data, n, 0, func(i int) []byte { return []byte{value(i)} })
+	if err := r.RunStaged(staged(stagger, writeData, readData)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFenceCachesInvalidatesAfterWrites(t *testing.T) {
+	// White-box: the per-store fence must drop cache entries when the
+	// store's write counter moved after the caches were filled.
+	r := New(Config{Machines: 2, EnableCache: true})
+	defer r.Close()
+	s := newStore(t, r, "fenced")
+	r.fenceCaches(s)
+	c := r.cacheFor(s, 0)
+	if _, ok, err := c.Get(7); ok || err != nil {
+		t.Fatalf("expected absent key: %v %v", ok, err)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("cache should hold the absent marker, len %d", c.Len())
+	}
+	if err := s.Put(7, []byte{42}); err != nil {
+		t.Fatal(err)
+	}
+	r.fenceCaches(s)
+	if c.Len() != 0 {
+		t.Fatalf("fence did not invalidate the cache, len %d", c.Len())
+	}
+	if v, ok, err := c.Get(7); err != nil || !ok || v[0] != 42 {
+		t.Fatalf("post-fence read %v %v %v, want 42", v, ok, err)
+	}
+}
+
+func TestConcurrentRunAndRunPipeline(t *testing.T) {
+	// Misuse stress: Run and RunStaged issued concurrently on one job must
+	// serialize round by round, not corrupt state or deadlock.
+	r := New(Config{Machines: 3, Threads: 2})
+	defer r.Close()
+	var total atomic.Int64
+	body := func(ctx *Ctx, item int) error {
+		total.Add(1)
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 20)
+	for i := 0; i < 10; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			errs <- r.Run(Round{Name: "solo", Items: 30, Body: body})
+		}()
+		go func() {
+			defer wg.Done()
+			errs <- r.RunStaged([]StagedRound{
+				{Phase: "p0", Round: Round{Name: "p0", Items: 30, Body: body}},
+				{Phase: "p1", Round: Round{Name: "p1", Items: 30, Body: body}},
+			})
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := total.Load(); got != 10*30*3 {
+		t.Fatalf("items processed %d, want %d", got, 10*30*3)
+	}
+	if got := r.Stats().Rounds; got != 30 {
+		t.Fatalf("rounds %d, want 30", got)
+	}
+}
+
+func TestCloseDuringInFlightPipeline(t *testing.T) {
+	// Close racing a staged sequence waits for the round in flight to drain,
+	// then the next stage fails with ErrClosed — no panic, no half-run round.
+	r := New(Config{Machines: 2, Threads: 1})
+	var first, second atomic.Int64
+	started := make(chan struct{})
+	var once sync.Once
+	seqErr := make(chan error, 1)
+	go func() {
+		seqErr <- r.RunStaged([]StagedRound{
+			{Phase: "slow0", Round: Round{Name: "slow0", Items: 8, Body: func(ctx *Ctx, item int) error {
+				once.Do(func() { close(started) })
+				time.Sleep(50 * time.Millisecond)
+				first.Add(1)
+				return nil
+			}}},
+			{Phase: "slow1", Round: Round{Name: "slow1", Items: 8, Body: func(ctx *Ctx, item int) error {
+				second.Add(1)
+				return nil
+			}}},
+		})
+	}()
+	<-started
+	r.Close() // must block until the first round drains
+	if got := first.Load(); got != 8 {
+		t.Fatalf("Close returned before the round in flight drained: %d/8 items", got)
+	}
+	if err := <-seqErr; !errors.Is(err, ErrClosed) {
+		t.Fatalf("staged sequence racing Close: %v, want ErrClosed", err)
+	}
+	if got := second.Load(); got != 0 {
+		t.Fatalf("the stage after Close ran %d items", got)
+	}
+	err := r.RunStaged(staged(Round{Name: "late", Items: 2, Body: func(ctx *Ctx, item int) error { return nil }}))
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("RunStaged after Close: %v, want ErrClosed", err)
+	}
+}
+
+func TestPipelineReportsBodyErrors(t *testing.T) {
+	r := New(Config{Machines: 2, Threads: 1})
+	defer r.Close()
+	boom := fmt.Errorf("boom")
+	err := r.RunStaged(staged(
+		Round{Name: "fine", Items: 4, Body: func(ctx *Ctx, item int) error { return nil }},
+		Round{Name: "failing", Items: 4, Body: func(ctx *Ctx, item int) error {
+			if item == 2 {
+				return boom
+			}
+			return nil
+		}},
+	))
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "failing") {
+		t.Fatalf("staged error %v, want boom wrapped with the round's name", err)
 	}
 }

@@ -15,11 +15,11 @@ import (
 )
 
 // Session is the long-lived shared substrate of the execution stack: the
-// persistent worker pool, the ownership table, the compiled-plan cache and
-// the resident stores with their per-machine caches live here and survive
-// across jobs.  Many concurrent Jobs — one execution each — run against one
-// Session through Session.NewJob; the one-shot job returned by New has a
-// private Session of its own.
+// persistent worker pool, the ownership table and the resident stores with
+// their per-machine caches live here and survive across jobs.  Many
+// concurrent Jobs — one execution each — run against one Session through
+// Session.NewJob; the one-shot job returned by New has a private Session of
+// its own.
 //
 // A store has one owner, which closes it once: opened on the session
 // (OpenStore, OpenSharedStore) it stays resident until Session.Close; opened
@@ -49,9 +49,7 @@ type Session struct {
 	// its per-machine caches were last known coherent.  Rounds fence every
 	// store they read against it before executing: a moved counter means
 	// the store was written since the caches were filled, and the caches
-	// are invalidated.  This replaces the implicit "everything is quiescent
-	// at the barrier" assumption with a per-store fence that stays sound
-	// when rounds overlap under pipelining.
+	// are invalidated.
 	cacheFence map[*dht.Store]int64
 	// machineQueries / machineWork accumulate, per machine, the lookup
 	// count and the counted key-value work of every round since the last
@@ -72,13 +70,6 @@ type Session struct {
 	sharedMu sync.Mutex
 	shared   map[string]*dht.Store
 
-	// ownGen counts installs of a new ownership table (SetOwnership with
-	// changed weights, SetKeyspace with a changed keyspace, Rebalance).
-	// The plan cache holds one generation: a compiled conflict analysis is
-	// only valid for the ownership generation its spans were derived from.
-	ownGen    atomic.Int64
-	planCache planCache
-
 	// Admission gate: at most cfg.MaxJobs jobs run concurrently; further
 	// NewJob calls queue FIFO until a running job Closes.
 	admitMu sync.Mutex
@@ -86,7 +77,7 @@ type Session struct {
 	waiters []chan struct{}
 
 	// execMu coordinates jobs with session-global mutations: every round
-	// or pipelined segment holds a read lock, Rebalance holds the write
+	// and shuffle holds a read lock, Rebalance holds the write
 	// lock, so shard migration never interleaves with in-flight rounds of
 	// any job.
 	execMu sync.RWMutex
@@ -131,7 +122,7 @@ func (s *Session) NewJob() (*Job, error) { return s.NewJobContext(context.Backgr
 
 // NewJobContext is NewJob bound to a context: cancelling ctx abandons the
 // wait for an admission slot, and every round the job later runs checks the
-// context between dispatches, so a cancelled job fails fast mid-pipeline
+// context as its machine shares complete, so a cancelled job fails fast
 // while the session stays reusable.
 func (s *Session) NewJobContext(ctx context.Context) (*Job, error) {
 	if ctx == nil {
@@ -199,17 +190,12 @@ func (s *Session) release() {
 // (partitioners and placement must never disagree on who owns a key).
 func (s *Session) SetKeyspace(n int) {
 	s.mu.Lock()
-	changed := s.keyspace != n
+	defer s.mu.Unlock()
 	s.keyspace = n
 	if s.ownership != nil && s.ownership.Keys() != n {
 		s.ownership = nil
 		s.baseWeights = nil
 		s.adaptive = false
-		changed = true
-	}
-	s.mu.Unlock()
-	if changed {
-		s.ownGen.Add(1)
 	}
 }
 
@@ -224,38 +210,30 @@ func (s *Session) SetKeyspace(n int) {
 // changes results, only where keys live and which machine does which work.
 //
 // When the current table was derived by Rebalance for the same keyspace,
-// SetOwnership keeps the adapted table (plans declaring the same keyspace
+// SetOwnership keeps the adapted table (jobs declaring the same keyspace
 // must not undo an online rebalance) and only refreshes the base weights;
 // declaring a different keyspace rebuilds from scratch.  Re-declaring
 // weights identical to the current ones is a no-op, so concurrent jobs
-// compiled against the same graph neither thrash the table nor invalidate
-// each other's cached plans.
+// prepared against the same graph do not thrash the table.
 func (s *Session) SetOwnership(weights []int) {
-	bumped := false
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.cfg.Placement == PlacementWeighted && len(weights) > 0 {
 		if s.keyspace == len(weights) && s.ownership != nil &&
 			s.ownership.Keys() == len(weights) && intSlicesEqual(s.baseWeights, weights) {
-			s.mu.Unlock()
 			return
 		}
 		s.keyspace = len(weights)
 		if !s.adaptive || s.ownership == nil || s.ownership.Keys() != len(weights) {
 			s.ownership = dht.NewOwnership(s.cfg.Machines, weights)
 			s.adaptive = false
-			bumped = true
 		}
 		s.baseWeights = append([]int(nil), weights...)
 	} else {
-		bumped = s.keyspace != len(weights) || s.ownership != nil
 		s.keyspace = len(weights)
 		s.ownership = nil
 		s.baseWeights = nil
 		s.adaptive = false
-	}
-	s.mu.Unlock()
-	if bumped {
-		s.ownGen.Add(1)
 	}
 }
 
@@ -404,8 +382,8 @@ func (s *Session) OwnerCutBlocks(size, items, keys int, keyOf func(item int) int
 // OwnedSpan returns the contiguous key span [lo, hi) that machine owns under
 // the session's partition of the keyspace [0, keys) — exactly the items
 // OwnerPartitioner(keys) assigns to it.  Rounds partitioned by ownership use
-// it (via OwnedRanges) to declare per-machine access spans, letting the
-// segment executor overlap sub-rounds on disjoint ranges.
+// it (via OwnedRanges) to declare per-machine access spans, so a round's
+// writes invalidate only the cache entries of the keys it owns.
 func (s *Session) OwnedSpan(machine, keys int) dht.Span {
 	if keys <= 0 || machine < 0 || machine >= s.cfg.Machines {
 		return dht.Span{}
@@ -593,15 +571,11 @@ func (s *Session) diskDirFor(name string) (string, error) {
 // cache for the store is invalidated.  Rounds call it for every store they
 // read before executing.
 //
-// Coherence under pipelining is primarily guaranteed structurally: the
-// dependency gates order every write round before any round reading the
-// store, and the store is frozen at its first read, so today no cached
-// store can be written after its caches fill and the invalidation branch
-// never fires on a correct schedule.  The fence is defense-in-depth — it
-// turns that invariant into a checked, per-store property instead of an
-// assumption tied to the global barrier, and it is what keeps cached reads
-// safe if a future backend or scheduler change allows writes to a store
-// after it has been cached (the regression tests pin the behavior).
+// A store gets caches only as a round's Read, which freezes it, and a frozen
+// store rejects writes, so on the runtime's own paths the invalidation
+// branch never fires.  The fence is defense-in-depth: it turns "no cached
+// entry is stale" into a checked, per-store property should a store ever be
+// written after its caches fill (the regression tests pin the behavior).
 func (s *Session) fenceCaches(store *dht.Store) {
 	if store == nil {
 		return

@@ -14,9 +14,8 @@ import (
 )
 
 // Session/Job layer tests: admission gating, job cancellation, shared
-// stores, the compiled-plan cache, and concurrent jobs interleaving on one
-// pool.  Run with -race (make race) these double as the data-race proof for
-// the serving layer.
+// stores, and concurrent jobs interleaving on one pool.  Run with -race
+// (make race) these double as the data-race proof for the serving layer.
 
 // jobStoreRounds builds a write round filling a job-private store with a
 // recognizable value per key and a read round verifying every key, both
@@ -57,12 +56,12 @@ func jobStoreRounds(rt *Job, n int, salt uint64) (Round, Round, error) {
 	return write, read, nil
 }
 
-// TestConcurrentJobsInterleaveOnOnePool runs several pipelined jobs at once
+// TestConcurrentJobsInterleaveOnOnePool runs several two-round jobs at once
 // against one session: every job must complete, verify its own store's
 // contents, and observe only its own rounds in its per-job statistics.
 func TestConcurrentJobsInterleaveOnOnePool(t *testing.T) {
 	const n, jobs = 200, 6
-	s := NewSession(Config{Machines: 4, Threads: 2, Pipeline: true, Seed: 1})
+	s := NewSession(Config{Machines: 4, Threads: 2, Seed: 1})
 	defer s.Close()
 	s.SetKeyspace(n)
 
@@ -83,7 +82,7 @@ func TestConcurrentJobsInterleaveOnOnePool(t *testing.T) {
 				errs <- err
 				return
 			}
-			if err := rt.RunPipeline([]Round{write, read}); err != nil {
+			if err := rt.RunStaged(staged(write, read)); err != nil {
 				errs <- err
 				return
 			}
@@ -205,12 +204,12 @@ func TestAdmissionCancellation(t *testing.T) {
 }
 
 // TestJobCancelMidPipelineLeavesSessionReusable cancels a job's context from
-// inside its first round: the pipelined scheduler must drain and return the
+// inside its first round: the round must drain and return the
 // context error — not hang, not run the dependent round — and the session
 // must stay fully usable for the next job.
 func TestJobCancelMidPipelineLeavesSessionReusable(t *testing.T) {
 	const n = 64
-	s := NewSession(Config{Machines: 2, Threads: 1, Pipeline: true, Seed: 1})
+	s := NewSession(Config{Machines: 2, Threads: 1, Seed: 1})
 	defer s.Close()
 	s.SetKeyspace(n)
 
@@ -246,9 +245,9 @@ func TestJobCancelMidPipelineLeavesSessionReusable(t *testing.T) {
 			return nil
 		},
 	}
-	err = rt.RunPipeline([]Round{write, read})
+	err = rt.RunStaged(staged(write, read))
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled pipeline: %v, want context.Canceled", err)
+		t.Fatalf("cancelled sequence: %v, want context.Canceled", err)
 	}
 	if reached {
 		t.Fatal("dependent round ran after cancellation")
@@ -259,7 +258,7 @@ func TestJobCancelMidPipelineLeavesSessionReusable(t *testing.T) {
 	}
 	rt.Close()
 
-	// The session is untouched: a fresh job runs a full pipeline and
+	// The session is untouched: a fresh job runs a full sequence and
 	// verifies its own data.
 	rt2, err := s.NewJob()
 	if err != nil {
@@ -270,7 +269,7 @@ func TestJobCancelMidPipelineLeavesSessionReusable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt2.RunPipeline([]Round{write2, read2}); err != nil {
+	if err := rt2.RunStaged(staged(write2, read2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -308,118 +307,6 @@ func TestOpenSharedStoreSharedAcrossJobs(t *testing.T) {
 	rt.Close()
 	if err := st1.Put(1, []byte("x")); err != nil {
 		t.Fatalf("shared store unusable after a job closed: %v", err)
-	}
-}
-
-// TestPlanCacheHitsAndOwnershipInvalidation pins the compiled-plan cache: a
-// repeated key hits, re-declaring identical ownership weights neither bumps
-// the generation nor invalidates, and changed weights do both.
-func TestPlanCacheHitsAndOwnershipInvalidation(t *testing.T) {
-	const n = 120
-	s := NewSession(Config{Machines: 4, Threads: 2, Pipeline: true, Placement: PlacementWeighted, Seed: 1})
-	defer s.Close()
-	weights := make([]int, n)
-	for i := range weights {
-		weights[i] = 1 + i%3
-	}
-	s.SetOwnership(weights)
-	rt, err := s.NewJob()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-
-	// Shared input table, written once and frozen — the serving shape.
-	store, err := s.OpenSharedStore("graph")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill := Round{
-		Name:        "fill",
-		Items:       n,
-		Writes:      []Access{{Store: store}},
-		Partitioner: rt.OwnerPartitioner(n),
-		Body: func(c *Ctx, item int) error {
-			var v [8]byte
-			binary.LittleEndian.PutUint64(v[:], uint64(item)*3+1)
-			return c.Write(store, uint64(item), v[:])
-		},
-	}
-	if err := rt.Run(fill); err != nil {
-		t.Fatal(err)
-	}
-	store.Freeze()
-
-	// Per-query rounds: a range-confined local read stage ordered before a
-	// spill stage by a token — the same conflict pattern the core drivers
-	// compile.
-	query := func() []StagedRound {
-		spans := rt.OwnedRanges(n)
-		tok := NewToken("q-local")
-		local := Round{
-			Name:        "local",
-			Items:       n,
-			Read:        store,
-			Reads:       []Access{RangedBy(store, spans)},
-			Writes:      []Access{{Token: tok}},
-			Partitioner: rt.OwnerPartitioner(n),
-			Body: func(c *Ctx, item int) error {
-				v, ok, err := c.Lookup(uint64(item))
-				if err != nil || !ok || binary.LittleEndian.Uint64(v) != uint64(item)*3+1 {
-					return fmt.Errorf("key %d: ok=%v err=%v", item, ok, err)
-				}
-				return nil
-			},
-		}
-		spill := Round{
-			Name:        "spill",
-			Items:       n,
-			Read:        store,
-			Reads:       []Access{{Token: tok}},
-			Partitioner: rt.OwnerPartitioner(n),
-			Body:        func(c *Ctx, item int) error { return nil },
-		}
-		return []StagedRound{{Phase: "local", Round: local}, {Phase: "spill", Round: spill}}
-	}
-
-	p1 := rt.CompilePlan("query", query())
-	if p1.Cached {
-		t.Fatal("first compilation reported a cache hit")
-	}
-	if err := rt.RunPlan(p1); err != nil {
-		t.Fatal(err)
-	}
-	p2 := rt.CompilePlan("query", query())
-	if !p2.Cached {
-		t.Fatal("second compilation missed the plan cache")
-	}
-	if err := rt.RunPlan(p2); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.PlanCacheStats(); st.Hits != 1 || st.Misses != 1 || st.Size != 1 {
-		t.Fatalf("plan cache stats %+v, want 1 hit / 1 miss / size 1", st)
-	}
-
-	// Identical weights: the fast path must keep the generation, so the next
-	// compilation still hits.
-	gen := s.ownGen.Load()
-	s.SetOwnership(weights)
-	if got := s.ownGen.Load(); got != gen {
-		t.Fatalf("re-declaring identical weights bumped the ownership generation %d -> %d", gen, got)
-	}
-	if p := rt.CompilePlan("query", query()); !p.Cached {
-		t.Fatal("compilation after an identical SetOwnership missed")
-	}
-
-	// Changed weights: new generation, so the compiled analysis is stale and
-	// the same key misses.
-	weights[0] += 10
-	s.SetOwnership(weights)
-	if got := s.ownGen.Load(); got == gen {
-		t.Fatal("changed weights did not bump the ownership generation")
-	}
-	if p := rt.CompilePlan("query", query()); p.Cached {
-		t.Fatal("compilation after an ownership change hit a stale plan")
 	}
 }
 
@@ -481,48 +368,6 @@ func TestNewJobOnClosedSession(t *testing.T) {
 	s.Close()
 	if _, err := s.NewJob(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("NewJob on closed session: %v, want ErrClosed", err)
-	}
-}
-
-// TestPlanCacheBoundedAcrossGenerations: the cache holds one ownership
-// generation.  A session whose keyspace alternates between two graphs bumps
-// the generation on every switch; the cache must hold no more than the keys
-// compiled under the current one — not one dependency matrix per key per
-// generation — and within a generation repeated compilations hit again.
-func TestPlanCacheBoundedAcrossGenerations(t *testing.T) {
-	const bumps, liveKeys = 50, 2
-	s := NewSession(Config{Machines: 4, Threads: 1, Pipeline: true, Seed: 1})
-	defer s.Close()
-	stages := func() []StagedRound {
-		tok := NewToken("t")
-		nop := func(*Ctx, int) error { return nil }
-		return []StagedRound{
-			{Phase: "a", Round: Round{Name: "a", Items: 4, Writes: []Access{{Token: tok}}, Body: nop}},
-			{Phase: "b", Round: Round{Name: "b", Items: 4, Reads: []Access{{Token: tok}}, Body: nop}},
-		}
-	}
-	for i := 0; i < bumps; i++ {
-		s.SetKeyspace(100 + 100*(i%2)) // two graphs in turn: a new generation each time
-		for k := 0; k < liveKeys; k++ {
-			if p := s.CompilePlan(fmt.Sprintf("query-%d", k), stages()); p.Cached {
-				t.Fatalf("bump %d: key %d hit an analysis of an older generation", i, k)
-			}
-		}
-		if size := s.PlanCacheStats().Size; size > liveKeys {
-			t.Fatalf("after %d generation bumps the cache holds %d entries for %d live keys", i+1, size, liveKeys)
-		}
-	}
-	before := s.PlanCacheStats()
-	if before.Hits != 0 || before.Misses != bumps*liveKeys {
-		t.Fatalf("stats %+v, want 0 hits / %d misses", before, bumps*liveKeys)
-	}
-	for k := 0; k < liveKeys; k++ {
-		if p := s.CompilePlan(fmt.Sprintf("query-%d", k), stages()); !p.Cached {
-			t.Fatalf("key %d missed within one generation", k)
-		}
-	}
-	if after := s.PlanCacheStats(); after.Hits != liveKeys || after.Size != liveKeys {
-		t.Fatalf("stats %+v, want %d hits and size %d", after, liveKeys, liveKeys)
 	}
 }
 

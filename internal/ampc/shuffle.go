@@ -35,7 +35,7 @@ func (s *Session) PoolSize() int { return s.cfg.Machines * s.cfg.Threads }
 // makes a chunk re-executable and the stage's output independent of the
 // schedule: running it twice yields the same result.
 //
-// Like a segment, the stage holds the job's run lock and the session's
+// Like a round, the stage holds the job's run lock and the session's
 // lifecycle and execution read locks, fails with ErrClosed on a closed job or
 // session, and honours job cancellation between chunks: the threads stop
 // claiming, the pool drains, and the context error is returned.  Every chunk

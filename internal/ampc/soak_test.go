@@ -82,7 +82,7 @@ func soakJob(s *ampc.Session, shared *dht.Store, salt uint64) error {
 			return c.Write(own, uint64(item), soakValueOf(uint64(item), salt))
 		},
 	}
-	return rt.RunPipeline([]ampc.Round{write, verify(own, salt), verify(shared, 0)})
+	return rt.RunStaged([]ampc.StagedRound{{Round: write}, {Round: verify(own, salt)}, {Round: verify(shared, 0)}})
 }
 
 // soakState is what must not depend on the number of jobs served.
@@ -238,7 +238,7 @@ func TestSoakJobStoreLifetime(t *testing.T) {
 	for _, backend := range []string{"mem", "disk", "rpc"} {
 		t.Run(backend, func(t *testing.T) {
 			cfg := ampc.Config{Machines: 2, Threads: 1, Shards: 4, Backend: backend,
-				EnableCache: true, Pipeline: true, Placement: ampc.PlacementWeighted, Seed: 1}
+				EnableCache: true, Placement: ampc.PlacementWeighted, Seed: 1}
 			if backend == "disk" {
 				cfg.DiskDir = t.TempDir()
 			}

@@ -11,7 +11,7 @@ import (
 )
 
 // The adaptive experiment measures online ownership
-// rebalancing between pipeline segments: the static degree-weighted table
+// rebalancing between segments of rounds: the static degree-weighted table
 // balances owned bytes, but the queries a segment actually issues follow
 // search-tree work, not owned degree.  Job.Rebalance re-derives the
 // prefix-sum boundaries from the per-machine query counters (and the modeled
@@ -27,7 +27,7 @@ import (
 const adaptiveRepeats = 3
 
 // AdaptiveRow is one dataset of the static-vs-adaptive ownership comparison:
-// a fused MIS + maximal matching workload run as two pipeline segments under
+// a fused MIS + maximal matching workload run as two segments of rounds under
 // the static degree-weighted table, and again with a Job.Rebalance
 // between the segments.  The metric is the max/mean of per-machine query
 // counts in the second segment — the observed query imbalance the rebalance
@@ -66,12 +66,12 @@ type AdaptiveRow struct {
 }
 
 // adaptiveFusedRun executes the two-segment MIS + MM workload on a fresh
-// runtime: segment one runs the MIS rounds pipelined, then (with adaptive
-// set) Job.Rebalance re-derives the ownership boundaries from the
-// observed load and migrates the shards, and segment two runs the MM rounds
-// — whose plan is built after the rebalance, so its partitioners answer from
-// the updated table.  It returns the second segment's per-machine query
-// max/mean, the outputs, and the runtime's stats.
+// runtime: segment one runs the MIS rounds, then (with adaptive set)
+// Job.Rebalance re-derives the ownership boundaries from the observed load
+// and migrates the shards, and segment two runs the MM rounds — whose plan is
+// built after the rebalance, so its partitioners answer from the updated
+// table.  It returns the second segment's per-machine query max/mean, the
+// outputs, and the runtime's stats.
 func adaptiveFusedRun(g *graph.Graph, cfg ampc.Config, adaptive bool) (maxMean float64, out outputs, st ampc.Stats, err error) {
 	rt := ampc.New(cfg)
 	defer rt.Close()
@@ -79,7 +79,7 @@ func adaptiveFusedRun(g *graph.Graph, cfg ampc.Config, adaptive bool) (maxMean f
 	if err != nil {
 		return
 	}
-	if err = rt.RunPipeline(misPlan.Rounds()); err != nil {
+	if err = runRounds(rt, misPlan.Rounds()); err != nil {
 		return
 	}
 	if adaptive {
@@ -92,11 +92,21 @@ func adaptiveFusedRun(g *graph.Graph, cfg ampc.Config, adaptive bool) (maxMean f
 		return
 	}
 	before := rt.Stats().MachineQueries
-	if err = rt.RunPipeline(mmPlan.Rounds()); err != nil {
+	if err = runRounds(rt, mmPlan.Rounds()); err != nil {
 		return
 	}
 	st = rt.Stats()
 	return queryMaxMean(before, st.MachineQueries), outputs{InMIS: misPlan.InMIS, Mate: mmPlan.Matching.Mate}, st, nil
+}
+
+// runRounds runs rounds in order and stops at the first error.
+func runRounds(rt *ampc.Job, rounds []ampc.Round) error {
+	for _, r := range rounds {
+		if err := rt.Run(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // queryMaxMean computes the max/mean ratio of the per-machine query counts
@@ -139,7 +149,7 @@ func AdaptiveComparison(opts Options) ([]AdaptiveRow, Report, error) {
 		Header: fmt.Sprintf("%-8s %10s %7s %12s %12s %16s %10s %12s",
 			"graph", "identical", "repeats", "static-mm", "adaptive-mm", "improvement", "moved-keys", "migration"),
 		Notes: []string{
-			"two pipeline segments (MIS rounds, then MM rounds); the adaptive arm re-derives the ownership boundaries from segment one's per-machine query counters (plus a latency-sampled second-order weight) and migrates the affected shards before segment two",
+			"two segments (MIS rounds, then MM rounds); the adaptive arm re-derives the ownership boundaries from segment one's per-machine query counters (plus a latency-sampled second-order weight) and migrates the affected shards before segment two",
 			"static-mm / adaptive-mm: max/mean of per-machine query counts in the second segment (1.0 = perfect balance); improvement is the percentage of the static excess removed, mean +/- std",
 			"migration volume is charged to the simulated clock (simtime's Price of one migration and its bytes); outputs are required to be byte-identical to the static run",
 			fmt.Sprintf("the adaptive arm runs %d times (the latency weight is schedule-dependent); the static arm's query counts are deterministic", adaptiveRepeats),
@@ -147,7 +157,6 @@ func AdaptiveComparison(opts Options) ([]AdaptiveRow, Report, error) {
 	}
 	cfg := opts.ampcConfig()
 	cfg.Placement = ampc.PlacementWeighted
-	cfg.Pipeline = true
 	var rows []AdaptiveRow
 	for _, ng := range opts.graphs() {
 		row := AdaptiveRow{Graph: ng.name, Identical: true, Repeats: adaptiveRepeats}

@@ -23,7 +23,7 @@ func msfSegmentedRun(t *testing.T, in *inputs, cfg ampc.Config, adaptive bool) o
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.RunPipeline(misPlan.Rounds()); err != nil {
+	if err := runRounds(rt, misPlan.Rounds()); err != nil {
 		t.Fatal(err)
 	}
 	if adaptive {
@@ -53,7 +53,7 @@ func TestAdaptiveOwnershipPreservesAlgorithms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the segmented workloads across twelve backend/placement/adaptive combos")
 	}
-	base := ampc.Config{Machines: 4, Threads: 2, EnableCache: true, Pipeline: true, Seed: 1}
+	base := ampc.Config{Machines: 4, Threads: 2, EnableCache: true, Seed: 1}
 	in := okInputs(base.Seed, 2_500)
 
 	refCfg := base

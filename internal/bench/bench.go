@@ -68,11 +68,6 @@ type Options struct {
 	// runs of every experiment.  The "locality", "rebalance" and "adaptive"
 	// experiments pin the placements they compare and ignore this field.
 	Placement string
-	// Pipeline runs the AMPC algorithms with dependency-aware round
-	// pipelining (ampc.Config.Pipeline) in every experiment.  The
-	// dedicated "pipeline" experiment compares barrier and pipelined
-	// schedules directly and ignores this field.
-	Pipeline bool
 	// Backend selects the shard storage engine (ampc.BackendMem,
 	// BackendDisk or BackendRPC) for the AMPC runs of every experiment.
 	// The dedicated "backend" experiment compares all three directly and
@@ -109,7 +104,6 @@ func (o Options) ampcConfig() ampc.Config {
 		EnableCache: true,
 		Batch:       o.Batch,
 		Placement:   o.Placement,
-		Pipeline:    o.Pipeline,
 		Backend:     o.Backend,
 		Seed:        o.Seed,
 	}

@@ -129,7 +129,9 @@ func TestCheck(t *testing.T) {
 			lines:    []string{"backend OK/disk", "backend OK/rpc"},
 		},
 
-		// pipeline: absolute variance-derived floor, positive ranged advantage.
+		// pipeline: the rows of the experiment retired with round pipelining,
+		// kept as fixtures of an absolute variance-derived floor and a
+		// positive gate (Check judges a row by its kind, not its experiment).
 		{
 			// A fresh mean at the committed floor (40 - 3 x 2 = 34) passes,
 			// whatever the fractional tolerance would say.
@@ -262,7 +264,9 @@ func TestCheck(t *testing.T) {
 			lines:    []string{"chaos OK"},
 		},
 
-		// serving: variance-derived throughput floor, plan cache must hit.
+		// serving: variance-derived throughput floor.  plan_cache_hits was
+		// retired with the plan cache; its case stays as a positive-gate
+		// fixture.
 		{
 			name:     "serving at the variance floor passes",
 			baseline: []GateRow{floorGate("serving", "CW", "throughput_mean_x", 2.0, 0.1, 1.7), positiveGate("serving", "CW", "plan_cache_hits", 7)},
@@ -369,19 +373,19 @@ func TestMergeBest(t *testing.T) {
 	run1 := []GateRow{
 		fracGate("batch", "OK/MIS", "visit_reduction", 1.5),
 		fracGate("batch", "OK/MIS", "sim_speedup", 2.0),
-		floorGate("pipeline", "CW", "ranged_idle_reduction_mean_pct", 30, 5, 15),
+		floorGate("adaptive", "CW", "improvement_mean_pct", 30, 5, 15),
 		ceilGate("chaos", "OK", "overhead_mean_pct", 12, 4, 25),
 		identicalGate("serving", "CW", true),
-		positiveGate("serving", "CW", "plan_cache_hits", 7),
+		positiveGate("chaos", "OK", "retries", 7),
 		zeroGate("chaos", "OK", "failed_runs", 0),
 	}
 	run2 := []GateRow{
 		fracGate("batch", "OK/MIS", "visit_reduction", 2.5),
 		fracGate("batch", "OK/MIS", "sim_speedup", 1.0),
-		floorGate("pipeline", "CW", "ranged_idle_reduction_mean_pct", 45, 1, 42),
+		floorGate("adaptive", "CW", "improvement_mean_pct", 45, 1, 42),
 		ceilGate("chaos", "OK", "overhead_mean_pct", 7, 1, 11),
 		identicalGate("serving", "CW", true),
-		positiveGate("serving", "CW", "plan_cache_hits", 9),
+		positiveGate("chaos", "OK", "retries", 9),
 		zeroGate("chaos", "OK", "failed_runs", 0),
 	}
 	best := MergeBest(run1, run2)
@@ -403,10 +407,10 @@ func TestMergeBest(t *testing.T) {
 	}
 
 	// A third run that is better on every metric but diverged, failed a job
-	// and scored no cache hits poisons the must-hold rows only.
+	// and retried nothing poisons the must-hold rows only.
 	bad := []GateRow{
 		identicalGate("serving", "CW", false),
-		positiveGate("serving", "CW", "plan_cache_hits", 0),
+		positiveGate("chaos", "OK", "retries", 0),
 		zeroGate("chaos", "OK", "failed_runs", 1),
 		ceilGate("chaos", "OK", "overhead_mean_pct", 5, 1, 9),
 	}
@@ -417,8 +421,8 @@ func TestMergeBest(t *testing.T) {
 	if byID["serving CW identical"].Value != 0 {
 		t.Error("a non-identical run did not poison the merged row")
 	}
-	if byID["serving CW plan_cache_hits"].Value != 0 {
-		t.Error("a hitless run did not poison the merged row")
+	if byID["chaos OK retries"].Value != 0 {
+		t.Error("a retryless run did not poison the merged row")
 	}
 	if byID["chaos OK failed_runs"].Value != 1 {
 		t.Error("a failed run did not poison the merged row")

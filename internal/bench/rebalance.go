@@ -130,9 +130,7 @@ func rebalanceLoads(g *graph.Graph, machines int) (rangeLoad, weightedLoad LoadS
 // range ownership and the degree-weighted ownership on the hub-heavy
 // stand-ins, verifying byte-identical results and
 // reporting the per-machine load balance, the straggler idle at barriers,
-// the remote fraction and the modeled time of each policy.  Both sides run
-// with round pipelining enabled so the per-(round, machine) durations — and
-// therefore the barrier straggler idle — are accounted.
+// the remote fraction and the modeled time of each policy.
 func RebalanceComparison(opts Options) ([]RebalanceRow, Report, error) {
 	opts = opts.withDefaults()
 	rep := Report{
@@ -148,7 +146,6 @@ func RebalanceComparison(opts Options) ([]RebalanceRow, Report, error) {
 	}
 	cfgRange := opts.ampcConfig()
 	cfgRange.Placement = ampc.PlacementOwnerAffine
-	cfgRange.Pipeline = true
 	cfgWeighted := cfgRange
 	cfgWeighted.Placement = ampc.PlacementWeighted
 	pairs, err := compareConfigs(opts, cfgRange, cfgWeighted)

@@ -28,7 +28,7 @@ type Experiment struct {
 
 // hubs are the hub-heavy web stand-ins: extreme-degree vertices at the front
 // of the keyspace overload one machine's range, which is where the
-// ownership, pipelining and serving wins live.
+// ownership and serving wins live.
 var hubs = []string{"CW", "HL"}
 
 // experiments is the registry, in the order the paper presents them; the
@@ -48,15 +48,13 @@ var experiments = []Experiment{
 	{Name: "connectivity", run: ungated(Section57Connectivity)},
 	{Name: "batch", Pins: []string{"batch"}, Smoke: []string{"OK", "TW"}, run: gated(BatchComparison, batchGates)},
 	{Name: "locality", Pins: []string{"placement"}, Smoke: []string{"OK"}, run: gated(LocalityComparison, localityGates)},
-	{Name: "pipeline", Pins: []string{"pipeline"}, Datasets: hubs, Smoke: hubs, run: gated(PipelineComparison, pipelineGates)},
 	{Name: "rebalance", Pins: []string{"placement"}, Datasets: hubs, Smoke: hubs, run: gated(RebalanceComparison, rebalanceGates)},
 	{Name: "adaptive", Pins: []string{"placement"}, Datasets: hubs, Smoke: hubs, run: gated(AdaptiveComparison, adaptiveGates)},
 	{Name: "backend", Pins: []string{"backend"}, Smoke: []string{"OK"}, run: gated(BackendComparison, backendGates)},
 	// chaos pins batching on in both arms (hedged batch reads are part of
-	// the recovery stack under test); serving pins batching off and
-	// pipelining on (the plan cache caches pipelined conflict analyses).
+	// the recovery stack under test); serving pins batching off.
 	{Name: "chaos", Pins: []string{"batch"}, Smoke: []string{"OK"}, run: gated(ChaosComparison, chaosGates)},
-	{Name: "serving", Pins: []string{"batch", "pipeline"}, Datasets: hubs, Smoke: hubs, run: gated(ServingComparison, servingGates)},
+	{Name: "serving", Pins: []string{"batch"}, Datasets: hubs, Smoke: hubs, run: gated(ServingComparison, servingGates)},
 }
 
 // gated adapts a typed comparison and the projection of one of its rows

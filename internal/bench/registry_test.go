@@ -12,8 +12,8 @@ import (
 
 func TestRegistry(t *testing.T) {
 	names := AllExperiments()
-	if len(names) != 20 {
-		t.Fatalf("experiment registry %v, want 20 entries", names)
+	if len(names) != 19 {
+		t.Fatalf("experiment registry %v, want 19 entries", names)
 	}
 	seen := make(map[string]bool)
 	for _, name := range names {

@@ -23,14 +23,14 @@ const servingRepeats = 3
 
 // servingMix is the query mix of one concurrent batch: two MIS queries, one
 // maximal matching and one connectivity, all against the same graph.  The
-// repeated MIS entry is what exercises the session plan cache across jobs.
+// repeated MIS entry has two jobs read one resident substrate at once.
 var servingMix = []string{"MIS", "MM", "CC", "MIS"}
 
 // ServingRow is one dataset of the serving-layer comparison: N concurrent
-// query jobs sharing one ampc.Session — one worker pool, one resident
-// (frozen) copy of each algorithm's shuffled input table, one compiled-plan
-// cache — against the same N queries executed as serialized one-shot runs
-// that each rebuild their substrate from scratch.  The throughput column is
+// query jobs sharing one ampc.Session — one worker pool and one resident
+// (frozen) copy of each algorithm's shuffled input table — against the same
+// N queries executed as serialized one-shot runs that each rebuild their
+// substrate from scratch.  The throughput column is
 // the steady-state batch ratio; the one-time session warm-up is its own
 // column (see ServingRow.ThroughputMeanX).
 type ServingRow struct {
@@ -64,11 +64,6 @@ type ServingRow struct {
 	ThroughputStdX  float64 `json:"throughput_std_x"`
 	// ThroughputX == ThroughputMeanX (the headline column).
 	ThroughputX float64 `json:"throughput_x"`
-	// PlanCacheHits/PlanCacheMisses are the session's compiled-plan cache
-	// counters after all repeats.  Hits must be positive: repeated queries
-	// reuse the cached sub-round conflict analysis instead of re-deriving it.
-	PlanCacheHits   int64 `json:"plan_cache_hits"`
-	PlanCacheMisses int64 `json:"plan_cache_misses"`
 	// GateFloorX is the variance-derived regression floor for the throughput
 	// mean: mean - 3 x std - 0.05.  With the shared read caches pinned off
 	// the modeled times are deterministic and the measured std collapses to
@@ -78,9 +73,9 @@ type ServingRow struct {
 	GateFloorX float64 `json:"gate_floor_x"`
 }
 
-// ServingComparison measures the Plan/Session/Job split: for each dataset it
-// runs the servingMix queries as independent one-shot runs (each building its
-// own runtime, shuffling its own input and analyzing its own plan), then as
+// ServingComparison measures the Session/Job split: for each dataset it runs
+// the servingMix queries as independent one-shot runs (each building its own
+// runtime and shuffling its own input), then as
 // concurrent jobs of one long-lived session whose preparation job builds the
 // shared MIS and MM substrates exactly once.  Outputs must be byte-identical;
 // the throughput factor is the serialized modeled time over the shared-pool
@@ -90,13 +85,13 @@ func ServingComparison(opts Options) ([]ServingRow, Report, error) {
 	opts = opts.withDefaults()
 	rep := Report{
 		Title: "Serving layer: N concurrent query jobs on one session vs serialized one-shot runs",
-		Header: fmt.Sprintf("%-8s %5s %10s %14s %14s %14s %16s %10s",
-			"graph", "jobs", "identical", "serialized", "prep", "concurrent", "throughput", "plan-hits"),
+		Header: fmt.Sprintf("%-8s %5s %10s %14s %14s %14s %16s",
+			"graph", "jobs", "identical", "serialized", "prep", "concurrent", "throughput"),
 		Notes: []string{
-			fmt.Sprintf("query mix per batch: %v — concurrent jobs share one worker pool, one frozen copy of each input table and one compiled-plan cache", servingMix),
-			"serialized arm: the same queries as independent one-shot runs, each paying its own shuffle, KV-write and sub-round conflict analysis",
+			fmt.Sprintf("query mix per batch: %v — concurrent jobs share one worker pool and one frozen copy of each input table", servingMix),
+			"serialized arm: the same queries as independent one-shot runs, each paying its own shuffle and KV-write",
 			"concurrent modeled time per batch = max(per-machine aggregate busy, slowest job) on the warm session (simtime.ConcurrentMakespan); the prep column is the one-time substrate cost the session amortizes across batches",
-			"outputs are required to be byte-identical to the one-shot runs; plan-cache hits must be positive",
+			"outputs are required to be byte-identical to the one-shot runs",
 			fmt.Sprintf("throughput is mean +/- std over %d independent batches on one session", servingRepeats),
 		},
 	}
@@ -107,24 +102,22 @@ func ServingComparison(opts Options) ([]ServingRow, Report, error) {
 			return nil, rep, err
 		}
 		rows = append(rows, row)
-		rep.Rows = append(rep.Rows, fmt.Sprintf("%-8s %5d %10v %14s %14s %14s %10.2fx+/-%4.2f %10d",
+		rep.Rows = append(rep.Rows, fmt.Sprintf("%-8s %5d %10v %14s %14s %14s %10.2fx+/-%4.2f",
 			row.Graph, row.Jobs, row.Identical,
 			row.SerializedSim.Round(10*time.Microsecond),
 			row.PrepSim.Round(10*time.Microsecond),
 			row.ConcurrentSim.Round(10*time.Microsecond),
-			row.ThroughputMeanX, row.ThroughputStdX, row.PlanCacheHits))
+			row.ThroughputMeanX, row.ThroughputStdX))
 	}
 	return rows, rep, nil
 }
 
 // servingConfig pins the config axes the serving comparison fixes internally:
-// pipelined scheduling on (the plan cache caches its conflict analyses) and
-// the session-shared read caches off, so every job's modeled lookup costs are
+// batching and the session-shared read caches off, so every job's modeled lookup costs are
 // independent of how concurrent jobs happen to interleave and the outputs'
 // modeled times are comparable across arms.
 func servingConfig(opts Options) ampc.Config {
 	cfg := opts.ampcConfig()
-	cfg.Pipeline = true
 	cfg.Batch = false
 	cfg.EnableCache = false
 	return cfg
@@ -264,18 +257,14 @@ func servingRow(name string, g *graph.Graph, opts Options) (ServingRow, error) {
 	row.ThroughputMeanX, row.ThroughputStdX = meanStd(ratios)
 	row.ThroughputX = row.ThroughputMeanX
 	row.GateFloorX = row.ThroughputMeanX - 3*row.ThroughputStdX - 0.05
-	pcs := ss.PlanCacheStats()
-	row.PlanCacheHits, row.PlanCacheMisses = pcs.Hits, pcs.Misses
 	return row, nil
 }
 
-// servingGates projects a row onto the gated metrics: byte-identity, the
-// throughput mean against its variance-derived floor, and plan-cache hits,
-// which must stay positive in every run.
+// servingGates projects a row onto the gated metrics: byte-identity and the
+// throughput mean against its variance-derived floor.
 func servingGates(row ServingRow) []GateRow {
 	return []GateRow{identicalRow(row.Graph, row.Identical),
 		gateRow(row.Graph, "throughput_mean_x", GateFloor, row.ThroughputMeanX).
 			spread(row.ThroughputStdX, row.Repeats, row.GateFloorX),
-		gateRow(row.Graph, "plan_cache_hits", GatePositive, float64(row.PlanCacheHits)),
 	}
 }

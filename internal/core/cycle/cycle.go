@@ -80,9 +80,7 @@ func RunWithProbability(g *graph.Graph, cfg ampc.Config, p float64) (*Result, er
 	// Write the adjacency lists to the key-value store (the single shuffle
 	// of the AMPC algorithm), then walk from every sample in both
 	// directions until the next sample.  The walk reads exactly the store
-	// the KV-write produces, so the two rounds form one staged sequence:
-	// per-round barriers by default, one dependency-scheduled pipeline
-	// under Config.Pipeline.
+	// the KV-write produces, so the two rounds form one staged sequence.
 	store, err := rt.OpenStore("cycle-adjacency")
 	if err != nil {
 		return nil, err

@@ -178,8 +178,8 @@ func packEdge(u, v graph.NodeID) uint64 {
 func process(rank RankFunc) *rankadj.Process[graph.NodeID, *matchCache] {
 	return &rankadj.Process[graph.NodeID, *matchCache]{
 		Names: rankadj.Names{
-			Shuffle: "PermuteGraph", Search: "IsInMM", Store: "edge-sorted-graph", Token: "mm-local",
-			Published: "matching-status", Shared: "mm-edge-sorted-graph", PlanKey: "mm-search",
+			Shuffle: "PermuteGraph", Search: "IsInMM", Store: "edge-sorted-graph",
+			Published: "matching-status", Shared: "mm-edge-sorted-graph",
 		},
 		Key:      rank,
 		NewCache: newMatchCache,

@@ -93,8 +93,8 @@ func (c *statusCache) set(v graph.NodeID, s status) {
 func process(prio []uint64) *rankadj.Process[bool, *statusCache] {
 	return &rankadj.Process[bool, *statusCache]{
 		Names: rankadj.Names{
-			Shuffle: "DirectGraph", Search: "IsInMIS", Store: "directed-graph", Token: "mis-local",
-			Published: "mis-status", Shared: "mis-directed-graph", PlanKey: "mis-search",
+			Shuffle: "DirectGraph", Search: "IsInMIS", Store: "directed-graph",
+			Published: "mis-status", Shared: "mis-directed-graph",
 		},
 		Keep:     func(v, u graph.NodeID) bool { return prio[u] < prio[v] || prio[u] == prio[v] && u < v },
 		Key:      func(_, u graph.NodeID) uint64 { return prio[u] },

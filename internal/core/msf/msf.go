@@ -161,8 +161,7 @@ func runPrimPipeline(rt *ampc.Job, g *graph.Graph, tag string) (*Result, error) 
 		search = batchPrimRound(rt, "prim-search"+tag, store, sorted, prio, budget, &mu, commit)
 	}
 	// The search reads exactly the store the KV-write round produces, so
-	// the two form one staged sequence: per-round barriers by default, one
-	// dependency-scheduled pipeline under Config.Pipeline.
+	// the two form one staged sequence.
 	err = rt.RunStaged([]ampc.StagedRound{
 		{Phase: "KV-Write" + tag, Round: writeRound},
 		{Phase: "PrimSearch" + tag, Round: search},
@@ -318,8 +317,7 @@ func PointerJump(rt *ampc.Job, parent []graph.NodeID, tag string) ([]graph.NodeI
 			}
 		}
 		// Both rounds run inside the PointerJump phase; the empty stage
-		// phases keep the historical phase layout, while the declared
-		// write->read dependency lets Config.Pipeline schedule the pair.
+		// phases keep the historical phase layout.
 		return rt.RunStaged([]ampc.StagedRound{
 			{Round: writeRound},
 			{Round: chase},

@@ -11,18 +11,16 @@ import (
 	"ampcgraph/internal/graph"
 )
 
-// Names are the labels a process runs under.  Phase, round, store and plan
-// names are part of the modeled contract (pinned stats and BENCH_smoke.json
-// rows are keyed by them), so each process spells its own out; a run's tag
-// is appended to every one of them but Shared and PlanKey.
+// Names are the labels a process runs under.  Phase, round and store names
+// are part of the modeled contract (pinned stats and BENCH_smoke.json rows
+// are keyed by them), so each process spells its own out; a run's tag is
+// appended to every one of them but Shared.
 type Names struct {
 	Shuffle   string // shuffle phase ("DirectGraph")
 	Search    string // search phase and round ("IsInMIS"); the spill stage adds "-spill", pass i of a truncated run "-pass<i>"
 	Store     string // the job's list store ("directed-graph")
-	Token     string // orders the spill stage after the local one ("mis-local")
 	Published string // results published across the passes of a truncated run ("mis-status")
 	Shared    string // the session-resident list store ("mis-directed-graph")
-	PlanKey   string // plan-cache key of a serving query's search rounds ("mis-search")
 }
 
 // Limits bound one single-key search.  A recursion takes it by value and
@@ -145,17 +143,14 @@ func (p *Process[R, C]) substrate(rt *ampc.Job, g *graph.Graph, tag string, shar
 	return &substrate{lists: lists, store: store, write: write, spans: rt.WriteRanges(n)}, nil
 }
 
-// Plan is the pipeline of one run prepared on a runtime.  The rounds declare
-// their store dependencies, so they can be staged into a larger RunPipeline
-// sequence next to another algorithm's rounds (the bench "pipeline"
-// experiment overlaps the two processes this way).
+// Plan is the round sequence of one run prepared on a runtime, for callers
+// that interleave it with other work (a Rebalance between two algorithms'
+// rounds, as the bench "adaptive" experiment does).
 type Plan struct {
 	// Write stores the lists.  Search (the local stage) resolves every
 	// vertex whose recursion stays inside the executing machine's owned key
 	// range, reading only that range; Spill finishes the searches that
-	// escaped, reading the whole store.  The local stage of machine m
-	// therefore conflicts only with m's own write sub-round, which is what
-	// lets RunPipeline overlap it with the other machines' writes.
+	// escaped, reading the whole store.
 	Write, Search, Spill ampc.Round
 }
 
@@ -219,9 +214,8 @@ func (s *search[R, C]) publish(v graph.NodeID, r R) {
 
 // stages builds the local and spill search rounds over sub with fresh result
 // state private to the pair — the one-shot plan and every serving query get
-// theirs here.  The local stage reads the per-machine key ranges the write
-// round declares, so local(m) depends on write(m) alone; a token orders every
-// spill sub-round after every local one without naming any storage.
+// theirs here.  The local stage declares that machine m reads only the key
+// range the write round gave it.
 func (p *Process[R, C]) stages(rt *ampc.Job, sub *substrate, out []R, tag string) (local, spill ampc.Round) {
 	s := p.newSearch(rt, sub, out)
 	caches := s.caches()
@@ -234,10 +228,7 @@ func (p *Process[R, C]) stages(rt *ampc.Job, sub *substrate, out []R, tag string
 	}
 	local = stage(p.Search+tag, sub.spans)
 	spill = stage(p.Search+"-spill"+tag, nil)
-	tok := ampc.NewToken(p.Token + tag)
 	local.Reads = []ampc.Access{ampc.RangedBy(sub.store, sub.spans)}
-	local.Writes = []ampc.Access{{Token: tok}}
-	spill.Reads = []ampc.Access{{Token: tok}}
 	return local, spill
 }
 
@@ -356,12 +347,10 @@ func (s *search[R, C]) blockRound(name string, caches []C, spans []dht.RangeSet)
 // suffixes every name, so several runs can share one runtime.
 //
 // With budget 0 every search resolves in one pass, so the KV-write and the
-// two search stages form one static sequence with a declared store
-// dependency: RunStaged executes it at per-round barriers by default and as
-// one dependency-scheduled pipeline under Config.Pipeline, with identical
-// results.  A positive budget is the O(1/ε)-round variant: every search is
-// truncated after budget fetches and unresolved vertices retry in later
-// passes against the results published by earlier ones.
+// two search stages form one static sequence, which RunStaged executes a
+// round at a time.  A positive budget is the O(1/ε)-round variant: every
+// search is truncated after budget fetches and unresolved vertices retry in
+// later passes against the results published by earlier ones.
 func (p *Process[R, C]) Run(rt *ampc.Job, g *graph.Graph, out []R, budget int, tag string) (int, error) {
 	if budget == 0 {
 		plan, err := p.NewPlan(rt, g, out, tag)
@@ -460,15 +449,13 @@ func (p *Process[R, C]) NewShared(rt *ampc.Job, g *graph.Graph) (*Shared[R, C], 
 
 // Run executes one query as a job on rt against the shared substrate, into
 // out.  Any number of Run calls may proceed concurrently on jobs of the same
-// session; every one computes what the one-shot Run does.  The search rounds
-// are compiled under the process's plan key, so repeated queries hit the
-// session's plan cache instead of re-deriving the conflict analysis.
+// session; every one computes what the one-shot Run does.
 func (sh *Shared[R, C]) Run(rt *ampc.Job, out []R) error {
 	local, spill := sh.p.stages(rt, sh.sub, out, "")
-	return rt.RunPlan(rt.CompilePlan(sh.p.PlanKey, []ampc.StagedRound{
+	return rt.RunStaged([]ampc.StagedRound{
 		{Phase: local.Name, Round: local},
 		{Phase: spill.Name, Round: spill},
-	}))
+	})
 }
 
 // Len returns the number of vertices of the substrate's graph.

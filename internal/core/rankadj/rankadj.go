@@ -14,9 +14,8 @@
 // feeds lists to) — and how a result is published.  Its methods are
 // everything that does not differ: the substrate (shuffle, store, write
 // round), the plan with its local stage (confined to the key range the
-// executing machine wrote, so it overlaps the other machines' writes under
-// Config.Pipeline) and its spill stage (the searches that escaped, ordered
-// after by a token), the choice between the per-vertex round and the
+// executing machine wrote) and its spill stage (the searches that escaped),
+// the choice between the per-vertex round and the
 // per-block ampc.Ctx.Stream round (the one place Config.Batch is branched on
 // for these algorithms), Run (the staged sequence, or the truncated
 // multi-pass loop of the O(1/ε)-round variant) and Shared (the serving

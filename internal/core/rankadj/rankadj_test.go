@@ -211,12 +211,9 @@ func TestProcessDriver(t *testing.T) {
 				})
 
 				// Two preparations and two queries on one session: the second
-				// preparation finds the store filled and frozen, the second
-				// query finds its plan compiled (plans are cached under Pipeline).
+				// preparation finds the store filled and frozen.
 				t.Run(name+"/shared", func(t *testing.T) {
-					piped := cfg
-					piped.Pipeline = true
-					s := ampc.NewSession(piped)
+					s := ampc.NewSession(cfg)
 					defer s.Close()
 					for i := 0; i < 2; i++ {
 						rt, err := s.NewJob()
@@ -245,9 +242,6 @@ func TestProcessDriver(t *testing.T) {
 						if !slices.Equal(got, want) {
 							t.Fatalf("query %d differs from the greedy reference", i)
 						}
-					}
-					if pc := s.PlanCacheStats(); pc.Misses != 1 || pc.Hits != 1 {
-						t.Fatalf("plan cache %+v, want one miss then one hit", pc)
 					}
 				})
 			}

@@ -5,12 +5,12 @@ import "time"
 // Concurrent-job accounting.
 //
 // A serving session runs many jobs against one machine pool at once: every
-// machine interleaves sub-rounds of all in-flight jobs, so the modeled
+// machine interleaves the round shares of all in-flight jobs, so the modeled
 // wall-clock of the batch is no longer the sum of per-job makespans.  Two
 // lower bounds constrain any interleaving: machine m cannot finish before it
 // has executed the busy time every job assigned to it, and the batch cannot
 // finish before its longest single job — whose own modeled time already
-// includes that job's dependency stalls — has run end to end.  A
+// includes that job's barrier stalls — has run end to end.  A
 // work-conserving pool approaches the larger of the two, which is what
 // ConcurrentMakespan reports; the serving benchmark compares it against the
 // serialized sum of per-job times to measure the sharing win.
@@ -24,23 +24,18 @@ import "time"
 //
 // — the makespan of an ideal work-conserving interleaving of the jobs.
 func ConcurrentMakespan(busy [][]time.Duration, sims []time.Duration) time.Duration {
-	machines := scheduleWidth(busy)
-	load := make([]time.Duration, machines)
+	var load []time.Duration
 	for _, job := range busy {
-		for m := 0; m < machines; m++ {
-			load[m] += durAt(job, m)
+		for m, d := range job {
+			for len(load) <= m {
+				load = append(load, 0)
+			}
+			load[m] += d
 		}
 	}
 	var span time.Duration
-	for _, l := range load {
-		if l > span {
-			span = l
-		}
-	}
-	for _, s := range sims {
-		if s > span {
-			span = s
-		}
+	for _, d := range append(load, sims...) {
+		span = max(span, d)
 	}
 	return span
 }
