@@ -112,19 +112,19 @@
 // # Rounds: the one execution shape
 //
 // One round is one barrier segment, executed by one function (runSegment in
-// segment.go): it freezes the round's Read store and fences the caches of
-// every store the round reads, hands each machine its share of the items,
-// flushes each share's writes when it completes (under Config.FaultBudget it
-// discards a failed share's writes and re-executes the share), invalidates
-// the spans the round wrote from the machines' caches, and charges the job's
-// clock the slowest machine's busy time plus one round overhead — the
-// model's global barrier.  Stats.BarrierIdle sums, over every round, the time
-// the faster machines wait for the slowest.  Run executes one round;
-// RunStaged is a Phase and a Run per stage.  Rounds declare the stores they
-// read and write as Access values (Round.Reads / Round.Writes), narrowed to
-// per-machine key spans when the partitioning is known (RangedBy,
-// Session.OwnedRanges), so a round's writes invalidate only the cache
-// entries they can have made stale.  See access.go for the declaration type.
+// segment.go): it freezes the round's Read store, hands each machine its
+// share of the items, flushes each share's writes when it completes (under
+// Config.FaultBudget it discards a failed share's writes and re-executes the
+// share), and charges the job's clock the slowest machine's busy time plus
+// one round overhead — the model's global barrier.  Stats.BarrierIdle sums,
+// over every round, the time the faster machines wait for the slowest.  Run
+// executes one round; RunStaged is a Phase and a Run per stage.
+//
+// Round i reads D_{i-1} read-only, and the runtime enforces it: the Read
+// store is frozen before any share runs, a frozen store rejects writes, and
+// a per-machine cache fronts only a frozen store (Session.cacheFor refuses
+// any other).  So no cached entry can go stale, and rounds declare nothing
+// beyond their Read store.
 package ampc
 
 import (
@@ -526,20 +526,6 @@ type Round struct {
 	// Read is the input hash table; it is frozen for the duration of the
 	// round.  May be nil for rounds that only compute locally.
 	Read *dht.Store
-	// Reads declares the stores the round's Body reads beyond Read, such as
-	// a status store consulted directly; their caches are fenced before the
-	// round runs.  An Access naming Read narrows the span of the default
-	// input access instead of adding a second one.  Unlike Read, declared
-	// reads are NOT frozen — a cumulative store (statuses published across
-	// passes) may appear in both Reads and Writes of the same round.
-	Reads []Access
-	// Writes declares the stores the round's Body writes (Ctx.Write /
-	// Ctx.WriteMany).  After the round the executor invalidates the
-	// declared spans from every machine's cache of each written store, so a
-	// span-narrowed declaration MUST cover every key the machine writes.  An
-	// undeclared write leaves the caches to the write-count fence of the
-	// next round that reads the store, which drops the whole cache.
-	Writes []Access
 	// Body processes one work item on the machine owning it.
 	Body func(ctx *Ctx, item int) error
 	// Partitioner assigns work item i to a machine in [0, Machines); nil
@@ -553,22 +539,6 @@ type Round struct {
 	Partitioner func(item int) int
 }
 
-// readSet returns every access the round declares it reads: the declared
-// Reads plus a whole-store access for Read.  A declared access naming Read
-// replaces the default, which is how a round narrows the span of its own
-// input store.
-func (rd Round) readSet() []Access {
-	if rd.Read == nil {
-		return rd.Reads
-	}
-	for _, a := range rd.Reads {
-		if a.Store == rd.Read {
-			return rd.Reads
-		}
-	}
-	return append([]Access{{Store: rd.Read}}, rd.Reads...)
-}
-
 // preparedRound is one round made ready for execution: per-machine contexts
 // built and work items partitioned into machine jobs.
 type preparedRound struct {
@@ -577,22 +547,26 @@ type preparedRound struct {
 }
 
 // prepareRound counts the round, builds the per-machine contexts and
-// partitions the work items into machine jobs.  Freezing and fencing the
-// stores the round reads is the executor's business (runSegment).  Item
-// errors are captured per job (machineJob.recordErr).
-func (j *Job) prepareRound(round Round) *preparedRound {
+// partitions the work items into machine jobs.  Freezing the round's Read
+// store is the executor's business (runSegment); the caches in front of it
+// refuse an unfrozen store.  Item errors are captured per job
+// (machineJob.recordErr).
+func (j *Job) prepareRound(round Round) (*preparedRound, error) {
 	cfg := j.cfg
-	j.mu.Lock()
-	j.stats.Rounds++
-	j.mu.Unlock()
-
 	ctxs := make([]*Ctx, cfg.Machines)
 	for m := range ctxs {
 		ctxs[m] = &Ctx{Machine: m, job: j, read: round.Read, buffered: cfg.FaultBudget > 0}
 		if cfg.EnableCache && round.Read != nil {
-			ctxs[m].cache = j.cacheFor(round.Read, m)
+			c, err := j.cacheFor(round.Read, m)
+			if err != nil {
+				return nil, fmt.Errorf("ampc: round %q: %w", round.Name, err)
+			}
+			ctxs[m].cache = c
 		}
 	}
+	j.mu.Lock()
+	j.stats.Rounds++
+	j.mu.Unlock()
 
 	abortOnErr := cfg.FaultBudget > 0 // the failed share will be retried whole
 	jobs := make([]*machineJob, cfg.Machines)
@@ -657,7 +631,7 @@ func (j *Job) prepareRound(round Round) *preparedRound {
 			}
 		}
 	}
-	return &preparedRound{ctxs: ctxs, jobs: jobs}
+	return &preparedRound{ctxs: ctxs, jobs: jobs}, nil
 }
 
 // absorbRoundStats folds a finished round's per-context counts into the

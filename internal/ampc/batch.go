@@ -182,23 +182,19 @@ func (j *Job) WriteTable(name string, store *dht.Store, items, computePerItem in
 }
 
 // WriteTableRound builds (without running) the round that stores value(i)
-// under key i for every work item i in [0, items), reading nothing and
-// declaring its single store write.
+// under key i for every work item i in [0, items), reading nothing.
 // computePerItem units of local computation are charged per item.  With
 // batching enabled the items are written in shard-grouped blocks of
 // BatchSize keys; otherwise one Put per key, exactly as the hand-written
 // kv-write rounds did.  Items are partitioned by key ownership, so under the
 // owner-affine placement every machine writes its own keys to its co-located
-// shards — and the write declaration carries those per-machine spans
-// (WriteRanges), so the round invalidates only those spans from the
-// machines' caches.
+// shards; WriteRanges reports the spans each machine writes.
 func (s *Session) WriteTableRound(name string, store *dht.Store, items, computePerItem int, value func(int) []byte) Round {
 	store.Reserve(items) // one key per item: let the engine size its tables once
 	if !s.cfg.Batch {
 		return Round{
 			Name:        name,
 			Items:       items,
-			Writes:      []Access{RangedBy(store, s.WriteRanges(items))},
 			Partitioner: s.OwnerPartitioner(items),
 			Body: func(ctx *Ctx, item int) error {
 				ctx.ChargeCompute(computePerItem)
@@ -213,7 +209,6 @@ func (s *Session) WriteTableRound(name string, store *dht.Store, items, computeP
 	return Round{
 		Name:        name,
 		Items:       NumBlocks(items, size),
-		Writes:      []Access{RangedBy(store, s.WriteRanges(items))},
 		Partitioner: s.BlockOwnerPartitioner(size, items),
 		Body: func(ctx *Ctx, block int) error {
 			lo, hi := BlockBounds(block, size, items)

@@ -1,11 +1,11 @@
 package ampc
 
-// LiveStores reports, to the tests of this directory, how many stores, cache
-// sets and fence entries the session currently holds.
-func (s *Session) LiveStores() (stores, caches, fences int) {
+// LiveStores reports, to the tests of this directory, how many stores and
+// cache sets the session currently holds.
+func (s *Session) LiveStores() (stores, caches int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.stores), len(s.caches), len(s.cacheFence)
+	return len(s.stores), len(s.caches)
 }
 
 // DiskBase is the session's private parent directory of disk-backend stores.

@@ -81,7 +81,7 @@ func TestRebalanceMigratesLiveStoresOnly(t *testing.T) {
 	if err := live.RunStaged(staged(write, read)); err != nil {
 		t.Fatal(err)
 	}
-	if stores, _, _ := s.LiveStores(); stores != 2 {
+	if stores, _ := s.LiveStores(); stores != 2 {
 		t.Fatalf("%d live stores before the rebalance, want the shared one and the open job's", stores)
 	}
 
@@ -150,9 +150,8 @@ func TestJobCloseReleasesStoresAfterInFlightRun(t *testing.T) {
 	entered := make(chan struct{}, n)
 	gate := make(chan struct{})
 	round := Round{
-		Name:   "slow-write",
-		Items:  n,
-		Writes: []Access{{Store: store}},
+		Name:  "slow-write",
+		Items: n,
 		Body: func(c *Ctx, item int) error {
 			entered <- struct{}{}
 			<-gate
@@ -173,8 +172,8 @@ func TestJobCloseReleasesStoresAfterInFlightRun(t *testing.T) {
 	}
 	<-closed
 
-	if stores, caches, fences := s.LiveStores(); stores+caches+fences != 0 {
-		t.Fatalf("after Close the session holds %d stores, %d cache sets, %d fences", stores, caches, fences)
+	if stores, caches := s.LiveStores(); stores+caches != 0 {
+		t.Fatalf("after Close the session holds %d stores, %d cache sets", stores, caches)
 	}
 	if dirs, _ := os.ReadDir(s.DiskBase()); len(dirs) != 0 {
 		t.Fatalf("%d store directories left behind", len(dirs))
@@ -186,7 +185,7 @@ func TestJobCloseReleasesStoresAfterInFlightRun(t *testing.T) {
 	if _, err := rt.OpenStore("late"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("OpenStore on a closed job: %v, want ErrClosed", err)
 	}
-	if stores, _, _ := s.LiveStores(); stores != 0 {
+	if stores, _ := s.LiveStores(); stores != 0 {
 		t.Fatal("a closed job registered a store")
 	}
 	if err := rt.Run(round); !errors.Is(err, ErrClosed) {
@@ -255,7 +254,7 @@ func TestStoreCountersSurviveRelease(t *testing.T) {
 						rt.Close()
 					}
 				}
-				if stores, _, _ := s.LiveStores(); stores != len(held) {
+				if stores, _ := s.LiveStores(); stores != len(held) {
 					t.Fatalf("hold=%v: %d live stores, want %d", hold, stores, len(held))
 				}
 				probe, err := s.NewJob()

@@ -152,7 +152,6 @@ func TestWeightedPlacementKeepsOwnedTrafficLocal(t *testing.T) {
 	err := r.Run(Round{
 		Name:        "write-own",
 		Items:       n,
-		Writes:      []Access{{Store: store}},
 		Partitioner: r.OwnerPartitioner(n),
 		Body: func(ctx *Ctx, item int) error {
 			var buf [8]byte

@@ -97,9 +97,8 @@ func (j *Job) Rebalance() (RebalanceStats, error) {
 	// Install the new table first so stores and partitioners created while
 	// the migration below runs already answer from it, then migrate every
 	// weighted-placed store.  Migration relocates bytes through backend
-	// operations without touching the stores' write counters, so the cache
-	// fences recorded at round ends stay valid; the migrated spans are
-	// invalidated explicitly instead.
+	// operations and leaves every value as it was; the migrated spans are
+	// dropped from the machines' caches all the same.
 	s.mu.Lock()
 	s.ownership = next
 	s.adaptive = true

@@ -21,11 +21,8 @@ func rebalanceTestJob(t *testing.T, n int, cfg Config) (*Job, *dht.Store) {
 	r.SetOwnership(skewedWeights(n))
 	store := newStore(t, r, "data")
 	write := Round{
-		Name:  "write",
-		Items: n,
-		Writes: []Access{
-			{Store: store},
-		},
+		Name:        "write",
+		Items:       n,
 		Partitioner: r.OwnerPartitioner(n),
 		Body: func(ctx *Ctx, item int) error {
 			var v [8]byte

@@ -192,16 +192,14 @@ func TestSubroundRecoveryPipelined(t *testing.T) {
 		}
 		err := r.RunStaged([]StagedRound{
 			{Phase: "produce", Round: Round{
-				Name:   "produce",
-				Items:  n,
-				Writes: []Access{{Store: a}},
+				Name:  "produce",
+				Items: n,
 				Body: func(ctx *Ctx, item int) error {
 					return ctx.Write(a, uint64(item), []byte{byte(item)})
 				},
 			}},
-			{Phase: "first", Round: Round{Name: "first", Items: n, Read: a, Writes: []Access{{Store: sum}}, Body: add}},
-			{Phase: "again", Round: Round{Name: "again", Items: n, Read: a,
-				Reads: []Access{{Store: sum}}, Writes: []Access{{Store: sum}}, Body: add}},
+			{Phase: "first", Round: Round{Name: "first", Items: n, Read: a, Body: add}},
+			{Phase: "again", Round: Round{Name: "again", Items: n, Read: a, Body: add}},
 		})
 		if err != nil {
 			t.Fatalf("trip=%v: %v", trip, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ampcgraph/internal/dht"
 	"ampcgraph/internal/simtime"
 )
 
@@ -45,33 +44,21 @@ func (j *Job) RunStaged(stages []StagedRound) error {
 	return nil
 }
 
-// dirtyLog tracks the spans the completed shares of a round have written to
-// one store, and how much of the log each machine's cache has been fenced
-// with.
-type dirtyLog struct {
-	spans  []dht.RangeSet // one entry per completed share
-	fenced []int          // per machine: log prefix already applied
-}
-
 // runSegment executes one round — a barrier segment.  It is the only function
 // that prepares rounds, feeds the worker pool, flushes or discards buffered
 // writes, spends fault budget and charges the modeled clock:
 //
-//  1. prepare the round, freeze its Read store and fence the caches of every
-//     store it reads (Session.fenceCaches);
+//  1. freeze the round's Read store and prepare the round;
 //  2. submit every machine's share to the pool;
 //  3. as each share completes, flush its buffered writes — or, when it failed
 //     and Config.FaultBudget has budget left, discard them and resubmit the
 //     share;
-//  4. invalidate, range-exactly, the spans the round wrote from every
-//     machine's cache of the stores written, and record their fence points;
-//  5. charge the clock the slowest machine's busy time plus one round
+//  4. charge the clock the slowest machine's busy time plus one round
 //     overhead.
 //
-// A retried share first re-fences its machine's caches against the spans
-// that the round's already-completed shares have written, because a round
-// may read a cumulative store it also writes (one declared in both Reads and
-// Writes, as rankadj's truncated passes do).
+// Caches front only the frozen Read store (Session.cacheFor checks it), and
+// a frozen store rejects writes, so no cached entry can go stale and the
+// executor keeps no cache bookkeeping of its own.
 //
 // A failing round drains before it returns, and returns the error of its
 // lowest failed machine, so the reported failure does not depend on how
@@ -102,47 +89,16 @@ func (j *Job) runSegment(round Round) error {
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
 
-	pr := j.prepareRound(round)
 	if st := round.Read; st != nil {
 		if err := st.Freeze(); err != nil {
 			return fmt.Errorf("ampc: round %q: freezing input store: %w", round.Name, err)
 		}
 	}
-	reads := round.readSet()
-	for _, a := range reads {
-		s.fenceCaches(a.Store)
+	pr, err := j.prepareRound(round)
+	if err != nil {
+		return err
 	}
-
 	machines := cfg.Machines
-	logs := make(map[*dht.Store]*dirtyLog)
-	// logShare records machine m's declared write spans once its share is
-	// done (a machine with no items is done from the start).
-	logShare := func(m int) {
-		for _, w := range round.Writes {
-			if w.Store == nil {
-				continue
-			}
-			lg := logs[w.Store]
-			if lg == nil {
-				lg = &dirtyLog{fenced: make([]int, machines)}
-				logs[w.Store] = lg
-			}
-			lg.spans = append(lg.spans, w.spansFor(m))
-		}
-	}
-	// fenceMachine applies, to machine m's cache of st, the spans logged
-	// since m was last fenced.
-	fenceMachine := func(st *dht.Store, lg *dirtyLog, m int) {
-		if lg.fenced[m] >= len(lg.spans) {
-			return
-		}
-		set := dht.EmptyRange()
-		for _, spans := range lg.spans[lg.fenced[m]:] {
-			set = set.Union(spans)
-		}
-		lg.fenced[m] = len(lg.spans)
-		s.invalidateMachineCache(st, m, set)
-	}
 
 	// Every submitted share sends exactly one completion per attempt, and a
 	// retry is only submitted after its failed attempt's completion has been
@@ -151,7 +107,6 @@ func (j *Job) runSegment(round Round) error {
 	pending := 0
 	for m, job := range pr.jobs {
 		if job == nil {
-			logShare(m)
 			continue
 		}
 		job.done = func(*machineJob) { done <- m }
@@ -174,17 +129,11 @@ func (j *Job) runSegment(round Round) error {
 		if job.failed.Load() {
 			if cancelErr == nil && j.consumeFaultBudget() {
 				// Re-execute just this share: drop the failed attempt's
-				// buffered writes, re-fence the machine's caches against the
-				// spans already written, and resubmit.  The re-executed
-				// share's counters accumulate across attempts, so recovery
-				// lands in the modeled time.
+				// buffered writes and resubmit.  The re-executed share's
+				// counters accumulate across attempts, so recovery lands in
+				// the modeled time.
 				job.ctx.discardWrites()
 				job.reset()
-				for _, a := range reads {
-					if lg := logs[a.Store]; lg != nil {
-						fenceMachine(a.Store, lg, m)
-					}
-				}
 				s.workers().submit(m, job)
 				continue
 			}
@@ -193,27 +142,12 @@ func (j *Job) runSegment(round Round) error {
 			fail(m, fmt.Errorf("ampc: round %q: flushing machine %d writes: %w", round.Name, m, err))
 		}
 		pending--
-		logShare(m)
 		if err := j.ctx.Err(); err != nil && cancelErr == nil {
 			cancelErr = fmt.Errorf("ampc: round %q: job cancelled: %w", round.Name, err)
 		}
 	}
 	if firstErr == nil {
 		firstErr = cancelErr
-	}
-
-	// Apply the spans each machine has not yet been fenced with, then record
-	// the written stores' whole-store fence points: a later round fences by
-	// write count, and without the recorded point it would mistake this
-	// round's writes for incoherent cache state.
-	for st, lg := range logs {
-		for m := 0; m < machines; m++ {
-			fenceMachine(st, lg, m)
-		}
-		w := st.WriteCount()
-		s.mu.Lock()
-		s.cacheFence[st] = w
-		s.mu.Unlock()
 	}
 
 	j.absorbRoundStats(pr.ctxs)

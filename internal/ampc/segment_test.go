@@ -21,9 +21,8 @@ import (
 
 // segmentSequence builds a write -> ranged read -> whole read sequence on
 // fresh stores of rt: round 0 fills a, round 1 has every machine read its own
-// keys of a (declared per owned range) into b, round 2 reads a at its own and
-// at a foreign key into c.  With flaky set, one item of the ranged read fails
-// on its first execution.
+// keys of a into b, round 2 reads a at its own and at a foreign key into c.
+// With flaky set, one item of the ranged read fails on its first execution.
 func segmentSequence(t *testing.T, rt *Job, n int, flaky bool) ([]StagedRound, []*dht.Store) {
 	a, b, c := newStore(t, rt, "a"), newStore(t, rt, "b"), newStore(t, rt, "c")
 	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
@@ -35,15 +34,12 @@ func segmentSequence(t *testing.T, rt *Job, n int, flaky bool) ([]StagedRound, [
 		return binary.LittleEndian.Uint64(v), nil
 	}
 	var tripped atomic.Bool
-	owned := rt.OwnedRanges(n)
 	return []StagedRound{
 		{Phase: "write", Round: rt.WriteTableRound("write", a, n, 1, func(i int) []byte { return u64(uint64(i) * 3) })},
 		{Phase: "ranged", Round: Round{
 			Name:        "ranged",
 			Items:       n,
 			Read:        a,
-			Reads:       []Access{RangedBy(a, owned)},
-			Writes:      []Access{RangedBy(b, owned)},
 			Partitioner: rt.OwnerPartitioner(n),
 			Body: func(ctx *Ctx, item int) error {
 				if flaky && item == n/3 && tripped.CompareAndSwap(false, true) {
@@ -60,7 +56,6 @@ func segmentSequence(t *testing.T, rt *Job, n int, flaky bool) ([]StagedRound, [
 			Name:        "whole",
 			Items:       n,
 			Read:        a,
-			Writes:      []Access{RangedBy(c, owned)},
 			Partitioner: rt.OwnerPartitioner(n),
 			Body: func(ctx *Ctx, item int) error {
 				own, err := lookup(ctx, item)
@@ -287,7 +282,6 @@ func TestPipelineGateBlocksDependentRound(t *testing.T) {
 	write := Round{
 		Name:        "write",
 		Items:       machines,
-		Writes:      []Access{{Store: store}},
 		Partitioner: func(item int) int { return item },
 		Body: func(ctx *Ctx, item int) error {
 			if ctx.Machine == 0 {
@@ -340,7 +334,6 @@ func TestPipelineWriteReadCacheCoherence(t *testing.T) {
 	stagger := Round{
 		Name:        "stagger",
 		Items:       machines,
-		Writes:      []Access{{Store: filler}},
 		Partitioner: func(item int) int { return item },
 		Body: func(ctx *Ctx, item int) error {
 			time.Sleep(time.Duration(item) * 30 * time.Millisecond)
@@ -371,29 +364,56 @@ func TestPipelineWriteReadCacheCoherence(t *testing.T) {
 	}
 }
 
-func TestFenceCachesInvalidatesAfterWrites(t *testing.T) {
-	// White-box: the per-store fence must drop cache entries when the
-	// store's write counter moved after the caches were filled.
-	r := New(Config{Machines: 2, EnableCache: true})
-	defer r.Close()
-	s := newStore(t, r, "fenced")
-	r.fenceCaches(s)
-	c := r.cacheFor(s, 0)
-	if _, ok, err := c.Get(7); ok || err != nil {
-		t.Fatalf("expected absent key: %v %v", ok, err)
+// TestCachesFrontOnlyFrozenStores pins the invariant that keeps every cache
+// coherent: a round's Read store is frozen before any share runs, so a Body
+// writing it fails with dht.ErrFrozen — at once unbuffered, at the flush
+// under a fault budget — and a cache is refused for a store not yet frozen.
+func TestCachesFrontOnlyFrozenStores(t *testing.T) {
+	writeOwnRead := func(t *testing.T, r *Job, s *dht.Store) error {
+		return r.Run(Round{
+			Name:  "write-own-read",
+			Items: 8,
+			Read:  s,
+			Body: func(ctx *Ctx, item int) error {
+				return ctx.Write(s, uint64(item), []byte{1})
+			},
+		})
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache should hold the absent marker, len %d", c.Len())
+	cases := []struct {
+		name   string
+		budget int
+		run    func(t *testing.T, r *Job, s *dht.Store) error
+		frozen bool // the error must wrap dht.ErrFrozen
+	}{
+		{"round writes its Read/unbuffered", 0, writeOwnRead, true},
+		{"round writes its Read/buffered", 2, writeOwnRead, true},
+		{"cacheFor on an unfrozen store", 0, func(t *testing.T, r *Job, s *dht.Store) error {
+			_, err := r.cacheFor(s, 0)
+			if ferr := s.Freeze(); ferr != nil {
+				t.Fatal(ferr)
+			}
+			if _, ferr := r.cacheFor(s, 0); ferr != nil {
+				t.Fatalf("cacheFor on the frozen store: %v", ferr)
+			}
+			return err
+		}, false},
 	}
-	if err := s.Put(7, []byte{42}); err != nil {
-		t.Fatal(err)
-	}
-	r.fenceCaches(s)
-	if c.Len() != 0 {
-		t.Fatalf("fence did not invalidate the cache, len %d", c.Len())
-	}
-	if v, ok, err := c.Get(7); err != nil || !ok || v[0] != 42 {
-		t.Fatalf("post-fence read %v %v %v, want 42", v, ok, err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := New(Config{Machines: 2, Threads: 2, EnableCache: true, FaultBudget: tc.budget})
+			defer r.Close()
+			s := newStore(t, r, "in")
+			err := tc.run(t, r, s)
+			if err == nil {
+				t.Fatal("no error")
+			}
+			if tc.frozen != errors.Is(err, dht.ErrFrozen) {
+				t.Fatalf("error %v: wraps ErrFrozen = %v, want %v", err, !tc.frozen, tc.frozen)
+			}
+			if s.Len() != 0 {
+				t.Fatalf("a refused write landed: %d keys", s.Len())
+			}
+		})
 	}
 }
 

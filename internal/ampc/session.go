@@ -45,12 +45,6 @@ type Session struct {
 	keyspace  int
 	ownership *dht.Ownership
 	caches    map[*dht.Store][]*dht.Cache
-	// cacheFence records, per store, the store's write count observed when
-	// its per-machine caches were last known coherent.  Rounds fence every
-	// store they read against it before executing: a moved counter means
-	// the store was written since the caches were filled, and the caches
-	// are invalidated.
-	cacheFence map[*dht.Store]int64
 	// machineQueries / machineWork accumulate, per machine, the lookup
 	// count and the counted key-value work of every round since the last
 	// Rebalance — across all jobs, because ownership is session state.
@@ -97,9 +91,8 @@ type Session struct {
 // session when done with all jobs.
 func NewSession(cfg Config) *Session {
 	s := &Session{
-		cfg:        cfg.WithDefaults(),
-		caches:     make(map[*dht.Store][]*dht.Cache),
-		cacheFence: make(map[*dht.Store]int64),
+		cfg:    cfg.WithDefaults(),
+		caches: make(map[*dht.Store][]*dht.Cache),
 	}
 	s.machineQueries = make([]int64, s.cfg.Machines)
 	s.machineWork = make([]simtime.Work, s.cfg.Machines)
@@ -381,9 +374,8 @@ func (s *Session) OwnerCutBlocks(size, items, keys int, keyOf func(item int) int
 
 // OwnedSpan returns the contiguous key span [lo, hi) that machine owns under
 // the session's partition of the keyspace [0, keys) — exactly the items
-// OwnerPartitioner(keys) assigns to it.  Rounds partitioned by ownership use
-// it (via OwnedRanges) to declare per-machine access spans, so a round's
-// writes invalidate only the cache entries of the keys it owns.
+// OwnerPartitioner(keys) assigns to it.  OwnedRanges collects it per
+// machine.
 func (s *Session) OwnedSpan(machine, keys int) dht.Span {
 	if keys <= 0 || machine < 0 || machine >= s.cfg.Machines {
 		return dht.Span{}
@@ -393,7 +385,7 @@ func (s *Session) OwnedSpan(machine, keys int) dht.Span {
 }
 
 // OwnedRanges returns, per machine, the key spans it owns in [0, keys) —
-// the per-machine access declaration matching OwnerPartitioner(keys).
+// the items OwnerPartitioner(keys) assigns to it.
 func (s *Session) OwnedRanges(keys int) []dht.RangeSet {
 	sets := make([]dht.RangeSet, s.cfg.Machines)
 	for m := range sets {
@@ -403,12 +395,11 @@ func (s *Session) OwnedRanges(keys int) []dht.RangeSet {
 }
 
 // BlockOwnedRanges returns, per machine, the key spans covered by the
-// lock-step blocks BlockOwnerPartitioner(size, items) assigns to it — the
-// per-machine access declaration matching block-partitioned rounds.  The one
+// lock-step blocks BlockOwnerPartitioner(size, items) assigns to it.  The one
 // block that may straddle each ownership boundary belongs wholly to the owner
 // of its first key, so a machine's spans can run up to size-1 keys past the
 // end of its owned range (and start as many keys after its beginning);
-// declaring the actual block assignment keeps the declaration exact.
+// following the actual block assignment keeps the spans exact.
 func (s *Session) BlockOwnedRanges(size, items int) []dht.RangeSet {
 	machines := s.cfg.Machines
 	part := s.BlockOwnerPartitioner(size, items)
@@ -431,7 +422,8 @@ func (s *Session) BlockOwnedRanges(size, items int) []dht.RangeSet {
 // WriteRanges returns the per-machine spans a table-write round over items
 // keys touches under the current configuration: the block assignment when
 // batching (WriteTableRound writes whole blocks), the owned key ranges
-// otherwise.
+// otherwise.  A search stage that must stay on the keys its machine wrote
+// (rankadj's local stage) confines itself to them.
 func (s *Session) WriteRanges(items int) []dht.RangeSet {
 	if s.cfg.Batch {
 		return s.BlockOwnedRanges(s.cfg.BatchSize, items)
@@ -511,7 +503,6 @@ func (s *Session) releaseStores(j *Job) {
 		bs.DiskBytes, bs.ResidentBytes = 0, 0 // the footprint leaves with the store
 		s.retired.addStore(o.store.Stats(), bs, s.caches[o.store])
 		delete(s.caches, o.store)
-		delete(s.cacheFence, o.store)
 	}
 	s.stores = slices.DeleteFunc(s.stores, func(st *dht.Store) bool {
 		return slices.ContainsFunc(owned, func(o ownedStore) bool { return o.store == st })
@@ -566,39 +557,15 @@ func (s *Session) diskDirFor(name string) (string, error) {
 	return dir, nil
 }
 
-// fenceCaches is the per-store cache fence: when store's write count has
-// moved since its per-machine caches were last validated, every machine's
-// cache for the store is invalidated.  Rounds call it for every store they
-// read before executing.
-//
-// A store gets caches only as a round's Read, which freezes it, and a frozen
-// store rejects writes, so on the runtime's own paths the invalidation
-// branch never fires.  The fence is defense-in-depth: it turns "no cached
-// entry is stale" into a checked, per-store property should a store ever be
-// written after its caches fill (the regression tests pin the behavior).
-func (s *Session) fenceCaches(store *dht.Store) {
-	if store == nil {
-		return
-	}
-	w := store.WriteCount()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if last, ok := s.cacheFence[store]; ok && last != w {
-		for _, c := range s.caches[store] {
-			if c != nil {
-				c.Invalidate()
-			}
-		}
-	}
-	s.cacheFence[store] = w
-}
-
 // cacheFor returns machine's persistent cache in front of store, creating it
-// on first use.  Caches survive across rounds and across jobs: a store is
-// frozen the first time it is read (and fenced against its write counter,
-// see fenceCaches), so entries can never go stale, and concurrent jobs
-// reading the same shared store share its warm cache.
-func (s *Session) cacheFor(store *dht.Store, machine int) *dht.Cache {
+// on first use.  A cache fronts only a frozen store — a frozen store rejects
+// writes, so entries can never go stale — and an unfrozen one is an error.
+// Caches survive across rounds and across jobs, so concurrent jobs reading
+// the same shared store share its warm cache.
+func (s *Session) cacheFor(store *dht.Store, machine int) (*dht.Cache, error) {
+	if !store.Frozen() {
+		return nil, fmt.Errorf("ampc: cache requested for unfrozen store %q", store.Name())
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cs := s.caches[store]
@@ -609,20 +576,7 @@ func (s *Session) cacheFor(store *dht.Store, machine int) *dht.Cache {
 	if cs[machine] == nil {
 		cs[machine] = dht.NewCache(store)
 	}
-	return cs[machine]
-}
-
-// invalidateMachineCache range-fences one machine's cache for store.
-func (s *Session) invalidateMachineCache(store *dht.Store, machine int, set dht.RangeSet) {
-	s.mu.Lock()
-	var c *dht.Cache
-	if cs := s.caches[store]; machine < len(cs) {
-		c = cs[machine]
-	}
-	s.mu.Unlock()
-	if c != nil {
-		c.InvalidateRange(set)
-	}
+	return cs[machine], nil
 }
 
 // kvBytes totals the bytes moved through every store the session has held.

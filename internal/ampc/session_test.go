@@ -29,7 +29,6 @@ func jobStoreRounds(rt *Job, n int, salt uint64) (Round, Round, error) {
 	write := Round{
 		Name:        "write",
 		Items:       n,
-		Writes:      []Access{{Store: store}},
 		Partitioner: rt.OwnerPartitioner(n),
 		Body: func(ctx *Ctx, item int) error {
 			var v [8]byte
@@ -228,7 +227,6 @@ func TestJobCancelMidPipelineLeavesSessionReusable(t *testing.T) {
 	write := Round{
 		Name:        "write",
 		Items:       n,
-		Writes:      []Access{{Store: store}},
 		Partitioner: rt.OwnerPartitioner(n),
 		Body: func(c *Ctx, item int) error {
 			cancel() // cancel mid-flight: the scheduler must drain, not hang
@@ -392,7 +390,7 @@ func TestOpenSharedStoreClosedOnceBySession(t *testing.T) {
 	if err := st.Put(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if stores, _, _ := s.LiveStores(); stores != 1 {
+	if stores, _ := s.LiveStores(); stores != 1 {
 		t.Fatalf("%d opens left %d stores for the session to close, want 1", opens, stores)
 	}
 	if logs, _ := os.ReadDir(s.DiskBase()); len(logs) != 1 {

@@ -22,7 +22,7 @@ import (
 // connectivity queries, the heaviest store-opening job there is) against one
 // warm session from two closed-loop clients.  What a session holds must be a
 // function of what is resident and in flight, not of how many jobs it has
-// served: after every wave the live stores, caches and fences are back to the
+// served: after every wave the live stores and caches are back to the
 // shared-only baseline, and resident bytes, goroutines, open files, the heap
 // and the disk directory are flat.
 
@@ -76,7 +76,6 @@ func soakJob(s *ampc.Session, shared *dht.Store, salt uint64) error {
 	write := ampc.Round{
 		Name:        "write",
 		Items:       soakKeys,
-		Writes:      []ampc.Access{{Store: own}},
 		Partitioner: rt.OwnerPartitioner(soakKeys),
 		Body: func(c *ampc.Ctx, item int) error {
 			return c.Write(own, uint64(item), soakValueOf(uint64(item), salt))
@@ -87,11 +86,11 @@ func soakJob(s *ampc.Session, shared *dht.Store, salt uint64) error {
 
 // soakState is what must not depend on the number of jobs served.
 type soakState struct {
-	stores, caches, fences int
-	resident               int64
-	goroutines, files      int
-	heap                   uint64
-	diskDirs               int
+	stores, caches    int
+	resident          int64
+	goroutines, files int
+	heap              uint64
+	diskDirs          int
 }
 
 func openFiles() int {
@@ -105,7 +104,7 @@ func openFiles() int {
 func observe(t *testing.T, s *ampc.Session) soakState {
 	t.Helper()
 	var st soakState
-	st.stores, st.caches, st.fences = s.LiveStores()
+	st.stores, st.caches = s.LiveStores()
 	probe, err := s.NewJob()
 	if err != nil {
 		t.Fatal(err)
@@ -198,9 +197,9 @@ func soak(t *testing.T, cfg ampc.Config, jobs int) {
 	// baseline the later ones must return to.
 	wave(0)
 	base := observe(t, s)
-	if base.stores != 2 || base.caches > 2 || base.fences > 2 {
-		t.Fatalf("after the warm-up wave: %d stores, %d cache sets, %d fences; want the 2 shared stores only",
-			base.stores, base.caches, base.fences)
+	if base.stores != 2 || base.caches > 2 {
+		t.Fatalf("after the warm-up wave: %d stores, %d cache sets; want the 2 shared stores only",
+			base.stores, base.caches)
 	}
 	if cfg.Backend == "disk" && base.diskDirs != 2 {
 		t.Fatalf("%d directories under the disk base, want the 2 shared stores'", base.diskDirs)
@@ -212,7 +211,7 @@ func soak(t *testing.T, cfg ampc.Config, jobs int) {
 				w, runtime.NumGoroutine(), openFiles(), base.goroutines, base.files)
 		}
 		got := observe(t, s)
-		if got.stores != base.stores || got.caches != base.caches || got.fences != base.fences ||
+		if got.stores != base.stores || got.caches != base.caches ||
 			got.resident != base.resident || got.diskDirs != base.diskDirs {
 			t.Fatalf("wave %d left state behind:\n got  %+v\n base %+v", w, got, base)
 		}

@@ -214,7 +214,7 @@ func (s *search[R, C]) publish(v graph.NodeID, r R) {
 
 // stages builds the local and spill search rounds over sub with fresh result
 // state private to the pair — the one-shot plan and every serving query get
-// theirs here.  The local stage declares that machine m reads only the key
+// theirs here.  The local stage confines machine m's searches to the key
 // range the write round gave it.
 func (p *Process[R, C]) stages(rt *ampc.Job, sub *substrate, out []R, tag string) (local, spill ampc.Round) {
 	s := p.newSearch(rt, sub, out)
@@ -228,7 +228,6 @@ func (p *Process[R, C]) stages(rt *ampc.Job, sub *substrate, out []R, tag string
 	}
 	local = stage(p.Search+tag, sub.spans)
 	spill = stage(p.Search+"-spill"+tag, nil)
-	local.Reads = []ampc.Access{ampc.RangedBy(sub.store, sub.spans)}
 	return local, spill
 }
 
@@ -405,10 +404,6 @@ func (p *Process[R, C]) Run(rt *ampc.Job, g *graph.Graph, out []R, budget int, t
 			lim.Published = published
 		}
 		round := s.vertexRound(name, s.caches(), nil, lim, published)
-		round.Writes = []ampc.Access{{Store: published}}
-		if pass > 1 {
-			round.Reads = []ampc.Access{{Store: published}}
-		}
 		if err := rt.Phase(name, func() error { return rt.Run(round) }); err != nil {
 			return 0, err
 		}
@@ -442,7 +437,9 @@ func (p *Process[R, C]) NewShared(rt *ampc.Job, g *graph.Graph) (*Shared[R, C], 
 		if err := rt.Phase("KV-Write", func() error { return rt.Run(sub.write) }); err != nil {
 			return nil, err
 		}
-		sub.store.Freeze()
+		if err := sub.store.Freeze(); err != nil {
+			return nil, fmt.Errorf("rankadj: freezing shared %s store: %w", p.Search, err)
+		}
 	}
 	return &Shared[R, C]{p: p, sub: sub}, nil
 }

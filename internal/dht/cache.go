@@ -150,14 +150,10 @@ func (c *Cache) FillMany(keys []uint64, vals [][]byte, oks []bool) {
 }
 
 // Invalidate drops every cached entry (present and known-absent), forcing
-// subsequent lookups back to the store.  The AMPC runtime uses it as the
-// per-store cache fence of the pipelined scheduler: a store's per-machine
-// caches are invalidated whenever the store's write counter has moved since
-// the caches were last known coherent, so a store written in round i and
-// read in round i+1 can never serve a stale entry — regardless of how the
-// rounds overlapped.  (In the runtime this is defense-in-depth: dependency
-// gating plus freeze-at-first-read already prevent writes after caching.)
-// Hit/miss counters are preserved.
+// subsequent lookups back to the store.  Hit/miss counters are preserved.
+// A cache in front of a frozen store never needs it for coherence; its
+// callers are InvalidateRange on a whole-keyspace set and the wall-clock
+// benchmark's cache probe, which times misses on a cold cache.
 func (c *Cache) Invalidate() {
 	c.mu.Lock()
 	c.local = make(map[uint64][]byte)
@@ -166,12 +162,10 @@ func (c *Cache) Invalidate() {
 }
 
 // InvalidateRange drops only the cached entries whose keys fall inside set,
-// leaving the rest of the cache warm.  It is the range-aware counterpart of
-// Invalidate: the pipelined scheduler fences a machine's cache with exactly
-// the spans that declared write sub-rounds have completed since the cache
-// was last fenced, so disjoint-range sub-rounds no longer thrash caches
-// that cannot hold stale entries.  A whole-keyspace set degenerates to
-// Invalidate; an empty set is a no-op.
+// leaving the rest of the cache warm.  The AMPC runtime's Session.Rebalance
+// calls it with the key spans whose owner moved, after migrating them
+// between shards.  A whole-keyspace set degenerates to Invalidate; an empty
+// set is a no-op.
 func (c *Cache) InvalidateRange(set RangeSet) {
 	if set.Whole() {
 		c.Invalidate()

@@ -35,9 +35,11 @@ func TestCacheInvalidateDropsEntriesKeepsCounters(t *testing.T) {
 	}
 }
 
+// TestWriteCountCoversSingleAndBatchedWrites: Stats().Writes counts every
+// key written, single or batched.
 func TestWriteCountCoversSingleAndBatchedWrites(t *testing.T) {
 	s := mustStore("w", Options{Shards: 4})
-	if got := s.WriteCount(); got != 0 {
+	if got := s.Stats().Writes; got != 0 {
 		t.Fatalf("fresh store write count %d", got)
 	}
 	if err := s.Put(1, []byte{1}); err != nil {
@@ -46,7 +48,7 @@ func TestWriteCountCoversSingleAndBatchedWrites(t *testing.T) {
 	if err := s.Put(1, []byte{2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.WriteCount(); got != 2 {
+	if got := s.Stats().Writes; got != 2 {
 		t.Fatalf("write count %d, want 2", got)
 	}
 	if _, err := s.BatchPut([]Pair{{Key: 2, Value: []byte{3}}, {Key: 3, Value: []byte{4}}}); err != nil {
@@ -55,7 +57,7 @@ func TestWriteCountCoversSingleAndBatchedWrites(t *testing.T) {
 	if _, err := s.BatchPut([]Pair{{Key: 2, Value: []byte{5}}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.WriteCount(); got != 5 {
+	if got := s.Stats().Writes; got != 5 {
 		t.Fatalf("write count %d, want 5 (batched writes counted per key)", got)
 	}
 }

@@ -256,7 +256,7 @@ func (s *Store) Reserve(keys int) {
 // opCounters is the operation accounting of one calling machine.  Every
 // counted operation adds to the block of the machine performing it, so two
 // machines never write the same cache line (the block fills two lines and is
-// allocated on its own); Stats, TotalBytes and WriteCount fold the blocks.
+// allocated on its own); Stats and TotalBytes fold the blocks.
 // Reads is not stored: every read counts as exactly one of localReads and
 // remoteReads.
 type opCounters struct {
@@ -407,17 +407,6 @@ func (c *opCounters) countRead(local bool, bytes int64) {
 		c.remoteReads.Add(1)
 		c.remoteBytes.Add(bytes)
 	}
-}
-
-// WriteCount returns the number of writes (single or batched) applied to the
-// store so far.  It is a cheap monotone counter:
-// the AMPC runtime compares it against the value recorded when a store's
-// per-machine caches were last validated to decide whether the caches must
-// be invalidated before the next round reads the store.
-func (s *Store) WriteCount() int64 {
-	var n int64
-	s.foldCounters(func(c *opCounters) { n += c.writes.Load() })
-	return n
 }
 
 // Freeze makes the store read-only; subsequent Put and BatchPut calls fail.

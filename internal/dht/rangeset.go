@@ -26,12 +26,10 @@ func (s Span) Overlaps(o Span) bool {
 	return s.Lo < o.Hi && o.Lo < s.Hi
 }
 
-// RangeSet is a set of key spans used to declare which part of a store a
-// round touches.  The zero value is the *whole* keyspace — a declaration
-// that names a store without naming spans stays as conservative as the old
-// whole-store API, so existing code keeps its meaning.  NewRangeSet builds
-// a limited set; an explicitly limited set with no spans is empty and
-// overlaps nothing.
+// RangeSet is a set of key spans: the keys a rebalance moved between owners
+// (ChangedSpans), or the keys a machine's search is confined to.  The zero
+// value is the *whole* keyspace.  NewRangeSet builds a limited set; an
+// explicitly limited set with no spans is empty and overlaps nothing.
 type RangeSet struct {
 	limited bool
 	spans   []Span // normalized: sorted by Lo, non-empty, disjoint, non-adjacent
