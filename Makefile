@@ -132,11 +132,12 @@ bench-wall-smoke:
 # ReadMany, the per-batch shard grouping), the placement lookup, the mem
 # store path (fill, freeze, read back: the cycle job's small values and the HL
 # adjacency lists) and the disk engine's BatchWrite and BatchGet (8 and 256
-# keys, 12-byte and 1 KB values, allocs/op) — so they keep compiling and
-# running; it measures nothing.
+# keys, 12-byte and 1 KB values, allocs/op) and the per-machine cache's hit
+# and miss in front of the frozen adjacency store — so they keep compiling
+# and running; it measures nothing.
 # For numbers: go test -run '^$$' -bench <name> -benchmem -count 5 <package>.
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkDatasetHL$$|BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkKeySort$$|BenchmarkBuildForest$$|BenchmarkPrimSearch$$|BenchmarkFinishMSF$$|BenchmarkSearchStages$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$|BenchmarkMemStoreSmall$$|BenchmarkMemStoreAdjacency$$|BenchmarkDiskBatchWrite$$|BenchmarkDiskBatchGet$$' -benchtime=1x \
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkDatasetHL$$|BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkKeySort$$|BenchmarkBuildForest$$|BenchmarkPrimSearch$$|BenchmarkFinishMSF$$|BenchmarkSearchStages$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$|BenchmarkMemStoreSmall$$|BenchmarkMemStoreAdjacency$$|BenchmarkDiskBatchWrite$$|BenchmarkDiskBatchGet$$|BenchmarkCacheHit$$|BenchmarkCacheMiss$$' -benchtime=1x \
 		./internal/graph ./internal/gen ./internal/core/mis ./internal/core/matching ./internal/core/msf ./internal/keysort ./internal/trees ./internal/core/cycle ./internal/ampc ./internal/dht
 
 # cover-check enforces a statement-coverage floor on the runtime-critical
@@ -155,11 +156,12 @@ cover-check:
 	done
 
 # fuzz-smoke gives every fuzz target a short budget (the boundary-key, slot
-# table, disk log replay, rpc frame and codec round-trip fuzzers of the dht
-# and codec packages, simtime's Price against the per-operation reference,
-# the shuffles' key sort against a stable comparator sort, and the CSR
-# builder against its comparison-sorted reference).  Go only allows one -fuzz pattern per invocation, so the targets
-# run one at a time; seed corpora and testdata regressions always run via
+# table, cache table, disk log replay, rpc frame and codec round-trip
+# fuzzers of the dht and codec packages, simtime's Price against the
+# per-operation reference, the shuffles' key sort against a stable comparator
+# sort, and the CSR builder against its comparison-sorted reference).  Go
+# only allows one -fuzz pattern per invocation, so the targets run one at a
+# time; seed corpora and testdata regressions always run via
 # plain `make test`.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRangeOwner -fuzztime=$(FUZZTIME) ./internal/dht
@@ -168,6 +170,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRederiveBoundaries -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz='FuzzRangeSet$$' -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzMemTable -fuzztime=$(FUZZTIME) ./internal/dht
+	$(GO) test -run=NONE -fuzz=FuzzCacheTable -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzDiskReplay -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzRPCFrame -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzDecodeNodeIDs -fuzztime=$(FUZZTIME) ./internal/codec

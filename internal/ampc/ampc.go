@@ -80,11 +80,11 @@
 // (OwnerCutBlocks), because there a grid block can be the whole round and
 // one machine would run all of it.  What a fetch cycle costs: Ctx.Stream
 // allocates its live window, key list, dedupe set and result slices once per
-// call and reuses them every cycle; the cache is probed and filled once per
-// batch under one lock (dht.Cache.PeekMany / FillMany); the store groups the
-// batch by shard with a counting sort into one buffer.  A cycle therefore
-// allocates the store's reply — a handful of slices per batch plus two per
-// shard visited — and nothing per key.
+// call and reuses them every cycle; the cache is probed once per batch
+// without a lock and filled under one mutex acquisition (dht.Cache.PeekMany
+// / FillMany); the store groups the batch by shard with a counting sort into
+// one buffer.  A cycle therefore allocates the store's reply — a handful of
+// slices per batch plus two per shard visited — and nothing per key.
 //
 // # Placement and the persistent pool
 //
@@ -329,14 +329,18 @@ type PhaseStat struct {
 // store-derived counters (KVReads, cache hits, backend stats, ...) aggregate
 // the session's stores, which concurrent jobs share.
 type Stats struct {
-	Rounds            int
-	Shuffles          int
-	ShuffleBytes      int64
-	KVReads           int64
-	KVWrites          int64
-	KVBytesRead       int64
-	KVBytesWritten    int64
-	KVBytesTotal      int64
+	Rounds         int
+	Shuffles       int
+	ShuffleBytes   int64
+	KVReads        int64
+	KVWrites       int64
+	KVBytesRead    int64
+	KVBytesWritten int64
+	KVBytesTotal   int64
+	// CacheHits and CacheMisses count the lookups the per-machine caches
+	// served and those that read through to a store.  They are exact only
+	// at Threads = 1: a machine's threads race to fill the same key, and
+	// each thread that misses before the first fill lands counts a miss.
 	CacheHits         int64
 	CacheMisses       int64
 	MaxMachineQueries int64
@@ -464,8 +468,9 @@ func sided(local bool, localCount, remoteCount simtime.Count) simtime.Count {
 }
 
 // Lookup reads key from the round's input hash table.  With caching enabled
-// the per-machine cache is consulted first; a hit costs DRAM latency instead
-// of a network round trip.
+// the per-machine cache is probed first; a hit costs DRAM latency instead
+// of a network round trip, and a miss reads the store and fills the cache
+// without probing it again.
 func (c *Ctx) Lookup(key uint64) ([]byte, bool, error) {
 	if c.read == nil {
 		return nil, false, fmt.Errorf("ampc: round has no input store")
@@ -478,20 +483,14 @@ func (c *Ctx) Lookup(key uint64) ([]byte, bool, error) {
 		}
 	}
 	view := c.read.View(c.Machine)
-	read := sided(view.Local(key), simtime.LocalReads, simtime.RemoteReads)
-	if c.cache != nil {
-		v, ok, err := c.cache.GetFrom(c.Machine, key)
-		if err != nil {
-			return nil, false, err
-		}
-		c.count(read, 1)
-		return v, ok, nil
-	}
 	v, ok, err := view.Get(key)
 	if err != nil {
 		return nil, false, err
 	}
-	c.count(read, 1)
+	c.count(sided(view.Local(key), simtime.LocalReads, simtime.RemoteReads), 1)
+	if c.cache != nil {
+		c.cache.Fill(key, v, ok)
+	}
 	return v, ok, nil
 }
 

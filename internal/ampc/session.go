@@ -574,7 +574,11 @@ func (s *Session) cacheFor(store *dht.Store, machine int) (*dht.Cache, error) {
 		s.caches[store] = cs
 	}
 	if cs[machine] == nil {
-		cs[machine] = dht.NewCache(store)
+		c := dht.NewCache(store)
+		// A machine mostly caches its own share of the keys; the table
+		// starts at that size and grows past it only for a hot machine.
+		c.Reserve(store.Len() / s.cfg.Machines)
+		cs[machine] = c
 	}
 	return cs[machine], nil
 }

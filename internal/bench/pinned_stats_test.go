@@ -15,31 +15,34 @@ import (
 // commit before the shuffles moved onto the worker pool.  A host-side
 // shuffle stage is phase-accounted and never a round, so moving one must
 // leave every number here as it was: reads, KV bytes, modeled time, rounds,
-// shuffles, shuffle bytes and the phase list.  A change that means to move
-// one (ROADMAP: "drop the empty-list lookup") re-records the line
-// and says so.
+// shuffles, shuffle bytes and the phase list.  The cache hits and misses
+// (deterministic at one thread per machine) were added later, recorded at
+// the commit before the caches moved onto dht.CacheTable: a cache's data
+// structure decides what a lookup costs, never whether it hits.  A change
+// that means to move one (ROADMAP: "drop the empty-list lookup") re-records
+// the line and says so.
 var pinnedStats = map[string]string{
-	"plain/MIS": "reads=17018 kvbytes=3854940 sim=382586442 rounds=3 shuffles=1 shufflebytes=2365464 phases=DirectGraph,KV-Write,IsInMIS,IsInMIS-spill",
-	"plain/MM":  "reads=43709 kvbytes=14093944 sim=607563584 rounds=3 shuffles=1 shufflebytes=4626928 phases=PermuteGraph,KV-Write,IsInMM,IsInMM-spill",
-	"plain/MSF": "reads=43252 kvbytes=17977080 sim=1664548794 rounds=4 shuffles=5 shufflebytes=28361248 phases=SortGraph,KV-Write,PrimSearch,Combine,PointerJump,Contract,FinishMSF",
-	"plain/CC":  "reads=86101 kvbytes=30056544 sim=2488174648 rounds=6 shuffles=6 shufflebytes=28581816 phases=SortGraph,KV-Write,PrimSearch,Combine,PointerJump,Contract,FinishMSF,PointerJump-cc",
-	"plain/CY":  "reads=4994 kvbytes=199880 sim=560800888 rounds=2 shuffles=2 shufflebytes=60096 phases=Sample,Shuffle,KV-Write,Walk,Contract",
+	"plain/MIS": "reads=17018 kvbytes=3854940 sim=382586442 hits=6928 misses=17018 rounds=3 shuffles=1 shufflebytes=2365464 phases=DirectGraph,KV-Write,IsInMIS,IsInMIS-spill",
+	"plain/MM":  "reads=43709 kvbytes=14093944 sim=607563584 hits=52447 misses=43709 rounds=3 shuffles=1 shufflebytes=4626928 phases=PermuteGraph,KV-Write,IsInMM,IsInMM-spill",
+	"plain/MSF": "reads=43252 kvbytes=17977080 sim=1664548794 hits=153510 misses=43252 rounds=4 shuffles=5 shufflebytes=28361248 phases=SortGraph,KV-Write,PrimSearch,Combine,PointerJump,Contract,FinishMSF",
+	"plain/CC":  "reads=86101 kvbytes=30056544 sim=2488174648 hits=512043 misses=86101 rounds=6 shuffles=6 shufflebytes=28581816 phases=SortGraph,KV-Write,PrimSearch,Combine,PointerJump,Contract,FinishMSF,PointerJump-cc",
+	"plain/CY":  "reads=4994 kvbytes=199880 sim=560800888 hits=4994 misses=4994 rounds=2 shuffles=2 shufflebytes=60096 phases=Sample,Shuffle,KV-Write,Walk,Contract",
 	// The tuned rows were re-recorded when round pipelining went: every
 	// staged round runs under its own phase (KV-Write+IsInMIS+IsInMIS-spill
 	// became three phases), and MM's local search stage no longer overlaps
 	// the other machine's KV-write, so its sim is the barrier value
 	// (494332834 -> 497283634).  Reads, KV bytes, rounds, shuffles and every
 	// other sim are as they were.
-	"tuned/MIS": "reads=12582 kvbytes=3732808 sim=342195692 rounds=3 shuffles=1 shufflebytes=2365464 phases=DirectGraph,KV-Write,IsInMIS,IsInMIS-spill",
-	"tuned/MM":  "reads=28944 kvbytes=11424264 sim=497283634 rounds=3 shuffles=1 shufflebytes=4626928 phases=PermuteGraph,KV-Write,IsInMM,IsInMM-spill",
-	"tuned/MSF": "reads=37137 kvbytes=17568432 sim=1582921394 rounds=4 shuffles=5 shufflebytes=28361248 phases=SortGraph,KV-Write,PrimSearch,Combine,PointerJump,Contract,FinishMSF",
-	"tuned/CC":  "reads=78615 kvbytes=29215596 sim=2429138648 rounds=6 shuffles=6 shufflebytes=28581816 phases=SortGraph,KV-Write,PrimSearch,Combine,PointerJump,Contract,FinishMSF,PointerJump-cc",
+	"tuned/MIS": "reads=12582 kvbytes=3732808 sim=342195692 hits=3417 misses=12582 rounds=3 shuffles=1 shufflebytes=2365464 phases=DirectGraph,KV-Write,IsInMIS,IsInMIS-spill",
+	"tuned/MM":  "reads=28944 kvbytes=11424264 sim=497283634 hits=3611 misses=28944 rounds=3 shuffles=1 shufflebytes=4626928 phases=PermuteGraph,KV-Write,IsInMM,IsInMM-spill",
+	"tuned/MSF": "reads=37137 kvbytes=17568432 sim=1582921394 hits=71239 misses=37137 rounds=4 shuffles=5 shufflebytes=28361248 phases=SortGraph,KV-Write,PrimSearch,Combine,PointerJump,Contract,FinishMSF",
+	"tuned/CC":  "reads=78615 kvbytes=29215596 sim=2429138648 hits=122383 misses=78615 rounds=6 shuffles=6 shufflebytes=28581816 phases=SortGraph,KV-Write,PrimSearch,Combine,PointerJump,Contract,FinishMSF,PointerJump-cc",
 	// Re-recorded (sim 554983388 -> 551472788) when the batched walk's blocks
 	// were cut at ownership boundaries: each machine now walks its own cycle
 	// against co-located shards instead of machine 0 walking both, so the
 	// walk's modeled latency halves and its remote reads vanish; reads, KV
 	// bytes, rounds, shuffles and phases are as they were.
-	"tuned/CY": "reads=4994 kvbytes=199880 sim=551472788 rounds=2 shuffles=2 shufflebytes=60096 phases=Sample,Shuffle,KV-Write,Walk,Contract",
+	"tuned/CY": "reads=4994 kvbytes=199880 sim=551472788 hits=0 misses=4994 rounds=2 shuffles=2 shufflebytes=60096 phases=Sample,Shuffle,KV-Write,Walk,Contract",
 }
 
 func statsLine(st ampc.Stats) string {
@@ -47,8 +50,8 @@ func statsLine(st ampc.Stats) string {
 	for i, ph := range st.Phases {
 		names[i] = ph.Name
 	}
-	return fmt.Sprintf("reads=%d kvbytes=%d sim=%d rounds=%d shuffles=%d shufflebytes=%d phases=%s",
-		st.KVReads, st.KVBytesTotal, int64(st.Sim), st.Rounds, st.Shuffles, st.ShuffleBytes, strings.Join(names, ","))
+	return fmt.Sprintf("reads=%d kvbytes=%d sim=%d hits=%d misses=%d rounds=%d shuffles=%d shufflebytes=%d phases=%s",
+		st.KVReads, st.KVBytesTotal, int64(st.Sim), st.CacheHits, st.CacheMisses, st.Rounds, st.Shuffles, st.ShuffleBytes, strings.Join(names, ","))
 }
 
 func TestPinnedStatsHyperlink(t *testing.T) {

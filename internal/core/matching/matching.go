@@ -30,11 +30,11 @@ package matching
 
 import (
 	"math"
-	"sync"
 
 	"ampcgraph/internal/ampc"
 	"ampcgraph/internal/codec"
 	"ampcgraph/internal/core/rankadj"
+	"ampcgraph/internal/dht"
 	"ampcgraph/internal/graph"
 	"ampcgraph/internal/rng"
 	"ampcgraph/internal/seq"
@@ -116,53 +116,34 @@ const (
 	vertexUnmatched
 )
 
-// matchCache is the per-machine cache shared by the threads of one machine.
+// matchCache is the per-machine cache shared by the threads of one machine:
+// resolved vertex states and edge-oracle results, each in an insert-only
+// table.  Both are facts of the one greedy matching and never change, so
+// reads take no lock and the first value stored for a key stays.
 type matchCache struct {
-	mu    sync.RWMutex
-	state map[graph.NodeID]vertexState
-	edges map[uint64]bool // edge-oracle results, keyed by packed (u,v)
+	state dht.CacheTable[vertexState]
+	edges dht.CacheTable[bool] // edge-oracle results, keyed by packed (u,v)
 }
 
-func newMatchCache() *matchCache {
-	return &matchCache{state: make(map[graph.NodeID]vertexState), edges: make(map[uint64]bool)}
+// newMatchCache returns an empty cache sized for n vertices (see
+// rankadj.Process.NewCache).
+func newMatchCache(n int) *matchCache {
+	c := &matchCache{}
+	c.state.Reserve(n)
+	c.edges.Reserve(n)
+	return c
 }
 
 func (c *matchCache) vertex(v graph.NodeID) vertexState {
-	if c == nil {
-		return vertexState{}
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.state[v]
+	st, _ := c.state.Get(uint64(v))
+	return st
 }
 
-func (c *matchCache) setVertex(v graph.NodeID, s vertexState) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.state[v] = s
-	c.mu.Unlock()
-}
+func (c *matchCache) setVertex(v graph.NodeID, s vertexState) { c.state.Insert(uint64(v), s) }
 
-func (c *matchCache) edge(key uint64) (bool, bool) {
-	if c == nil {
-		return false, false
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	in, ok := c.edges[key]
-	return in, ok
-}
+func (c *matchCache) edge(key uint64) (bool, bool) { return c.edges.Get(key) }
 
-func (c *matchCache) setEdge(key uint64, in bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.edges[key] = in
-	c.mu.Unlock()
-}
+func (c *matchCache) setEdge(key uint64, in bool) { c.edges.Insert(key, in) }
 
 func packEdge(u, v graph.NodeID) uint64 {
 	if u > v {

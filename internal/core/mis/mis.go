@@ -28,11 +28,10 @@
 package mis
 
 import (
-	"sync"
-
 	"ampcgraph/internal/ampc"
 	"ampcgraph/internal/codec"
 	"ampcgraph/internal/core/rankadj"
+	"ampcgraph/internal/dht"
 	"ampcgraph/internal/graph"
 	"ampcgraph/internal/rng"
 )
@@ -58,33 +57,27 @@ const (
 
 // statusCache is the per-machine cache of vertex statuses described in §5.3:
 // a three-valued state (Unknown / InMIS / NotInMIS) shared by all threads of
-// one machine.
+// one machine.  A resolved status never changes, so the insert-only table
+// serves it: reads take no lock, and the first status stored for a vertex
+// stays.
 type statusCache struct {
-	mu sync.RWMutex
-	st map[graph.NodeID]status
+	t dht.CacheTable[status]
 }
 
-func newStatusCache() *statusCache {
-	return &statusCache{st: make(map[graph.NodeID]status)}
+// newStatusCache returns an empty cache sized for n vertices (see
+// rankadj.Process.NewCache).
+func newStatusCache(n int) *statusCache {
+	c := &statusCache{}
+	c.t.Reserve(n)
+	return c
 }
 
 func (c *statusCache) get(v graph.NodeID) status {
-	if c == nil {
-		return statusUnknown
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.st[v]
+	st, _ := c.t.Get(uint64(v))
+	return st
 }
 
-func (c *statusCache) set(v graph.NodeID, s status) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.st[v] = s
-	c.mu.Unlock()
-}
+func (c *statusCache) set(v graph.NodeID, s status) { c.t.Insert(uint64(v), s) }
 
 // process is the IsInMIS query process under the vertex priorities prio:
 // DirectGraph keeps every vertex's neighbors of higher priority (earlier

@@ -95,10 +95,12 @@ type Process[R, C any] struct {
 	// Keep and Key select and order each vertex's list (see Lists).
 	Keep func(v, u graph.NodeID) bool
 	Key  func(v, u graph.NodeID) uint64
-	// NewCache returns an empty cache: one per machine under
-	// Config.EnableCache, else one per search — results are still memoized
-	// within a query, just not shared across the machine's queries.
-	NewCache func() C
+	// NewCache returns an empty cache expecting about n vertices: one per
+	// machine under Config.EnableCache, sized from the graph's vertex count
+	// n; else one per search with n = 0, which must cost no more than an
+	// empty map until it is filled — results are still memoized within a
+	// query, just not shared across the machine's queries.
+	NewCache func(n int) C
 	// Single resolves v by the recursion, fetching through lim.Fetch.  list is
 	// v's own list as the shuffle produced it.
 	Single func(ctx *ampc.Ctx, cache C, lim Limits, v graph.NodeID, list codec.NodeList) (R, error)
@@ -193,14 +195,14 @@ func (s *search[R, C]) caches() []C {
 	}
 	caches := make([]C, cfg.Machines)
 	for i := range caches {
-		caches[i] = s.p.NewCache()
+		caches[i] = s.p.NewCache(len(s.out))
 	}
 	return caches
 }
 
 func (s *search[R, C]) cache(caches []C, machine int) C {
 	if caches == nil {
-		return s.p.NewCache()
+		return s.p.NewCache(0)
 	}
 	return caches[machine]
 }

@@ -295,3 +295,36 @@ func TestListsTiedKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedCachesUnderThreads runs both query processes with four threads
+// per machine sharing each machine's cache, hubs included so that threads
+// race to fill the same vertex and edge entries, single-key and batched.
+// The result must be the sequential oracle's and the one-thread run's.
+func TestSharedCachesUnderThreads(t *testing.T) {
+	const seed = 3
+	g := gen.PreferentialAttachment(3000, 4, seed)
+	for _, p := range processes {
+		want := p.reference(g, seed)
+		for _, batch := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/batch=%v", p.name, batch), func(t *testing.T) {
+				one := ampc.Config{Machines: 2, Threads: 1, EnableCache: true, Batch: batch, Seed: seed}
+				four := one
+				four.Threads = 4
+				base, _, err := p.run(g, one, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := p.run(g, four, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("4 threads: %d of %d vertices marked, oracle %d", got.count(), len(got), want.count())
+				}
+				if !slices.Equal(got, base) {
+					t.Fatal("4 threads differ from 1 thread")
+				}
+			})
+		}
+	}
+}

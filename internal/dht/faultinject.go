@@ -268,11 +268,15 @@ func (f *faultInjector) beforeWrite(shard int, pairs []Pair) error {
 // (engine 0) or the replica's (engine 1).  Live reads never see it (they go
 // through the extent index, and diskTable writes position at the tracked
 // size, not the file end); a reopen replays the log and truncates it — the
-// recovery property the torn-tail tests pin.
+// recovery property the torn-tail tests pin.  A closed engine has released
+// its logs, so there is nothing to tear: that is errDiskClosed.
 func injectTornTails(db *diskBackend, seed int64, engine int) error {
 	for i, sh := range db.shards {
 		sh.mu.Lock()
-		err := appendTornRecord(sh.table, rng.Hash64(seed^faultSaltTorn, uint64(i)<<8|uint64(engine)))
+		err := errDiskClosed
+		if sh.table != nil {
+			err = appendTornRecord(sh.table, rng.Hash64(seed^faultSaltTorn, uint64(i)<<8|uint64(engine)))
+		}
 		sh.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("dht: injecting torn tail on shard %d: %w", i, err)

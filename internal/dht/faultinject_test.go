@@ -367,6 +367,26 @@ func TestHedgedBatchGetCutsSpikes(t *testing.T) {
 	}
 }
 
+// TestTornTailFreezeAfterClose: freezing a closed disk store under a
+// TornTail plan finds no log to tear and reports errDiskClosed instead of
+// dereferencing the released table.
+func TestTornTailFreezeAfterClose(t *testing.T) {
+	s, err := NewStore("d0", Options{Shards: 2, Backend: BackendDisk, DiskDir: t.TempDir(),
+		Faults: &FaultPlan{Seed: 1, TornTail: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Freeze(); !errors.Is(err, errDiskClosed) {
+		t.Fatalf("Freeze after Close = %v, want errDiskClosed", err)
+	}
+}
+
 // TestTornTailRecoveryProperty: across fault seeds, a disk store whose logs
 // end in an injected torn record (a crash mid-write at the Freeze durability
 // point) reopens to exactly the fsynced contents.

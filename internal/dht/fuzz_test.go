@@ -1,6 +1,9 @@
 package dht
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // FuzzRangeOwner checks the invariants of the shared ownership function on
 // arbitrary (key, machines, keys) triples, boundary keys included: the owner
@@ -290,6 +293,93 @@ func FuzzMemTable(f *testing.F) {
 		}
 		if len(table.slots) > 0 && len(clone.slots) > 0 && &clone.slots[0] == &table.slots[0] {
 			t.Fatal("clone shares the slot array")
+		}
+	})
+}
+
+// FuzzCacheTable drives a Cache's table against a Go map with an op stream
+// decoded from the fuzz input — fill present, empty and absent answers,
+// refill (the first answer must stay), reserve, InvalidateRange over a
+// span, Invalidate — over a key universe small enough to collide and grow
+// the table, the extreme keys included, and checks after every op that
+// Peek agrees with the map for every key of the universe, that Len matches,
+// that no key holds two slots and that the load bound holds.
+func FuzzCacheTable(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 1, 0, 2, 9, 0, 255})
+	f.Add([]byte{0, 254, 0, 255, 3, 200, 2, 250, 4, 0, 0, 255, 0, 3, 1, 200})
+	grow := make([]byte, 0, 500)
+	for k := byte(0); k < 250; k++ {
+		grow = append(grow, 0, k)
+	}
+	f.Add(append(grow, 2, 10, 2, 100, 4, 0))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type answer struct {
+			v  []byte
+			ok bool
+		}
+		c := NewCache(nil) // Fill and Peek never reach the store
+		model := make(map[uint64]answer)
+		keyOf := func(b byte) uint64 {
+			switch b {
+			case 254:
+				return 1 << 63
+			case 255:
+				return ^uint64(0)
+			}
+			return uint64(b) * 8
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i]%5, ops[i+1]
+			key := keyOf(arg)
+			switch op {
+			case 0, 1: // fill: a one-byte value, an empty value or absent
+				a := answer{v: []byte{byte(i)}, ok: true}
+				switch {
+				case op == 1 && i%2 == 0:
+					a = answer{ok: true}
+				case op == 1:
+					a = answer{}
+				}
+				c.Fill(key, a.v, a.ok)
+				if _, held := model[key]; !held {
+					model[key] = a
+				}
+			case 2: // InvalidateRange over [key, key+64*8)
+				set := NewRangeSet(Span{Lo: key, Hi: key + 64*8})
+				c.InvalidateRange(set)
+				for k := range model {
+					if set.Contains(k) {
+						delete(model, k)
+					}
+				}
+			case 3: // up to 5.4k slots: several chunks, the last one short
+				c.Reserve(int(arg) * 16)
+			case 4:
+				c.Invalidate()
+				clear(model)
+			}
+			if c.Len() != len(model) {
+				t.Fatalf("op %d: Len = %d, model holds %d", i, c.Len(), len(model))
+			}
+			words := cacheTableWords(t, &c.table)
+			if cur := c.table.cur.Load(); cur != nil && uint64(cur.used)*tableLoadDenom > cur.n*tableLoadNum {
+				t.Fatalf("op %d: %d of %d slots used breaks the load bound", i, cur.used, cur.n)
+			}
+			want := len(model)
+			if _, held := model[^uint64(0)]; held {
+				want-- // kept beside the slots
+			}
+			if len(words) != want {
+				t.Fatalf("op %d: %d slots occupied for %d keys", i, len(words), want)
+			}
+			for b := 0; b < 256; b++ {
+				k := keyOf(byte(b))
+				v, ok, cached := c.Peek(k)
+				a, held := model[k]
+				if cached != held || ok != a.ok || !bytes.Equal(v, a.v) || (v == nil) != (a.v == nil) {
+					t.Fatalf("op %d: Peek(%d) = %v %v %v, model %v %v %v", i, k, v, ok, cached, a.v, a.ok, held)
+				}
+			}
 		}
 	})
 }
