@@ -127,7 +127,7 @@ bench-wall-smoke:
 # whose allocs/op must not grow with the forest), the MSF
 # PrimSearch round and contraction tail (a per-search allocation shows in
 # PrimSearch's allocs/op, a full sort of the survivors in FinishMSF's
-# ns/edge), the MIS and matching search stages (allocs/vertex of the rankadj
+# ns/edge), the MIS and matching search round (allocs/vertex of the rankadj
 # round bodies), the batch read path (the streamed cycle walk, a warm
 # ReadMany, the per-batch shard grouping), the placement lookup, the mem
 # store path (fill, freeze, read back: the cycle job's small values and the HL
@@ -137,7 +137,7 @@ bench-wall-smoke:
 # and running; it measures nothing.
 # For numbers: go test -run '^$$' -bench <name> -benchmem -count 5 <package>.
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkDatasetHL$$|BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkKeySort$$|BenchmarkBuildForest$$|BenchmarkPrimSearch$$|BenchmarkFinishMSF$$|BenchmarkSearchStages$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$|BenchmarkMemStoreSmall$$|BenchmarkMemStoreAdjacency$$|BenchmarkDiskBatchWrite$$|BenchmarkDiskBatchGet$$|BenchmarkCacheHit$$|BenchmarkCacheMiss$$' -benchtime=1x \
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkDatasetHL$$|BenchmarkDirectGraph$$|BenchmarkPermuteGraph$$|BenchmarkSortGraph$$|BenchmarkKeySort$$|BenchmarkBuildForest$$|BenchmarkPrimSearch$$|BenchmarkFinishMSF$$|BenchmarkSearchRound$$|BenchmarkStreamWalk$$|BenchmarkReadManyWarm$$|BenchmarkShardGroups$$|BenchmarkLocalTo$$|BenchmarkMemStoreSmall$$|BenchmarkMemStoreAdjacency$$|BenchmarkDiskBatchWrite$$|BenchmarkDiskBatchGet$$|BenchmarkCacheHit$$|BenchmarkCacheMiss$$' -benchtime=1x \
 		./internal/graph ./internal/gen ./internal/core/mis ./internal/core/matching ./internal/core/msf ./internal/keysort ./internal/trees ./internal/core/cycle ./internal/ampc ./internal/dht
 
 # cover-check enforces a statement-coverage floor on the runtime-critical

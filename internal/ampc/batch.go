@@ -188,7 +188,7 @@ func (j *Job) WriteTable(name string, store *dht.Store, items, computePerItem in
 // BatchSize keys; otherwise one Put per key, exactly as the hand-written
 // kv-write rounds did.  Items are partitioned by key ownership, so under the
 // owner-affine placement every machine writes its own keys to its co-located
-// shards; WriteRanges reports the spans each machine writes.
+// shards.
 func (s *Session) WriteTableRound(name string, store *dht.Store, items, computePerItem int, value func(int) []byte) Round {
 	store.Reserve(items) // one key per item: let the engine size its tables once
 	if !s.cfg.Batch {

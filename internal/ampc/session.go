@@ -372,65 +372,6 @@ func (s *Session) OwnerCutBlocks(size, items, keys int, keyOf func(item int) int
 	return blocks
 }
 
-// OwnedSpan returns the contiguous key span [lo, hi) that machine owns under
-// the session's partition of the keyspace [0, keys) — exactly the items
-// OwnerPartitioner(keys) assigns to it.  OwnedRanges collects it per
-// machine.
-func (s *Session) OwnedSpan(machine, keys int) dht.Span {
-	if keys <= 0 || machine < 0 || machine >= s.cfg.Machines {
-		return dht.Span{}
-	}
-	lo, hi := s.ownershipFor(keys).Range(machine)
-	return dht.Span{Lo: uint64(lo), Hi: uint64(hi)}
-}
-
-// OwnedRanges returns, per machine, the key spans it owns in [0, keys) —
-// the items OwnerPartitioner(keys) assigns to it.
-func (s *Session) OwnedRanges(keys int) []dht.RangeSet {
-	sets := make([]dht.RangeSet, s.cfg.Machines)
-	for m := range sets {
-		sets[m] = dht.NewRangeSet(s.OwnedSpan(m, keys))
-	}
-	return sets
-}
-
-// BlockOwnedRanges returns, per machine, the key spans covered by the
-// lock-step blocks BlockOwnerPartitioner(size, items) assigns to it.  The one
-// block that may straddle each ownership boundary belongs wholly to the owner
-// of its first key, so a machine's spans can run up to size-1 keys past the
-// end of its owned range (and start as many keys after its beginning);
-// following the actual block assignment keeps the spans exact.
-func (s *Session) BlockOwnedRanges(size, items int) []dht.RangeSet {
-	machines := s.cfg.Machines
-	part := s.BlockOwnerPartitioner(size, items)
-	per := make([][]dht.Span, machines)
-	for b := 0; b < NumBlocks(items, size); b++ {
-		m := part(b)
-		if m < 0 || m >= machines {
-			m = ((m % machines) + machines) % machines
-		}
-		lo, hi := BlockBounds(b, size, items)
-		per[m] = append(per[m], dht.Span{Lo: uint64(lo), Hi: uint64(hi)})
-	}
-	sets := make([]dht.RangeSet, machines)
-	for m := range sets {
-		sets[m] = dht.NewRangeSet(per[m]...)
-	}
-	return sets
-}
-
-// WriteRanges returns the per-machine spans a table-write round over items
-// keys touches under the current configuration: the block assignment when
-// batching (WriteTableRound writes whole blocks), the owned key ranges
-// otherwise.  A search stage that must stay on the keys its machine wrote
-// (rankadj's local stage) confines itself to them.
-func (s *Session) WriteRanges(items int) []dht.RangeSet {
-	if s.cfg.Batch {
-		return s.BlockOwnedRanges(s.cfg.BatchSize, items)
-	}
-	return s.OwnedRanges(items)
-}
-
 // OpenStore creates and registers the next distributed hash table (D0, D1, …)
 // as a resident store of the session: it is shared by every job and closed at
 // Session.Close.  A job's own round tables are opened on the job instead

@@ -13,8 +13,8 @@
 //     the random-greedy matching iff none of its lower-priority adjacent
 //     edges does — terminating as soon as a matched incident edge is found.
 //
-// The steps around the recursion — substrate, local and spill search stages,
-// single-key or batched rounds, the truncated passes, the serving substrate —
+// The steps around the recursion — substrate, the one search round,
+// single-key or batched, the truncated passes, the serving substrate —
 // are shared with MIS: process builds the rankadj.Process that holds what is
 // matching's own (the names, the PermuteGraph order, the vertex/edge cache,
 // the recursion as searcher and as batchMatcher) and rankadj drives it; Run,
@@ -199,10 +199,10 @@ func computeMatching(rt *ampc.Job, g *graph.Graph, rank RankFunc, budget int, ta
 }
 
 // Plan is the maximal matching pipeline prepared on an existing runtime: the
-// KV-write round and the two IsInMM search stages of rankadj.Plan.
+// KV-write round and the IsInMM search round of rankadj.Plan.
 type Plan struct {
 	rankadj.Plan
-	// Matching is filled by the two search stages together.
+	// Matching is filled by the search round.
 	Matching *seq.Matching
 }
 

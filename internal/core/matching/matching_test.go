@@ -106,10 +106,9 @@ func TestMatchingUsesOneShuffleTwoRounds(t *testing.T) {
 	if res.Stats.Shuffles != 1 {
 		t.Fatalf("shuffles = %d, want 1 (Table 3)", res.Stats.Shuffles)
 	}
-	// One logical search pass, executed as the range-confined local stage
-	// plus the spill stage: 3 scheduled rounds for KV write + search.
-	if res.Stats.Rounds != 3 {
-		t.Fatalf("rounds = %d, want 3", res.Stats.Rounds)
+	// The KV write and one search round.
+	if res.Stats.Rounds != 2 {
+		t.Fatalf("rounds = %d, want 2", res.Stats.Rounds)
 	}
 }
 

@@ -33,13 +33,13 @@ func BenchmarkDirectGraph(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
 }
 
-// BenchmarkSearchStages measures the two IsInMIS search stages alone — one
-// serving query against the resident substrate — on the same stand-in and
-// pool, single-key and batched.  allocs/vertex guards the driver's round
+// BenchmarkSearchRound measures the IsInMIS search round alone — one serving
+// query against the resident substrate — on the same stand-in and pool,
+// single-key and batched.  allocs/vertex guards the driver's round
 // bodies (rankadj): they allocate per search round and per block, never per
 // vertex — one object per vertex here moves the wall-clock benchmark's
 // allocs_per_edge by its whole bound.
-func BenchmarkSearchStages(b *testing.B) {
+func BenchmarkSearchRound(b *testing.B) {
 	d, _ := gen.DatasetByName("HL")
 	g := d.Build(1, 1)
 	for _, batch := range []bool{false, true} {

@@ -12,7 +12,7 @@ import (
 
 // runWithShardFailures runs the MIS plan on a fresh runtime round by round
 // and fails the given shards of the directed-graph store between the KV-write
-// round and the two search stages.  It exists to test the fault-tolerance
+// round and the search round.  It exists to test the fault-tolerance
 // property of the model (Section 2); the production entry points do not
 // inject failures.
 func runWithShardFailures(cfg ampc.Config, g *graph.Graph, shards ...int) ([]bool, error) {
@@ -29,9 +29,6 @@ func runWithShardFailures(cfg ampc.Config, g *graph.Graph, shards ...int) ([]boo
 		plan.Search.Read.FailShard(i)
 	}
 	if err := rt.Run(plan.Search); err != nil {
-		return nil, err
-	}
-	if err := rt.Run(plan.Spill); err != nil {
 		return nil, err
 	}
 	return plan.InMIS, nil

@@ -11,8 +11,8 @@
 //     al. — a vertex is in the MIS iff none of its earlier neighbors is —
 //     fetching neighborhoods from the hash table on demand.
 //
-// The steps around the recursion — substrate, local and spill search stages,
-// single-key or batched rounds, the truncated passes, the serving substrate —
+// The steps around the recursion — substrate, the one search round,
+// single-key or batched, the truncated passes, the serving substrate —
 // are shared with maximal matching: process builds the rankadj.Process that
 // holds what is MIS's own (the names, the DirectGraph order, the status
 // cache, the recursion as searcher and as batchSearcher) and rankadj drives
@@ -138,10 +138,10 @@ func run(g *graph.Graph, cfg ampc.Config, budget int) (*Result, error) {
 }
 
 // Plan is the MIS pipeline prepared on an existing runtime: the KV-write
-// round and the two IsInMIS search stages of rankadj.Plan.
+// round and the IsInMIS search round of rankadj.Plan.
 type Plan struct {
 	rankadj.Plan
-	// InMIS is filled by the two search stages together.
+	// InMIS is filled by the search round.
 	InMIS []bool
 }
 

@@ -105,10 +105,8 @@ func TestMISEmptyGraphAllIn(t *testing.T) {
 }
 
 func TestMISUsesOneShuffleTwoRounds(t *testing.T) {
-	// Table 3: the AMPC MIS implementation uses a single shuffle and one
-	// logical search pass.  The search pass executes as two scheduled
-	// rounds — the range-confined local stage plus the spill stage — so the
-	// runtime counts 3 rounds for the KV write + search sequence.
+	// Table 3: the AMPC MIS implementation uses a single shuffle and two
+	// rounds, the KV write and one search round.
 	g := gen.PreferentialAttachment(500, 4, 1)
 	res, err := Run(g, defaultCfg(1))
 	if err != nil {
@@ -117,8 +115,8 @@ func TestMISUsesOneShuffleTwoRounds(t *testing.T) {
 	if res.Stats.Shuffles != 1 {
 		t.Fatalf("shuffles = %d, want 1", res.Stats.Shuffles)
 	}
-	if res.Stats.Rounds != 3 {
-		t.Fatalf("rounds = %d, want 3", res.Stats.Rounds)
+	if res.Stats.Rounds != 2 {
+		t.Fatalf("rounds = %d, want 2", res.Stats.Rounds)
 	}
 	if res.SearchRounds != 1 {
 		t.Fatalf("search rounds = %d, want 1", res.SearchRounds)

@@ -17,7 +17,7 @@ import (
 // appended to every one of them but Shared.
 type Names struct {
 	Shuffle   string // shuffle phase ("DirectGraph")
-	Search    string // search phase and round ("IsInMIS"); the spill stage adds "-spill", pass i of a truncated run "-pass<i>"
+	Search    string // search phase and round ("IsInMIS"); pass i of a truncated run adds "-pass<i>"
 	Store     string // the job's list store ("directed-graph")
 	Published string // results published across the passes of a truncated run ("mis-status")
 	Shared    string // the session-resident list store ("mis-directed-graph")
@@ -26,9 +26,6 @@ type Names struct {
 // Limits bound one single-key search.  A recursion takes it by value and
 // fetches every list it does not hold through Fetch.
 type Limits struct {
-	// Span confines the search to a key range (zero value: unconfined); a
-	// fetch outside it fails with ErrEscape.
-	Span dht.RangeSet
 	// Budget is the number of fetches the search may make (0: unlimited); the
 	// next one fails with ErrTruncated.
 	Budget int
@@ -39,22 +36,14 @@ type Limits struct {
 	queries int
 }
 
-// ErrEscape reports that a span-confined search needed a key outside its
-// range, ErrTruncated that it exceeded its fetch budget.  Either way the
-// vertex stays unresolved — the spill stage or the next pass finishes it —
-// and whatever the search memoized before is a complete result and stays
-// valid.
-var (
-	ErrEscape    = errors.New("rankadj: search escaped its key range")
-	ErrTruncated = errors.New("rankadj: search truncated")
-)
+// ErrTruncated reports that a search exceeded its fetch budget.  The vertex
+// stays unresolved — the next pass finishes it — and whatever the search
+// memoized before is a complete result and stays valid.
+var ErrTruncated = errors.New("rankadj: search truncated")
 
 // Fetch reads v's list from the round's store and returns it as a view: the
 // value of a frozen store does not change under it.
 func (l *Limits) Fetch(ctx *ampc.Ctx, v graph.NodeID) (codec.NodeList, error) {
-	if !l.Span.Contains(uint64(v)) {
-		return codec.NodeList{}, ErrEscape
-	}
 	if l.Budget > 0 {
 		l.queries++
 		if l.queries > l.Budget {
@@ -88,7 +77,7 @@ type Evaluator[R any] interface {
 
 // Process is one constant-round query process: what MIS (R is membership)
 // and maximal matching (R is the mate) do not share.  Everything they do
-// share — the substrate, the stages, the rounds, the pass loop, the serving
+// share — the substrate, the search round, the pass loop, the serving
 // split — is a method.  C is the per-machine cache type.
 type Process[R, C any] struct {
 	Names
@@ -112,13 +101,11 @@ type Process[R, C any] struct {
 }
 
 // substrate is what the searches of a graph start from: every vertex's
-// rank-sorted list, the store serving them, the round that fills it and the
-// per-machine key ranges that round writes.
+// rank-sorted list, the store serving them and the round that fills it.
 type substrate struct {
 	lists []codec.NodeList
 	store *dht.Store
 	write ampc.Round
-	spans []dht.RangeSet
 }
 
 // substrate declares the keyspace (degree-proportional weights keep the
@@ -138,37 +125,32 @@ func (p *Process[R, C]) substrate(rt *ampc.Job, g *graph.Graph, tag string, shar
 	if err != nil {
 		return nil, err
 	}
-	n := len(lists)
-	write := rt.WriteTableRound("kv-write"+tag, store, n, 1, func(item int) []byte {
+	write := rt.WriteTableRound("kv-write"+tag, store, len(lists), 1, func(item int) []byte {
 		return lists[item].Encoded()
 	})
-	return &substrate{lists: lists, store: store, write: write, spans: rt.WriteRanges(n)}, nil
+	return &substrate{lists: lists, store: store, write: write}, nil
 }
 
 // Plan is the round sequence of one run prepared on a runtime, for callers
 // that interleave it with other work (a Rebalance between two algorithms'
 // rounds, as the bench "adaptive" experiment does).
 type Plan struct {
-	// Write stores the lists.  Search (the local stage) resolves every
-	// vertex whose recursion stays inside the executing machine's owned key
-	// range, reading only that range; Spill finishes the searches that
-	// escaped, reading the whole store.
-	Write, Search, Spill ampc.Round
+	// Write stores the lists; Search resolves every vertex against them.
+	Write, Search ampc.Round
 }
 
 // Rounds returns the plan's rounds in execution order.
-func (p *Plan) Rounds() []ampc.Round { return []ampc.Round{p.Write, p.Search, p.Spill} }
+func (p *Plan) Rounds() []ampc.Round { return []ampc.Round{p.Write, p.Search} }
 
-// NewPlan runs the shuffle for g and prepares the KV-write and the two search
-// stages on rt; executing them in order fills out (one entry per vertex)
+// NewPlan runs the shuffle for g and prepares the KV-write and the search
+// round on rt; executing them in order fills out (one entry per vertex)
 // exactly as Run does.
 func (p *Process[R, C]) NewPlan(rt *ampc.Job, g *graph.Graph, out []R, tag string) (*Plan, error) {
 	sub, err := p.substrate(rt, g, tag, false)
 	if err != nil {
 		return nil, err
 	}
-	local, spill := p.stages(rt, sub, out, tag)
-	return &Plan{Write: sub.write, Search: local, Spill: spill}, nil
+	return &Plan{Write: sub.write, Search: p.searchRound(rt, sub, out, tag)}, nil
 }
 
 // search is the state the rounds of one run share: where results are
@@ -186,7 +168,7 @@ func (p *Process[R, C]) newSearch(rt *ampc.Job, sub *substrate, out []R) *search
 	return &search[R, C]{p: p, rt: rt, sub: sub, out: out, resolved: make([]bool, len(out))}
 }
 
-// caches returns the per-machine caches of one stage pair or pass, nil
+// caches returns the per-machine caches of one search round or pass, nil
 // without Config.EnableCache.
 func (s *search[R, C]) caches() []C {
 	cfg := s.rt.Config()
@@ -214,32 +196,22 @@ func (s *search[R, C]) publish(v graph.NodeID, r R) {
 	s.mu.Unlock()
 }
 
-// stages builds the local and spill search rounds over sub with fresh result
-// state private to the pair — the one-shot plan and every serving query get
-// theirs here.  The local stage confines machine m's searches to the key
-// range the write round gave it.
-func (p *Process[R, C]) stages(rt *ampc.Job, sub *substrate, out []R, tag string) (local, spill ampc.Round) {
+// searchRound builds the search round over sub with fresh result state
+// private to it — the one-shot plan and every serving query get theirs here.
+func (p *Process[R, C]) searchRound(rt *ampc.Job, sub *substrate, out []R, tag string) ampc.Round {
 	s := p.newSearch(rt, sub, out)
-	caches := s.caches()
-	stage := func(name string, spans []dht.RangeSet) ampc.Round {
-		if rt.Config().Batch {
-			// Fan-out reads travel as shard-grouped batches.
-			return s.blockRound(name, caches, spans)
-		}
-		return s.vertexRound(name, caches, spans, Limits{}, nil)
+	if rt.Config().Batch {
+		// Fan-out reads travel as shard-grouped batches.
+		return s.blockRound(p.Search+tag, s.caches())
 	}
-	local = stage(p.Search+tag, sub.spans)
-	spill = stage(p.Search+"-spill"+tag, nil)
-	return local, spill
+	return s.vertexRound(p.Search+tag, s.caches(), Limits{}, nil)
 }
 
 // vertexRound builds one single-key search round: every unresolved vertex
 // runs the recursion against the frozen list store, one lookup per list it
-// expands.  With spans set (the local stage) machine m's searches are
-// confined to spans[m]; a search that escapes, or exceeds lim's budget,
-// leaves its vertex unresolved.  With published set (a truncated pass) every
-// result is also written there.
-func (s *search[R, C]) vertexRound(name string, caches []C, spans []dht.RangeSet, lim Limits, published *dht.Store) ampc.Round {
+// expands.  A search that exceeds lim's budget leaves its vertex unresolved.
+// With published set (a truncated pass) every result is also written there.
+func (s *search[R, C]) vertexRound(name string, caches []C, lim Limits, published *dht.Store) ampc.Round {
 	n := len(s.sub.lists)
 	return ampc.Round{
 		Name:        name,
@@ -250,13 +222,9 @@ func (s *search[R, C]) vertexRound(name string, caches []C, spans []dht.RangeSet
 			if s.resolved[item] {
 				return nil
 			}
-			lim := lim
-			if spans != nil {
-				lim.Span = spans[ctx.Machine]
-			}
 			v := graph.NodeID(item)
 			r, err := s.p.Single(ctx, s.cache(caches, ctx.Machine), lim, v, s.sub.lists[item])
-			if errors.Is(err, ErrEscape) || errors.Is(err, ErrTruncated) {
+			if errors.Is(err, ErrTruncated) {
 				return nil
 			}
 			if err != nil {
@@ -275,7 +243,6 @@ func (s *search[R, C]) vertexRound(name string, caches []C, spans []dht.RangeSet
 type block[R, C any] struct {
 	s    *search[R, C]
 	eval Evaluator[R]
-	span dht.RangeSet
 }
 
 // vertexSearch is the search for one vertex as a pull-based iterator; a
@@ -289,9 +256,6 @@ func (it *vertexSearch[R, C]) Pull() (uint64, bool) {
 	b := it.b
 	r, miss := b.eval.Eval(it.v)
 	if miss != graph.None {
-		if !b.span.Contains(uint64(miss)) {
-			return 0, false // escaped; the spill stage finishes v
-		}
 		return uint64(miss), true
 	}
 	b.s.publish(it.v, r)
@@ -304,10 +268,8 @@ func (it *vertexSearch[R, C]) Pull() (uint64, bool) {
 // search runs until it needs a list the block does not hold, the block's
 // missing lists are fetched with one shard-grouped batch read, and the
 // searches resume.  The function computed is unchanged, only the grouping of
-// requests differs.  With spans set, a search that suspends on a key outside
-// spans[machine] escapes: its iterator completes without resolving the
-// vertex.
-func (s *search[R, C]) blockRound(name string, caches []C, spans []dht.RangeSet) ampc.Round {
+// requests differs.
+func (s *search[R, C]) blockRound(name string, caches []C) ampc.Round {
 	n := len(s.sub.lists)
 	size := s.rt.Config().BatchSize
 	return ampc.Round{
@@ -318,9 +280,6 @@ func (s *search[R, C]) blockRound(name string, caches []C, spans []dht.RangeSet)
 		Body: func(ctx *ampc.Ctx, blk int) error {
 			lo, hi := ampc.BlockBounds(blk, size, n)
 			b := &block[R, C]{s: s, eval: s.p.Block(ctx, s.cache(caches, ctx.Machine), hi-lo)}
-			if spans != nil {
-				b.span = spans[ctx.Machine]
-			}
 			searches := make([]vertexSearch[R, C], 0, hi-lo)
 			its := make([]ampc.Iterator, 0, hi-lo)
 			for v := lo; v < hi; v++ {
@@ -348,8 +307,8 @@ func (s *search[R, C]) blockRound(name string, caches []C, spans []dht.RangeSet)
 // suffixes every name, so several runs can share one runtime.
 //
 // With budget 0 every search resolves in one pass, so the KV-write and the
-// two search stages form one static sequence, which RunStaged executes a
-// round at a time.  A positive budget is the O(1/ε)-round variant: every
+// search round form one static sequence, which RunStaged executes a round at
+// a time.  A positive budget is the O(1/ε)-round variant: every
 // search is truncated after budget fetches and unresolved vertices retry in
 // later passes against the results published by earlier ones.
 func (p *Process[R, C]) Run(rt *ampc.Job, g *graph.Graph, out []R, budget int, tag string) (int, error) {
@@ -361,7 +320,6 @@ func (p *Process[R, C]) Run(rt *ampc.Job, g *graph.Graph, out []R, budget int, t
 		return 1, rt.RunStaged([]ampc.StagedRound{
 			{Phase: "KV-Write" + tag, Round: plan.Write},
 			{Phase: plan.Search.Name, Round: plan.Search},
-			{Phase: plan.Spill.Name, Round: plan.Spill},
 		})
 	}
 
@@ -405,7 +363,7 @@ func (p *Process[R, C]) Run(rt *ampc.Job, g *graph.Graph, out []R, budget int, t
 			name = fmt.Sprintf("%s%s-pass%d", p.Search, tag, pass)
 			lim.Published = published
 		}
-		round := s.vertexRound(name, s.caches(), nil, lim, published)
+		round := s.vertexRound(name, s.caches(), lim, published)
 		if err := rt.Phase(name, func() error { return rt.Run(round) }); err != nil {
 			return 0, err
 		}
@@ -420,7 +378,7 @@ func (p *Process[R, C]) Run(rt *ampc.Job, g *graph.Graph, out []R, budget int, t
 // This is the serving-layer split of the one-shot Run: the store stays
 // resident (ampc.Session.OpenSharedStore) and frozen, so N concurrent jobs
 // pay for the shuffle and the KV-write exactly once, while each Run executes
-// only the search rounds, with job-private result state.
+// only the search round, with job-private result state.
 type Shared[R, C any] struct {
 	p   *Process[R, C]
 	sub *substrate
@@ -450,11 +408,8 @@ func (p *Process[R, C]) NewShared(rt *ampc.Job, g *graph.Graph) (*Shared[R, C], 
 // out.  Any number of Run calls may proceed concurrently on jobs of the same
 // session; every one computes what the one-shot Run does.
 func (sh *Shared[R, C]) Run(rt *ampc.Job, out []R) error {
-	local, spill := sh.p.stages(rt, sh.sub, out, "")
-	return rt.RunStaged([]ampc.StagedRound{
-		{Phase: local.Name, Round: local},
-		{Phase: spill.Name, Round: spill},
-	})
+	round := sh.p.searchRound(rt, sh.sub, out, "")
+	return rt.RunStaged([]ampc.StagedRound{{Phase: round.Name, Round: round}})
 }
 
 // Len returns the number of vertices of the substrate's graph.

@@ -13,14 +13,13 @@
 // Limits.Fetch) and in resumable form (Block, an Evaluator the streaming round
 // feeds lists to) — and how a result is published.  Its methods are
 // everything that does not differ: the substrate (shuffle, store, write
-// round), the plan with its local stage (confined to the key range the
-// executing machine wrote) and its spill stage (the searches that escaped),
-// the choice between the per-vertex round and the
-// per-block ampc.Ctx.Stream round (the one place Config.Batch is branched on
-// for these algorithms), Run (the staged sequence, or the truncated
-// multi-pass loop of the O(1/ε)-round variant) and Shared (the serving
-// layer's resident substrate, queried by any number of jobs).  Packages mis
-// and matching are a recursion, a cache and a Process value each.
+// round), the plan (the write round and one unconfined search round), the
+// choice between the per-vertex round and the per-block ampc.Ctx.Stream round
+// (the one place Config.Batch is branched on for these algorithms), Run (the
+// staged sequence, or the truncated multi-pass loop of the O(1/ε)-round
+// variant) and Shared (the serving layer's resident substrate, queried by any
+// number of jobs, each with one search round).  Packages mis and matching are
+// a recursion, a cache and a Process value each.
 package rankadj
 
 import (

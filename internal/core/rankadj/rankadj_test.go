@@ -150,38 +150,25 @@ func TestProcessDriver(t *testing.T) {
 					Batch: batch, BatchSize: 64, Placement: placement}
 				name := fmt.Sprintf("%s/batch=%v/%s", p.name, batch, placement)
 
-				// The local stage resolves the searches that stay inside their
-				// machine's key range and leaves the rest to the spill stage.
-				t.Run(name+"/local-then-spill", func(t *testing.T) {
+				// The plan's two rounds, run by hand, are the whole
+				// computation: the KV write and one search round.
+				t.Run(name+"/plan", func(t *testing.T) {
 					rt := ampc.New(cfg)
 					defer rt.Close()
 					plan, result, err := p.plan(rt, g)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, r := range []ampc.Round{plan.Write, plan.Search} {
+					for _, r := range plan.Rounds() {
 						if err := rt.Run(r); err != nil {
 							t.Fatal(err)
 						}
 					}
-					local := result()
-					for v, m := range local {
-						if m != graph.None && m != want[v] {
-							t.Fatalf("local stage marked vertex %d with %d, reference %d", v, m, want[v])
-						}
-					}
-					if got, all := local.count(), want.count(); got == 0 || got >= all {
-						t.Fatalf("local stage marked %d of %d vertices: want some resolved and some escaped", got, all)
-					}
-					reads := rt.Stats().KVReads
-					if err := rt.Run(plan.Spill); err != nil {
-						t.Fatal(err)
-					}
 					if !slices.Equal(result(), want) {
-						t.Fatal("local + spill stages differ from the greedy reference")
+						t.Fatal("the plan's rounds differ from the greedy reference")
 					}
-					if rt.Stats().KVReads == reads {
-						t.Fatal("spill stage read nothing")
+					if rounds := rt.Stats().Rounds; rounds != 2 {
+						t.Fatalf("the plan ran %d rounds, want 2", rounds)
 					}
 				})
 

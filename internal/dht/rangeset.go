@@ -18,18 +18,10 @@ func (s Span) Empty() bool { return s.Hi <= s.Lo }
 // Contains reports whether key lies inside the span.
 func (s Span) Contains(key uint64) bool { return key >= s.Lo && key < s.Hi }
 
-// Overlaps reports whether the two spans share at least one key.
-func (s Span) Overlaps(o Span) bool {
-	if s.Empty() || o.Empty() {
-		return false
-	}
-	return s.Lo < o.Hi && o.Lo < s.Hi
-}
-
 // RangeSet is a set of key spans: the keys a rebalance moved between owners
-// (ChangedSpans), or the keys a machine's search is confined to.  The zero
-// value is the *whole* keyspace.  NewRangeSet builds a limited set; an
-// explicitly limited set with no spans is empty and overlaps nothing.
+// (ChangedSpans), which Cache.InvalidateRange drops.  The zero value is the
+// *whole* keyspace.  NewRangeSet builds a limited set; an explicitly limited
+// set with no spans is empty.
 type RangeSet struct {
 	limited bool
 	spans   []Span // normalized: sorted by Lo, non-empty, disjoint, non-adjacent
@@ -76,10 +68,6 @@ func (r RangeSet) Whole() bool { return !r.limited }
 // Empty reports whether the set covers no keys at all.
 func (r RangeSet) Empty() bool { return r.limited && len(r.spans) == 0 }
 
-// Spans returns the normalized spans of a limited set (nil for the whole
-// keyspace).  The returned slice must not be mutated.
-func (r RangeSet) Spans() []Span { return r.spans }
-
 // Contains reports whether key lies inside the set.
 func (r RangeSet) Contains(key uint64) bool {
 	if !r.limited {
@@ -88,62 +76,6 @@ func (r RangeSet) Contains(key uint64) bool {
 	// First span with Hi > key; it is the only candidate.
 	i := sort.Search(len(r.spans), func(i int) bool { return key < r.spans[i].Hi })
 	return i < len(r.spans) && r.spans[i].Contains(key)
-}
-
-// Overlaps reports whether the two sets share at least one key.
-func (r RangeSet) Overlaps(o RangeSet) bool {
-	if !r.limited {
-		return !o.Empty()
-	}
-	if !o.limited {
-		return !r.Empty()
-	}
-	// Both normalized and sorted: a single merge pass.
-	i, j := 0, 0
-	for i < len(r.spans) && j < len(o.spans) {
-		if r.spans[i].Overlaps(o.spans[j]) {
-			return true
-		}
-		if r.spans[i].Hi <= o.spans[j].Hi {
-			i++
-		} else {
-			j++
-		}
-	}
-	return false
-}
-
-// Union returns the set covering every key in either set.
-func (r RangeSet) Union(o RangeSet) RangeSet {
-	if !r.limited || !o.limited {
-		return WholeRange()
-	}
-	return NewRangeSet(append(append([]Span{}, r.spans...), o.spans...)...)
-}
-
-// Intersect returns the set covering the keys in both sets.
-func (r RangeSet) Intersect(o RangeSet) RangeSet {
-	if !r.limited {
-		return o
-	}
-	if !o.limited {
-		return r
-	}
-	var out []Span
-	i, j := 0, 0
-	for i < len(r.spans) && j < len(o.spans) {
-		a, b := r.spans[i], o.spans[j]
-		lo, hi := maxU64(a.Lo, b.Lo), minU64(a.Hi, b.Hi)
-		if lo < hi {
-			out = append(out, Span{Lo: lo, Hi: hi})
-		}
-		if a.Hi <= b.Hi {
-			i++
-		} else {
-			j++
-		}
-	}
-	return RangeSet{limited: true, spans: out}
 }
 
 // String renders the set for diagnostics.
@@ -162,18 +94,4 @@ func (r RangeSet) String() string {
 		fmt.Fprintf(&b, "[%d,%d)", s.Lo, s.Hi)
 	}
 	return b.String()
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
