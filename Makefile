@@ -168,7 +168,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzOwnerAffinePlacement -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzOwnershipOwnerOf -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzRederiveBoundaries -fuzztime=$(FUZZTIME) ./internal/dht
-	$(GO) test -run=NONE -fuzz='FuzzRangeSet$$' -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzMemTable -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzCacheTable -fuzztime=$(FUZZTIME) ./internal/dht
 	$(GO) test -run=NONE -fuzz=FuzzDiskReplay -fuzztime=$(FUZZTIME) ./internal/dht

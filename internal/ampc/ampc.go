@@ -62,7 +62,7 @@
 //
 // Section 5.3 attributes the practical AMPC wins to amortizing the
 // per-request overhead of the key-value store.  Config.Batch switches the
-// algorithms' fan-out reads and bulk writes to Ctx.ReadMany and
+// algorithms' fan-out reads to Ctx.Stream and their bulk writes to
 // Ctx.WriteMany: a whole block of work items advances in lock-step and its
 // key-value requests travel as one shard-grouped batch, which takes each
 // shard lock once per batch (instead of once per key) and is priced at one
@@ -155,7 +155,7 @@ type Config struct {
 	// algorithm-level query results (the caching optimization of §5.3).
 	EnableCache bool
 	// Batch makes algorithms issue their fan-out reads and bulk writes
-	// through the shard-grouped batch API (Ctx.ReadMany / Ctx.WriteMany)
+	// through the shard-grouped batch API (Ctx.Stream / Ctx.WriteMany)
 	// instead of one key-value round trip per key.  Results are identical;
 	// only the grouping of requests — and therefore shard lock
 	// acquisitions and modeled latency — changes.
@@ -349,7 +349,7 @@ type Stats struct {
 	// reduces).
 	KVShardVisits int64
 	// BatchesIssued counts shard-grouped batches flushed to the stores
-	// by ReadMany/WriteMany calls.
+	// by Stream, ReadMany and WriteMany calls.
 	BatchesIssued int64
 	// BatchedKeys counts the keys carried by those batches; BatchedKeys /
 	// BatchesIssued is the mean keys-per-batch.

@@ -19,11 +19,11 @@ import (
 // (first-order) and modeled lookup latency (a sampled search-cost
 // second-order weight) into a per-key cost vector, rebuilds the prefix-sum
 // boundaries, migrates the affected shards of every weighted-placed store
-// through the ShardBackend seam, invalidates exactly the migrated key spans
-// from the per-machine caches, and charges the migration payload to the
+// through the ShardBackend seam, and charges the migration payload to the
 // simulated clock.  Placement never changes results, so outputs stay
 // byte-identical; only where keys live — and therefore which machine does
-// which work — moves.
+// which work — moves.  Migration changes no value either, so the
+// per-machine caches stay warm across it.
 
 // RebalanceStats summarizes one Job.Rebalance call.
 type RebalanceStats struct {
@@ -36,9 +36,6 @@ type RebalanceStats struct {
 	// the session's weighted-placed stores.
 	MigratedKeys  int64
 	MigratedBytes int64
-	// Changed is the set of key spans whose owner changed — exactly the
-	// spans invalidated from the per-machine caches.
-	Changed dht.RangeSet
 	// Cost is the modeled migration time charged to the simulated clock.
 	Cost time.Duration
 }
@@ -79,7 +76,6 @@ func (j *Job) Rebalance() (RebalanceStats, error) {
 	}
 
 	next := dht.RederiveBoundaries(old, load, base)
-	changed := dht.ChangedSpans(old, next)
 
 	// The observation window closes here whether or not the boundaries
 	// moved: the next rounds' load is measured against the table they
@@ -90,15 +86,15 @@ func (j *Job) Rebalance() (RebalanceStats, error) {
 		s.machineWork[i] = simtime.Work{}
 	}
 	s.mu.Unlock()
-	if changed.Empty() {
+	if next == old {
 		return st, nil
 	}
 
 	// Install the new table first so stores and partitioners created while
 	// the migration below runs already answer from it, then migrate every
 	// weighted-placed store.  Migration relocates bytes through backend
-	// operations and leaves every value as it was; the migrated spans are
-	// dropped from the machines' caches all the same.
+	// operations and leaves every value as it was, so no cache entry goes
+	// stale.
 	s.mu.Lock()
 	s.ownership = next
 	s.adaptive = true
@@ -116,17 +112,9 @@ func (j *Job) Rebalance() (RebalanceStats, error) {
 		}
 		st.MigratedKeys += ms.KeysMoved
 		st.MigratedBytes += ms.BytesMoved
-		s.mu.Lock()
-		for _, c := range s.caches[store] {
-			if c != nil {
-				c.InvalidateRange(changed)
-			}
-		}
-		s.mu.Unlock()
 	}
 
 	st.Moved = true
-	st.Changed = changed
 	st.Cost = s.cfg.Model.Price(simtime.Work{simtime.Migrations: 1, simtime.MigratedBytes: st.MigratedBytes}, 1)
 	j.clock.Charge(st.Cost)
 	j.mu.Lock()

@@ -213,7 +213,7 @@ func (s *Session) SetOwnership(weights []int) {
 	defer s.mu.Unlock()
 	if s.cfg.Placement == PlacementWeighted && len(weights) > 0 {
 		if s.keyspace == len(weights) && s.ownership != nil &&
-			s.ownership.Keys() == len(weights) && intSlicesEqual(s.baseWeights, weights) {
+			s.ownership.Keys() == len(weights) && slices.Equal(s.baseWeights, weights) {
 			return
 		}
 		s.keyspace = len(weights)
@@ -228,18 +228,6 @@ func (s *Session) SetOwnership(weights []int) {
 		s.baseWeights = nil
 		s.adaptive = false
 	}
-}
-
-func intSlicesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ownershipFor returns the contiguous partition of the keyspace [0, keys)

@@ -39,8 +39,10 @@ type AdaptiveRow struct {
 	// work between machines).
 	Identical bool `json:"identical"`
 	// Repeats is the number of independent adaptive runs behind the
-	// mean/std columns; the static arm's query counts are deterministic and
-	// run once.
+	// mean/std columns; the static arm runs once.  Its query counts are not
+	// deterministic either when machines run several threads (the threads
+	// race on the shared memo tables): at 8 machines × 4 threads twelve runs
+	// read CW 1.737–1.756 and HL 1.716–1.737.
 	Repeats int `json:"repeats"`
 	// StaticMaxMean is the second-segment query max/mean under the static
 	// table; AdaptiveMaxMean* summarize it under the rebalanced table.
@@ -152,7 +154,7 @@ func AdaptiveComparison(opts Options) ([]AdaptiveRow, Report, error) {
 			"two segments (MIS rounds, then MM rounds); the adaptive arm re-derives the ownership boundaries from segment one's per-machine query counters (plus a latency-sampled second-order weight) and migrates the affected shards before segment two",
 			"static-mm / adaptive-mm: max/mean of per-machine query counts in the second segment (1.0 = perfect balance); improvement is the percentage of the static excess removed, mean +/- std",
 			"migration volume is charged to the simulated clock (simtime's Price of one migration and its bytes); outputs are required to be byte-identical to the static run",
-			fmt.Sprintf("the adaptive arm runs %d times (the latency weight is schedule-dependent); the static arm's query counts are deterministic", adaptiveRepeats),
+			fmt.Sprintf("the adaptive arm runs %d times and the static arm once; with several threads per machine both arms' query counts are schedule-dependent (the threads race on the shared memo tables)", adaptiveRepeats),
 		},
 	}
 	cfg := opts.ampcConfig()

@@ -9,7 +9,7 @@
 // Both hot loops — the truncated Prim searches and the parent-pointer chases
 // of the final collapse — inherit the shard-grouped batching of the msf
 // package when ampc.Config.Batch is set: lookups travel as block-sized
-// ReadMany batches instead of one key-value round trip per key, and the
+// Stream batches instead of one key-value round trip per key, and the
 // component labels are unchanged.
 package connectivity
 

@@ -17,7 +17,7 @@ import (
 // keeps one search state (primState, prim.go) per start vertex of a block
 // and drives them as pull-based iterators (ampc.Stream): each search runs
 // until it accepts a vertex whose adjacency list is not locally known, the
-// block's missing lists are fetched with one shard-grouped ReadMany, and the
+// block's missing lists are fetched with one shard-grouped batch, and the
 // searches continue exactly where they stopped.  Both drivers run the same
 // primState, so the discovered forest is identical.
 

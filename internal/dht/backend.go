@@ -36,7 +36,7 @@ import (
 // A backend stores bytes; it never decides placement, statistics
 // classification, replication or failover — those stay in the Store façade,
 // which is why every optimization layered on the store (batching, placement,
-// pipelining) and every recovery tier behaves identically across backends.
+// caching) and every recovery tier behaves identically across backends.
 
 // BackendKind names a shard storage backend in Options and reports.
 type BackendKind string

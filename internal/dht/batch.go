@@ -15,12 +15,12 @@ import (
 // visited plus a BatchPerKey marginal per key, which is how the per-request
 // overhead amortization of §5.3 (the source of the practical AMPC wins over
 // MPC) is modeled.  With a machine-affine placement policy the batched
-// operations of a View (or the deprecated *From variants) additionally split
-// the shard visits into local (co-located with the calling machine) and
-// remote, charging each side its own latency.  Replication and failover
-// behave exactly as in the single-key operations: writes mirror into the
-// replica, reads of a failed shard fail over to the replica (counted as
-// failovers) or return ErrUnavailable when the store is unreplicated.
+// operations of a View additionally split the shard visits into local
+// (co-located with the calling machine) and remote, charging each side its
+// own latency.  Replication and failover behave exactly as in the single-key
+// operations: writes mirror into the replica, reads of a failed shard fail
+// over to the replica (counted as failovers) or return ErrUnavailable when
+// the store is unreplicated.
 
 // Visits classifies the shard visits of one batched operation.
 type Visits struct {

@@ -137,27 +137,10 @@ func (c *Cache) FillMany(keys []uint64, vals [][]byte, oks []bool) {
 
 // Invalidate drops every cached entry (present and known-absent), forcing
 // subsequent lookups back to the store.  Hit/miss counters are preserved.
-// A cache in front of a frozen store never needs it for coherence; its
-// callers are InvalidateRange on a whole-keyspace set and the wall-clock
-// benchmark's cache probe, which times misses on a cold cache.
+// A cache in front of a frozen store never needs it for coherence; its one
+// caller is the wall-clock benchmark's cache probe, which times misses on a
+// cold cache.
 func (c *Cache) Invalidate() { c.table.Reset() }
-
-// InvalidateRange drops only the cached entries whose keys fall inside set,
-// leaving the rest of the cache warm.  The AMPC runtime's Session.Rebalance
-// calls it with the key spans whose owner moved, after migrating them
-// between shards.  A whole-keyspace set degenerates to Invalidate; an empty
-// set is a no-op.  Both swap in a rebuilt table, so a reader racing them
-// sees the entries from before the drop or from after it, never a mix.
-func (c *Cache) InvalidateRange(set RangeSet) {
-	if set.Whole() {
-		c.Invalidate()
-		return
-	}
-	if set.Empty() {
-		return
-	}
-	c.table.DeleteFunc(set.Contains)
-}
 
 // Hits returns the number of lookups served from the cache.
 func (c *Cache) Hits() int64 { return c.hits.Load() }

@@ -18,9 +18,9 @@ import (
 //     sees the key sees the value.  A key already present keeps its value:
 //     the first insert wins, which is right because every filler of a key
 //     computes the same value.
-//   - Growth, a rebuild that drops keys (DeleteFunc) and Reset build a fresh
-//     slot array under the mutex and swap it in; readers still probing the
-//     old array see a consistent, complete snapshot.
+//   - Growth and Reset build a fresh slot array under the mutex and swap it
+//     in; readers still probing the old array see a consistent, complete
+//     snapshot.
 //
 // A slot is one key word plus the value, so the table costs 8 bytes per
 // slot beyond the values themselves.  The zero value is an empty table that
@@ -165,25 +165,20 @@ func (t *CacheTable[V]) insert(key uint64, v V) {
 }
 
 // grow publishes a copy of old (nil: an empty table) with twice its slots,
-// and never fewer than the reservation asks for.
+// and never fewer than the reservation asks for, and returns it.  t.mu is
+// held.
 func (t *CacheTable[V]) grow(old *cacheSlots[V]) *cacheSlots[V] {
 	n := slotsFor(t.hint)
 	if old != nil && 2*int(old.n) > n {
 		n = 2 * int(old.n)
 	}
-	return t.rebuild(old, n, nil)
-}
-
-// rebuild publishes a fresh array of n slots holding old's entries, less
-// those del reports (del may be nil), and returns it.  t.mu is held.
-func (t *CacheTable[V]) rebuild(old *cacheSlots[V], n int, del func(key uint64) bool) *cacheSlots[V] {
 	tab := newCacheSlots[V](n)
 	if old != nil {
 		for _, chunk := range old.chunks {
 			for i := range chunk {
 				s := &chunk[i]
 				w := s.word.Load()
-				if w == 0 || del != nil && del(w-1) {
+				if w == 0 {
 					continue
 				}
 				j := slotIndex(w-1, tab.n)
@@ -201,21 +196,6 @@ func (t *CacheTable[V]) rebuild(old *cacheSlots[V], n int, del func(key uint64) 
 	}
 	t.cur.Store(tab)
 	return tab
-}
-
-// DeleteFunc drops every key for which del returns true; del runs under the
-// mutex and must not use the table.  The survivors move into a fresh slot
-// array of the same size, swapped in whole, so a reader never sees a
-// half-deleted table.
-func (t *CacheTable[V]) DeleteFunc(del func(key uint64) bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.top.Load() != nil && del(^uint64(0)) {
-		t.top.Store(nil)
-	}
-	if tab := t.cur.Load(); tab != nil {
-		t.rebuild(tab, int(tab.n), del)
-	}
 }
 
 // Reset drops every key.  The next insert allocates afresh at the

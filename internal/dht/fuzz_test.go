@@ -299,8 +299,8 @@ func FuzzMemTable(f *testing.F) {
 
 // FuzzCacheTable drives a Cache's table against a Go map with an op stream
 // decoded from the fuzz input — fill present, empty and absent answers,
-// refill (the first answer must stay), reserve, InvalidateRange over a
-// span, Invalidate — over a key universe small enough to collide and grow
+// refill (the first answer must stay), a FillMany of a short run of keys,
+// reserve, Invalidate — over a key universe small enough to collide and grow
 // the table, the extreme keys included, and checks after every op that
 // Peek agrees with the map for every key of the universe, that Len matches,
 // that no key holds two slots and that the load bound holds.
@@ -344,14 +344,23 @@ func FuzzCacheTable(f *testing.F) {
 				if _, held := model[key]; !held {
 					model[key] = a
 				}
-			case 2: // InvalidateRange over [key, key+64*8)
-				set := NewRangeSet(Span{Lo: key, Hi: key + 64*8})
-				c.InvalidateRange(set)
-				for k := range model {
-					if set.Contains(k) {
-						delete(model, k)
+			case 2: // FillMany over the four keys from arg, one of each answer
+				keys := make([]uint64, 4)
+				vals := make([][]byte, 4)
+				oks := make([]bool, 4)
+				for j := range keys {
+					keys[j] = keyOf(arg + byte(j))
+					switch j % 3 {
+					case 0:
+						vals[j], oks[j] = []byte{byte(i), byte(j)}, true
+					case 1:
+						oks[j] = true
+					}
+					if _, held := model[keys[j]]; !held {
+						model[keys[j]] = answer{v: vals[j], ok: oks[j]}
 					}
 				}
+				c.FillMany(keys, vals, oks)
 			case 3: // up to 5.4k slots: several chunks, the last one short
 				c.Reserve(int(arg) * 16)
 			case 4:

@@ -10,11 +10,11 @@ import "fmt"
 // with the façade's shard visits (a BatchWrite and a BatchDelete through the
 // ShardBackend seam, mirrored into the replica, so mem, disk and rpc all
 // migrate the same way) and then swaps the placement and the memoized
-// shard→machine map.  The caller
-// is responsible for quiescence, cache invalidation and the modeled cost of
-// the move: ampc's Job.Rebalance serializes against running rounds,
-// invalidates exactly the migrated key spans from its per-machine caches and
-// charges the migration's fixed and per-byte cost to the job's clock.
+// shard→machine map.  The caller is responsible for quiescence and the
+// modeled cost of the move: ampc's Job.Rebalance serializes against running
+// rounds and charges the migration's fixed and per-byte cost to the job's
+// clock.  No value changes, so a Cache in front of the store stays valid
+// across the move.
 
 // MigrationStats summarizes one Store.Rebalance.
 type MigrationStats struct {

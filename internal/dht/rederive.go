@@ -1,20 +1,20 @@
 package dht
 
+import "slices"
+
 // Online boundary re-derivation.
 //
 // An Ownership table built from static per-key weights (vertex degrees)
 // balances *stored* load, but the cost of serving a key is its observed
 // query traffic — recursive MIS/MM searches cost proportionally to search
 // tree size, which no static weight predicts.  RederiveBoundaries folds the
-// per-machine load observed during a pipeline segment back into per-key
-// weights and rebuilds the prefix-sum boundaries, so the next segment's
-// partition follows where the queries actually went.  ChangedSpans then
-// names exactly the keys whose owner moved, which is what the migration
-// path copies between shards and invalidates from caches.
+// per-machine load observed during a run of rounds back into per-key
+// weights and rebuilds the prefix-sum boundaries, so the next rounds'
+// partition follows where the queries actually went.
 
 // RederiveBoundaries rebuilds old's machine boundaries from observed
 // per-machine load.  load[m] is any non-negative measure of the traffic
-// machine m served during the last segment (query counts, sampled search
+// machine m served during the last rounds (query counts, sampled search
 // cost, or a blend); base[k] is the static per-key weight the table was
 // originally built from (degree weights), used to apportion a machine's
 // observed load across the keys it owned.  Each key's new weight is its
@@ -23,9 +23,10 @@ package dht
 // point, and a machine that ran hot sheds keys to its neighbors on the next
 // derivation.  Machines with no recorded load shed aggressively (their keys
 // weigh nothing) but the NewOwnership clamp still leaves every machine at
-// least one key.  Returns old unchanged when there is nothing to derive
-// from: a nil or empty table, a machine count mismatch with load, or an
-// all-zero load vector.
+// least one key.  Returns old itself when there is nothing to derive from
+// (a nil or empty table, a machine count mismatch with load, or an
+// all-zero load vector) and when the re-derived boundaries equal old's, so
+// next == old exactly when no key changes owner.
 func RederiveBoundaries(old *Ownership, load []int64, base []int) *Ownership {
 	if old == nil || old.keys <= 0 || old.machines <= 1 || len(load) != old.machines {
 		return old
@@ -85,51 +86,9 @@ func RederiveBoundaries(old *Ownership, load []int64, base []int) *Ownership {
 	for k, c := range cost {
 		weights[k] = int(c * scale)
 	}
-	return NewOwnership(old.machines, weights)
-}
-
-// ChangedSpans returns the set of keys whose owner differs between the two
-// tables, as a normalized RangeSet of at most old.machines+next.machines
-// spans.  Both tables must partition the same keyspace over the same number
-// of machines; a nil table or a keyspace/machine mismatch conservatively
-// reports the whole keyspace as changed.  Identical tables (including the
-// same *Ownership passed twice) report the empty set.  The result is
-// exactly the migration footprint of swapping old for next: keys outside it
-// keep their owner, their shard, and every cache entry.
-func ChangedSpans(old, next *Ownership) RangeSet {
-	if old == nil || next == nil || old.keys != next.keys || old.machines != next.machines {
-		return WholeRange()
+	next := NewOwnership(old.machines, weights)
+	if slices.Equal(next.starts, old.starts) {
+		return old
 	}
-	if old == next || old.keys <= 0 {
-		return EmptyRange()
-	}
-	// Walk the merged boundary lists: within each elementary segment both
-	// tables are constant, so comparing the owner of the segment's first key
-	// decides the whole segment.
-	cuts := make([]int, 0, len(old.starts)+len(next.starts))
-	cuts = append(cuts, old.starts...)
-	cuts = append(cuts, next.starts...)
-	sortInts(cuts)
-	var spans []Span
-	for i := 0; i+1 < len(cuts); i++ {
-		lo, hi := cuts[i], cuts[i+1]
-		if lo >= hi {
-			continue
-		}
-		if old.OwnerOf(uint64(lo)) != next.OwnerOf(uint64(lo)) {
-			spans = append(spans, Span{Lo: uint64(lo), Hi: uint64(hi)})
-		}
-	}
-	return NewRangeSet(spans...)
-}
-
-// sortInts is an insertion sort for the short merged boundary lists of
-// ChangedSpans (2·(machines+1) elements), avoiding a sort.Ints call in a
-// path that fuzzing drives millions of times.
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	return next
 }
