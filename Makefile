@@ -67,11 +67,13 @@ backend-matrix:
 # chaos-smoke runs the five-algorithm fault-injection equivalence suite under
 # the race detector: every core algorithm, on every storage backend and both
 # placement policies, must produce byte-identical output while the pinned
-# fault schedule (bench.ChaosFaultPlan) injects transient errors, latency
-# spikes, shard crash windows, torn disk tails and rpc connection drops —
-# with the suite asserting that every recovery tier actually fired.
+# fault schedule (bench.ChaosFaultPlan) injects transient errors, stuck
+# reads, shard crash windows, torn disk tails and rpc connection drops —
+# with the suite asserting that every recovery tier actually fired — and
+# the store's retry loop must stop at its attempt count and leave fatal
+# faults to the runtime.
 chaos-smoke:
-	$(GO) test -race -run 'TestChaos|TestSubroundRecovery|TestFaultPlan|TestTornTail|TestRPC' ./internal/bench/ ./internal/ampc/ ./internal/dht/
+	$(GO) test -race -run 'TestChaos|TestSubroundRecovery|TestFaultPlan|TestTornTail|TestRPC|TestRetry|TestFatalFaults' ./internal/bench/ ./internal/ampc/ ./internal/dht/
 
 # serving-smoke guards the Session/Job serving layer: the concurrency
 # seams (admission, shared stores, per-job cancellation) under

@@ -211,22 +211,23 @@ type Config struct {
 	DiskDir string
 	// Faults installs a deterministic seeded fault-injection plan
 	// (dht.FaultPlan) in every hash table the session creates: transient
-	// errors, latency spikes, scheduled shard crashes, torn disk tails,
+	// errors, stuck reads, scheduled shard crashes, torn disk tails,
 	// dropped rpc connections.  Injection is a pure function of the plan
 	// seed and each op's identity, so a faulty run paired with Retry and
 	// FaultBudget produces byte-identical results to a fault-free one.
 	Faults *dht.FaultPlan
 	// Retry installs a store-level retry policy (dht.RetryPolicy) in every
-	// hash table: transient backend errors are absorbed by capped
-	// exponential backoff, slow batch reads are hedged.  This is the first
-	// recovery tier; failures that escape it fall through to sub-round
-	// recovery (FaultBudget).
+	// hash table: an op that fails with a transient backend error is tried
+	// again at once, up to MaxAttempts tries in all.  This is the first
+	// recovery tier, and the only one a buffered sub-round flush has (a
+	// flush cannot be re-executed); failures that escape it fall through to
+	// sub-round recovery (FaultBudget).
 	Retry *dht.RetryPolicy
 	// FaultBudget enables sub-round recovery: a (round, machine) share that
-	// fails — a fatal injected fault, a retry deadline, a real backend
-	// error — is re-executed from scratch instead of failing the run, up to
-	// FaultBudget re-executions per job (Stats.SubroundRetries counts
-	// them).  While the budget is active every Ctx write is buffered per
+	// fails — a fatal injected fault, a read that outlived its retry
+	// attempts, a real backend error — is re-executed from scratch instead
+	// of failing the run, up to FaultBudget re-executions per job
+	// (Stats.SubroundRetries counts them).  While the budget is active every Ctx write is buffered per
 	// sub-round and applied only on success (discarded before a retry), so
 	// re-execution cannot double-apply appends; round bodies must keep
 	// their host-side effects idempotent under re-execution (per-item
@@ -399,13 +400,9 @@ type Stats struct {
 	// KVFailovers counts key-value reads served by the replica of a failed
 	// shard, summed across all hash tables (fault tolerance, §2).
 	KVFailovers int64
-	// KVRetries / KVHedges / KVDeadlineExceeded aggregate the stores'
-	// retry-policy counters (Config.Retry): transient faults absorbed by a
-	// retry, hedged batch reads issued against latency spikes, and ops
-	// abandoned at the per-op retry deadline.
-	KVRetries          int64
-	KVHedges           int64
-	KVDeadlineExceeded int64
+	// KVRetries sums the stores' extra attempts under Config.Retry: the
+	// transient faults a retry absorbed.
+	KVRetries int64
 	// SubroundRetries counts failed (round, machine) sub-rounds that were
 	// re-executed under Config.FaultBudget.
 	SubroundRetries int

@@ -1,7 +1,7 @@
 package ampc
 
 // Names the frozen wall-clock benchmark (benchmark/) still spells.  Nothing
-// else in the tree uses them.  ROADMAP item 9's benchmark-only change moves
+// else in the tree uses them.  ROADMAP item 10's benchmark-only change moves
 // the benchmark off them and deletes this file.
 
 // Runtime is Job.

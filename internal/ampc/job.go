@@ -178,7 +178,7 @@ func (j *Job) Stats() Stats {
 	s.mu.Unlock()
 	st.KVReads, st.KVWrites, st.KVBytesRead, st.KVBytesWritten = kv.KVReads, kv.KVWrites, kv.KVBytesRead, kv.KVBytesWritten
 	st.KVShardVisits, st.LocalReads, st.RemoteReads, st.KVRemoteBytes = kv.KVShardVisits, kv.LocalReads, kv.RemoteReads, kv.KVRemoteBytes
-	st.KVFailovers, st.KVRetries, st.KVHedges, st.KVDeadlineExceeded = kv.KVFailovers, kv.KVRetries, kv.KVHedges, kv.KVDeadlineExceeded
+	st.KVFailovers, st.KVRetries = kv.KVFailovers, kv.KVRetries
 	st.Backend, st.CacheHits, st.CacheMisses = kv.Backend, kv.CacheHits, kv.CacheMisses
 
 	st.KVBytesTotal = st.KVBytesRead + st.KVBytesWritten

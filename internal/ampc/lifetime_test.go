@@ -199,7 +199,7 @@ type storeCounters struct {
 	Reads, Writes, BytesRead, BytesWritten, BytesTotal int64
 	ShardVisits, Local, Remote, RemoteBytes            int64
 	RemoteFrac                                         float64
-	Retries, Failovers, Hedges, DeadlineExceeded       int64
+	Retries, Failovers                                 int64
 	CacheHits, CacheMisses                             int64
 	Kind                                               dht.BackendKind
 	WireReadOps, WireWriteOps, WireBytes, Reconnects   int64
@@ -209,7 +209,7 @@ func countersOf(st Stats) storeCounters {
 	b := st.Backend
 	return storeCounters{st.KVReads, st.KVWrites, st.KVBytesRead, st.KVBytesWritten, st.KVBytesTotal,
 		st.KVShardVisits, st.LocalReads, st.RemoteReads, st.KVRemoteBytes, st.RemoteFrac,
-		st.KVRetries, st.KVFailovers, st.KVHedges, st.KVDeadlineExceeded,
+		st.KVRetries, st.KVFailovers,
 		st.CacheHits, st.CacheMisses, b.Kind, b.WireReadOps, b.WireWriteOps, b.WireBytes, b.Reconnects}
 }
 
@@ -224,7 +224,7 @@ func TestStoreCountersSurviveRelease(t *testing.T) {
 		Crashes: []dht.ShardCrash{{Shard: 0, AfterReads: 10, RecoverReads: 40}}}
 	cfgs := map[string]Config{
 		"mem-cached":  {Machines: 2, Threads: 1, EnableCache: true, Seed: 1},
-		"disk-faulty": {Machines: 1, Threads: 1, Backend: "disk", Replicate: true, Faults: faults, Retry: &dht.RetryPolicy{MaxAttempts: 6, Seed: 3}, Seed: 1},
+		"disk-faulty": {Machines: 1, Threads: 1, Backend: "disk", Replicate: true, Faults: faults, Retry: &dht.RetryPolicy{MaxAttempts: 6}, Seed: 1},
 		"rpc-batch":   {Machines: 2, Threads: 1, Backend: "rpc", Batch: true, EnableCache: true, Seed: 1},
 	}
 	for name, cfg := range cfgs {

@@ -7,11 +7,11 @@ import (
 // Sub-round recovery.
 //
 // A machine's share of a round — a sub-round — can fail past the stores' own
-// retry tier: an injected fatal fault (dht.FaultPlan.PFatal), an op abandoned
-// at the retry deadline, a real backend error.  With Config.FaultBudget > 0
-// the executor recovers at exactly that granularity instead of failing
-// the run: the failed (round, machine) share is re-executed from scratch while
-// every other machine's work stands.
+// retry tier: an injected fatal fault (dht.FaultPlan.PFatal), an op that
+// outlived its retry attempts, a real backend error.  With
+// Config.FaultBudget > 0 the executor recovers at exactly that granularity
+// instead of failing the run: the failed (round, machine) share is
+// re-executed from scratch while every other machine's work stands.
 //
 // Re-execution is only sound if the failed attempt left no trace.  Reads are
 // naturally replayable (the input store is frozen for the round), but writes

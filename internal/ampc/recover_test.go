@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ampcgraph/internal/dht"
 )
@@ -95,7 +94,7 @@ func TestSubroundRecoveryStoreFault(t *testing.T) {
 		cfg := Config{Machines: 4, Threads: 2, Seed: 1}
 		if faulty {
 			cfg.Faults = &dht.FaultPlan{Seed: 7, PFatal: 0.02}
-			cfg.Retry = &dht.RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Microsecond, MaxBackoff: 100 * time.Microsecond}
+			cfg.Retry = &dht.RetryPolicy{MaxAttempts: 4}
 			cfg.FaultBudget = 64
 		}
 		r := New(cfg)

@@ -535,8 +535,6 @@ func (st *Stats) addStore(ds dht.Stats, bs dht.BackendStats, caches []*dht.Cache
 	st.KVRemoteBytes += ds.RemoteBytes
 	st.KVFailovers += ds.Failovers
 	st.KVRetries += ds.Retries
-	st.KVHedges += ds.Hedges
-	st.KVDeadlineExceeded += ds.DeadlineExceeded
 	st.Backend.Kind = bs.Kind
 	st.Backend.DiskBytes += bs.DiskBytes
 	st.Backend.ResidentBytes += bs.ResidentBytes

@@ -10,10 +10,10 @@ import (
 )
 
 // The chaos experiment runs all five core algorithms under a pinned,
-// deterministic fault schedule — transient store errors, latency spikes,
+// deterministic fault schedule — transient store errors, stuck reads,
 // whole-shard crash windows, torn disk tails and dropped rpc connections
-// (dht.FaultPlan) — with the full recovery stack enabled: store-level retry,
-// failover and hedging (dht.RetryPolicy), synchronous replication, and
+// (dht.FaultPlan) — with the full recovery stack enabled: store-level retry
+// (dht.RetryPolicy), synchronous replication with replica failover, and
 // sub-round re-execution in the runtime (ampc.Config.FaultBudget).  The
 // headline claim is the fault-tolerance acceptance property: every chaotic
 // run must produce output byte-identical to the fault-free run, with zero
@@ -33,15 +33,12 @@ const chaosFaultBudget = 256
 
 // ChaosFaultPlan returns the pinned fault schedule shared by the "chaos"
 // experiment and the equivalence suite: every fault class armed, at rates
-// that keep recovery exercised on the laptop-scale stand-ins without
-// drowning the run in backoff sleeps.
+// that keep recovery exercised on the laptop-scale stand-ins.
 func ChaosFaultPlan(seed int64) *dht.FaultPlan {
 	return &dht.FaultPlan{
 		Seed:       seed,
 		PTransient: 0.01,
 		PFatal:     0.0005,
-		PSpike:     0.001,
-		Spike:      2 * time.Millisecond,
 		// Crash thresholds are in injector read calls per shard, and batching
 		// collapses whole fan-outs into single calls, so the windows open
 		// early enough to fire on every store size the stand-ins produce.
@@ -55,24 +52,15 @@ func ChaosFaultPlan(seed int64) *dht.FaultPlan {
 }
 
 // ChaosRetryPolicy returns the store-level retry policy paired with
-// ChaosFaultPlan: enough attempts to absorb every transient and drain the
-// crash windows, short seeded backoffs, and a hedge timer under the spike
-// duration so hedged batch reads cut the injected tail latency.
-func ChaosRetryPolicy(seed int64) *dht.RetryPolicy {
-	return &dht.RetryPolicy{
-		MaxAttempts: 6,
-		BaseBackoff: 50 * time.Microsecond,
-		MaxBackoff:  2 * time.Millisecond,
-		HedgeAfter:  time.Millisecond,
-		Seed:        seed,
-	}
-}
+// ChaosFaultPlan: enough attempts to absorb every transient fault, each of
+// which fires on an identity's first occurrence only.
+func ChaosRetryPolicy() *dht.RetryPolicy { return &dht.RetryPolicy{MaxAttempts: 6} }
 
 // chaosConfig arms cfg with the pinned fault schedule and the full recovery
 // stack.
 func chaosConfig(cfg ampc.Config) ampc.Config {
 	cfg.Faults = ChaosFaultPlan(cfg.Seed)
-	cfg.Retry = ChaosRetryPolicy(cfg.Seed)
+	cfg.Retry = ChaosRetryPolicy()
 	cfg.FaultBudget = chaosFaultBudget
 	return cfg
 }
@@ -105,11 +93,9 @@ type ChaosRow struct {
 	GateCeilingPct  float64 `json:"gate_ceiling_pct"`
 	// Recovery-tier counters summed over the chaotic passes: transient
 	// faults absorbed by store-level retry, crash-window reads served by the
-	// replica, batch reads rescued by a hedge, and sub-rounds re-executed by
-	// the runtime.
+	// replica, and sub-rounds re-executed by the runtime.
 	Retries         int64 `json:"retries"`
 	Failovers       int64 `json:"failovers"`
-	Hedges          int64 `json:"hedges"`
 	SubroundRetries int   `json:"subround_retries"`
 	// MinRetries, MinFailovers and MinSubroundRetries are the smallest
 	// per-pass values; the gate requires them positive, proving the schedule
@@ -123,18 +109,18 @@ type ChaosRow struct {
 // once fault-free and chaosRepeats times under the pinned fault schedule,
 // verifying byte-identical, valid outputs and reporting the recovery
 // overhead.  Both arms run with synchronous replication so the overhead
-// isolates fault recovery, and with batching on so hedged batch reads are
-// exercised.  Under chaos an algorithm error is counted in FailedRuns and
-// the pass goes on, so the gate can still judge the rest.
+// isolates fault recovery, and with batching on so the batch read path's
+// retries are exercised.  Under chaos an algorithm error is counted in
+// FailedRuns and the pass goes on, so the gate can still judge the rest.
 func ChaosComparison(opts Options) ([]ChaosRow, Report, error) {
 	opts = opts.withDefaults()
 	rep := Report{
 		Title: "Deterministic chaos: five algorithms under seeded fault injection",
-		Header: fmt.Sprintf("%-8s %10s %8s %12s %12s %10s %9s %10s %8s %9s",
-			"graph", "identical", "failed", "clean-sim", "chaos-sim", "overhead", "retries", "failovers", "hedges", "re-execs"),
+		Header: fmt.Sprintf("%-8s %10s %8s %12s %12s %10s %9s %10s %9s",
+			"graph", "identical", "failed", "clean-sim", "chaos-sim", "overhead", "retries", "failovers", "re-execs"),
 		Notes: []string{
-			"the fault schedule (dht.FaultPlan) injects transient errors, latency spikes, shard crash windows, torn disk tails and rpc connection drops, each decided by a pure hash of the plan seed and the op identity",
-			"outputs are required to be byte-identical to the fault-free run: store-level retry/failover/hedging plus sub-round re-execution (ampc.Config.FaultBudget) absorb every injected fault",
+			"the fault schedule (dht.FaultPlan) injects transient errors, stuck reads, shard crash windows, torn disk tails and rpc connection drops, each decided by a pure hash of the plan seed and the op identity",
+			"outputs are required to be byte-identical to the fault-free run: store-level retry and replica failover plus sub-round re-execution (ampc.Config.FaultBudget) absorb every injected fault",
 			fmt.Sprintf("overhead is modeled-time cost of recovery, worst of %d chaotic runs; re-executed sub-rounds charge their counters twice", chaosRepeats),
 		},
 	}
@@ -166,7 +152,6 @@ func ChaosComparison(opts Options) ([]ChaosRow, Report, error) {
 			overheads = append(overheads, overheadPct(t.Sim))
 			row.Retries += t.KVRetries
 			row.Failovers += t.KVFailovers
-			row.Hedges += t.KVHedges
 			row.SubroundRetries += t.SubroundRetries
 			if pass == 0 {
 				row.MinRetries, row.MinFailovers, row.MinSubroundRetries = t.KVRetries, t.KVFailovers, t.SubroundRetries
@@ -179,10 +164,10 @@ func ChaosComparison(opts Options) ([]ChaosRow, Report, error) {
 		row.OverheadMeanPct, row.OverheadStdPct = meanStd(overheads)
 		row.GateCeilingPct = row.OverheadMeanPct + 3*row.OverheadStdPct + 1
 		rows = append(rows, row)
-		rep.Rows = append(rep.Rows, fmt.Sprintf("%-8s %10v %8d %12s %12s %9.2f%% %9d %10d %8d %9d",
+		rep.Rows = append(rep.Rows, fmt.Sprintf("%-8s %10v %8d %12s %12s %9.2f%% %9d %10d %9d",
 			row.Graph, row.Identical, row.FailedRuns,
 			row.CleanSim.Round(time.Millisecond), row.ChaosSim.Round(time.Millisecond),
-			row.OverheadPct, row.Retries, row.Failovers, row.Hedges, row.SubroundRetries))
+			row.OverheadPct, row.Retries, row.Failovers, row.SubroundRetries))
 	}
 	return rows, rep, nil
 }
@@ -194,7 +179,6 @@ func recoveryTotals(o outputs) (t ampc.Stats) {
 		t.Sim += st.Sim
 		t.KVRetries += st.KVRetries
 		t.KVFailovers += st.KVFailovers
-		t.KVHedges += st.KVHedges
 		t.SubroundRetries += st.SubroundRetries
 	}
 	return t
@@ -212,6 +196,5 @@ func chaosGates(row ChaosRow) []GateRow {
 		gateRow(row.Graph, "retries", GatePositive, float64(row.MinRetries)),
 		gateRow(row.Graph, "failovers", GatePositive, float64(row.MinFailovers)),
 		gateRow(row.Graph, "subround_retries", GatePositive, float64(row.MinSubroundRetries)),
-		gateRow(row.Graph, "hedges", GateInfo, float64(row.Hedges)),
 	}
 }

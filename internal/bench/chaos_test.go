@@ -10,10 +10,10 @@ import (
 // fault-tolerance stack: every core algorithm, on every storage backend and
 // under both placement policies, must produce output byte-identical to a
 // fault-free run — and valid against the internal/seq oracles — while the
-// pinned fault schedule (ChaosFaultPlan) injects transient errors, latency
-// spikes, shard crash windows, torn disk tails and rpc connection drops.
-// The store-level retry tier, replica failover, hedged batch reads and the
-// runtime's sub-round re-execution together must absorb every fault — and
+// pinned fault schedule (ChaosFaultPlan) injects transient errors, stuck
+// reads, shard crash windows, torn disk tails and rpc connection drops.
+// The store-level retry tier, replica failover and the runtime's
+// sub-round re-execution together must absorb every fault — and
 // the suite asserts each of those tiers actually fired, so a plan that
 // quietly stops injecting cannot pass vacuously.
 func TestChaosPreservesAllFiveAlgorithms(t *testing.T) {

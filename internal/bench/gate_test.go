@@ -309,9 +309,9 @@ func TestCheck(t *testing.T) {
 		},
 		{
 			name:     "info rows never fail",
-			baseline: []GateRow{of("chaos", gateRow("OK", "hedges", GateInfo, 500))},
-			fresh:    []GateRow{of("chaos", gateRow("OK", "hedges", GateInfo, 0))},
-			lines:    []string{"hedges", "(info)"},
+			baseline: []GateRow{of("adaptive", gateRow("HL", "static_max_mean", GateInfo, 500))},
+			fresh:    []GateRow{of("adaptive", gateRow("HL", "static_max_mean", GateInfo, 0))},
+			lines:    []string{"static_max_mean", "(info)"},
 		},
 	}
 	for _, tc := range cases {

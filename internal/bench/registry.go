@@ -51,8 +51,8 @@ var experiments = []Experiment{
 	{Name: "rebalance", Pins: []string{"placement"}, Datasets: hubs, Smoke: hubs, run: gated(RebalanceComparison, rebalanceGates)},
 	{Name: "adaptive", Pins: []string{"placement"}, Datasets: hubs, Smoke: hubs, run: gated(AdaptiveComparison, adaptiveGates)},
 	{Name: "backend", Pins: []string{"backend"}, Smoke: []string{"OK"}, run: gated(BackendComparison, backendGates)},
-	// chaos pins batching on in both arms (hedged batch reads are part of
-	// the recovery stack under test); serving pins batching off.
+	// chaos pins batching on in both arms (the batch read path's retries
+	// are part of the recovery stack under test); serving pins batching off.
 	{Name: "chaos", Pins: []string{"batch"}, Smoke: []string{"OK"}, run: gated(ChaosComparison, chaosGates)},
 	{Name: "serving", Pins: []string{"batch"}, Datasets: hubs, Smoke: hubs, run: gated(ServingComparison, servingGates)},
 }

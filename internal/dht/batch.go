@@ -119,7 +119,7 @@ func (s *Store) batchGetFrom(machine int, keys []uint64) (vals [][]byte, oks []b
 		var failovers int
 		err := s.withRetry(func() error {
 			var aerr error
-			shardVals, shardOKs, failovers, aerr = s.hedgedBatchGet(idx, shardKeys)
+			shardVals, shardOKs, failovers, aerr = s.batchGetShard(idx, shardKeys)
 			return aerr
 		})
 		if err != nil {

@@ -44,22 +44,21 @@
 // client half of that contract.  Failures surface in three escalating
 // tiers.  Transient errors — a dropped connection, an injected chaos fault,
 // a crashed shard that is about to recover — are absorbed inside the façade
-// when Options.Retry installs a RetryPolicy: capped exponential backoff
-// with seeded jitter, a per-op wall-clock deadline, and hedged batch reads
-// that duplicate a request stuck past a tail-latency threshold
-// (Stats.{Retries, Hedges, DeadlineExceeded} count the absorbed work).
+// when Options.Retry installs a RetryPolicy, which tries the op again at
+// once, up to its MaxAttempts (Stats.Retries counts the extra attempts).
 // Shard loss is the next tier: with Options.Replicate the façade keeps a
 // second engine of the same kind as a synchronous replica and mirrors every
 // write into it, a read of a failed shard is served from the replica and
 // counted as a failover, and RecoverShard clears the failure (writes reached
 // the primary throughout, so it holds the replica's bytes); without
 // replication such reads fail with ErrUnavailable — which a retry policy
-// keeps re-trying, because an unavailable shard is expected to recover.
+// re-tries, because an unavailable shard is expected to recover (a
+// FaultPlan crash window drains by read visits, failed ones included).
 // Errors that outlive every retry budget are the caller's to handle; the
 // ampc runtime recovers from them by re-executing the failing (round,
 // machine) sub-round under its Config.FaultBudget.  All of this is
 // testable deterministically: Options.Faults installs a seeded FaultPlan
-// that injects transient errors, latency spikes, scheduled shard crashes,
+// that injects transient errors, stuck reads, scheduled shard crashes,
 // torn disk tails at the Freeze point and dropped rpc connections, keyed so
 // that a chaos run returns byte-identical results to a clean one.
 package dht
@@ -98,9 +97,7 @@ type Stats struct {
 	RemoteReads  int64 // reads that crossed the network (includes anonymous callers)
 	RemoteBytes  int64 // bytes moved by remote reads and writes
 
-	Retries          int64 // extra attempts absorbed by the RetryPolicy
-	Hedges           int64 // duplicate batch reads issued past HedgeAfter
-	DeadlineExceeded int64 // ops abandoned at the RetryPolicy deadline
+	Retries int64 // extra attempts absorbed by the RetryPolicy
 }
 
 // Pair is one key-value record of a batched write.
@@ -128,10 +125,7 @@ type Store struct {
 	frozen       atomic.Bool
 	retry        *RetryPolicy
 
-	retries          atomic.Int64
-	hedges           atomic.Int64
-	deadlineExceeded atomic.Int64
-	retrySeq         atomic.Uint64 // jitter stream position
+	retries atomic.Int64
 
 	// counters holds one opCounters block per calling machine, indexed by
 	// machine+1 (slot 0 is the anonymous caller's); the slice is replaced,
@@ -476,10 +470,8 @@ func (s *Store) Range(fn func(key uint64, value []byte) bool) error {
 // at its close-time value).
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Keys:             int64(s.Len()),
-		Retries:          s.retries.Load(),
-		Hedges:           s.hedges.Load(),
-		DeadlineExceeded: s.deadlineExceeded.Load(),
+		Keys:    int64(s.Len()),
+		Retries: s.retries.Load(),
 	}
 	shardOps := make([]int64, s.numShards)
 	s.foldCounters(func(c *opCounters) {

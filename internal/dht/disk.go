@@ -149,8 +149,8 @@ func (t *diskTable) commit(recs []byte) int64 {
 }
 
 // errDiskClosed is what an operation finds after Close has released the
-// shard's tables: the losing copy of a hedged batch read can still be in
-// flight when its job closes the store.
+// shard's tables: a store used after Close returns an error instead of
+// dereferencing a released table.
 var errDiskClosed = errors.New("dht: disk backend is closed")
 
 // read returns the key's extent.  A zero-length value returns nil, matching

@@ -18,9 +18,9 @@ import "sync"
 // clears the flag.  Len, Range and BackendStats read the primary.
 //
 // Every shard visit starts with the FaultPlan's draws (faultInjector), before
-// it is routed: the crash read clock, the transient, fatal and spike draws of
-// a read, the transient draw of a write.  A retry or a hedge is a visit of its
-// own, so one occurrence stream covers both copies.
+// it is routed: the crash read clock, the transient and fatal draws of a
+// read, the transient draw of a write.  A retry is a visit of its own, so it
+// consumes the occurrence its failed attempt drew and finds it clean.
 
 // FailShard simulates the loss of shard i (taken modulo the shard count, a
 // negative i counting back from the last shard).  With replication enabled

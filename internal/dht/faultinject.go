@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ampcgraph/internal/rng"
 )
@@ -14,8 +13,8 @@ import (
 // Deterministic fault injection.
 //
 // A FaultPlan (installed via Options.Faults) makes the Store inject the
-// failure modes a real deployment sees — transient per-op errors, latency
-// spikes, whole-shard crashes with scheduled recovery, torn disk tails at the
+// failure modes a real deployment sees — transient per-op errors, stuck
+// reads, whole-shard crashes with scheduled recovery, torn disk tails at the
 // Freeze durability point, and dropped rpc connections — while keeping every
 // run byte-identical to a fault-free one.  The per-op draws and the crash
 // schedule run at the start of every façade shard visit, before the visit is
@@ -69,11 +68,6 @@ type FaultPlan struct {
 	// non-retryable error (a stuck lookup); the ampc runtime recovers by
 	// re-executing the failing sub-round (Config.FaultBudget).
 	PFatal float64
-	// PSpike is the probability that an identity's first read sleeps for
-	// Spike before being served — the tail-latency case hedged batch reads
-	// (RetryPolicy.HedgeAfter) are designed to cut.
-	PSpike float64
-	Spike  time.Duration
 	// Crashes schedules whole-shard failures with recovery.
 	Crashes []ShardCrash
 	// TornTail appends a seeded, partially-written record to every disk
@@ -90,8 +84,7 @@ type FaultPlan struct {
 // injects reports whether the plan injects anything at the Store façade
 // (PDrop is handled inside the rpc transport).
 func (p *FaultPlan) injects() bool {
-	return p.PTransient > 0 || p.PFatal > 0 || p.PSpike > 0 ||
-		len(p.Crashes) > 0 || p.TornTail
+	return p.PTransient > 0 || p.PFatal > 0 || len(p.Crashes) > 0 || p.TornTail
 }
 
 // Distinct hash streams per decision kind, salted into the plan seed so the
@@ -99,7 +92,6 @@ func (p *FaultPlan) injects() bool {
 const (
 	faultSaltTransient = 0x7472616e7369656e // "transien"
 	faultSaltFatal     = 0x666174616c       // "fatal"
-	faultSaltSpike     = 0x7370696b65       // "spike"
 	faultSaltTorn      = 0x746f726e         // "torn"
 	faultSaltDrop      = 0x64726f70         // "drop" (rpc connection drops)
 )
@@ -193,14 +185,15 @@ func (f *faultInjector) noteRead(shard int) {
 }
 
 // beforeRead runs the read-side injection for keys on shard: it advances the
-// crash schedule, consumes each key's first read occurrence, sleeps a spike,
-// and returns the error (if any) to fail the visit with.  Fatal outranks
-// transient when a batch trips both.
+// crash schedule, consumes each key's first read occurrence, and returns the
+// error (if any) to fail the visit with.  Fatal outranks transient when a
+// batch trips both.
 func (f *faultInjector) beforeRead(shard int, keys ...uint64) error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.noteRead(shard)
 	var fatalKey, transientKey uint64
-	var sawFatal, sawTransient, spike bool
+	var sawFatal, sawTransient bool
 	for _, key := range keys {
 		ok := occKey{write: false, shard: int32(shard), key: key}
 		f.occ[ok]++
@@ -214,13 +207,6 @@ func (f *faultInjector) beforeRead(shard int, keys ...uint64) error {
 		if !sawTransient && f.plan.PTransient > 0 && f.draw(faultSaltTransient, id) < f.plan.PTransient {
 			sawTransient, transientKey = true, key
 		}
-		if !spike && f.plan.PSpike > 0 && f.draw(faultSaltSpike, id) < f.plan.PSpike {
-			spike = true
-		}
-	}
-	f.mu.Unlock()
-	if spike && f.plan.Spike > 0 {
-		time.Sleep(f.plan.Spike)
 	}
 	switch {
 	case sawFatal:

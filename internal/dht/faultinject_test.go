@@ -84,23 +84,13 @@ func chaosTestPlan(seed int64) *FaultPlan {
 	return &FaultPlan{
 		Seed:       seed,
 		PTransient: 0.2,
-		PSpike:     0.05,
-		Spike:      100 * time.Microsecond,
 		Crashes:    []ShardCrash{{Shard: 1, AfterReads: 10, RecoverReads: 5}},
 		TornTail:   true,
 		PDrop:      0.2,
 	}
 }
 
-func chaosTestRetry(seed int64) *RetryPolicy {
-	return &RetryPolicy{
-		MaxAttempts: 8,
-		BaseBackoff: 50 * time.Microsecond,
-		MaxBackoff:  time.Millisecond,
-		HedgeAfter:  2 * time.Millisecond,
-		Seed:        seed,
-	}
-}
+func chaosTestRetry() *RetryPolicy { return &RetryPolicy{MaxAttempts: 8} }
 
 // TestFaultPlanByteIdenticalUnderRetry is the store half of the chaos
 // equivalence claim: a retrying store under a dense fault plan returns
@@ -113,7 +103,7 @@ func TestFaultPlanByteIdenticalUnderRetry(t *testing.T) {
 	for _, kind := range BackendKinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			s := faultStore(t, kind, Options{Shards: 4, Replicate: true},
-				chaosTestPlan(42), chaosTestRetry(43))
+				chaosTestPlan(42), chaosTestRetry())
 			got := runFaultWorkload(t, s)
 			if len(got) != len(want) {
 				t.Fatalf("key count %d, want %d", len(got), len(want))
@@ -307,63 +297,60 @@ func TestCrashWindowFailsOverWhenReplicated(t *testing.T) {
 	}
 }
 
-// TestRetryDeadlineExceeded: an op that cannot succeed within the deadline
-// fails with the last error and increments Stats.DeadlineExceeded.
-func TestRetryDeadlineExceeded(t *testing.T) {
-	s := mustStore("d0", Options{Shards: 2, Retry: &RetryPolicy{
-		MaxAttempts: 1 << 20,
-		BaseBackoff: 200 * time.Microsecond,
-		MaxBackoff:  200 * time.Microsecond,
-		Deadline:    2 * time.Millisecond,
-	}})
-	defer s.Close()
-	key := keysOnShard(s, 1, 1)[0]
-	if err := s.Put(key, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	s.FailShard(1) // unreplicated and never recovered: retries cannot help
-	_, _, err := s.Get(key)
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("get past deadline: %v, want ErrUnavailable", err)
-	}
-	st := s.Stats()
-	if st.DeadlineExceeded != 1 {
-		t.Fatalf("DeadlineExceeded = %d, want 1", st.DeadlineExceeded)
-	}
-	if st.Retries == 0 {
-		t.Fatal("no retries recorded before the deadline fired")
-	}
-}
-
-// TestHedgedBatchGetCutsSpikes: a spiking primary batch read is overtaken by
-// its hedge (the spike fires on the first occurrence only, so the duplicate
-// is fast) and Stats.Hedges counts it.
-func TestHedgedBatchGetCutsSpikes(t *testing.T) {
-	plan := &FaultPlan{Seed: 5, PSpike: 1, Spike: 200 * time.Millisecond}
-	s := mustStore("d0", Options{Shards: 2, Faults: plan,
-		Retry: &RetryPolicy{MaxAttempts: 2, HedgeAfter: time.Millisecond}})
-	defer s.Close()
-	keys := []uint64{1, 2, 3, 4}
-	for _, k := range keys {
-		if err := s.Put(k, []byte{byte(k)}); err != nil {
+// TestRetryStopsAtMaxAttempts: an op that fails with a retryable error on
+// every attempt is tried MaxAttempts times in all (once below 2, never
+// without end) and then surfaces the error.  Reads go to a failed,
+// unreplicated shard that never recovers; writes reach a down shard
+// regardless, so the write row puts to a closed disk store instead.  Each op
+// runs behind a timeout, so a loop that does not stop fails the test.
+func TestRetryStopsAtMaxAttempts(t *testing.T) {
+	downShard := func(t *testing.T, p *RetryPolicy) (*Store, uint64) {
+		s := storeForBackend(t, BackendMem, Options{Shards: 2, Retry: p})
+		key := keysOnShard(s, 1, 1)[0]
+		if err := s.Put(key, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
+		s.FailShard(1)
+		return s, key
 	}
-	start := time.Now()
-	vals, oks, _, err := s.BatchGet(keys)
-	if err != nil {
-		t.Fatal(err)
+	ops := []struct {
+		name string
+		want error
+		run  func(t *testing.T, p *RetryPolicy) (*Store, func() error)
+	}{
+		{"Get", ErrUnavailable, func(t *testing.T, p *RetryPolicy) (*Store, func() error) {
+			s, key := downShard(t, p)
+			return s, func() error { _, _, err := s.Get(key); return err }
+		}},
+		{"BatchGet", ErrUnavailable, func(t *testing.T, p *RetryPolicy) (*Store, func() error) {
+			s, key := downShard(t, p)
+			return s, func() error { _, _, _, err := s.BatchGet([]uint64{key}); return err }
+		}},
+		{"Put", errDiskClosed, func(t *testing.T, p *RetryPolicy) (*Store, func() error) {
+			s := storeForBackend(t, BackendDisk, Options{Shards: 2, Retry: p})
+			s.Close()
+			return s, func() error { return s.Put(1, []byte("v")) }
+		}},
 	}
-	if d := time.Since(start); d >= plan.Spike {
-		t.Fatalf("batch get took %v, want well under the %v spike (hedge should win)", d, plan.Spike)
-	}
-	for i, k := range keys {
-		if !oks[i] || vals[i][0] != byte(k) {
-			t.Fatalf("key %d: %q %v", k, vals[i], oks[i])
+	for _, op := range ops {
+		for _, attempts := range []int{0, 1, 5} {
+			t.Run(fmt.Sprintf("%s/max=%d", op.name, attempts), func(t *testing.T) {
+				s, run := op.run(t, &RetryPolicy{MaxAttempts: attempts})
+				done := make(chan error, 1)
+				go func() { done <- run() }()
+				select {
+				case err := <-done:
+					if !errors.Is(err, op.want) {
+						t.Fatalf("err = %v, want %v", err, op.want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("still retrying after 5s")
+				}
+				if got, want := s.Stats().Retries, int64(max(attempts-1, 0)); got != want {
+					t.Fatalf("Retries = %d, want %d", got, want)
+				}
+			})
 		}
-	}
-	if h := s.Stats().Hedges; h == 0 {
-		t.Fatal("no hedges recorded")
 	}
 }
 
