@@ -16,9 +16,10 @@
 // The steps around the recursion — substrate, the one search round,
 // single-key or batched, the truncated passes, the serving substrate —
 // are shared with MIS: process builds the rankadj.Process that holds what is
-// matching's own (the names, the PermuteGraph order, the vertex/edge cache,
-// the recursion as searcher and as batchMatcher) and rankadj drives it; Run,
-// RunTruncated, RunWithRank, NewPlan and NewShared are wrappers.
+// matching's own (the names, the PermuteGraph order, the vertex/edge cache
+// and the recursion, searcher, which both search rounds run) and rankadj
+// drives it; Run, RunTruncated, RunWithRank, NewPlan and NewShared are
+// wrappers.
 //
 // RunFiltered is the O(log log Δ)-round variant of Theorem 2 (part 1,
 // Algorithm 4), which repeatedly matches a low-priority edge sample and
@@ -168,13 +169,6 @@ func process(rank RankFunc) *rankadj.Process[graph.NodeID, *matchCache] {
 			s := searcher{ctx: ctx, cache: cache, rank: rank, lim: lim}
 			return s.vertexProcess(v, list)
 		},
-		Block: func(ctx *ampc.Ctx, cache *matchCache, size int) rankadj.Evaluator[graph.NodeID] {
-			return &batchMatcher{
-				ctx: ctx, cache: cache, rank: rank,
-				lists:   make(map[graph.NodeID]codec.NodeList, size),
-				charged: make(map[uint64]bool),
-			}
-		},
 		Encode: codec.EncodeNodeID,
 	}
 }
@@ -284,7 +278,6 @@ func (s *searcher) vertexProcess(v graph.NodeID, sortedNbrs codec.NodeList) (gra
 			return graph.None, err
 		}
 	}
-	s.ctx.ChargeCompute(1)
 	for i := 0; i < sortedNbrs.Len(); i++ {
 		u := sortedNbrs.At(i)
 		in, err := s.edgeProcess(v, u)
@@ -292,6 +285,7 @@ func (s *searcher) vertexProcess(v graph.NodeID, sortedNbrs codec.NodeList) (gra
 			return graph.None, err
 		}
 		if in {
+			s.ctx.ChargeCompute(1)
 			s.cache.setVertex(v, vertexState{kind: vertexMatched, mate: u})
 			s.cache.setVertex(u, vertexState{kind: vertexMatched, mate: v})
 			return u, nil
@@ -299,6 +293,7 @@ func (s *searcher) vertexProcess(v graph.NodeID, sortedNbrs codec.NodeList) (gra
 		// If u got matched to someone else, the edge (v,u) is dead but v may
 		// still match through a later edge; continue.
 	}
+	s.ctx.ChargeCompute(1)
 	s.cache.setVertex(v, vertexState{kind: vertexUnmatched, mate: graph.None})
 	return graph.None, nil
 }
@@ -341,7 +336,7 @@ func (s *searcher) edgeProcess(u, v graph.NodeID) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	s.ctx.ChargeCompute(au.Len() + av.Len())
+	s.lim.ChargeScan(s.ctx, key, au.Len()+av.Len())
 	// Merge the two rank-sorted adjacency lists, visiting adjacent edges of
 	// rank lower than (u,v) in increasing rank order.
 	i, j := 0, 0

@@ -15,8 +15,8 @@
 // single-key or batched, the truncated passes, the serving substrate —
 // are shared with maximal matching: process builds the rankadj.Process that
 // holds what is MIS's own (the names, the DirectGraph order, the status
-// cache, the recursion as searcher and as batchSearcher) and rankadj drives
-// it; the exported entry points here are wrappers.
+// cache and the recursion, searcher, which both search rounds run) and
+// rankadj drives it; the exported entry points here are wrappers.
 //
 // Two optimizations from the paper are supported through ampc.Config:
 // per-machine caching of vertex statuses (EnableCache) and multithreading
@@ -95,9 +95,6 @@ func process(prio []uint64) *rankadj.Process[bool, *statusCache] {
 		Single: func(ctx *ampc.Ctx, cache *statusCache, lim rankadj.Limits, v graph.NodeID, list codec.NodeList) (bool, error) {
 			s := searcher{ctx: ctx, cache: cache, lim: lim}
 			return s.inMIS(v, list)
-		},
-		Block: func(ctx *ampc.Ctx, cache *statusCache, size int) rankadj.Evaluator[bool] {
-			return &batchSearcher{ctx: ctx, cache: cache, lists: make(map[graph.NodeID]codec.NodeList, size)}
 		},
 		Encode: func(in bool) []byte {
 			if in {
@@ -226,17 +223,18 @@ func (s *searcher) inMIS(v graph.NodeID, neighbors codec.NodeList) (bool, error)
 			return false, err
 		}
 	}
-	s.ctx.ChargeCompute(1)
 	for i := 0; i < neighbors.Len(); i++ {
 		in, err := s.inMIS(neighbors.At(i), codec.NodeList{})
 		if err != nil {
 			return false, err
 		}
 		if in {
+			s.ctx.ChargeCompute(1)
 			s.cache.set(v, statusOut)
 			return false, nil
 		}
 	}
+	s.ctx.ChargeCompute(1)
 	s.cache.set(v, statusIn)
 	return true, nil
 }

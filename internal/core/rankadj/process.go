@@ -1,6 +1,7 @@
 package rankadj
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -23,8 +24,9 @@ type Names struct {
 	Shared    string // the session-resident list store ("mis-directed-graph")
 }
 
-// Limits bound one single-key search.  A recursion takes it by value and
-// fetches every list it does not hold through Fetch.
+// Limits bound one search and say where it reads.  A recursion takes it by
+// value, fetches every list it does not hold through Fetch and charges its
+// merge scans through ChargeScan.
 type Limits struct {
 	// Budget is the number of fetches the search may make (0: unlimited); the
 	// next one fails with ErrTruncated.
@@ -34,6 +36,16 @@ type Limits struct {
 	Published *dht.Store
 
 	queries int
+	// held is the streaming round's block; nil in the single-key round.
+	held *held
+}
+
+// held is one streaming block's state: the lists fed so far, the vertex the
+// last search suspended on and the scans charged (made at the first charge).
+type held struct {
+	lists   map[graph.NodeID]codec.NodeList
+	miss    graph.NodeID
+	scanned map[uint64]struct{}
 }
 
 // ErrTruncated reports that a search exceeded its fetch budget.  The vertex
@@ -41,9 +53,22 @@ type Limits struct {
 // memoized before is a complete result and stays valid.
 var ErrTruncated = errors.New("rankadj: search truncated")
 
-// Fetch reads v's list from the round's store and returns it as a view: the
-// value of a frozen store does not change under it.
+// errSuspended reports that a streaming search needs a list its block does
+// not hold, the one held.miss names; memoized results stay valid.
+var errSuspended = errors.New("rankadj: search suspended")
+
+// Fetch returns v's list as a view: in the streaming round from the block,
+// or errSuspended when the block does not hold it; in the single-key round
+// read from the round's store, whose frozen value does not change under it.
 func (l *Limits) Fetch(ctx *ampc.Ctx, v graph.NodeID) (codec.NodeList, error) {
+	if h := l.held; h != nil {
+		list, ok := h.lists[v]
+		if !ok {
+			h.miss = v
+			return codec.NodeList{}, errSuspended
+		}
+		return list, nil
+	}
 	if l.Budget > 0 {
 		l.queries++
 		if l.queries > l.Budget {
@@ -57,22 +82,27 @@ func (l *Limits) Fetch(ctx *ampc.Ctx, v graph.NodeID) (codec.NodeList, error) {
 	return view(uint64(v), raw, ok)
 }
 
+// ChargeScan charges n units for the scan key names: on every call in the
+// single-key round, once per block in the streaming round, where a search
+// that runs again from its root repeats its scans.
+func (l *Limits) ChargeScan(ctx *ampc.Ctx, key uint64, n int) {
+	if h := l.held; h != nil {
+		if _, done := h.scanned[key]; done {
+			return
+		}
+		if h.scanned == nil {
+			h.scanned = make(map[uint64]struct{})
+		}
+		h.scanned[key] = struct{}{}
+	}
+	ctx.ChargeCompute(n)
+}
+
 func view(key uint64, raw []byte, ok bool) (codec.NodeList, error) {
 	if !ok {
 		return codec.NodeList{}, fmt.Errorf("rankadj: vertex %d missing from the key-value store", key)
 	}
 	return codec.ViewNodeIDs(raw)
-}
-
-// Evaluator is the resumable form of a process's recursion over one block of
-// vertices: it holds the lists fed so far and memoizes across resumptions,
-// so re-walking a recursion after a fetch only revisits settled vertices.
-type Evaluator[R any] interface {
-	// Eval returns v's result, or the vertex whose list must be fed before
-	// the recursion can continue (graph.None when the result is final).
-	Eval(v graph.NodeID) (result R, miss graph.NodeID)
-	// Feed hands over v's list.
-	Feed(v graph.NodeID, list codec.NodeList)
 }
 
 // Process is one constant-round query process: what MIS (R is membership)
@@ -90,12 +120,11 @@ type Process[R, C any] struct {
 	// empty map until it is filled — results are still memoized within a
 	// query, just not shared across the machine's queries.
 	NewCache func(n int) C
-	// Single resolves v by the recursion, fetching through lim.Fetch.  list is
-	// v's own list as the shuffle produced it.
+	// Single resolves v by the recursion, which both rounds run: it fetches
+	// through lim.Fetch, passing every error up, charges scans through
+	// lim.ChargeScan and a vertex's unit where it resolves it, and memoizes
+	// only resolved results.  list is v's own list from the shuffle.
 	Single func(ctx *ampc.Ctx, cache C, lim Limits, v graph.NodeID, list codec.NodeList) (R, error)
-	// Block returns the recursion's resumable form for a block of size
-	// vertices.
-	Block func(ctx *ampc.Ctx, cache C, size int) Evaluator[R]
 	// Encode is the published form of a result (truncated runs).
 	Encode func(R) []byte
 }
@@ -159,9 +188,10 @@ type search[R, C any] struct {
 	p        *Process[R, C]
 	rt       *ampc.Job
 	sub      *substrate
-	mu       sync.Mutex // guards out and resolved
+	mu       sync.Mutex // guards out, resolved and done
 	out      []R
 	resolved []bool
+	done     int // resolved vertices
 }
 
 func (p *Process[R, C]) newSearch(rt *ampc.Job, sub *substrate, out []R) *search[R, C] {
@@ -193,6 +223,7 @@ func (s *search[R, C]) publish(v graph.NodeID, r R) {
 	s.mu.Lock()
 	s.out[v] = r
 	s.resolved[v] = true
+	s.done++
 	s.mu.Unlock()
 }
 
@@ -204,14 +235,13 @@ func (p *Process[R, C]) searchRound(rt *ampc.Job, sub *substrate, out []R, tag s
 		// Fan-out reads travel as shard-grouped batches.
 		return s.blockRound(p.Search+tag, s.caches())
 	}
-	return s.vertexRound(p.Search+tag, s.caches(), Limits{}, nil)
+	return s.vertexRound(p.Search+tag, s.caches(), Limits{})
 }
 
 // vertexRound builds one single-key search round: every unresolved vertex
 // runs the recursion against the frozen list store, one lookup per list it
 // expands.  A search that exceeds lim's budget leaves its vertex unresolved.
-// With published set (a truncated pass) every result is also written there.
-func (s *search[R, C]) vertexRound(name string, caches []C, lim Limits, published *dht.Store) ampc.Round {
+func (s *search[R, C]) vertexRound(name string, caches []C, lim Limits) ampc.Round {
 	n := len(s.sub.lists)
 	return ampc.Round{
 		Name:        name,
@@ -231,22 +261,24 @@ func (s *search[R, C]) vertexRound(name string, caches []C, lim Limits, publishe
 				return err
 			}
 			s.publish(v, r)
-			if published == nil {
-				return nil
-			}
-			return ctx.Write(published, uint64(item), s.p.Encode(r))
+			return nil
 		},
 	}
 }
 
-// block is what the searches of one block share, behind one pointer.
+// block is what the searches of one streaming block share, behind one
+// pointer: the lists it holds and an error a search returned.
 type block[R, C any] struct {
-	s    *search[R, C]
-	eval Evaluator[R]
+	s     *search[R, C]
+	ctx   *ampc.Ctx
+	cache C
+	held  held
+	err   error
 }
 
 // vertexSearch is the search for one vertex as a pull-based iterator; a
-// block keeps its searches in one slice.
+// block keeps its searches in one slice.  Each Pull runs the recursion from
+// the root and suspends on the list the block misses.
 type vertexSearch[R, C any] struct {
 	b *block[R, C]
 	v graph.NodeID
@@ -254,21 +286,25 @@ type vertexSearch[R, C any] struct {
 
 func (it *vertexSearch[R, C]) Pull() (uint64, bool) {
 	b := it.b
-	r, miss := b.eval.Eval(it.v)
-	if miss != graph.None {
-		return uint64(miss), true
+	r, err := b.s.p.Single(b.ctx, b.cache, Limits{held: &b.held}, it.v, b.s.sub.lists[it.v])
+	switch {
+	case errors.Is(err, errSuspended):
+		return uint64(b.held.miss), true
+	case err != nil:
+		b.err = err
+	default:
+		b.s.publish(it.v, r)
 	}
-	b.s.publish(it.v, r)
 	return 0, false
 }
 
 // blockRound builds one streaming search round (Config.Batch).  The
 // single-key round pays one store round trip per list it expands; here a
 // whole block of vertices runs as pull-based iterators (ampc.Stream): every
-// search runs until it needs a list the block does not hold, the block's
-// missing lists are fetched with one shard-grouped batch read, and the
-// searches resume.  The function computed is unchanged, only the grouping of
-// requests differs.
+// search runs the same recursion until it needs a list the block does not
+// hold, the block's missing lists are fetched with one shard-grouped batch
+// read, and the searches run again.  The function computed is unchanged,
+// only the grouping of requests differs.
 func (s *search[R, C]) blockRound(name string, caches []C) ampc.Round {
 	n := len(s.sub.lists)
 	size := s.rt.Config().BatchSize
@@ -279,25 +315,24 @@ func (s *search[R, C]) blockRound(name string, caches []C) ampc.Round {
 		Partitioner: s.rt.BlockOwnerPartitioner(size, n),
 		Body: func(ctx *ampc.Ctx, blk int) error {
 			lo, hi := ampc.BlockBounds(blk, size, n)
-			b := &block[R, C]{s: s, eval: s.p.Block(ctx, s.cache(caches, ctx.Machine), hi-lo)}
+			b := &block[R, C]{s: s, ctx: ctx, cache: s.cache(caches, ctx.Machine),
+				held: held{lists: make(map[graph.NodeID]codec.NodeList, hi-lo)}}
 			searches := make([]vertexSearch[R, C], 0, hi-lo)
 			its := make([]ampc.Iterator, 0, hi-lo)
 			for v := lo; v < hi; v++ {
 				if s.resolved[v] {
 					continue
 				}
-				b.eval.Feed(graph.NodeID(v), s.sub.lists[v])
+				b.held.lists[graph.NodeID(v)] = s.sub.lists[v]
 				searches = append(searches, vertexSearch[R, C]{b: b, v: graph.NodeID(v)})
 				its = append(its, &searches[len(searches)-1])
 			}
-			return ctx.Stream(0, its, func(k uint64, raw []byte, ok bool) error {
+			err := ctx.Stream(0, its, func(k uint64, raw []byte, ok bool) error {
 				list, err := view(k, raw, ok)
-				if err != nil {
-					return err
-				}
-				b.eval.Feed(graph.NodeID(k), list)
-				return nil
+				b.held.lists[graph.NodeID(k)] = list
+				return err
 			})
+			return cmp.Or(err, b.err)
 		},
 	}
 }
@@ -310,7 +345,9 @@ func (s *search[R, C]) blockRound(name string, caches []C) ampc.Round {
 // search round form one static sequence, which RunStaged executes a round at
 // a time.  A positive budget is the O(1/ε)-round variant: every
 // search is truncated after budget fetches and unresolved vertices retry in
-// later passes against the results published by earlier ones.
+// later passes against the results published by earlier ones.  Each pass
+// but the last then publishes what it resolved in a round of its own: a pass
+// never reads what it writes, so its result does not depend on timing.
 func (p *Process[R, C]) Run(rt *ampc.Job, g *graph.Graph, out []R, budget int, tag string) (int, error) {
 	if budget == 0 {
 		plan, err := p.NewPlan(rt, g, out, tag)
@@ -337,40 +374,49 @@ func (p *Process[R, C]) Run(rt *ampc.Job, g *graph.Graph, out []R, budget int, t
 		return 0, err
 	}
 	s := p.newSearch(rt, sub, out)
+	prior := make([]bool, len(out)) // resolved before the pass
 	name := p.Search + tag
-	pass, stalled := 0, -1
-	for {
-		remaining := 0
-		for _, done := range s.resolved {
-			if !done {
-				remaining++
-			}
+	lim := Limits{Budget: budget}
+	for pass := 1; s.done < len(out); pass++ {
+		if pass > 64 {
+			return 0, fmt.Errorf("rankadj: truncated %s did not converge in 64 passes", p.Search)
 		}
-		if remaining == 0 {
-			return max(pass, 1), nil
-		}
-		if remaining == stalled {
-			// Engineering safeguard beyond the paper's analysis: a pass that
-			// resolved nothing would repeat itself, so double the budget.
-			budget *= 2
-		}
-		stalled = remaining
-		pass++
 		// The truncated passes stay single-key whatever Config.Batch says, so
 		// the per-search budget keeps its meaning: fetches.
-		lim := Limits{Budget: budget}
 		if pass > 1 {
 			name = fmt.Sprintf("%s%s-pass%d", p.Search, tag, pass)
 			lim.Published = published
 		}
-		round := s.vertexRound(name, s.caches(), lim, published)
-		if err := rt.Phase(name, func() error { return rt.Run(round) }); err != nil {
+		before := s.done
+		copy(prior, s.resolved)
+		search := s.vertexRound(name, s.caches(), lim)
+		if err := rt.Phase(name, func() error { return rt.Run(search) }); err != nil {
 			return 0, err
 		}
-		if pass > 64 {
-			return 0, fmt.Errorf("rankadj: truncated %s did not converge after %d passes", p.Search, pass)
+		if s.done == len(out) {
+			return pass, nil // no later pass reads what this one resolved
+		}
+		if s.done == before {
+			// Engineering safeguard beyond the paper's analysis: a pass that
+			// resolved nothing would repeat itself, so double the budget.
+			lim.Budget *= 2
+		}
+		publish := ampc.Round{
+			Name:        name + "-publish",
+			Items:       len(out),
+			Partitioner: rt.OwnerPartitioner(len(out)),
+			Body: func(ctx *ampc.Ctx, item int) error {
+				if !s.resolved[item] || prior[item] {
+					return nil
+				}
+				return ctx.Write(published, uint64(item), p.Encode(out[item]))
+			},
+		}
+		if err := rt.Phase(publish.Name, func() error { return rt.Run(publish) }); err != nil {
+			return 0, err
 		}
 	}
+	return 1, nil
 }
 
 // Shared is the per-session substrate of a process: the shuffle's lists and

@@ -9,17 +9,26 @@
 //
 // A Process is what differs between the two: the names they run under, which
 // neighbours a list keeps and by what key it orders them, the per-machine
-// cache, the recursion itself — in single-key form (Single, fetching through
-// Limits.Fetch) and in resumable form (Block, an Evaluator the streaming round
-// feeds lists to) — and how a result is published.  Its methods are
-// everything that does not differ: the substrate (shuffle, store, write
-// round), the plan (the write round and one unconfined search round), the
-// choice between the per-vertex round and the per-block ampc.Ctx.Stream round
-// (the one place Config.Batch is branched on for these algorithms), Run (the
-// staged sequence, or the truncated multi-pass loop of the O(1/ε)-round
-// variant) and Shared (the serving layer's resident substrate, queried by any
-// number of jobs, each with one search round).  Packages mis and matching are
-// a recursion, a cache and a Process value each.
+// cache, the recursion itself (Single) and how a result is published.  Its
+// methods are everything that does not differ: the substrate (shuffle,
+// store, write round), the plan (the write round and one unconfined search
+// round), the choice between the per-vertex round and the per-block
+// ampc.Ctx.Stream round (the one place Config.Batch is branched on for these
+// algorithms), Run (the staged sequence, or the truncated multi-pass loop of
+// the O(1/ε)-round variant) and Shared (the serving layer's resident
+// substrate, queried by any number of jobs, each with one search round).
+// Packages mis and matching are a recursion, a cache and a Process value
+// each.
+//
+// The recursion is written once and both search rounds run it; Limits is
+// where they differ.  In the per-vertex round Limits.Fetch reads the store.
+// In the streaming round it returns a list the block holds, or suspends the
+// search on the missing vertex, which ampc.Stream fetches with the block's
+// other misses before the search runs again from its root.  A vertex's unit
+// is charged where it resolves and a merge scan once per block
+// (Limits.ChargeScan), so both rounds charge the same compute.  A truncated
+// pass reads earlier passes' results from Limits.Published directly, not
+// through ampc.Ctx: those reads are neither counted nor priced.
 package rankadj
 
 import (

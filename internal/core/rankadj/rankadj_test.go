@@ -315,3 +315,99 @@ func TestSharedCachesUnderThreads(t *testing.T) {
 		}
 	}
 }
+
+// TestTruncatedRunsRepeat: a truncated pass reads only what earlier passes
+// published, never what machines of the same pass are writing, so runs on
+// the same input and pool count the same reads and writes, price the same
+// modeled time and run the same rounds.
+//
+// Like TestSearchRoundAllocs it runs the HL stand-in, about 20 s under the
+// race detector, so -short skips it.
+func TestTruncatedRunsRepeat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("HL stand-in: skipped under -short")
+	}
+	d, _ := gen.DatasetByName("HL")
+	g := d.Build(1, 1)
+	cfg := ampc.Config{Machines: 2, Threads: 1, EnableCache: true, Seed: 1, SpacePerMachine: 16}
+	runs := []struct {
+		name string
+		run  func() (ampc.Stats, error)
+	}{
+		{"mis", func() (ampc.Stats, error) {
+			res, err := mis.RunTruncated(g, cfg)
+			if err != nil {
+				return ampc.Stats{}, err
+			}
+			return res.Stats, nil
+		}},
+		{"matching", func() (ampc.Stats, error) {
+			res, err := matching.RunTruncated(g, cfg)
+			if err != nil {
+				return ampc.Stats{}, err
+			}
+			return res.Stats, nil
+		}},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			var first [4]int64
+			for i := 0; i < 4; i++ {
+				st, err := r.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := [4]int64{st.KVReads, st.KVWrites, int64(st.Sim), int64(st.Rounds)}
+				if i == 0 {
+					first = got
+				} else if got != first {
+					t.Fatalf("run %d: reads, writes, sim, rounds = %v; run 0: %v", i, got, first)
+				}
+			}
+		})
+	}
+}
+
+// TestSearchRoundAllocs guards the round bodies both processes run, plain
+// and batched: a warm serving query on the HL stand-in allocates per search
+// round and per block, never per vertex.  Such a query makes 0.004–0.15
+// allocations per vertex; one object per vertex would move the wall-clock
+// benchmark's allocs_per_edge past its bound.
+func TestSearchRoundAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("HL stand-in: skipped under -short")
+	}
+	d, _ := gen.DatasetByName("HL")
+	g := d.Build(1, 1)
+	for _, p := range processes {
+		for _, batch := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/batch=%v", p.name, batch), func(t *testing.T) {
+				s := ampc.NewSession(ampc.Config{Machines: 2, Threads: 1, EnableCache: true, Seed: 1, Batch: batch})
+				defer s.Close()
+				prep, err := s.NewJob()
+				if err != nil {
+					t.Fatal(err)
+				}
+				query, err := p.shared(prep, g)
+				prep.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The first, unmeasured query fills the session's caches.
+				allocs := testing.AllocsPerRun(1, func() {
+					rt, err := s.NewJob()
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer rt.Close()
+					if _, err := query(rt); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if perVertex := allocs / float64(g.NumNodes()); perVertex >= 0.25 {
+					t.Fatalf("one query makes %.0f allocations, %.3f per vertex, want below 0.25", allocs, perVertex)
+				}
+			})
+		}
+	}
+}

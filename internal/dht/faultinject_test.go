@@ -300,8 +300,9 @@ func TestCrashWindowFailsOverWhenReplicated(t *testing.T) {
 // TestRetryStopsAtMaxAttempts: an op that fails with a retryable error on
 // every attempt is tried MaxAttempts times in all (once below 2, never
 // without end) and then surfaces the error.  Reads go to a failed,
-// unreplicated shard that never recovers; writes reach a down shard
-// regardless, so the write row puts to a closed disk store instead.  Each op
+// unreplicated shard that never recovers.  Writes reach a down shard
+// regardless, so the write rows put to a closed disk or rpc store, which is
+// not retryable: they are tried once whatever MaxAttempts says.  Each op
 // runs behind a timeout, so a loop that does not stop fails the test.
 func TestRetryStopsAtMaxAttempts(t *testing.T) {
 	downShard := func(t *testing.T, p *RetryPolicy) (*Store, uint64) {
@@ -331,6 +332,11 @@ func TestRetryStopsAtMaxAttempts(t *testing.T) {
 			s.Close()
 			return s, func() error { return s.Put(1, []byte("v")) }
 		}},
+		{"Put/rpc", errRPCClosed, func(t *testing.T, p *RetryPolicy) (*Store, func() error) {
+			s := storeForBackend(t, BackendRPC, Options{Shards: 2, Retry: p})
+			s.Close()
+			return s, func() error { return s.Put(1, []byte("v")) }
+		}},
 	}
 	for _, op := range ops {
 		for _, attempts := range []int{0, 1, 5} {
@@ -346,7 +352,11 @@ func TestRetryStopsAtMaxAttempts(t *testing.T) {
 				case <-time.After(5 * time.Second):
 					t.Fatal("still retrying after 5s")
 				}
-				if got, want := s.Stats().Retries, int64(max(attempts-1, 0)); got != want {
+				want := int64(max(attempts-1, 0))
+				if !retryable(op.want) {
+					want = 0
+				}
+				if got := s.Stats().Retries; got != want {
 					t.Fatalf("Retries = %d, want %d", got, want)
 				}
 			})

@@ -21,12 +21,12 @@ type RetryPolicy struct {
 	MaxAttempts int
 }
 
-// retryable reports whether err may be absorbed by another attempt.
-// Injected fatal faults are the only non-retryable class: they model an op
-// stuck past any budget, and the runtime recovers from them at the
-// sub-round level instead.
+// retryable reports whether err may be absorbed by another attempt.  Three
+// classes are not: injected fatal faults, which model an op stuck past any
+// budget (the runtime recovers from them at the sub-round level instead), and
+// a disk or rpc engine that was closed, which no later attempt reopens.
 func retryable(err error) bool {
-	return !errors.Is(err, errInjectedFatal)
+	return !errors.Is(err, errInjectedFatal) && !errors.Is(err, errDiskClosed) && !errors.Is(err, errRPCClosed)
 }
 
 // withRetry runs op under the store's retry policy.
