@@ -1,7 +1,7 @@
 // Command ampcbench regenerates the tables and figures of the paper's
 // evaluation (Section 5) on the synthetic stand-in datasets, and runs the
-// system experiments (batch, locality, rebalance, adaptive,
-// backend, chaos, serving) built on the same harness.
+// system experiments (batch, locality, rebalance, backend, chaos,
+// serving) built on the same harness.
 //
 // Usage:
 //

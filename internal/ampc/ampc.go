@@ -326,7 +326,7 @@ type PhaseStat struct {
 }
 
 // Stats aggregates everything the paper measures about an AMPC execution.
-// Round, shuffle, phase, migration and recovery counters are per job; the
+// Round, shuffle, phase and recovery counters are per job; the
 // store-derived counters (KVReads, cache hits, backend stats, ...) aggregate
 // the session's stores, which concurrent jobs share.
 type Stats struct {
@@ -376,8 +376,7 @@ type Stats struct {
 	// MachineQueries is the cumulative per-machine lookup count across every
 	// round this job ran (MaxMachineQueries is the per-round maximum; this
 	// is the whole-job distribution).  Its max/mean is the observed query
-	// imbalance the adaptive-ownership rebalance targets; diffing snapshots
-	// isolates a stretch of rounds.
+	// imbalance; diffing snapshots isolates a stretch of rounds.
 	MachineQueries []int64
 	// MachineBusy is the cumulative modeled busy time per machine across
 	// every round this job ran: compute plus thread-divided lookup latency,
@@ -387,16 +386,6 @@ type Stats struct {
 	// derives the shared-pool makespan from them
 	// (simtime.ConcurrentMakespan).
 	MachineBusy []time.Duration
-	// Rebalances counts Job.Rebalance calls that installed a new
-	// ownership table and migrated shard data.
-	Rebalances int
-	// MigratedKeys / MigratedBytes total the shard data moved by those
-	// rebalances across all stores.
-	MigratedKeys  int64
-	MigratedBytes int64
-	// MigrationSim is the modeled time charged for the migrations (their
-	// fixed and per-byte cost), already included in Sim.
-	MigrationSim time.Duration
 	// KVFailovers counts key-value reads served by the replica of a failed
 	// shard, summed across all hash tables (fault tolerance, §2).
 	KVFailovers int64
@@ -631,7 +620,7 @@ func (j *Job) prepareRound(round Round) (*preparedRound, error) {
 }
 
 // absorbRoundStats folds a finished round's per-context counts into the
-// job statistics and the session's observed-load accumulators.
+// job statistics.
 func (j *Job) absorbRoundStats(ctxs []*Ctx) {
 	j.mu.Lock()
 	if j.stats.MachineQueries == nil {
@@ -650,14 +639,4 @@ func (j *Job) absorbRoundStats(ctxs []*Ctx) {
 		j.stats.MachineBusy[ctx.Machine] += ctx.busy()
 	}
 	j.mu.Unlock()
-
-	s := j.Session
-	s.mu.Lock()
-	for _, ctx := range ctxs {
-		w := ctx.counts()
-		w[simtime.Compute] = 0 // the observed load is key-value work only
-		s.machineQueries[ctx.Machine] += ctx.queries.Load()
-		s.machineWork[ctx.Machine].Add(w)
-	}
-	s.mu.Unlock()
 }

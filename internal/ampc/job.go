@@ -43,10 +43,10 @@ type Job struct {
 	// query cannot exhaust the recovery budget of its neighbors.
 	faultBudgetUsed int
 
-	// runMu serializes execution within this job: every round, shuffle and
-	// Rebalance hold it for their whole duration, so concurrent calls on
-	// one job queue instead of interleaving — while different jobs
-	// interleave freely in the shared pool.
+	// runMu serializes execution within this job: every round and shuffle
+	// holds it for its whole duration, so concurrent calls on one job queue
+	// instead of interleaving — while different jobs interleave freely in
+	// the shared pool.
 	runMu sync.Mutex
 
 	// owned are the stores opened through Job.OpenStore, released by Close.

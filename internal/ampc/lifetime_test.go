@@ -1,7 +1,6 @@
 package ampc
 
 import (
-	"encoding/binary"
 	"errors"
 	"os"
 	"reflect"
@@ -36,98 +35,6 @@ func runStoreJob(rt *Job, n int, salt uint64) ([]int64, error) {
 		kv = append(kv, p.KVBytes)
 	}
 	return kv, nil
-}
-
-// TestRebalanceMigratesLiveStoresOnly runs and closes several store-opening
-// jobs, then rebalances from a job that still holds a store: the migration
-// must cover the resident shared store and the in-flight job's store — not
-// the tables of the closed jobs — and every key must still read back.
-func TestRebalanceMigratesLiveStoresOnly(t *testing.T) {
-	const n, closedJobs = 400, 5
-	s := NewSession(Config{Machines: 4, Threads: 2, Placement: PlacementWeighted, EnableCache: true, Seed: 1})
-	defer s.Close()
-	s.SetOwnership(skewedWeights(n))
-
-	shared, err := s.OpenSharedStore("graph")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < n; k++ {
-		var v [8]byte
-		binary.LittleEndian.PutUint64(v[:], uint64(k))
-		if err := shared.Put(uint64(k), v[:]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < closedJobs; i++ {
-		rt, err := s.NewJob()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := runStoreJob(rt, n, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-		rt.Close()
-	}
-	live, err := s.NewJob()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer live.Close()
-	write, read, err := jobStoreRounds(live, n, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := live.RunStaged(staged(write, read)); err != nil {
-		t.Fatal(err)
-	}
-	if stores, _ := s.LiveStores(); stores != 2 {
-		t.Fatalf("%d live stores before the rebalance, want the shared one and the open job's", stores)
-	}
-
-	before := shared.Placement()
-	reb, err := live.Rebalance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reb.Moved {
-		t.Fatal("the skewed load moved no boundary")
-	}
-	// Both resident stores hold the same n keys with 8-byte values under the
-	// same placement, so each migrates the keys whose shard changed.
-	after, shards := shared.Placement(), shared.NumShards()
-	var moved int64
-	for k := uint64(0); k < n; k++ {
-		if before.ShardFor(k, shards) != after.ShardFor(k, shards) {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Fatal("no key changed shard")
-	}
-	if reb.MigratedKeys != 2*moved || reb.MigratedBytes != 2*moved*16 {
-		t.Fatalf("migrated %d keys / %d bytes, want %d / %d: the two resident stores only",
-			reb.MigratedKeys, reb.MigratedBytes, 2*moved, 2*moved*16)
-	}
-
-	// Outputs are unchanged: the open job's table verifies, the shared table
-	// reads back, and a fresh job runs end to end on the new boundaries.
-	if err := live.Run(read); err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < n; k++ {
-		if v, ok, err := shared.Get(k); err != nil || !ok || binary.LittleEndian.Uint64(v) != k {
-			t.Fatalf("shared key %d after the rebalance: %v ok=%v err=%v", k, v, ok, err)
-		}
-	}
-	rt, err := s.NewJob()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	if _, err := runStoreJob(rt, n, 99); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestJobCloseReleasesStoresAfterInFlightRun closes a job from a second

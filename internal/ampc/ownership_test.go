@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -118,6 +119,50 @@ func TestSetKeyspaceDropsMismatchedOwnership(t *testing.T) {
 	r.SetKeyspace(64)
 	if !declared(64) {
 		t.Fatal("matching keyspace dropped the table")
+	}
+}
+
+// TestSetOwnershipKeepsIdenticalWeights: re-declaring the weights the table
+// was built from keeps the same table, so concurrent jobs prepared against
+// one graph do not thrash it, while any other weights over the same
+// keyspace — including the caller's slice edited in place — build a new
+// table whose ranges follow them.
+func TestSetOwnershipKeepsIdenticalWeights(t *testing.T) {
+	const n, machines = 200, 4
+	s := NewSession(Config{Machines: machines, Placement: PlacementWeighted})
+	defer s.Close()
+	s.SetOwnership(skewedWeights(n))
+	first := s.ownershipFor(n)
+	s.SetOwnership(skewedWeights(n))
+	if got := s.ownershipFor(n); got != first {
+		t.Fatal("identical weights rebuilt the ownership table")
+	}
+	// The hubs move to the top of the keyspace.
+	w := skewedWeights(n)
+	slices.Reverse(w)
+	s.SetOwnership(w)
+	next := s.ownershipFor(n)
+	if next == first {
+		t.Fatal("different weights kept the old table")
+	}
+	want := dht.NewOwnership(machines, w)
+	moved := false
+	for m := 0; m < machines; m++ {
+		lo, hi := next.Range(m)
+		if wlo, whi := want.Range(m); lo != wlo || hi != whi {
+			t.Fatalf("machine %d owns [%d, %d), the weights give [%d, %d)", m, lo, hi, wlo, whi)
+		}
+		if olo, ohi := first.Range(m); lo != olo || hi != ohi {
+			moved = true
+		}
+	}
+	if !moved {
+		t.Fatal("reversed weights left every range where it was")
+	}
+	w[0] += n // the caller's slice, edited in place, is another declaration
+	s.SetOwnership(w)
+	if s.ownershipFor(n) == next {
+		t.Fatal("weights edited in place kept the table built from their old values")
 	}
 }
 

@@ -75,9 +75,7 @@ func (j *Job) runSegment(round Round) error {
 	cfg := j.cfg
 	s := j.Session
 	// Hold the lifecycle read lock for the whole round so a concurrent
-	// Session.Close cannot tear the pool down mid-flight (it waits instead);
-	// the execMu read lock keeps Rebalance's shard migration from
-	// interleaving with the round.
+	// Session.Close cannot tear the pool down mid-flight (it waits instead).
 	s.lifecycle.RLock()
 	defer s.lifecycle.RUnlock()
 	if s.closed.Load() || j.closed.Load() {
@@ -86,9 +84,6 @@ func (j *Job) runSegment(round Round) error {
 	if err := j.ctx.Err(); err != nil {
 		return fmt.Errorf("ampc: round %q: job cancelled: %w", round.Name, err)
 	}
-	s.execMu.RLock()
-	defer s.execMu.RUnlock()
-
 	if st := round.Read; st != nil {
 		if err := st.Freeze(); err != nil {
 			return fmt.Errorf("ampc: round %q: freezing input store: %w", round.Name, err)

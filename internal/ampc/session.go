@@ -45,19 +45,9 @@ type Session struct {
 	keyspace  int
 	ownership *dht.Ownership
 	caches    map[*dht.Store][]*dht.Cache
-	// machineQueries / machineWork accumulate, per machine, the lookup
-	// count and the counted key-value work of every round since the last
-	// Rebalance — across all jobs, because ownership is session state.
-	machineQueries []int64
-	machineWork    []simtime.Work
-	// baseWeights is the per-key weight vector last declared through
-	// SetOwnership (degrees, typically); Rebalance apportions observed
-	// per-machine load across a machine's keys proportionally to it.
-	// adaptive marks the current ownership table as rebalance-derived, so
-	// SetOwnership for the same keyspace refreshes baseWeights without
-	// clobbering the adapted table.
-	baseWeights []int
-	adaptive    bool
+	// weights is the per-key weight vector the ownership table was built
+	// from, so re-declaring the same weights keeps the table.
+	weights []int
 
 	// sharedMu guards shared and serializes OpenSharedStore, so one creator
 	// wins per name.
@@ -69,12 +59,6 @@ type Session struct {
 	admitMu sync.Mutex
 	running int
 	waiters []chan struct{}
-
-	// execMu coordinates jobs with session-global mutations: every round
-	// and shuffle holds a read lock, Rebalance holds the write
-	// lock, so shard migration never interleaves with in-flight rounds of
-	// any job.
-	execMu sync.RWMutex
 
 	// lifecycle serializes Close against in-flight rounds: every round
 	// holds a read lock for its whole duration, so Close (write lock)
@@ -90,13 +74,10 @@ type Session struct {
 // Callers submit work through NewJob (or NewJobContext) and must Close the
 // session when done with all jobs.
 func NewSession(cfg Config) *Session {
-	s := &Session{
+	return &Session{
 		cfg:    cfg.WithDefaults(),
 		caches: make(map[*dht.Store][]*dht.Cache),
 	}
-	s.machineQueries = make([]int64, s.cfg.Machines)
-	s.machineWork = make([]simtime.Work, s.cfg.Machines)
-	return s
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -187,8 +168,7 @@ func (s *Session) SetKeyspace(n int) {
 	s.keyspace = n
 	if s.ownership != nil && s.ownership.Keys() != n {
 		s.ownership = nil
-		s.baseWeights = nil
-		s.adaptive = false
+		s.weights = nil
 	}
 }
 
@@ -202,32 +182,22 @@ func (s *Session) SetKeyspace(n int) {
 // that matches the owner-affine placement.  Either way placement never
 // changes results, only where keys live and which machine does which work.
 //
-// When the current table was derived by Rebalance for the same keyspace,
-// SetOwnership keeps the adapted table (jobs declaring the same keyspace
-// must not undo an online rebalance) and only refreshes the base weights;
-// declaring a different keyspace rebuilds from scratch.  Re-declaring
-// weights identical to the current ones is a no-op, so concurrent jobs
-// prepared against the same graph do not thrash the table.
+// Re-declaring weights identical to the current ones keeps the table, so
+// concurrent jobs prepared against the same graph do not thrash it; any
+// other weights build a new one.
 func (s *Session) SetOwnership(weights []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.Placement == PlacementWeighted && len(weights) > 0 {
-		if s.keyspace == len(weights) && s.ownership != nil &&
-			s.ownership.Keys() == len(weights) && slices.Equal(s.baseWeights, weights) {
-			return
-		}
-		s.keyspace = len(weights)
-		if !s.adaptive || s.ownership == nil || s.ownership.Keys() != len(weights) {
-			s.ownership = dht.NewOwnership(s.cfg.Machines, weights)
-			s.adaptive = false
-		}
-		s.baseWeights = append([]int(nil), weights...)
-	} else {
-		s.keyspace = len(weights)
-		s.ownership = nil
-		s.baseWeights = nil
-		s.adaptive = false
+	s.keyspace = len(weights)
+	if s.cfg.Placement != PlacementWeighted || len(weights) == 0 {
+		s.ownership, s.weights = nil, nil
+		return
 	}
+	if s.ownership != nil && slices.Equal(s.weights, weights) {
+		return
+	}
+	s.ownership = dht.NewOwnership(s.cfg.Machines, weights)
+	s.weights = append([]int(nil), weights...)
 }
 
 // ownershipFor returns the contiguous partition of the keyspace [0, keys)
@@ -417,13 +387,11 @@ func (s *Session) openStore(name string, owner *Job) (*dht.Store, error) {
 
 // releaseStores drops the stores j opened: their counters and their caches'
 // fold into s.retired, the session forgets them, and their backends (disk
-// logs and directory, rpc listener and socket dir) are closed.  The round
-// locks exclude Session.Close and Rebalance, which walk the live stores.
+// logs and directory, rpc listener and socket dir) are closed.  The
+// lifecycle read lock excludes Session.Close, which walks the live stores.
 func (s *Session) releaseStores(j *Job) {
 	s.lifecycle.RLock()
 	defer s.lifecycle.RUnlock()
-	s.execMu.RLock()
-	defer s.execMu.RUnlock()
 	s.mu.Lock()
 	owned := j.owned
 	j.owned = nil

@@ -64,9 +64,6 @@ func (j *Job) runShuffle(name string, items int, body func(worker, lo, hi int) (
 	if err := j.ctx.Err(); err != nil {
 		return 0, fmt.Errorf("ampc: shuffle %q: job cancelled: %w", name, err)
 	}
-	s.execMu.RLock()
-	defer s.execMu.RUnlock()
-
 	machines, threads := j.cfg.Machines, j.cfg.Threads
 	chunks := NumBlocks(items, shuffleChunk)
 	var (

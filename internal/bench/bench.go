@@ -65,8 +65,8 @@ type Options struct {
 	Batch bool
 	// Placement selects the shard placement policy (ampc.PlacementHash,
 	// ampc.PlacementOwnerAffine or ampc.PlacementWeighted) for the AMPC
-	// runs of every experiment.  The "locality", "rebalance" and "adaptive"
-	// experiments pin the placements they compare and ignore this field.
+	// runs of every experiment.  The "locality" and "rebalance" experiments
+	// pin the placements they compare and ignore this field.
 	Placement string
 	// Backend selects the shard storage engine (ampc.BackendMem,
 	// BackendDisk or BackendRPC) for the AMPC runs of every experiment.

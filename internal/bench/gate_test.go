@@ -194,7 +194,8 @@ func TestCheck(t *testing.T) {
 			lines:    []string{"locality OK/MIS"},
 		},
 
-		// adaptive: variance-derived floor on the improvement mean.
+		// A variance-derived floor and an identical gate, under a label of
+		// their own (serving's throughput rows use the same floor).
 		{
 			name:     "adaptive at the variance floor passes",
 			baseline: []GateRow{floorGate("adaptive", "CW", "improvement_mean_pct", 60, 4, 48)},

@@ -49,7 +49,6 @@ var experiments = []Experiment{
 	{Name: "batch", Pins: []string{"batch"}, Smoke: []string{"OK", "TW"}, run: gated(BatchComparison, batchGates)},
 	{Name: "locality", Pins: []string{"placement"}, Smoke: []string{"OK"}, run: gated(LocalityComparison, localityGates)},
 	{Name: "rebalance", Pins: []string{"placement"}, Datasets: hubs, Smoke: hubs, run: gated(RebalanceComparison, rebalanceGates)},
-	{Name: "adaptive", Pins: []string{"placement"}, Datasets: hubs, Smoke: hubs, run: gated(AdaptiveComparison, adaptiveGates)},
 	{Name: "backend", Pins: []string{"backend"}, Smoke: []string{"OK"}, run: gated(BackendComparison, backendGates)},
 	// chaos pins batching on in both arms (the batch read path's retries
 	// are part of the recovery stack under test); serving pins batching off.

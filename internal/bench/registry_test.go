@@ -12,8 +12,8 @@ import (
 
 func TestRegistry(t *testing.T) {
 	names := AllExperiments()
-	if len(names) != 19 {
-		t.Fatalf("experiment registry %v, want 19 entries", names)
+	if len(names) != 18 {
+		t.Fatalf("experiment registry %v, want 18 entries", names)
 	}
 	seen := make(map[string]bool)
 	for _, name := range names {

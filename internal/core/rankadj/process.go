@@ -161,8 +161,7 @@ func (p *Process[R, C]) substrate(rt *ampc.Job, g *graph.Graph, tag string, shar
 }
 
 // Plan is the round sequence of one run prepared on a runtime, for callers
-// that interleave it with other work (a Rebalance between two algorithms'
-// rounds, as the bench "adaptive" experiment does).
+// that run the rounds themselves, one at a time or between other work.
 type Plan struct {
 	// Write stores the lists; Search resolves every vertex against them.
 	Write, Search ampc.Round

@@ -21,7 +21,7 @@ import (
 //     a frozen shard costs an atomic pointer load, one probe (usually one
 //     cache line) and a slice header; it takes no lock.  Values never move:
 //     a slice handed to a reader stays valid and unchanged for the store's
-//     lifetime, whatever is overwritten, deleted or migrated afterwards;
+//     lifetime, whatever is overwritten afterwards;
 //   - disk (BackendDisk) holds bytes past RAM and is durable at Freeze: a
 //     log-structured append file plus an in-memory offset index per shard.
 //     A write call appends its records with one positioned write, and a
@@ -137,12 +137,6 @@ type ShardBackend interface {
 	// BatchWrite stores a copy of every pair's value under its key on one
 	// shard under a single visit; a later pair for a key wins.
 	BatchWrite(shard int, pairs []Pair) error
-	// BatchDelete removes keys from one shard under a single visit; absent
-	// keys are ignored.  It exists for shard migration (Store.Rebalance),
-	// which copies a key's bytes to its new shard and then deletes them
-	// here — it is not part of the store's public write API, whose entries
-	// are immutable-once-written.
-	BatchDelete(shard int, keys []uint64) error
 	// Freeze is the backend's half of Store.Freeze: the store becomes
 	// read-only, so the backend may flush buffered state to stable storage
 	// (the disk backend syncs its logs).
@@ -204,7 +198,7 @@ func (st *memState) batchGet(keys []uint64) ([][]byte, []bool) {
 
 func (st *memState) each(fn func(key uint64, value []byte) bool) bool {
 	for _, s := range st.table.slots {
-		if s.ref > refDeleted && !fn(s.key, refBytes(st.arena.chunks, s.ref)) {
+		if s.ref != refEmpty && !fn(s.key, refBytes(st.arena.chunks, s.ref)) {
 			return false
 		}
 	}
@@ -214,8 +208,7 @@ func (st *memState) each(fn func(key uint64, value []byte) bool) bool {
 // memShard is one in-memory shard.  Until the backend is frozen every
 // operation takes mu.  Freeze publishes the state through view, and from
 // then on reads load the view and take no lock and write no shared cache
-// line; the rare post-freeze mutation (Rebalance's BatchWrite/BatchDelete)
-// copies what it is about to change,
+// line; a write after Freeze copies the index it is about to change,
 // mutates the copy under mu and publishes a new view, so nothing reachable
 // from a published view is ever written again.
 type memShard struct {
@@ -223,7 +216,7 @@ type memShard struct {
 	mu       sync.Mutex
 	st       memState
 	resident int64    // value bytes plus memKeyOverhead per key
-	_        [56]byte // pads the shard to three whole cache lines: neighbours in the slice share none
+	_        [64]byte // pads the shard to three whole cache lines: neighbours in the slice share none
 }
 
 // memBackend is the in-memory storage engine: per shard, a flat slot table
@@ -248,7 +241,7 @@ func (b *memBackend) Kind() BackendKind { return BackendMem }
 // lockForWrite takes the shard mutex for a mutation of the index.  On a
 // frozen shard the published view shares the slot array, so the mutation
 // gets a copy of its own; on an unfrozen one it first reclaims the arena if
-// overwrites and deletes have left more dead bytes than live ones.
+// overwrites have left more dead bytes than live ones.
 func (sh *memShard) lockForWrite() {
 	sh.mu.Lock()
 	if sh.view.Load() != nil {
@@ -286,7 +279,7 @@ func (sh *memShard) compact() {
 	sh.st.arena = arena{nextCap: old.nextCap}
 	slots := sh.st.table.slots
 	for i := range slots {
-		if s := &slots[i]; s.ref > refDeleted {
+		if s := &slots[i]; s.ref != refEmpty {
 			s.ref = sh.st.arena.put(refBytes(old.chunks, s.ref))
 		}
 	}
@@ -342,18 +335,6 @@ func (b *memBackend) BatchWrite(shard int, pairs []Pair) error {
 	sh.lockForWrite()
 	for _, p := range pairs {
 		sh.store(p.Key, p.Value)
-	}
-	sh.unlock()
-	return nil
-}
-
-func (b *memBackend) BatchDelete(shard int, keys []uint64) error {
-	sh := &b.shards[shard]
-	sh.lockForWrite()
-	for _, k := range keys {
-		if old := sh.st.table.del(k); old != refEmpty {
-			sh.resident -= int64(refLen(sh.st.arena.chunks, old)) + memKeyOverhead
-		}
 	}
 	sh.unlock()
 	return nil

@@ -101,21 +101,6 @@ func (b *refMemBackend) BatchWrite(shard int, pairs []Pair) error {
 	return nil
 }
 
-func (b *refMemBackend) BatchDelete(shard int, keys []uint64) error {
-	sh := b.shards[shard]
-	var delta int64
-	sh.mu.Lock()
-	for _, k := range keys {
-		if prev, existed := sh.data[k]; existed {
-			delta -= int64(len(prev)) + memKeyOverhead
-			delete(sh.data, k)
-		}
-	}
-	sh.mu.Unlock()
-	b.resident.Add(delta)
-	return nil
-}
-
 func (b *refMemBackend) Freeze() error { return nil }
 
 func (b *refMemBackend) LenShard(shard int) int {
@@ -175,13 +160,12 @@ func refTrialValue(rnd *rand.Rand) []byte {
 // TestMemBackendMatchesReference drives the mem engine and the map engine it
 // replaced with the same seeded op sequences and compares every return
 // value, and after every op each shard's length, contents and the resident
-// estimate.  The sequences cover overwrite, BatchWrite, BatchDelete and
-// reinsertion, reads of present, absent and deleted keys,
-// key 0 and the largest key, zero-length and larger-than-a-chunk values, and
+// estimate.  The sequences cover overwrite, BatchWrite, reads of present and
+// absent keys, key 0 and the largest key, zero-length and larger-than-a-chunk values, and
 // a Freeze at a random point after which the same ops continue
 // (copy-on-write).  Shard failure and recovery left the engines for the
-// Store façade; the failover and replica tests of backend_test.go,
-// failover_batch_test.go and migrate_test.go cover them on every engine.
+// Store façade; the failover and replica tests of backend_test.go and
+// failover_batch_test.go cover them on every engine.
 func TestMemBackendMatchesReference(t *testing.T) {
 	matchReference(t, func(shards int) refCandidate {
 		return newMemBackend(shards)
@@ -275,12 +259,6 @@ func matchReference(t *testing.T, newEngine func(shards int) refCandidate) {
 				}
 				desc = fmt.Sprintf("BatchWrite(shard %d, %d pairs)", shard, len(pairs))
 				if eg, ew := got.BatchWrite(shard, pairs), want.BatchWrite(shard, pairs); eg != nil || ew != nil {
-					t.Fatalf("trial %d op %d %s: errors %v / %v", trial, op, desc, eg, ew)
-				}
-			case p < 55:
-				shard, ks := shardKeys(1 + rnd.Intn(8))
-				desc = fmt.Sprintf("BatchDelete(shard %d, %v)", shard, ks)
-				if eg, ew := got.BatchDelete(shard, ks), want.BatchDelete(shard, ks); eg != nil || ew != nil {
 					t.Fatalf("trial %d op %d %s: errors %v / %v", trial, op, desc, eg, ew)
 				}
 			case p < 75:

@@ -438,7 +438,7 @@ func BenchmarkLocalTo(b *testing.B) {
 
 // TestBackendsAfterClose calls every ShardBackend method on a closed engine
 // of each kind: none may panic.  The disk engine, which releases its tables
-// at Close, answers reads, writes, deletes and Range with errDiskClosed,
+// at Close, answers reads, writes and Range with errDiskClosed,
 // Freeze with nil (nothing is left to sync) and LenShard with 0.
 func TestBackendsAfterClose(t *testing.T) {
 	for _, kind := range backendCases() {
@@ -456,11 +456,10 @@ func TestBackendsAfterClose(t *testing.T) {
 			_, _, errGet := b.Get(1, 7)
 			_, _, errBatchGet := b.BatchGet(1, []uint64{7, 9})
 			errs := map[string]error{
-				"Get":         errGet,
-				"BatchGet":    errBatchGet,
-				"Put":         b.Put(1, 8, []byte("y")),
-				"BatchWrite":  b.BatchWrite(1, []Pair{{Key: 8, Value: []byte("y")}}),
-				"BatchDelete": b.BatchDelete(1, []uint64{7}),
+				"Get":        errGet,
+				"BatchGet":   errBatchGet,
+				"Put":        b.Put(1, 8, []byte("y")),
+				"BatchWrite": b.BatchWrite(1, []Pair{{Key: 8, Value: []byte("y")}}),
 			}
 			_, errs["Range"] = b.Range(1, func(uint64, []byte) bool { return true })
 			if r, ok := b.(interface{ Reserve(keys int) }); ok {

@@ -27,15 +27,14 @@ import (
 //
 //	[1B op] [8B key] [4B payload length] [payload]
 //
-// op 1 = put (the key's extent is this record's payload), op 3 = delete (a
-// zero-payload tombstone that drops the key's extent; the dead payload bytes
-// stay in the log, which is never rewritten).  Op 2 is retired and never
-// written: replay rejects it, like any other unknown op, as a corrupt log.
+// op 1 = put: the key's extent is this record's payload, and an overwrite's
+// dead payload stays in the log, which is never rewritten.  Ops 2 and 3 are
+// retired and never written: replay rejects them, like any other unknown
+// op, as a corrupt log.
 
 const (
-	diskOpPut    = 1
-	diskOpDelete = 3
-	diskHeader   = 1 + 8 + 4
+	diskOpPut  = 1
+	diskHeader = 1 + 8 + 4
 )
 
 // extent is one contiguous payload region inside a shard log.
@@ -46,7 +45,7 @@ type extent struct {
 
 // diskKeyBytes approximates the resident cost of one indexed key (map bucket
 // slot, key, extent): what a key adds to ResidentBytes when it is first
-// written or replayed, and what it gives back when it is deleted.
+// written or replayed.
 const diskKeyBytes = 56
 
 // diskTable is one shard's append log with its index, and the scratch buffer
@@ -90,13 +89,13 @@ func (t *diskTable) replay() error {
 		op := hdr[0]
 		key := binary.LittleEndian.Uint64(hdr[1:9])
 		n := int32(binary.LittleEndian.Uint32(hdr[9:13]))
-		if (op != diskOpPut && op != diskOpDelete) || n < 0 {
+		if op != diskOpPut || n < 0 {
 			return fmt.Errorf("dht: corrupt disk log %s at offset %d", t.f.Name(), off)
 		}
 		if off+diskHeader+int64(n) > total {
 			break // torn tail: record header written but payload incomplete
 		}
-		t.apply(op, key, extent{off: off + diskHeader, n: n})
+		t.index[key] = extent{off: off + diskHeader, n: n}
 		off += diskHeader + int64(n)
 	}
 	if off < total {
@@ -108,21 +107,10 @@ func (t *diskTable) replay() error {
 	return nil
 }
 
-// apply points the index at one record: a put's payload extent, or a
-// delete's removal of the key.
-func (t *diskTable) apply(op byte, key uint64, ext extent) {
-	switch op {
-	case diskOpPut:
-		t.index[key] = ext
-	case diskOpDelete:
-		delete(t.index, key)
-	}
-}
-
-// appendRecord encodes one record onto buf.
-func appendRecord(buf []byte, op byte, key uint64, value []byte) []byte {
+// appendPut encodes one put record onto buf.
+func appendPut(buf []byte, key uint64, value []byte) []byte {
 	var hdr [diskHeader]byte
-	hdr[0] = op
+	hdr[0] = diskOpPut
 	binary.LittleEndian.PutUint64(hdr[1:9], key)
 	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(value)))
 	return append(append(buf, hdr[:]...), value...)
@@ -141,7 +129,7 @@ func (t *diskTable) commit(recs []byte) int64 {
 			break
 		}
 		key := binary.LittleEndian.Uint64(recs[off+1 : off+9])
-		t.apply(recs[off], key, extent{off: t.size + int64(off+diskHeader), n: int32(n)})
+		t.index[key] = extent{off: t.size + int64(off+diskHeader), n: int32(n)}
 		off = next
 	}
 	t.size += int64(off)
@@ -227,10 +215,10 @@ func (b *diskBackend) Get(shard int, key uint64) ([]byte, bool, error) {
 
 // flush appends recs, the records one call encoded into t's scratch buffer,
 // at the end of the log with one positioned write, commits what the write
-// completed, and adds the log bytes and index entries that added (or,
-// negative, removed) to the footprint gauges.  Every writer of the engine
-// shares the gauges, so a call adds once, not once per record.  recs stays
-// t's scratch buffer for the shard's next call.
+// completed, and adds the log bytes and index entries that added to the
+// footprint gauges.  Every writer of the engine shares the gauges, so a call
+// adds once, not once per record.  recs stays t's scratch buffer for the
+// shard's next call.
 func (b *diskBackend) flush(t *diskTable, recs []byte) error {
 	t.scratch = recs
 	keys := len(t.index)
@@ -295,35 +283,7 @@ func (b *diskBackend) BatchWrite(shard int, pairs []Pair) error {
 	}
 	recs := t.scratch[:0]
 	for _, p := range pairs {
-		recs = appendRecord(recs, diskOpPut, p.Key, p.Value)
-	}
-	return b.flush(t, recs)
-}
-
-// BatchDelete appends, with one positioned write, one tombstone record per
-// present key (one for a key named twice), dropping the keys' index entries.
-// The dead payload bytes stay in the log (DiskBytes grows by the tombstone
-// headers) while the resident index shrinks — the same footprint trade every
-// log-structured store makes until compaction.
-func (b *diskBackend) BatchDelete(shard int, keys []uint64) error {
-	sh := b.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t := sh.table
-	if t == nil {
-		return errDiskClosed
-	}
-	recs := t.scratch[:0]
-	var dropped map[uint64]bool // the index changes only at flush
-	for _, k := range keys {
-		if _, ok := t.index[k]; !ok || dropped[k] {
-			continue
-		}
-		if dropped == nil {
-			dropped = make(map[uint64]bool)
-		}
-		dropped[k] = true
-		recs = appendRecord(recs, diskOpDelete, k, nil)
+		recs = appendPut(recs, p.Key, p.Value)
 	}
 	return b.flush(t, recs)
 }

@@ -12,9 +12,8 @@ import (
 )
 
 // TestDiskRangeReportsReadErrors: a shard log that can no longer be read
-// (here: truncated under the open store) makes Range and Rebalance return an
-// error — it used to panic inside the library — and Rebalance fails before
-// it has moved anything.
+// (here: truncated under the open store) makes Range return an error, not a
+// panic inside the library.
 func TestDiskRangeReportsReadErrors(t *testing.T) {
 	dir := t.TempDir()
 	s := mustStore("d0", Options{Shards: 4, Backend: BackendDisk, DiskDir: dir})
@@ -41,35 +40,22 @@ func TestDiskRangeReportsReadErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "reading shard") {
 		t.Fatalf("Range over unreadable logs returned %v, want a read error", err)
 	}
-	before := s.Placement()
-	st, err := s.Rebalance(OwnerAffine(2, 64))
-	if err == nil || !strings.Contains(err.Error(), "dht: rebalance d0: reading shard") {
-		t.Fatalf("Rebalance over unreadable logs returned %v, want a read error", err)
-	}
-	if st != (MigrationStats{}) || s.Placement() != before {
-		t.Fatalf("a failed Rebalance reported %+v and placement %s: it must not have started moving", st, s.Placement().Name())
-	}
 }
 
-// TestDiskResidentBytesReturnToZero: the resident-index gauge charges a key
-// one constant wherever the key enters the index — a Put, the replay of a
-// reopened log — and credits the same constant when the key is deleted, so
-// deleting every key returns it to zero.  (It used to charge 56 bytes on a
-// Put and credit 72 everywhere else.)
-func TestDiskResidentBytesReturnToZero(t *testing.T) {
+// TestDiskResidentBytesCountIndexedKeys: the resident-index gauge charges a
+// key one constant wherever the key enters the index — a Put, the replay of
+// a reopened log — and nothing for an overwrite of an indexed key.
+func TestDiskResidentBytesCountIndexedKeys(t *testing.T) {
 	const shards, keys = 2, 100
 	dir := t.TempDir()
 	b, err := newDiskBackend(shards, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byShard := make([][]uint64, shards)
 	for k := uint64(0); k < keys; k++ {
-		shard := int(k % shards)
-		if err := b.Put(shard, k, memTestValue(k, 0)); err != nil {
+		if err := b.Put(int(k%shards), k, memTestValue(k, 0)); err != nil {
 			t.Fatal(err)
 		}
-		byShard[shard] = append(byShard[shard], k)
 	}
 	check := func(when string, want int64) {
 		t.Helper()
@@ -90,12 +76,6 @@ func TestDiskResidentBytesReturnToZero(t *testing.T) {
 	}
 	defer b.Close()
 	check("after a reopen", keys*diskKeyBytes)
-	for shard, ks := range byShard {
-		if err := b.BatchDelete(shard, ks); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("after deleting every key", 0)
 }
 
 // diskRecord is one log record as the disk engine writes it.
@@ -109,18 +89,17 @@ func diskRecord(op byte, key uint64, payload []byte) []byte {
 
 // FuzzDiskReplay opens arbitrary bytes as a shard log.  openDiskTable must
 // return a table or an error and never panic: a record whose op is not put
-// or delete (the retired append op 2 included) or whose length is negative
-// is a corrupt-log error naming its offset; an incomplete last record is
-// truncated away, leaving the file at the end of the last whole record; and
-// the index holds exactly the keys a straightforward scan of the whole
-// records leaves, each reading back its latest payload.
+// (the retired append op 2 and delete op 3 included) or whose length is
+// negative is a corrupt-log error naming its offset; an incomplete last
+// record is truncated away, leaving the file at the end of the last whole
+// record; and the index holds exactly the keys a straightforward scan of the
+// whole records leaves, each reading back its latest payload.
 func FuzzDiskReplay(f *testing.F) {
 	put := diskRecord(diskOpPut, 7, []byte("seven"))
 	log := bytes.Join([][]byte{
 		put,
 		diskRecord(diskOpPut, 9, nil),
 		diskRecord(diskOpPut, 7, []byte("again")),
-		diskRecord(diskOpDelete, 9, nil),
 	}, nil)
 	first := diskRecord(diskOpPut, 11, []byte("first"))
 	batch := bytes.Join([][]byte{
@@ -133,6 +112,7 @@ func FuzzDiskReplay(f *testing.F) {
 	f.Add(with(put[:5]))                          // torn header
 	f.Add(with(put[:diskHeader+2]))               // torn payload
 	f.Add(with(diskRecord(2, 7, []byte("tail")))) // the retired append record
+	f.Add(with(diskRecord(3, 9, nil)))            // the retired delete record
 	f.Add(with(batch[:len(first)+diskHeader+3]))  // one write's three records, torn inside the second
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want := make(map[uint64][]byte)
@@ -141,7 +121,7 @@ func FuzzDiskReplay(f *testing.F) {
 			op := data[end]
 			key := binary.LittleEndian.Uint64(data[end+1:])
 			n := int64(int32(binary.LittleEndian.Uint32(data[end+9:])))
-			if (op != diskOpPut && op != diskOpDelete) || n < 0 {
+			if op != diskOpPut || n < 0 {
 				corruptAt = end
 				break
 			}
@@ -149,11 +129,7 @@ func FuzzDiskReplay(f *testing.F) {
 			if next > int64(len(data)) {
 				break
 			}
-			if op == diskOpPut {
-				want[key] = data[end+diskHeader : next]
-			} else {
-				delete(want, key)
-			}
+			want[key] = data[end+diskHeader : next]
 			end = int(next)
 		}
 
@@ -200,24 +176,20 @@ func TestDiskCommitIndexesWholeRecords(t *testing.T) {
 	recs := [][]byte{
 		diskRecord(diskOpPut, 1, []byte("one")),
 		diskRecord(diskOpPut, 2, nil),
-		diskRecord(diskOpDelete, 1, nil),
+		diskRecord(diskOpPut, 1, []byte("uno")),
 		diskRecord(diskOpPut, 3, []byte("three")),
 	}
 	batch := bytes.Join(recs, nil)
 	const base = 100 // the log end before the write
 	for n := 0; n <= len(batch); n++ {
-		want := map[uint64]extent{1: {off: 7, n: 1}} // an entry the batch deletes
+		want := map[uint64]extent{1: {off: 7, n: 1}} // an entry the batch overwrites
 		end, off := 0, int64(base)
 		for _, rec := range recs {
 			if end+len(rec) > n {
 				break
 			}
 			key := binary.LittleEndian.Uint64(rec[1:9])
-			if rec[0] == diskOpPut {
-				want[key] = extent{off: off + diskHeader, n: int32(len(rec) - diskHeader)}
-			} else {
-				delete(want, key)
-			}
+			want[key] = extent{off: off + diskHeader, n: int32(len(rec) - diskHeader)}
 			end += len(rec)
 			off += int64(len(rec))
 		}
@@ -228,30 +200,6 @@ func TestDiskCommitIndexesWholeRecords(t *testing.T) {
 		if !reflect.DeepEqual(tab.index, want) {
 			t.Fatalf("n=%d: index %v, want %v", n, tab.index, want)
 		}
-	}
-}
-
-// TestDiskBatchDeleteRepeatedKey: a key named twice in one BatchDelete is
-// dropped by one tombstone, as when each delete looked the key up after the
-// previous one had removed it.
-func TestDiskBatchDeleteRepeatedKey(t *testing.T) {
-	b, err := newDiskBackend(1, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.Put(0, 5, []byte("five")); err != nil {
-		t.Fatal(err)
-	}
-	before := b.Stats().DiskBytes
-	if err := b.BatchDelete(0, []uint64{5, 5}); err != nil {
-		t.Fatal(err)
-	}
-	if grew := b.Stats().DiskBytes - before; grew != diskHeader {
-		t.Fatalf("BatchDelete of a repeated key grew the log by %d bytes, want one %d-byte tombstone", grew, diskHeader)
-	}
-	if n := b.LenShard(0); n != 0 {
-		t.Fatalf("LenShard after the delete = %d, want 0", n)
 	}
 }
 

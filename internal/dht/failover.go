@@ -8,8 +8,7 @@ import "sync"
 // once for every backend.  With Options.Replicate the store keeps a second
 // engine of the primary's kind as the replica (disk logs in a replica/
 // subdirectory of DiskDir, a second loopback server for rpc) and every write
-// — Put, BatchPut, and Rebalance's copy and delete — reaches the primary and
-// then the replica under the shard's mirror lock, so that concurrent writes
+// — Put and BatchPut — reaches the primary and then the replica under the shard's mirror lock, so that concurrent writes
 // reach both engines in the same order.  Each shard has a down flag, set by FailShard or by a
 // FaultPlan crash window.  A read visit to a down shard is served by the
 // replica and counted as a failover, or fails with ErrUnavailable when there
@@ -133,10 +132,4 @@ func (s *Store) writeShard(idx int, pairs []Pair) error {
 		}
 	}
 	return s.mirrored(idx, func(e ShardBackend) error { return e.BatchWrite(idx, pairs) })
-}
-
-// deleteShard removes keys from shard idx of both engines.  Only a migration
-// deletes, and the fault plan draws nothing for it.
-func (s *Store) deleteShard(idx int, keys []uint64) error {
-	return s.mirrored(idx, func(e ShardBackend) error { return e.BatchDelete(idx, keys) })
 }

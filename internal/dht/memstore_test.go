@@ -27,23 +27,20 @@ func memTestValue(key uint64, version int) []byte {
 	return v
 }
 
-// TestFrozenReadsDuringFailoverAndRebalance: readers loop Get and BatchGet
-// on a frozen store while one goroutine cycles FailShard/RecoverShard and
-// another rebalances the store between two placements.  Rebalance is
-// quiesced against the readers (the runtime's runMu does the same) but runs
-// concurrently with the failer, so its copy-on-write republishes race with
-// the failer's flag flips.  Every read must return the original bytes — or ErrUnavailable
-// when the store has no replica — never a torn or missing value.
-func TestFrozenReadsDuringFailoverAndRebalance(t *testing.T) {
+// TestFrozenReadsDuringFailover: readers loop Get and BatchGet on a frozen
+// store while one goroutine cycles FailShard/RecoverShard, so the lock-free
+// reads race with the failer's flag flips.  Every read must return the
+// original bytes — or ErrUnavailable when the store has no replica — never a
+// torn or missing value.
+func TestFrozenReadsDuringFailover(t *testing.T) {
 	const keys, shards, machines = 4000, 8, 4
-	rounds := 60
+	reads := 4000
 	if testing.Short() {
-		rounds = 15
+		reads = 1000
 	}
 	for _, replicate := range []bool{true, false} {
 		t.Run(fmt.Sprintf("replicate=%v", replicate), func(t *testing.T) {
-			placements := []Placement{HashRandom(), OwnerAffine(machines, keys)}
-			s := mustStore("d0", Options{Shards: shards, Replicate: replicate, Placement: placements[0]})
+			s := mustStore("d0", Options{Shards: shards, Replicate: replicate, Placement: HashRandom()})
 			for k := uint64(0); k < keys; k++ {
 				if err := s.Put(k, memTestValue(k, 0)); err != nil {
 					t.Fatal(err)
@@ -52,7 +49,6 @@ func TestFrozenReadsDuringFailoverAndRebalance(t *testing.T) {
 			if err := s.Freeze(); err != nil {
 				t.Fatal(err)
 			}
-			var quiesce sync.RWMutex // readers share it, Rebalance owns it
 			var stop atomic.Bool
 			var served, unavailable atomic.Int64
 			check := func(k uint64, v []byte, ok bool) {
@@ -67,8 +63,7 @@ func TestFrozenReadsDuringFailoverAndRebalance(t *testing.T) {
 					defer readers.Done()
 					view := s.View(m)
 					batch := make([]uint64, 16)
-					for i := uint64(m); !stop.Load() && !t.Failed(); i++ {
-						quiesce.RLock()
+					for i := uint64(m); i < uint64(m+reads) && !t.Failed(); i++ {
 						k := i * 0x9e3779b97f4a7c15 % keys
 						v, ok, err := view.Get(k)
 						switch {
@@ -95,7 +90,6 @@ func TestFrozenReadsDuringFailoverAndRebalance(t *testing.T) {
 						default:
 							unavailable.Add(1)
 						}
-						quiesce.RUnlock()
 					}
 				}(m)
 			}
@@ -110,25 +104,14 @@ func TestFrozenReadsDuringFailoverAndRebalance(t *testing.T) {
 					}
 				}
 			}()
-			for r := 1; r <= rounds && !t.Failed(); r++ {
-				quiesce.Lock()
-				st, err := s.Rebalance(placements[r%2])
-				quiesce.Unlock()
-				if err != nil {
-					t.Fatalf("Rebalance %d: %v", r, err)
-				}
-				if st.KeysMoved == 0 {
-					t.Fatalf("Rebalance %d moved nothing: the two placements should disagree", r)
-				}
-			}
-			stop.Store(true)
 			readers.Wait()
+			stop.Store(true)
 			failer.Wait()
 			if served.Load() == 0 {
 				t.Fatal("no read was served")
 			}
 			if s.Len() != keys {
-				t.Fatalf("Len = %d after the migrations, want %d", s.Len(), keys)
+				t.Fatalf("Len = %d, want %d", s.Len(), keys)
 			}
 			t.Logf("served %d, unavailable %d", served.Load(), unavailable.Load())
 		})
@@ -159,7 +142,7 @@ func arenaCapacity(t *testing.T, s *Store) (capacity, live []int64) {
 }
 
 // TestValueSlicesOutliveOverwrites: a slice a reader obtained keeps its
-// bytes through overwrites, deletes and arena compactions of its shard —
+// bytes through overwrites and arena compactions of its shard —
 // per-machine caches hold such slices for a store's lifetime — while the
 // arena's footprint stays bounded: a million overwrites of a thousand keys
 // leave every shard holding at most twice its live bytes plus 1 MB.
@@ -200,19 +183,12 @@ func TestValueSlicesOutliveOverwrites(t *testing.T) {
 			hold(k, versions[k])
 		}
 	}
-	// Deletes leave the held slices alone too (migration is the only caller).
-	b := s.backend.(*memBackend)
-	for k := uint64(0); k < keys; k += 7 {
-		if err := b.BatchDelete(s.shardIndexFor(k), []uint64{k}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for _, h := range holds {
 		if !bytes.Equal(h.v, memTestValue(h.key, h.version)) {
 			t.Fatalf("the slice read for key %d at version %d changed under its holder", h.key, h.version)
 		}
 	}
-	for k := uint64(1); k < keys; k += 7 {
+	for k := uint64(0); k < keys; k++ {
 		v, ok, err := s.Get(k)
 		if err != nil || !ok || !bytes.Equal(v, memTestValue(k, versions[k])) {
 			t.Fatalf("key %d after the overwrites: ok=%v err=%v, %d bytes", k, ok, err, len(v))

@@ -26,7 +26,7 @@ import (
 // modeled TCP one.
 //
 // A frame is a 4-byte little-endian body length and the body.  A request
-// body is an op (read, write or delete keys), the shard and the key count
+// body is an op (read or write), the shard and the key count
 // as uvarints, then each key as 8 little-endian bytes, a write's key
 // followed by its value as a uvarint length and the bytes.  A frame
 // addresses one shard; Get and Put are one-key frames.  A reply body starts
@@ -276,10 +276,6 @@ func (b *rpcBackend) BatchWrite(shard int, pairs []Pair) error {
 		payload += 8 + len(p.Value)
 	}
 	return b.call(&rpcRequest{op: rpcWrite, shard: shard, pairs: pairs}, payload, nil, nil)
-}
-
-func (b *rpcBackend) BatchDelete(shard int, keys []uint64) error {
-	return b.call(&rpcRequest{op: rpcDelete, shard: shard, keys: keys}, 8*len(keys), nil, nil)
 }
 
 func (b *rpcBackend) Freeze() error { return nil }

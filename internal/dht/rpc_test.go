@@ -31,8 +31,8 @@ func FuzzRPCFrame(f *testing.F) {
 		{op: rpcRead, shard: 1, keys: []uint64{7}},
 		{op: rpcRead, shard: 0, keys: []uint64{0, 1<<64 - 1, 3}},
 		{op: rpcWrite, shard: 1, pairs: []Pair{{Key: 7, Value: []byte("seven")}, {Key: 9}}},
-		{op: rpcDelete, shard: 0, keys: []uint64{7, 8}},
-		{op: rpcRead, shard: 5, keys: []uint64{1}}, // no such shard
+		{op: rpcWrite + 1, shard: 0, keys: []uint64{7, 8}}, // the retired delete op: a bad frame
+		{op: rpcRead, shard: 5, keys: []uint64{1}},         // no such shard
 	} {
 		frame, err := appendFrame(nil, &req)
 		if err != nil {

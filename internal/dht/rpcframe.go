@@ -19,10 +19,9 @@ import (
 const (
 	rpcRead = iota + 1
 	rpcWrite
-	rpcDelete
 )
 
-var rpcOpNames = [...]string{rpcRead: "read", rpcWrite: "write", rpcDelete: "delete"}
+var rpcOpNames = [...]string{rpcRead: "read", rpcWrite: "write"}
 
 const (
 	rpcOK byte = iota
@@ -39,8 +38,8 @@ const (
 
 var errBadFrame = errors.New("dht: malformed or oversized rpc frame")
 
-// rpcRequest is one request frame: a read's or a delete's keys, or a
-// write's pairs, on one shard.
+// rpcRequest is one request frame: a read's keys or a write's pairs, on one
+// shard.
 type rpcRequest struct {
 	op    uint64
 	shard int
@@ -145,7 +144,7 @@ func parseRequest(body []byte, req *rpcRequest) error {
 	op, shard, n := r.uvarint(), r.uvarint(), r.uvarint()
 	// Every key takes 8 bytes, so a larger count is refused before
 	// anything is sized by it.
-	if r.bad || op < rpcRead || op > rpcDelete || shard > math.MaxInt32 || n > uint64(len(r.b)/8) {
+	if r.bad || op < rpcRead || op > rpcWrite || shard > math.MaxInt32 || n > uint64(len(r.b)/8) {
 		return errBadFrame
 	}
 	*req = rpcRequest{op: op, shard: int(shard), keys: req.keys[:0], pairs: req.pairs[:0]}
@@ -251,8 +250,6 @@ func handleFrame(engine *memBackend, body []byte, err error, req *rpcRequest, b 
 		return appendReply(b, err, nil, nil)
 	case req.op == rpcWrite:
 		return appendReply(b, engine.BatchWrite(req.shard, req.pairs), nil, nil)
-	case req.op == rpcDelete:
-		return appendReply(b, engine.BatchDelete(req.shard, req.keys), nil, nil)
 	case len(req.keys) == 1: // a Get: the engine's single read allocates nothing
 		v, ok, err := engine.Get(req.shard, req.keys[0])
 		return appendReply(b, err, [][]byte{v}, []bool{ok})

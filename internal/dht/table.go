@@ -12,14 +12,13 @@ import "math/bits"
 // value costs no heap object, and the garbage collector has nothing to scan
 // but the short list of chunks.
 
-// A slot's ref is refEmpty (never used), refDeleted (a tombstone: probes
-// continue past it) or a packed arena reference, which is always >=
-// 1<<refChunkShift because the chunk index is stored plus one.  Presence
+// A slot's ref is refEmpty (never used) or a packed arena reference, which
+// is never zero because the chunk index is stored plus one.  Presence
 // therefore lives in the ref alone: key 0 and zero-length values are
-// ordinary entries.
+// ordinary entries.  Keys are never removed, so a probe ends at the first
+// empty slot.
 const (
-	refEmpty   = 0
-	refDeleted = 1
+	refEmpty = 0
 
 	// A packed ref, low to high: 18 bits of length, 18 bits of offset, the
 	// dedicated flag, then the chunk index plus one.  Offset and length
@@ -38,7 +37,7 @@ const (
 	compactSlack  = 1 << 20           // dead arena bytes tolerated beyond the live bytes
 
 	tableMinSlots  = 8
-	tableLoadNum   = 3 // a table rehashes once used slots exceed 3/4
+	tableLoadNum   = 3 // a table rehashes once live slots exceed 3/4
 	tableLoadDenom = 4
 )
 
@@ -53,7 +52,6 @@ type memSlot struct {
 type memTable struct {
 	slots []memSlot
 	live  int // slots holding a value
-	used  int // live slots plus tombstones: what bounds a probe sequence
 	hint  int // expected number of keys (reserve); sizes the next allocation
 }
 
@@ -96,7 +94,7 @@ func (t *memTable) get(key uint64) uint64 {
 		if s.ref == refEmpty {
 			return refEmpty
 		}
-		if s.key == key && s.ref != refDeleted {
+		if s.key == key {
 			return s.ref
 		}
 		if i++; i == n {
@@ -106,29 +104,19 @@ func (t *memTable) get(key uint64) uint64 {
 }
 
 // set stores ref under key and returns the ref it replaced (refEmpty for a
-// new key).  A new key reuses the first tombstone of its probe sequence.
+// new key).
 func (t *memTable) set(key, ref uint64) (old uint64) {
-	if (t.used+1)*tableLoadDenom > len(t.slots)*tableLoadNum {
+	if (t.live+1)*tableLoadDenom > len(t.slots)*tableLoadNum {
 		t.rehash()
 	}
 	n := uint64(len(t.slots))
-	tomb := -1
 	for i := slotIndex(key, n); ; {
 		s := &t.slots[i]
 		switch {
 		case s.ref == refEmpty:
-			if tomb >= 0 {
-				s = &t.slots[tomb]
-			} else {
-				t.used++
-			}
 			s.key, s.ref = key, ref
 			t.live++
 			return refEmpty
-		case s.ref == refDeleted:
-			if tomb < 0 {
-				tomb = int(i)
-			}
 		case s.key == key:
 			old, s.ref = s.ref, ref
 			return old
@@ -139,45 +127,17 @@ func (t *memTable) set(key, ref uint64) (old uint64) {
 	}
 }
 
-// del removes key, leaving a tombstone, and returns the ref it held
-// (refEmpty when the key was absent).
-func (t *memTable) del(key uint64) (old uint64) {
-	n := uint64(len(t.slots))
-	if n == 0 {
-		return refEmpty
-	}
-	for i := slotIndex(key, n); ; {
-		s := &t.slots[i]
-		if s.ref == refEmpty {
-			return refEmpty
-		}
-		if s.key == key && s.ref != refDeleted {
-			old, s.ref = s.ref, refDeleted
-			t.live--
-			return old
-		}
-		if i++; i == n {
-			i = 0
-		}
-	}
-}
-
-// rehash moves the live entries into a fresh slot array, dropping the
-// tombstones.  The array doubles when live entries (not tombstones) filled
-// it, and is never smaller than the reservation asks for.
+// rehash moves the entries into a slot array twice the size, or the size the
+// reservation asks for if that is larger.
 func (t *memTable) rehash() {
-	n := len(t.slots)
-	if (t.live+1)*tableLoadDenom*2 > n*tableLoadNum {
-		n *= 2
-	}
+	n := 2 * len(t.slots)
 	if want := slotsFor(t.hint); n < want {
 		n = want
 	}
 	old := t.slots
 	t.slots = make([]memSlot, n)
-	t.used = t.live
 	for _, s := range old {
-		if s.ref > refDeleted {
+		if s.ref != refEmpty {
 			t.place(s)
 		}
 	}

@@ -103,20 +103,6 @@ func refBatchWriteCostSplit(m CostModel, localVisits, remoteVisits, keys int) ti
 		time.Duration(keys)*perKey
 }
 
-// refMigrateCost returns the modeled latency of one ownership rebalance that
-// copied bytes bytes of shard data between machines.
-func refMigrateCost(m CostModel, bytes int64) time.Duration {
-	fixed := m.MigrateFixed
-	if fixed == 0 {
-		fixed = m.RoundOverhead
-	}
-	perByte := m.MigratePerByte
-	if perByte == 0 {
-		perByte = m.ShufflePerByte
-	}
-	return fixed + time.Duration(bytes)*perByte
-}
-
 // Fuzz model kinds: the three transports, a measured model, a random model
 // with random fallback fields zeroed, and a legacy model that sets only the
 // single-operation latencies.
@@ -150,7 +136,7 @@ func fuzzModel(kind uint8, seed int64) CostModel {
 	m := CostModel{Name: "random", LookupLatency: lat(), WriteLatency: lat(), ComputePerItem: lat(),
 		ShuffleFixed: lat(), ShufflePerByte: lat() / 1000, RoundOverhead: lat()}
 	for _, f := range []*time.Duration{&m.BatchShardLatency, &m.BatchPerKey, &m.LocalShardLatency,
-		&m.RemoteShardLatency, &m.BatchLocalShardLatency, &m.BatchRemoteShardLatency, &m.MigrateFixed, &m.MigratePerByte} {
+		&m.RemoteShardLatency, &m.BatchLocalShardLatency, &m.BatchRemoteShardLatency} {
 		if rnd.Intn(2) == 0 {
 			*f = lat()
 		}
@@ -170,7 +156,6 @@ const (
 	opCompute    // a*256+b items
 	opRound
 	opShuffle // a*256+b bytes
-	opMigrate // a*256+b bytes
 	numOps
 )
 
@@ -196,7 +181,7 @@ func FuzzPrice(f *testing.F) {
 	}
 	// Everything at once, on four threads and on the measured model.
 	mixed := ops(opCacheHit, 0, 0, 0, opCompute, 1, 7, 0, opRound, 0, 0, 0, opShuffle, 200, 3, 0,
-		opMigrate, 9, 9, 0, opReadRemote, 0, 0, 0, opBatchWrite, 1, 1, 1)
+		opReadRemote, 0, 0, 0, opBatchWrite, 1, 1, 1)
 	f.Add(uint8(fuzzMeasured), int64(3), mixed, uint8(4))
 	f.Add(uint8(fuzzRandom), int64(11), append(single, mixed...), uint8(3))
 
@@ -246,10 +231,6 @@ func FuzzPrice(f *testing.F) {
 				w[Shuffles]++
 				w[ShuffleBytes] += n
 				rest += m.ShuffleFixed + time.Duration(n)*m.ShufflePerByte
-			case opMigrate:
-				w[Migrations]++
-				w[MigratedBytes] += n
-				rest += refMigrateCost(m, n)
 			}
 		}
 		if got, want := m.Price(w, th), kv/time.Duration(th)+rest; got != want {

@@ -11,7 +11,7 @@
 // both real and modeled time.
 //
 // The runtimes count their work — key-value operations by kind and side,
-// compute items, rounds, shuffles and their bytes, migrations — into Work
+// compute items, rounds, shuffles and their bytes — into Work
 // vectors, and CostModel.Price turns counts into time.  Price is the one
 // reader of a model: swapping the model re-prices the same counts.
 package simtime
@@ -72,16 +72,6 @@ type CostModel struct {
 	// visited by a batched operation.  Zero falls back to BatchShardLatency
 	// and then to the single-operation remote latency.
 	BatchRemoteShardLatency time.Duration
-	// MigrateFixed is the fixed cost of one ownership rebalance: draining
-	// in-flight work and swinging the routing tables before any byte moves.
-	// Zero falls back to RoundOverhead, so models predating migration still
-	// charge a rebalance like the round barrier it replaces.
-	MigrateFixed time.Duration
-	// MigratePerByte is the cost per byte of shard data copied between
-	// machines during an ownership rebalance.  Zero falls back to
-	// ShufflePerByte — migrated bytes cross the same interconnect as
-	// shuffled ones.
-	MigratePerByte time.Duration
 }
 
 // Count names one entry of a Work vector.
@@ -116,14 +106,11 @@ const (
 	// Compute counts items of local computation (vertex visits, edge
 	// scans, ...).
 	Compute
-	// Rounds, Shuffles, ShuffleBytes, Migrations and MigratedBytes are the
-	// job-level counts: round spawns, shuffles of the host framework and the
-	// bytes they moved, ownership rebalances and the shard bytes they copied.
+	// Rounds, Shuffles and ShuffleBytes are the job-level counts: round
+	// spawns, and shuffles of the host framework and the bytes they moved.
 	Rounds
 	Shuffles
 	ShuffleBytes
-	Migrations
-	MigratedBytes
 	// NumCounts is the length of a Work vector.
 	NumCounts
 )
@@ -132,13 +119,6 @@ const (
 // model charges is linear in these counts, so on one thread the price of a
 // sum of Work vectors is the sum of their prices.
 type Work [NumCounts]int64
-
-// Add adds o to w, count by count.
-func (w *Work) Add(o Work) {
-	for k := range w {
-		w[k] += o[k]
-	}
-}
 
 // cacheHitLatency is the cost of a read served from the machine's own
 // memory, whatever the transport.
@@ -164,9 +144,7 @@ func (m CostModel) Price(w Work, threads int) time.Duration {
 	return time.Duration(w[Compute])*m.ComputePerItem + kv/time.Duration(threads) +
 		time.Duration(w[Rounds])*m.RoundOverhead +
 		time.Duration(w[Shuffles])*m.ShuffleFixed +
-		time.Duration(w[ShuffleBytes])*m.ShufflePerByte +
-		time.Duration(w[Migrations])*or(m.MigrateFixed, m.RoundOverhead) +
-		time.Duration(w[MigratedBytes])*or(m.MigratePerByte, m.ShufflePerByte)
+		time.Duration(w[ShuffleBytes])*m.ShufflePerByte
 }
 
 // kvPrice prices one direction's key-value operations, single being its
@@ -204,11 +182,6 @@ func RDMA() CostModel {
 		// an RDMA lookup.
 		LocalShardLatency:      100 * time.Nanosecond,
 		BatchLocalShardLatency: 100 * time.Nanosecond,
-		// An ownership rebalance drains the segment boundary (about one
-		// round overhead) and then streams shard data over the same
-		// interconnect as a shuffle.
-		MigrateFixed:   25 * time.Millisecond,
-		MigratePerByte: 3 * time.Nanosecond,
 	}
 }
 
